@@ -29,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .dynamics import LindbladModel, bell_probe, dephasing_kraus, sigma_n_theta
+from .dynamics import LindbladModel
 from .errors import (
     ConfigError,
     CrossCheckError,
@@ -38,32 +38,11 @@ from .errors import (
     LeakageError,
     NumericError,
     QecConditionError,
-    StepError,
 )
-from .estimation import (
-    AdaptiveConfig,
-    STRATEGIES,
-    campaign_estimates,
-)
-from .metrology import (
-    _f1,
-    _g1,
-    qfi_omega_qec_closed,
-    qfi_omega_unitary_controlled,
-    qfi_sld_numeric,
-    qfi_theta_free_closed,
-    qfi_theta_qec_closed,
-    qfi_theta_unitary_controlled,
-)
-from .qec import (
-    QecCode,
-    asymptotic_qfi,
-    code_probe,
-    corrected_state_omega_closed,
-    corrected_state_theta_closed,
-    expansion_superoperators,
-)
-from .qmat import expm, eye2, kron, sigma1, sigma2
+from .estimation import AdaptiveConfig, campaign_estimates
+from .metrology import qfi_sld_numeric
+from .qec import QecCode, asymptotic_qfi, code_probe, expansion_superoperators
+from .tasks import STRATEGIES, TASKS, Task
 
 _CROSSCHECK_RTOL = 1e-3
 _CROSSCHECK_SAMPLES = 5
@@ -171,81 +150,33 @@ def _check_pair(label: str, closed: float, numeric: float) -> None:
 
 def _sample_times(ts: np.ndarray) -> np.ndarray:
     positive = ts[ts > 1e-9]
-    if positive.size == 0:
-        return positive
     idx = np.unique(np.linspace(0, positive.size - 1, _CROSSCHECK_SAMPLES).astype(int))
     return positive[idx]
 
 
-def _crosscheck_theta(B: float, gamma: float, ts: np.ndarray, dthetas: list[float]) -> None:
-    theta_hat = np.pi / 4
-    bell = bell_probe()
-    rho0 = np.outer(bell, bell.conj())
-    sn_hat = kron(sigma_n_theta(theta_hat), eye2)
+def _crosscheck(task: Task, B: float, gamma: float, ts: np.ndarray, d_list: list[float]) -> None:
+    x_hat = task.x_hat
     for t in _sample_times(ts):
-        def free_state(th: float) -> np.ndarray:
-            out = np.zeros_like(rho0)
-            for k2 in dephasing_kraus(B, gamma, t, th):
-                k4 = kron(k2, eye2)
-                out += k4 @ rho0 @ k4.conj().T
-            return out
-
-        _check_pair(
-            f"free t={t:g}",
-            qfi_theta_free_closed(B, gamma, t).value,
-            qfi_sld_numeric(free_state, theta_hat).value,
-        )
-
-        def unitary_state(th: float) -> np.ndarray:
-            h = B * (kron(sigma_n_theta(th), eye2) - sn_hat)
-            psi = expm(-1j * t * h) @ bell
-            return np.outer(psi, psi.conj())
-
-        _check_pair(
-            f"unitary t={t:g}",
-            qfi_theta_unitary_controlled(B, t, 0.0).value,
-            qfi_sld_numeric(unitary_state, theta_hat).value,
-        )
-
-        for dth in dthetas:
-            def qec_state(th: float, dth: float = dth) -> np.ndarray:
-                return corrected_state_theta_closed(B, gamma, th, theta_hat, t)
-
+        if task.free_closed is not None:
             _check_pair(
-                f"qec dtheta={dth:g} t={t:g}",
-                qfi_theta_qec_closed(B, gamma, t, dth).value,
-                qfi_sld_numeric(qec_state, theta_hat + dth).value,
+                f"free t={t:g}",
+                task.free_closed(B, gamma, t).value,
+                qfi_sld_numeric(task.free_family(B, gamma, t), x_hat).value,
             )
-
-
-def _crosscheck_omega(B: float, gamma: float, ts: np.ndarray, domegas: list[float]) -> None:
-    omega_hat = 0.5
-    bell = bell_probe()
-    for t in _sample_times(ts):
-        def unitary_state(om: float) -> np.ndarray:
-            # Control-frame average of the detuning Hamiltonian, time
-            # pre-integrated into the axis components.
-            a = om - omega_hat
-            z = a * t
-            v1 = -t * _g1(z)
-            v2 = -a * t * t * _f1(z)
-            psi = expm(-1j * B * kron(v1 * sigma1 + v2 * sigma2, eye2)) @ bell
-            return np.outer(psi, psi.conj())
-
         _check_pair(
             f"unitary t={t:g}",
-            qfi_omega_unitary_controlled(B, t, 0.0).value,
-            qfi_sld_numeric(unitary_state, omega_hat).value,
+            task.unitary_closed(B, t, 0.0).value,
+            qfi_sld_numeric(task.unitary_family(B, t, x_hat), x_hat).value,
         )
 
-        for dom in domegas:
-            def qec_state(om: float) -> np.ndarray:
-                return corrected_state_omega_closed(B, gamma, om, omega_hat, t)
+        def qec_state(x: float) -> np.ndarray:
+            return task.corrected_state(B, gamma, x, x_hat, t)
 
+        for d in d_list:
             _check_pair(
-                f"qec domega={dom:g} t={t:g}",
-                qfi_omega_qec_closed(B, gamma, t, dom).value,
-                qfi_sld_numeric(qec_state, omega_hat + dom).value,
+                f"qec {task.symbol}={d:g} t={t:g}",
+                task.qec_closed(B, gamma, t, d).value,
+                qfi_sld_numeric(qec_state, x_hat + d).value,
             )
 
 
@@ -254,84 +185,62 @@ def _crosscheck_omega(B: float, gamma: float, ts: np.ndarray, domegas: list[floa
 # ---------------------------------------------------------------------------
 
 
-def cmd_qfi_theta(
-    B: float,
-    gamma: float,
-    t_max: float,
-    n_points: int,
-    dtheta_list: list[float],
+def cmd_qfi(
+    task: str, B: float, gamma: float, t_max: float, n_points: int, d_list: list[float],
     out_path: str | None,
 ) -> CurveTable:
-    """Information-vs-time table for the angle task.
+    """Information-vs-time table for one task ("theta" or "omega").
 
-    Columns: t, the unitary-control baseline 4B^2t^2, one corrected-dynamics
-    column per detuning, and the free-evolution value.  Closed forms are
-    cross-checked against the eigendecomposition route at sample times before
-    anything is written.
+    Columns: t, the unitary-control baseline (4B^2t^2 for the angle, B^2t^4
+    for the frequency), one corrected-dynamics column per detuning and, for
+    the angle, the free-evolution value.  Closed forms are cross-checked
+    against the eigendecomposition route at sample times before anything is
+    written.
     """
-    if t_max <= 0:
-        raise DomainError(f"t_max must be > 0, got {t_max}")
+    spec = TASKS[task]
+    if not np.isfinite(B):
+        raise DomainError(f"B must be finite, got {B}")
+    if not 0 <= gamma < np.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
+    if not 1e-9 < t_max < np.inf:  # the cross-check gate samples t > 1e-9
+        raise DomainError(f"t_max must be finite and > 1e-9, got {t_max}")
+    if n_points < 2:
+        raise DomainError(f"points must be >= 2, got {n_points}")
     ts = np.linspace(0.0, t_max, n_points)
-    _crosscheck_theta(B, gamma, ts, dtheta_list)
-    cols = ["t", "qfi_unitary"]
-    cols += [f"qfi_qec_dtheta_{d:g}" for d in dtheta_list]
-    cols.append("qfi_free")
+    _crosscheck(spec, B, gamma, ts, d_list)
+    cols = ["t", "qfi_unitary"] + [f"qfi_qec_{spec.symbol}_{d:g}" for d in d_list]
+    if spec.free_closed is not None:
+        cols.append("qfi_free")
     rows = np.zeros((len(ts), len(cols)))
     rows[:, 0] = ts
     for i, t in enumerate(ts):
-        rows[i, 1] = qfi_theta_unitary_controlled(B, t, 0.0).value
-        for j, d in enumerate(dtheta_list):
-            rows[i, 2 + j] = qfi_theta_qec_closed(B, gamma, t, d).value
-        rows[i, -1] = qfi_theta_free_closed(B, gamma, t).value
-    params = {
-        "B": B,
-        "gamma": gamma,
-        "t_max": t_max,
-        "n_points": n_points,
-        "dtheta_list": list(dtheta_list),
-    }
-    table = CurveTable(columns=cols, rows=rows, metadata=_metadata("qfi-theta", params, None))
+        rows[i, 1] = spec.unitary_closed(B, t, 0.0).value
+        for j, d in enumerate(d_list):
+            rows[i, 2 + j] = spec.qec_closed(B, gamma, t, d).value
+        if spec.free_closed is not None:
+            rows[i, -1] = spec.free_closed(B, gamma, t).value
+    params = {"B": B, "gamma": gamma, "t_max": t_max, "n_points": n_points}
+    params[f"{spec.symbol}_list"] = list(d_list)
+    table = CurveTable(columns=cols, rows=rows, metadata=_metadata(f"qfi-{task}", params, None))
     if out_path is not None:
         write_csv(table, out_path)
     return table
+
+
+def cmd_qfi_theta(
+    B: float, gamma: float, t_max: float, n_points: int, dtheta_list: list[float],
+    out_path: str | None,
+) -> CurveTable:
+    """Information-vs-time table for the angle task; see :func:`cmd_qfi`."""
+    return cmd_qfi("theta", B, gamma, t_max, n_points, dtheta_list, out_path)
 
 
 def cmd_qfi_omega(
-    B: float,
-    gamma: float,
-    t_max: float,
-    n_points: int,
-    domega_list: list[float],
+    B: float, gamma: float, t_max: float, n_points: int, domega_list: list[float],
     out_path: str | None,
 ) -> CurveTable:
-    """Information-vs-time table for the frequency task.
-
-    Columns: t, the unitary baseline B^2t^4 and one corrected-dynamics
-    column per detuning, cross-checked like the angle sweep.
-    """
-    if t_max <= 0:
-        raise DomainError(f"t_max must be > 0, got {t_max}")
-    ts = np.linspace(0.0, t_max, n_points)
-    _crosscheck_omega(B, gamma, ts, domega_list)
-    cols = ["t", "qfi_unitary"]
-    cols += [f"qfi_qec_domega_{d:g}" for d in domega_list]
-    rows = np.zeros((len(ts), len(cols)))
-    rows[:, 0] = ts
-    for i, t in enumerate(ts):
-        rows[i, 1] = qfi_omega_unitary_controlled(B, t, 0.0).value
-        for j, d in enumerate(domega_list):
-            rows[i, 2 + j] = qfi_omega_qec_closed(B, gamma, t, d).value
-    params = {
-        "B": B,
-        "gamma": gamma,
-        "t_max": t_max,
-        "n_points": n_points,
-        "domega_list": list(domega_list),
-    }
-    table = CurveTable(columns=cols, rows=rows, metadata=_metadata("qfi-omega", params, None))
-    if out_path is not None:
-        write_csv(table, out_path)
-    return table
+    """Information-vs-time table for the frequency task; see :func:`cmd_qfi`."""
+    return cmd_qfi("omega", B, gamma, t_max, n_points, domega_list, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +296,8 @@ def _strategy_out_path(out_path: str, strategy: str) -> str:
 
 
 def _crb_value(task: str, strategy: str, cfg: AdaptiveConfig) -> float:
-    mk = cfg.m * cfg.rounds
-    B, g, t = cfg.B, cfg.gamma, cfg.t
-    if task == "theta":
-        j = 4 * B * B * t * t + (4 * g * t if strategy == "qec_corrected" else 0.0)
-    else:
-        j = B * B * t**4 + ((4.0 / 3.0) * g * t**3 if strategy == "qec_corrected" else 0.0)
-    return 1.0 / (mk * j)
+    j = TASKS[task].information(strategy, cfg.B, cfg.gamma, cfg.t)
+    return 1.0 / (cfg.m * cfg.rounds * j)
 
 
 def cmd_adapt(
@@ -411,7 +315,7 @@ def cmd_adapt(
     1/(m*K*J).  Returns the tables keyed by strategy.  seed, reps and
     strategy override the corresponding config entries when given.
     """
-    if task not in ("theta", "omega"):
+    if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected 'theta' or 'omega'", field="task")
     raw = _load_adapt_config(config_path)
     if reps is None:
@@ -527,26 +431,13 @@ def load_model_file(path: str) -> tuple[LindbladModel, QecCode]:
     def const(m: np.ndarray):
         return lambda t: m
 
-    h = _matrix_from_json(raw["hamiltonian"], dim, "hamiltonian")
-    ls = [_matrix_from_json(m, dim, f"lindblads[{i}]") for i, m in enumerate(raw["lindblads"])]
-    dh = _matrix_from_json(raw["d_hamiltonian"], dim, "d_hamiltonian")
-    dls = [
-        _matrix_from_json(m, dim, f"d_lindblads[{i}]") for i, m in enumerate(raw["d_lindblads"])
-    ]
-    ddh = _matrix_from_json(raw["dd_hamiltonian"], dim, "dd_hamiltonian")
-    ddls = [
-        _matrix_from_json(m, dim, f"dd_lindblads[{i}]")
-        for i, m in enumerate(raw["dd_lindblads"])
-    ]
-    model = LindbladModel(
-        dim=dim,
-        hamiltonian=const(h),
-        lindblads=[const(m) for m in ls],
-        d_hamiltonian=const(dh),
-        d_lindblads=[const(m) for m in dls],
-        dd_hamiltonian=const(ddh),
-        dd_lindblads=[const(m) for m in ddls],
-    )
+    ops = {}
+    for prefix in ("", "d_", "dd_"):
+        key = prefix + "hamiltonian"
+        ops[key] = const(_matrix_from_json(raw[key], dim, key))
+        key = prefix + "lindblads"
+        ops[key] = [const(_matrix_from_json(m, dim, f"{key}[{i}]")) for i, m in enumerate(raw[key])]
+    model = LindbladModel(dim=dim, **ops)
     c0 = _vector_from_json(raw["code_c0"], dim, "code_c0")
     c1 = _vector_from_json(raw["code_c1"], dim, "code_c1")
     for name, v in (("code_c0", c0), ("code_c1", c1)):
@@ -683,24 +574,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("qfi-theta", help="information-vs-time table, angle task")
-    p.add_argument("--B", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.05)
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=101)
-    p.add_argument("--dtheta", type=float, action="append", default=None)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("qfi-omega", help="information-vs-time table, frequency task")
-    p.add_argument("--B", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.05)
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=101)
-    p.add_argument("--domega", type=float, action="append", default=None)
-    p.add_argument("--out", required=True)
+    for task in TASKS.values():
+        p = sub.add_parser(f"qfi-{task.name}", help=f"information-vs-time table, {task.label} task")
+        p.add_argument("--B", type=float, default=0.1)
+        p.add_argument("--gamma", type=float, default=0.05)
+        p.add_argument("--t-max", type=float, default=10.0)
+        p.add_argument("--points", type=int, default=101)
+        p.add_argument(f"--{task.symbol}", type=float, action="append")
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("adapt", help="adaptive estimation campaign from a config file")
-    p.add_argument("task", choices=("theta", "omega"))
+    p.add_argument("task", choices=tuple(TASKS))
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
@@ -722,12 +606,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "qfi-theta":
-            dthetas = args.dtheta if args.dtheta is not None else [0.0, 0.05, 0.1]
-            cmd_qfi_theta(args.B, args.gamma, args.t_max, args.points, dthetas, args.out)
-        elif args.command == "qfi-omega":
-            domegas = args.domega if args.domega is not None else [0.0, 0.05, 0.1]
-            cmd_qfi_omega(args.B, args.gamma, args.t_max, args.points, domegas, args.out)
+        if args.command.startswith("qfi-"):
+            task = args.command.removeprefix("qfi-")
+            detunings = getattr(args, TASKS[task].symbol) or [0.0, 0.05, 0.1]
+            cmd_qfi(task, args.B, args.gamma, args.t_max, args.points, detunings, args.out)
         elif args.command == "adapt":
             seed = args.seed if args.seed is not None else _default_seed()
             cmd_adapt(
@@ -750,10 +632,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CrossCheckError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, DomainError, StepError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FluxmetError as exc:
+    except (FluxmetError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

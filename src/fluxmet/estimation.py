@@ -7,26 +7,30 @@ refining the winning cell by golden-section search.  The outcome
 distribution is even in (true - estimate), so a single round cannot resolve
 the detuning sign; the product over rounds with different working points
 breaks that degeneracy.
+
+The loop and the campaigns are written once against a ``tasks.Task`` record;
+the per-task names (``run_adaptive_omega`` and so on) pick the record.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
-from .metrology import (
-    MeasurementDistribution,
-    _f1,
-    _g1,
-    omega_frame_decay,
-    omega_frame_phase,
-)
-
-STRATEGIES = ("qec_corrected", "unitary_controlled")
+from .metrology import MeasurementDistribution
+from .tasks import STRATEGIES, TASKS, Task
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):  # ints beyond the float range, non-numbers
+        return False
 
 
 @dataclass(frozen=True)
@@ -35,9 +39,8 @@ class AdaptiveConfig:
 
     ``grid`` is (lo, hi, resolution) for the likelihood search; None picks
     the task default ([0, pi/2] for the angle, [0, 1] for the frequency,
-    resolution 1e-4).  With ``accumulate`` (the default) each round maximizes
-    the likelihood product over all rounds so far; without it only the
-    current round's likelihood is used.
+    resolution 1e-4).  Each round maximizes the likelihood product over all
+    rounds so far.
     """
 
     true_value: float
@@ -50,9 +53,12 @@ class AdaptiveConfig:
     grid: tuple[float, float, float] | None = None
     seed: int = 0
     strategy: str = "qec_corrected"
-    accumulate: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("true_value", "initial_guess", "t", "B", "gamma"):
+            value = getattr(self, name)
+            if not _finite(value):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
         if self.m < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         if self.rounds < 1:
@@ -60,6 +66,8 @@ class AdaptiveConfig:
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.grid is not None:
+            if len(self.grid) != 3 or not all(_finite(v) for v in self.grid):
+                raise DomainError(f"grid must be three finite numbers, got {self.grid!r}")
             lo, hi, res = self.grid
             if not lo < hi:
                 raise DomainError(f"grid lo must be < hi, got ({lo}, {hi})")
@@ -86,31 +94,13 @@ class EstimationRun:
 # ---------------------------------------------------------------------------
 
 
-def _p_plus_theta(theta, theta_hat, B: float, gamma: float, t: float):
-    d = np.sin(theta - theta_hat)
-    return 0.5 * (1.0 + np.exp(-2.0 * t * gamma * d * d) * np.cos(2.0 * B * t * d))
-
-
-def _p_plus_theta_unitary(theta, theta_hat, B: float, t: float):
-    # Effective detuning Hamiltonian B(sigma_n - sigma_n_hat) has eigenphase
-    # B*sqrt(2 - 2 cos d) per unit time.
-    phase = B * t * np.sqrt(np.maximum(2.0 - 2.0 * np.cos(theta - theta_hat), 0.0))
-    return np.cos(phase) ** 2
-
-
-def _p_plus_omega(omega, omega_hat, B: float, gamma: float, t: float):
-    a = omega - omega_hat
-    return 0.5 * (
-        1.0 + np.exp(-omega_frame_decay(gamma, a, t)) * np.cos(omega_frame_phase(B, a, t))
-    )
-
-
-def _p_plus_omega_unitary(omega, omega_hat, B: float, t: float):
-    # First-order average of the detuning Hamiltonian in the control frame:
-    # |integral of (n(a,tau) - n(0,tau))| = t*sqrt(g1(at)^2 + (at)^2 f1(at)^2).
-    z = (omega - omega_hat) * t
-    r = t * np.sqrt(_g1(z) ** 2 + z * z * _f1(z) ** 2)
-    return np.cos(B * r) ** 2
+def _outcome_distribution(
+    task: Task, x: float, x_hat: float, B: float, gamma: float, t: float
+) -> MeasurementDistribution:
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    p = float(task.p_plus(x, x_hat, B, gamma, t))
+    return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])
 
 
 def outcome_probability_theta(
@@ -121,10 +111,7 @@ def outcome_probability_theta(
     p(+) = (1 + exp(-2 t gamma sin^2 d) cos(2 B t sin d))/2 with
     d = theta - theta_hat; the distribution is even in d.
     """
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    p = float(_p_plus_theta(theta, theta_hat, B, gamma, t))
-    return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])
+    return _outcome_distribution(TASKS["theta"], theta, theta_hat, B, gamma, t)
 
 
 def outcome_probability_omega(
@@ -135,10 +122,7 @@ def outcome_probability_omega(
     p(+) = (1 + exp(-R) cos(Phi))/2 with the analytic rotating-frame phase
     Phi and decay R at detuning omega - omega_hat.
     """
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    p = float(_p_plus_omega(omega, omega_hat, B, gamma, t))
-    return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])
+    return _outcome_distribution(TASKS["omega"], omega, omega_hat, B, gamma, t)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +158,24 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 
 def _run_adaptive(
-    config: AdaptiveConfig,
-    rng: np.random.Generator | None,
-    prob_plus,
-    default_grid: tuple[float, float, float],
-    phase_scale: float,
+    config: AdaptiveConfig, rng: np.random.Generator | None, task: Task
 ) -> EstimationRun:
+    """Per round: build the code (or control) at the current estimate, draw
+    config.m outcomes at the true value, update the cumulative grid
+    likelihood, take its argmax (first index on ties) and refine within the
+    winning cell.  Deterministic for a given (config, seed).
+    """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    lo, hi, res = config.grid if config.grid is not None else default_grid
-    if phase_scale * (hi - lo) >= 2.0 * np.pi:
+    if config.strategy == "unitary_controlled":
+        def prob_plus(x, x_hat):
+            return task.p_plus_unitary(x, x_hat, config.B, config.t)
+    else:
+        def prob_plus(x, x_hat):
+            return task.p_plus(x, x_hat, config.B, config.gamma, config.t)
+
+    lo, hi, res = config.grid if config.grid is not None else task.default_grid
+    if task.phase_scale(config.B, config.t) * (hi - lo) >= 2.0 * np.pi:
         raise DomainError(
             f"grid width {hi - lo} aliases the likelihood phase at t={config.t}; "
             "shorten t or the prior interval"
@@ -202,15 +194,9 @@ def _run_adaptive(
         n_minus = config.m - n_plus
         history.append((n_plus, n_minus))
 
-        term = _loglik(n_plus, n_minus, prob_plus(grid, x_hat))
-        cum += term
-        objective_grid = cum if config.accumulate else term
-        idx = int(np.argmax(objective_grid))
-
-        if config.accumulate:
-            rounds_used = list(zip(history, estimates))
-        else:
-            rounds_used = [(history[-1], x_hat)]
+        cum += _loglik(n_plus, n_minus, prob_plus(grid, x_hat))
+        idx = int(np.argmax(cum))
+        rounds_used = list(zip(history, estimates))
 
         def objective(x: float) -> float:
             total = 0.0
@@ -225,56 +211,19 @@ def _run_adaptive(
     final_ll = 0.0
     for (np_, nm_), xh in zip(history, estimates):
         final_ll += float(_loglik(np_, nm_, prob_plus(estimates[-1], xh)))
-    return EstimationRun(
-        estimates=estimates,
-        outcome_history=history,
-        log_likelihood_final=final_ll,
-        seed=config.seed,
-    )
+    return EstimationRun(estimates, history, final_ll, config.seed)
 
 
 def run_adaptive(config: AdaptiveConfig, rng: np.random.Generator | None = None) -> EstimationRun:
-    """Adaptive maximum-likelihood estimation of the noise-axis angle.
-
-    Per round: build the code (or control) at the current estimate, draw
-    config.m outcomes at the true value, update the cumulative grid
-    likelihood, take its argmax (first index on ties) and refine within the
-    winning cell.  Deterministic for a given (config, seed).
-    """
-    if config.strategy == "unitary_controlled":
-        def prob(x, x_hat):
-            return _p_plus_theta_unitary(x, x_hat, config.B, config.t)
-    else:
-        def prob(x, x_hat):
-            return _p_plus_theta(x, x_hat, config.B, config.gamma, config.t)
-
-    return _run_adaptive(
-        config,
-        rng,
-        prob,
-        default_grid=(0.0, np.pi / 2, 1e-4),
-        phase_scale=config.B * config.t,
-    )
+    """Adaptive maximum-likelihood estimation of the noise-axis angle."""
+    return _run_adaptive(config, rng, TASKS["theta"])
 
 
 def run_adaptive_omega(
     config: AdaptiveConfig, rng: np.random.Generator | None = None
 ) -> EstimationRun:
     """Adaptive maximum-likelihood estimation of the rotation frequency."""
-    if config.strategy == "unitary_controlled":
-        def prob(x, x_hat):
-            return _p_plus_omega_unitary(x, x_hat, config.B, config.t)
-    else:
-        def prob(x, x_hat):
-            return _p_plus_omega(x, x_hat, config.B, config.gamma, config.t)
-
-    return _run_adaptive(
-        config,
-        rng,
-        prob,
-        default_grid=(0.0, 1.0, 1e-4),
-        phase_scale=config.B * config.t * config.t,
-    )
+    return _run_adaptive(config, rng, TASKS["omega"])
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +231,25 @@ def run_adaptive_omega(
 # ---------------------------------------------------------------------------
 
 
-def campaign_estimates(
-    config: AdaptiveConfig, repetitions: int, task: str = "theta"
-) -> np.ndarray:
+def campaign_estimates(config: AdaptiveConfig, repetitions: int, task: str = "theta") -> np.ndarray:
     """Estimate trajectories for all repetitions, shape (reps, rounds+1).
 
     Repetition r uses an independent generator seeded with config.seed XOR r.
     """
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
-    if task not in ("theta", "omega"):
+    if task not in TASKS:
         raise DomainError(f"unknown task {task!r}; expected 'theta' or 'omega'")
-    runner = run_adaptive if task == "theta" else run_adaptive_omega
     out = np.empty((repetitions, config.rounds + 1))
     for rep in range(repetitions):
-        run = runner(replace(config, seed=config.seed ^ rep))
+        run = _run_adaptive(replace(config, seed=config.seed ^ rep), None, TASKS[task])
         out[rep] = run.estimates
     return out
+
+
+def _mse_curve(config: AdaptiveConfig, repetitions: int, task: str) -> list[float]:
+    est = campaign_estimates(config, repetitions, task=task)
+    return list(np.mean((est - config.true_value) ** 2, axis=0))
 
 
 def mse_campaign(config: AdaptiveConfig, repetitions: int) -> list[float]:
@@ -306,11 +257,9 @@ def mse_campaign(config: AdaptiveConfig, repetitions: int) -> list[float]:
 
     Entry k is the MSE of the round-k estimate over all repetitions.
     """
-    est = campaign_estimates(config, repetitions, task="theta")
-    return list(np.mean((est - config.true_value) ** 2, axis=0))
+    return _mse_curve(config, repetitions, "theta")
 
 
 def mse_campaign_omega(config: AdaptiveConfig, repetitions: int) -> list[float]:
     """Per-round mean-squared error of the frequency estimator."""
-    est = campaign_estimates(config, repetitions, task="omega")
-    return list(np.mean((est - config.true_value) ** 2, axis=0))
+    return _mse_curve(config, repetitions, "omega")

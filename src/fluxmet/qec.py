@@ -4,6 +4,8 @@ Two concrete codes: a static one for the field-angle task and a rotating one
 for the rotation-frequency task.  Both protect a two-dimensional code space
 of the probe+ancilla pair against the parameter-correlated noise axis at the
 current estimate; recovery is the two-operator Kraus set {P, P sigma_n}.
+Stepwise corrected evolution and the continuous-recovery closed state are
+written once for both codes; a rotating code carries its frame generator.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -20,7 +22,14 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import LindbladModel, lindblad_evolve, sigma_n_omega, sigma_n_theta
+from .dynamics import (
+    LindbladModel,
+    lindblad_evolve,
+    omega_model,
+    sigma_n_omega,
+    sigma_n_theta,
+    theta_model,
+)
 from .errors import (
     ConfigError,
     DegenerateErrorSpaceError,
@@ -159,32 +168,42 @@ def _recovery_intervals(t: float, dt: float, n_recoveries: int | None) -> tuple[
     return n_recoveries, interval
 
 
-def corrected_evolve_theta(
-    B: float,
-    gamma: float,
-    theta: float,
-    theta_hat: float,
-    t: float,
-    dt: float = 1e-3,
-    n_recoveries: int | None = None,
+def _corrected_evolve(
+    model: LindbladModel, code: QecCode, t: float, dt: float, n_recoveries: int | None
 ) -> np.ndarray:
-    """Stepwise evolve-and-recover dynamics for the field-angle task.
+    """Stepwise evolve-and-recover dynamics from the code-word superposition probe.
 
-    Starts from the code-word superposition probe, alternates master-equation
-    evolution over t/n_recoveries with recovery at the estimate theta_hat.
-    Converges first-order in the recovery interval to
-    ``corrected_state_theta_closed``.
+    Per interval [tau, tau+dt'] of t/n_recoveries: evolve under the master
+    equation, recover with the code frozen at tau and, for a rotating code,
+    advance the frame with U = exp(+i G dt').  Converges first-order in the
+    recovery interval to the continuous-recovery closed state.
     """
-    from .dynamics import theta_model
-
-    model = theta_model(B, gamma, theta)
-    code = theta_code(theta_hat)
     rho = _outer(code_probe(code))
     n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
-    for _ in range(n_rec):
-        rho = lindblad_evolve(model, rho, interval, dt)
-        rho = apply_recovery(code, rho)
+    g = code.frame_generator
+    frame = None if g is None else expm(1j * interval * g)
+    for k in range(n_rec):
+        tau = k * interval
+        rho = lindblad_evolve(model, rho, interval, dt, t0=tau)
+        rho = apply_recovery(code, rho, tau)
+        if frame is not None:
+            rho = frame @ rho @ frame.conj().T
     return rho
+
+
+def _code_state(code: QecCode, coh: complex, t: float) -> np.ndarray:
+    """Equal-weight code-space state at time t with coherence coh."""
+    c0, c1 = code.basis(t)
+    return 0.5 * (_outer(c0) + _outer(c1) + coh * _outer(c0, c1) + np.conj(coh) * _outer(c1, c0))
+
+
+def corrected_evolve_theta(
+    B: float, gamma: float, theta: float, theta_hat: float, t: float,
+    dt: float = 1e-3, n_recoveries: int | None = None,
+) -> np.ndarray:
+    """Stepwise corrected dynamics for the field-angle task, recovering at theta_hat."""
+    model, code = theta_model(B, gamma, theta), theta_code(theta_hat)
+    return _corrected_evolve(model, code, t, dt, n_recoveries)
 
 
 def corrected_state_theta_closed(
@@ -195,42 +214,18 @@ def corrected_state_theta_closed(
     The code-space coherence decays as exp(-g t) with
     g = 2i B sin(dtheta) + 2 gamma sin^2(dtheta), dtheta = theta - theta_hat.
     """
-    code = theta_code(theta_hat)
-    c0, c1 = code.basis()
     d = theta - theta_hat
     g = 2j * B * np.sin(d) + 2 * gamma * np.sin(d) ** 2
-    coh = np.exp(-g * t)
-    return 0.5 * (_outer(c0) + _outer(c1) + coh * _outer(c0, c1) + np.conj(coh) * _outer(c1, c0))
+    return _code_state(theta_code(theta_hat), np.exp(-g * t), t)
 
 
 def corrected_evolve_omega(
-    B: float,
-    gamma: float,
-    omega: float,
-    omega_hat: float,
-    t: float,
-    dt: float = 1e-3,
-    n_recoveries: int | None = None,
+    B: float, gamma: float, omega: float, omega_hat: float, t: float,
+    dt: float = 1e-3, n_recoveries: int | None = None,
 ) -> np.ndarray:
-    """Stepwise corrected dynamics for the rotation-frequency task.
-
-    Per interval [tau, tau+dt']: evolve under the rotating-axis master
-    equation, recover with the code frozen at tau, then advance the code
-    frame with U = exp(+i G dt').
-    """
-    from .dynamics import omega_model
-
-    model = omega_model(B, gamma, omega)
-    code = omega_code(omega_hat)
-    rho = _outer(code_probe(code, 0.0))
-    n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
-    frame = expm(1j * interval * code.frame_generator)
-    for k in range(n_rec):
-        tau = k * interval
-        rho = lindblad_evolve(model, rho, interval, dt, t0=tau)
-        rho = apply_recovery(code, rho, tau)
-        rho = frame @ rho @ frame.conj().T
-    return rho
+    """Stepwise corrected dynamics for the rotation-frequency task, code rotating at omega_hat."""
+    model, code = omega_model(B, gamma, omega), omega_code(omega_hat)
+    return _corrected_evolve(model, code, t, dt, n_recoveries)
 
 
 def corrected_state_omega_closed(
@@ -242,11 +237,9 @@ def corrected_state_omega_closed(
     exp(-(i*phase + decay)) with the closed-form phase and decay integrals;
     the lab-frame state re-expresses that coherence on the time-t code words.
     """
-    code = omega_code(omega_hat)
-    c0, c1 = code.basis(t)
     a = omega - omega_hat
     coh = np.exp(-omega_frame_decay(gamma, a, t) - 1j * omega_frame_phase(B, a, t))
-    return 0.5 * (_outer(c0) + _outer(c1) + coh * _outer(c0, c1) + np.conj(coh) * _outer(c1, c0))
+    return _code_state(omega_code(omega_hat), coh, t)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +449,8 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
     expectation <psi|L1(|psi><psi|)|psi> is verified to vanish and the L2
     expectation to be non-positive (both within 1e-10).
     """
+    if not t >= 0:
+        raise DomainError(f"t must be >= 0, got {t}")
     if report.l1_generator is None or report.l2_action is None:
         raise ConfigError("report lacks expansion data; run expansion_superoperators first")
     psi = np.asarray(psi, dtype=complex)

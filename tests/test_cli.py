@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import types
 
@@ -22,6 +24,7 @@ from fluxmet.cli import (
     _config_hash,
 )
 from fluxmet.errors import ConfigError, DomainError
+from fluxmet.tasks import TASKS
 
 
 def _table() -> CurveTable:
@@ -118,12 +121,32 @@ def test_cmd_qfi_omega_detuning_penalty() -> None:
 
 def test_crosscheck_gate_aborts(tmp_path, monkeypatch, capsys) -> None:
     fake = lambda B, gamma, t, d: types.SimpleNamespace(value=999.0)
-    monkeypatch.setattr(cli, "qfi_theta_qec_closed", fake)
+    monkeypatch.setitem(TASKS, "theta", dataclasses.replace(TASKS["theta"], qec_closed=fake))
     out = str(tmp_path / "theta.csv")
     code = cli.main(["qfi-theta", "--t-max", "5", "--points", "2", "--out", out])
     assert code == 4
     assert "disagree" in capsys.readouterr().err
     assert not (tmp_path / "theta.csv").exists()
+
+
+@pytest.mark.parametrize("task", ["theta", "omega"])
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--points", "0"], "points"),
+        (["--points", "1"], "points"),
+        (["--gamma", "-1"], "gamma"),
+        (["--gamma", "nan"], "gamma"),
+        (["--B", "inf"], "B"),
+        (["--t-max", "nan"], "t_max"),
+        (["--t-max", "1e-10"], "t_max"),
+    ],
+)
+def test_cmd_qfi_rejects_bad_sweep_inputs(tmp_path, capsys, task, flags, field) -> None:
+    out = tmp_path / "sweep.csv"
+    assert cli.main([f"qfi-{task}", "--t-max", "5", *flags, "--out", str(out)]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _adapt_config(tmp_path, **overrides) -> str:
@@ -174,6 +197,23 @@ def test_cmd_adapt_schema_rejection(tmp_path, capsys) -> None:
     config = _adapt_config(tmp_path, strategies=["teleported"])
     assert cli.main(["adapt", "theta", "--config", config, "--out", out]) == 2
     assert "teleported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"grid": [0, 1]}, "grid"),
+        ({"grid": [0, 1, "fine"]}, "grid"),
+        ({"true_value": float("nan")}, "true_value"),
+        ({"initial_guess": float("inf")}, "initial_guess"),
+    ],
+)
+def test_cmd_adapt_rejects_bad_values(tmp_path, capsys, override, field) -> None:
+    config = _adapt_config(tmp_path, **override)
+    out = tmp_path / "camp.csv"
+    assert cli.main(["adapt", "theta", "--config", config, "--out", str(out)]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert list(tmp_path.glob("camp*")) == []
 
 
 def test_cmd_adapt_missing_required_key(tmp_path, capsys) -> None:
@@ -257,6 +297,13 @@ def test_cmd_general_qec_noiseless_model(tmp_path) -> None:
     assert abs(doc["qfi_asymptotic"] - 1.0) < 1e-10
 
 
+def test_cmd_general_qec_negative_time_exits_2(tmp_path, capsys) -> None:
+    out = tmp_path / "report.json"
+    assert cli.main(["general-qec", "theta_example", "--t", "-5", "--out", str(out)]) == 2
+    assert "t must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_general_qec_wrong_code_exits_3(capsys) -> None:
     assert cli.main(["general-qec", "wrong_code"]) == 3
     err = capsys.readouterr().err
@@ -306,3 +353,40 @@ def test_cmd_plot_malformed_csv_exits_2(tmp_path, capsys) -> None:
     code = cli.main(["plot", str(csv_path), "--out", str(tmp_path / "x.svg")])
     assert code == 2
     assert "no data rows" in capsys.readouterr().err
+
+
+# sha256 of every file the command lines below write, recorded before the
+# angle and frequency tasks shared one task table.  The determinism tests
+# compare two runs of one build; this one fails when a change moves a byte.
+# general-qec is left out: its report depends on the LAPACK eigensolvers.
+_GOLDEN_SHA256 = {
+    "theta.csv": "582618f535fec31cee75074f831de4ff2c1eed7962cbebc26bda1b8880fac383",
+    "omega.csv": "79b0916347ac35f34fa9923c2e266d3d6d4fff6c6eda7fc2d614696c082e09bf",
+    "adapt_theta.qec_corrected.csv": "21b04a59df0417137fd2f759b7b412069b5121f5324a45bdba7e7e1f3a14387a",
+    "adapt_theta.unitary_controlled.csv": "ef3011d91f394c13f3c4f846a4d9c5fe76835d97ebf92d1e38c53fa7e2335ba2",
+    "adapt_omega.qec_corrected.csv": "d7c41ca66415bee22d3889adc95c8c90afc8755f93d7a241fa992f540b5a06f4",
+    "adapt_omega.unitary_controlled.csv": "dc0935c05d31630fa66796594f7655a9a324f83d2c782154c972feda94563487",
+}
+
+
+def test_golden_output_bytes(tmp_path) -> None:
+    theta_cfg = tmp_path / "theta.json"
+    theta_cfg.write_text(
+        json.dumps({"true_value": 0.785, "initial_guess": 0.0, "repetitions": 3, "seed": 7})
+    )
+    omega_cfg = tmp_path / "omega.json"
+    omega_cfg.write_text(json.dumps({
+        "true_value": 0.3, "initial_guess": 0.2, "repetitions": 3, "seed": 7,
+        "grid": [0.2, 0.4, 1e-4],
+    }))
+    for argv in (
+        ["qfi-theta", "--t-max", "5", "--points", "11", "--out", str(tmp_path / "theta.csv")],
+        ["qfi-omega", "--t-max", "5", "--points", "3", "--out", str(tmp_path / "omega.csv")],
+        ["adapt", "theta", "--config", str(theta_cfg), "--out", str(tmp_path / "adapt_theta.csv")],
+        ["adapt", "omega", "--config", str(omega_cfg), "--out", str(tmp_path / "adapt_omega.csv")],
+    ):
+        assert cli.main(argv) == 0, argv
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _GOLDEN_SHA256
+    }
+    assert digests == _GOLDEN_SHA256
