@@ -296,8 +296,18 @@ def _strategy_out_path(out_path: str, strategy: str) -> str:
 
 
 def _crb_value(task: str, strategy: str, cfg: AdaptiveConfig) -> float:
+    """The Cramer-Rao line 1/(m K J); ConfigError when J leaves it undefined."""
     j = TASKS[task].information(strategy, cfg.B, cfg.gamma, cfg.t)
-    return 1.0 / (cfg.m * cfg.rounds * j)
+    crb = 1.0 / (cfg.m * cfg.rounds * j) if j > 0 else np.inf
+    if not np.isfinite(crb):
+        field, bound = ("t", "> 0") if cfg.t == 0 else ("B", "nonzero")
+        raise ConfigError(
+            f"{field} must be {bound}: at t = {cfg.t:g}, B = {cfg.B:g} the {strategy} campaign "
+            f"carries no Fisher information (J = {j:g}), so its Cramer-Rao line 1/(m K J) "
+            "is undefined",
+            field=field,
+        )
+    return crb
 
 
 def cmd_adapt(
@@ -330,7 +340,9 @@ def cmd_adapt(
         strategies = [strategy]
     else:
         strategies = raw["strategies"]
-    tables: dict[str, CurveTable] = {}
+    # Every strategy's config and Cramer-Rao line are checked before any
+    # campaign runs, so a bad one writes no file.
+    runs = []
     for strategy in strategies:
         kwargs = {
             k: raw[k] for k in ("true_value", "initial_guess", "m", "rounds", "t", "B", "gamma")
@@ -342,11 +354,14 @@ def cmd_adapt(
             cfg = AdaptiveConfig(seed=seed, strategy=strategy, **kwargs)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
+        runs.append((strategy, cfg, _crb_value(task, strategy, cfg)))
+    tables: dict[str, CurveTable] = {}
+    for strategy, cfg, crb_value in runs:
         estimates = campaign_estimates(cfg, reps, task=task)
         mse = np.mean((estimates - cfg.true_value) ** 2, axis=0)
         mean = np.mean(estimates, axis=0)
         rounds = np.arange(cfg.rounds + 1, dtype=float)
-        crb = np.full_like(rounds, _crb_value(task, strategy, cfg))
+        crb = np.full_like(rounds, crb_value)
         rows = np.column_stack([rounds, mean, mse, crb])
         params = dict(raw, strategy=strategy, task=task, seed=seed)
         table = CurveTable(

@@ -10,12 +10,22 @@ breaks that degeneracy.
 
 The loop and the campaigns are written once against a ``tasks.Task`` record;
 the per-task names (``run_adaptive_omega`` and so on) pick the record.
+
+One lockstep engine runs every campaign: a block of repetitions ("lanes")
+moves through each round together.  Each lane draws from its own generator
+and adds its round to its own row of a shared (lanes, grid) cumulative
+log-likelihood; one golden-section search then refines all lanes at once,
+freezing each lane where a search of that lane alone would stop.  A lane's
+estimates therefore do not depend on which lanes share its block, and a
+single run (``run_adaptive``) is the one-lane case.  Blocks hold at most
+2**20 grid cells (8 MB) and at most 1024 lanes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +34,11 @@ from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, TASKS, Task
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# A block of lanes holds at most this many grid cells (8 MB of float64) and
+# at most this many lanes: past a few hundred, batching saves no more time,
+# while each lane adds a generator (about 1 KB) and its refinement rows.
+_BLOCK_CELLS = 2**20
+_BLOCK_LANES = 1024
 
 
 def _finite(value) -> bool:
@@ -130,7 +145,7 @@ def outcome_probability_omega(
 # ---------------------------------------------------------------------------
 
 
-def _loglik(n_plus: int, n_minus: int, p):
+def _loglik(n_plus, n_minus, p):
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         lp = np.where(n_plus > 0, n_plus * np.log(p), 0.0)
@@ -138,42 +153,66 @@ def _loglik(n_plus: int, n_minus: int, p):
     return lp + lm
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    a, b = lo, hi
+def _golden_max(f, lo, hi, tol: float = 1e-10) -> np.ndarray:
+    """Golden-section maximum of f on [lo[i], hi[i]] for every lane i at once.
+
+    f maps one point per lane to that lane's objective; it is called once per
+    iteration for the whole batch.  A lane is frozen from the iteration in
+    which its bracket is within tol (at most 80 iterations), where a search of
+    that lane alone would stop, so each lane ends on the same float.
+    """
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(80):
-        if b - a <= tol:
+        live = ~(b - a <= tol)
+        if not live.any():
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+        keep_left = fc >= fd  # the maximum lies in [a, d]: drop (d, b]
+        a1 = np.where(keep_left, a, c)
+        b1 = np.where(keep_left, d, b)
+        x = np.where(keep_left, b1 - _GOLDEN * (b1 - a1), a1 + _GOLDEN * (b1 - a1))
+        fx = f(x)
+        c1, fc1 = np.where(keep_left, x, d), np.where(keep_left, fx, fd)
+        d1, fd1 = np.where(keep_left, c, x), np.where(keep_left, fc, fx)
+        a, b, c, d, fc, fd = (
+            np.where(live, new, old)
+            for new, old in zip((a1, b1, c1, d1, fc1, fd1), (a, b, c, d, fc, fd))
+        )
     return 0.5 * (a + b)
 
 
-def _run_adaptive(
-    config: AdaptiveConfig, rng: np.random.Generator | None, task: Task
-) -> EstimationRun:
-    """Per round: build the code (or control) at the current estimate, draw
-    config.m outcomes at the true value, update the cumulative grid
-    likelihood, take its argmax (first index on ties) and refine within the
-    winning cell.  Deterministic for a given (config, seed).
-    """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    if config.strategy == "unitary_controlled":
-        def prob_plus(x, x_hat):
-            return task.p_plus_unitary(x, x_hat, config.B, config.t)
-    else:
-        def prob_plus(x, x_hat):
-            return task.p_plus(x, x_hat, config.B, config.gamma, config.t)
+def _pow_square(y) -> np.ndarray:
+    """y ** 2 elementwise as a float scalar squares: through C pow(), which
+    differs in the last bit from y * y (what ``array ** 2`` computes) on about
+    one input in a thousand."""
+    return (np.asarray(y).astype(object) ** 2).astype(float)
 
+
+def _prob_plus(config: AdaptiveConfig, task: Task, square=np.square):
+    """p(+ | x, x_hat) of the configured strategy, elementwise; ``square``
+    squares within the unitary formulas."""
+    if config.strategy == "unitary_controlled":
+        return lambda x, x_hat: task.p_plus_unitary(x, x_hat, config.B, config.t, square)
+    return lambda x, x_hat: task.p_plus(x, x_hat, config.B, config.gamma, config.t)
+
+
+def _total_loglik(prob_plus, x_hats, n_plus, n_minus, x) -> np.ndarray:
+    """Per lane i, the log-likelihood of its rounds (columns) at x[i].
+
+    The rounds are summed left to right into zeros, the order of a scalar
+    running total, so a lane's value does not depend on the other lanes.
+    """
+    terms = _loglik(n_plus, n_minus, prob_plus(x[:, None], x_hats))
+    total = np.zeros(len(x))
+    for column in terms.T:
+        total += column
+    return total
+
+
+def _likelihood_grid(config: AdaptiveConfig, task: Task) -> tuple[np.ndarray, float]:
     lo, hi, res = config.grid if config.grid is not None else task.default_grid
     if task.phase_scale(config.B, config.t) * (hi - lo) >= 2.0 * np.pi:
         raise DomainError(
@@ -181,37 +220,59 @@ def _run_adaptive(
             "shorten t or the prior interval"
         )
     n_cells = max(1, int(round((hi - lo) / res)))
-    grid = np.linspace(lo, hi, n_cells + 1)
-    step = (hi - lo) / n_cells
+    return np.linspace(lo, hi, n_cells + 1), (hi - lo) / n_cells
 
-    cum = np.zeros_like(grid)
-    estimates = [float(config.initial_guess)]
-    history: list[tuple[int, int]] = []
-    for _ in range(config.rounds):
-        x_hat = estimates[-1]
-        p_true = float(prob_plus(config.true_value, x_hat))
-        n_plus = int(np.count_nonzero(rng.random(config.m) < p_true))
-        n_minus = config.m - n_plus
-        history.append((n_plus, n_minus))
 
-        cum += _loglik(n_plus, n_minus, prob_plus(grid, x_hat))
-        idx = int(np.argmax(cum))
-        rounds_used = list(zip(history, estimates))
+def _lockstep(
+    config: AdaptiveConfig, task: Task, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance one lane per generator through every round together.
 
-        def objective(x: float) -> float:
-            total = 0.0
-            for (np_, nm_), xh in rounds_used:
-                total += float(_loglik(np_, nm_, prob_plus(x, xh)))
-            return total
+    Per round and lane: build the code (or control) at the lane's estimate,
+    draw config.m outcomes at the true value from the lane's generator, add
+    the round to the lane's row of the cumulative grid likelihood and take
+    its argmax (first index on ties).  One batched golden-section search then
+    refines every lane within its winning cell.  Returns the estimates
+    x_0..x_K, shape (lanes, rounds + 1), the + counts, (lanes, rounds), and
+    each lane's log-likelihood of all rounds at its final estimate.
+    """
+    # The grid takes p(+) in array arithmetic.  The outcome draw and the
+    # refinement take it as the per-repetition scalar loop did, so that the
+    # estimates keep their bytes: squares through C pow(), see _pow_square.
+    on_grid = _prob_plus(config, task)
+    at_points = _prob_plus(config, task, _pow_square)
+    grid, step = _likelihood_grid(config, task)
+    lo, hi = grid[0], grid[-1]
+    lanes, m = len(rngs), config.m
+    estimates = np.empty((lanes, config.rounds + 1))
+    estimates[:, 0] = config.initial_guess
+    n_plus = np.empty((lanes, config.rounds), dtype=np.int64)
+    cum = np.zeros((lanes, grid.size))
+    for k in range(config.rounds):
+        x_hat = estimates[:, k]
+        p_true = at_points(config.true_value, x_hat)
+        for i, rng in enumerate(rngs):
+            n_plus[i, k] = np.count_nonzero(rng.random(m) < p_true[i])
+            cum[i] += _loglik(n_plus[i, k], m - n_plus[i, k], on_grid(grid, x_hat[i]))
+        best = grid[np.argmax(cum, axis=1)]
+        counts = n_plus[:, : k + 1]
+        objective = partial(_total_loglik, at_points, estimates[:, : k + 1], counts, m - counts)
+        estimates[:, k + 1] = _golden_max(
+            objective, np.maximum(lo, best - step), np.minimum(hi, best + step)
+        )
+    final_ll = _total_loglik(at_points, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1])
+    return estimates, n_plus, final_ll
 
-        cell_lo = max(lo, grid[idx] - step)
-        cell_hi = min(hi, grid[idx] + step)
-        estimates.append(_golden_max(objective, cell_lo, cell_hi))
 
-    final_ll = 0.0
-    for (np_, nm_), xh in zip(history, estimates):
-        final_ll += float(_loglik(np_, nm_, prob_plus(estimates[-1], xh)))
-    return EstimationRun(estimates, history, final_ll, config.seed)
+def _run_adaptive(
+    config: AdaptiveConfig, rng: np.random.Generator | None, task: Task
+) -> EstimationRun:
+    """One lane of the lockstep engine.  Deterministic for a given (config, seed)."""
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    estimates, n_plus, final_ll = _lockstep(config, task, [rng])
+    history = [(int(n), config.m - int(n)) for n in n_plus[0]]
+    return EstimationRun(estimates[0].tolist(), history, float(final_ll[0]), config.seed)
 
 
 def run_adaptive(config: AdaptiveConfig, rng: np.random.Generator | None = None) -> EstimationRun:
@@ -235,15 +296,21 @@ def campaign_estimates(config: AdaptiveConfig, repetitions: int, task: str = "th
     """Estimate trajectories for all repetitions, shape (reps, rounds+1).
 
     Repetition r uses an independent generator seeded with config.seed XOR r.
+    Repetitions advance in lockstep, in blocks of at most 1024 that keep the
+    cumulative likelihood grid within 8 MB.
     """
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
     if task not in TASKS:
         raise DomainError(f"unknown task {task!r}; expected 'theta' or 'omega'")
+    record = TASKS[task]
+    grid_size = _likelihood_grid(config, record)[0].size
+    block = min(_BLOCK_LANES, max(1, _BLOCK_CELLS // grid_size))
     out = np.empty((repetitions, config.rounds + 1))
-    for rep in range(repetitions):
-        run = _run_adaptive(replace(config, seed=config.seed ^ rep), None, TASKS[task])
-        out[rep] = run.estimates
+    for start in range(0, repetitions, block):
+        stop = min(start + block, repetitions)
+        rngs = [np.random.default_rng(config.seed ^ rep) for rep in range(start, stop)]
+        out[start:stop] = _lockstep(config, record, rngs)[0]
     return out
 
 

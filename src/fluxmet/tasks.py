@@ -40,7 +40,8 @@ class Task:
     """What differs between the angle and the frequency task.
 
     Estimation: the outcome probabilities ``p_plus(x, x_hat, B, gamma, t)``
-    and ``p_plus_unitary(x, x_hat, B, t)``, the (lo, hi, res) grid, the
+    and ``p_plus_unitary(x, x_hat, B, t, square=np.square)`` (``square``
+    squares elementwise: y * y by default), the (lo, hi, res) grid, the
     likelihood phase per unit of parameter ``phase_scale(B, t)`` and the
     zero-detuning information ``information(strategy, B, gamma, t)``.  Sweep:
     the closed forms ``qec_closed``, ``unitary_closed`` and ``free_closed``
@@ -70,11 +71,11 @@ def _p_plus_theta(theta, theta_hat, B: float, gamma: float, t: float):
     return 0.5 * (1.0 + np.exp(-2.0 * t * gamma * d * d) * np.cos(2.0 * B * t * d))
 
 
-def _p_plus_theta_unitary(theta, theta_hat, B: float, t: float):
+def _p_plus_theta_unitary(theta, theta_hat, B: float, t: float, square=np.square):
     # Effective detuning Hamiltonian B(sigma_n - sigma_n_hat) has eigenphase
     # B*sqrt(2 - 2 cos d) per unit time.
     phase = B * t * np.sqrt(np.maximum(2.0 - 2.0 * np.cos(theta - theta_hat), 0.0))
-    return np.cos(phase) ** 2
+    return square(np.cos(phase))
 
 
 def _p_plus_omega(omega, omega_hat, B: float, gamma: float, t: float):
@@ -84,12 +85,12 @@ def _p_plus_omega(omega, omega_hat, B: float, gamma: float, t: float):
     )
 
 
-def _p_plus_omega_unitary(omega, omega_hat, B: float, t: float):
+def _p_plus_omega_unitary(omega, omega_hat, B: float, t: float, square=np.square):
     # First-order average of the detuning Hamiltonian in the control frame:
     # |integral of (n(a,tau) - n(0,tau))| = t*sqrt(g1(at)^2 + (at)^2 f1(at)^2).
     z = (omega - omega_hat) * t
-    r = t * np.sqrt(_g1(z) ** 2 + z * z * _f1(z) ** 2)
-    return np.cos(B * r) ** 2
+    r = t * np.sqrt(square(_g1(z)) + z * z * square(_f1(z)))
+    return square(np.cos(B * r))
 
 
 def _theta_free_family(B: float, gamma: float, t: float) -> StateFamily:

@@ -206,6 +206,10 @@ def test_cmd_adapt_schema_rejection(tmp_path, capsys) -> None:
         ({"grid": [0, 1, "fine"]}, "grid"),
         ({"true_value": float("nan")}, "true_value"),
         ({"initial_guess": float("inf")}, "initial_guess"),
+        # zero Fisher information: caught before the campaign runs
+        ({"t": 0}, "t"),
+        ({"B": 0, "strategies": ["unitary_controlled"]}, "B"),
+        ({"B": 0, "strategies": ["qec_corrected", "unitary_controlled"]}, "B"),
     ],
 )
 def test_cmd_adapt_rejects_bad_values(tmp_path, capsys, override, field) -> None:

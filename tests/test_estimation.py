@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxmet.errors import DomainError
 from fluxmet.estimation import (
@@ -24,6 +27,7 @@ from fluxmet.qec import (
     omega_code,
     theta_code,
 )
+from fluxmet.tasks import STRATEGIES
 
 B = 0.1
 GAMMA = 0.05
@@ -191,6 +195,78 @@ def test_campaign_estimates_shape_and_seeding() -> None:
     assert list(table[0]) == run_adaptive(cfg).estimates
     third = run_adaptive(dataclasses.replace(cfg, seed=12 ^ 3))
     assert list(table[3]) == third.estimates
+
+
+# sha256 of campaign estimates in criterion 7's shape (70 repetitions, so the
+# angle campaign spans two lane blocks; a guess at each end of the prior) and
+# of one run's outcome history and final log-likelihood, recorded while each
+# repetition still ran its own scalar loop.  A change to the campaign engine
+# must leave every byte in place.
+_CAMPAIGN_SHA256 = {
+    ("theta", "qec_corrected"): "17248d4fe7e197453f10ed3f4293223969bc64490c46b5b9c58e742c3fa28f54",
+    ("theta", "unitary_controlled"): "fdaca4e474c76f09bf51787541a52426df5d291c43d413badd48a89253a37558",
+    ("omega", "qec_corrected"): "f256fb51b64db6bfb44ba3231d699079fc99d510e5aa2091d798169857163e69",
+    ("omega", "unitary_controlled"): "e94b67eaf8daf511ecb986b1cd2534a0f54360ae1dfa53742aa74421c0d4656e",
+}
+
+
+@pytest.mark.parametrize("task, strategy", list(_CAMPAIGN_SHA256))
+def test_campaign_estimates_golden_bytes(task, strategy) -> None:
+    if task == "theta":
+        true_value, guesses, grid, run = np.pi / 4, (0.0, np.pi / 2), None, run_adaptive
+    else:
+        true_value, guesses, grid, run = 0.3, (0.2, 0.4), (0.2, 0.4, 1e-4), run_adaptive_omega
+    digest = hashlib.sha256()
+    for guess in guesses:
+        cfg = AdaptiveConfig(
+            true_value=true_value, initial_guess=guess, grid=grid, seed=20240811, strategy=strategy
+        )
+        digest.update(campaign_estimates(cfg, 70, task=task).tobytes())
+    single = run(cfg)
+    digest.update(np.array(single.outcome_history).tobytes())
+    digest.update(np.float64(single.log_likelihood_final).tobytes())
+    assert digest.hexdigest() == _CAMPAIGN_SHA256[task, strategy]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    task=st.sampled_from(["theta", "omega"]),
+    strategy=st.sampled_from(STRATEGIES),
+    m=st.integers(1, 12),
+    rounds=st.integers(1, 6),
+    lo=st.floats(0.0, 0.6),
+    width=st.floats(0.01, 0.5),
+    cells=st.integers(1, 400),
+    true_at=st.floats(0.0, 1.0),
+    guess_at=st.floats(0.0, 1.0),
+    gamma=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**31 - 1),
+    reps=st.integers(1, 6),
+)
+# m = 1, one round, a guess on the true value, a one-cell grid, and a grid
+# fine enough that two lanes fill a block (lanes 0-1, 2-3 and 4 run apart).
+@example("theta", "qec_corrected", 1, 3, 0.2, 0.4, 50, 0.3, 0.9, 0.05, 11, 4)
+@example("omega", "unitary_controlled", 7, 1, 0.1, 0.3, 80, 0.6, 0.1, 0.05, 12, 3)
+@example("theta", "unitary_controlled", 5, 4, 0.3, 0.5, 120, 0.4, 0.4, 0.05, 13, 4)
+@example("omega", "qec_corrected", 5, 3, 0.2, 0.2, 1, 0.7, 0.2, 0.05, 14, 4)
+@example("theta", "qec_corrected", 4, 2, 0.6, 0.3, 2**19 - 1, 0.5, 0.0, 0.05, 15, 5)
+def test_campaign_rows_are_independent_runs(
+    task, strategy, m, rounds, lo, width, cells, true_at, guess_at, gamma, seed, reps
+) -> None:
+    cfg = AdaptiveConfig(
+        true_value=lo + true_at * width,
+        initial_guess=lo + guess_at * width,
+        m=m,
+        rounds=rounds,
+        gamma=gamma,
+        grid=(lo, lo + width, width / cells),
+        seed=seed,
+        strategy=strategy,
+    )
+    table = campaign_estimates(cfg, reps, task=task)
+    run = run_adaptive if task == "theta" else run_adaptive_omega
+    for r in range(reps):
+        assert list(table[r]) == run(dataclasses.replace(cfg, seed=seed ^ r)).estimates
 
 
 def test_campaign_estimates_validation() -> None:
