@@ -442,16 +442,12 @@ def load_model_file(path: str) -> tuple[LindbladModel, QecCode]:
     dim = raw["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise ConfigError("dim must be an integer >= 2", field="dim")
-
-    def const(m: np.ndarray):
-        return lambda t: m
-
     ops = {}
     for prefix in ("", "d_", "dd_"):
         key = prefix + "hamiltonian"
-        ops[key] = const(_matrix_from_json(raw[key], dim, key))
+        ops[key] = _matrix_from_json(raw[key], dim, key)
         key = prefix + "lindblads"
-        ops[key] = [const(_matrix_from_json(m, dim, f"{key}[{i}]")) for i, m in enumerate(raw[key])]
+        ops[key] = [_matrix_from_json(m, dim, f"{key}[{i}]") for i, m in enumerate(raw[key])]
     model = LindbladModel(dim=dim, **ops)
     c0 = _vector_from_json(raw["code_c0"], dim, "code_c0")
     c1 = _vector_from_json(raw["code_c1"], dim, "code_c1")
@@ -460,11 +456,7 @@ def load_model_file(path: str) -> tuple[LindbladModel, QecCode]:
             raise ConfigError(f"{name} is not normalized", field=name)
     if abs(np.vdot(c0, c1)) > 1e-8:
         raise ConfigError("code words are not orthogonal", field="code_c1")
-    proj = np.outer(c0, c0.conj()) + np.outer(c1, c1.conj())
-    code = QecCode(
-        c0=lambda t: c0, c1=lambda t: c1, projector=lambda t: proj, recovery_kraus=None
-    )
-    return model, code
+    return model, QecCode(c0=c0, c1=c1)
 
 
 def _parse_probe(spec: str, code: QecCode) -> np.ndarray:

@@ -5,9 +5,12 @@ Two built-in models on probe+ancilla (dim 4):
 * ``theta_model`` -- static field axis at angle theta: H = B*sigma_n(theta),
   one Lindblad operator sqrt(gamma)*sigma_n(theta), ancilla idle.
 * ``omega_model`` -- axis rotating in the XY plane at angular frequency
-  omega: sigma_n(omega, t) = cos(omega t) sigma1 - sin(omega t) sigma2.
+  omega: sigma_n(omega, t) = cos(omega t) sigma1 - sin(omega t) sigma2,
+  which is sigma1 seen from the frame exp(+i omega t sigma3 / 2).
 
-Deterministic evolution is fixed-step RK4 on the master equation
+A model is data: constant matrices plus, for a rotating model, the diagonal
+of the frame generator (see :func:`in_frame` and :meth:`LindbladModel.at`).
+Deterministic evolution is fixed-step RK4 on the lab-frame master equation
 drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2).
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t) and averages pure-state trajectories.
@@ -15,15 +18,13 @@ phi ~ Normal(0, gamma t) and averages pure-state trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, InstabilityError, StepError
+from .errors import ConfigError, DomainError, InstabilityError, StepError
 from .qmat import eye2, kron, sigma1, sigma2, sigma3
-
-MatrixFn = Callable[[float], np.ndarray]
 
 
 def sigma_n_theta(theta: float) -> np.ndarray:
@@ -48,36 +49,70 @@ def bell_probe() -> np.ndarray:
     return v
 
 
+def rotating_frame(omega: float) -> np.ndarray:
+    """Diagonal of (omega / 2) sigma3 x I: the frame of an axis rotating at omega."""
+    return 0.5 * omega * np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def in_frame(op: np.ndarray, frame: np.ndarray | None, t: float) -> np.ndarray:
+    """exp(iGt) op exp(-iGt) for the diagonal generator G = diag(frame).
+
+    Elementwise, op_jk exp(i (g_j - g_k) t); ``op`` may be a stacked
+    (..., d, d) batch, or a scalar that scales the phases.  A None frame
+    leaves ``op`` as it is.
+    """
+    if frame is None:
+        return op
+    return op * np.exp(1j * np.subtract.outer(frame, frame) * t)
+
+
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian, Lindblad operators, and optional parameter derivatives.
+    """Hamiltonian, Lindblad operators and optional parameter derivatives.
 
-    All operator entries are functions of time returning matrices, so the
-    same record covers both the static theta model and the rotating omega
-    model.  Derivative slots hold d/dx and d^2/dx^2 of H and of each E_k at
-    the operating point; they are required by the general engine only.
+    Every operator is a matrix: its value at t = 0.  ``frame`` is None for a
+    constant model; otherwise it is the real diagonal of a generator G, and
+    an operator O stands for exp(iGt) O exp(-iGt) at time t.  Derivative
+    slots hold d/dx and d^2/dx^2 of H and of each E_k at the operating
+    point; the general engine alone needs them.  The field names other than
+    ``frame`` are the keys of a model file.
     """
 
     dim: int
-    hamiltonian: MatrixFn
-    lindblads: list[MatrixFn]
-    d_hamiltonian: MatrixFn | None = None
-    d_lindblads: list[MatrixFn] | None = field(default=None)
-    dd_hamiltonian: MatrixFn | None = None
-    dd_lindblads: list[MatrixFn] | None = field(default=None)
+    hamiltonian: np.ndarray
+    lindblads: list[np.ndarray]
+    d_hamiltonian: np.ndarray | None = None
+    d_lindblads: list[np.ndarray] | None = None
+    dd_hamiltonian: np.ndarray | None = None
+    dd_lindblads: list[np.ndarray] | None = None
+    frame: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        h0 = self.hamiltonian(0.0)
+        h0 = self.hamiltonian
         if np.max(np.abs(h0 - h0.conj().T)) > 1e-10:
-            raise DomainError("hamiltonian(0) is not Hermitian")
+            raise DomainError("hamiltonian is not Hermitian")
         for name in ("d_lindblads", "dd_lindblads"):
             derivs = getattr(self, name)
             if derivs is not None and len(derivs) != len(self.lindblads):
                 raise DomainError(f"{name} length {len(derivs)} != {len(self.lindblads)} lindblads")
 
+    def at(self, t: float, order: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(H, [E_k]) at time t, or their ``order``-th parameter derivative.
 
-def _const(a: np.ndarray) -> MatrixFn:
-    return lambda t: a
+        In a framed model the parameter is the frame frequency, so the
+        derivative of order k also carries a factor t**k.
+        """
+        prefix = ("", "d_", "dd_")[order]
+        h, ops = getattr(self, prefix + "hamiltonian"), getattr(self, prefix + "lindblads")
+        if h is None or ops is None:
+            which = ("", "first", "second")[order]
+            raise ConfigError(
+                f"model has no {which}-derivative operators", field=prefix + "hamiltonian"
+            )
+        if self.frame is None:
+            return h, ops
+        phase = in_frame(t**order, self.frame, t)  # t**k exp(i (g_j - g_k) t), entry jk
+        return h * phase, [e * phase for e in ops]
 
 
 def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
@@ -99,40 +134,36 @@ def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
     root = np.sqrt(gamma)
     return LindbladModel(
         dim=4,
-        hamiltonian=_const(B * sn),
-        lindblads=[_const(root * sn)],
-        d_hamiltonian=_const(B * sm),
-        d_lindblads=[_const(root * sm)],
-        dd_hamiltonian=_const(-B * sn),
-        dd_lindblads=[_const(-root * sn)],
+        hamiltonian=B * sn,
+        lindblads=[root * sn],
+        d_hamiltonian=B * sm,
+        d_lindblads=[root * sm],
+        dd_hamiltonian=-B * sn,
+        dd_lindblads=[-root * sn],
     )
 
 
 def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
-    """Probe+ancilla model whose field axis rotates in the XY plane at omega."""
+    """Probe+ancilla model whose field axis rotates in the XY plane at omega.
+
+    sigma_n(omega, t) = R sigma1 R^dag with R = exp(+i omega t sigma3 / 2),
+    so the model is B sigma1 and sqrt(gamma) sigma1 in the frame
+    G = (omega / 2) sigma3 x I.  d/domega brings down i t [sigma3 / 2, .],
+    which takes sigma1 to -t sigma2 and sigma2 to t sigma1.
+    """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     root = np.sqrt(gamma)
-
-    def sn4(t: float) -> np.ndarray:
-        return kron(sigma_n_omega(omega, t), eye2)
-
-    def dsn4(t: float) -> np.ndarray:
-        # d sigma_n / d omega = -t (sin(omega t) sigma1 + cos(omega t) sigma2)
-        return kron(-t * (np.sin(omega * t) * sigma1 + np.cos(omega * t) * sigma2), eye2)
-
-    def ddsn4(t: float) -> np.ndarray:
-        # d^2 sigma_n / d omega^2 = -t^2 sigma_n(omega, t)
-        return -(t**2) * sn4(t)
-
+    s1, s2 = kron(sigma1, eye2), kron(sigma2, eye2)
     return LindbladModel(
         dim=4,
-        hamiltonian=lambda t: B * sn4(t),
-        lindblads=[lambda t: root * sn4(t)],
-        d_hamiltonian=lambda t: B * dsn4(t),
-        d_lindblads=[lambda t: root * dsn4(t)],
-        dd_hamiltonian=lambda t: B * ddsn4(t),
-        dd_lindblads=[lambda t: root * ddsn4(t)],
+        hamiltonian=B * s1,
+        lindblads=[root * s1],
+        d_hamiltonian=-B * s2,
+        d_lindblads=[-root * s2],
+        dd_hamiltonian=-B * s1,
+        dd_lindblads=[-root * s1],
+        frame=rotating_frame(omega),
     )
 
 
@@ -141,20 +172,20 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t: float) -> np.ndarray:
-    h = model.hamiltonian(t)
+    h, ops = model.at(t)
     out = -1j * (h @ rho - rho @ h)
-    for lf in model.lindblads:
-        e = lf(t)
+    for e in ops:
         ede = e.conj().T @ e
         out = out + e @ rho @ e.conj().T - 0.5 * (ede @ rho + rho @ ede)
     return out
 
 
-def _rk4_step(model: LindbladModel, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
-    k1 = lindblad_rhs(model, rho, t)
-    k2 = lindblad_rhs(model, rho + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = lindblad_rhs(model, rho + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = lindblad_rhs(model, rho + dt * k3, t + dt)
+def _rk4_step(rhs, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One classical RK4 step of drho/dt = rhs(rho, t)."""
+    k1 = rhs(rho, t)
+    k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(rho + dt * k3, t + dt)
     return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -186,8 +217,9 @@ def lindblad_evolve(
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9:
         raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
+    rhs = partial(lindblad_rhs, model)
     for k in range(n_steps):
-        rho = _rk4_step(model, rho, t0 + k * dt, dt)
+        rho = _rk4_step(rhs, rho, t0 + k * dt, dt)
         rho = 0.5 * (rho + _dagger(rho))
         drift = np.max(np.abs(np.einsum("...ii->...", rho).real - 1.0))
         if drift > trace_tol:

@@ -39,6 +39,7 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # while each lane adds a generator (about 1 KB) and its refinement rows.
 _BLOCK_CELLS = 2**20
 _BLOCK_LANES = 1024
+_DRAW_CHUNK = 2**16
 
 
 def _finite(value) -> bool:
@@ -78,6 +79,8 @@ class AdaptiveConfig:
             raise DomainError(f"m must be >= 1, got {self.m}")
         if self.rounds < 1:
             raise DomainError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:  # repetition r seeds numpy's generator with seed XOR r
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.grid is not None:
@@ -252,7 +255,10 @@ def _lockstep(
         x_hat = estimates[:, k]
         p_true = at_points(config.true_value, x_hat)
         for i, rng in enumerate(rngs):
-            n_plus[i, k] = np.count_nonzero(rng.random(m) < p_true[i])
+            # At most _DRAW_CHUNK draws at a time, so memory does not grow with m;
+            # Generator.random returns the same stream in pieces as at once.
+            chunks = (min(_DRAW_CHUNK, m - s) for s in range(0, m, _DRAW_CHUNK))
+            n_plus[i, k] = sum(np.count_nonzero(rng.random(c) < p_true[i]) for c in chunks)
             cum[i] += _loglik(n_plus[i, k], m - n_plus[i, k], on_grid(grid, x_hat[i]))
         best = grid[np.argmax(cum, axis=1)]
         counts = n_plus[:, : k + 1]

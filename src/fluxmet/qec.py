@@ -4,8 +4,10 @@ Two concrete codes: a static one for the field-angle task and a rotating one
 for the rotation-frequency task.  Both protect a two-dimensional code space
 of the probe+ancilla pair against the parameter-correlated noise axis at the
 current estimate; recovery is the two-operator Kraus set {P, P sigma_n}.
+A code is data: its t = 0 code words and recovery plus, for a rotating code,
+the diagonal of the frame generator that carries them along in time.
 Stepwise corrected evolution and the continuous-recovery closed state are
-written once for both codes; a rotating code carries its frame generator.
+written once for both codes.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -18,15 +20,16 @@ J = 4 t^2 Var(H_eff) - 4 t <L2>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .dynamics import (
     LindbladModel,
+    _rk4_step,
+    in_frame,
     lindblad_evolve,
     omega_model,
-    sigma_n_omega,
+    rotating_frame,
     sigma_n_theta,
     theta_model,
 )
@@ -40,34 +43,50 @@ from .errors import (
     StepError,
 )
 from .metrology import FisherResult, omega_frame_decay, omega_frame_phase
-from .qmat import expm, eye2, kron, polar_isometry
-
-VectorFn = Callable[[float], np.ndarray]
-MatrixFn = Callable[[float], np.ndarray]
+from .qmat import eye2, kron, polar_isometry, sigma1
 
 
 @dataclass(frozen=True)
 class QecCode:
-    """Code basis, projector and recovery Kraus set, all as functions of time.
+    """Code words and recovery Kraus set at t = 0, and the code's frame.
 
-    ``frame_generator`` is the Hermitian generator G of the inter-step frame
-    rotation U(dt) = exp(+i G dt) that carries the code space from t to t+dt;
-    it is None for static codes.
+    ``frame_generator`` is None for a static code; otherwise it is the real
+    diagonal of the generator G that carries the code along: at time t every
+    ingredient is its t = 0 value conjugated by exp(+i G t).  ``recovery`` is
+    None for a code that only states the error-correction conditions.
     """
 
-    c0: VectorFn
-    c1: VectorFn
-    projector: MatrixFn
-    recovery_kraus: Callable[[float], list[np.ndarray]] | None
+    c0: np.ndarray
+    c1: np.ndarray
+    recovery: list[np.ndarray] | None = None
     frame_generator: np.ndarray | None = None
 
     def basis(self, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        return self.c0(t), self.c1(t)
+        if self.frame_generator is None:
+            return self.c0, self.c1
+        rot = np.exp(1j * self.frame_generator * t)
+        return rot * self.c0, rot * self.c1
+
+    def projector(self, t: float = 0.0) -> np.ndarray:
+        c0, c1 = self.basis(t)
+        return _outer(c0) + _outer(c1)
+
+    def recovery_kraus(self, t: float = 0.0) -> list[np.ndarray]:
+        if self.recovery is None:
+            raise ConfigError("code has no recovery Kraus set")
+        return [in_frame(k, self.frame_generator, t) for k in self.recovery]
 
 
 def _outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     w = v if w is None else w
     return v[:, None] * w[None, :].conj()
+
+
+def _noise_code(c0: np.ndarray, c1: np.ndarray, noise: np.ndarray, frame=None) -> QecCode:
+    """Code with recovery {P, P noise}, for noise that maps the code space to
+    an orthogonal error space."""
+    proj = QecCode(c0, c1).projector()
+    return QecCode(c0=c0, c1=c1, recovery=[proj, proj @ noise], frame_generator=frame)
 
 
 def theta_code(theta_hat: float) -> QecCode:
@@ -80,56 +99,27 @@ def theta_code(theta_hat: float) -> QecCode:
     half = theta_hat / 2
     plus = np.array([-np.cos(half), np.sin(half)], dtype=complex)
     minus = np.array([np.sin(half), np.cos(half)], dtype=complex)
-    c0 = np.kron(plus, plus)
-    c1 = np.kron(minus, minus)
-    proj = _outer(c0) + _outer(c1)
-    sn4 = kron(sigma_n_theta(theta_hat), eye2)
-    kraus = [proj, proj @ sn4]
-    return QecCode(
-        c0=lambda t: c0,
-        c1=lambda t: c1,
-        projector=lambda t: proj,
-        recovery_kraus=lambda t: kraus,
-    )
+    noise = kron(sigma_n_theta(theta_hat), eye2)
+    return _noise_code(np.kron(plus, plus), np.kron(minus, minus), noise)
 
 
 def omega_code(omega_hat: float) -> QecCode:
     """Rotating code for the rotation-frequency task at estimate omega_hat.
 
     At t = 0 the code words pair the two rotation-axis-derivative eigenstates
-    with orthogonal ancilla states; at later times every ingredient is the
-    t = 0 one conjugated by exp(+i omega_hat t sigma3 / 2) on the probe.
+    with orthogonal ancilla states, and recovery is {P, P (sigma1 x I)}; at
+    later times every ingredient is the t = 0 one conjugated by
+    exp(+i omega_hat t sigma3 / 2) on the probe.
     """
     plus0 = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2)
     minus0 = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
-    c0_0 = np.kron(plus0, e0)
-    c1_0 = np.kron(minus0, e1)
-
-    def rot4(t: float) -> np.ndarray:
-        ph = np.exp(0.5j * omega_hat * t)
-        return kron(np.diag([ph, ph.conj()]), eye2)
-
-    def c0(t: float) -> np.ndarray:
-        return rot4(t) @ c0_0
-
-    def c1(t: float) -> np.ndarray:
-        return rot4(t) @ c1_0
-
-    def projector(t: float) -> np.ndarray:
-        return _outer(c0(t)) + _outer(c1(t))
-
-    def recovery(t: float) -> list[np.ndarray]:
-        proj = projector(t)
-        return [proj, proj @ kron(sigma_n_omega(omega_hat, t), eye2)]
-
-    return QecCode(
-        c0=c0,
-        c1=c1,
-        projector=projector,
-        recovery_kraus=recovery,
-        frame_generator=0.5 * omega_hat * kron(np.diag([1.0, -1.0]).astype(complex), eye2),
+    return _noise_code(
+        np.kron(plus0, e0),
+        np.kron(minus0, e1),
+        kron(sigma1, eye2),
+        frame=rotating_frame(omega_hat),
     )
 
 
@@ -145,8 +135,6 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
     Trace loss above 1e-6 means the state had weight outside the span of the
     code and its correctable error space.
     """
-    if code.recovery_kraus is None:
-        raise ConfigError("code has no recovery Kraus set")
     out = np.zeros_like(rho)
     for k in code.recovery_kraus(t):
         out += k @ rho @ k.conj().T
@@ -175,19 +163,16 @@ def _corrected_evolve(
 
     Per interval [tau, tau+dt'] of t/n_recoveries: evolve under the master
     equation, recover with the code frozen at tau and, for a rotating code,
-    advance the frame with U = exp(+i G dt').  Converges first-order in the
+    advance the frame by exp(+i G dt').  Converges first-order in the
     recovery interval to the continuous-recovery closed state.
     """
     rho = _outer(code_probe(code))
     n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
-    g = code.frame_generator
-    frame = None if g is None else expm(1j * interval * g)
     for k in range(n_rec):
         tau = k * interval
         rho = lindblad_evolve(model, rho, interval, dt, t0=tau)
         rho = apply_recovery(code, rho, tau)
-        if frame is not None:
-            rho = frame @ rho @ frame.conj().T
+        rho = in_frame(rho, code.frame_generator, interval)
     return rho
 
 
@@ -308,7 +293,7 @@ def check_qec_conditions(
     """
     proj = code.projector(t)
     rank = np.trace(proj).real
-    ops = [lf(t) for lf in model.lindblads]
+    _, ops = model.at(t)
     n = len(ops)
     alpha = np.zeros(n, dtype=complex)
     beta = np.zeros((n, n), dtype=complex)
@@ -339,21 +324,6 @@ def check_qec_conditions(
     )
 
 
-def _evaluate_derivatives(model: LindbladModel, t: float):
-    if model.d_hamiltonian is None or model.d_lindblads is None:
-        raise ConfigError("model has no first-derivative operators", field="d_hamiltonian")
-    if model.dd_hamiltonian is None or model.dd_lindblads is None:
-        raise ConfigError("model has no second-derivative operators", field="dd_hamiltonian")
-    return (
-        model.hamiltonian(t),
-        [f(t) for f in model.lindblads],
-        model.d_hamiltonian(t),
-        [f(t) for f in model.d_lindblads],
-        model.dd_hamiltonian(t),
-        [f(t) for f in model.dd_lindblads],
-    )
-
-
 def expansion_superoperators(
     model: LindbladModel,
     code: QecCode,
@@ -370,7 +340,7 @@ def expansion_superoperators(
     zero weight (d_kk below ``deg_tol``) are dropped from the recovery
     provided they do not couple to the first-derivative operators.
     """
-    h, ops, dh, dops, ddh, ddops = _evaluate_derivatives(model, t)
+    (h, ops), (dh, dops), (ddh, ddops) = (model.at(t, order) for order in range(3))
     report = check_qec_conditions(model, code, tol=tol, t=t)
     proj = report.projector
     alpha, beta = report.alpha, report.beta
@@ -494,18 +464,14 @@ def expansion_evolve(
         h = h + report.control_hamiltonian
     h = h + dx * report.l1_generator
 
-    def rhs(rho: np.ndarray) -> np.ndarray:
+    def rhs(rho: np.ndarray, _t: float) -> np.ndarray:
         return -1j * (h @ rho - rho @ h) + dx * dx * report.l2_action.apply(rho)
 
     n_steps = int(round(t / dt))
     if n_steps < 1 or abs(n_steps * dt - t) > 1e-9:
         raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
     rho = np.array(rho0, dtype=complex)
-    for _ in range(n_steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for k in range(n_steps):
+        rho = _rk4_step(rhs, rho, k * dt, dt)
         rho = 0.5 * (rho + rho.conj().T)
     return rho

@@ -76,7 +76,7 @@ def test_criterion_1_theta_closed_forms_and_numeric_route() -> None:
     def unitary(th: float) -> np.ndarray:
         model = LindbladModel(
             dim=4,
-            hamiltonian=lambda t, th=th: B * (kron(sigma_n_theta(th), eye2) - sn_hat),
+            hamiltonian=B * (kron(sigma_n_theta(th), eye2) - sn_hat),
             lindblads=[],
         )
         return lindblad_evolve(model, _bell_density(), T, dt=5e-3)
@@ -210,7 +210,7 @@ def test_criterion_6_general_engine_worked_example() -> None:
     assert conditions.residual_alpha < 1e-12
     assert conditions.residual_beta < 1e-12
     report = expansion_superoperators(model, code)
-    c0, c1 = code.c0(0.0), code.c1(0.0)
+    c0, c1 = code.basis(0.0)
     sigma3_c = np.outer(c0, c0.conj()) - np.outer(c1, c1.conj())
     assert np.max(np.abs(report.l1_generator - B * sigma3_c)) < 1e-10
     psi = code_probe(code)

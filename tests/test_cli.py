@@ -242,6 +242,23 @@ def test_cmd_adapt_seed_precedence(tmp_path, monkeypatch) -> None:
     assert read_csv(str(written)).metadata["seed"] == "3"
 
 
+@pytest.mark.parametrize(
+    "config_seed, flags, env_seed",
+    [(-3, [], None), (5, ["--seed", "-1"], None), (5, [], "-2")],
+    ids=["config", "flag", "env"],
+)
+def test_cmd_adapt_rejects_negative_seed(
+    tmp_path, monkeypatch, capsys, config_seed, flags, env_seed
+) -> None:
+    config = _adapt_config(tmp_path, seed=config_seed)
+    if env_seed is not None:
+        monkeypatch.setenv("FLUXMET_SEED", env_seed)
+    out = tmp_path / "camp.csv"
+    assert cli.main(["adapt", "theta", "--config", config, "--out", str(out), *flags]) == 2
+    assert "seed must be" in capsys.readouterr().err
+    assert list(tmp_path.glob("camp*")) == []
+
+
 def test_fluxmet_seed_must_be_integer(tmp_path, monkeypatch, capsys) -> None:
     config = _adapt_config(tmp_path)
     monkeypatch.setenv("FLUXMET_SEED", "lots")

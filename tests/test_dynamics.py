@@ -13,6 +13,7 @@ from fluxmet.dynamics import (
     sample_omega_trajectories,
     sample_phase,
     sample_phases,
+    sigma_n_omega,
     sigma_n_theta,
     theta_model,
     trajectory_average_state,
@@ -37,16 +38,16 @@ def bell_rho() -> np.ndarray:
 def test_theta_model_hamiltonian_spectrum() -> None:
     model = theta_model(B, GAMMA, np.pi / 4)
     assert model.dim == 4
-    vals, _ = hermitian_eig(model.hamiltonian(0.0))
+    vals, _ = hermitian_eig(model.hamiltonian)
     assert np.allclose(np.sort(vals), [-0.1, -0.1, 0.1, 0.1], atol=1e-12)
     # Constant in t.
-    assert np.array_equal(model.hamiltonian(0.0), model.hamiltonian(3.7))
+    assert np.array_equal(model.at(0.0)[0], model.at(3.7)[0])
 
 
 def test_theta_model_unitary_limit_has_zero_lindblad() -> None:
     model = theta_model(B, 0.0, 0.3)
     assert len(model.lindblads) == 1
-    assert np.max(np.abs(model.lindblads[0](0.0))) == 0.0
+    assert np.max(np.abs(model.lindblads[0])) == 0.0
 
 
 def test_theta_model_rejects_negative_rate() -> None:
@@ -57,24 +58,24 @@ def test_theta_model_rejects_negative_rate() -> None:
 def test_theta_model_derivative_commutator_identity() -> None:
     # (i/2)(E^dag Edot - Edot^dag E) equals gamma * sigma_2 on the probe.
     model = theta_model(B, GAMMA, np.pi / 4)
-    e = model.lindblads[0](0.0)
-    edot = model.d_lindblads[0](0.0)
+    e = model.lindblads[0]
+    edot = model.d_lindblads[0]
     got = 0.5j * (e.conj().T @ edot - edot.conj().T @ e)
     assert np.allclose(got, GAMMA * kron(SIGMA2, EYE2), atol=1e-12)
 
 
 def test_theta_model_second_derivatives_flip_sign() -> None:
     model = theta_model(B, GAMMA, 0.6)
-    hdd = model.dd_hamiltonian(0.0)
-    assert np.allclose(hdd, -model.hamiltonian(0.0), atol=1e-12)
+    hdd = model.dd_hamiltonian
+    assert np.allclose(hdd, -model.hamiltonian, atol=1e-12)
 
 
 def test_omega_model_hamiltonian_rotates() -> None:
     model = omega_model(B, GAMMA, 0.5)
-    assert np.allclose(model.hamiltonian(0.0), B * kron(SIGMA1, EYE2), atol=1e-12)
-    assert np.allclose(model.hamiltonian(np.pi / 0.5), -B * kron(SIGMA1, EYE2), atol=1e-12)
+    assert np.allclose(model.at(0.0)[0], B * kron(SIGMA1, EYE2), atol=1e-12)
+    assert np.allclose(model.at(np.pi / 0.5)[0], -B * kron(SIGMA1, EYE2), atol=1e-12)
     for t in (0.0, 0.7, 2.3, 9.1):
-        vals, _ = hermitian_eig(model.hamiltonian(t))
+        vals, _ = hermitian_eig(model.at(t)[0])
         assert np.allclose(np.sort(vals), [-B, -B, B, B], atol=1e-12)
 
 
@@ -83,13 +84,24 @@ def test_omega_model_frequency_derivative() -> None:
     model = omega_model(B, GAMMA, omega)
     for t in (0.4, 1.9):
         want = -B * t * (np.sin(omega * t) * SIGMA1 + np.cos(omega * t) * SIGMA2)
-        assert np.allclose(model.d_hamiltonian(t), kron(want, EYE2), atol=1e-12)
+        assert np.allclose(model.at(t, 1)[0], kron(want, EYE2), atol=1e-12)
+
+
+def test_omega_model_second_frequency_derivative() -> None:
+    # d^2 sigma_n / d omega^2 = -t^2 sigma_n(omega, t), on H and on E alike.
+    omega = 0.5
+    model = omega_model(B, GAMMA, omega)
+    for t in (0.4, 1.9):
+        want = -(t**2) * kron(sigma_n_omega(omega, t), EYE2)
+        h, (e,) = model.at(t, 2)
+        assert np.allclose(h, B * want, atol=1e-12)
+        assert np.allclose(e, np.sqrt(GAMMA) * want, atol=1e-12)
 
 
 def test_lindblad_evolve_unitary_limit() -> None:
     model = theta_model(B, 0.0, 0.9)
     rho = lindblad_evolve(model, bell_rho(), T)
-    u = expm(-1j * T * model.hamiltonian(0.0))
+    u = expm(-1j * T * model.hamiltonian)
     want = u @ bell_rho() @ u.conj().T
     assert np.max(np.abs(rho - want)) < 1e-8
 

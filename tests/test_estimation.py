@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fluxmet import estimation
 from fluxmet.errors import DomainError
 from fluxmet.estimation import (
     AdaptiveConfig,
@@ -35,7 +36,7 @@ T = 5.0
 
 
 def _sigma_x_code(code, t: float) -> np.ndarray:
-    c0, c1 = code.c0(t), code.c1(t)
+    c0, c1 = code.basis(t)
     return np.outer(c0, c1.conj()) + np.outer(c1, c0.conj())
 
 
@@ -136,6 +137,8 @@ def test_adaptive_config_validation() -> None:
         AdaptiveConfig(true_value=float("nan"), initial_guess=0.2)
     with pytest.raises(DomainError, match="B"):
         AdaptiveConfig(**good, B=10**400)
+    with pytest.raises(DomainError, match="seed"):
+        AdaptiveConfig(**good, seed=-1)
 
 
 def test_run_adaptive_deterministic() -> None:
@@ -267,6 +270,15 @@ def test_campaign_rows_are_independent_runs(
     run = run_adaptive if task == "theta" else run_adaptive_omega
     for r in range(reps):
         assert list(table[r]) == run(dataclasses.replace(cfg, seed=seed ^ r)).estimates
+
+
+@pytest.mark.parametrize("task, true_value", [("theta", np.pi / 4), ("omega", 0.3)])
+def test_campaign_outcomes_drawn_in_chunks(monkeypatch, task, true_value) -> None:
+    # m = 10 outcomes in chunks of 3: the same stream, so the same campaign.
+    cfg = AdaptiveConfig(true_value=true_value, initial_guess=true_value + 0.05, rounds=4, seed=8)
+    whole = campaign_estimates(cfg, 5, task=task)
+    monkeypatch.setattr(estimation, "_DRAW_CHUNK", 3)
+    assert np.array_equal(campaign_estimates(cfg, 5, task=task), whole)
 
 
 def test_campaign_estimates_validation() -> None:

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from fluxmet.dynamics import LindbladModel, omega_model, sigma_n_omega, sigma_n_theta, theta_model
+from fluxmet.dynamics import (
+    LindbladModel,
+    lindblad_evolve,
+    omega_model,
+    sigma_n_omega,
+    sigma_n_theta,
+    theta_model,
+)
 from fluxmet.errors import (
     ConfigError,
     DegenerateErrorSpaceError,
@@ -109,8 +118,8 @@ def test_omega_code_rotating_basis() -> None:
     for t in (0.0, 1.3, 5.0):
         rot = expm(0.5j * om * t * kron(np.diag([1.0, -1.0]).astype(complex), EYE2))
         c0, c1 = code.basis(t)
-        assert np.allclose(c0, rot @ code.c0(0.0), atol=1e-12)
-        assert np.allclose(c1, rot @ code.c1(0.0), atol=1e-12)
+        assert np.allclose(c0, rot @ code.basis(0.0)[0], atol=1e-12)
+        assert np.allclose(c1, rot @ code.basis(0.0)[1], atol=1e-12)
         assert abs(np.vdot(c0, c1)) < 1e-14
         assert np.vdot(c0, c0) == pytest.approx(1.0, abs=1e-14)
 
@@ -118,7 +127,7 @@ def test_omega_code_rotating_basis() -> None:
 def test_omega_code_frame_generator() -> None:
     om = 0.2
     want = 0.5 * om * kron(np.diag([1.0, -1.0]).astype(complex), EYE2)
-    assert np.allclose(omega_code(om).frame_generator, want, atol=1e-14)
+    assert np.allclose(np.diag(omega_code(om).frame_generator), want, atol=1e-14)
 
 
 def test_omega_code_recovery_completeness_all_times() -> None:
@@ -148,15 +157,10 @@ def test_apply_recovery_leakage() -> None:
     code = theta_code(np.pi / 4)
     rho0 = outer(code_probe(code))
     sn4 = kron(sigma_n_theta(np.pi / 4), EYE2)
-    incomplete = QecCode(
-        c0=code.c0,
-        c1=code.c1,
-        projector=code.projector,
-        recovery_kraus=lambda t: [code.projector(t)],
-    )
+    incomplete = QecCode(c0=code.c0, c1=code.c1, recovery=[code.projector()])
     with pytest.raises(LeakageError):
         apply_recovery(incomplete, 0.5 * rho0 + 0.5 * sn4 @ rho0 @ sn4)
-    no_recovery = QecCode(c0=code.c0, c1=code.c1, projector=code.projector, recovery_kraus=None)
+    no_recovery = QecCode(c0=code.c0, c1=code.c1, recovery=None)
     with pytest.raises(ConfigError):
         apply_recovery(no_recovery, rho0)
 
@@ -244,10 +248,7 @@ def test_check_qec_conditions_theta() -> None:
 def test_check_qec_conditions_wrong_code() -> None:
     c0 = np.array([1, 0, 0, 0], dtype=complex)
     c1 = np.array([0, 0, 0, 1], dtype=complex)
-    proj = outer(c0) + outer(c1)
-    wrong = QecCode(
-        c0=lambda t: c0, c1=lambda t: c1, projector=lambda t: proj, recovery_kraus=None
-    )
+    wrong = QecCode(c0=c0, c1=c1, recovery=None)
     with pytest.raises(QecConditionError) as exc:
         check_qec_conditions(theta_model(B, GAMMA, np.pi / 4), wrong)
     assert exc.value.residuals
@@ -257,8 +258,8 @@ def test_check_qec_conditions_wrong_code() -> None:
 def test_check_qec_conditions_identity_noise() -> None:
     model = LindbladModel(
         dim=4,
-        hamiltonian=lambda t: ZERO4,
-        lindblads=[lambda t: np.sqrt(GAMMA) * EYE4],
+        hamiltonian=ZERO4,
+        lindblads=[np.sqrt(GAMMA) * EYE4],
     )
     report = check_qec_conditions(model, theta_code(np.pi / 4))
     assert report.alpha == pytest.approx([np.sqrt(GAMMA)], abs=1e-12)
@@ -299,12 +300,12 @@ def test_expansion_gram_recombination() -> None:
     half = np.sqrt(GAMMA / 2)
     model = LindbladModel(
         dim=4,
-        hamiltonian=lambda t: B * sn4,
-        lindblads=[lambda t: half * sn4, lambda t: half * sn4],
-        d_hamiltonian=lambda t: B * sm4,
-        d_lindblads=[lambda t: half * sm4, lambda t: half * sm4],
-        dd_hamiltonian=lambda t: -B * sn4,
-        dd_lindblads=[lambda t: -half * sn4, lambda t: -half * sn4],
+        hamiltonian=B * sn4,
+        lindblads=[half * sn4, half * sn4],
+        d_hamiltonian=B * sm4,
+        d_lindblads=[half * sm4, half * sm4],
+        dd_hamiltonian=-B * sn4,
+        dd_lindblads=[-half * sn4, -half * sn4],
     )
     code = theta_code(np.pi / 4)
     report = expansion_superoperators(model, code)
@@ -323,12 +324,12 @@ def test_expansion_degenerate_coupling() -> None:
     eps = 1e-7
     model = LindbladModel(
         dim=4,
-        hamiltonian=lambda t: ZERO4,
-        lindblads=[lambda t: np.sqrt(GAMMA) * EYE4 + eps * sn4],
-        d_hamiltonian=lambda t: ZERO4,
-        d_lindblads=[lambda t: sn4],
-        dd_hamiltonian=lambda t: ZERO4,
-        dd_lindblads=[lambda t: ZERO4],
+        hamiltonian=ZERO4,
+        lindblads=[np.sqrt(GAMMA) * EYE4 + eps * sn4],
+        d_hamiltonian=ZERO4,
+        d_lindblads=[sn4],
+        dd_hamiltonian=ZERO4,
+        dd_lindblads=[ZERO4],
     )
     with pytest.raises(DegenerateErrorSpaceError):
         expansion_superoperators(model, theta_code(np.pi / 4))
@@ -346,12 +347,12 @@ def test_expansion_harmless_identity_noise() -> None:
     )
     model = LindbladModel(
         dim=4,
-        hamiltonian=lambda t: B * sn4,
-        lindblads=[lambda t: np.sqrt(GAMMA) * EYE4],
-        d_hamiltonian=lambda t: B * sm4,
-        d_lindblads=[lambda t: ZERO4],
-        dd_hamiltonian=lambda t: -B * sn4,
-        dd_lindblads=[lambda t: ZERO4],
+        hamiltonian=B * sn4,
+        lindblads=[np.sqrt(GAMMA) * EYE4],
+        d_hamiltonian=B * sm4,
+        d_lindblads=[ZERO4],
+        dd_hamiltonian=-B * sn4,
+        dd_lindblads=[ZERO4],
     )
     code = theta_code(th)
     report = expansion_superoperators(model, code)
@@ -462,3 +463,54 @@ def test_expansion_evolve_step_error() -> None:
     rho0 = outer(code_probe(code))
     with pytest.raises(StepError):
         expansion_evolve(report, rho0, 0.05, 5.0005, dt=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Pinned evolution numbers
+# ---------------------------------------------------------------------------
+
+# Recorded while every model operator was a function of time, evaluated on
+# each integrator sub-step.  The angle task's evolutions must keep every
+# byte; the frequency task's may move by rounding only, since its operators
+# are now phase-weighted t = 0 matrices.
+_THETA_SHA256 = "935db7319b9f32eba2164ee11095cbbdf408261ca46ab67bb4a9a99aa39b6e30"
+_OMEGA_EVOLVED = np.array([
+    [0.30846166712801626+0.0j, -0.05475562420498503-0.04699756590038305j,
+     -0.14947501052733686-0.2720738434617027j, -0.24732589895242918-0.06741876341611511j],
+    [-0.05475562420498503+0.04699756590038305j, 0.08410140330093127+0.0j,
+     0.08078368769111223+0.032136451339474875j, 0.0775703610279252+0.018936726523827697j],
+    [-0.14947501052733686+0.2720738434617027j, 0.08078368769111223-0.032136451339474875j,
+     0.3515076483866008+0.0j, 0.18965435292827557-0.1823656127410106j],
+    [-0.24732589895242918+0.06741876341611511j, 0.0775703610279252-0.018936726523827697j,
+     0.18965435292827557+0.1823656127410106j, 0.2559292811844514+0.0j],
+])
+_OMEGA_CORRECTED = np.array([
+    [0.24999999999999906+0.0j, 0.24727036832587684-0.018826291326966456j,
+     -0.2330097714918057+0.090589438619168j, 0.22364379543086643-0.10714717477572323j],
+    [0.24727036832587687+0.01882629132696646j, 0.249999999999999+0.0j,
+     -0.23728750073159288+0.07205349605464616j, 0.2330097714918057-0.090589438619168j],
+    [-0.2330097714918057-0.090589438619168j, -0.23728750073159288-0.07205349605464616j,
+     0.249999999999999+0.0j, -0.24727036832587687+0.01882629132696646j],
+    [0.22364379543086643+0.10714717477572323j, 0.2330097714918057+0.090589438619168j,
+     -0.24727036832587684-0.018826291326966456j, 0.24999999999999903+0.0j],
+])
+
+
+def _random_states(n: int) -> np.ndarray:
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v[:, :, None] * v[:, None, :].conj()
+
+
+def test_evolution_numbers_pinned() -> None:
+    rho = _random_states(2)
+    digest = hashlib.sha256()
+    digest.update(lindblad_evolve(theta_model(0.3, 0.2, 0.7), rho, 1.0, dt=0.01, t0=0.4).tobytes())
+    corrected = corrected_evolve_theta(0.3, 0.2, 0.9, 0.8, 1.0, dt=0.01, n_recoveries=20)
+    digest.update(corrected.tobytes())
+    assert digest.hexdigest() == _THETA_SHA256
+    evolved = lindblad_evolve(omega_model(0.3, 0.2, 1.3), rho[0], 1.0, dt=0.01, t0=0.4)
+    assert np.max(np.abs(evolved - _OMEGA_EVOLVED)) < 1e-12
+    corrected = corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=0.01, n_recoveries=20)
+    assert np.max(np.abs(corrected - _OMEGA_CORRECTED)) < 1e-12
