@@ -14,12 +14,10 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     LindbladModel,
-    TrajectoryPhase,
     bell_probe,
     dephasing_kraus,
     lindblad_evolve,
     omega_model,
-    sample_phase,
     sample_phases,
     theta_model,
 )
@@ -44,11 +42,8 @@ from .estimation import (
     EstimationRun,
     campaign_estimates,
     mse_campaign,
-    mse_campaign_omega,
-    outcome_probability_omega,
-    outcome_probability_theta,
+    outcome_probability,
     run_adaptive,
-    run_adaptive_omega,
 )
 from .metrology import (
     FisherResult,
@@ -105,7 +100,6 @@ __all__ = [
     "QecCode",
     "QecConditionError",
     "StepError",
-    "TrajectoryPhase",
     "apply_recovery",
     "asymptotic_qfi",
     "bell_probe",
@@ -122,11 +116,9 @@ __all__ = [
     "lindblad_evolve",
     "campaign_estimates",
     "mse_campaign",
-    "mse_campaign_omega",
     "omega_code",
     "omega_model",
-    "outcome_probability_omega",
-    "outcome_probability_theta",
+    "outcome_probability",
     "qfi_B_trajectory_averaged",
     "qfi_fidelity_fd",
     "qfi_omega_qec_closed",
@@ -137,8 +129,6 @@ __all__ = [
     "qfi_theta_qec_closed",
     "qfi_theta_unitary_controlled",
     "run_adaptive",
-    "run_adaptive_omega",
-    "sample_phase",
     "sample_phases",
     "sld",
     "theta_code",

@@ -42,7 +42,7 @@ from .errors import (
 from .estimation import AdaptiveConfig, campaign_estimates
 from .metrology import qfi_sld_numeric
 from .qec import QecCode, asymptotic_qfi, code_probe, expansion_superoperators
-from .tasks import STRATEGIES, TASKS, Task
+from .tasks import STRATEGIES, TASKS, Task, task_record
 
 _CROSSCHECK_RTOL = 1e-3
 _CROSSCHECK_SAMPLES = 5
@@ -197,7 +197,7 @@ def cmd_qfi(
     against the eigendecomposition route at sample times before anything is
     written.
     """
-    spec = TASKS[task]
+    spec = task_record(task)
     if not np.isfinite(B):
         raise DomainError(f"B must be finite, got {B}")
     if not 0 <= gamma < np.inf:
@@ -225,22 +225,6 @@ def cmd_qfi(
     if out_path is not None:
         write_csv(table, out_path)
     return table
-
-
-def cmd_qfi_theta(
-    B: float, gamma: float, t_max: float, n_points: int, dtheta_list: list[float],
-    out_path: str | None,
-) -> CurveTable:
-    """Information-vs-time table for the angle task; see :func:`cmd_qfi`."""
-    return cmd_qfi("theta", B, gamma, t_max, n_points, dtheta_list, out_path)
-
-
-def cmd_qfi_omega(
-    B: float, gamma: float, t_max: float, n_points: int, domega_list: list[float],
-    out_path: str | None,
-) -> CurveTable:
-    """Information-vs-time table for the frequency task; see :func:`cmd_qfi`."""
-    return cmd_qfi("omega", B, gamma, t_max, n_points, domega_list, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +279,9 @@ def _strategy_out_path(out_path: str, strategy: str) -> str:
     return f"{base}.{strategy}{ext or '.csv'}"
 
 
-def _crb_value(task: str, strategy: str, cfg: AdaptiveConfig) -> float:
+def _crb_value(record: Task, strategy: str, cfg: AdaptiveConfig) -> float:
     """The Cramer-Rao line 1/(m K J); ConfigError when J leaves it undefined."""
-    j = TASKS[task].information(strategy, cfg.B, cfg.gamma, cfg.t)
+    j = record.information(strategy, cfg.B, cfg.gamma, cfg.t)
     crb = 1.0 / (cfg.m * cfg.rounds * j) if j > 0 else np.inf
     if not np.isfinite(crb):
         field, bound = ("t", "> 0") if cfg.t == 0 else ("B", "nonzero")
@@ -325,8 +309,7 @@ def cmd_adapt(
     1/(m*K*J).  Returns the tables keyed by strategy.  seed, reps and
     strategy override the corresponding config entries when given.
     """
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}; expected 'theta' or 'omega'", field="task")
+    record = task_record(task)
     raw = _load_adapt_config(config_path)
     if reps is None:
         reps = raw["repetitions"]
@@ -354,7 +337,7 @@ def cmd_adapt(
             cfg = AdaptiveConfig(seed=seed, strategy=strategy, **kwargs)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        runs.append((strategy, cfg, _crb_value(task, strategy, cfg)))
+        runs.append((strategy, cfg, _crb_value(record, strategy, cfg)))
     tables: dict[str, CurveTable] = {}
     for strategy, cfg, crb_value in runs:
         estimates = campaign_estimates(cfg, reps, task=task)

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, InstabilityError, StepError
 from .qmat import eye2, kron, sigma1, sigma2, sigma3
 
+_TRACE_TOL = 1e-6  # largest trace drift lindblad_evolve accepts after a step
+
 
 def sigma_n_theta(theta: float) -> np.ndarray:
     """Field axis cos(theta) sigma1 + sin(theta) sigma3."""
@@ -189,40 +191,41 @@ def _rk4_step(rhs, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def fixed_steps(t: float, dt: float) -> int:
+    """Number of steps dt > 0 that make up the duration t >= 0.
+
+    The one rule of every fixed-step loop: t is an integer multiple of dt
+    (within 1e-9), and a positive t takes at least one step.
+    """
+    if not dt > 0:
+        raise StepError(f"dt must be positive, got {dt}")
+    if not t >= 0:
+        raise DomainError(f"duration must be >= 0, got {t}")
+    n_steps = int(round(t / dt))
+    if abs(n_steps * dt - t) > 1e-9 or (n_steps == 0 and t > 0):
+        raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
+    return n_steps
+
+
 def lindblad_evolve(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    t: float,
-    dt: float = 1e-3,
-    t0: float = 0.0,
-    trace_tol: float = 1e-6,
+    model: LindbladModel, rho0: np.ndarray, t: float, dt: float = 1e-3, t0: float = 0.0
 ) -> np.ndarray:
     """Evolve ``rho0`` for duration ``t`` starting at absolute time ``t0``.
 
     ``rho0`` may be a single (d, d) state or a stacked (..., d, d) batch; the
     integrator broadcasts over leading axes.  Each step re-symmetrizes the
-    state and checks trace drift against ``trace_tol``.
+    state and checks that the trace drifts by at most 1e-6.
     """
-    if dt <= 0:
-        raise StepError(f"dt must be positive, got {dt}")
-    if t < 0:
-        raise DomainError(f"duration must be >= 0, got {t}")
+    n_steps = fixed_steps(t, dt)
     rho = np.array(rho0, dtype=complex)
     if rho.shape[-1] != model.dim or rho.shape[-2] != model.dim:
         raise StepError(f"state shape {rho.shape} does not match model dim {model.dim}")
-    if t == 0:
-        return rho
-    if dt > t * (1 + 1e-12):
-        raise StepError(f"dt={dt} exceeds duration t={t}")
-    n_steps = int(round(t / dt))
-    if abs(n_steps * dt - t) > 1e-9:
-        raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
     rhs = partial(lindblad_rhs, model)
     for k in range(n_steps):
         rho = _rk4_step(rhs, rho, t0 + k * dt, dt)
         rho = 0.5 * (rho + _dagger(rho))
         drift = np.max(np.abs(np.einsum("...ii->...", rho).real - 1.0))
-        if drift > trace_tol:
+        if drift > _TRACE_TOL:
             raise InstabilityError(f"trace drifted by {drift:.3e} at step {k + 1}")
     return rho
 
@@ -230,24 +233,6 @@ def lindblad_evolve(
 # ---------------------------------------------------------------------------
 # Stochastic phase picture
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrajectoryPhase:
-    """Accumulated precession phase Phi = B t + integral of the noise."""
-
-    phi: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise DomainError(f"duration must be >= 0, got {self.t}")
-
-
-def sample_phase(B: float, gamma: float, t: float, rng: np.random.Generator) -> TrajectoryPhase:
-    """Draw one accumulated phase: B t plus Normal(0, gamma t)."""
-    phis = sample_phases(B, gamma, t, 1, rng)
-    return TrajectoryPhase(phi=float(phis[0]), t=t)
 
 
 def sample_phases(B: float, gamma: float, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -315,9 +300,7 @@ def sample_omega_trajectories(
     reproduce the master equation to first order in dt.  Returns an (n, 4)
     array of final states.
     """
-    n_steps = int(round(t / dt))
-    if abs(n_steps * dt - t) > 1e-9:
-        raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
+    n_steps = fixed_steps(t, dt)
     psi = np.tile(bell_probe(), (n, 1))
     for k in range(n_steps):
         tau = k * dt

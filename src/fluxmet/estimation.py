@@ -9,7 +9,8 @@ the detuning sign; the product over rounds with different working points
 breaks that degeneracy.
 
 The loop and the campaigns are written once against a ``tasks.Task`` record;
-the per-task names (``run_adaptive_omega`` and so on) pick the record.
+every public entry point takes the task name ("theta" or "omega") as its
+``task`` argument.
 
 One lockstep engine runs every campaign: a block of repetitions ("lanes")
 moves through each round together.  Each lane draws from its own generator
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .metrology import MeasurementDistribution
-from .tasks import STRATEGIES, TASKS, Task
+from .tasks import STRATEGIES, Task, task_record
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # A block of lanes holds at most this many grid cells (8 MB of float64) and
@@ -112,35 +113,20 @@ class EstimationRun:
 # ---------------------------------------------------------------------------
 
 
-def _outcome_distribution(
-    task: Task, x: float, x_hat: float, B: float, gamma: float, t: float
+def outcome_probability(
+    x: float, x_hat: float, B: float, gamma: float, t: float, task: str = "theta"
 ) -> MeasurementDistribution:
+    """Code-basis outcome distribution of ``task`` at estimate x_hat; even in x - x_hat.
+
+    Angle: p(+) = (1 + exp(-2 t gamma sin^2 d) cos(2 B t sin d))/2, d = x - x_hat.
+    Frequency: p(+) = (1 + exp(-R) cos(Phi))/2 with the analytic rotating-frame
+    phase Phi and decay R at detuning x - x_hat.
+    """
+    record = task_record(task)
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    p = float(task.p_plus(x, x_hat, B, gamma, t))
+    p = float(record.p_plus(x, x_hat, B, gamma, t))
     return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])
-
-
-def outcome_probability_theta(
-    theta: float, theta_hat: float, B: float, gamma: float, t: float
-) -> MeasurementDistribution:
-    """Code-basis outcome distribution for the angle task.
-
-    p(+) = (1 + exp(-2 t gamma sin^2 d) cos(2 B t sin d))/2 with
-    d = theta - theta_hat; the distribution is even in d.
-    """
-    return _outcome_distribution(TASKS["theta"], theta, theta_hat, B, gamma, t)
-
-
-def outcome_probability_omega(
-    omega: float, omega_hat: float, B: float, gamma: float, t: float
-) -> MeasurementDistribution:
-    """Code-basis outcome distribution for the frequency task.
-
-    p(+) = (1 + exp(-R) cos(Phi))/2 with the analytic rotating-frame phase
-    Phi and decay R at detuning omega - omega_hat.
-    """
-    return _outcome_distribution(TASKS["omega"], omega, omega_hat, B, gamma, t)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +177,7 @@ def _pow_square(y) -> np.ndarray:
     """y ** 2 elementwise as a float scalar squares: through C pow(), which
     differs in the last bit from y * y (what ``array ** 2`` computes) on about
     one input in a thousand."""
-    return (np.asarray(y).astype(object) ** 2).astype(float)
+    return np.float_power(y, 2.0)
 
 
 def _prob_plus(config: AdaptiveConfig, task: Task, square=np.square):
@@ -270,27 +256,19 @@ def _lockstep(
     return estimates, n_plus, final_ll
 
 
-def _run_adaptive(
-    config: AdaptiveConfig, rng: np.random.Generator | None, task: Task
+def run_adaptive(
+    config: AdaptiveConfig, rng: np.random.Generator | None = None, task: str = "theta"
 ) -> EstimationRun:
-    """One lane of the lockstep engine.  Deterministic for a given (config, seed)."""
+    """Adaptive maximum-likelihood estimation of ``task``'s parameter.
+
+    One lane of the lockstep engine.  Deterministic for a given (config, seed).
+    """
+    record = task_record(task)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    estimates, n_plus, final_ll = _lockstep(config, task, [rng])
+    estimates, n_plus, final_ll = _lockstep(config, record, [rng])
     history = [(int(n), config.m - int(n)) for n in n_plus[0]]
     return EstimationRun(estimates[0].tolist(), history, float(final_ll[0]), config.seed)
-
-
-def run_adaptive(config: AdaptiveConfig, rng: np.random.Generator | None = None) -> EstimationRun:
-    """Adaptive maximum-likelihood estimation of the noise-axis angle."""
-    return _run_adaptive(config, rng, TASKS["theta"])
-
-
-def run_adaptive_omega(
-    config: AdaptiveConfig, rng: np.random.Generator | None = None
-) -> EstimationRun:
-    """Adaptive maximum-likelihood estimation of the rotation frequency."""
-    return _run_adaptive(config, rng, TASKS["omega"])
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +283,9 @@ def campaign_estimates(config: AdaptiveConfig, repetitions: int, task: str = "th
     Repetitions advance in lockstep, in blocks of at most 1024 that keep the
     cumulative likelihood grid within 8 MB.
     """
+    record = task_record(task)
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
-    if task not in TASKS:
-        raise DomainError(f"unknown task {task!r}; expected 'theta' or 'omega'")
-    record = TASKS[task]
     grid_size = _likelihood_grid(config, record)[0].size
     block = min(_BLOCK_LANES, max(1, _BLOCK_CELLS // grid_size))
     out = np.empty((repetitions, config.rounds + 1))
@@ -320,19 +296,10 @@ def campaign_estimates(config: AdaptiveConfig, repetitions: int, task: str = "th
     return out
 
 
-def _mse_curve(config: AdaptiveConfig, repetitions: int, task: str) -> list[float]:
-    est = campaign_estimates(config, repetitions, task=task)
-    return list(np.mean((est - config.true_value) ** 2, axis=0))
-
-
-def mse_campaign(config: AdaptiveConfig, repetitions: int) -> list[float]:
-    """Per-round mean-squared error of the angle estimator.
+def mse_campaign(config: AdaptiveConfig, repetitions: int, task: str = "theta") -> list[float]:
+    """Per-round mean-squared error of ``task``'s estimator.
 
     Entry k is the MSE of the round-k estimate over all repetitions.
     """
-    return _mse_curve(config, repetitions, "theta")
-
-
-def mse_campaign_omega(config: AdaptiveConfig, repetitions: int) -> list[float]:
-    """Per-round mean-squared error of the frequency estimator."""
-    return _mse_curve(config, repetitions, "omega")
+    est = campaign_estimates(config, repetitions, task=task)
+    return list(np.mean((est - config.true_value) ** 2, axis=0))

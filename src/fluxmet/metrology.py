@@ -15,7 +15,7 @@ orders that both branches agree to machine precision at the crossover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +26,14 @@ from .qmat import check_density_matrix, hermitian_eig, sqrtm_psd
 # Result records
 # ---------------------------------------------------------------------------
 
-METHODS = ("closed_form", "sld", "fidelity_fd", "trajectory_cfi", "measurement_cfi")
-
 
 @dataclass(frozen=True)
 class FisherResult:
-    """Scalar Fisher information plus the route that produced it."""
+    """A Fisher information value: finite, with tiny negatives clamped to 0."""
 
     value: float
-    method: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise DomainError(f"unknown method {self.method!r}")
         if not np.isfinite(self.value):
             raise NumericError(f"Fisher information is not finite: {self.value!r}")
         if self.value < 0:
@@ -204,16 +198,10 @@ def sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float | None = None) -> n
     return 0.5 * (out + out.conj().T)
 
 
-def qfi_sld(
-    rho: np.ndarray,
-    drho: np.ndarray,
-    params: dict | None = None,
-    kernel_tol: float | None = None,
-) -> FisherResult:
+def qfi_sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float | None = None) -> FisherResult:
     """Quantum Fisher information Tr(rho L^2) via the SLD."""
     ell = sld(rho, drho, kernel_tol=kernel_tol)
-    value = float(np.trace(rho @ ell @ ell).real)
-    return FisherResult(value=value, method="sld", params=params or {})
+    return FisherResult(float(np.trace(rho @ ell @ ell).real))
 
 
 def state_derivative(state_map, x: float, delta: float = 1e-5) -> np.ndarray:
@@ -251,7 +239,6 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
     rho = state_map(x)
     drho = state_derivative(state_map, x, delta)
     drho = 0.5 * (drho + drho.conj().T)
-    params = {"x": x, "delta": delta}
     w0 = hermitian_eig(rho)[0]
     wp = hermitian_eig(state_map(x + delta))[0]
     wm = hermitian_eig(state_map(x - delta))[0]
@@ -262,16 +249,19 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
     ):
         k += 1
     if k == 0:
-        return qfi_sld(rho, drho, params=params)
+        return qfi_sld(rho, drho)
     # Midpoint between the largest vanishing pair sum and the smallest
     # vanishing+support pair sum: zeroes kernel blocks, keeps cross terms.
     kernel_tol = max(1.5 * w0[k - 1] + 0.5 * w0[k], 1e-12 * lam_max)
-    base = qfi_sld(rho, drho, params=params, kernel_tol=kernel_tol)
-    curv = (np.sum(wp[:k]) + np.sum(wm[:k]) - 2.0 * np.sum(w0[:k])) / delta**2
+    base = qfi_sld(rho, drho, kernel_tol=kernel_tol)
+    # A branch still at round-off at x +- delta (the kernel of a pure family)
+    # has no curvature to measure.
+    bent = np.flatnonzero(np.maximum(wp[:k], wm[:k]) > 1e-14 * lam_max)
+    curv = (np.sum(wp[bent]) + np.sum(wm[bent]) - 2.0 * np.sum(w0[bent])) / delta**2
     # Eigenvalue curvature at an interior zero of a nonnegative spectrum
     # cannot be negative; a negative estimate is eigensolver noise.
     value = base.value + max(2.0 * curv, 0.0)
-    return FisherResult(value=value, method="sld", params=params)
+    return FisherResult(value)
 
 
 def qfi_fidelity_fd(state_map, x: float, delta: float = 1e-3) -> FisherResult:
@@ -282,7 +272,7 @@ def qfi_fidelity_fd(state_map, x: float, delta: float = 1e-3) -> FisherResult:
     if f > 1 + 1e-8:
         raise NumericError(f"fidelity {f!r} exceeds 1 beyond tolerance")
     value = 8.0 * (1.0 - f) / delta**2
-    return FisherResult(value=value, method="fidelity_fd", params={"x": x, "delta": delta})
+    return FisherResult(value)
 
 
 def cfi(dist_map, x: float, delta: float = 1e-5) -> FisherResult:
@@ -302,7 +292,7 @@ def cfi(dist_map, x: float, delta: float = 1e-5) -> FisherResult:
             continue
         dp = (plus[label] - minus[label]) / (2 * delta)
         value += dp * dp / p
-    return FisherResult(value=value, method="measurement_cfi", params={"x": x, "delta": delta})
+    return FisherResult(value)
 
 
 def cfi_trajectory_B(
@@ -332,7 +322,7 @@ def cfi_trajectory_B(
     if p < 1e-14 or p > 1 - 1e-14:
         raise NumericError(f"outcome probability {p!r} is degenerate")
     value = dp * dp / (p * (1 - p))
-    return FisherResult(value=value, method="trajectory_cfi", params={"B": B, "gamma": gamma, "t": t, "beta": beta})
+    return FisherResult(value)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +363,7 @@ def qfi_theta_free_closed(B: float, gamma: float, t: float) -> FisherResult:
     """QFI of the freely dephasing theta probe: 2[1 - e^(-2 gamma t) cos 2Bt]."""
     _check_t(t)
     value = 2.0 * (1.0 - np.exp(-2 * gamma * t) * np.cos(2 * B * t))
-    return FisherResult(value=value, method="closed_form", params={"B": B, "gamma": gamma, "t": t})
+    return FisherResult(value)
 
 
 def qfi_theta_qec_closed(B: float, gamma: float, t: float, dtheta: float = 0.0) -> FisherResult:
@@ -383,15 +373,14 @@ def qfi_theta_qec_closed(B: float, gamma: float, t: float, dtheta: float = 0.0) 
     contributes 4 gamma t of information on top of the coherent part.
     """
     _check_t(t)
-    params = {"B": B, "gamma": gamma, "t": t, "d_param": dtheta}
     if t == 0:
-        return FisherResult(value=0.0, method="closed_form", params=params)
+        return FisherResult(0.0)
     s2 = np.sin(dtheta) ** 2
     x = 4.0 * gamma * t * s2
     # x / (e^x - 1), continuous value 1 at x = 0.
     xf = 1.0 - x / 2 + x * x / 12 if x < 1e-8 else x / np.expm1(x)
     value = 4.0 * t * t * np.cos(dtheta) ** 2 * (B * B * np.exp(-x) + (gamma / t) * xf)
-    return FisherResult(value=value, method="closed_form", params=params)
+    return FisherResult(value)
 
 
 def qfi_omega_qec_closed(B: float, gamma: float, t: float, domega: float = 0.0) -> FisherResult:
@@ -401,9 +390,8 @@ def qfi_omega_qec_closed(B: float, gamma: float, t: float, domega: float = 0.0) 
     exp(-(i*phase + decay)); at domega = 0 it equals B^2 t^4 + (4/3) gamma t^3.
     """
     _check_t(t)
-    params = {"B": B, "gamma": gamma, "t": t, "d_param": domega}
     if t == 0:
-        return FisherResult(value=0.0, method="closed_form", params=params)
+        return FisherResult(0.0)
     a = domega
     z = a * t
     dphase = omega_frame_phase_deriv(B, a, t)
@@ -416,7 +404,7 @@ def qfi_omega_qec_closed(B: float, gamma: float, t: float, domega: float = 0.0) 
         noise = (4.0 / 3.0) * gamma * t**3
     else:
         noise = ddecay * ddecay / np.expm1(2 * decay)
-    return FisherResult(value=coherent + noise, method="closed_form", params=params)
+    return FisherResult(coherent + noise)
 
 
 def qfi_theta_unitary_controlled(B: float, t: float, dtheta: float = 0.0) -> FisherResult:
@@ -428,7 +416,7 @@ def qfi_theta_unitary_controlled(B: float, t: float, dtheta: float = 0.0) -> Fis
     bt = B * t
     phi = 2.0 * abs(np.sin(dtheta / 2))  # sqrt(2 - 2 cos dtheta)
     value = 0.5 * (1 + 4 * bt * bt + 4 * bt * bt * np.cos(dtheta) - np.cos(2 * bt * phi))
-    return FisherResult(value=value, method="closed_form", params={"B": B, "t": t, "d_param": dtheta})
+    return FisherResult(value)
 
 
 def qfi_omega_unitary_controlled(B: float, t: float, domega: float = 0.0) -> FisherResult:
@@ -442,14 +430,14 @@ def qfi_omega_unitary_controlled(B: float, t: float, domega: float = 0.0) -> Fis
     if penalty > 1:
         raise DomainError(f"|domega|*t = {abs(domega) * t} is outside the expansion's validity")
     value = B * B * t**4 * (1 - penalty)
-    return FisherResult(value=value, method="closed_form", params={"B": B, "t": t, "d_param": domega})
+    return FisherResult(value)
 
 
 def qfi_B_trajectory_averaged(t: float, gamma: float) -> FisherResult:
     """Phase-averaged QFI for field estimation: 4 t^2 e^(-4 gamma t)."""
     _check_t(t)
     value = 4.0 * t * t * np.exp(-4 * gamma * t)
-    return FisherResult(value=value, method="closed_form", params={"gamma": gamma, "t": t})
+    return FisherResult(value)
 
 
 def cfi_theta_qec_closed(B: float, gamma: float, t: float, dtheta: float = 0.0) -> FisherResult:
@@ -460,21 +448,20 @@ def cfi_theta_qec_closed(B: float, gamma: float, t: float, dtheta: float = 0.0) 
     4 B^2 t^2 + 4 gamma t; the measurement is optimal at zero detuning.
     """
     _check_t(t)
-    params = {"B": B, "gamma": gamma, "t": t, "d_param": dtheta}
     if t == 0:
-        return FisherResult(value=0.0, method="closed_form", params=params)
+        return FisherResult(0.0)
     s = np.sin(dtheta)
     c2 = np.cos(dtheta) ** 2
     if gamma == 0:
-        return FisherResult(value=4 * B * B * t * t * c2, method="closed_form", params=params)
+        return FisherResult(4 * B * B * t * t * c2)
     if abs(s) < 1e-8:
-        return FisherResult(value=4 * t * (gamma + B * B * t), method="closed_form", params=params)
+        return FisherResult(4 * t * (gamma + B * B * t))
     phi = 2 * B * t * s
     e = np.exp(-2 * gamma * t * s * s)
     num = 4 * e * e * t * t * c2 * (2 * gamma * s * np.cos(phi) + B * np.sin(phi)) ** 2
     # 1 - E^2 cos^2 phi, written cancellation-free.
     den = np.sin(phi) ** 2 - np.cos(phi) ** 2 * np.expm1(-4 * gamma * t * s * s)
-    return FisherResult(value=num / den, method="closed_form", params=params)
+    return FisherResult(num / den)
 
 
 def cfi_omega_qec_closed(B: float, gamma: float, t: float, domega: float = 0.0) -> FisherResult:
@@ -484,20 +471,19 @@ def cfi_omega_qec_closed(B: float, gamma: float, t: float, domega: float = 0.0) 
     limit equals the QFI B^2 t^4 + (4/3) gamma t^3.
     """
     _check_t(t)
-    params = {"B": B, "gamma": gamma, "t": t, "d_param": domega}
     if t == 0:
-        return FisherResult(value=0.0, method="closed_form", params=params)
+        return FisherResult(0.0)
     a = domega
     z = a * t
     dphase = omega_frame_phase_deriv(B, a, t)
     if gamma == 0:
-        return FisherResult(value=dphase * dphase, method="closed_form", params=params)
+        return FisherResult(dphase * dphase)
     if abs(z) < 1e-8:
         value = B * B * t**4 + (4.0 / 3.0) * gamma * t**3
-        return FisherResult(value=value, method="closed_form", params=params)
+        return FisherResult(value)
     phase = omega_frame_phase(B, a, t)
     decay = omega_frame_decay(gamma, a, t)
     ddecay = omega_frame_decay_deriv(gamma, a, t)
     num = np.exp(-2 * decay) * (ddecay * np.cos(phase) + dphase * np.sin(phase)) ** 2
     den = np.sin(phase) ** 2 - np.cos(phase) ** 2 * np.expm1(-2 * decay)
-    return FisherResult(value=num / den, method="closed_form", params=params)
+    return FisherResult(num / den)

@@ -26,6 +26,7 @@ import numpy as np
 from .dynamics import (
     LindbladModel,
     _rk4_step,
+    fixed_steps,
     in_frame,
     lindblad_evolve,
     omega_model,
@@ -44,6 +45,9 @@ from .errors import (
 )
 from .metrology import FisherResult, omega_frame_decay, omega_frame_phase
 from .qmat import eye2, kron, polar_isometry, sigma1
+
+_QEC_TOL = 1e-8  # residual of the error-correction conditions and of the Gram matrix
+_WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
 
 
 @dataclass(frozen=True)
@@ -146,13 +150,11 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
 
 def _recovery_intervals(t: float, dt: float, n_recoveries: int | None) -> tuple[int, float]:
     if n_recoveries is None:
-        n_recoveries = int(round(t / dt))
+        n_recoveries = fixed_steps(t, dt)
     if n_recoveries < 1:
         raise StepError(f"n_recoveries must be >= 1, got {n_recoveries}")
     interval = t / n_recoveries
-    steps = int(round(interval / dt))
-    if steps < 1 or abs(steps * dt - interval) > 1e-9:
-        raise StepError(f"dt={dt} does not divide the recovery interval {interval}")
+    fixed_steps(interval, dt)  # StepError unless dt divides the interval
     return n_recoveries, interval
 
 
@@ -282,14 +284,12 @@ def _project_scalar(proj: np.ndarray, op: np.ndarray, rank: float) -> tuple[comp
     return complex(s), residual
 
 
-def check_qec_conditions(
-    model: LindbladModel, code: QecCode, tol: float = 1e-8, t: float = 0.0
-) -> GeneralQecReport:
+def check_qec_conditions(model: LindbladModel, code: QecCode, t: float = 0.0) -> GeneralQecReport:
     """Verify P E_k P = alpha_k P and P E_k^dag E_j P = beta_kj P.
 
     Returns the extracted alpha vector, beta matrix and error weights
     d_kk = beta_kk - |alpha_k|^2.  Raises :class:`QecConditionError` naming
-    the offending operators if any residual exceeds ``tol``.
+    the offending operators if any residual exceeds 1e-8.
     """
     proj = code.projector(t)
     rank = np.trace(proj).real
@@ -303,19 +303,19 @@ def check_qec_conditions(
     for k, e in enumerate(ops):
         alpha[k], r = _project_scalar(proj, e, rank)
         res_a = max(res_a, r)
-        if r > tol:
+        if r > _QEC_TOL:
             bad.append((f"E_{k}", r))
     for k in range(n):
         for j in range(n):
             beta[k, j], r = _project_scalar(proj, ops[k].conj().T @ ops[j], rank)
             res_b = max(res_b, r)
-            if r > tol:
+            if r > _QEC_TOL:
                 bad.append((f"E_{k}^dag E_{j}", r))
     if bad:
         worst = max(bad, key=lambda kv: kv[1])
         raise QecConditionError(
             f"code fails the error-correction conditions: {worst[0]} has residual "
-            f"{worst[1]:.3e} > tol {tol:.1e}",
+            f"{worst[1]:.3e} > tol {_QEC_TOL:.1e}",
             residuals=bad,
         )
     d = np.real(np.diag(beta)) - np.abs(alpha) ** 2
@@ -325,11 +325,7 @@ def check_qec_conditions(
 
 
 def expansion_superoperators(
-    model: LindbladModel,
-    code: QecCode,
-    tol: float = 1e-8,
-    deg_tol: float = 1e-12,
-    t: float = 0.0,
+    model: LindbladModel, code: QecCode, t: float = 0.0
 ) -> GeneralQecReport:
     """Second-order expansion L0 + L1 dx + L2 dx^2 of the recovered dynamics.
 
@@ -337,16 +333,16 @@ def expansion_superoperators(
     operators with non-orthogonal leakage directions (off-diagonal Gram
     matrix beta - alpha* alpha) are first recombined by the Gram
     eigenbasis, which leaves the Lindblad dissipator invariant; directions of
-    zero weight (d_kk below ``deg_tol``) are dropped from the recovery
+    zero weight (d_kk at most 1e-12) are dropped from the recovery
     provided they do not couple to the first-derivative operators.
     """
     (h, ops), (dh, dops), (ddh, ddops) = (model.at(t, order) for order in range(3))
-    report = check_qec_conditions(model, code, tol=tol, t=t)
+    report = check_qec_conditions(model, code, t=t)
     proj = report.projector
     alpha, beta = report.alpha, report.beta
 
     gram = beta - np.outer(alpha.conj(), alpha)
-    if np.max(np.abs(gram - np.diag(np.diag(gram)))) > tol:
+    if np.max(np.abs(gram - np.diag(np.diag(gram)))) > _QEC_TOL:
         # Unitary recombination E_l <- sum_k W_kl E_k diagonalizes the Gram
         # matrix and leaves sum_k E_k rho E_k^dag unchanged.
         _, w = np.linalg.eigh(gram)
@@ -366,16 +362,16 @@ def expansion_superoperators(
     active: list[int] = []
     isometries: list[np.ndarray] = []
     for k, e in enumerate(ops):
-        if d[k] > deg_tol:
+        if d[k] > _WEIGHTLESS:
             m = (eye - proj) @ e @ proj
-            iso = polar_isometry(m, proj, tol=max(tol, 10 * np.sqrt(deg_tol)))
+            iso = polar_isometry(m, proj, tol=max(_QEC_TOL, 10 * np.sqrt(_WEIGHTLESS)))
             active.append(k)
             isometries.append(iso.u)
         else:
             # A weightless direction may not feed the 1/sqrt(d) cross term.
             for j, de in enumerate(dops):
                 coupling = proj @ (e.conj().T @ de - np.conj(alpha[k]) * de) @ proj
-                if np.max(np.abs(coupling)) > tol:
+                if np.max(np.abs(coupling)) > _QEC_TOL:
                     raise DegenerateErrorSpaceError(
                         f"error operator {k} has zero weight but couples to derivative {j}"
                     )
@@ -441,35 +437,25 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
         raise NumericError(f"second-order expectation {l2_val!r} is positive")
     value = 4.0 * t * t * var - 4.0 * t * l2_val
     report.qfi_asymptotic = float(value)
-    return FisherResult(value=float(value), method="closed_form", params={"t": t})
+    return FisherResult(float(value))
 
 
 def expansion_evolve(
-    report: GeneralQecReport,
-    rho0: np.ndarray,
-    dx: float,
-    t: float,
-    dt: float = 1e-3,
-    apply_control: bool = True,
+    report: GeneralQecReport, rho0: np.ndarray, dx: float, t: float, dt: float = 1e-3
 ) -> np.ndarray:
     """Evolve a code-space state under L0 + L1 dx + L2 dx^2 for duration t.
 
-    With ``apply_control`` the zeroth-order generator is cancelled by the
-    control Hamiltonian, leaving the detuning-driven dynamics only.
+    The control Hamiltonian cancels the zeroth-order generator, leaving the
+    detuning-driven dynamics only.
     """
     if report.l1_generator is None or report.l2_action is None:
         raise ConfigError("report lacks expansion data; run expansion_superoperators first")
-    h = report.l0_generator.copy()
-    if apply_control:
-        h = h + report.control_hamiltonian
-    h = h + dx * report.l1_generator
+    h = report.l0_generator + report.control_hamiltonian + dx * report.l1_generator
 
     def rhs(rho: np.ndarray, _t: float) -> np.ndarray:
         return -1j * (h @ rho - rho @ h) + dx * dx * report.l2_action.apply(rho)
 
-    n_steps = int(round(t / dt))
-    if n_steps < 1 or abs(n_steps * dt - t) > 1e-9:
-        raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
+    n_steps = fixed_steps(t, dt)
     rho = np.array(rho0, dtype=complex)
     for k in range(n_steps):
         rho = _rk4_step(rhs, rho, k * dt, dt)

@@ -14,6 +14,8 @@ import scipy.linalg
 from .errors import DimensionError, DomainError, NonHermitianError, NonIsotropicError, NotPsdError
 
 MAX_DIM = 16
+_HERMITIAN_TOL = 1e-10  # largest |h - h^dag| entry an eigendecomposition accepts
+_STATE_TOL = 1e-8  # Hermiticity, trace and negative-eigenvalue slack of a state
 
 sigma1 = np.array([[0, 1], [1, 0]], dtype=complex)
 sigma2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,13 +42,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     h : ndarray
-        Hermitian matrix; ``max |h - h^dag|`` must be below ``tol``.
+        Hermitian matrix; ``max |h - h^dag|`` must be below 1e-10.
 
     Returns
     -------
@@ -55,7 +57,7 @@ def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     """
     h = _as_square(h)
     defect = np.max(np.abs(h - h.conj().T))
-    if defect >= tol:
+    if defect >= _HERMITIAN_TOL:
         raise NonHermitianError(f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}")
     w, v = np.linalg.eigh(h)
     return w, v
@@ -66,14 +68,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(_as_square(a))
 
 
-def sqrtm_psd(rho: np.ndarray, neg_tol: float = 1e-8, clamp_tol: float = 1e-10) -> np.ndarray:
+def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues in ``[-clamp_tol, 0)`` are treated as integrator round-off and
-    clamped to zero; anything below ``-neg_tol`` raises :class:`NotPsdError`.
+    Eigenvalues in ``[-1e-8, 0)`` are taken as round-off and clipped to zero;
+    a more negative one raises :class:`NotPsdError`.
     """
     w, v = hermitian_eig(rho)
-    if w[0] < -neg_tol:
+    if w[0] < -_STATE_TOL:
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     s = (v * np.sqrt(w)) @ v.conj().T
@@ -93,16 +95,16 @@ def partial_trace(rho: np.ndarray, keep: Literal["first", "second"]) -> np.ndarr
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a state."""
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a state (to 1e-8)."""
     rho = _as_square(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > _STATE_TOL:
         raise NonHermitianError("density matrix is not Hermitian")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > _STATE_TOL:
         raise DomainError(f"density matrix trace is {tr!r}, expected 1")
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w[0] < -tol:
+    if w[0] < -_STATE_TOL:
         raise NotPsdError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return rho
 

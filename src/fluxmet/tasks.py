@@ -3,7 +3,8 @@
 Fluctuation along a parameter-dependent axis adds Fisher information to both
 tasks: 4 gamma t for the field angle theta (static axis), (4/3) gamma t^3 for
 the rotation frequency omega (rotating axis).  What tells the two apart is
-kept here, once; ``estimation`` and ``cli`` are written against ``TASKS``.
+kept here, once; ``estimation`` and ``cli`` take a task name and look its
+record up with :func:`task_record`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import bell_probe, dephasing_kraus, sigma_n_theta
+from .errors import DomainError
 from .metrology import (
     FisherResult,
     _f1,
@@ -171,3 +173,10 @@ TASKS: dict[str, Task] = {
         unitary_family=_omega_unitary_family,
     ),
 }
+
+
+def task_record(name: str) -> Task:
+    """The record of task ``name``; DomainError for a name not in ``TASKS``."""
+    if name not in TASKS:
+        raise DomainError(f"unknown task {name!r}; expected one of {tuple(TASKS)}")
+    return TASKS[name]

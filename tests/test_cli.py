@@ -16,8 +16,7 @@ from fluxmet.cli import (
     cmd_adapt,
     cmd_general_qec,
     cmd_plot,
-    cmd_qfi_omega,
-    cmd_qfi_theta,
+    cmd_qfi,
     read_csv,
     resolve_model_path,
     write_csv,
@@ -71,7 +70,7 @@ def test_config_hash_is_order_insensitive() -> None:
 
 def test_cmd_qfi_theta_columns_and_anchor(tmp_path) -> None:
     out = str(tmp_path / "theta.csv")
-    table = cmd_qfi_theta(0.1, 0.05, 5.0, 2, [0.0, 0.05, 0.1], out)
+    table = cmd_qfi("theta", 0.1, 0.05, 5.0, 2, [0.0, 0.05, 0.1], out)
     assert table.columns == [
         "t",
         "qfi_unitary",
@@ -89,24 +88,24 @@ def test_cmd_qfi_theta_columns_and_anchor(tmp_path) -> None:
 
 
 def test_cmd_qfi_theta_gamma_zero_collapse() -> None:
-    table = cmd_qfi_theta(0.1, 0.0, 2.0, 3, [0.0, 0.3], None)
+    table = cmd_qfi("theta", 0.1, 0.0, 2.0, 3, [0.0, 0.3], None)
     unitary = table.rows[:, 1]
     for j, d in enumerate((0.0, 0.3)):
         np.testing.assert_allclose(table.rows[:, 2 + j], unitary * np.cos(d) ** 2, atol=1e-12)
 
 
 def test_cmd_qfi_theta_empty_detuning_list() -> None:
-    table = cmd_qfi_theta(0.1, 0.05, 2.0, 3, [], None)
+    table = cmd_qfi("theta", 0.1, 0.05, 2.0, 3, [], None)
     assert table.columns == ["t", "qfi_unitary", "qfi_free"]
 
 
 def test_cmd_qfi_theta_rejects_bad_horizon() -> None:
     with pytest.raises(DomainError):
-        cmd_qfi_theta(0.1, 0.05, -1.0, 5, [0.0], None)
+        cmd_qfi("theta", 0.1, 0.05, -1.0, 5, [0.0], None)
 
 
 def test_cmd_qfi_omega_anchor_and_zero_row() -> None:
-    table = cmd_qfi_omega(0.1, 0.05, 5.0, 2, [0.0, 0.1], None)
+    table = cmd_qfi("omega", 0.1, 0.05, 5.0, 2, [0.0, 0.1], None)
     assert table.columns == ["t", "qfi_unitary", "qfi_qec_domega_0", "qfi_qec_domega_0.1"]
     np.testing.assert_allclose(table.rows[0], [0.0, 0.0, 0.0, 0.0], atol=1e-14)
     assert abs(table.rows[1, 1] - 6.25) < 1e-12
@@ -114,9 +113,16 @@ def test_cmd_qfi_omega_anchor_and_zero_row() -> None:
 
 
 def test_cmd_qfi_omega_detuning_penalty() -> None:
-    table = cmd_qfi_omega(0.1, 0.05, 8.0, 5, [0.0, 0.1], None)
+    table = cmd_qfi("omega", 0.1, 0.05, 8.0, 5, [0.0, 0.1], None)
     positive = table.rows[:, 0] > 0
     assert np.all(table.rows[positive, 3] < table.rows[positive, 2])
+
+
+def test_readme_qfi_omega_line_passes_the_gate(tmp_path) -> None:
+    # README: fluxmet qfi-omega --domega 0 --domega 0.05 --out omega.csv
+    out = tmp_path / "omega.csv"
+    assert cli.main(["qfi-omega", "--domega", "0", "--domega", "0.05", "--out", str(out)]) == 0
+    assert read_csv(str(out)).rows.shape == (101, 4)
 
 
 def test_crosscheck_gate_aborts(tmp_path, monkeypatch, capsys) -> None:
@@ -346,7 +352,7 @@ def test_parse_probe_rejects_garbage() -> None:
 
 
 def test_cmd_plot_polylines_and_determinism(tmp_path) -> None:
-    table = cmd_qfi_theta(0.1, 0.05, 5.0, 4, [0.0, 0.05, 0.1], None)
+    table = cmd_qfi("theta", 0.1, 0.05, 5.0, 4, [0.0, 0.05, 0.1], None)
     csv_path = str(tmp_path / "curves.csv")
     write_csv(table, csv_path)
     svg_path = tmp_path / "curves.svg"

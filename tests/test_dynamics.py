@@ -11,7 +11,6 @@ from fluxmet.dynamics import (
     lindblad_evolve,
     omega_model,
     sample_omega_trajectories,
-    sample_phase,
     sample_phases,
     sigma_n_omega,
     sigma_n_theta,
@@ -153,9 +152,7 @@ def test_lindblad_evolve_step_halving_order() -> None:
 
 def test_sample_phase_deterministic_limit() -> None:
     rng = np.random.default_rng(0)
-    tp = sample_phase(B, 0.0, T, rng)
-    assert tp.phi == B * T
-    assert tp.t == T
+    assert sample_phases(B, 0.0, T, 1, rng)[0] == B * T
 
 
 def test_sample_phase_mean() -> None:
@@ -206,6 +203,18 @@ def test_omega_trajectories_step_error() -> None:
     rng = np.random.default_rng(0)
     with pytest.raises(StepError):
         sample_omega_trajectories(B, GAMMA, 0.5, 1.0, 0.3, 10, rng)
+
+
+def test_omega_trajectories_reject_zero_step() -> None:
+    rng = np.random.default_rng(0)
+    with pytest.raises(StepError, match="dt must be positive"):
+        sample_omega_trajectories(B, GAMMA, 0.5, 1.0, 0.0, 10, rng)
+
+
+def test_omega_trajectories_reject_negative_duration() -> None:
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match="duration"):
+        sample_omega_trajectories(B, GAMMA, 0.5, -1.0, 0.1, 10, rng)
 
 
 def test_dephasing_kraus_completeness() -> None:

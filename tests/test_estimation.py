@@ -16,10 +16,8 @@ from fluxmet.estimation import (
     AdaptiveConfig,
     campaign_estimates,
     mse_campaign,
-    outcome_probability_omega,
-    outcome_probability_theta,
+    outcome_probability,
     run_adaptive,
-    run_adaptive_omega,
 )
 from fluxmet.qec import (
     corrected_evolve_omega,
@@ -42,30 +40,30 @@ def _sigma_x_code(code, t: float) -> np.ndarray:
 
 def test_outcome_probability_theta_normalization_and_symmetry() -> None:
     for d in (0.0, 0.03, 0.4, -0.25):
-        dist = outcome_probability_theta(np.pi / 4 + d, np.pi / 4, B, GAMMA, T)
+        dist = outcome_probability(np.pi / 4 + d, np.pi / 4, B, GAMMA, T, task="theta")
         total = sum(p for _, p in dist.outcomes)
         assert abs(total - 1.0) < 1e-14
         p_plus = dist.probability("+")
         assert 0.0 <= p_plus <= 1.0
-        mirrored = outcome_probability_theta(np.pi / 4 - d, np.pi / 4, B, GAMMA, T)
+        mirrored = outcome_probability(np.pi / 4 - d, np.pi / 4, B, GAMMA, T, task="theta")
         assert abs(p_plus - mirrored.probability("+")) < 1e-14
 
 
 def test_outcome_probability_theta_fixed_point() -> None:
-    dist = outcome_probability_theta(0.3, 0.3, B, GAMMA, T)
+    dist = outcome_probability(0.3, 0.3, B, GAMMA, T, task="theta")
     assert dist.probability("+") == 1.0
     assert dist.probability("-") == 0.0
 
 
 def test_outcome_probability_theta_unitary_limit() -> None:
     d = 0.17
-    p = outcome_probability_theta(0.5 + d, 0.5, B, 0.0, T).probability("+")
+    p = outcome_probability(0.5 + d, 0.5, B, 0.0, T, task="theta").probability("+")
     assert abs(p - np.cos(B * T * np.sin(d)) ** 2) < 1e-14
 
 
 def test_outcome_probability_theta_value() -> None:
     d = 0.1
-    p = outcome_probability_theta(np.pi / 4 + d, np.pi / 4, B, GAMMA, T).probability("+")
+    p = outcome_probability(np.pi / 4 + d, np.pi / 4, B, GAMMA, T, task="theta").probability("+")
     expected = 0.5 * (1.0 + np.exp(-2 * T * GAMMA * np.sin(d) ** 2) * np.cos(2 * B * T * np.sin(d)))
     assert abs(p - expected) < 1e-14
 
@@ -77,19 +75,19 @@ def test_outcome_probability_theta_matches_corrected_state() -> None:
     for d in (0.0, 0.05, 0.2, -0.3):
         rho = corrected_state_theta_closed(B, GAMMA, est + d, est, T)
         p_state = 0.5 * (1.0 + np.real(np.trace(rho @ sx)))
-        p = outcome_probability_theta(est + d, est, B, GAMMA, T).probability("+")
+        p = outcome_probability(est + d, est, B, GAMMA, T, task="theta").probability("+")
         assert abs(p - p_state) < 1e-12
 
 
 def test_outcome_probability_theta_rejects_negative_time() -> None:
     with pytest.raises(DomainError):
-        outcome_probability_theta(0.3, 0.2, B, GAMMA, -1.0)
+        outcome_probability(0.3, 0.2, B, GAMMA, -1.0, task="theta")
 
 
 def test_outcome_probability_omega_fixed_point_and_unitary_form() -> None:
-    assert outcome_probability_omega(0.3, 0.3, B, GAMMA, T).probability("+") == 1.0
+    assert outcome_probability(0.3, 0.3, B, GAMMA, T, task="omega").probability("+") == 1.0
     a, t = 0.15, 5.0
-    p = outcome_probability_omega(0.3 + a, 0.3, B, 0.0, t).probability("+")
+    p = outcome_probability(0.3 + a, 0.3, B, 0.0, t, task="omega").probability("+")
     assert abs(p - np.cos(B * (1.0 - np.cos(a * t)) / a) ** 2) < 1e-14
 
 
@@ -100,7 +98,7 @@ def test_outcome_probability_omega_matches_corrected_state() -> None:
     for a in (0.0, 0.05, 0.12):
         rho = corrected_state_omega_closed(B, GAMMA, est + a, est, T)
         p_state = 0.5 * (1.0 + np.real(np.trace(rho @ sx)))
-        p = outcome_probability_omega(est + a, est, B, GAMMA, T).probability("+")
+        p = outcome_probability(est + a, est, B, GAMMA, T, task="omega").probability("+")
         assert abs(p - p_state) < 1e-12
 
 
@@ -109,7 +107,7 @@ def test_outcome_probability_omega_matches_stepwise_recovery() -> None:
     rho = corrected_evolve_omega(B, GAMMA, est + 0.05, est, T, n_recoveries=1000, dt=1e-3)
     sx = _sigma_x_code(omega_code(est), T)
     p_numeric = 0.5 * (1.0 + np.real(np.trace(rho @ sx)))
-    p = outcome_probability_omega(est + 0.05, est, B, GAMMA, T).probability("+")
+    p = outcome_probability(est + 0.05, est, B, GAMMA, T, task="omega").probability("+")
     assert abs(p - p_numeric) < 1e-3
 
 
@@ -173,7 +171,7 @@ def test_run_adaptive_fixed_point() -> None:
 
 def test_run_adaptive_omega_fixed_point() -> None:
     cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.3, rounds=5, seed=3)
-    run = run_adaptive_omega(cfg)
+    run = run_adaptive(cfg, task="omega")
     assert max(abs(e - 0.3) for e in run.estimates) < 5e-8
 
 
@@ -188,7 +186,7 @@ def test_run_adaptive_phase_guard() -> None:
     with pytest.raises(DomainError):
         run_adaptive(AdaptiveConfig(true_value=0.5, initial_guess=0.4, B=2.0, t=10.0))
     with pytest.raises(DomainError):
-        run_adaptive_omega(AdaptiveConfig(true_value=0.3, initial_guess=0.3, t=10.0))
+        run_adaptive(AdaptiveConfig(true_value=0.3, initial_guess=0.3, t=10.0), task="omega")
 
 
 def test_campaign_estimates_shape_and_seeding() -> None:
@@ -216,16 +214,16 @@ _CAMPAIGN_SHA256 = {
 @pytest.mark.parametrize("task, strategy", list(_CAMPAIGN_SHA256))
 def test_campaign_estimates_golden_bytes(task, strategy) -> None:
     if task == "theta":
-        true_value, guesses, grid, run = np.pi / 4, (0.0, np.pi / 2), None, run_adaptive
+        true_value, guesses, grid = np.pi / 4, (0.0, np.pi / 2), None
     else:
-        true_value, guesses, grid, run = 0.3, (0.2, 0.4), (0.2, 0.4, 1e-4), run_adaptive_omega
+        true_value, guesses, grid = 0.3, (0.2, 0.4), (0.2, 0.4, 1e-4)
     digest = hashlib.sha256()
     for guess in guesses:
         cfg = AdaptiveConfig(
             true_value=true_value, initial_guess=guess, grid=grid, seed=20240811, strategy=strategy
         )
         digest.update(campaign_estimates(cfg, 70, task=task).tobytes())
-    single = run(cfg)
+    single = run_adaptive(cfg, task=task)
     digest.update(np.array(single.outcome_history).tobytes())
     digest.update(np.float64(single.log_likelihood_final).tobytes())
     assert digest.hexdigest() == _CAMPAIGN_SHA256[task, strategy]
@@ -267,9 +265,9 @@ def test_campaign_rows_are_independent_runs(
         strategy=strategy,
     )
     table = campaign_estimates(cfg, reps, task=task)
-    run = run_adaptive if task == "theta" else run_adaptive_omega
     for r in range(reps):
-        assert list(table[r]) == run(dataclasses.replace(cfg, seed=seed ^ r)).estimates
+        run = run_adaptive(dataclasses.replace(cfg, seed=seed ^ r), task=task)
+        assert list(table[r]) == run.estimates
 
 
 @pytest.mark.parametrize("task, true_value", [("theta", np.pi / 4), ("omega", 0.3)])

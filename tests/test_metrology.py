@@ -34,6 +34,7 @@ from fluxmet.metrology import (
 )
 from fluxmet.qec import corrected_state_theta_closed
 from fluxmet.qmat import expm, kron
+from fluxmet.tasks import TASKS
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -171,6 +172,13 @@ def test_qfi_sld_unitary_field_estimation() -> None:
         return np.outer(psi, psi.conj())
 
     assert qfi_sld_numeric(family, B).value == pytest.approx(4 * T * T, rel=1e-6)
+
+
+def test_qfi_sld_numeric_pure_family_kernel_has_no_curvature() -> None:
+    # A pure family's kernel eigenvalues sit at solver noise (~4e-16) at x and
+    # x +- delta; their "curvature" was once added, 13% on top of 1e-6.
+    family = TASKS["omega"].unitary_family(0.1, 0.1, 0.5)
+    assert qfi_sld_numeric(family, 0.5).value == pytest.approx(1e-6, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,12 @@ def test_corrected_evolve_theta_step_errors() -> None:
         corrected_evolve_theta(B, GAMMA, 0.8, np.pi / 4, T, dt=1e-3, n_recoveries=3)
 
 
+@pytest.mark.parametrize("n_recoveries", [None, 10])
+def test_corrected_evolve_theta_rejects_zero_step(n_recoveries) -> None:
+    with pytest.raises(StepError, match="dt must be positive"):
+        corrected_evolve_theta(B, GAMMA, 0.8, np.pi / 4, T, dt=0.0, n_recoveries=n_recoveries)
+
+
 def test_corrected_state_theta_closed_qfi() -> None:
     def family(th: float) -> np.ndarray:
         return corrected_state_theta_closed(B, GAMMA, th, np.pi / 4, T)
