@@ -39,7 +39,7 @@ from .errors import (
     NumericError,
     QecConditionError,
 )
-from .estimation import AdaptiveConfig, campaign_estimates
+from .estimation import AdaptiveConfig, campaign_estimates, check_campaign_size
 from .metrology import qfi_sld_numeric
 from .qec import QecCode, asymptotic_qfi, code_probe, expansion_superoperators
 from .tasks import STRATEGIES, TASKS, Task, task_record
@@ -335,6 +335,7 @@ def cmd_adapt(
             kwargs["grid"] = tuple(raw["grid"])
         try:
             cfg = AdaptiveConfig(seed=seed, strategy=strategy, **kwargs)
+            check_campaign_size(cfg, reps)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         runs.append((strategy, cfg, _crb_value(record, strategy, cfg)))

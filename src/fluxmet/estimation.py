@@ -41,6 +41,10 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _BLOCK_CELLS = 2**20
 _BLOCK_LANES = 1024
 _DRAW_CHUNK = 2**16
+# A campaign draws m outcomes per repetition and round, at about 3e8 draws a
+# second; one that asks for more than this many draws is refused before its
+# first draw rather than left to run for minutes with no output.
+MAX_CAMPAIGN_DRAWS = 10**9
 
 
 def _finite(value) -> bool:
@@ -256,6 +260,20 @@ def _lockstep(
     return estimates, n_plus, final_ll
 
 
+def check_campaign_size(config: AdaptiveConfig, repetitions: int) -> None:
+    """DomainError unless repetitions >= 1 and the campaign's outcome draws,
+    m * rounds * repetitions, are at most ``MAX_CAMPAIGN_DRAWS``."""
+    if repetitions < 1:
+        raise DomainError(f"repetitions must be >= 1, got {repetitions}")
+    draws = config.m * config.rounds * repetitions
+    if draws > MAX_CAMPAIGN_DRAWS:
+        raise DomainError(
+            f"m * rounds * repetitions = {config.m} * {config.rounds} * {repetitions} = {draws} "
+            f"outcome draws exceeds the limit of {MAX_CAMPAIGN_DRAWS}; lower m, rounds or "
+            "repetitions"
+        )
+
+
 def run_adaptive(
     config: AdaptiveConfig, rng: np.random.Generator | None = None, task: str = "theta"
 ) -> EstimationRun:
@@ -264,6 +282,7 @@ def run_adaptive(
     One lane of the lockstep engine.  Deterministic for a given (config, seed).
     """
     record = task_record(task)
+    check_campaign_size(config, 1)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     estimates, n_plus, final_ll = _lockstep(config, record, [rng])
@@ -281,11 +300,11 @@ def campaign_estimates(config: AdaptiveConfig, repetitions: int, task: str = "th
 
     Repetition r uses an independent generator seeded with config.seed XOR r.
     Repetitions advance in lockstep, in blocks of at most 1024 that keep the
-    cumulative likelihood grid within 8 MB.
+    cumulative likelihood grid within 8 MB.  A campaign of more than
+    ``MAX_CAMPAIGN_DRAWS`` outcome draws is a DomainError.
     """
     record = task_record(task)
-    if repetitions < 1:
-        raise DomainError(f"repetitions must be >= 1, got {repetitions}")
+    check_campaign_size(config, repetitions)
     grid_size = _likelihood_grid(config, record)[0].size
     block = min(_BLOCK_LANES, max(1, _BLOCK_CELLS // grid_size))
     out = np.empty((repetitions, config.rounds + 1))

@@ -5,11 +5,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fluxmet
 from fluxmet import cli
 from fluxmet.cli import (
     CurveTable,
@@ -223,6 +228,26 @@ def test_cmd_adapt_rejects_bad_values(tmp_path, capsys, override, field) -> None
     out = tmp_path / "camp.csv"
     assert cli.main(["adapt", "theta", "--config", config, "--out", str(out)]) == 2
     assert f"{field} must be" in capsys.readouterr().err
+    assert list(tmp_path.glob("camp*")) == []
+
+
+def test_adapt_with_oversized_m_exits_2_without_drawing(tmp_path) -> None:
+    # 10**11 outcomes a round would draw for hours; run as a user would, with
+    # a timeout, so that a campaign which starts drawing fails instead of hanging.
+    config = _adapt_config(tmp_path, m=100_000_000_000)
+    out = tmp_path / "camp.csv"
+    argv = ["adapt", "theta", "--config", config, "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(fluxmet.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fluxmet", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("an adapt config with m = 10**11 was not refused within 60 s")
+    assert proc.returncode == 2, proc.stderr
+    assert "m * rounds * repetitions" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert list(tmp_path.glob("camp*")) == []
 
 

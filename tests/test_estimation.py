@@ -287,6 +287,35 @@ def test_campaign_estimates_validation() -> None:
         campaign_estimates(cfg, repetitions=2, task="magnetization")
 
 
+def _no_draws(*args, **kwargs):
+    raise AssertionError("the campaign started drawing outcomes")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cfg: campaign_estimates(cfg, 10),
+        lambda cfg: mse_campaign(cfg, 10, task="omega"),
+        lambda cfg: run_adaptive(dataclasses.replace(cfg, m=cfg.m * 10)),
+    ],
+    ids=["campaign_estimates", "mse_campaign", "run_adaptive"],
+)
+def test_oversized_campaign_is_refused_before_any_draw(monkeypatch, run) -> None:
+    # 10**8 outcomes per round, 10 rounds and 10 repetitions: 10**10 draws.
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=10**8)
+    monkeypatch.setattr(estimation, "_lockstep", _no_draws)
+    with pytest.raises(DomainError, match=r"m \* rounds \* repetitions"):
+        run(cfg)
+
+
+def test_campaign_size_limit_is_inclusive() -> None:
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=10**7, rounds=10)
+    assert cfg.m * cfg.rounds * 10 == estimation.MAX_CAMPAIGN_DRAWS
+    estimation.check_campaign_size(cfg, 10)
+    with pytest.raises(DomainError, match="lower m, rounds or repetitions"):
+        estimation.check_campaign_size(dataclasses.replace(cfg, rounds=11), 10)
+
+
 def test_mse_campaign_fixed_point_is_zero() -> None:
     cfg = AdaptiveConfig(true_value=0.4, initial_guess=0.4, rounds=3, seed=5)
     mses = mse_campaign(cfg, repetitions=1)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from fluxmet.dynamics import theta_model
 from fluxmet.errors import (
     DimensionError,
     DomainError,
@@ -136,6 +138,50 @@ def test_expm_unitarity_for_hermitian_generators() -> None:
         h = random_hermitian(4, rng)
         u = expm(-1j * h)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
+
+
+def _expm_rel_err(a: np.ndarray) -> float:
+    want = scipy.linalg.expm(a)
+    return float(np.max(np.abs(expm(a) - want)) / max(1.0, np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+@pytest.mark.parametrize("kind", ["non_normal", "anti_hermitian"])
+def test_expm_matches_scipy_oracle(dim, kind) -> None:
+    # scipy.linalg.expm, a test-only dependency, is the oracle: random a or
+    # -i h (h Hermitian), rescaled to 1-norms from 1e-8 to 1e2.
+    rng = np.random.default_rng(dim)
+    for norm in np.logspace(-8, 2, 21):
+        for _ in range(4):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            if kind == "anti_hermitian":
+                a = -1j * (a + a.conj().T) / 2
+            a *= norm / np.linalg.norm(a, 1)
+            assert _expm_rel_err(a) < 1e-12, (norm, a)
+
+
+def test_expm_matches_scipy_on_angle_task_liouvillian() -> None:
+    # Row-major vectorised Lindbladian of the angle task (16x16):
+    # -i(H x I - I x H^T) + sum_l [l x l* - (l^dag l x I)/2 - (I x (l^dag l)^T)/2].
+    model = theta_model(0.1, 0.05, np.pi / 4)
+    eye4 = np.eye(4)
+    h = model.hamiltonian
+    gen = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T))
+    for l in model.lindblads:
+        ll = l.conj().T @ l
+        gen += np.kron(l, l.conj()) - 0.5 * np.kron(ll, eye4) - 0.5 * np.kron(eye4, ll.T)
+    for t in (0.1, 5.0, 20.0):
+        assert _expm_rel_err(t * gen) < 1e-12, t
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(np.zeros((2, 3)), DimensionError), (np.array([[0.0, np.nan], [0.0, 0.0]]), ValueError)],
+    ids=["non_square", "non_finite"],
+)
+def test_expm_rejects_non_square_or_non_finite(bad, error) -> None:
+    with pytest.raises(error):
+        expm(bad)
 
 
 def test_sqrtm_psd_scalar_matrix() -> None:

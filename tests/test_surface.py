@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +90,17 @@ def test_unknown_task_raises_domain_error(name) -> None:
     with pytest.raises(DomainError, match="unknown task 'magnetization'"):
         _TASK_CALLS[name]("magnetization")
 
+
+def test_runtime_imports_no_scipy() -> None:
+    # scipy is a test-only dependency: a fresh interpreter that imports the
+    # package and its CLI loads no scipy module.
+    probe = (
+        "import sys, fluxmet, fluxmet.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {"PYTHONPATH": str(Path(fluxmet.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
