@@ -31,7 +31,6 @@ from .errors import (
     InstabilityError,
     LeakageError,
     NonHermitianError,
-    NonIsotropicError,
     NotPsdError,
     NumericError,
     QecConditionError,
@@ -65,6 +64,7 @@ from .metrology import (
 from .qec import (
     GeneralQecReport,
     QecCode,
+    QecConditions,
     apply_recovery,
     asymptotic_qfi,
     check_qec_conditions,
@@ -94,10 +94,10 @@ __all__ = [
     "LindbladModel",
     "MeasurementDistribution",
     "NonHermitianError",
-    "NonIsotropicError",
     "NotPsdError",
     "NumericError",
     "QecCode",
+    "QecConditions",
     "QecConditionError",
     "StepError",
     "apply_recovery",

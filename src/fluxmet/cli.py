@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -46,6 +47,9 @@ from .tasks import STRATEGIES, TASKS, Task, task_record
 
 _CROSSCHECK_RTOL = 1e-3
 _CROSSCHECK_SAMPLES = 5
+# A sweep fills its table one point at a time, about 0.15 ms a point for the
+# frequency task on a 2-core x86 host; more points are refused up front.
+MAX_SWEEP_POINTS = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +121,8 @@ def read_csv(path: str) -> CurveTable:
     width = len(header)
     if any(len(r) != width for r in rows):
         raise ConfigError(f"ragged rows in {path}")
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError(f"non-finite value in {path}")
     return CurveTable(columns=header, rows=np.array(rows), metadata=metadata)
 
 
@@ -204,8 +210,10 @@ def cmd_qfi(
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     if not 1e-9 < t_max < np.inf:  # the cross-check gate samples t > 1e-9
         raise DomainError(f"t_max must be finite and > 1e-9, got {t_max}")
-    if n_points < 2:
-        raise DomainError(f"points must be >= 2, got {n_points}")
+    if not 2 <= n_points <= MAX_SWEEP_POINTS:
+        raise DomainError(f"points must be >= 2 and at most {MAX_SWEEP_POINTS}, got {n_points}")
+    if not all(map(math.isfinite, d_list)):
+        raise DomainError(f"{spec.symbol} must be finite, got {d_list}")
     ts = np.linspace(0.0, t_max, n_points)
     _crosscheck(spec, B, gamma, ts, d_list)
     cols = ["t", "qfi_unitary"] + [f"qfi_qec_{spec.symbol}_{d:g}" for d in d_list]
@@ -363,25 +371,27 @@ def cmd_adapt(
 # ---------------------------------------------------------------------------
 
 
-def _complex_from_json(obj, field: str) -> np.ndarray:
+def _complex_from_json(obj, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """Complex array of ``shape`` from nested lists of [re, im] pairs.
+
+    ConfigError naming ``field`` unless every level is a list of the right
+    length and every pair holds two finite numbers.
+    """
+    def valid(node, want: tuple[int, ...]) -> bool:
+        if not want:
+            try:
+                return not isinstance(node, bool) and math.isfinite(node)
+            except (OverflowError, TypeError):  # ints beyond the float range, non-numbers
+                return False
+        return isinstance(node, list) and len(node) == want[0] and all(
+            valid(item, want[1:]) for item in node
+        )
+
+    if not valid(obj, shape + (2,)):
+        dims = "x".join(map(str, shape))
+        raise ConfigError(f"{field}: expected {dims} [re, im] pairs of finite numbers", field=field)
     arr = np.asarray(obj, dtype=float)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ConfigError(f"{field}: entries must be [re, im] pairs", field=field)
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _matrix_from_json(obj, dim: int, field: str) -> np.ndarray:
-    mat = _complex_from_json(obj, field)
-    if mat.shape != (dim, dim):
-        raise ConfigError(f"{field}: expected {dim}x{dim} matrix, got {mat.shape}", field=field)
-    return mat
-
-
-def _vector_from_json(obj, dim: int, field: str) -> np.ndarray:
-    vec = _complex_from_json(obj, field)
-    if vec.shape != (dim,):
-        raise ConfigError(f"{field}: expected length-{dim} vector, got {vec.shape}", field=field)
-    return vec
 
 
 _MODEL_KEYS = {
@@ -426,15 +436,17 @@ def load_model_file(path: str) -> tuple[LindbladModel, QecCode]:
     dim = raw["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise ConfigError("dim must be an integer >= 2", field="dim")
-    ops = {}
+    ops, square = {}, (dim, dim)
     for prefix in ("", "d_", "dd_"):
         key = prefix + "hamiltonian"
-        ops[key] = _matrix_from_json(raw[key], dim, key)
+        ops[key] = _complex_from_json(raw[key], square, key)
         key = prefix + "lindblads"
-        ops[key] = [_matrix_from_json(m, dim, f"{key}[{i}]") for i, m in enumerate(raw[key])]
+        if not isinstance(raw[key], list):
+            raise ConfigError(f"{key}: expected a list of matrices", field=key)
+        ops[key] = [_complex_from_json(e, square, f"{key}[{i}]") for i, e in enumerate(raw[key])]
     model = LindbladModel(dim=dim, **ops)
-    c0 = _vector_from_json(raw["code_c0"], dim, "code_c0")
-    c1 = _vector_from_json(raw["code_c1"], dim, "code_c1")
+    c0 = _complex_from_json(raw["code_c0"], (dim,), "code_c0")
+    c1 = _complex_from_json(raw["code_c1"], (dim,), "code_c1")
     for name, v in (("code_c0", c0), ("code_c1", c1)):
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ConfigError(f"{name} is not normalized", field=name)
@@ -453,6 +465,8 @@ def _parse_probe(spec: str, code: QecCode) -> np.ndarray:
         raise ConfigError(
             f"probe spec {spec!r} is neither 'plus' nor 'a,b' amplitudes", field="probe"
         ) from exc
+    if not np.all(np.isfinite([a, b])):
+        raise ConfigError(f"probe amplitudes must be finite, got {spec!r}", field="probe")
     c0, c1 = code.basis()
     v = a * c0 + b * c1
     norm = np.linalg.norm(v)
@@ -480,9 +494,9 @@ def cmd_general_qec(
         "model": os.path.basename(model_path),
         "t": t,
         "probe": probe_spec,
-        "alpha": [[z.real, z.imag] for z in report.alpha],
-        "beta": [[[z.real, z.imag] for z in row] for row in report.beta],
-        "d": [float(x) for x in report.d],
+        "alpha": [[z.real, z.imag] for z in report.conditions.alpha],
+        "beta": [[[z.real, z.imag] for z in row] for row in report.conditions.beta],
+        "d": [float(x) for x in report.conditions.d],
         "h_eff_spectrum": [float(x) for x in h_spec],
         "l2_expectation": l2_val,
         "qfi_asymptotic": result.value,

@@ -91,7 +91,7 @@ class LindbladModel:
 
     def __post_init__(self) -> None:
         h0 = self.hamiltonian
-        if np.max(np.abs(h0 - h0.conj().T)) > 1e-10:
+        if not np.max(np.abs(h0 - h0.conj().T)) <= 1e-10:  # NaN fails too
             raise DomainError("hamiltonian is not Hermitian")
         for name in ("d_lindblads", "dd_lindblads"):
             derivs = getattr(self, name)

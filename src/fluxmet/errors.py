@@ -29,11 +29,6 @@ class NotPsdError(FluxmetError, ValueError):
     """Matrix expected to be positive semidefinite has a negative eigenvalue."""
 
 
-class NonIsotropicError(FluxmetError, ValueError):
-    """m.H @ m is not proportional to the code projector: the operator does
-    not act isotropically on the code space, so no polar isometry exists."""
-
-
 class StepError(FluxmetError, ValueError):
     """Integrator step size incompatible with the requested duration."""
 

@@ -45,6 +45,9 @@ _DRAW_CHUNK = 2**16
 # second; one that asks for more than this many draws is refused before its
 # first draw rather than left to run for minutes with no output.
 MAX_CAMPAIGN_DRAWS = 10**9
+# A likelihood grid of (hi - lo) / resolution cells peaks near 0.5 GB at
+# 10**7 cells; a finer one is refused before anything is allocated.
+MAX_GRID_CELLS = 10**7
 
 
 def _finite(value) -> bool:
@@ -96,6 +99,9 @@ class AdaptiveConfig:
                 raise DomainError(f"grid lo must be < hi, got ({lo}, {hi})")
             if res <= 0:
                 raise DomainError(f"grid resolution must be > 0, got {res}")
+            if not (hi - lo) / res <= MAX_GRID_CELLS:
+                cells = f"(hi - lo) / resolution = {(hi - lo) / res:.3g}"
+                raise DomainError(f"grid must be at most {MAX_GRID_CELLS} cells, got {cells}")
         if self.gamma < 0:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
         if self.t < 0:

@@ -14,12 +14,13 @@ The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 parameter derivatives and produces the second-order expansion of the
 recovered dynamics around the operating point, L = L0 + L1 dx + L2 dx^2,
 together with the asymptotic information rate
-J = 4 t^2 Var(H_eff) - 4 t <L2>.
+J = 4 t^2 Var(H_eff) - 4 t <L2>.  Each stage is a pure function that
+returns a frozen record: ``QecConditions``, then ``GeneralQecReport``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
     StepError,
 )
 from .metrology import FisherResult, omega_frame_decay, omega_frame_phase
-from .qmat import eye2, kron, polar_isometry, sigma1
+from .qmat import eye2, kron, sigma1
 
 _QEC_TOL = 1e-8  # residual of the error-correction conditions and of the Gram matrix
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
@@ -234,7 +235,7 @@ def corrected_state_omega_closed(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class L2Action:
     """Second-order superoperator in explicit commutator-plus-Kraus form.
 
@@ -257,9 +258,11 @@ class L2Action:
         return out
 
 
-@dataclass
-class GeneralQecReport:
-    """Outputs of the error-correction conditions and expansion engine."""
+@dataclass(frozen=True)
+class QecConditions:
+    """P E_k P = alpha_k P and P E_k^dag E_j P = beta_kj P: the fitted alpha
+    and beta, the error weights d_kk = beta_kk - |alpha_k|^2, the code
+    projector and the largest residual of each relation."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -267,50 +270,50 @@ class GeneralQecReport:
     projector: np.ndarray
     residual_alpha: float
     residual_beta: float
-    orthogonalized: bool = False
-    active: list[int] = field(default_factory=list)
-    isometries: list[np.ndarray] | None = None
-    l0_generator: np.ndarray | None = None
-    l1_generator: np.ndarray | None = None
-    l2_action: L2Action | None = None
-    control_hamiltonian: np.ndarray | None = None
-    qfi_asymptotic: float | None = None
 
 
-def _project_scalar(proj: np.ndarray, op: np.ndarray, rank: float) -> tuple[complex, float]:
-    """Best scalar s with P op P = s P, plus the residual of that relation."""
-    s = np.trace(proj @ op) / rank
-    residual = float(np.max(np.abs(proj @ op @ proj - s * proj)))
-    return complex(s), residual
+@dataclass(frozen=True)
+class GeneralQecReport:
+    """The expansion of the recovered dynamics: the conditions of the error
+    operators the recovery acts on (the Gram recombination of the model's
+    when ``orthogonalized``), the indices of those with error weight, the
+    effective generator H_eff of L1 and the action of L2."""
+
+    conditions: QecConditions
+    orthogonalized: bool
+    active: list[int]
+    l1_generator: np.ndarray
+    l2_action: L2Action
 
 
-def check_qec_conditions(model: LindbladModel, code: QecCode, t: float = 0.0) -> GeneralQecReport:
+def _conditions(
+    proj: np.ndarray, ops: list[np.ndarray]
+) -> tuple[QecConditions, list[tuple[str, float]]]:
+    """The conditions of ``ops`` on the code space of ``proj``, and the
+    (label, residual) pairs of the relations that miss by more than 1e-8."""
+    n, rank = len(ops), np.trace(proj).real
+    terms = list(ops) + [ek.conj().T @ ej for ek in ops for ej in ops]
+    labels = [f"E_{k}" for k in range(n)] + [f"E_{k}^dag E_{j}" for k in range(n) for j in range(n)]
+    # The best scalar s with P op P = s P for each term, and the residual of that relation.
+    fit = [complex(np.trace(proj @ op) / rank) for op in terms]
+    res = [float(np.max(np.abs(proj @ op @ proj - s * proj))) for op, s in zip(terms, fit)]
+    alpha = np.array(fit[:n], dtype=complex)
+    beta = np.array(fit[n:], dtype=complex).reshape(n, n)
+    d = np.real(np.diag(beta)) - np.abs(alpha) ** 2
+    conditions = QecConditions(
+        alpha, beta, d, proj, max(res[:n], default=0.0), max(res[n:], default=0.0)
+    )
+    return conditions, [(label, r) for label, r in zip(labels, res) if r > _QEC_TOL]
+
+
+def check_qec_conditions(model: LindbladModel, code: QecCode, t: float = 0.0) -> QecConditions:
     """Verify P E_k P = alpha_k P and P E_k^dag E_j P = beta_kj P.
 
     Returns the extracted alpha vector, beta matrix and error weights
     d_kk = beta_kk - |alpha_k|^2.  Raises :class:`QecConditionError` naming
     the offending operators if any residual exceeds 1e-8.
     """
-    proj = code.projector(t)
-    rank = np.trace(proj).real
-    _, ops = model.at(t)
-    n = len(ops)
-    alpha = np.zeros(n, dtype=complex)
-    beta = np.zeros((n, n), dtype=complex)
-    bad: list[tuple[str, float]] = []
-    res_a = 0.0
-    res_b = 0.0
-    for k, e in enumerate(ops):
-        alpha[k], r = _project_scalar(proj, e, rank)
-        res_a = max(res_a, r)
-        if r > _QEC_TOL:
-            bad.append((f"E_{k}", r))
-    for k in range(n):
-        for j in range(n):
-            beta[k, j], r = _project_scalar(proj, ops[k].conj().T @ ops[j], rank)
-            res_b = max(res_b, r)
-            if r > _QEC_TOL:
-                bad.append((f"E_{k}^dag E_{j}", r))
+    conditions, bad = _conditions(code.projector(t), model.at(t)[1])
     if bad:
         worst = max(bad, key=lambda kv: kv[1])
         raise QecConditionError(
@@ -318,10 +321,7 @@ def check_qec_conditions(model: LindbladModel, code: QecCode, t: float = 0.0) ->
             f"{worst[1]:.3e} > tol {_QEC_TOL:.1e}",
             residuals=bad,
         )
-    d = np.real(np.diag(beta)) - np.abs(alpha) ** 2
-    return GeneralQecReport(
-        alpha=alpha, beta=beta, d=d, projector=proj, residual_alpha=res_a, residual_beta=res_b
-    )
+    return conditions
 
 
 def expansion_superoperators(
@@ -334,43 +334,40 @@ def expansion_superoperators(
     matrix beta - alpha* alpha) are first recombined by the Gram
     eigenbasis, which leaves the Lindblad dissipator invariant; directions of
     zero weight (d_kk at most 1e-12) are dropped from the recovery
-    provided they do not couple to the first-derivative operators.
+    provided they do not couple to the first-derivative operators.  The
+    control -P H P cancels L0 = P H P, so L0 is not returned.
     """
     (h, ops), (dh, dops), (ddh, ddops) = (model.at(t, order) for order in range(3))
-    report = check_qec_conditions(model, code, t=t)
-    proj = report.projector
-    alpha, beta = report.alpha, report.beta
-
+    conditions = check_qec_conditions(model, code, t=t)
+    proj, alpha, beta = conditions.projector, conditions.alpha, conditions.beta
     gram = beta - np.outer(alpha.conj(), alpha)
-    if np.max(np.abs(gram - np.diag(np.diag(gram)))) > _QEC_TOL:
+    orthogonalized = bool(np.any(np.abs(gram - np.diag(np.diag(gram))) > _QEC_TOL))
+    if orthogonalized:
         # Unitary recombination E_l <- sum_k W_kl E_k diagonalizes the Gram
         # matrix and leaves sum_k E_k rho E_k^dag unchanged.
         _, w = np.linalg.eigh(gram)
-        ops = [sum(w[k, l] * ops[k] for k in range(len(ops))) for l in range(len(ops))]
-        dops = [sum(w[k, l] * dops[k] for k in range(len(dops))) for l in range(len(dops))]
-        ddops = [sum(w[k, l] * ddops[k] for k in range(len(ddops))) for l in range(len(ddops))]
-        rank = np.trace(proj).real
-        alpha = np.array([_project_scalar(proj, e, rank)[0] for e in ops])
-        beta = np.array(
-            [[_project_scalar(proj, ek.conj().T @ ej, rank)[0] for ej in ops] for ek in ops]
+        ops, dops, ddops = (
+            [sum(w[k, l] * xs[k] for k in range(len(xs))) for l in range(len(xs))]
+            for xs in (ops, dops, ddops)
         )
-        report.orthogonalized = True
-    d = np.real(np.diag(beta)) - np.abs(alpha) ** 2
-    report.alpha, report.beta, report.d = alpha, beta, d
+        conditions = _conditions(proj, ops)[0]  # a unitary recombination keeps them holding
 
     eye = np.eye(model.dim, dtype=complex)
+    rank = np.trace(proj).real
     active: list[int] = []
-    isometries: list[np.ndarray] = []
+    returns: list[np.ndarray] = []
     for k, e in enumerate(ops):
-        if d[k] > _WEIGHTLESS:
+        if conditions.d[k] > _WEIGHTLESS:
+            # m = (1 - P) E_k P = s u P for an isometry u from the code space
+            # onto its error space, so the return P u^dag is m^dag / s.  s is
+            # read from m: beta_kk - |alpha_k|^2 cancels at small weight.
             m = (eye - proj) @ e @ proj
-            iso = polar_isometry(m, proj, tol=max(_QEC_TOL, 10 * np.sqrt(_WEIGHTLESS)))
             active.append(k)
-            isometries.append(iso.u)
+            returns.append(m.conj().T / np.sqrt(np.trace(m.conj().T @ m).real / rank))
         else:
             # A weightless direction may not feed the 1/sqrt(d) cross term.
             for j, de in enumerate(dops):
-                coupling = proj @ (e.conj().T @ de - np.conj(alpha[k]) * de) @ proj
+                coupling = proj @ (e.conj().T @ de - np.conj(conditions.alpha[k]) * de) @ proj
                 if np.max(np.abs(coupling)) > _QEC_TOL:
                     raise DegenerateErrorSpaceError(
                         f"error operator {k} has zero weight but couples to derivative {j}"
@@ -379,33 +376,24 @@ def expansion_superoperators(
     def sandwich(op: np.ndarray) -> np.ndarray:
         return proj @ op @ proj
 
-    drift = sum(
-        e.conj().T @ de - de.conj().T @ e for e, de in zip(ops, dops)
-    ) if ops else np.zeros_like(h)
-    h_eff = sandwich(dh + 0.5j * drift)
-    h_eff = 0.5 * (h_eff + h_eff.conj().T)
+    def hermitian_part(op: np.ndarray) -> np.ndarray:
+        return 0.5 * (op + op.conj().T)
 
+    def drift(derivs: list[np.ndarray]) -> np.ndarray:
+        terms = (e.conj().T @ de - de.conj().T @ e for e, de in zip(ops, derivs))
+        return sum(terms, np.zeros_like(h))
+
+    h_eff = hermitian_part(sandwich(dh + 0.5j * drift(dops)))
     # The i/2 combination keeps the second-order commutator generator
     # Hermitian; without it the expansion would not preserve Hermiticity.
-    drift2 = sum(
-        e.conj().T @ dde - dde.conj().T @ e for e, dde in zip(ops, ddops)
-    ) if ops else np.zeros_like(h)
-    n2 = 0.5 * sandwich(ddh + 0.5j * drift2)
-    n2 = 0.5 * (n2 + n2.conj().T)
-
-    kraus_a = [sandwich(de) for de in dops]
-    anticomms = [sandwich(de.conj().T @ de) for de in dops]
-    kraus_b = [sandwich(u.conj().T @ de) for u in isometries for de in dops]
-
-    report.active = active
-    report.isometries = isometries
-    report.l0_generator = sandwich(h)
-    report.l1_generator = h_eff
-    report.l2_action = L2Action(
-        generator=n2, kraus_a=kraus_a, anticommutators=anticomms, kraus_b=kraus_b
+    n2 = hermitian_part(0.5 * sandwich(ddh + 0.5j * drift(ddops)))
+    l2_action = L2Action(
+        generator=n2,
+        kraus_a=[sandwich(de) for de in dops],
+        anticommutators=[sandwich(de.conj().T @ de) for de in dops],
+        kraus_b=[sandwich(r @ de) for r in returns for de in dops],
     )
-    report.control_hamiltonian = -sandwich(h)
-    return report
+    return GeneralQecReport(conditions, orthogonalized, active, h_eff, l2_action)
 
 
 def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> FisherResult:
@@ -415,14 +403,12 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
     expectation <psi|L1(|psi><psi|)|psi> is verified to vanish and the L2
     expectation to be non-positive (both within 1e-10).
     """
-    if not t >= 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    if report.l1_generator is None or report.l2_action is None:
-        raise ConfigError("report lacks expansion data; run expansion_superoperators first")
+    if not 0 <= t < np.inf:
+        raise DomainError(f"t must be >= 0 and finite, got {t}")
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise DomainError("probe vector is not normalized")
-    outside = psi - report.projector @ psi
+    outside = psi - report.conditions.projector @ psi
     if np.linalg.norm(outside) > 1e-10:
         raise DomainError("probe vector is not in the code space")
     h_eff = report.l1_generator
@@ -435,9 +421,7 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
     l2_val = np.vdot(psi, report.l2_action.apply(rho) @ psi).real
     if -l2_val < -1e-10:
         raise NumericError(f"second-order expectation {l2_val!r} is positive")
-    value = 4.0 * t * t * var - 4.0 * t * l2_val
-    report.qfi_asymptotic = float(value)
-    return FisherResult(float(value))
+    return FisherResult(float(4.0 * t * t * var - 4.0 * t * l2_val))
 
 
 def expansion_evolve(
@@ -445,12 +429,10 @@ def expansion_evolve(
 ) -> np.ndarray:
     """Evolve a code-space state under L0 + L1 dx + L2 dx^2 for duration t.
 
-    The control Hamiltonian cancels the zeroth-order generator, leaving the
-    detuning-driven dynamics only.
+    The control Hamiltonian -P H P cancels the zeroth-order generator,
+    leaving the detuning-driven dynamics only.
     """
-    if report.l1_generator is None or report.l2_action is None:
-        raise ConfigError("report lacks expansion data; run expansion_superoperators first")
-    h = report.l0_generator + report.control_hamiltonian + dx * report.l1_generator
+    h = dx * report.l1_generator
 
     def rhs(rho: np.ndarray, _t: float) -> np.ndarray:
         return -1j * (h @ rho - rho @ h) + dx * dx * report.l2_action.apply(rho)

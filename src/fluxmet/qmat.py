@@ -9,11 +9,11 @@ by scipy, whose import would dominate the start-up of every CLI process.
 from __future__ import annotations
 
 import math
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonHermitianError, NonIsotropicError, NotPsdError
+from .errors import DimensionError, DomainError, NonHermitianError, NotPsdError
 
 MAX_DIM = 16
 _HERMITIAN_TOL = 1e-10  # largest |h - h^dag| entry an eigendecomposition accepts
@@ -141,56 +141,3 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     if w[0] < -_STATE_TOL:
         raise NotPsdError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return rho
-
-
-class PolarIsometry(NamedTuple):
-    u: np.ndarray
-    scale: float
-    degenerate: bool
-
-
-def polar_isometry(m: np.ndarray, code_projector: np.ndarray, tol: float = 1e-8) -> PolarIsometry:
-    """Polar factorization ``m = scale * u * P`` of an error operator.
-
-    ``m`` must satisfy ``m.H @ m = scale**2 * P`` within ``tol`` (the noise
-    acts isotropically on the code space).  ``u`` is a unitary mapping the
-    code basis onto the orthonormal images ``m|c_i> / scale``; its action
-    outside the code space is an arbitrary completion.
-
-    Returns
-    -------
-    PolarIsometry
-        ``(u, scale, degenerate)``; ``degenerate`` is True when ``m`` is the
-        zero operator, in which case ``u`` is the identity.
-    """
-    m = _as_square(m)
-    p = _as_square(code_projector)
-    rank = np.trace(p).real
-    g = m.conj().T @ m
-    scale_sq = np.trace(g).real / rank
-    if np.max(np.abs(g - scale_sq * p)) > tol:
-        raise NonIsotropicError(
-            "m.H @ m is not proportional to the code projector "
-            f"(residual {np.max(np.abs(g - scale_sq * p)):.3e} > tol {tol:.1e})"
-        )
-    if scale_sq <= tol**2:
-        return PolarIsometry(np.eye(m.shape[0], dtype=complex), 0.0, True)
-    scale = float(np.sqrt(scale_sq))
-
-    # Orthonormal code basis from the projector's unit-eigenvalue space.
-    w, v = hermitian_eig(p)
-    code = v[:, w > 0.5]
-    images = m @ code / scale
-    overlap = images.conj().T @ images
-    if np.max(np.abs(overlap - np.eye(code.shape[1]))) > max(tol, 1e-10):
-        raise NonIsotropicError("images of the code basis are not orthonormal")
-
-    u = images @ code.conj().T
-    # Complete u to a full unitary: map the orthocomplement of the code space
-    # onto an orthonormal completion of the image columns (QR extension).
-    dim = m.shape[0]
-    code_rest = v[:, w <= 0.5]
-    q, _ = np.linalg.qr(np.hstack([images, np.eye(dim, dtype=complex)]))
-    img_rest = q[:, code.shape[1] : dim]
-    u = u + img_rest @ code_rest.conj().T
-    return PolarIsometry(u, scale, False)

@@ -64,6 +64,10 @@ def test_read_csv_rejects_malformed(tmp_path) -> None:
     empty.write_text("# command: x\nt,a\n")
     with pytest.raises(ConfigError):
         read_csv(str(empty))
+    gap = tmp_path / "d.csv"
+    gap.write_text("x,y\n0,1\n1,nan\n2,3\n")
+    with pytest.raises(ConfigError, match="non-finite"):
+        read_csv(str(gap))
 
 
 def test_config_hash_is_order_insensitive() -> None:
@@ -151,6 +155,7 @@ def test_crosscheck_gate_aborts(tmp_path, monkeypatch, capsys) -> None:
         (["--B", "inf"], "B"),
         (["--t-max", "nan"], "t_max"),
         (["--t-max", "1e-10"], "t_max"),
+        (["--points", "1000000000000"], "points"),
     ],
 )
 def test_cmd_qfi_rejects_bad_sweep_inputs(tmp_path, capsys, task, flags, field) -> None:
@@ -221,6 +226,9 @@ def test_cmd_adapt_schema_rejection(tmp_path, capsys) -> None:
         ({"t": 0}, "t"),
         ({"B": 0, "strategies": ["unitary_controlled"]}, "B"),
         ({"B": 0, "strategies": ["qec_corrected", "unitary_controlled"]}, "B"),
+        # more cells than can be allocated: caught before the grid is built
+        ({"grid": [0, 1, 1e-10]}, "grid"),
+        ({"grid": [0, 1, 1e-300]}, "grid"),
     ],
 )
 def test_cmd_adapt_rejects_bad_values(tmp_path, capsys, override, field) -> None:
@@ -338,15 +346,26 @@ def test_cmd_general_qec_eigenstate_probe() -> None:
     assert abs(doc["qfi_asymptotic"]) < 1e-10
 
 
-def test_cmd_general_qec_noiseless_model(tmp_path) -> None:
+def _model_file(tmp_path, **overrides) -> str:
     raw = json.loads(open(resolve_model_path("theta_example")).read())
-    zero = [[[0.0, 0.0]] * raw["dim"] for _ in range(raw["dim"])]
-    for key in ("lindblads", "d_lindblads", "dd_lindblads"):
-        raw[key] = [zero]
-    path = tmp_path / "noiseless.json"
+    raw.update(overrides)
+    path = tmp_path / "model.json"
     path.write_text(json.dumps(raw))
-    doc = cmd_general_qec(str(path), "plus", 5.0, None)
+    return str(path)
+
+
+def test_cmd_general_qec_noiseless_model(tmp_path) -> None:
+    zero = [[[0.0, 0.0]] * 4] * 4
+    path = _model_file(tmp_path, lindblads=[zero], d_lindblads=[zero], dd_lindblads=[zero])
+    doc = cmd_general_qec(path, "plus", 5.0, None)
     assert abs(doc["qfi_asymptotic"] - 1.0) < 1e-10
+
+
+def test_cmd_general_qec_model_without_lindblad_operators(tmp_path, capsys) -> None:
+    # A unitary model: the engine reads 4 B^2 t^2 = 1 off the coherent part.
+    path = _model_file(tmp_path, lindblads=[], d_lindblads=[], dd_lindblads=[])
+    assert cli.main(["general-qec", path]) == 0
+    assert capsys.readouterr().out == "asymptotic QFI at t=5: 1\n"
 
 
 def test_cmd_general_qec_negative_time_exits_2(tmp_path, capsys) -> None:
@@ -365,6 +384,46 @@ def test_cmd_general_qec_wrong_code_exits_3(capsys) -> None:
 def test_cmd_general_qec_missing_model_exits_2(capsys) -> None:
     assert cli.main(["general-qec", "no_such_model"]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"lindblads": 3.0}, "lindblads"),
+        ({"lindblads": [[["x", 0]] * 4] * 4}, "lindblads[0]"),
+        ({"d_lindblads": [[[[0, 0]] * 4] * 3 + [[[0, 0]] * 3]]}, "d_lindblads[0]"),
+        ({"hamiltonian": [[[float("nan"), 0.0]] * 4] * 4}, "hamiltonian"),
+        ({"dd_hamiltonian": [[[True, 0]] * 4] * 4}, "dd_hamiltonian"),
+        ({"d_hamiltonian": [[[10**400, 0]] * 4] * 4}, "d_hamiltonian"),
+        ({"code_c0": "up"}, "code_c0"),
+        ({"code_c1": [[0, 0, 0]] * 4}, "code_c1"),
+    ],
+)
+def test_load_model_file_rejects_malformed_operators(tmp_path, capsys, overrides, field) -> None:
+    path = _model_file(tmp_path, **overrides)
+    with pytest.raises(ConfigError) as exc:
+        cli.load_model_file(path)
+    assert exc.value.field == field
+    assert cli.main(["general-qec", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qfi-omega", "--domega", "nan"], "domega must be finite"),
+        (["qfi-theta", "--dtheta", "0", "--dtheta", "inf"], "dtheta must be finite"),
+        (["general-qec", "theta_example", "--t", "inf"], "t must be >= 0"),
+        (["general-qec", "theta_example", "--t", "nan"], "t must be >= 0"),
+        (["general-qec", "theta_example", "--probe", "1,nan"], "probe amplitudes must be finite"),
+        (["general-qec", "theta_example", "--probe", "infj,1"], "probe amplitudes must be finite"),
+    ],
+)
+def test_non_finite_user_numbers_exit_2(tmp_path, capsys, argv, message) -> None:
+    out = tmp_path / "out.file"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_probe_rejects_garbage() -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,13 @@ def test_theta_model_unitary_limit_has_zero_lindblad() -> None:
 def test_theta_model_rejects_negative_rate() -> None:
     with pytest.raises(DomainError):
         theta_model(B, -0.01, 0.3)
+
+
+def test_lindblad_model_rejects_nan_hamiltonian() -> None:
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = np.nan
+    with pytest.raises(DomainError, match="not Hermitian"):
+        dataclasses.replace(theta_model(B, GAMMA, 0.3), hamiltonian=h)
 
 
 def test_theta_model_derivative_commutator_identity() -> None:

@@ -316,6 +316,15 @@ def test_campaign_size_limit_is_inclusive() -> None:
         estimation.check_campaign_size(dataclasses.replace(cfg, rounds=11), 10)
 
 
+def test_grid_cell_limit_is_inclusive() -> None:
+    # A 1e-7 grid on [0, 1] is 10**7 cells, about 0.5 GB at peak: admitted.
+    # One more cell is refused by the config, before any grid is built.
+    assert estimation.MAX_GRID_CELLS == 10**7
+    AdaptiveConfig(true_value=0.3, initial_guess=0.2, grid=(0.0, 1.0, 1e-7))
+    with pytest.raises(DomainError, match="grid must be at most"):
+        AdaptiveConfig(true_value=0.3, initial_guess=0.2, grid=(0.0, 1.0, 1 / (10**7 + 1)))
+
+
 def test_mse_campaign_fixed_point_is_zero() -> None:
     cfg = AdaptiveConfig(true_value=0.4, initial_guess=0.4, rounds=3, seed=5)
     mses = mse_campaign(cfg, repetitions=1)

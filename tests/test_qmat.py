@@ -11,7 +11,6 @@ from fluxmet.errors import (
     DimensionError,
     DomainError,
     NonHermitianError,
-    NonIsotropicError,
     NotPsdError,
 )
 from fluxmet.qmat import (
@@ -20,7 +19,6 @@ from fluxmet.qmat import (
     hermitian_eig,
     kron,
     partial_trace,
-    polar_isometry,
     sqrtm_psd,
 )
 
@@ -241,53 +239,6 @@ def test_partial_trace_factorizes_products() -> None:
 def test_partial_trace_wrong_dim() -> None:
     with pytest.raises(DimensionError):
         partial_trace(np.eye(2, dtype=complex), "first")
-
-
-def test_polar_isometry_single_direction() -> None:
-    proj = np.diag([1.0, 0.0]).astype(complex)
-    res = polar_isometry(SIGMA1 @ proj, proj)
-    assert res.scale == pytest.approx(1.0, abs=1e-12)
-    assert not res.degenerate
-    ket1 = res.u @ np.array([1, 0], dtype=complex)
-    assert abs(abs(ket1[1]) - 1) < 1e-12
-
-
-def test_polar_isometry_zero_operator() -> None:
-    proj = np.diag([1.0, 0.0]).astype(complex)
-    res = polar_isometry(np.zeros((2, 2), dtype=complex), proj)
-    assert res.scale == 0.0
-    assert res.degenerate
-
-
-def test_polar_isometry_noise_axis_error_operator() -> None:
-    # Hand-built code words: the noise axis maps |c0>,|c1> onto the
-    # orthogonal pair |c2>,|c3>, so the error operator factors exactly.
-    th = np.pi / 4
-    plus = np.array([-np.cos(th / 2), np.sin(th / 2)], dtype=complex)
-    minus = np.array([np.sin(th / 2), np.cos(th / 2)], dtype=complex)
-    c0 = np.kron(plus, plus)
-    c1 = np.kron(minus, minus)
-    c2 = np.kron(minus, plus)
-    c3 = np.kron(plus, minus)
-    proj = np.outer(c0, c0.conj()) + np.outer(c1, c1.conj())
-    axis = np.cos(th) * SIGMA1 + np.sin(th) * SIGMA3
-    gamma, dt = 0.05, 1e-3
-    m = (np.eye(4) - proj) @ kron(axis, EYE2) @ proj * np.sqrt(gamma * dt)
-    res = polar_isometry(m, proj)
-    assert res.scale == pytest.approx(np.sqrt(gamma * dt), rel=1e-10)
-    assert abs(abs(c2.conj() @ (res.u @ c0)) - 1) < 1e-10
-    assert abs(abs(c3.conj() @ (res.u @ c1)) - 1) < 1e-10
-    # Round trip: scale * u * P reproduces m.
-    assert np.max(np.abs(res.scale * res.u @ proj - m)) < 1e-12
-
-
-def test_polar_isometry_rejects_anisotropic_noise() -> None:
-    proj = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    m = np.zeros((4, 4), dtype=complex)
-    m[2, 0] = 1.0
-    m[3, 1] = 0.5  # different singular values on the two code words
-    with pytest.raises(NonIsotropicError):
-        polar_isometry(m, proj)
 
 
 def test_check_density_matrix_accepts_valid() -> None:

@@ -23,19 +23,23 @@ from fluxmet.estimation import (
 )
 
 # Per-task twins folded into one name with a task argument, wrappers that
-# nothing called, and the method/params fields of FisherResult.
+# nothing called, the method/params fields of FisherResult, and the polar
+# isometry the general engine no longer builds.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
         "outcome_probability_omega", "run_adaptive_omega", "mse_campaign_omega",
+        "NonIsotropicError",
     ),
     "fluxmet.estimation": (
         "outcome_probability_theta", "outcome_probability_omega", "_outcome_distribution",
         "_run_adaptive", "run_adaptive_omega", "_mse_curve", "mse_campaign_omega",
     ),
-    "fluxmet.cli": ("cmd_qfi_theta", "cmd_qfi_omega"),
+    "fluxmet.cli": ("cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json"),
     "fluxmet.dynamics": ("TrajectoryPhase", "sample_phase"),
     "fluxmet.metrology": ("METHODS",),
+    "fluxmet.qmat": ("polar_isometry", "PolarIsometry"),
+    "fluxmet.errors": ("NonIsotropicError",),
 }
 
 # Tolerance keywords that were only ever called with their default.
@@ -73,6 +77,17 @@ def test_removed_keywords_are_gone(fn, keyword) -> None:
 
 def test_fisher_result_carries_only_its_value() -> None:
     assert [f.name for f in dataclasses.fields(metrology.FisherResult)] == ["value"]
+
+
+def test_general_engine_returns_frozen_records() -> None:
+    # No field is left empty for a later stage to fill in, and no stage can
+    # write into a record it is given.
+    for record in (qec.QecConditions, qec.GeneralQecReport, qec.L2Action):
+        assert record.__dataclass_params__.frozen, record
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(record))
+    assert [f.name for f in dataclasses.fields(qec.GeneralQecReport)] == [
+        "conditions", "orthogonalized", "active", "l1_generator", "l2_action"
+    ]
 
 
 _CFG = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=1, rounds=1)
