@@ -18,6 +18,7 @@ cross-check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -239,18 +240,10 @@ def cmd_qfi(
 # Adaptive campaigns
 # ---------------------------------------------------------------------------
 
-_ADAPT_SCHEMA = {
-    "true_value": float,
-    "initial_guess": float,
-    "m": int,
-    "rounds": int,
-    "t": float,
-    "B": float,
-    "gamma": float,
-    "grid": list,
-    "seed": int,
-    "repetitions": int,
-    "strategies": list,
+# An adapt config sets the fields of AdaptiveConfig, which checks their types
+# and values, with a list of strategies in place of one, plus the repetitions.
+_ADAPT_KEYS = {"repetitions", "strategies"} | {
+    f.name for f in dataclasses.fields(AdaptiveConfig) if f.name != "strategy"
 }
 _ADAPT_REQUIRED = ("true_value", "initial_guess", "repetitions")
 
@@ -263,22 +256,18 @@ def _load_adapt_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    for key, value in raw.items():
-        if key not in _ADAPT_SCHEMA:
+    for key in raw:
+        if key not in _ADAPT_KEYS:
             raise ConfigError(f"unknown config key {key!r}", field=key)
-        want = _ADAPT_SCHEMA[key]
-        if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            continue
-        if not isinstance(value, want) or isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be {want.__name__}", field=key)
     for key in _ADAPT_REQUIRED:
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}", field=key)
-    strategies = raw.get("strategies", list(STRATEGIES))
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {s!r}", field="strategies")
-    raw["strategies"] = strategies
+    # The default list is part of the config hash, as if it had been written.
+    strategies = raw.setdefault("strategies", list(STRATEGIES))
+    if not isinstance(strategies, list) or not strategies:
+        raise ConfigError(
+            f"strategies must be a non-empty list, got {strategies!r}", field="strategies"
+        )
     return raw
 
 
@@ -319,34 +308,17 @@ def cmd_adapt(
     """
     record = task_record(task)
     raw = _load_adapt_config(config_path)
-    if reps is None:
-        reps = raw["repetitions"]
-    if not isinstance(reps, int) or reps < 1:
-        raise ConfigError("repetitions must be a positive integer", field="repetitions")
-    if seed is None:
-        seed = raw.get("seed", 0)
-    if strategy is not None:
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {strategy!r}", field="strategy")
-        strategies = [strategy]
-    else:
-        strategies = raw["strategies"]
-    # Every strategy's config and Cramer-Rao line are checked before any
-    # campaign runs, so a bad one writes no file.
+    reps = raw["repetitions"] if reps is None else reps
+    seed = raw.get("seed", 0) if seed is None else seed
+    strategies = raw["strategies"] if strategy is None else [strategy]
+    kwargs = {k: v for k, v in raw.items() if k not in ("repetitions", "strategies", "seed")}
+    # Every strategy's config, campaign size and Cramer-Rao line are checked
+    # before any campaign runs, so a bad one writes no file.
     runs = []
-    for strategy in strategies:
-        kwargs = {
-            k: raw[k] for k in ("true_value", "initial_guess", "m", "rounds", "t", "B", "gamma")
-            if k in raw
-        }
-        if "grid" in raw:
-            kwargs["grid"] = tuple(raw["grid"])
-        try:
-            cfg = AdaptiveConfig(seed=seed, strategy=strategy, **kwargs)
-            check_campaign_size(cfg, reps)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-        runs.append((strategy, cfg, _crb_value(record, strategy, cfg)))
+    for s in strategies:
+        cfg = AdaptiveConfig(**kwargs, seed=seed, strategy=s)
+        check_campaign_size(cfg, reps, task)
+        runs.append((s, cfg, _crb_value(record, s, cfg)))
     tables: dict[str, CurveTable] = {}
     for strategy, cfg, crb_value in runs:
         estimates = campaign_estimates(cfg, reps, task=task)
@@ -637,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CrossCheckError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (FluxmetError, FileNotFoundError) as exc:
+    except (FluxmetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -35,6 +35,7 @@ from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, Task, task_record
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10  # bracket width at which a golden-section lane stops
 # A block of lanes holds at most this many grid cells (8 MB of float64) and
 # at most this many lanes: past a few hundred, batching saves no more time,
 # while each lane adds a generator (about 1 KB) and its refinement rows.
@@ -48,23 +49,33 @@ MAX_CAMPAIGN_DRAWS = 10**9
 # A likelihood grid of (hi - lo) / resolution cells peaks near 0.5 GB at
 # 10**7 cells; a finer one is refused before anything is allocated.
 MAX_GRID_CELLS = 10**7
+# Every repetition and round updates each grid cell, at 50-80 ns a cell: a
+# campaign of more updates (about 10 minutes) is refused before its first draw.
+MAX_CAMPAIGN_CELL_UPDATES = 10**10
 
 
 def _finite(value) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         return math.isfinite(value)
     except (OverflowError, TypeError):  # ints beyond the float range, non-numbers
         return False
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Parameters of one adaptive estimation run.
+    """Parameters of one adaptive estimation run, checked in type and value.
 
-    ``grid`` is (lo, hi, resolution) for the likelihood search; None picks
-    the task default ([0, pi/2] for the angle, [0, 1] for the frequency,
-    resolution 1e-4).  Each round maximizes the likelihood product over all
-    rounds so far.
+    ``grid`` is (lo, hi, resolution) for the likelihood search, given as a
+    list or tuple and stored as a tuple; None picks the task default
+    ([0, pi/2] for the angle, [0, 1] for the frequency, resolution 1e-4).
+    Each round maximizes the likelihood product over all rounds so far.
     """
 
     true_value: float
@@ -83,6 +94,8 @@ class AdaptiveConfig:
             value = getattr(self, name)
             if not _finite(value):
                 raise DomainError(f"{name} must be a finite number, got {value!r}")
+        for name in ("m", "rounds", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.m < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         if self.rounds < 1:
@@ -92,9 +105,11 @@ class AdaptiveConfig:
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.grid is not None:
-            if len(self.grid) != 3 or not all(_finite(v) for v in self.grid):
-                raise DomainError(f"grid must be three finite numbers, got {self.grid!r}")
-            lo, hi, res = self.grid
+            grid = self.grid
+            if not (isinstance(grid, (list, tuple)) and len(grid) == 3 and all(map(_finite, grid))):
+                raise DomainError(f"grid must be a list or tuple of 3 finite numbers, got {grid!r}")
+            object.__setattr__(self, "grid", tuple(grid))
+            lo, hi, res = grid
             if not lo < hi:
                 raise DomainError(f"grid lo must be < hi, got ({lo}, {hi})")
             if res <= 0:
@@ -152,13 +167,13 @@ def _loglik(n_plus, n_minus, p):
     return lp + lm
 
 
-def _golden_max(f, lo, hi, tol: float = 1e-10) -> np.ndarray:
+def _golden_max(f, lo, hi) -> np.ndarray:
     """Golden-section maximum of f on [lo[i], hi[i]] for every lane i at once.
 
     f maps one point per lane to that lane's objective; it is called once per
     iteration for the whole batch.  A lane is frozen from the iteration in
-    which its bracket is within tol (at most 80 iterations), where a search of
-    that lane alone would stop, so each lane ends on the same float.
+    which its bracket is within _GOLDEN_TOL (at most 80 iterations), where a
+    search of that lane alone would stop, so each lane ends on the same float.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
@@ -166,7 +181,7 @@ def _golden_max(f, lo, hi, tol: float = 1e-10) -> np.ndarray:
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(80):
-        live = ~(b - a <= tol)
+        live = ~(b - a <= _GOLDEN_TOL)
         if not live.any():
             break
         keep_left = fc >= fd  # the maximum lies in [a, d]: drop (d, b]
@@ -211,14 +226,19 @@ def _total_loglik(prob_plus, x_hats, n_plus, n_minus, x) -> np.ndarray:
     return total
 
 
-def _likelihood_grid(config: AdaptiveConfig, task: Task) -> tuple[np.ndarray, float]:
+def _grid_cells(config: AdaptiveConfig, task: Task) -> tuple[float, float, int]:
+    """(lo, hi, cells) of the likelihood grid, the task default when unset."""
     lo, hi, res = config.grid if config.grid is not None else task.default_grid
+    return lo, hi, max(1, int(round((hi - lo) / res)))
+
+
+def _likelihood_grid(config: AdaptiveConfig, task: Task) -> tuple[np.ndarray, float]:
+    lo, hi, n_cells = _grid_cells(config, task)
     if task.phase_scale(config.B, config.t) * (hi - lo) >= 2.0 * np.pi:
         raise DomainError(
             f"grid width {hi - lo} aliases the likelihood phase at t={config.t}; "
             "shorten t or the prior interval"
         )
-    n_cells = max(1, int(round((hi - lo) / res)))
     return np.linspace(lo, hi, n_cells + 1), (hi - lo) / n_cells
 
 
@@ -266,9 +286,12 @@ def _lockstep(
     return estimates, n_plus, final_ll
 
 
-def check_campaign_size(config: AdaptiveConfig, repetitions: int) -> None:
-    """DomainError unless repetitions >= 1 and the campaign's outcome draws,
-    m * rounds * repetitions, are at most ``MAX_CAMPAIGN_DRAWS``."""
+def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "theta") -> None:
+    """DomainError unless repetitions is an integer >= 1 and the campaign
+    fits its two bounds: outcome draws, m * rounds * repetitions, at most
+    ``MAX_CAMPAIGN_DRAWS``, and likelihood-grid cell updates, cells * rounds
+    * repetitions on ``task``'s grid, at most ``MAX_CAMPAIGN_CELL_UPDATES``."""
+    _check_integer("repetitions", repetitions)
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
     draws = config.m * config.rounds * repetitions
@@ -278,19 +301,24 @@ def check_campaign_size(config: AdaptiveConfig, repetitions: int) -> None:
             f"outcome draws exceeds the limit of {MAX_CAMPAIGN_DRAWS}; lower m, rounds or "
             "repetitions"
         )
+    cells = _grid_cells(config, task_record(task))[2]
+    updates = cells * config.rounds * repetitions
+    if updates > MAX_CAMPAIGN_CELL_UPDATES:
+        raise DomainError(
+            f"grid cells * rounds * repetitions must be at most {MAX_CAMPAIGN_CELL_UPDATES} "
+            f"likelihood updates, got {cells} * {config.rounds} * {repetitions} = {updates}; "
+            "coarsen the grid or lower rounds or repetitions"
+        )
 
 
-def run_adaptive(
-    config: AdaptiveConfig, rng: np.random.Generator | None = None, task: str = "theta"
-) -> EstimationRun:
+def run_adaptive(config: AdaptiveConfig, task: str = "theta") -> EstimationRun:
     """Adaptive maximum-likelihood estimation of ``task``'s parameter.
 
-    One lane of the lockstep engine.  Deterministic for a given (config, seed).
+    One lane of the lockstep engine, seeded with config.seed.
     """
     record = task_record(task)
-    check_campaign_size(config, 1)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    check_campaign_size(config, 1, task)
+    rng = np.random.default_rng(config.seed)
     estimates, n_plus, final_ll = _lockstep(config, record, [rng])
     history = [(int(n), config.m - int(n)) for n in n_plus[0]]
     return EstimationRun(estimates[0].tolist(), history, float(final_ll[0]), config.seed)
@@ -306,11 +334,11 @@ def campaign_estimates(config: AdaptiveConfig, repetitions: int, task: str = "th
 
     Repetition r uses an independent generator seeded with config.seed XOR r.
     Repetitions advance in lockstep, in blocks of at most 1024 that keep the
-    cumulative likelihood grid within 8 MB.  A campaign of more than
-    ``MAX_CAMPAIGN_DRAWS`` outcome draws is a DomainError.
+    cumulative likelihood grid within 8 MB.  A campaign that
+    ``check_campaign_size`` refuses is a DomainError before its first draw.
     """
     record = task_record(task)
-    check_campaign_size(config, repetitions)
+    check_campaign_size(config, repetitions, task)
     grid_size = _likelihood_grid(config, record)[0].size
     block = min(_BLOCK_LANES, max(1, _BLOCK_CELLS // grid_size))
     out = np.empty((repetitions, config.rounds + 1))

@@ -204,28 +204,12 @@ def qfi_sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float | None = None) 
     return FisherResult(float(np.trace(rho @ ell @ ell).real))
 
 
-def state_derivative(state_map, x: float, delta: float = 1e-5) -> np.ndarray:
-    """d rho / dx by central differences with a Richardson consistency check.
-
-    Differences at step ``delta`` and ``delta/2`` must agree to 1e-6 relative
-    (floored at an absolute 1e-6); the Richardson-extrapolated combination is
-    returned.
-    """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    d1 = (state_map(x + delta) - state_map(x - delta)) / (2 * delta)
-    d2 = (state_map(x + delta / 2) - state_map(x - delta / 2)) / delta
-    scale = max(float(np.max(np.abs(d2))), 1.0)
-    if np.max(np.abs(d1 - d2)) > 1e-6 * scale:
-        raise NumericError(
-            "finite-difference derivative not converged: "
-            f"steps {delta} and {delta / 2} differ by {np.max(np.abs(d1 - d2)):.3e}"
-        )
-    return (4.0 * d2 - d1) / 3.0
-
-
 def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
-    """SLD-route QFI of a state family, with drho from ``state_derivative``.
+    """SLD-route QFI of a state family, with drho by central differences.
+
+    The differences at steps ``delta`` and ``delta/2`` must agree to 1e-6
+    relative (floored at an absolute 1e-6); drho is their Richardson
+    combination.  The family is evaluated once at each of its five points.
 
     Where the family loses rank the bare SLD value is discontinuous in x; the
     Bures limit is restored by the curvature of the vanishing eigenvalues, so
@@ -236,12 +220,22 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
     directions are excluded from the bare SLD so their spurious radial terms
     do not double-count.  Families of constant rank are unaffected.
     """
-    rho = state_map(x)
-    drho = state_derivative(state_map, x, delta)
+    if delta <= 0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    rho, rho_p, rho_m = state_map(x), state_map(x + delta), state_map(x - delta)
+    d1 = (rho_p - rho_m) / (2 * delta)
+    d2 = (state_map(x + delta / 2) - state_map(x - delta / 2)) / delta
+    scale = max(float(np.max(np.abs(d2))), 1.0)
+    if np.max(np.abs(d1 - d2)) > 1e-6 * scale:
+        raise NumericError(
+            "finite-difference derivative not converged: "
+            f"steps {delta} and {delta / 2} differ by {np.max(np.abs(d1 - d2)):.3e}"
+        )
+    drho = (4.0 * d2 - d1) / 3.0
     drho = 0.5 * (drho + drho.conj().T)
     w0 = hermitian_eig(rho)[0]
-    wp = hermitian_eig(state_map(x + delta))[0]
-    wm = hermitian_eig(state_map(x - delta))[0]
+    wp = hermitian_eig(rho_p)[0]
+    wm = hermitian_eig(rho_m)[0]
     lam_max = max(w0[-1], 0.0)
     k = 0
     while k < w0.size - 1 and (

@@ -128,9 +128,9 @@ def omega_code(omega_hat: float) -> QecCode:
     )
 
 
-def code_probe(code: QecCode, t: float = 0.0) -> np.ndarray:
-    """Equal superposition (|c0> + |c1>)/sqrt(2) of the code words."""
-    c0, c1 = code.basis(t)
+def code_probe(code: QecCode) -> np.ndarray:
+    """Equal superposition (|c0> + |c1>)/sqrt(2) of the code words at t = 0."""
+    c0, c1 = code.basis()
     return (c0 + c1) / np.sqrt(2)
 
 
@@ -401,7 +401,8 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
 
     ``psi`` must be a normalized vector in the code space.  The first-order
     expectation <psi|L1(|psi><psi|)|psi> is verified to vanish and the L2
-    expectation to be non-positive (both within 1e-10).
+    expectation to be non-positive (both within 1e-10).  A t at which J
+    overflows is a DomainError.
     """
     if not 0 <= t < np.inf:
         raise DomainError(f"t must be >= 0 and finite, got {t}")
@@ -421,7 +422,10 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
     l2_val = np.vdot(psi, report.l2_action.apply(rho) @ psi).real
     if -l2_val < -1e-10:
         raise NumericError(f"second-order expectation {l2_val!r} is positive")
-    return FisherResult(float(4.0 * t * t * var - 4.0 * t * l2_val))
+    value = float(4.0 * t * t * var - 4.0 * t * l2_val)
+    if not np.isfinite(value):
+        raise DomainError(f"t must be small enough for a finite information value, got {t:g}")
+    return FisherResult(value)
 
 
 def expansion_evolve(

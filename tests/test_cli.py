@@ -229,6 +229,17 @@ def test_cmd_adapt_schema_rejection(tmp_path, capsys) -> None:
         # more cells than can be allocated: caught before the grid is built
         ({"grid": [0, 1, 1e-10]}, "grid"),
         ({"grid": [0, 1, 1e-300]}, "grid"),
+        # AdaptiveConfig checks types as well as values
+        ({"grid": [0, 1, True]}, "grid"),
+        ({"m": 2.5}, "'m'"),
+        ({"m": True}, "'m'"),
+        ({"rounds": 2.5}, "'rounds'"),
+        ({"seed": 1.5}, "'seed'"),
+        ({"repetitions": 2.5}, "'repetitions'"),
+        ({"strategies": []}, "strategies"),
+        ({"strategies": "qec_corrected"}, "strategies"),
+        # 10**7 cells, 10 rounds and 1000 repetitions: over an hour of updates
+        ({"grid": [0, 1, 1e-7], "rounds": 10, "repetitions": 1000}, "repetitions"),
     ],
 )
 def test_cmd_adapt_rejects_bad_values(tmp_path, capsys, override, field) -> None:
@@ -417,6 +428,8 @@ def test_load_model_file_rejects_malformed_operators(tmp_path, capsys, overrides
         (["general-qec", "theta_example", "--t", "nan"], "t must be >= 0"),
         (["general-qec", "theta_example", "--probe", "1,nan"], "probe amplitudes must be finite"),
         (["general-qec", "theta_example", "--probe", "infj,1"], "probe amplitudes must be finite"),
+        # J = 4 t^2 Var(H) - 4 t <L2> overflows
+        (["general-qec", "theta_example", "--t", "1e200"], "t must be small enough"),
     ],
 )
 def test_non_finite_user_numbers_exit_2(tmp_path, capsys, argv, message) -> None:
@@ -424,6 +437,29 @@ def test_non_finite_user_numbers_exit_2(tmp_path, capsys, argv, message) -> None
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plot", "{folder}", "--out", "{tmp}/x.svg"],
+        ["plot", "{tmp}/pair.csv", "--out", "{folder}"],
+        ["qfi-theta", "--t-max", "5", "--points", "3", "--out", "{folder}"],
+        ["qfi-omega", "--t-max", "5", "--points", "3", "--out", "{folder}"],
+        ["general-qec", "theta_example", "--out", "{folder}"],
+    ],
+    ids=["plot-input", "plot-out", "qfi-theta-out", "qfi-omega-out", "general-qec-out"],
+)
+def test_directory_paths_exit_2(tmp_path, capsys, argv) -> None:
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    (tmp_path / "pair.csv").write_text("t,a\n0,1\n1,2\n")
+    argv = [a.format(folder=folder, tmp=tmp_path) for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "pair.csv"]
+    assert list(folder.iterdir()) == []
 
 
 def test_parse_probe_rejects_garbage() -> None:

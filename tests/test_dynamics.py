@@ -20,7 +20,7 @@ from fluxmet.dynamics import (
     trajectory_average_state,
     trajectory_outcome_probability,
 )
-from fluxmet.errors import DomainError, StepError
+from fluxmet.errors import DomainError, InstabilityError, StepError
 from fluxmet.metrology import qfi_sld_numeric
 from fluxmet.qmat import expm, hermitian_eig, kron
 
@@ -148,6 +148,13 @@ def test_lindblad_evolve_trace_and_positivity() -> None:
 def test_lindblad_evolve_step_error() -> None:
     with pytest.raises(StepError):
         lindblad_evolve(theta_model(B, GAMMA, 0.3), bell_rho(), t=0.5, dt=1.0)
+
+
+def test_lindblad_evolve_unstable_step_raises() -> None:
+    # At B = 100 a step of 0.1 is far beyond RK4's stability region: the
+    # trace leaves 1 within a few steps.
+    with pytest.raises(InstabilityError, match="trace drifted"):
+        lindblad_evolve(theta_model(100.0, 0.05, 0.3), bell_rho(), 10.0, dt=0.1)
 
 
 def test_lindblad_evolve_step_halving_order() -> None:

@@ -137,6 +137,15 @@ def test_adaptive_config_validation() -> None:
         AdaptiveConfig(**good, B=10**400)
     with pytest.raises(DomainError, match="seed"):
         AdaptiveConfig(**good, seed=-1)
+    # Types are checked too: no float or bool passes as an integer.
+    for name, value in (("m", 2.5), ("rounds", 2.5), ("seed", 1.5), ("m", True)):
+        with pytest.raises(DomainError, match=f"'{name}' must be an integer"):
+            AdaptiveConfig(**good, **{name: value})
+    with pytest.raises(DomainError, match="grid"):
+        AdaptiveConfig(**good, grid=[0, 1, True])
+    with pytest.raises(DomainError, match="true_value"):
+        AdaptiveConfig(true_value=True, initial_guess=0.2)
+    assert AdaptiveConfig(**good, grid=[0.0, 1.0, 1e-3]).grid == (0.0, 1.0, 1e-3)
 
 
 def test_run_adaptive_deterministic() -> None:
@@ -285,6 +294,8 @@ def test_campaign_estimates_validation() -> None:
         campaign_estimates(cfg, repetitions=0)
     with pytest.raises(DomainError):
         campaign_estimates(cfg, repetitions=2, task="magnetization")
+    with pytest.raises(DomainError, match="'repetitions' must be an integer"):
+        campaign_estimates(cfg, repetitions=2.5)
 
 
 def _no_draws(*args, **kwargs):
@@ -314,6 +325,30 @@ def test_campaign_size_limit_is_inclusive() -> None:
     estimation.check_campaign_size(cfg, 10)
     with pytest.raises(DomainError, match="lower m, rounds or repetitions"):
         estimation.check_campaign_size(dataclasses.replace(cfg, rounds=11), 10)
+
+
+def test_campaign_cell_update_limit_is_inclusive() -> None:
+    # The frequency task's default grid has 10**4 cells: 10**5 repetitions of
+    # 10 rounds update 10**10 cells, the limit, and are admitted.
+    assert estimation.MAX_CAMPAIGN_CELL_UPDATES == 10**10
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=1, rounds=10)
+    estimation.check_campaign_size(cfg, 10**5, task="omega")
+    with pytest.raises(DomainError, match=r"grid cells \* rounds \* repetitions must be"):
+        estimation.check_campaign_size(cfg, 10**5 + 1, task="omega")
+    # The angle task's default grid has round((pi/2) / 1e-4) = 15708 cells.
+    most = 10**10 // (15708 * 10)
+    estimation.check_campaign_size(cfg, most, task="theta")
+    with pytest.raises(DomainError, match=r"15708 \* 10 \*"):
+        estimation.check_campaign_size(cfg, most + 1, task="theta")
+
+
+def test_long_campaign_is_refused_before_any_draw(monkeypatch) -> None:
+    # A 1e-7 grid is admitted, but 1000 repetitions of 10 rounds on its 10**7
+    # cells would run for over an hour.
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, grid=(0.0, 1.0, 1e-7))
+    monkeypatch.setattr(estimation, "_lockstep", _no_draws)
+    with pytest.raises(DomainError, match="grid cells"):
+        campaign_estimates(cfg, 1000, task="omega")
 
 
 def test_grid_cell_limit_is_inclusive() -> None:

@@ -437,3 +437,17 @@ def test_frame_derivative_helpers_match_finite_differences() -> None:
         assert omega_frame_phase_deriv(B, a, T) == pytest.approx(fd_phase, rel=1e-6, abs=1e-9)
         fd_decay = (omega_frame_decay(GAMMA, a + h, T) - omega_frame_decay(GAMMA, a - h, T)) / (2 * h)
         assert omega_frame_decay_deriv(GAMMA, a, T) == pytest.approx(fd_decay, rel=1e-6, abs=1e-9)
+
+
+def test_qfi_sld_numeric_evaluates_each_state_once() -> None:
+    # Five points: x, x +- delta and x +- delta/2, each evaluated once.
+    seen = []
+
+    def family(theta: float) -> np.ndarray:
+        seen.append(theta)
+        return free_theta_state(theta)
+
+    got = qfi_sld_numeric(family, 0.3)
+    assert len(seen) == 5
+    assert len(set(seen)) == 5
+    assert got.value == pytest.approx(qfi_theta_free_closed(B, GAMMA, T).value, rel=1e-4)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fluxmet
-from fluxmet import cli, dynamics, metrology, qec, qmat
+from fluxmet import cli, dynamics, estimation, metrology, qec, qmat
 from fluxmet.errors import DomainError
 from fluxmet.estimation import (
     AdaptiveConfig,
@@ -23,8 +23,9 @@ from fluxmet.estimation import (
 )
 
 # Per-task twins folded into one name with a task argument, wrappers that
-# nothing called, the method/params fields of FisherResult, and the polar
-# isometry the general engine no longer builds.
+# nothing called, the method/params fields of FisherResult, the polar
+# isometry the general engine no longer builds, the CLI's copy of the adapt
+# config types and the finite difference folded into qfi_sld_numeric.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -35,14 +36,18 @@ _REMOVED_NAMES = {
         "outcome_probability_theta", "outcome_probability_omega", "_outcome_distribution",
         "_run_adaptive", "run_adaptive_omega", "_mse_curve", "mse_campaign_omega",
     ),
-    "fluxmet.cli": ("cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json"),
+    "fluxmet.cli": (
+        "cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json",
+        "_ADAPT_SCHEMA",
+    ),
     "fluxmet.dynamics": ("TrajectoryPhase", "sample_phase"),
-    "fluxmet.metrology": ("METHODS",),
+    "fluxmet.metrology": ("METHODS", "state_derivative"),
     "fluxmet.qmat": ("polar_isometry", "PolarIsometry"),
     "fluxmet.errors": ("NonIsotropicError",),
 }
 
-# Tolerance keywords that were only ever called with their default.
+# Tolerance keywords that were only ever called with their default, and
+# arguments that no caller passed.
 _REMOVED_KEYWORDS = [
     (qmat.sqrtm_psd, "neg_tol"),
     (qmat.sqrtm_psd, "clamp_tol"),
@@ -54,6 +59,9 @@ _REMOVED_KEYWORDS = [
     (qec.expansion_superoperators, "tol"),
     (qec.expansion_superoperators, "deg_tol"),
     (metrology.qfi_sld, "params"),
+    (estimation._golden_max, "tol"),
+    (estimation.run_adaptive, "rng"),
+    (qec.code_probe, "t"),
 ]
 
 
