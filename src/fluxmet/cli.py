@@ -327,7 +327,7 @@ def cmd_adapt(
         rounds = np.arange(cfg.rounds + 1, dtype=float)
         crb = np.full_like(rounds, crb_value)
         rows = np.column_stack([rounds, mean, mse, crb])
-        params = dict(raw, strategy=strategy, task=task, seed=seed)
+        params = dict(raw, repetitions=reps, strategy=strategy, task=task, seed=seed)
         table = CurveTable(
             columns=["round", "estimate_mean", "mse", "crb_line"],
             rows=rows,

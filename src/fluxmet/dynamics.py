@@ -65,7 +65,18 @@ def in_frame(op: np.ndarray, frame: np.ndarray | None, t: float) -> np.ndarray:
     """
     if frame is None:
         return op
-    return op * np.exp(1j * np.subtract.outer(frame, frame) * t)
+    return op * np.exp(_frame_rate(frame) * t)
+
+
+def _frame_rate(frame: np.ndarray) -> np.ndarray:
+    """i (g_j - g_k): entry jk's phase rate in the frame of diagonal g."""
+    return 1j * np.subtract.outer(frame, frame)
+
+
+def _adjoint_terms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, E^dag, E^dag E): one Lindblad operator as the dissipator uses it."""
+    e_dag = e.conj().T
+    return e, e_dag, e_dag @ e
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,11 @@ class LindbladModel:
     slots hold d/dx and d^2/dx^2 of H and of each E_k at the operating
     point; the general engine alone needs them.  The field names other than
     ``frame`` are the keys of a model file.
+
+    Construction derives what every integrator stage would otherwise
+    rebuild: for a constant model H and the (E, E^dag, E^dag E) triples,
+    for a framed one the phase rate i (g_j - g_k).  Replace a field with
+    ``dataclasses.replace``; an array changed in place leaves them stale.
     """
 
     dim: int
@@ -97,6 +113,10 @@ class LindbladModel:
             derivs = getattr(self, name)
             if derivs is not None and len(derivs) != len(self.lindblads):
                 raise DomainError(f"{name} length {len(derivs)} != {len(self.lindblads)} lindblads")
+        rate = None if self.frame is None else _frame_rate(self.frame)
+        constant = None if rate is not None else (h0, [_adjoint_terms(e) for e in self.lindblads])
+        object.__setattr__(self, "_rate", rate)
+        object.__setattr__(self, "_constant", constant)
 
     def at(self, t: float, order: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
         """(H, [E_k]) at time t, or their ``order``-th parameter derivative.
@@ -113,8 +133,16 @@ class LindbladModel:
             )
         if self.frame is None:
             return h, ops
-        phase = in_frame(t**order, self.frame, t)  # t**k exp(i (g_j - g_k) t), entry jk
+        phase = t**order * np.exp(self._rate * t)  # t**k exp(i (g_j - g_k) t), entry jk
         return h * phase, [e * phase for e in ops]
+
+    def _terms(self, t: float) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+        """(H, [(E, E^dag, E^dag E)]) at time t: built at construction for a
+        constant model, from the phases at t for a framed one."""
+        if self._constant is not None:
+            return self._constant
+        h, ops = self.at(t)
+        return h, [_adjoint_terms(e) for e in ops]
 
 
 def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
@@ -170,15 +198,14 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t: float) -> np.ndarray:
-    h, ops = model.at(t)
+    h, terms = model._terms(t)
     out = -1j * (h @ rho - rho @ h)
-    for e in ops:
-        ede = e.conj().T @ e
-        out = out + e @ rho @ e.conj().T - 0.5 * (ede @ rho + rho @ ede)
+    for e, e_dag, ede in terms:
+        out = out + e @ rho @ e_dag - 0.5 * (ede @ rho + rho @ ede)
     return out
 
 
@@ -224,7 +251,7 @@ def lindblad_evolve(
     for k in range(n_steps):
         rho = _rk4_step(rhs, rho, t0 + k * dt, dt)
         rho = 0.5 * (rho + _dagger(rho))
-        drift = np.max(np.abs(np.einsum("...ii->...", rho).real - 1.0))
+        drift = np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0).max()
         if drift > _TRACE_TOL:
             raise InstabilityError(f"trace drifted by {drift:.3e} at step {k + 1}")
     return rho

@@ -160,10 +160,15 @@ def outcome_probability(
 
 
 def _loglik(n_plus, n_minus, p):
+    """n+ log p + n- log(1 - p) elementwise, a zero count adding 0.0.
+
+    The log term of a count that is zero throughout is not evaluated.  The
+    caller holds np.errstate for log(0) under a positive count.
+    """
     p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lp = np.where(n_plus > 0, n_plus * np.log(p), 0.0)
-        lm = np.where(n_minus > 0, n_minus * np.log(1.0 - p), 0.0)
+    plus, minus = n_plus > 0, n_minus > 0
+    lp = np.where(plus, n_plus * np.log(p), 0.0) if plus.any() else 0.0
+    lm = np.where(minus, n_minus * np.log(1.0 - p), 0.0) if minus.any() else 0.0
     return lp + lm
 
 
@@ -191,10 +196,13 @@ def _golden_max(f, lo, hi) -> np.ndarray:
         fx = f(x)
         c1, fc1 = np.where(keep_left, x, d), np.where(keep_left, fx, fd)
         d1, fd1 = np.where(keep_left, c, x), np.where(keep_left, fc, fx)
-        a, b, c, d, fc, fd = (
-            np.where(live, new, old)
-            for new, old in zip((a1, b1, c1, d1, fc1, fd1), (a, b, c, d, fc, fd))
-        )
+        if live.all():
+            a, b, c, d, fc, fd = a1, b1, c1, d1, fc1, fd1
+        else:
+            a, b, c, d, fc, fd = (
+                np.where(live, new, old)
+                for new, old in zip((a1, b1, c1, d1, fc1, fd1), (a, b, c, d, fc, fd))
+            )
     return 0.5 * (a + b)
 
 
@@ -267,22 +275,27 @@ def _lockstep(
     estimates[:, 0] = config.initial_guess
     n_plus = np.empty((lanes, config.rounds), dtype=np.int64)
     cum = np.zeros((lanes, grid.size))
-    for k in range(config.rounds):
-        x_hat = estimates[:, k]
-        p_true = at_points(config.true_value, x_hat)
-        for i, rng in enumerate(rngs):
-            # At most _DRAW_CHUNK draws at a time, so memory does not grow with m;
-            # Generator.random returns the same stream in pieces as at once.
-            chunks = (min(_DRAW_CHUNK, m - s) for s in range(0, m, _DRAW_CHUNK))
-            n_plus[i, k] = sum(np.count_nonzero(rng.random(c) < p_true[i]) for c in chunks)
-            cum[i] += _loglik(n_plus[i, k], m - n_plus[i, k], on_grid(grid, x_hat[i]))
-        best = grid[np.argmax(cum, axis=1)]
-        counts = n_plus[:, : k + 1]
-        objective = partial(_total_loglik, at_points, estimates[:, : k + 1], counts, m - counts)
-        estimates[:, k + 1] = _golden_max(
-            objective, np.maximum(lo, best - step), np.minimum(hi, best + step)
-        )
-    final_ll = _total_loglik(at_points, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1])
+    # log(0) is -inf, and 0 * log(0) is NaN masked by _loglik's np.where.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(config.rounds):
+            x_hat = estimates[:, k]
+            p_true = at_points(config.true_value, x_hat)
+            # In round 0 every lane stands at initial_guess: one grid serves all.
+            shared = on_grid(grid, x_hat[0]) if k == 0 else None
+            for i, rng in enumerate(rngs):
+                # At most _DRAW_CHUNK draws at a time, so memory does not grow with m;
+                # Generator.random returns the same stream in pieces as at once.
+                chunks = (min(_DRAW_CHUNK, m - s) for s in range(0, m, _DRAW_CHUNK))
+                n_plus[i, k] = sum(np.count_nonzero(rng.random(c) < p_true[i]) for c in chunks)
+                p_grid = shared if shared is not None else on_grid(grid, x_hat[i])
+                cum[i] += _loglik(n_plus[i, k], m - n_plus[i, k], p_grid)
+            best = grid[np.argmax(cum, axis=1)]
+            counts = n_plus[:, : k + 1]
+            objective = partial(_total_loglik, at_points, estimates[:, : k + 1], counts, m - counts)
+            estimates[:, k + 1] = _golden_max(
+                objective, np.maximum(lo, best - step), np.minimum(hi, best + step)
+            )
+        final_ll = _total_loglik(at_points, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1])
     return estimates, n_plus, final_ll
 
 

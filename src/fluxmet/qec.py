@@ -26,9 +26,10 @@ import numpy as np
 
 from .dynamics import (
     LindbladModel,
+    _dagger,
+    _frame_rate,
     _rk4_step,
     fixed_steps,
-    in_frame,
     lindblad_evolve,
     omega_model,
     rotating_frame,
@@ -59,12 +60,24 @@ class QecCode:
     diagonal of the generator G that carries the code along: at time t every
     ingredient is its t = 0 value conjugated by exp(+i G t).  ``recovery`` is
     None for a code that only states the error-correction conditions.
+
+    Construction derives what every recovery would otherwise rebuild: for a
+    static code the (K, K^dag) pairs, for a rotating one the phase rate
+    i (g_j - g_k).  Replace a field with ``dataclasses.replace``; an array
+    changed in place leaves them stale.
     """
 
     c0: np.ndarray
     c1: np.ndarray
     recovery: list[np.ndarray] | None = None
     frame_generator: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        rate = None if self.frame_generator is None else _frame_rate(self.frame_generator)
+        static = rate is None and self.recovery is not None
+        pairs = [(k, k.conj().T) for k in self.recovery] if static else None
+        object.__setattr__(self, "_rate", rate)
+        object.__setattr__(self, "_pairs", pairs)
 
     def basis(self, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         if self.frame_generator is None:
@@ -79,7 +92,16 @@ class QecCode:
     def recovery_kraus(self, t: float = 0.0) -> list[np.ndarray]:
         if self.recovery is None:
             raise ConfigError("code has no recovery Kraus set")
-        return [in_frame(k, self.frame_generator, t) for k in self.recovery]
+        if self._rate is None:
+            return list(self.recovery)
+        phase = np.exp(self._rate * t)
+        return [k * phase for k in self.recovery]
+
+    def _recovery_pairs(self, t: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(K, K^dag) of every recovery Kraus operator at time t."""
+        if self._pairs is not None:
+            return self._pairs
+        return [(k, k.conj().T) for k in self.recovery_kraus(t)]
 
 
 def _outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -137,16 +159,17 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel; fails on trace leakage.
 
-    Trace loss above 1e-6 means the state had weight outside the span of the
-    code and its correctable error space.
+    ``rho`` may be a single (d, d) state or a stacked (..., d, d) batch.
+    Trace loss above 1e-6 in any state means it had weight outside the span
+    of the code and its correctable error space.
     """
     out = np.zeros_like(rho)
-    for k in code.recovery_kraus(t):
-        out += k @ rho @ k.conj().T
-    loss = abs(np.trace(out).real - np.trace(rho).real)
+    for k, k_dag in code._recovery_pairs(t):
+        out += k @ rho @ k_dag
+    loss = np.abs((out - rho).trace(axis1=-2, axis2=-1).real).max()
     if loss > 1e-6:
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + _dagger(out))
 
 
 def _recovery_intervals(t: float, dt: float, n_recoveries: int | None) -> tuple[int, float]:
@@ -171,11 +194,13 @@ def _corrected_evolve(
     """
     rho = _outer(code_probe(code))
     n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
+    advance = None if code._rate is None else np.exp(code._rate * interval)
     for k in range(n_rec):
         tau = k * interval
         rho = lindblad_evolve(model, rho, interval, dt, t0=tau)
         rho = apply_recovery(code, rho, tau)
-        rho = in_frame(rho, code.frame_generator, interval)
+        if advance is not None:
+            rho = rho * advance
     return rho
 
 

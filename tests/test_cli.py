@@ -292,6 +292,20 @@ def test_cmd_adapt_seed_precedence(tmp_path, monkeypatch) -> None:
     assert read_csv(str(written)).metadata["seed"] == "3"
 
 
+def test_cmd_adapt_config_hash_covers_reps_override(tmp_path) -> None:
+    # The hash names the campaign the rows come from: a --reps override that
+    # changes the repetitions changes it, one equal to the file's value does not.
+    config = _adapt_config(tmp_path, repetitions=2)
+    out = str(tmp_path / "camp.csv")
+    written = tmp_path / "camp.qec_corrected.csv"
+    hashes = {}
+    for flags in ((), ("--reps", "2"), ("--reps", "50")):
+        assert cli.main(["adapt", "theta", "--config", config, "--out", out, *flags]) == 0
+        hashes[flags] = read_csv(str(written)).metadata["config"]
+    assert hashes[("--reps", "2")] == hashes[()]
+    assert hashes[("--reps", "50")] != hashes[()]
+
+
 @pytest.mark.parametrize(
     "config_seed, flags, env_seed",
     [(-3, [], None), (5, ["--seed", "-1"], None), (5, [], "-2")],

@@ -11,6 +11,7 @@ from fluxmet.dynamics import (
     bell_probe,
     dephasing_kraus,
     lindblad_evolve,
+    lindblad_rhs,
     omega_model,
     sample_omega_trajectories,
     sample_phases,
@@ -20,6 +21,7 @@ from fluxmet.dynamics import (
     trajectory_average_state,
     trajectory_outcome_probability,
 )
+from fluxmet.cli import load_model_file, resolve_model_path
 from fluxmet.errors import DomainError, InstabilityError, StepError
 from fluxmet.metrology import qfi_sld_numeric
 from fluxmet.qmat import expm, hermitian_eig, kron
@@ -104,6 +106,48 @@ def test_omega_model_second_frequency_derivative() -> None:
         h, (e,) = model.at(t, 2)
         assert np.allclose(h, B * want, atol=1e-12)
         assert np.allclose(e, np.sqrt(GAMMA) * want, atol=1e-12)
+
+
+def _random_rho(seed: int, dim: int = 4) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _rhs_from_operators(model, rho: np.ndarray, t: float) -> np.ndarray:
+    # The master equation rebuilt from model.at(t) at every call.
+    h, ops = model.at(t)
+    out = -1j * (h @ rho - rho @ h)
+    for e in ops:
+        ede = e.conj().T @ e
+        out = out + e @ rho @ e.conj().T - 0.5 * (ede @ rho + rho @ ede)
+    return out
+
+
+def test_lindblad_rhs_matches_operators_rebuilt_at_each_time() -> None:
+    # The operators derived at construction give the same bits as the
+    # master equation rebuilt from the model's operators at time t.
+    file_model, _ = load_model_file(resolve_model_path("theta_example"))
+    models = [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3), file_model]
+    for i, model in enumerate(models):
+        rho = _random_rho(i, model.dim)
+        for t in (0.0, 0.37, 5.0):
+            assert np.array_equal(lindblad_rhs(model, rho, t), _rhs_from_operators(model, rho, t))
+
+
+def test_replaced_model_rebuilds_derived_operators() -> None:
+    rho = _random_rho(7)
+    model = theta_model(0.3, 0.2, 0.7)
+    replaced = [
+        dataclasses.replace(model, hamiltonian=2.0 * model.hamiltonian),
+        dataclasses.replace(model, lindblads=[0.5 * model.lindblads[0]]),
+        dataclasses.replace(omega_model(0.3, 0.2, 1.3), frame=None),
+    ]
+    for new in replaced:
+        want = _rhs_from_operators(new, rho, 0.37)
+        assert np.array_equal(lindblad_rhs(new, rho, 0.37), want)
+        assert not np.array_equal(lindblad_rhs(model, rho, 0.37), want)
 
 
 def test_lindblad_evolve_unitary_limit() -> None:

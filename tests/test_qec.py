@@ -10,6 +10,7 @@ import pytest
 
 from fluxmet.dynamics import (
     LindbladModel,
+    in_frame,
     lindblad_evolve,
     omega_model,
     sigma_n_omega,
@@ -47,7 +48,7 @@ from fluxmet.qec import (
     omega_code,
     theta_code,
 )
-from fluxmet.qmat import expm, kron, partial_trace
+from fluxmet.qmat import expm, kron, partial_trace, sigma1
 
 B, GAMMA, T = 0.1, 0.05, 5.0
 EYE2 = np.eye(2, dtype=complex)
@@ -164,6 +165,64 @@ def test_apply_recovery_leakage() -> None:
     no_recovery = QecCode(c0=code.c0, c1=code.c1, recovery=None)
     with pytest.raises(ConfigError):
         apply_recovery(no_recovery, rho0)
+
+
+def _correctable_state(code: QecCode, noise: np.ndarray, t: float) -> np.ndarray:
+    # Probe and its noise image, at the code's time t: recovery keeps its trace.
+    rho0 = outer(code_probe(code))
+    return in_frame(0.3 * rho0 + 0.7 * noise @ rho0 @ noise, code.frame_generator, t)
+
+
+def _recover_from_kraus(code: QecCode, rho: np.ndarray, t: float) -> np.ndarray:
+    out = np.zeros_like(rho)
+    for k in code.recovery_kraus(t):
+        out += k @ rho @ k.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def test_apply_recovery_matches_kraus_sandwich() -> None:
+    # The (K, K^dag) pairs and the frame rate derived at construction give
+    # the same bits as the Kraus set rebuilt at each time.
+    codes = [
+        (theta_code(0.8), kron(sigma_n_theta(0.8), EYE2)),
+        (omega_code(1.2), kron(sigma1, EYE2)),
+    ]
+    for code, noise in codes:
+        for t in (0.0, 0.37, 5.0):
+            kraus = [in_frame(k, code.frame_generator, t) for k in code.recovery]
+            assert all(np.array_equal(a, b) for a, b in zip(code.recovery_kraus(t), kraus))
+            rho = _correctable_state(code, noise, t)
+            assert np.array_equal(apply_recovery(code, rho, t), _recover_from_kraus(code, rho, t))
+
+
+def test_replaced_code_rebuilds_recovery() -> None:
+    other = theta_code(0.3)
+    rho = _correctable_state(other, kron(sigma_n_theta(0.3), EYE2), 0.0)
+    new = dataclasses.replace(theta_code(0.8), recovery=other.recovery)
+    assert np.array_equal(apply_recovery(new, rho), apply_recovery(other, rho))
+    static = dataclasses.replace(omega_code(1.2), frame_generator=None)
+    assert np.array_equal(
+        apply_recovery(static, rho, 0.37), _recover_from_kraus(static, rho, 0.37)
+    )
+
+
+def test_apply_recovery_broadcasts_over_a_batch() -> None:
+    # A stack of states recovers as each state alone, bit for bit, and one
+    # leaking state in the stack fails the whole call.
+    code = omega_code(1.2)
+    noise = kron(sigma1, EYE2)
+    states = np.stack(
+        [_correctable_state(code, noise, 0.37), outer(code_probe(code)), _random_states(1)[0]]
+    )
+    batch = apply_recovery(code, states, 0.37)
+    for rho, recovered in zip(states, batch):
+        assert np.array_equal(recovered, apply_recovery(code, rho, 0.37))
+    incomplete = QecCode(c0=code.c0, c1=code.c1, recovery=[code.projector()])
+    rho0 = outer(code_probe(code))
+    leaking = np.stack([rho0, 0.5 * rho0 + 0.5 * noise @ rho0 @ noise, rho0])
+    with pytest.raises(LeakageError):
+        apply_recovery(incomplete, leaking)
+    assert np.allclose(apply_recovery(incomplete, leaking[::2]), rho0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
