@@ -72,6 +72,11 @@ class CurveTable:
             raise ConfigError(
                 f"table shape {self.rows.shape} does not match {len(self.columns)} columns"
             )
+        if len(self.columns) < 2:
+            raise ConfigError(f"a table needs at least two columns, got {self.columns}")
+        for name, column in zip(self.columns, self.rows.T):
+            if not np.all(np.isfinite(column)):
+                raise ConfigError(f"non-finite value in column {name!r}", field=name)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -122,8 +127,6 @@ def read_csv(path: str) -> CurveTable:
     width = len(header)
     if any(len(r) != width for r in rows):
         raise ConfigError(f"ragged rows in {path}")
-    if not np.all(np.isfinite(rows)):
-        raise ConfigError(f"non-finite value in {path}")
     return CurveTable(columns=header, rows=np.array(rows), metadata=metadata)
 
 
@@ -155,41 +158,31 @@ def _check_pair(label: str, closed: float, numeric: float) -> None:
         )
 
 
-def _sample_times(ts: np.ndarray) -> np.ndarray:
-    positive = ts[ts > 1e-9]
-    idx = np.unique(np.linspace(0, positive.size - 1, _CROSSCHECK_SAMPLES).astype(int))
-    return positive[idx]
-
-
-def _crosscheck(task: Task, B: float, gamma: float, ts: np.ndarray, d_list: list[float]) -> None:
-    x_hat = task.x_hat
-    for t in _sample_times(ts):
-        if task.free_closed is not None:
-            _check_pair(
-                f"free t={t:g}",
-                task.free_closed(B, gamma, t).value,
-                qfi_sld_numeric(task.free_family(B, gamma, t), x_hat).value,
-            )
-        _check_pair(
-            f"unitary t={t:g}",
-            task.unitary_closed(B, t, 0.0).value,
-            qfi_sld_numeric(task.unitary_family(B, t, x_hat), x_hat).value,
-        )
-
-        def qec_state(x: float) -> np.ndarray:
-            return task.corrected_state(B, gamma, x, x_hat, t)
-
-        for d in d_list:
-            _check_pair(
-                f"qec {task.symbol}={d:g} t={t:g}",
-                task.qec_closed(B, gamma, t, d).value,
-                qfi_sld_numeric(qec_state, x_hat + d).value,
-            )
-
-
 # ---------------------------------------------------------------------------
 # Sweep commands
 # ---------------------------------------------------------------------------
+
+
+def _curves(spec: Task, B: float, gamma: float, d_list: list[float]) -> list[tuple]:
+    """The sweep's columns after t, in order, as (column, gate label, closed
+    form at t, state family at t, the point where the gate evaluates it)."""
+    x_hat = spec.x_hat
+    curves = [(
+        "qfi_unitary", "unitary", lambda t: spec.unitary_closed(B, t, 0.0).value,
+        lambda t: spec.unitary_family(B, t, x_hat), x_hat,
+    )]
+    for d in d_list:
+        curves.append((
+            f"qfi_qec_{spec.symbol}_{d:g}", f"qec {spec.symbol}={d:g}",
+            lambda t, d=d: spec.qec_closed(B, gamma, t, d).value,
+            lambda t: lambda x: spec.corrected_state(B, gamma, x, x_hat, t), x_hat + d,
+        ))
+    if spec.free_closed is not None:
+        curves.append((
+            "qfi_free", "free", lambda t: spec.free_closed(B, gamma, t).value,
+            lambda t: spec.free_family(B, gamma, t), x_hat,
+        ))
+    return curves
 
 
 def cmd_qfi(
@@ -200,9 +193,9 @@ def cmd_qfi(
 
     Columns: t, the unitary-control baseline (4B^2t^2 for the angle, B^2t^4
     for the frequency), one corrected-dynamics column per detuning and, for
-    the angle, the free-evolution value.  Closed forms are cross-checked
-    against the eigendecomposition route at sample times before anything is
-    written.
+    the angle, the free-evolution value.  Before anything is written, the
+    closed-form cells of up to five sample rows are cross-checked against
+    the eigendecomposition route on each column's state family.
     """
     spec = task_record(task)
     if not np.isfinite(B):
@@ -216,20 +209,24 @@ def cmd_qfi(
     if not all(map(math.isfinite, d_list)):
         raise DomainError(f"{spec.symbol} must be finite, got {d_list}")
     ts = np.linspace(0.0, t_max, n_points)
-    _crosscheck(spec, B, gamma, ts, d_list)
-    cols = ["t", "qfi_unitary"] + [f"qfi_qec_{spec.symbol}_{d:g}" for d in d_list]
-    if spec.free_closed is not None:
-        cols.append("qfi_free")
-    rows = np.zeros((len(ts), len(cols)))
-    rows[:, 0] = ts
-    for i, t in enumerate(ts):
-        rows[i, 1] = spec.unitary_closed(B, t, 0.0).value
-        for j, d in enumerate(d_list):
-            rows[i, 2 + j] = spec.qec_closed(B, gamma, t, d).value
-        if spec.free_closed is not None:
-            rows[i, -1] = spec.free_closed(B, gamma, t).value
+    curves = _curves(spec, B, gamma, d_list)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.array([[t] + [closed(t) for _, _, closed, _, _ in curves] for t in ts])
+    except NumericError as exc:  # at finite arguments a closed form is inf or nan by overflow
+        raise DomainError(
+            f"B, gamma and t_max must be small enough for finite information values, "
+            f"got B = {B:g}, gamma = {gamma:g}, t_max = {t_max:g}"
+        ) from exc
+    # The gate: up to _CROSSCHECK_SAMPLES rows spread evenly over t > 1e-9.
+    positive = np.flatnonzero(ts > 1e-9)
+    picks = np.linspace(0, positive.size - 1, _CROSSCHECK_SAMPLES).astype(int)
+    for i in positive[np.unique(picks)]:
+        for cell, (_, label, _, family, x) in zip(rows[i, 1:], curves):
+            _check_pair(f"{label} t={ts[i]:g}", cell, qfi_sld_numeric(family(ts[i]), x).value)
     params = {"B": B, "gamma": gamma, "t_max": t_max, "n_points": n_points}
     params[f"{spec.symbol}_list"] = list(d_list)
+    cols = ["t"] + [column for column, *_ in curves]
     table = CurveTable(columns=cols, rows=rows, metadata=_metadata(f"qfi-{task}", params, None))
     if out_path is not None:
         write_csv(table, out_path)
@@ -322,19 +319,20 @@ def cmd_adapt(
     tables: dict[str, CurveTable] = {}
     for strategy, cfg, crb_value in runs:
         estimates = campaign_estimates(cfg, reps, task=task)
-        mse = np.mean((estimates - cfg.true_value) ** 2, axis=0)
+        with np.errstate(over="ignore"):  # an overflow is an inf cell, which the table refuses
+            mse = np.mean((estimates - cfg.true_value) ** 2, axis=0)
         mean = np.mean(estimates, axis=0)
         rounds = np.arange(cfg.rounds + 1, dtype=float)
         crb = np.full_like(rounds, crb_value)
         rows = np.column_stack([rounds, mean, mse, crb])
         params = dict(raw, repetitions=reps, strategy=strategy, task=task, seed=seed)
-        table = CurveTable(
+        tables[strategy] = CurveTable(
             columns=["round", "estimate_mean", "mse", "crb_line"],
             rows=rows,
             metadata=_metadata("adapt", params, seed),
         )
+    for strategy, table in tables.items():
         write_csv(table, _strategy_out_path(out_path, strategy))
-        tables[strategy] = table
     return tables
 
 
@@ -366,17 +364,9 @@ def _complex_from_json(obj, shape: tuple[int, ...], field: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-_MODEL_KEYS = {
-    "dim",
-    "hamiltonian",
-    "lindblads",
-    "d_hamiltonian",
-    "d_lindblads",
-    "dd_hamiltonian",
-    "dd_lindblads",
-    "code_c0",
-    "code_c1",
-}
+# A model file holds the fields of LindbladModel but its frame, then the code words.
+_MODEL_KEYS = [f.name for f in dataclasses.fields(LindbladModel) if f.name != "frame"]
+_MODEL_KEYS += ["code_c0", "code_c1"]
 
 
 def resolve_model_path(name: str) -> str:
@@ -399,20 +389,20 @@ def load_model_file(path: str) -> tuple[LindbladModel, QecCode]:
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("model file must be a JSON object")
-    unknown = set(raw) - _MODEL_KEYS
+    unknown = sorted(set(raw).difference(_MODEL_KEYS))
     if unknown:
-        raise ConfigError(f"unknown model keys {sorted(unknown)}", field=sorted(unknown)[0])
-    missing = _MODEL_KEYS - set(raw)
+        raise ConfigError(f"unknown model keys {unknown}", field=unknown[0])
+    missing = sorted(set(_MODEL_KEYS).difference(raw))
     if missing:
-        raise ConfigError(f"model file missing keys {sorted(missing)}", field=sorted(missing)[0])
+        raise ConfigError(f"model file missing keys {missing}", field=missing[0])
     dim = raw["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise ConfigError("dim must be an integer >= 2", field="dim")
     ops, square = {}, (dim, dim)
-    for prefix in ("", "d_", "dd_"):
-        key = prefix + "hamiltonian"
-        ops[key] = _complex_from_json(raw[key], square, key)
-        key = prefix + "lindblads"
+    for key in _MODEL_KEYS[1:-2]:  # the operators: a matrix or a list of matrices each
+        if key.endswith("hamiltonian"):
+            ops[key] = _complex_from_json(raw[key], square, key)
+            continue
         if not isinstance(raw[key], list):
             raise ConfigError(f"{key}: expected a list of matrices", field=key)
         ops[key] = [_complex_from_json(e, square, f"{key}[{i}]") for i, e in enumerate(raw[key])]
@@ -491,9 +481,12 @@ _ML, _MR, _MT, _MB = 60, 20, 20, 45
 
 def _scale(vals: np.ndarray, lo_px: float, hi_px: float) -> np.ndarray:
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
-    if vmax - vmin < 1e-300:
-        vmax = vmin + 1.0
-    return lo_px + (vals - vmin) * (hi_px - lo_px) / (vmax - vmin)
+    span = vmax - vmin if vmax - vmin >= 1e-300 else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = lo_px + (vals - vmin) * (hi_px - lo_px) / span
+    if not np.all(np.isfinite(px)):
+        raise ConfigError(f"values from {vmin:g} to {vmax:g} overflow the plot's scale")
+    return px
 
 
 def cmd_plot(csv_path: str, out_svg: str) -> None:

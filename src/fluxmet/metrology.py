@@ -67,6 +67,8 @@ class MeasurementDistribution:
 # ---------------------------------------------------------------------------
 
 _CROSSOVER = 0.1
+_CFI_STEP = 1e-5  # central-difference step of cfi
+_TRAJECTORY_STEP = 1e-4  # central-difference step in B of cfi_trajectory_B
 
 
 def _branch(z, small, series, direct):
@@ -269,22 +271,20 @@ def qfi_fidelity_fd(state_map, x: float, delta: float = 1e-3) -> FisherResult:
     return FisherResult(value)
 
 
-def cfi(dist_map, x: float, delta: float = 1e-5) -> FisherResult:
+def cfi(dist_map, x: float) -> FisherResult:
     """Classical Fisher information sum_i (d p_i / dx)^2 / p_i of a measurement.
 
     Probabilities below 1e-14 at the working point are skipped (their
     outcomes carry no weight); derivatives are central differences.
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
     center = dist_map(x)
-    plus = dict(dist_map(x + delta).outcomes)
-    minus = dict(dist_map(x - delta).outcomes)
+    plus = dict(dist_map(x + _CFI_STEP).outcomes)
+    minus = dict(dist_map(x - _CFI_STEP).outcomes)
     value = 0.0
     for label, p in center.outcomes:
         if p < 1e-14:
             continue
-        dp = (plus[label] - minus[label]) / (2 * delta)
+        dp = (plus[label] - minus[label]) / (2 * _CFI_STEP)
         value += dp * dp / p
     return FisherResult(value)
 
@@ -296,12 +296,11 @@ def cfi_trajectory_B(
     beta: float,
     n: int,
     rng: np.random.Generator,
-    delta: float = 1e-4,
 ) -> FisherResult:
     """Monte-Carlo classical Fisher information for field estimation.
 
     Estimates the averaged outcome probability p1(B') = E[cos^2(B' t + phi +
-    beta)] at B' = B and B +- delta with common noise draws phi, so the
+    beta)] at B' = B and B +- a fixed step with common noise draws phi, so the
     finite-difference derivative is free of Monte-Carlo shot noise.
     """
     if gamma < 0 or t < 0:
@@ -312,7 +311,7 @@ def cfi_trajectory_B(
         return float(np.mean(np.cos(b * t + phi + beta) ** 2))
 
     p = p1(B)
-    dp = (p1(B + delta) - p1(B - delta)) / (2 * delta)
+    dp = (p1(B + _TRAJECTORY_STEP) - p1(B - _TRAJECTORY_STEP)) / (2 * _TRAJECTORY_STEP)
     if p < 1e-14 or p > 1 - 1e-14:
         raise NumericError(f"outcome probability {p!r} is degenerate")
     value = dp * dp / (p * (1 - p))

@@ -163,6 +163,7 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
     Trace loss above 1e-6 in any state means it had weight outside the span
     of the code and its correctable error space.
     """
+    rho = np.asarray(rho, dtype=complex)  # a real state is converted; a complex one is not copied
     out = np.zeros_like(rho)
     for k, k_dag in code._recovery_pairs(t):
         out += k @ rho @ k_dag

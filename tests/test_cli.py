@@ -28,7 +28,7 @@ from fluxmet.cli import (
     _config_hash,
 )
 from fluxmet.errors import ConfigError, DomainError
-from fluxmet.tasks import TASKS
+from fluxmet.tasks import STRATEGIES, TASKS
 
 
 def _table() -> CurveTable:
@@ -39,6 +39,18 @@ def _table() -> CurveTable:
 def test_curve_table_rejects_shape_mismatch() -> None:
     with pytest.raises(ConfigError):
         CurveTable(columns=["t", "a"], rows=np.zeros((2, 3)), metadata={})
+
+
+@pytest.mark.parametrize(
+    "columns, rows, message",
+    [
+        (["t"], [[0.0], [1.0]], "at least two columns"),
+        (["t", "a", "b"], [[0.0, 1.0, 2.0], [1.0, 1.0, np.inf]], "non-finite value in column 'b'"),
+    ],
+)
+def test_curve_table_rejects_invalid_tables(columns, rows, message) -> None:
+    with pytest.raises(ConfigError, match=message):
+        CurveTable(columns=columns, rows=np.array(rows), metadata={})
 
 
 def test_csv_round_trip(tmp_path) -> None:
@@ -142,6 +154,28 @@ def test_crosscheck_gate_aborts(tmp_path, monkeypatch, capsys) -> None:
     assert code == 4
     assert "disagree" in capsys.readouterr().err
     assert not (tmp_path / "theta.csv").exists()
+
+
+def test_gate_checks_the_cells_it_writes(monkeypatch) -> None:
+    # Each closed-form cell is evaluated once, and the gate compares that
+    # cell, column by column, at five rows spread evenly over t > 0.
+    calls = []
+    spec = TASKS["theta"]
+
+    def counted(B, gamma, t, d):
+        calls.append((float(t), d))
+        return spec.qec_closed(B, gamma, t, d)
+
+    checked = []
+    monkeypatch.setitem(TASKS, "theta", dataclasses.replace(spec, qec_closed=counted))
+    monkeypatch.setattr(cli, "_check_pair", lambda *args: checked.append(args))
+    table = cmd_qfi("theta", 0.1, 0.05, 5.0, 11, [0.0, 0.05], None)
+    assert sorted(calls) == sorted((t, d) for t in table.rows[:, 0] for d in (0.0, 0.05))
+    sampled = table.rows[[1, 3, 5, 7, 10]]
+    assert [closed for _, closed, _ in checked] == list(sampled[:, 1:].ravel())
+    assert [label for label, _, _ in checked[:4]] == [
+        "unitary t=0.5", "qec dtheta=0 t=0.5", "qec dtheta=0.05 t=0.5", "free t=0.5"
+    ]
 
 
 @pytest.mark.parametrize("task", ["theta", "omega"])
@@ -267,6 +301,16 @@ def test_adapt_with_oversized_m_exits_2_without_drawing(tmp_path) -> None:
     assert proc.returncode == 2, proc.stderr
     assert "m * rounds * repetitions" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert list(tmp_path.glob("camp*")) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_adapt_with_overflowing_mse_exits_2_without_files(tmp_path, capsys) -> None:
+    # (estimate - 1e300)^2 overflows, so the mse column would hold inf.
+    config = _adapt_config(tmp_path, true_value=1e300, strategies=list(STRATEGIES))
+    out = tmp_path / "camp.csv"
+    assert cli.main(["adapt", "theta", "--config", config, "--out", str(out)]) == 2
+    assert "non-finite value in column 'mse'" in capsys.readouterr().err
     assert list(tmp_path.glob("camp*")) == []
 
 
@@ -444,8 +488,13 @@ def test_load_model_file_rejects_malformed_operators(tmp_path, capsys, overrides
         (["general-qec", "theta_example", "--probe", "infj,1"], "probe amplitudes must be finite"),
         # J = 4 t^2 Var(H) - 4 t <L2> overflows
         (["general-qec", "theta_example", "--t", "1e200"], "t must be small enough"),
+        # the sweeps' closed forms overflow
+        (["qfi-theta", "--t-max", "1e300", "--points", "3"], "and t_max must be small enough"),
+        (["qfi-theta", "--B", "1e200", "--t-max", "1", "--points", "3"], "B = 1e+200"),
+        (["qfi-omega", "--B", "1e200", "--t-max", "1", "--points", "3"], "B = 1e+200"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_non_finite_user_numbers_exit_2(tmp_path, capsys, argv, message) -> None:
     out = tmp_path / "out.file"
     assert cli.main([*argv, "--out", str(out)]) == 2
@@ -506,6 +555,33 @@ def test_cmd_plot_two_column_csv(tmp_path) -> None:
     svg_path = tmp_path / "pair.svg"
     cmd_plot(str(csv_path), str(svg_path))
     assert svg_path.read_text().count("<polyline") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t\n0\n1\n", "at least two columns"),
+        ("t,a\n0,1e308\n1,-1e308\n", "overflow the plot's scale"),
+        ("t,a\n0,0\n1,1e308\n", "overflow the plot's scale"),
+    ],
+    ids=["one-column", "range-overflows", "scale-overflows"],
+)
+@pytest.mark.filterwarnings("error")
+def test_cmd_plot_unplottable_csv_exits_2(tmp_path, capsys, text, message) -> None:
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(text)
+    assert cli.main(["plot", str(csv_path), "--out", str(tmp_path / "x.svg")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_plot_constant_huge_column_draws_finite_points(tmp_path) -> None:
+    csv_path = tmp_path / "flat.csv"
+    csv_path.write_text("t,a\n0,1e300\n1,1e300\n")
+    cmd_plot(str(csv_path), str(tmp_path / "flat.svg"))
+    assert 'points="60.00,435.00 620.00,435.00"' in (tmp_path / "flat.svg").read_text()
 
 
 def test_cmd_plot_malformed_csv_exits_2(tmp_path, capsys) -> None:

@@ -195,6 +195,15 @@ def test_apply_recovery_matches_kraus_sandwich() -> None:
             assert np.array_equal(apply_recovery(code, rho, t), _recover_from_kraus(code, rho, t))
 
 
+def test_apply_recovery_accepts_a_real_state() -> None:
+    # A real state recovers as the same state held as complex, bit for bit.
+    code = theta_code(0.3)
+    noise = kron(sigma_n_theta(0.3), EYE2)
+    for rho in (np.eye(4) / 4, _correctable_state(code, noise, 0.0).real):
+        assert rho.dtype == np.float64
+        assert np.array_equal(apply_recovery(code, rho), apply_recovery(code, rho.astype(complex)))
+
+
 def test_replaced_code_rebuilds_recovery() -> None:
     other = theta_code(0.3)
     rho = _correctable_state(other, kron(sigma_n_theta(0.3), EYE2), 0.0)

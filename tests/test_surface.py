@@ -62,6 +62,8 @@ _REMOVED_KEYWORDS = [
     (estimation._golden_max, "tol"),
     (estimation.run_adaptive, "rng"),
     (qec.code_probe, "t"),
+    (metrology.cfi, "delta"),
+    (metrology.cfi_trajectory_B, "delta"),
 ]
 
 
