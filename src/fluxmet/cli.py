@@ -210,20 +210,26 @@ def cmd_qfi(
         raise DomainError(f"{spec.symbol} must be finite, got {d_list}")
     ts = np.linspace(0.0, t_max, n_points)
     curves = _curves(spec, B, gamma, d_list)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    inputs = f"got B = {B:g}, gamma = {gamma:g}, t_max = {t_max:g}"
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        try:
             rows = np.array([[t] + [closed(t) for _, _, closed, _, _ in curves] for t in ts])
-    except NumericError as exc:  # at finite arguments a closed form is inf or nan by overflow
-        raise DomainError(
-            f"B, gamma and t_max must be small enough for finite information values, "
-            f"got B = {B:g}, gamma = {gamma:g}, t_max = {t_max:g}"
-        ) from exc
-    # The gate: up to _CROSSCHECK_SAMPLES rows spread evenly over t > 1e-9.
-    positive = np.flatnonzero(ts > 1e-9)
-    picks = np.linspace(0, positive.size - 1, _CROSSCHECK_SAMPLES).astype(int)
-    for i in positive[np.unique(picks)]:
-        for cell, (_, label, _, family, x) in zip(rows[i, 1:], curves):
-            _check_pair(f"{label} t={ts[i]:g}", cell, qfi_sld_numeric(family(ts[i]), x).value)
+        except NumericError as exc:  # at finite arguments a closed form is inf or nan
+            raise DomainError(
+                f"B, gamma and t_max must be small enough for finite information values, {inputs}"
+            ) from exc
+        # The gate: up to _CROSSCHECK_SAMPLES rows spread evenly over t > 1e-9.
+        positive = np.flatnonzero(ts > 1e-9)
+        picks = np.linspace(0, positive.size - 1, _CROSSCHECK_SAMPLES).astype(int)
+        try:
+            for i in positive[np.unique(picks)]:
+                for cell, (_, label, _, family, x) in zip(rows[i, 1:], curves):
+                    numeric = qfi_sld_numeric(family(ts[i]), x).value
+                    _check_pair(f"{label} t={ts[i]:g}", cell, numeric)
+        except DomainError as exc:  # a state family's matrices are not finite
+            raise DomainError(
+                f"B, gamma and t_max must be small enough for finite states, {inputs}: {exc}"
+            ) from exc
     params = {"B": B, "gamma": gamma, "t_max": t_max, "n_points": n_points}
     params[f"{spec.symbol}_list"] = list(d_list)
     cols = ["t"] + [column for column, *_ in curves]
@@ -274,15 +280,18 @@ def _strategy_out_path(out_path: str, strategy: str) -> str:
 
 
 def _crb_value(record: Task, strategy: str, cfg: AdaptiveConfig) -> float:
-    """The Cramer-Rao line 1/(m K J); ConfigError when J leaves it undefined."""
-    j = record.information(strategy, cfg.B, cfg.gamma, cfg.t)
-    crb = 1.0 / (cfg.m * cfg.rounds * j) if j > 0 else np.inf
-    if not np.isfinite(crb):
+    """The Cramer-Rao line 1/(m K J); ConfigError unless it is finite and positive."""
+    with np.errstate(all="ignore"):  # numpy gives inf or nan where a float's t**4 raises
+        j = record.information(strategy, cfg.B, cfg.gamma, np.float64(cfg.t))
+        crb = 1.0 / (cfg.m * cfg.rounds * j)
+    if not 0 < crb < np.inf:
         field, bound = ("t", "> 0") if cfg.t == 0 else ("B", "nonzero")
+        if not crb > 0:  # 0 or nan: J overflows
+            field, bound = "t", "small enough for a finite J at this B and gamma"
         raise ConfigError(
-            f"{field} must be {bound}: at t = {cfg.t:g}, B = {cfg.B:g} the {strategy} campaign "
-            f"carries no Fisher information (J = {j:g}), so its Cramer-Rao line 1/(m K J) "
-            "is undefined",
+            f"{field} must be {bound}: at t = {cfg.t:g}, B = {cfg.B:g}, gamma = {cfg.gamma:g} "
+            f"the {strategy} campaign has J = {j:g}, so its Cramer-Rao line 1/(m K J) is not a "
+            "positive number",
             field=field,
         )
     return crb

@@ -143,14 +143,13 @@ def outcome_probability(
 ) -> MeasurementDistribution:
     """Code-basis outcome distribution of ``task`` at estimate x_hat; even in x - x_hat.
 
-    Angle: p(+) = (1 + exp(-2 t gamma sin^2 d) cos(2 B t sin d))/2, d = x - x_hat.
-    Frequency: p(+) = (1 + exp(-R) cos(Phi))/2 with the analytic rotating-frame
-    phase Phi and decay R at detuning x - x_hat.
+    p(+) = (1 + exp(-decay) cos(phase))/2 with the phase and decay of the task's
+    ``coherence`` at detuning x - x_hat (``metrology.Coherence``).
     """
     record = task_record(task)
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    p = float(record.p_plus(x, x_hat, B, gamma, t))
+    p = float(record.coherence.p_plus(x, x_hat, B, gamma, t))
     return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])
 
 
@@ -218,7 +217,7 @@ def _prob_plus(config: AdaptiveConfig, task: Task, square=np.square):
     squares within the unitary formulas."""
     if config.strategy == "unitary_controlled":
         return lambda x, x_hat: task.p_plus_unitary(x, x_hat, config.B, config.t, square)
-    return lambda x, x_hat: task.p_plus(x, x_hat, config.B, config.gamma, config.t)
+    return lambda x, x_hat: task.coherence.p_plus(x, x_hat, config.B, config.gamma, config.t)
 
 
 def _total_loglik(prob_plus, x_hats, n_plus, n_minus, x) -> np.ndarray:

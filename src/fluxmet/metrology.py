@@ -16,6 +16,7 @@ orders that both branches agree to machine precision at the crossover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,6 +70,7 @@ class MeasurementDistribution:
 _CROSSOVER = 0.1
 _CFI_STEP = 1e-5  # central-difference step of cfi
 _TRAJECTORY_STEP = 1e-4  # central-difference step in B of cfi_trajectory_B
+_TINY = np.finfo(float).tiny  # a smaller decay is zero or subnormal
 
 
 def _branch(z, small, series, direct):
@@ -352,52 +354,83 @@ def _check_t(t: float) -> None:
         raise DomainError(f"t must be >= 0, got {t}")
 
 
+@dataclass(frozen=True)
+class Coherence:
+    """A corrected family as a code-space qubit with coherence exp(-(decay + i phase)).
+
+    ``at(B, gamma, d, t)`` is (phase, decay) at detuning d from the code's
+    estimate and ``deriv`` their d-derivatives; p(+) takes ``at`` alone.
+    ``information(B, gamma, t)`` is the QFI at d = 0, whose gamma part is
+    the d -> 0 limit of the noise term ddecay^2 / expm1(2 decay).
+    """
+
+    at: Callable[..., tuple]
+    deriv: Callable[..., tuple]
+    information: Callable[[float, float, float], float]
+
+    def p_plus(self, x, x_hat, B: float, gamma: float, t: float):
+        """Code-basis outcome probability (1 + e^-decay cos phase)/2, elementwise."""
+        phase, decay = self.at(B, gamma, x - x_hat, t)
+        return 0.5 * (1.0 + np.exp(-decay) * np.cos(phase))
+
+    def qfi(self, B: float, gamma: float, t: float, d: float = 0.0) -> FisherResult:
+        """QFI dphase^2 e^(-2 decay) + ddecay^2 / expm1(2 decay) at detuning d;
+        where the decay is zero or subnormal the noise term is its d -> 0 limit."""
+        _check_t(t)
+        decay = self.at(B, gamma, d, t)[1]
+        dphase, ddecay = self.deriv(B, gamma, d, t)
+        if decay > _TINY:
+            noise = ddecay * ddecay / np.expm1(2 * decay)
+        else:
+            noise = self.information(0.0, gamma, t)
+        return FisherResult(dphase * dphase * np.exp(-2 * decay) + noise)
+
+    def cfi(self, B: float, gamma: float, t: float, d: float = 0.0) -> FisherResult:
+        """CFI of the code-basis measurement at detuning d: with E = e^-decay,
+        E^2 (ddecay cos phase + dphase sin phase)^2 / (1 - E^2 cos^2 phase).
+        Without decay the measurement is optimal and this is the QFI."""
+        _check_t(t)
+        phase, decay = self.at(B, gamma, d, t)
+        if not decay > _TINY:
+            return self.qfi(B, gamma, t, d)
+        dphase, ddecay = self.deriv(B, gamma, d, t)
+        num = np.exp(-2 * decay) * (ddecay * np.cos(phase) + dphase * np.sin(phase)) ** 2
+        # 1 - E^2 cos^2 phase, written cancellation-free.
+        den = np.sin(phase) ** 2 - np.cos(phase) ** 2 * np.expm1(-2 * decay)
+        return FisherResult(num / den)
+
+
+def _theta_at(B: float, gamma: float, d, t: float):
+    s = np.sin(d)
+    return 2.0 * B * t * s, 2.0 * t * gamma * s * s  # one sine; campaign bytes pin this order
+
+
+THETA_COHERENCE = Coherence(
+    at=_theta_at,
+    deriv=lambda B, gamma, d, t: (2.0 * B * t * np.cos(d), 2.0 * gamma * t * np.sin(2.0 * d)),
+    information=lambda B, gamma, t: 4 * B * B * t * t + 4 * gamma * t,
+)
+OMEGA_COHERENCE = Coherence(
+    at=lambda B, gamma, a, t: (omega_frame_phase(B, a, t), omega_frame_decay(gamma, a, t)),
+    deriv=lambda B, gamma, a, t: (
+        omega_frame_phase_deriv(B, a, t), omega_frame_decay_deriv(gamma, a, t)
+    ),
+    information=lambda B, gamma, t: B * B * t**4 + (4.0 / 3.0) * gamma * t**3,
+)
+
+# Corrected families' QFI and code-basis CFI at detuning d; at d = 0 both are
+# 4 B^2 t^2 + 4 gamma t (angle) and B^2 t^4 + (4/3) gamma t^3 (frequency).
+qfi_theta_qec_closed = THETA_COHERENCE.qfi
+qfi_omega_qec_closed = OMEGA_COHERENCE.qfi
+cfi_theta_qec_closed = THETA_COHERENCE.cfi
+cfi_omega_qec_closed = OMEGA_COHERENCE.cfi
+
+
 def qfi_theta_free_closed(B: float, gamma: float, t: float) -> FisherResult:
     """QFI of the freely dephasing theta probe: 2[1 - e^(-2 gamma t) cos 2Bt]."""
     _check_t(t)
     value = 2.0 * (1.0 - np.exp(-2 * gamma * t) * np.cos(2 * B * t))
     return FisherResult(value)
-
-
-def qfi_theta_qec_closed(B: float, gamma: float, t: float, dtheta: float = 0.0) -> FisherResult:
-    """QFI of the error-corrected theta family at detuning dtheta.
-
-    At dtheta = 0 this is exactly 4 B^2 t^2 + 4 gamma t: the fluctuation
-    contributes 4 gamma t of information on top of the coherent part.
-    """
-    _check_t(t)
-    if t == 0:
-        return FisherResult(0.0)
-    s2 = np.sin(dtheta) ** 2
-    x = 4.0 * gamma * t * s2
-    # x / (e^x - 1), continuous value 1 at x = 0.
-    xf = 1.0 - x / 2 + x * x / 12 if x < 1e-8 else x / np.expm1(x)
-    value = 4.0 * t * t * np.cos(dtheta) ** 2 * (B * B * np.exp(-x) + (gamma / t) * xf)
-    return FisherResult(value)
-
-
-def qfi_omega_qec_closed(B: float, gamma: float, t: float, domega: float = 0.0) -> FisherResult:
-    """QFI of the error-corrected rotation-frequency family at detuning domega.
-
-    Computed from the rotating-frame qubit state with coherence
-    exp(-(i*phase + decay)); at domega = 0 it equals B^2 t^4 + (4/3) gamma t^3.
-    """
-    _check_t(t)
-    if t == 0:
-        return FisherResult(0.0)
-    a = domega
-    z = a * t
-    dphase = omega_frame_phase_deriv(B, a, t)
-    decay = omega_frame_decay(gamma, a, t)
-    ddecay = omega_frame_decay_deriv(gamma, a, t)
-    coherent = dphase * dphase * np.exp(-2 * decay)
-    if gamma == 0:
-        noise = 0.0
-    elif abs(z) < 1e-8:
-        noise = (4.0 / 3.0) * gamma * t**3
-    else:
-        noise = ddecay * ddecay / np.expm1(2 * decay)
-    return FisherResult(coherent + noise)
 
 
 def qfi_theta_unitary_controlled(B: float, t: float, dtheta: float = 0.0) -> FisherResult:
@@ -431,52 +464,3 @@ def qfi_B_trajectory_averaged(t: float, gamma: float) -> FisherResult:
     _check_t(t)
     value = 4.0 * t * t * np.exp(-4 * gamma * t)
     return FisherResult(value)
-
-
-def cfi_theta_qec_closed(B: float, gamma: float, t: float, dtheta: float = 0.0) -> FisherResult:
-    """Classical Fisher information of the code-basis measurement (theta task).
-
-    Outcome probabilities p(+-) = (1 +- E cos(2 B t s))/2 with s = sin(dtheta)
-    and E = exp(-2 gamma t s^2).  The dtheta -> 0 limit equals the QFI
-    4 B^2 t^2 + 4 gamma t; the measurement is optimal at zero detuning.
-    """
-    _check_t(t)
-    if t == 0:
-        return FisherResult(0.0)
-    s = np.sin(dtheta)
-    c2 = np.cos(dtheta) ** 2
-    if gamma == 0:
-        return FisherResult(4 * B * B * t * t * c2)
-    if abs(s) < 1e-8:
-        return FisherResult(4 * t * (gamma + B * B * t))
-    phi = 2 * B * t * s
-    e = np.exp(-2 * gamma * t * s * s)
-    num = 4 * e * e * t * t * c2 * (2 * gamma * s * np.cos(phi) + B * np.sin(phi)) ** 2
-    # 1 - E^2 cos^2 phi, written cancellation-free.
-    den = np.sin(phi) ** 2 - np.cos(phi) ** 2 * np.expm1(-4 * gamma * t * s * s)
-    return FisherResult(num / den)
-
-
-def cfi_omega_qec_closed(B: float, gamma: float, t: float, domega: float = 0.0) -> FisherResult:
-    """Classical Fisher information of the code-basis measurement (omega task).
-
-    Uses the rotating-frame coherence e^(-decay) e^(-i phase); the domega -> 0
-    limit equals the QFI B^2 t^4 + (4/3) gamma t^3.
-    """
-    _check_t(t)
-    if t == 0:
-        return FisherResult(0.0)
-    a = domega
-    z = a * t
-    dphase = omega_frame_phase_deriv(B, a, t)
-    if gamma == 0:
-        return FisherResult(dphase * dphase)
-    if abs(z) < 1e-8:
-        value = B * B * t**4 + (4.0 / 3.0) * gamma * t**3
-        return FisherResult(value)
-    phase = omega_frame_phase(B, a, t)
-    decay = omega_frame_decay(gamma, a, t)
-    ddecay = omega_frame_decay_deriv(gamma, a, t)
-    num = np.exp(-2 * decay) * (ddecay * np.cos(phase) + dphase * np.sin(phase)) ** 2
-    den = np.sin(phase) ** 2 - np.cos(phase) ** 2 * np.expm1(-2 * decay)
-    return FisherResult(num / den)

@@ -45,7 +45,7 @@ from .errors import (
     QecConditionError,
     StepError,
 )
-from .metrology import FisherResult, omega_frame_decay, omega_frame_phase
+from .metrology import OMEGA_COHERENCE, THETA_COHERENCE, Coherence, FisherResult
 from .qmat import eye2, kron, sigma1
 
 _QEC_TOL = 1e-8  # residual of the error-correction conditions and of the Gram matrix
@@ -205,8 +205,10 @@ def _corrected_evolve(
     return rho
 
 
-def _code_state(code: QecCode, coh: complex, t: float) -> np.ndarray:
-    """Equal-weight code-space state at time t with coherence coh."""
+def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):
+    """Equal-weight state on the time-t code words, coherence exp(-(decay + i phase)) at d."""
+    phase, decay = coherence.at(B, gamma, d, t)
+    coh = np.exp(-decay - 1j * phase)
     c0, c1 = code.basis(t)
     return 0.5 * (_outer(c0) + _outer(c1) + coh * _outer(c0, c1) + np.conj(coh) * _outer(c1, c0))
 
@@ -220,17 +222,9 @@ def corrected_evolve_theta(
     return _corrected_evolve(model, code, t, dt, n_recoveries)
 
 
-def corrected_state_theta_closed(
-    B: float, gamma: float, theta: float, theta_hat: float, t: float
-) -> np.ndarray:
-    """Continuous-recovery corrected state for the field-angle task.
-
-    The code-space coherence decays as exp(-g t) with
-    g = 2i B sin(dtheta) + 2 gamma sin^2(dtheta), dtheta = theta - theta_hat.
-    """
-    d = theta - theta_hat
-    g = 2j * B * np.sin(d) + 2 * gamma * np.sin(d) ** 2
-    return _code_state(theta_code(theta_hat), np.exp(-g * t), t)
+def corrected_state_theta_closed(B: float, gamma: float, theta: float, theta_hat: float, t: float):
+    """Continuous-recovery corrected state for the field-angle task."""
+    return _closed_state(theta_code(theta_hat), THETA_COHERENCE, B, gamma, theta - theta_hat, t)
 
 
 def corrected_evolve_omega(
@@ -242,18 +236,9 @@ def corrected_evolve_omega(
     return _corrected_evolve(model, code, t, dt, n_recoveries)
 
 
-def corrected_state_omega_closed(
-    B: float, gamma: float, omega: float, omega_hat: float, t: float
-) -> np.ndarray:
-    """Continuous-recovery corrected state for the rotation-frequency task.
-
-    In the co-rotating frame the code-space coherence is
-    exp(-(i*phase + decay)) with the closed-form phase and decay integrals;
-    the lab-frame state re-expresses that coherence on the time-t code words.
-    """
-    a = omega - omega_hat
-    coh = np.exp(-omega_frame_decay(gamma, a, t) - 1j * omega_frame_phase(B, a, t))
-    return _code_state(omega_code(omega_hat), coh, t)
+def corrected_state_omega_closed(B: float, gamma: float, omega: float, omega_hat: float, t: float):
+    """Continuous-recovery corrected state for the rotation-frequency task, in the lab frame."""
+    return _closed_state(omega_code(omega_hat), OMEGA_COHERENCE, B, gamma, omega - omega_hat, t)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("matrix has non-finite entries")
+        raise DomainError("matrix has non-finite entries")
     return a
 
 

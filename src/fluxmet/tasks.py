@@ -3,8 +3,8 @@
 Fluctuation along a parameter-dependent axis adds Fisher information to both
 tasks: 4 gamma t for the field angle theta (static axis), (4/3) gamma t^3 for
 the rotation frequency omega (rotating axis).  What tells the two apart is
-kept here, once; ``estimation`` and ``cli`` take a task name and look its
-record up with :func:`task_record`.
+kept here, once, or in the ``metrology.Coherence`` a record names; ``estimation``
+and ``cli`` take a task name and look its record up with :func:`task_record`.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import numpy as np
 from .dynamics import bell_probe, dephasing_kraus, sigma_n_theta
 from .errors import DomainError
 from .metrology import (
+    OMEGA_COHERENCE,
+    THETA_COHERENCE,
+    Coherence,
     FisherResult,
     _f1,
     _g1,
-    omega_frame_decay,
-    omega_frame_phase,
     qfi_omega_qec_closed,
     qfi_omega_unitary_controlled,
     qfi_theta_free_closed,
@@ -41,24 +42,23 @@ StateFamily = Callable[[float], np.ndarray]
 class Task:
     """What differs between the angle and the frequency task.
 
-    Estimation: the outcome probabilities ``p_plus(x, x_hat, B, gamma, t)``
-    and ``p_plus_unitary(x, x_hat, B, t, square=np.square)`` (``square``
-    squares elementwise: y * y by default), the (lo, hi, res) grid, the
-    likelihood phase per unit of parameter ``phase_scale(B, t)`` and the
-    zero-detuning information ``information(strategy, B, gamma, t)``.  Sweep:
-    the closed forms ``qec_closed``, ``unitary_closed`` and ``free_closed``
-    (None: no free column), checked at ``x_hat`` against the SLD route on
-    ``corrected_state``, ``unitary_family`` and ``free_family``.
+    Estimation: the corrected family's ``coherence`` (its p(+) is
+    ``coherence.p_plus(x, x_hat, B, gamma, t)``), the unitary p(+)
+    ``p_plus_unitary(x, x_hat, B, t, square=np.square)`` (``square`` squares
+    elementwise: y * y by default), the (lo, hi, res) grid, the likelihood
+    phase per unit of parameter ``phase_scale(B, t)`` and :meth:`information`.
+    Sweep: the closed forms ``qec_closed``, ``unitary_closed`` and
+    ``free_closed`` (None: no free column), checked at ``x_hat`` against the
+    SLD route on ``corrected_state``, ``unitary_family`` and ``free_family``.
     """
 
     name: str
     label: str
     symbol: str
-    p_plus: Callable
+    coherence: Coherence
     p_plus_unitary: Callable
     default_grid: tuple[float, float, float]
     phase_scale: Callable[[float, float], float]
-    information: Callable[[str, float, float, float], float]
     x_hat: float
     qec_closed: Callable[..., FisherResult]
     unitary_closed: Callable[..., FisherResult]
@@ -67,10 +67,9 @@ class Task:
     free_closed: Callable[..., FisherResult] | None = None
     free_family: Callable[..., StateFamily] | None = None
 
-
-def _p_plus_theta(theta, theta_hat, B: float, gamma: float, t: float):
-    d = np.sin(theta - theta_hat)
-    return 0.5 * (1.0 + np.exp(-2.0 * t * gamma * d * d) * np.cos(2.0 * B * t * d))
+    def information(self, strategy: str, B: float, gamma: float, t: float) -> float:
+        """Zero-detuning J per shot; unitary control is the corrected case at gamma = 0."""
+        return self.coherence.information(B, gamma if strategy == _QEC else 0.0, t)
 
 
 def _p_plus_theta_unitary(theta, theta_hat, B: float, t: float, square=np.square):
@@ -78,13 +77,6 @@ def _p_plus_theta_unitary(theta, theta_hat, B: float, t: float, square=np.square
     # B*sqrt(2 - 2 cos d) per unit time.
     phase = B * t * np.sqrt(np.maximum(2.0 - 2.0 * np.cos(theta - theta_hat), 0.0))
     return square(np.cos(phase))
-
-
-def _p_plus_omega(omega, omega_hat, B: float, gamma: float, t: float):
-    a = omega - omega_hat
-    return 0.5 * (
-        1.0 + np.exp(-omega_frame_decay(gamma, a, t)) * np.cos(omega_frame_phase(B, a, t))
-    )
 
 
 def _p_plus_omega_unitary(omega, omega_hat, B: float, t: float, square=np.square):
@@ -142,11 +134,10 @@ TASKS: dict[str, Task] = {
         name="theta",
         label="angle",
         symbol="dtheta",
-        p_plus=_p_plus_theta,
+        coherence=THETA_COHERENCE,
         p_plus_unitary=_p_plus_theta_unitary,
         default_grid=(0.0, np.pi / 2, 1e-4),
         phase_scale=lambda B, t: B * t,
-        information=lambda s, B, g, t: 4 * B * B * t * t + (4 * g * t if s == _QEC else 0.0),
         x_hat=np.pi / 4,
         qec_closed=qfi_theta_qec_closed,
         unitary_closed=qfi_theta_unitary_controlled,
@@ -159,13 +150,10 @@ TASKS: dict[str, Task] = {
         name="omega",
         label="frequency",
         symbol="domega",
-        p_plus=_p_plus_omega,
+        coherence=OMEGA_COHERENCE,
         p_plus_unitary=_p_plus_omega_unitary,
         default_grid=(0.0, 1.0, 1e-4),
         phase_scale=lambda B, t: B * t * t,
-        information=lambda s, B, g, t: (
-            B * B * t**4 + ((4.0 / 3.0) * g * t**3 if s == _QEC else 0.0)
-        ),
         x_hat=0.5,
         qec_closed=qfi_omega_qec_closed,
         unitary_closed=qfi_omega_unitary_controlled,

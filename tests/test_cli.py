@@ -314,6 +314,21 @@ def test_adapt_with_overflowing_mse_exits_2_without_files(tmp_path, capsys) -> N
     assert list(tmp_path.glob("camp*")) == []
 
 
+@pytest.mark.parametrize(
+    "task, t, B", [("omega", 1e100, 0.1), ("theta", 1e200, 0.1), ("omega", 1e100, 1e-300)]
+)
+@pytest.mark.filterwarnings("error")
+def test_adapt_with_overflowing_j_exits_2_without_files(tmp_path, capsys, task, t, B) -> None:
+    # The zero-detuning J overflows: a float's t**4 raised OverflowError for
+    # the frequency, an infinite J drew a Cramer-Rao line of 0 for the angle,
+    # and B^2 t^4 with B^2 below the float range is 0 * inf.
+    config = _adapt_config(tmp_path, t=t, B=B)
+    out = tmp_path / "camp.csv"
+    assert cli.main(["adapt", task, "--config", config, "--out", str(out)]) == 2
+    assert "t must be small enough for a finite J" in capsys.readouterr().err
+    assert list(tmp_path.glob("camp*")) == []
+
+
 def test_cmd_adapt_missing_required_key(tmp_path, capsys) -> None:
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"true_value": 0.4, "initial_guess": 0.3}))
@@ -492,6 +507,13 @@ def test_load_model_file_rejects_malformed_operators(tmp_path, capsys, overrides
         (["qfi-theta", "--t-max", "1e300", "--points", "3"], "and t_max must be small enough"),
         (["qfi-theta", "--B", "1e200", "--t-max", "1", "--points", "3"], "B = 1e+200"),
         (["qfi-omega", "--B", "1e200", "--t-max", "1", "--points", "3"], "B = 1e+200"),
+        # the closed forms are finite, but the gate's unitary states overflow in expm
+        (["qfi-theta", "--t-max", "1e150", "--points", "3"], "t_max = 1e+150"),
+        (
+            ["qfi-omega", "--B", "6.6e15", "--gamma", "6.6e15", "--t-max", "1.6e16",
+             "--points", "6"],
+            "small enough for finite states, got B = 6.6e+15, gamma = 6.6e+15, t_max = 1.6e+16",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -596,8 +618,11 @@ def test_cmd_plot_malformed_csv_exits_2(tmp_path, capsys) -> None:
 # angle and frequency tasks shared one task table.  The determinism tests
 # compare two runs of one build; this one fails when a change moves a byte.
 # general-qec is left out: its report depends on the LAPACK eigensolvers.
+# theta.csv was re-recorded once when both corrected families' QFI became one
+# expression in their phase and decay: 21 of its 33 qfi_qec cells moved by at
+# most 4e-16 relative (it was 582618f535fec31cee75074f831de4ff2c1eed7962cbebc26bda1b8880fac383).
 _GOLDEN_SHA256 = {
-    "theta.csv": "582618f535fec31cee75074f831de4ff2c1eed7962cbebc26bda1b8880fac383",
+    "theta.csv": "26098a6ba6b3b9cceb13b48627dfc40aadf589c5e567e509b14204871425f2cd",
     "omega.csv": "79b0916347ac35f34fa9923c2e266d3d6d4fff6c6eda7fc2d614696c082e09bf",
     "adapt_theta.qec_corrected.csv": "21b04a59df0417137fd2f759b7b412069b5121f5324a45bdba7e7e1f3a14387a",
     "adapt_theta.unitary_controlled.csv": "ef3011d91f394c13f3c4f846a4d9c5fe76835d97ebf92d1e38c53fa7e2335ba2",

@@ -9,6 +9,8 @@ import fluxmet.metrology as metrology
 from fluxmet.dynamics import bell_probe, dephasing_kraus
 from fluxmet.errors import DimensionError, NotPsdError, NumericError
 from fluxmet.metrology import (
+    OMEGA_COHERENCE,
+    THETA_COHERENCE,
     bell_basis_distribution_theta_free,
     cfi,
     cfi_omega_qec_closed,
@@ -407,6 +409,116 @@ def test_fluctuation_penalty_for_field_estimation() -> None:
     for g in (0.01, 0.05, 0.2):
         for t in (1.0, 5.0):
             assert qfi_B_trajectory_averaged(t, g).value < 4 * t * t
+
+
+# ---------------------------------------------------------------------------
+# One coherence record per task against the closed forms it replaced
+# ---------------------------------------------------------------------------
+#
+# Reference copies of the per-task expressions that THETA_COHERENCE and
+# OMEGA_COHERENCE replaced.  The CFI references also return the size of the
+# sum they square: near a zero of ddecay cos(phase) + dphase sin(phase) two
+# roundings of the CFI differ relative to that size, not to the CFI itself.
+
+
+def _ref_p_plus_theta(theta, theta_hat, B, gamma, t):
+    d = np.sin(theta - theta_hat)
+    return 0.5 * (1.0 + np.exp(-2.0 * t * gamma * d * d) * np.cos(2.0 * B * t * d))
+
+
+def _ref_p_plus_omega(omega, omega_hat, B, gamma, t):
+    a = omega - omega_hat
+    return 0.5 * (
+        1.0 + np.exp(-omega_frame_decay(gamma, a, t)) * np.cos(omega_frame_phase(B, a, t))
+    )
+
+
+def _ref_qfi_theta(B, gamma, t, dtheta):
+    if t == 0:
+        return 0.0
+    x = 4.0 * gamma * t * np.sin(dtheta) ** 2
+    xf = 1.0 - x / 2 + x * x / 12 if x < 1e-8 else x / np.expm1(x)
+    return 4.0 * t * t * np.cos(dtheta) ** 2 * (B * B * np.exp(-x) + (gamma / t) * xf)
+
+
+def _ref_qfi_omega(B, gamma, t, a):
+    if t == 0:
+        return 0.0
+    dphase = omega_frame_phase_deriv(B, a, t)
+    decay = omega_frame_decay(gamma, a, t)
+    ddecay = omega_frame_decay_deriv(gamma, a, t)
+    if gamma == 0:
+        noise = 0.0
+    elif abs(a * t) < 1e-8:
+        noise = (4.0 / 3.0) * gamma * t**3
+    else:
+        noise = ddecay * ddecay / np.expm1(2 * decay)
+    return dphase * dphase * np.exp(-2 * decay) + noise
+
+
+def _ref_cfi_theta(B, gamma, t, dtheta):
+    s, c2 = np.sin(dtheta), np.cos(dtheta) ** 2
+    if t == 0:
+        return 0.0, 0.0
+    if gamma == 0:
+        return 4 * B * B * t * t * c2, 0.0
+    if abs(s) < 1e-8:
+        return 4 * t * (gamma + B * B * t), 0.0
+    phi = 2 * B * t * s
+    e = np.exp(-2 * gamma * t * s * s)
+    den = np.sin(phi) ** 2 - np.cos(phi) ** 2 * np.expm1(-4 * gamma * t * s * s)
+    terms = np.array([2 * gamma * s * np.cos(phi), B * np.sin(phi)])
+    scale = 4 * e * e * t * t * c2 * np.sum(np.abs(terms)) ** 2 / den
+    return 4 * e * e * t * t * c2 * np.sum(terms) ** 2 / den, scale
+
+
+def _ref_cfi_omega(B, gamma, t, a):
+    if t == 0:
+        return 0.0, 0.0
+    dphase = omega_frame_phase_deriv(B, a, t)
+    if gamma == 0:
+        return dphase * dphase, 0.0
+    if abs(a * t) < 1e-8:
+        return B * B * t**4 + (4.0 / 3.0) * gamma * t**3, 0.0
+    phase = omega_frame_phase(B, a, t)
+    decay = omega_frame_decay(gamma, a, t)
+    ddecay = omega_frame_decay_deriv(gamma, a, t)
+    den = np.sin(phase) ** 2 - np.cos(phase) ** 2 * np.expm1(-2 * decay)
+    terms = np.array([ddecay * np.cos(phase), dphase * np.sin(phase)])
+    scale = np.exp(-2 * decay) * np.sum(np.abs(terms)) ** 2 / den
+    return np.exp(-2 * decay) * np.sum(terms) ** 2 / den, scale
+
+
+@pytest.mark.parametrize(
+    "coherence, ref_qfi, ref_cfi",
+    [
+        (THETA_COHERENCE, _ref_qfi_theta, _ref_cfi_theta),
+        (OMEGA_COHERENCE, _ref_qfi_omega, _ref_cfi_omega),
+    ],
+    ids=["theta", "omega"],
+)
+def test_coherence_matches_the_closed_forms_it_replaced(coherence, ref_qfi, ref_cfi) -> None:
+    rng = np.random.default_rng(20240811)
+    near_zero = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7)
+    for k in range(3000):
+        B, t = rng.uniform(0.01, 2.0), rng.uniform(0.01, 10.0)
+        gamma = 0.0 if k % 5 == 0 else rng.uniform(0.0, 1.0)
+        d = near_zero[k % 7] if k % 3 == 0 else rng.uniform(-1.0, 1.0)
+        want = ref_qfi(B, gamma, t, d)
+        assert coherence.qfi(B, gamma, t, d).value == pytest.approx(want, rel=1e-13, abs=0.0)
+        want, scale = ref_cfi(B, gamma, t, d)
+        got = coherence.cfi(B, gamma, t, d).value
+        assert abs(got - want) <= 1e-13 * max(abs(want), scale), (B, gamma, t, d)
+
+
+def test_coherence_p_plus_keeps_every_bit() -> None:
+    rng = np.random.default_rng(7)
+    x, x_hat = rng.uniform(-3.0, 3.0, 20000), rng.uniform(-3.0, 3.0, 20000)
+    refs = ((THETA_COHERENCE, _ref_p_plus_theta), (OMEGA_COHERENCE, _ref_p_plus_omega))
+    for coherence, ref in refs:
+        for B, gamma, t in ((0.1, 0.05, 5.0), (1.7, 0.0, 0.3), (0.03, 0.9, 9.1)):
+            assert np.array_equal(coherence.p_plus(x, x_hat, B, gamma, t), ref(x, x_hat, B, gamma, t))
+            assert coherence.p_plus(0.3, 0.2, B, gamma, t) == ref(0.3, 0.2, B, gamma, t)
 
 
 # ---------------------------------------------------------------------------

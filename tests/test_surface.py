@@ -25,7 +25,8 @@ from fluxmet.estimation import (
 # Per-task twins folded into one name with a task argument, wrappers that
 # nothing called, the method/params fields of FisherResult, the polar
 # isometry the general engine no longer builds, the CLI's copy of the adapt
-# config types and the finite difference folded into qfi_sld_numeric.
+# config types, the finite difference folded into qfi_sld_numeric and the
+# per-task p(+) that each task's coherence record replaced.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -42,6 +43,7 @@ _REMOVED_NAMES = {
     ),
     "fluxmet.dynamics": ("TrajectoryPhase", "sample_phase"),
     "fluxmet.metrology": ("METHODS", "state_derivative"),
+    "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
     "fluxmet.qmat": ("polar_isometry", "PolarIsometry"),
     "fluxmet.errors": ("NonIsotropicError",),
 }
@@ -129,3 +131,17 @@ def test_runtime_imports_no_scipy() -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_block_prints_its_values(capsys) -> None:
+    # README's "Library use" block calls the corrected closed forms by their
+    # public names; its comments give the values it prints.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4, lines
+    assert float(lines[0]) == 2.0
+    assert float(lines[1]) == pytest.approx(2.0, rel=1e-6)
+    assert float(lines[2]) == pytest.approx(0.991, abs=5e-4)
+    assert lines[3] == "(20, 11)"
