@@ -41,7 +41,7 @@ from .errors import (
     NumericError,
     QecConditionError,
 )
-from .estimation import AdaptiveConfig, campaign_estimates, check_campaign_size
+from .estimation import AdaptiveConfig, campaign_estimates, check_campaign_size, crb_line
 from .metrology import qfi_sld_numeric
 from .qec import QecCode, asymptotic_qfi, code_probe, expansion_superoperators
 from .tasks import STRATEGIES, TASKS, Task, task_record
@@ -279,18 +279,16 @@ def _strategy_out_path(out_path: str, strategy: str) -> str:
     return f"{base}.{strategy}{ext or '.csv'}"
 
 
-def _crb_value(record: Task, strategy: str, cfg: AdaptiveConfig) -> float:
+def _crb_value(record: Task, cfg: AdaptiveConfig) -> float:
     """The Cramer-Rao line 1/(m K J); ConfigError unless it is finite and positive."""
-    with np.errstate(all="ignore"):  # numpy gives inf or nan where a float's t**4 raises
-        j = record.information(strategy, cfg.B, cfg.gamma, np.float64(cfg.t))
-        crb = 1.0 / (cfg.m * cfg.rounds * j)
+    crb = crb_line(cfg, record)
     if not 0 < crb < np.inf:
         field, bound = ("t", "> 0") if cfg.t == 0 else ("B", "nonzero")
         if not crb > 0:  # 0 or nan: J overflows
             field, bound = "t", "small enough for a finite J at this B and gamma"
         raise ConfigError(
             f"{field} must be {bound}: at t = {cfg.t:g}, B = {cfg.B:g}, gamma = {cfg.gamma:g} "
-            f"the {strategy} campaign has J = {j:g}, so its Cramer-Rao line 1/(m K J) is not a "
+            f"the {cfg.strategy} campaign's Cramer-Rao line 1/(m K J) is {crb:g}, not a finite "
             "positive number",
             field=field,
         )
@@ -324,7 +322,7 @@ def cmd_adapt(
     for s in strategies:
         cfg = AdaptiveConfig(**kwargs, seed=seed, strategy=s)
         check_campaign_size(cfg, reps, task)
-        runs.append((s, cfg, _crb_value(record, s, cfg)))
+        runs.append((s, cfg, _crb_value(record, cfg)))
     tables: dict[str, CurveTable] = {}
     for strategy, cfg, crb_value in runs:
         estimates = campaign_estimates(cfg, reps, task=task)

@@ -19,7 +19,6 @@ phi ~ Normal(0, gamma t) and averages pure-state trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -136,13 +135,22 @@ class LindbladModel:
         phase = t**order * np.exp(self._rate * t)  # t**k exp(i (g_j - g_k) t), entry jk
         return h * phase, [e * phase for e in ops]
 
-    def _terms(self, t: float) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
-        """(H, [(E, E^dag, E^dag E)]) at time t: built at construction for a
-        constant model, from the phases at t for a framed one."""
+    def _generator(self, t: float):
+        """rho -> drho/dt at time t, from the operators built at construction
+        (a constant model) or from the phases at t (a framed one)."""
         if self._constant is not None:
-            return self._constant
-        h, ops = self.at(t)
-        return h, [_adjoint_terms(e) for e in ops]
+            h, terms = self._constant
+        else:
+            h, ops = self.at(t)
+            terms = [_adjoint_terms(e) for e in ops]
+
+        def rhs(rho: np.ndarray) -> np.ndarray:
+            out = -1j * (h @ rho - rho @ h)
+            for e, e_dag, ede in terms:
+                out = out + e @ rho @ e_dag - 0.5 * (ede @ rho + rho @ ede)
+            return out
+
+        return rhs
 
 
 def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
@@ -202,19 +210,16 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t: float) -> np.ndarray:
-    h, terms = model._terms(t)
-    out = -1j * (h @ rho - rho @ h)
-    for e, e_dag, ede in terms:
-        out = out + e @ rho @ e_dag - 0.5 * (ede @ rho + rho @ ede)
-    return out
+    return model._generator(t)(rho)
 
 
-def _rk4_step(rhs, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical RK4 step of drho/dt = rhs(rho, t)."""
-    k1 = rhs(rho, t)
-    k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(rho + dt * k3, t + dt)
+def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One classical RK4 step of drho/dt = field(t)(rho); both midpoint stages use one field."""
+    k1 = field(t)(rho)
+    mid = field(t + 0.5 * dt)
+    k2 = mid(rho + 0.5 * dt * k1)
+    k3 = mid(rho + 0.5 * dt * k2)
+    k4 = field(t + dt)(rho + dt * k3)
     return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -247,9 +252,8 @@ def lindblad_evolve(
     rho = np.array(rho0, dtype=complex)
     if rho.shape[-1] != model.dim or rho.shape[-2] != model.dim:
         raise StepError(f"state shape {rho.shape} does not match model dim {model.dim}")
-    rhs = partial(lindblad_rhs, model)
     for k in range(n_steps):
-        rho = _rk4_step(rhs, rho, t0 + k * dt, dt)
+        rho = _rk4_step(model._generator, rho, t0 + k * dt, dt)
         rho = 0.5 * (rho + _dagger(rho))
         drift = np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0).max()
         if drift > _TRACE_TOL:

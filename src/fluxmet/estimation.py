@@ -15,11 +15,11 @@ every public entry point takes the task name ("theta" or "omega") as its
 One lockstep engine runs every campaign: a block of repetitions ("lanes")
 moves through each round together.  Each lane draws from its own generator
 and adds its round to its own row of a shared (lanes, grid) cumulative
-log-likelihood; one golden-section search then refines all lanes at once,
-freezing each lane where a search of that lane alone would stop.  A lane's
-estimates therefore do not depend on which lanes share its block, and a
-single run (``run_adaptive``) is the one-lane case.  Blocks hold at most
-2**20 grid cells (8 MB) and at most 1024 lanes.
+log-likelihood; one golden-section search of a fixed 31 iterations then
+refines all lanes at once.  A lane's estimates therefore do not depend on
+which lanes share its block, and a single run (``run_adaptive``) is the
+one-lane case.  Blocks hold at most 2**20 grid cells (8 MB) and at most 1024
+lanes.  A default grid is sized to the likelihood (``AdaptiveConfig``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,11 @@ from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, Task, task_record
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-10  # bracket width at which a golden-section lane stops
+# 31 iterations take a bracket to 3.3e-7 of its width (two 1e-4 cells to under
+# 1e-10); a default grid resolves 1/64 of the final-round likelihood width.
+_GOLDEN_ITERATIONS = 31
+_CELLS_PER_WIDTH = 64
+_FINEST_DEFAULT = 1e-4
 # A block of lanes holds at most this many grid cells (8 MB of float64) and
 # at most this many lanes: past a few hundred, batching saves no more time,
 # while each lane adds a generator (about 1 KB) and its refinement rows.
@@ -73,8 +77,10 @@ class AdaptiveConfig:
     """Parameters of one adaptive estimation run, checked in type and value.
 
     ``grid`` is (lo, hi, resolution) for the likelihood search, given as a
-    list or tuple and stored as a tuple; None picks the task default
-    ([0, pi/2] for the angle, [0, 1] for the frequency, resolution 1e-4).
+    list or tuple and stored as a tuple, and used exactly as given.  None
+    picks the task's prior ([0, pi/2] for the angle, [0, 1] for the
+    frequency) at a resolution of 1/64 of the final-round likelihood width
+    sqrt(1/(m K J)), or of the prior if that is narrower, and at least 1e-4.
     Each round maximizes the likelihood product over all rounds so far.
     """
 
@@ -174,49 +180,28 @@ def _loglik(n_plus, n_minus, p):
 def _golden_max(f, lo, hi) -> np.ndarray:
     """Golden-section maximum of f on [lo[i], hi[i]] for every lane i at once.
 
-    f maps one point per lane to that lane's objective; it is called once per
-    iteration for the whole batch.  A lane is frozen from the iteration in
-    which its bracket is within _GOLDEN_TOL (at most 80 iterations), where a
-    search of that lane alone would stop, so each lane ends on the same float.
+    f maps one point per lane to that lane's objective; it is called twice,
+    then once per iteration for the whole batch.  Every lane runs the same
+    _GOLDEN_ITERATIONS iterations, so its result does not depend on the others.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(80):
-        live = ~(b - a <= _GOLDEN_TOL)
-        if not live.any():
-            break
+    for _ in range(_GOLDEN_ITERATIONS):
         keep_left = fc >= fd  # the maximum lies in [a, d]: drop (d, b]
-        a1 = np.where(keep_left, a, c)
-        b1 = np.where(keep_left, d, b)
-        x = np.where(keep_left, b1 - _GOLDEN * (b1 - a1), a1 + _GOLDEN * (b1 - a1))
+        a, b = np.where(keep_left, [a, d], [c, b])
+        x = np.where(keep_left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
         fx = f(x)
-        c1, fc1 = np.where(keep_left, x, d), np.where(keep_left, fx, fd)
-        d1, fd1 = np.where(keep_left, c, x), np.where(keep_left, fc, fx)
-        if live.all():
-            a, b, c, d, fc, fd = a1, b1, c1, d1, fc1, fd1
-        else:
-            a, b, c, d, fc, fd = (
-                np.where(live, new, old)
-                for new, old in zip((a1, b1, c1, d1, fc1, fd1), (a, b, c, d, fc, fd))
-            )
+        c, d, fc, fd = np.where(keep_left, [x, c, fx, fc], [d, x, fd, fx])
     return 0.5 * (a + b)
 
 
-def _pow_square(y) -> np.ndarray:
-    """y ** 2 elementwise as a float scalar squares: through C pow(), which
-    differs in the last bit from y * y (what ``array ** 2`` computes) on about
-    one input in a thousand."""
-    return np.float_power(y, 2.0)
-
-
-def _prob_plus(config: AdaptiveConfig, task: Task, square=np.square):
-    """p(+ | x, x_hat) of the configured strategy, elementwise; ``square``
-    squares within the unitary formulas."""
+def _prob_plus(config: AdaptiveConfig, task: Task):
+    """p(+ | x, x_hat) of the configured strategy, elementwise."""
     if config.strategy == "unitary_controlled":
-        return lambda x, x_hat: task.p_plus_unitary(x, x_hat, config.B, config.t, square)
+        return lambda x, x_hat: task.p_plus_unitary(x, x_hat, config.B, config.t)
     return lambda x, x_hat: task.coherence.p_plus(x, x_hat, config.B, config.gamma, config.t)
 
 
@@ -233,9 +218,23 @@ def _total_loglik(prob_plus, x_hats, n_plus, n_minus, x) -> np.ndarray:
     return total
 
 
+def crb_line(config: AdaptiveConfig, task: Task) -> float:
+    """The Cramer-Rao line 1/(m K J), J the zero-detuning information per shot
+    of the configured strategy: inf at J = 0, 0 or nan where J overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        j = task.information(config.strategy, config.B, config.gamma, config.t)
+        return float(np.float64(1.0) / (config.m * config.rounds * j))
+
+
 def _grid_cells(config: AdaptiveConfig, task: Task) -> tuple[float, float, int]:
-    """(lo, hi, cells) of the likelihood grid, the task default when unset."""
-    lo, hi, res = config.grid if config.grid is not None else task.default_grid
+    """(lo, hi, cells) of the likelihood grid: ``config.grid`` as given, else
+    the task's prior at the resolution derived from the Cramer-Rao line."""
+    if config.grid is not None:
+        lo, hi, res = config.grid
+    else:
+        (lo, hi), res, crb = task.prior, _FINEST_DEFAULT, crb_line(config, task)
+        if crb > 0:  # a J that overflows keeps the finest resolution
+            res = max(res, min(math.sqrt(crb), hi - lo) / _CELLS_PER_WIDTH)
     return lo, hi, max(1, int(round((hi - lo) / res)))
 
 
@@ -262,11 +261,7 @@ def _lockstep(
     x_0..x_K, shape (lanes, rounds + 1), the + counts, (lanes, rounds), and
     each lane's log-likelihood of all rounds at its final estimate.
     """
-    # The grid takes p(+) in array arithmetic.  The outcome draw and the
-    # refinement take it as the per-repetition scalar loop did, so that the
-    # estimates keep their bytes: squares through C pow(), see _pow_square.
-    on_grid = _prob_plus(config, task)
-    at_points = _prob_plus(config, task, _pow_square)
+    p_plus = _prob_plus(config, task)
     grid, step = _likelihood_grid(config, task)
     lo, hi = grid[0], grid[-1]
     lanes, m = len(rngs), config.m
@@ -278,23 +273,23 @@ def _lockstep(
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(config.rounds):
             x_hat = estimates[:, k]
-            p_true = at_points(config.true_value, x_hat)
+            p_true = p_plus(config.true_value, x_hat)
             # In round 0 every lane stands at initial_guess: one grid serves all.
-            shared = on_grid(grid, x_hat[0]) if k == 0 else None
+            shared = p_plus(grid, x_hat[0]) if k == 0 else None
             for i, rng in enumerate(rngs):
                 # At most _DRAW_CHUNK draws at a time, so memory does not grow with m;
                 # Generator.random returns the same stream in pieces as at once.
                 chunks = (min(_DRAW_CHUNK, m - s) for s in range(0, m, _DRAW_CHUNK))
                 n_plus[i, k] = sum(np.count_nonzero(rng.random(c) < p_true[i]) for c in chunks)
-                p_grid = shared if shared is not None else on_grid(grid, x_hat[i])
+                p_grid = shared if shared is not None else p_plus(grid, x_hat[i])
                 cum[i] += _loglik(n_plus[i, k], m - n_plus[i, k], p_grid)
             best = grid[np.argmax(cum, axis=1)]
             counts = n_plus[:, : k + 1]
-            objective = partial(_total_loglik, at_points, estimates[:, : k + 1], counts, m - counts)
+            objective = partial(_total_loglik, p_plus, estimates[:, : k + 1], counts, m - counts)
             estimates[:, k + 1] = _golden_max(
                 objective, np.maximum(lo, best - step), np.minimum(hi, best + step)
             )
-        final_ll = _total_loglik(at_points, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1])
+        final_ll = _total_loglik(p_plus, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1])
     return estimates, n_plus, final_ll
 
 
@@ -351,8 +346,7 @@ def campaign_estimates(config: AdaptiveConfig, repetitions: int, task: str = "th
     """
     record = task_record(task)
     check_campaign_size(config, repetitions, task)
-    grid_size = _likelihood_grid(config, record)[0].size
-    block = min(_BLOCK_LANES, max(1, _BLOCK_CELLS // grid_size))
+    block = min(_BLOCK_LANES, max(1, _BLOCK_CELLS // (_grid_cells(config, record)[2] + 1)))
     out = np.empty((repetitions, config.rounds + 1))
     for start in range(0, repetitions, block):
         stop = min(start + block, repetitions)

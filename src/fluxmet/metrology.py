@@ -415,7 +415,10 @@ OMEGA_COHERENCE = Coherence(
     deriv=lambda B, gamma, a, t: (
         omega_frame_phase_deriv(B, a, t), omega_frame_decay_deriv(gamma, a, t)
     ),
-    information=lambda B, gamma, t: B * B * t**4 + (4.0 / 3.0) * gamma * t**3,
+    # numpy's t**4 overflows to inf where a float's raises OverflowError
+    information=lambda B, gamma, t: (
+        B * B * np.float64(t) ** 4 + (4.0 / 3.0) * gamma * np.float64(t) ** 3
+    ),
 )
 
 # Corrected families' QFI and code-basis CFI at detuning d; at d = 0 both are

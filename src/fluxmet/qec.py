@@ -449,12 +449,12 @@ def expansion_evolve(
     """
     h = dx * report.l1_generator
 
-    def rhs(rho: np.ndarray, _t: float) -> np.ndarray:
+    def rhs(rho: np.ndarray) -> np.ndarray:
         return -1j * (h @ rho - rho @ h) + dx * dx * report.l2_action.apply(rho)
 
     n_steps = fixed_steps(t, dt)
     rho = np.array(rho0, dtype=complex)
     for k in range(n_steps):
-        rho = _rk4_step(rhs, rho, k * dt, dt)
+        rho = _rk4_step(lambda _t: rhs, rho, k * dt, dt)
         rho = 0.5 * (rho + rho.conj().T)
     return rho

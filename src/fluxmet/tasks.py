@@ -44,9 +44,9 @@ class Task:
 
     Estimation: the corrected family's ``coherence`` (its p(+) is
     ``coherence.p_plus(x, x_hat, B, gamma, t)``), the unitary p(+)
-    ``p_plus_unitary(x, x_hat, B, t, square=np.square)`` (``square`` squares
-    elementwise: y * y by default), the (lo, hi, res) grid, the likelihood
-    phase per unit of parameter ``phase_scale(B, t)`` and :meth:`information`.
+    ``p_plus_unitary(x, x_hat, B, t)``, the (lo, hi) ``prior`` that the
+    default likelihood grid spans, the likelihood phase per unit of
+    parameter ``phase_scale(B, t)`` and :meth:`information`.
     Sweep: the closed forms ``qec_closed``, ``unitary_closed`` and
     ``free_closed`` (None: no free column), checked at ``x_hat`` against the
     SLD route on ``corrected_state``, ``unitary_family`` and ``free_family``.
@@ -57,7 +57,7 @@ class Task:
     symbol: str
     coherence: Coherence
     p_plus_unitary: Callable
-    default_grid: tuple[float, float, float]
+    prior: tuple[float, float]
     phase_scale: Callable[[float, float], float]
     x_hat: float
     qec_closed: Callable[..., FisherResult]
@@ -72,19 +72,19 @@ class Task:
         return self.coherence.information(B, gamma if strategy == _QEC else 0.0, t)
 
 
-def _p_plus_theta_unitary(theta, theta_hat, B: float, t: float, square=np.square):
+def _p_plus_theta_unitary(theta, theta_hat, B: float, t: float):
     # Effective detuning Hamiltonian B(sigma_n - sigma_n_hat) has eigenphase
     # B*sqrt(2 - 2 cos d) per unit time.
     phase = B * t * np.sqrt(np.maximum(2.0 - 2.0 * np.cos(theta - theta_hat), 0.0))
-    return square(np.cos(phase))
+    return np.square(np.cos(phase))
 
 
-def _p_plus_omega_unitary(omega, omega_hat, B: float, t: float, square=np.square):
+def _p_plus_omega_unitary(omega, omega_hat, B: float, t: float):
     # First-order average of the detuning Hamiltonian in the control frame:
     # |integral of (n(a,tau) - n(0,tau))| = t*sqrt(g1(at)^2 + (at)^2 f1(at)^2).
     z = (omega - omega_hat) * t
-    r = t * np.sqrt(square(_g1(z)) + z * z * square(_f1(z)))
-    return square(np.cos(B * r))
+    r = t * np.sqrt(np.square(_g1(z)) + z * z * np.square(_f1(z)))
+    return np.square(np.cos(B * r))
 
 
 def _theta_free_family(B: float, gamma: float, t: float) -> StateFamily:
@@ -136,7 +136,7 @@ TASKS: dict[str, Task] = {
         symbol="dtheta",
         coherence=THETA_COHERENCE,
         p_plus_unitary=_p_plus_theta_unitary,
-        default_grid=(0.0, np.pi / 2, 1e-4),
+        prior=(0.0, np.pi / 2),
         phase_scale=lambda B, t: B * t,
         x_hat=np.pi / 4,
         qec_closed=qfi_theta_qec_closed,
@@ -152,7 +152,7 @@ TASKS: dict[str, Task] = {
         symbol="domega",
         coherence=OMEGA_COHERENCE,
         p_plus_unitary=_p_plus_omega_unitary,
-        default_grid=(0.0, 1.0, 1e-4),
+        prior=(0.0, 1.0),
         phase_scale=lambda B, t: B * t * t,
         x_hat=0.5,
         qec_closed=qfi_omega_qec_closed,

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fluxmet import dynamics
 from fluxmet.dynamics import (
     bell_probe,
     dephasing_kraus,
@@ -134,6 +135,24 @@ def test_lindblad_rhs_matches_operators_rebuilt_at_each_time() -> None:
         rho = _random_rho(i, model.dim)
         for t in (0.0, 0.37, 5.0):
             assert np.array_equal(lindblad_rhs(model, rho, t), _rhs_from_operators(model, rho, t))
+
+
+@pytest.mark.parametrize(
+    "model, per_step", [(omega_model(B, GAMMA, 0.5), 3), (theta_model(B, GAMMA, 0.5), 0)]
+)
+def test_rk4_builds_operators_three_times_per_step(monkeypatch, model, per_step) -> None:
+    # A framed model's operators are built at t, t + dt/2 (shared by both
+    # midpoint stages) and t + dt; a constant model's once, at construction.
+    calls = []
+    at = dynamics.LindbladModel.at
+
+    def counted(self, *args):
+        calls.append(args)
+        return at(self, *args)
+
+    monkeypatch.setattr(dynamics.LindbladModel, "at", counted)
+    lindblad_evolve(model, bell_rho(), 0.01)
+    assert len(calls) == 10 * per_step
 
 
 def test_replaced_model_rebuilds_derived_operators() -> None:

@@ -26,7 +26,7 @@ from fluxmet.qec import (
     omega_code,
     theta_code,
 )
-from fluxmet.tasks import STRATEGIES
+from fluxmet.tasks import STRATEGIES, TASKS
 
 B = 0.1
 GAMMA = 0.05
@@ -207,16 +207,18 @@ def test_campaign_estimates_shape_and_seeding() -> None:
     assert list(table[3]) == third.estimates
 
 
-# sha256 of campaign estimates in criterion 7's shape (70 repetitions, so the
-# angle campaign spans two lane blocks; a guess at each end of the prior) and
-# of one run's outcome history and final log-likelihood, recorded while each
-# repetition still ran its own scalar loop.  A change to the campaign engine
-# must leave every byte in place.
+# sha256 of campaign estimates in criterion 7's shape (70 repetitions; a guess
+# at each end of the prior) and of one run's outcome history and final
+# log-likelihood.  Re-recorded once when the default grid came to follow the
+# likelihood width, the golden-section search to run a fixed 31 iterations
+# and the unitary p(+) to square as arrays do; estimates moved by at most
+# 6e-8 except where a moved estimate changed a later outcome draw.  A change
+# to the campaign engine must otherwise leave every byte in place.
 _CAMPAIGN_SHA256 = {
-    ("theta", "qec_corrected"): "17248d4fe7e197453f10ed3f4293223969bc64490c46b5b9c58e742c3fa28f54",
-    ("theta", "unitary_controlled"): "fdaca4e474c76f09bf51787541a52426df5d291c43d413badd48a89253a37558",
-    ("omega", "qec_corrected"): "f256fb51b64db6bfb44ba3231d699079fc99d510e5aa2091d798169857163e69",
-    ("omega", "unitary_controlled"): "e94b67eaf8daf511ecb986b1cd2534a0f54360ae1dfa53742aa74421c0d4656e",
+    ("theta", "qec_corrected"): "44809a1665083376ecb98b904b290f0e7cb132bec284770ed50050d192ff88a8",
+    ("theta", "unitary_controlled"): "da0d864381674b5052ae78614f4a67bd4f72932ee2b84e5aa01864a4d0942cfb",
+    ("omega", "qec_corrected"): "b619414e9e47fd0ff030e0d1e848f390ec100a6a99dba7de7601fd9477d6a579",
+    ("omega", "unitary_controlled"): "a116cf64d4522fe2f19a29e07aff8cff8cf0e97cbc7e4a913b240af76584ac76",
 }
 
 
@@ -328,18 +330,112 @@ def test_campaign_size_limit_is_inclusive() -> None:
 
 
 def test_campaign_cell_update_limit_is_inclusive() -> None:
-    # The frequency task's default grid has 10**4 cells: 10**5 repetitions of
-    # 10 rounds update 10**10 cells, the limit, and are admitted.
+    # A grid of 10**4 cells: 10**5 repetitions of 10 rounds update 10**10
+    # cells, the limit, and are admitted.
     assert estimation.MAX_CAMPAIGN_CELL_UPDATES == 10**10
-    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=1, rounds=10)
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=1, rounds=10, grid=(0.0, 1.0, 1e-4))
     estimation.check_campaign_size(cfg, 10**5, task="omega")
     with pytest.raises(DomainError, match=r"grid cells \* rounds \* repetitions must be"):
         estimation.check_campaign_size(cfg, 10**5 + 1, task="omega")
-    # The angle task's default grid has round((pi/2) / 1e-4) = 15708 cells.
-    most = 10**10 // (15708 * 10)
+    # The default grids count their derived cells: at m = 1 and 10 rounds the
+    # final-round width is sqrt(1 / (10 J)), 0.2236 for the angle (J = 2), so
+    # its grid has round((pi/2) / (0.2236 / 64)) = 450 cells.
+    cfg = dataclasses.replace(cfg, grid=None)
+    most = 10**10 // (450 * 10)
     estimation.check_campaign_size(cfg, most, task="theta")
-    with pytest.raises(DomainError, match=r"15708 \* 10 \*"):
+    with pytest.raises(DomainError, match=r"450 \* 10 \*"):
         estimation.check_campaign_size(cfg, most + 1, task="theta")
+
+
+@pytest.mark.parametrize(
+    "task, strategy, cells",
+    [
+        ("theta", "qec_corrected", 1422),
+        ("theta", "unitary_controlled", 1005),
+        ("omega", "qec_corrected", 2444),
+        ("omega", "unitary_controlled", 1600),
+    ],
+)
+def test_default_grid_follows_the_likelihood_width(task, strategy, cells) -> None:
+    # At the defaults (m = rounds = 10) the final-round width sqrt(1/(m K J))
+    # is 0.071 and 0.1 for the angle (J = 2 and 1), 0.026 and 0.04 for the
+    # frequency (J = 14.58 and 6.25); the grid resolves a 64th of it.
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, strategy=strategy)
+    record = TASKS[task]
+    width = np.sqrt(estimation.crb_line(cfg, record))
+    lo, hi = record.prior
+    assert estimation._grid_cells(cfg, record) == (lo, hi, cells)
+    assert cells == round((hi - lo) / (width / 64))
+
+
+def test_explicit_grid_is_used_as_given() -> None:
+    for grid in ((0.2, 0.4, 1e-4), (0.0, 1.0, 0.25), (0.1, 0.3, 1e-6)):
+        cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, grid=grid)
+        lo, hi, res = grid
+        assert estimation._grid_cells(cfg, TASKS["omega"]) == (lo, hi, round((hi - lo) / res))
+
+
+@pytest.mark.parametrize("task", ["theta", "omega"])
+def test_default_grid_without_information_spans_the_prior_in_64_cells(task) -> None:
+    # J = 0: the unitary strategy at B = 0, or no time at all.
+    for change in (dict(B=0.0, strategy="unitary_controlled"), dict(t=0.0)):
+        cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, **change)
+        assert estimation.crb_line(cfg, TASKS[task]) == np.inf
+        assert estimation._grid_cells(cfg, TASKS[task])[2] == 64
+
+
+@pytest.mark.parametrize(
+    "task, t, B, cells",
+    [("theta", 1e200, 0.1, 15708), ("omega", 1e100, 0.1, 10**4), ("omega", 1e100, 1e-300, 10**4)],
+)
+@pytest.mark.filterwarnings("error")
+def test_default_grid_with_overflowing_information_keeps_the_finest_resolution(
+    task, t, B, cells
+) -> None:
+    # J is inf (a Cramer-Rao line of 0), or nan for B^2 below the float range
+    # times an infinite t**4; neither raises nor warns.
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, t=t, B=B)
+    assert not estimation.crb_line(cfg, TASKS[task]) > 0
+    assert estimation._grid_cells(cfg, TASKS[task])[2] == cells
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-12, 1e-4, 0.3, 7.0])
+def test_golden_max_runs_a_fixed_number_of_iterations(width) -> None:
+    calls = []
+
+    def objective(x):
+        calls.append(x.size)
+        return -((x - peak) ** 2)
+
+    lo = np.array([0.1, 0.2, 0.3])
+    peak = lo + 0.4 * width
+    x = estimation._golden_max(objective, lo, lo + width)
+    assert calls == [3] * (2 + 31)
+    assert np.all(np.abs(x - peak) <= 1e-6 * width + 1e-15)
+
+
+def test_campaign_rows_equal_runs_with_edge_lanes_in_the_block(monkeypatch) -> None:
+    # A true value on the edge of the prior puts some lanes' argmax on an end
+    # cell of the default grid, whose bracket is one cell wide, while other
+    # lanes of the same block refine a two-cell bracket.
+    widths = []
+    golden = estimation._golden_max
+
+    def record(f, lo, hi):
+        widths.append(np.round((hi - lo) / np.min(hi - lo)))
+        return golden(f, lo, hi)
+
+    monkeypatch.setattr(estimation, "_golden_max", record)
+    for task, true_value in (("theta", 0.0), ("omega", 1.0)):
+        for strategy in STRATEGIES:
+            cfg = AdaptiveConfig(
+                true_value=true_value, initial_guess=0.5, rounds=4, seed=31, strategy=strategy
+            )
+            table = campaign_estimates(cfg, 8, task=task)
+            for r in range(8):
+                run = run_adaptive(dataclasses.replace(cfg, seed=31 ^ r), task=task)
+                assert list(table[r]) == run.estimates
+    assert any({1.0, 2.0} <= set(w) for w in widths)
 
 
 def test_long_campaign_is_refused_before_any_draw(monkeypatch) -> None:

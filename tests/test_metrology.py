@@ -526,6 +526,22 @@ def test_coherence_p_plus_keeps_every_bit() -> None:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("t", [1e80, 1e200])
+def test_corrected_information_overflow_is_a_numeric_error(t) -> None:
+    # A float's t**4 raised a bare OverflowError for the frequency task: its
+    # zero-detuning J is now inf, and both closed forms refuse it as the
+    # angle task's do once its 4 B^2 t^2 overflows.
+    with np.errstate(over="ignore"):
+        assert TASKS["omega"].information("qec_corrected", B, GAMMA, t) == np.inf
+    closed = [qfi_omega_qec_closed, cfi_omega_qec_closed]
+    if t == 1e200:
+        closed += [qfi_theta_qec_closed, cfi_theta_qec_closed]
+    for fn in closed:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="not finite"):
+                fn(B, GAMMA, t)
+
+
 def test_frame_helpers_crossover_continuity() -> None:
     # Series/direct switch: phase helpers at |a t| = 0.1, decay helpers at
     # |2 a t| = 0.1.  Values on both sides of each switch must agree.
