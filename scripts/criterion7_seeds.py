@@ -9,7 +9,11 @@ criterion 7's campaigns exactly as
 with the seed of initial guess k set to b * 7919 + k * 2**20 in place of the
 test's fixed seed, and applies the test's gate.  It prints one line per base,
 then the pass rate and the quantiles of the corrected strategy's final
-MSE/CRB per task.  ``--json`` also writes the summary and every base's values.
+MSE/CRB per task.  ``--json`` also writes the summary, the study's wall time
+and every base's values.  ``--compare BEFORE.json`` reads such a file from an
+earlier study (another build, say) and prints, for the bases both ran, each
+base's MSE/CRB deltas, the change in pass rate and in mean MSE/CRB per task,
+and both studies' wall times.
 """
 
 from __future__ import annotations
@@ -89,12 +93,46 @@ def summarize(rows: list[dict]) -> dict:
     return out
 
 
+def _verdict(row: dict) -> str:
+    return "PASS" if row["pass"] else "FAIL"
+
+
+def compare(before: dict, rows: list[dict], wall_s: float) -> None:
+    """Print this study's changes against ``before``, a --json file, on the bases both ran."""
+    earlier = {row["base"]: row for row in before["rows"]}
+    pairs = [(earlier[row["base"]], row) for row in rows if row["base"] in earlier]
+    if not pairs:
+        print("compare: no base in common with the earlier study")
+        return
+    for old, new in pairs:
+        deltas = " ".join(
+            f"{task} {new[task]['mse_over_crb'] - old[task]['mse_over_crb']:+.3e}" for task in SHAPES
+        )
+        print(f"base {new['base']:3d}: MSE/CRB delta {deltas} {_verdict(old)} -> {_verdict(new)}")
+    old_rate = np.mean([old["pass"] for old, _ in pairs])
+    new_rate = np.mean([new["pass"] for _, new in pairs])
+    print(f"pass rate over {len(pairs)} bases: {old_rate:.2f} -> {new_rate:.2f} ({new_rate - old_rate:+.2f})")
+    for task in SHAPES:
+        old_mean = np.mean([old[task]["mse_over_crb"] for old, _ in pairs])
+        new_mean = np.mean([new[task]["mse_over_crb"] for _, new in pairs])
+        change = (new_mean - old_mean) / old_mean
+        print(f"{task}: mean MSE/CRB {old_mean:.4f} -> {new_mean:.4f} ({change:+.3%})")
+    old_wall = before["summary"].get("wall_s")
+    old_text = f"{old_wall:.0f} s" if old_wall is not None else "not recorded"
+    print(f"wall time: {old_text} -> {wall_s:.0f} s")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bases", type=int, default=100, help="how many bases to run")
     parser.add_argument("--first", type=int, default=0, help="the first base")
     parser.add_argument("--json", help="write the summary and per-base values here")
+    parser.add_argument("--compare", metavar="BEFORE.json", help="an earlier study's --json file")
     args = parser.parse_args()
+    before = None
+    if args.compare:
+        with open(args.compare) as fh:
+            before = json.load(fh)
     rows = []
     start = time.monotonic()
     for base in range(args.first, args.first + args.bases):
@@ -103,16 +141,19 @@ def main() -> None:
         rows.append(row)
         print(
             f"base {base:3d}: theta {row['theta']['mse_over_crb']:.4f} "
-            f"omega {row['omega']['mse_over_crb']:.4f} {'PASS' if row['pass'] else 'FAIL'} "
+            f"omega {row['omega']['mse_over_crb']:.4f} {_verdict(row)} "
             f"({time.monotonic() - start:.0f}s)",
             flush=True,
         )
     summary = summarize(rows)
+    summary["wall_s"] = time.monotonic() - start
     for task in SHAPES:
         s = summary[task]
         q = " ".join(f"q{k}={v:.4f}" for k, v in s["quantiles"].items())
         print(f"{task}: pass {s['pass_rate']:.2f} mean {s['mean']:.4f} {q}")
     print(f"criterion 7 over {summary['bases']} bases: pass rate {summary['pass_rate']:.2f}")
+    if before is not None:
+        compare(before, rows, summary["wall_s"])
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"summary": summary, "rows": rows}, fh, indent=1)

@@ -2,11 +2,10 @@
 
 Each adaptive round builds the code (or the control) at the current estimate,
 draws m two-outcome measurements, and re-estimates by maximizing the
-cumulative log-likelihood over all rounds so far on a dense grid, then
-refining the winning cell by golden-section search.  The outcome
-distribution is even in (true - estimate), so a single round cannot resolve
-the detuning sign; the product over rounds with different working points
-breaks that degeneracy.
+cumulative log-likelihood over all rounds so far on a grid, then refining
+around the winning cell.  The outcome distribution is even in
+(true - estimate), so a single round cannot resolve the detuning sign; the
+product over rounds with different working points breaks that degeneracy.
 
 The loop and the campaigns are written once against a ``tasks.Task`` record;
 every public entry point takes the task name ("theta" or "omega") as its
@@ -15,11 +14,12 @@ every public entry point takes the task name ("theta" or "omega") as its
 One lockstep engine runs every campaign: a block of repetitions ("lanes")
 moves through each round together.  Each lane draws from its own generator
 and adds its round to its own row of a shared (lanes, grid) cumulative
-log-likelihood; one golden-section search of a fixed 31 iterations then
-refines all lanes at once.  A lane's estimates therefore do not depend on
-which lanes share its block, and a single run (``run_adaptive``) is the
-one-lane case.  Blocks hold at most 2**20 grid cells (8 MB) and at most 1024
-lanes.  A default grid is sized to the likelihood (``AdaptiveConfig``).
+log-likelihood; two batched passes of 17 points per lane and a parabolic
+step then refine all lanes at once (``_golden_max``).  A lane's estimates
+therefore do not depend on which lanes share its block, and a single run
+(``run_adaptive``) is the one-lane case.  Blocks hold at most 2**20 grid
+cells (8 MB) and at most 1024 lanes.  A default grid is sized to the
+likelihood (``AdaptiveConfig``).
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ from .errors import DomainError
 from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, Task, task_record
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# 31 iterations take a bracket to 3.3e-7 of its width (two 1e-4 cells to under
-# 1e-10); a default grid resolves 1/64 of the final-round likelihood width.
-_GOLDEN_ITERATIONS = 31
+# Two passes of 17 points leave 1/128 of the two-cell bracket between points.
+_PASS_FRACTIONS = np.linspace(0.0, 1.0, 17)
 _CELLS_PER_WIDTH = 64
 _FINEST_DEFAULT = 1e-4
 # A block of lanes holds at most this many grid cells (8 MB of float64) and
@@ -178,24 +176,30 @@ def _loglik(n_plus, n_minus, p):
 
 
 def _golden_max(f, lo, hi) -> np.ndarray:
-    """Golden-section maximum of f on [lo[i], hi[i]] for every lane i at once.
+    """Maximum of f on [lo[i], hi[i]] for every lane i, in two calls of f.
 
-    f maps one point per lane to that lane's objective; it is called twice,
-    then once per iteration for the whole batch.  Every lane runs the same
-    _GOLDEN_ITERATIONS iterations, so its result does not depend on the others.
+    f maps points shaped (lanes, P) to their values.  Each of two passes keeps
+    the two intervals around the best of 17 evenly spaced points of a lane's
+    bracket (first on ties).  A parabola through the last best point and its
+    neighbours moves it to the vertex, by at most one spacing, unless it is a
+    bracket end or the values are not finite and concave.  Lanes do not
+    interact.  The golden-section name stays for perfbench's tracer.
     """
-    a = np.asarray(lo, dtype=float)
-    b = np.asarray(hi, dtype=float)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_ITERATIONS):
-        keep_left = fc >= fd  # the maximum lies in [a, d]: drop (d, b]
-        a, b = np.where(keep_left, [a, d], [c, b])
-        x = np.where(keep_left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lanes, last = np.arange(a.size), _PASS_FRACTIONS.size - 1
+    for _ in range(2):
+        x = a[:, None] + (b - a)[:, None] * _PASS_FRACTIONS
+        x[:, -1] = b  # exactly, not a rounded a + (b - a)
         fx = f(x)
-        c, d, fc, fd = np.where(keep_left, [x, c, fx, fc], [d, x, fd, fx])
-    return 0.5 * (a + b)
+        j, spacing = np.argmax(fx, axis=1), (b - a) / last
+        a, b = x[lanes, np.maximum(j - 1, 0)], x[lanes, np.minimum(j + 1, last)]
+    i = np.clip(j, 1, last - 1)
+    left, mid, right = fx[lanes, i - 1], fx[lanes, i], fx[lanes, i + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvature = left - 2.0 * mid + right
+        shift = np.clip(0.5 * (left - right) / curvature, -1.0, 1.0) * spacing
+    vertex = (j == i) & (curvature < 0) & np.isfinite([left, mid, right]).all(axis=0)
+    return x[lanes, j] + np.where(vertex, shift, 0.0)
 
 
 def _prob_plus(config: AdaptiveConfig, task: Task):
@@ -206,16 +210,13 @@ def _prob_plus(config: AdaptiveConfig, task: Task):
 
 
 def _total_loglik(prob_plus, x_hats, n_plus, n_minus, x) -> np.ndarray:
-    """Per lane i, the log-likelihood of its rounds (columns) at x[i].
+    """Per lane i, the log-likelihood of its rounds (columns) at each point x[i, p].
 
     The rounds are summed left to right into zeros, the order of a scalar
     running total, so a lane's value does not depend on the other lanes.
     """
-    terms = _loglik(n_plus, n_minus, prob_plus(x[:, None], x_hats))
-    total = np.zeros(len(x))
-    for column in terms.T:
-        total += column
-    return total
+    terms = _loglik(n_plus[:, None], n_minus[:, None], prob_plus(x[:, :, None], x_hats[:, None]))
+    return sum(np.moveaxis(terms, -1, 0), np.zeros(x.shape))
 
 
 def crb_line(config: AdaptiveConfig, task: Task) -> float:
@@ -256,14 +257,13 @@ def _lockstep(
     Per round and lane: build the code (or control) at the lane's estimate,
     draw config.m outcomes at the true value from the lane's generator, add
     the round to the lane's row of the cumulative grid likelihood and take
-    its argmax (first index on ties).  One batched golden-section search then
-    refines every lane within its winning cell.  Returns the estimates
+    its argmax (first index on ties).  One batched refinement then finds every
+    lane's maximum within a cell of its argmax.  Returns the estimates
     x_0..x_K, shape (lanes, rounds + 1), the + counts, (lanes, rounds), and
     each lane's log-likelihood of all rounds at its final estimate.
     """
     p_plus = _prob_plus(config, task)
     grid, step = _likelihood_grid(config, task)
-    lo, hi = grid[0], grid[-1]
     lanes, m = len(rngs), config.m
     estimates = np.empty((lanes, config.rounds + 1))
     estimates[:, 0] = config.initial_guess
@@ -286,11 +286,10 @@ def _lockstep(
             best = grid[np.argmax(cum, axis=1)]
             counts = n_plus[:, : k + 1]
             objective = partial(_total_loglik, p_plus, estimates[:, : k + 1], counts, m - counts)
-            estimates[:, k + 1] = _golden_max(
-                objective, np.maximum(lo, best - step), np.minimum(hi, best + step)
-            )
-        final_ll = _total_loglik(p_plus, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1])
-    return estimates, n_plus, final_ll
+            bracket = np.maximum(grid[0], best - step), np.minimum(grid[-1], best + step)
+            estimates[:, k + 1] = _golden_max(objective, *bracket)
+        final_ll = _total_loglik(p_plus, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1:])
+    return estimates, n_plus, final_ll[:, 0]
 
 
 def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "theta") -> None:

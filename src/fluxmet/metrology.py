@@ -73,52 +73,53 @@ _TRAJECTORY_STEP = 1e-4  # central-difference step in B of cfi_trajectory_B
 _TINY = np.finfo(float).tiny  # a smaller decay is zero or subnormal
 
 
-def _branch(z, small, series, direct):
-    out = np.where(small, series, direct)
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+def _branch(z, series, direct):
+    """series(z) where |z| < _CROSSOVER, direct(z) elsewhere, each on its own cells only."""
+    za = np.asarray(z, dtype=float)
+    small = np.abs(za) < _CROSSOVER
+    if small.all() or not small.any():
+        out = (series if small.all() else direct)(za)
+    else:
+        out = np.empty_like(za)
+        out[small] = series(za[small])
+        out[~small] = direct(za[~small])
+    return float(out) if np.ndim(z) == 0 else out
 
 
 def _f1(z):
     """(1 - cos z) / z^2, regular at 0 (value 1/2).  Elementwise."""
-    za = np.asarray(z, dtype=float)
-    small = np.abs(za) < _CROSSOVER
-    z2 = np.where(small, za, 0.0) ** 2
-    series = 0.5 - z2 / 24 + z2 * z2 / 720 - z2 * z2 * z2 / 40320
-    zb = np.where(small, 1.0, za)
-    return _branch(z, small, series, (1.0 - np.cos(zb)) / (zb * zb))
+    return _branch(
+        z,
+        lambda z: 0.5 - (z2 := z**2) / 24 + z2 * z2 / 720 - z2 * z2 * z2 / 40320,
+        lambda z: (1.0 - np.cos(z)) / (z * z),
+    )
 
 
 def _g1(w):
     """1 - sin(w)/w, regular at 0 (value 0).  Elementwise."""
-    wa = np.asarray(w, dtype=float)
-    small = np.abs(wa) < _CROSSOVER
-    w2 = np.where(small, wa, 0.0) ** 2
-    series = w2 / 6 - w2 * w2 / 120 + w2 * w2 * w2 / 5040 - w2 * w2 * w2 * w2 / 362880
-    wb = np.where(small, 1.0, wa)
-    return _branch(w, small, series, 1.0 - np.sin(wb) / wb)
+    return _branch(
+        w,
+        lambda w: (w2 := w**2) / 6 - (w4 := w2 * w2) / 120 + w4 * w2 / 5040 - w4 * w2 * w2 / 362880,
+        lambda w: 1.0 - np.sin(w) / w,
+    )
 
 
 def _h1(z):
     """sin(z)/z - (1 - cos z)/z^2, regular at 0 (value 1/2).  Elementwise."""
-    za = np.asarray(z, dtype=float)
-    small = np.abs(za) < _CROSSOVER
-    z2 = np.where(small, za, 0.0) ** 2
-    series = 0.5 - z2 / 8 + z2 * z2 / 144 - z2 * z2 * z2 / 5760
-    zb = np.where(small, 1.0, za)
-    direct = np.sin(zb) / zb - (1.0 - np.cos(zb)) / (zb * zb)
-    return _branch(z, small, series, direct)
+    return _branch(
+        z,
+        lambda z: 0.5 - (z2 := z**2) / 8 + z2 * z2 / 144 - z2 * z2 * z2 / 5760,
+        lambda z: np.sin(z) / z - (1.0 - np.cos(z)) / (z * z),
+    )
 
 
 def _h2(w):
     """(sin w - w cos w) / w^2, regular at 0 (value 0).  Elementwise."""
-    wa = np.asarray(w, dtype=float)
-    small = np.abs(wa) < _CROSSOVER
-    ws = np.where(small, wa, 0.0)
-    w2 = ws * ws
-    series = ws / 3 - ws * w2 / 30 + ws * w2 * w2 / 840 - ws * w2 * w2 * w2 / 45360
-    wb = np.where(small, 1.0, wa)
-    direct = (np.sin(wb) - wb * np.cos(wb)) / (wb * wb)
-    return _branch(w, small, series, direct)
+    return _branch(
+        w,
+        lambda w: w / 3 - w * (w2 := w * w) / 30 + w * w2 * w2 / 840 - w * w2 * w2 * w2 / 45360,
+        lambda w: (np.sin(w) - w * np.cos(w)) / (w * w),
+    )
 
 
 def omega_frame_phase(B: float, a, t: float):

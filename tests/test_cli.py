@@ -624,14 +624,19 @@ def test_cmd_plot_malformed_csv_exits_2(tmp_path, capsys) -> None:
 # The adapt_* files were re-recorded once when the default likelihood grid came
 # to follow the likelihood width and the golden-section search to run a fixed
 # 31 iterations: their estimate_mean cells moved by at most 2e-8 and their mse
-# cells by at most 1e-7 relative; crb_line kept every byte.
+# cells by at most 1e-7 relative; crb_line kept every byte.  They were
+# re-recorded again when two 17-point passes and a parabolic step replaced
+# that search: estimate_mean cells moved by at most 1.6e-8 and mse cells by at
+# most 2e-7 relative, with no outcome draw changed.  Before that they were
+# 19e03ca4... (adapt_theta.qec_corrected), 5c7eb9a8... (adapt_theta.unitary_controlled),
+# bd6ef406... (adapt_omega.qec_corrected) and e6be8d1c... (adapt_omega.unitary_controlled).
 _GOLDEN_SHA256 = {
     "theta.csv": "26098a6ba6b3b9cceb13b48627dfc40aadf589c5e567e509b14204871425f2cd",
     "omega.csv": "79b0916347ac35f34fa9923c2e266d3d6d4fff6c6eda7fc2d614696c082e09bf",
-    "adapt_theta.qec_corrected.csv": "19e03ca429e5b08f2b2505a6c5aaf70e4548a3174417780781d1aea92f65e659",
-    "adapt_theta.unitary_controlled.csv": "5c7eb9a8865a4b1cb3caaae7aa2230e4c8336c574e557de30abfff5fef4e710f",
-    "adapt_omega.qec_corrected.csv": "bd6ef406b1c5a02d4cd9ee3abc3b788c6c4631537e92c594f55d1a208f59b206",
-    "adapt_omega.unitary_controlled.csv": "e6be8d1ce401b9180bfc55252b8d063ee5c9e479ed22ee687a26ec922297f407",
+    "adapt_theta.qec_corrected.csv": "a862c0cd03fd42ba3e9e9e0f8aeb884f59ed3fe644b5bfff254a6b92ab22b4b8",
+    "adapt_theta.unitary_controlled.csv": "8cbe47b69011e5d4cdb6ee1988cf96202348ae59fefe771a6710e7a46c4acbe2",
+    "adapt_omega.qec_corrected.csv": "48aaee0effb32285dc746df1f7e0ac4c1cd9a7c9bd935aee0d321b183750c8f2",
+    "adapt_omega.unitary_controlled.csv": "0c707fa15af670cb8af33289d509afc93b69711efb0c1ab2f05169a9a5c8230a",
 }
 
 

@@ -212,32 +212,98 @@ def test_campaign_estimates_shape_and_seeding() -> None:
 # log-likelihood.  Re-recorded once when the default grid came to follow the
 # likelihood width, the golden-section search to run a fixed 31 iterations
 # and the unitary p(+) to square as arrays do; estimates moved by at most
-# 6e-8 except where a moved estimate changed a later outcome draw.  A change
-# to the campaign engine must otherwise leave every byte in place.
+# 6e-8 except where a moved estimate changed a later outcome draw.  Those
+# digests are kept as _ORACLE_SHA256: the reference search below still
+# produces them.  Re-recorded again when two 17-point passes and a parabolic
+# step replaced that search: every estimate moved by at most 1e-7 (see
+# test_refinement_matches_the_golden_section_oracle) and no draw changed.
+# A change to the campaign engine must otherwise leave every byte in place.
 _CAMPAIGN_SHA256 = {
+    ("theta", "qec_corrected"): "7c631f1e7b2465e19b63d9061b5a59a90d01e6aa4606dedb9bdbfff37705f5c2",
+    ("theta", "unitary_controlled"): "24cabd7f2eae2b5b124017627bde0a09ff9e96f7a953334ba57363f8b94fa5b0",
+    ("omega", "qec_corrected"): "7b23a1b8704efe2d46b9561b104872f4f9699f55094463d4f79401996e71052e",
+    ("omega", "unitary_controlled"): "75e079145afe3edb3db3cfa424f9027c1bf3c4834b52fa3639af5e81df5f0679",
+}
+_ORACLE_SHA256 = {
     ("theta", "qec_corrected"): "44809a1665083376ecb98b904b290f0e7cb132bec284770ed50050d192ff88a8",
     ("theta", "unitary_controlled"): "da0d864381674b5052ae78614f4a67bd4f72932ee2b84e5aa01864a4d0942cfb",
     ("omega", "qec_corrected"): "b619414e9e47fd0ff030e0d1e848f390ec100a6a99dba7de7601fd9477d6a579",
     ("omega", "unitary_controlled"): "a116cf64d4522fe2f19a29e07aff8cff8cf0e97cbc7e4a913b240af76584ac76",
 }
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-@pytest.mark.parametrize("task, strategy", list(_CAMPAIGN_SHA256))
-def test_campaign_estimates_golden_bytes(task, strategy) -> None:
+def _golden_section_max(f, lo, hi) -> np.ndarray:
+    """Reference refinement: 31 golden-section iterations on every lane.
+
+    The campaign engine refined with this search until two batched passes
+    replaced it; it makes 33 calls of f, one point per lane each.
+    """
+
+    def at(x):
+        return f(x[:, None])[:, 0]
+
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = at(c), at(d)
+    for _ in range(31):
+        keep_left = fc >= fd  # the maximum lies in [a, d]: drop (d, b]
+        a, b = np.where(keep_left, [a, d], [c, b])
+        x = np.where(keep_left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = at(x)
+        c, d, fc, fd = np.where(keep_left, [x, c, fx, fc], [d, x, fd, fx])
+    return 0.5 * (a + b)
+
+
+def _golden_bytes_campaigns(task, strategy):
+    """The campaigns and the single run that test_campaign_estimates_golden_bytes hashes."""
     if task == "theta":
         true_value, guesses, grid = np.pi / 4, (0.0, np.pi / 2), None
     else:
         true_value, guesses, grid = 0.3, (0.2, 0.4), (0.2, 0.4, 1e-4)
-    digest = hashlib.sha256()
+    tables = []
     for guess in guesses:
         cfg = AdaptiveConfig(
             true_value=true_value, initial_guess=guess, grid=grid, seed=20240811, strategy=strategy
         )
-        digest.update(campaign_estimates(cfg, 70, task=task).tobytes())
-    single = run_adaptive(cfg, task=task)
+        tables.append(campaign_estimates(cfg, 70, task=task))
+    return tables, run_adaptive(cfg, task=task)
+
+
+def _campaign_digest(task, strategy) -> str:
+    tables, single = _golden_bytes_campaigns(task, strategy)
+    digest = hashlib.sha256()
+    for table in tables:
+        digest.update(table.tobytes())
     digest.update(np.array(single.outcome_history).tobytes())
     digest.update(np.float64(single.log_likelihood_final).tobytes())
-    assert digest.hexdigest() == _CAMPAIGN_SHA256[task, strategy]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("task, strategy", list(_CAMPAIGN_SHA256))
+def test_campaign_estimates_golden_bytes(task, strategy) -> None:
+    assert _campaign_digest(task, strategy) == _CAMPAIGN_SHA256[task, strategy]
+
+
+@pytest.mark.parametrize("task, strategy", list(_ORACLE_SHA256))
+def test_golden_section_oracle_keeps_the_recorded_bytes(monkeypatch, task, strategy) -> None:
+    # The objective, the grid and the draws are those the oracle's digests
+    # were recorded with: only the refinement moved.
+    monkeypatch.setattr(estimation, "_golden_max", _golden_section_max)
+    assert _campaign_digest(task, strategy) == _ORACLE_SHA256[task, strategy]
+
+
+@pytest.mark.parametrize("task, strategy", list(_ORACLE_SHA256))
+def test_refinement_matches_the_golden_section_oracle(monkeypatch, task, strategy) -> None:
+    tables, single = _golden_bytes_campaigns(task, strategy)
+    monkeypatch.setattr(estimation, "_golden_max", _golden_section_max)
+    oracle_tables, oracle_single = _golden_bytes_campaigns(task, strategy)
+    for table, oracle in zip(tables, oracle_tables):
+        assert np.max(np.abs(table - oracle)) < 1e-7
+    assert single.outcome_history == oracle_single.outcome_history
+    assert np.max(np.abs(np.subtract(single.estimates, oracle_single.estimates))) < 1e-7
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,17 +467,37 @@ def test_default_grid_with_overflowing_information_keeps_the_finest_resolution(
 
 @pytest.mark.parametrize("width", [0.0, 1e-12, 1e-4, 0.3, 7.0])
 def test_golden_max_runs_a_fixed_number_of_iterations(width) -> None:
+    # Two passes, each one objective call of 17 points per lane, at any width.
     calls = []
 
     def objective(x):
-        calls.append(x.size)
-        return -((x - peak) ** 2)
+        calls.append(x.shape)
+        return -((x - peak[:, None]) ** 2)
 
     lo = np.array([0.1, 0.2, 0.3])
+    hi = lo + width
     peak = lo + 0.4 * width
-    x = estimation._golden_max(objective, lo, lo + width)
-    assert calls == [3] * (2 + 31)
+    x = estimation._golden_max(objective, lo, hi)
+    assert calls == [(3, 17)] * 2
     assert np.all(np.abs(x - peak) <= 1e-6 * width + 1e-15)
+    for peak, end in ((hi + 1.0, hi), (lo - 1.0, lo)):  # a peak beyond a bracket end
+        assert np.array_equal(estimation._golden_max(objective, lo, hi), end)
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        lambda x: np.where(x < x[:, 8:9], -np.inf, -x),
+        lambda x: np.full(x.shape, -np.inf),
+        lambda x: np.zeros(x.shape),
+    ],
+    ids=["inf-cells", "all-inf", "flat"],
+)
+@pytest.mark.filterwarnings("error")
+def test_golden_max_returns_a_bracket_point_of_a_degenerate_objective(objective) -> None:
+    lo, hi = np.array([0.1, -2.0]), np.array([0.3, 5.0])
+    x = estimation._golden_max(objective, lo, hi)
+    assert np.all(np.isfinite(x)) and np.all((lo <= x) & (x <= hi))
 
 
 def test_campaign_rows_equal_runs_with_edge_lanes_in_the_block(monkeypatch) -> None:
