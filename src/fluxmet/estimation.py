@@ -2,10 +2,11 @@
 
 Each adaptive round builds the code (or the control) at the current estimate,
 draws m two-outcome measurements, and re-estimates by maximizing the
-cumulative log-likelihood over all rounds so far on a grid, then refining
-around the winning cell.  The outcome distribution is even in
-(true - estimate), so a single round cannot resolve the detuning sign; the
-product over rounds with different working points breaks that degeneracy.
+cumulative log-likelihood over all rounds so far on a grid, moving the
+winning cell to the vertex of the parabola through it and its neighbours.
+The outcome distribution is even in (true - estimate), so a single round
+cannot resolve the detuning sign; the product over rounds with different
+working points breaks that degeneracy.
 
 The loop and the campaigns are written once against a ``tasks.Task`` record;
 every public entry point takes the task name ("theta" or "omega") as its
@@ -14,19 +15,17 @@ every public entry point takes the task name ("theta" or "omega") as its
 One lockstep engine runs every campaign: a block of repetitions ("lanes")
 moves through each round together.  Each lane draws from its own generator
 and adds its round to its own row of a shared (lanes, grid) cumulative
-log-likelihood; two batched passes of 17 points per lane and a parabolic
-step then refine all lanes at once (``_golden_max``).  A lane's estimates
-therefore do not depend on which lanes share its block, and a single run
-(``run_adaptive``) is the one-lane case.  Blocks hold at most 2**20 grid
-cells (8 MB) and at most 1024 lanes.  A default grid is sized to the
-likelihood (``AdaptiveConfig``).
+log-likelihood, and each lane's estimate is read off its own row
+(``_grid_peak``).  A lane's estimates therefore do not depend on which lanes
+share its block, and a single run (``run_adaptive``) is the one-lane case.
+Blocks hold at most 2**20 grid cells (8 MB) and at most 1024 lanes.  A
+default grid is sized to the likelihood (``AdaptiveConfig``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -34,13 +33,11 @@ from .errors import DomainError
 from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, Task, task_record
 
-# Two passes of 17 points leave 1/128 of the two-cell bracket between points.
-_PASS_FRACTIONS = np.linspace(0.0, 1.0, 17)
 _CELLS_PER_WIDTH = 64
 _FINEST_DEFAULT = 1e-4
 # A block of lanes holds at most this many grid cells (8 MB of float64) and
 # at most this many lanes: past a few hundred, batching saves no more time,
-# while each lane adds a generator (about 1 KB) and its refinement rows.
+# while each lane adds a generator (about 1 KB).
 _BLOCK_CELLS = 2**20
 _BLOCK_LANES = 1024
 _DRAW_CHUNK = 2**16
@@ -79,7 +76,8 @@ class AdaptiveConfig:
     picks the task's prior ([0, pi/2] for the angle, [0, 1] for the
     frequency) at a resolution of 1/64 of the final-round likelihood width
     sqrt(1/(m K J)), or of the prior if that is narrower, and at least 1e-4.
-    Each round maximizes the likelihood product over all rounds so far.
+    Each round maximizes the likelihood product over all rounds so far on
+    this grid, to within a parabolic step of one cell.
     """
 
     true_value: float
@@ -175,31 +173,20 @@ def _loglik(n_plus, n_minus, p):
     return lp + lm
 
 
-def _golden_max(f, lo, hi) -> np.ndarray:
-    """Maximum of f on [lo[i], hi[i]] for every lane i, in two calls of f.
-
-    f maps points shaped (lanes, P) to their values.  Each of two passes keeps
-    the two intervals around the best of 17 evenly spaced points of a lane's
-    bracket (first on ties).  A parabola through the last best point and its
-    neighbours moves it to the vertex, by at most one spacing, unless it is a
-    bracket end or the values are not finite and concave.  Lanes do not
-    interact.  The golden-section name stays for perfbench's tracer.
+def _grid_peak(cum, grid, step) -> np.ndarray:
+    """Per row of cum, its grid argmax (first on ties) moved to the vertex of
+    the parabola through that cell and its two neighbours, by at most one
+    step.  There is no step from a grid end, or where the three values are
+    not finite and concave.  Rows do not interact.
     """
-    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    lanes, last = np.arange(a.size), _PASS_FRACTIONS.size - 1
-    for _ in range(2):
-        x = a[:, None] + (b - a)[:, None] * _PASS_FRACTIONS
-        x[:, -1] = b  # exactly, not a rounded a + (b - a)
-        fx = f(x)
-        j, spacing = np.argmax(fx, axis=1), (b - a) / last
-        a, b = x[lanes, np.maximum(j - 1, 0)], x[lanes, np.minimum(j + 1, last)]
-    i = np.clip(j, 1, last - 1)
-    left, mid, right = fx[lanes, i - 1], fx[lanes, i], fx[lanes, i + 1]
+    j, last = np.argmax(cum, axis=1), grid.size - 1
+    near = np.clip(j[:, None] + np.arange(-1, 2), 0, last)
+    left, mid, right = np.take_along_axis(cum, near, axis=1).T
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = left - 2.0 * mid + right
-        shift = np.clip(0.5 * (left - right) / curvature, -1.0, 1.0) * spacing
-    vertex = (j == i) & (curvature < 0) & np.isfinite([left, mid, right]).all(axis=0)
-    return x[lanes, j] + np.where(vertex, shift, 0.0)
+        shift = np.clip(0.5 * (left - right) / curvature, -1.0, 1.0) * step
+    vertex = (0 < j) & (j < last) & (curvature < 0) & np.isfinite([left, mid, right]).all(axis=0)
+    return grid[j] + np.where(vertex, shift, 0.0)
 
 
 def _prob_plus(config: AdaptiveConfig, task: Task):
@@ -257,8 +244,8 @@ def _lockstep(
     Per round and lane: build the code (or control) at the lane's estimate,
     draw config.m outcomes at the true value from the lane's generator, add
     the round to the lane's row of the cumulative grid likelihood and take
-    its argmax (first index on ties).  One batched refinement then finds every
-    lane's maximum within a cell of its argmax.  Returns the estimates
+    its argmax (first index on ties), moved to the parabola's vertex through
+    that cell and its neighbours (``_grid_peak``).  Returns the estimates
     x_0..x_K, shape (lanes, rounds + 1), the + counts, (lanes, rounds), and
     each lane's log-likelihood of all rounds at its final estimate.
     """
@@ -283,11 +270,7 @@ def _lockstep(
                 n_plus[i, k] = sum(np.count_nonzero(rng.random(c) < p_true[i]) for c in chunks)
                 p_grid = shared if shared is not None else p_plus(grid, x_hat[i])
                 cum[i] += _loglik(n_plus[i, k], m - n_plus[i, k], p_grid)
-            best = grid[np.argmax(cum, axis=1)]
-            counts = n_plus[:, : k + 1]
-            objective = partial(_total_loglik, p_plus, estimates[:, : k + 1], counts, m - counts)
-            bracket = np.maximum(grid[0], best - step), np.minimum(grid[-1], best + step)
-            estimates[:, k + 1] = _golden_max(objective, *bracket)
+            estimates[:, k + 1] = _grid_peak(cum, grid, step)
         final_ll = _total_loglik(p_plus, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1:])
     return estimates, n_plus, final_ll[:, 0]
 

@@ -212,32 +212,29 @@ def test_campaign_estimates_shape_and_seeding() -> None:
 # log-likelihood.  Re-recorded once when the default grid came to follow the
 # likelihood width, the golden-section search to run a fixed 31 iterations
 # and the unitary p(+) to square as arrays do; estimates moved by at most
-# 6e-8 except where a moved estimate changed a later outcome draw.  Those
-# digests are kept as _ORACLE_SHA256: the reference search below still
-# produces them.  Re-recorded again when two 17-point passes and a parabolic
-# step replaced that search: every estimate moved by at most 1e-7 (see
-# test_refinement_matches_the_golden_section_oracle) and no draw changed.
-# A change to the campaign engine must otherwise leave every byte in place.
+# 6e-8 except where a moved estimate changed a later outcome draw.
+# Re-recorded again when two 17-point passes and a parabolic step replaced
+# that search: every estimate moved by at most 1e-7 and no draw changed.
+# Re-recorded a third time when each estimate came to be read off the grid
+# likelihood (a parabolic step from its argmax) with no search at all: every
+# estimate moved by at most 3.1e-6 and no draw changed; the oracle test below
+# bounds the step's error.  A change to the campaign engine must otherwise
+# leave every byte in place.
 _CAMPAIGN_SHA256 = {
-    ("theta", "qec_corrected"): "7c631f1e7b2465e19b63d9061b5a59a90d01e6aa4606dedb9bdbfff37705f5c2",
-    ("theta", "unitary_controlled"): "24cabd7f2eae2b5b124017627bde0a09ff9e96f7a953334ba57363f8b94fa5b0",
-    ("omega", "qec_corrected"): "7b23a1b8704efe2d46b9561b104872f4f9699f55094463d4f79401996e71052e",
-    ("omega", "unitary_controlled"): "75e079145afe3edb3db3cfa424f9027c1bf3c4834b52fa3639af5e81df5f0679",
-}
-_ORACLE_SHA256 = {
-    ("theta", "qec_corrected"): "44809a1665083376ecb98b904b290f0e7cb132bec284770ed50050d192ff88a8",
-    ("theta", "unitary_controlled"): "da0d864381674b5052ae78614f4a67bd4f72932ee2b84e5aa01864a4d0942cfb",
-    ("omega", "qec_corrected"): "b619414e9e47fd0ff030e0d1e848f390ec100a6a99dba7de7601fd9477d6a579",
-    ("omega", "unitary_controlled"): "a116cf64d4522fe2f19a29e07aff8cff8cf0e97cbc7e4a913b240af76584ac76",
+    ("theta", "qec_corrected"): "cfc25800fd3cef407ba05045b7689f4ea60932888c52331896eebff623cd8b5b",
+    ("theta", "unitary_controlled"): "18ca179dcefb8ca08a6239b9a85fe7ddf0f10ee8003eb3767c50357dde743c26",
+    ("omega", "qec_corrected"): "efcf620621e712c0b0a61fd7156d0d3cdd64c3b475ad794e00c832240a840b07",
+    ("omega", "unitary_controlled"): "8d22b5a2a5ea251ce15a85bc654a60640f2d2e5745d45bd657f6e0350658231d",
 }
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_section_max(f, lo, hi) -> np.ndarray:
-    """Reference refinement: 31 golden-section iterations on every lane.
+    """Reference maximizer: 31 golden-section iterations on every lane.
 
-    The campaign engine refined with this search until two batched passes
-    replaced it; it makes 33 calls of f, one point per lane each.
+    The campaign engine refined its grid argmax with this search, and then
+    with a batched two-pass search, until it came to read each estimate off
+    the grid likelihood.  It makes 33 calls of f, one point per lane each.
     """
 
     def at(x):
@@ -257,26 +254,26 @@ def _golden_section_max(f, lo, hi) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _golden_bytes_campaigns(task, strategy):
-    """The campaigns and the single run that test_campaign_estimates_golden_bytes hashes."""
+def _golden_bytes_configs(task, strategy) -> list[AdaptiveConfig]:
+    """One config per initial guess of test_campaign_estimates_golden_bytes."""
     if task == "theta":
         true_value, guesses, grid = np.pi / 4, (0.0, np.pi / 2), None
     else:
         true_value, guesses, grid = 0.3, (0.2, 0.4), (0.2, 0.4, 1e-4)
-    tables = []
-    for guess in guesses:
-        cfg = AdaptiveConfig(
+    return [
+        AdaptiveConfig(
             true_value=true_value, initial_guess=guess, grid=grid, seed=20240811, strategy=strategy
         )
-        tables.append(campaign_estimates(cfg, 70, task=task))
-    return tables, run_adaptive(cfg, task=task)
+        for guess in guesses
+    ]
 
 
 def _campaign_digest(task, strategy) -> str:
-    tables, single = _golden_bytes_campaigns(task, strategy)
+    configs = _golden_bytes_configs(task, strategy)
     digest = hashlib.sha256()
-    for table in tables:
-        digest.update(table.tobytes())
+    for cfg in configs:
+        digest.update(campaign_estimates(cfg, 70, task=task).tobytes())
+    single = run_adaptive(configs[-1], task=task)
     digest.update(np.array(single.outcome_history).tobytes())
     digest.update(np.float64(single.log_likelihood_final).tobytes())
     return digest.hexdigest()
@@ -287,23 +284,27 @@ def test_campaign_estimates_golden_bytes(task, strategy) -> None:
     assert _campaign_digest(task, strategy) == _CAMPAIGN_SHA256[task, strategy]
 
 
-@pytest.mark.parametrize("task, strategy", list(_ORACLE_SHA256))
-def test_golden_section_oracle_keeps_the_recorded_bytes(monkeypatch, task, strategy) -> None:
-    # The objective, the grid and the draws are those the oracle's digests
-    # were recorded with: only the refinement moved.
-    monkeypatch.setattr(estimation, "_golden_max", _golden_section_max)
-    assert _campaign_digest(task, strategy) == _ORACLE_SHA256[task, strategy]
-
-
-@pytest.mark.parametrize("task, strategy", list(_ORACLE_SHA256))
-def test_refinement_matches_the_golden_section_oracle(monkeypatch, task, strategy) -> None:
-    tables, single = _golden_bytes_campaigns(task, strategy)
-    monkeypatch.setattr(estimation, "_golden_max", _golden_section_max)
-    oracle_tables, oracle_single = _golden_bytes_campaigns(task, strategy)
-    for table, oracle in zip(tables, oracle_tables):
-        assert np.max(np.abs(table - oracle)) < 1e-7
-    assert single.outcome_history == oracle_single.outcome_history
-    assert np.max(np.abs(np.subtract(single.estimates, oracle_single.estimates))) < 1e-7
+@pytest.mark.parametrize("task, strategy", list(_CAMPAIGN_SHA256))
+def test_refinement_matches_the_golden_section_oracle(task, strategy) -> None:
+    # Each round's estimate, the grid argmax refined by a parabolic step,
+    # against the maximum likelihood that the oracle finds within a cell of
+    # the argmax, at the campaign's own working points and outcome counts.
+    record = TASKS[task]
+    for cfg in _golden_bytes_configs(task, strategy):
+        rngs = [np.random.default_rng(cfg.seed ^ r) for r in range(70)]
+        estimates, n_plus, _ = estimation._lockstep(cfg, record, rngs)
+        assert np.array_equal(estimates, campaign_estimates(cfg, 70, task=task))
+        p_plus = estimation._prob_plus(cfg, record)
+        grid, step = estimation._likelihood_grid(cfg, record)
+        points = np.broadcast_to(grid, (len(rngs), grid.size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(cfg.rounds):
+                counts = n_plus[:, : k + 1]
+                args = (p_plus, estimates[:, : k + 1], counts, cfg.m - counts)
+                best = grid[np.argmax(estimation._total_loglik(*args, points), axis=1)]
+                lo, hi = np.maximum(grid[0], best - step), np.minimum(grid[-1], best + step)
+                oracle = _golden_section_max(lambda x: estimation._total_loglik(*args, x), lo, hi)
+                assert np.max(np.abs(estimates[:, k + 1] - oracle)) < 1e-5
 
 
 @settings(max_examples=40, deadline=None)
@@ -465,53 +466,62 @@ def test_default_grid_with_overflowing_information_keeps_the_finest_resolution(
     assert estimation._grid_cells(cfg, TASKS[task])[2] == cells
 
 
-@pytest.mark.parametrize("width", [0.0, 1e-12, 1e-4, 0.3, 7.0])
-def test_golden_max_runs_a_fixed_number_of_iterations(width) -> None:
-    # Two passes, each one objective call of 17 points per lane, at any width.
-    calls = []
+_GRID = np.linspace(0.1, 0.5, 41)
+_STEP = 0.4 / 40
 
-    def objective(x):
-        calls.append(x.shape)
-        return -((x - peak[:, None]) ** 2)
 
-    lo = np.array([0.1, 0.2, 0.3])
-    hi = lo + width
-    peak = lo + 0.4 * width
-    x = estimation._golden_max(objective, lo, hi)
-    assert calls == [(3, 17)] * 2
-    assert np.all(np.abs(x - peak) <= 1e-6 * width + 1e-15)
-    for peak, end in ((hi + 1.0, hi), (lo - 1.0, lo)):  # a peak beyond a bracket end
-        assert np.array_equal(estimation._golden_max(objective, lo, hi), end)
+@pytest.mark.filterwarnings("error")
+def test_grid_peak_is_the_vertex_of_a_quadratic() -> None:
+    # Peaks between cells, on a cell and next to each end cell.
+    peak = np.array([0.2037, _GRID[20], 0.1 + 1.3 * _STEP, 0.5 - 0.6 * _STEP])
+    cum = -7.0 * (_GRID - peak[:, None]) ** 2
+    assert np.max(np.abs(estimation._grid_peak(cum, _GRID, _STEP) - peak)) < 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_peak_at_a_grid_end_returns_that_end() -> None:
+    # A peak within or beyond an end cell: the argmax is the end, taken as is.
+    peak = np.array([0.1 - 0.3 * _STEP, 0.1 - 1.0, 0.5 + 0.3 * _STEP, 0.5 + 1.0])
+    cum = -((_GRID - peak[:, None]) ** 2)
+    assert np.array_equal(estimation._grid_peak(cum, _GRID, _STEP), _GRID[[0, 0, -1, -1]])
 
 
 @pytest.mark.parametrize(
-    "objective",
+    "row",
     [
-        lambda x: np.where(x < x[:, 8:9], -np.inf, -x),
-        lambda x: np.full(x.shape, -np.inf),
-        lambda x: np.zeros(x.shape),
+        np.where(_GRID < _GRID[8], -np.inf, -_GRID),
+        np.where(_GRID < _GRID[8], -np.inf, -_GRID)[::-1],
+        np.full(_GRID.shape, -np.inf),
+        np.zeros(_GRID.shape),
     ],
-    ids=["inf-cells", "all-inf", "flat"],
+    ids=["inf-cells", "inf-cells-reversed", "all-inf", "flat"],
 )
 @pytest.mark.filterwarnings("error")
-def test_golden_max_returns_a_bracket_point_of_a_degenerate_objective(objective) -> None:
-    lo, hi = np.array([0.1, -2.0]), np.array([0.3, 5.0])
-    x = estimation._golden_max(objective, lo, hi)
-    assert np.all(np.isfinite(x)) and np.all((lo <= x) & (x <= hi))
+def test_grid_peak_of_a_degenerate_row_is_a_grid_point(row) -> None:
+    x = estimation._grid_peak(row[None, :], _GRID, _STEP)
+    assert np.isfinite(x[0]) and x[0] in _GRID
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_peak_on_a_one_cell_grid() -> None:
+    grid = np.array([0.2, 0.4])
+    cum = np.array([[0.0, -1.0], [-1.0, 0.0], [-np.inf, -np.inf], [0.0, 0.0]])
+    assert np.array_equal(estimation._grid_peak(cum, grid, 0.2), [0.2, 0.4, 0.2, 0.2])
 
 
 def test_campaign_rows_equal_runs_with_edge_lanes_in_the_block(monkeypatch) -> None:
     # A true value on the edge of the prior puts some lanes' argmax on an end
-    # cell of the default grid, whose bracket is one cell wide, while other
-    # lanes of the same block refine a two-cell bracket.
-    widths = []
-    golden = estimation._golden_max
+    # cell of the default grid, which takes no parabolic step, while other
+    # lanes of the same block step from an interior cell.
+    on_end = []
+    grid_peak = estimation._grid_peak
 
-    def record(f, lo, hi):
-        widths.append(np.round((hi - lo) / np.min(hi - lo)))
-        return golden(f, lo, hi)
+    def record(cum, grid, step):
+        j = np.argmax(cum, axis=1)
+        on_end.append((j == 0) | (j == grid.size - 1))
+        return grid_peak(cum, grid, step)
 
-    monkeypatch.setattr(estimation, "_golden_max", record)
+    monkeypatch.setattr(estimation, "_grid_peak", record)
     for task, true_value in (("theta", 0.0), ("omega", 1.0)):
         for strategy in STRATEGIES:
             cfg = AdaptiveConfig(
@@ -521,7 +531,7 @@ def test_campaign_rows_equal_runs_with_edge_lanes_in_the_block(monkeypatch) -> N
             for r in range(8):
                 run = run_adaptive(dataclasses.replace(cfg, seed=31 ^ r), task=task)
                 assert list(table[r]) == run.estimates
-    assert any({1.0, 2.0} <= set(w) for w in widths)
+    assert any(ends.any() and not ends.all() for ends in on_end)
 
 
 def test_long_campaign_is_refused_before_any_draw(monkeypatch) -> None:

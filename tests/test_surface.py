@@ -25,8 +25,9 @@ from fluxmet.estimation import (
 # Per-task twins folded into one name with a task argument, wrappers that
 # nothing called, the method/params fields of FisherResult, the polar
 # isometry the general engine no longer builds, the CLI's copy of the adapt
-# config types, the finite difference folded into qfi_sld_numeric and the
-# per-task p(+) that each task's coherence record replaced.
+# config types, the finite difference folded into qfi_sld_numeric, the
+# per-task p(+) that each task's coherence record replaced and the likelihood
+# peak search that reading the estimate off the grid replaced.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -36,6 +37,7 @@ _REMOVED_NAMES = {
     "fluxmet.estimation": (
         "outcome_probability_theta", "outcome_probability_omega", "_outcome_distribution",
         "_run_adaptive", "run_adaptive_omega", "_mse_curve", "mse_campaign_omega",
+        "_golden_max", "_PASS_FRACTIONS",
     ),
     "fluxmet.cli": (
         "cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json",
@@ -61,7 +63,6 @@ _REMOVED_KEYWORDS = [
     (qec.expansion_superoperators, "tol"),
     (qec.expansion_superoperators, "deg_tol"),
     (metrology.qfi_sld, "params"),
-    (estimation._golden_max, "tol"),
     (estimation.run_adaptive, "rng"),
     (qec.code_probe, "t"),
     (metrology.cfi, "delta"),
