@@ -486,6 +486,20 @@ def test_grid_peak_at_a_grid_end_returns_that_end() -> None:
     assert np.array_equal(estimation._grid_peak(cum, _GRID, _STEP), _GRID[[0, 0, -1, -1]])
 
 
+@pytest.mark.parametrize("width", [0.0, 1e-12, 1e-4, 0.3, 7.0])
+@pytest.mark.filterwarnings("error")
+def test_grid_peak_at_any_grid_width(width) -> None:
+    # A quadratic row on a 40-cell grid of any width, down to a zero-width
+    # grid: a peak between cells is found to within a part in 10^6 of the
+    # width, a peak beyond either end gives that end.
+    grid, step = 0.1 + width * np.linspace(0.0, 1.0, 41), width / 40
+    peak = np.array([0.1 + 0.4075 * width, grid[-1] + 1.0, grid[0] - 1.0])
+    cum = -((grid - peak[:, None]) ** 2)
+    x = estimation._grid_peak(cum, grid, step)
+    assert abs(x[0] - peak[0]) <= 1e-6 * width + 1e-15
+    assert x[1] == grid[-1] and x[2] == grid[0]
+
+
 @pytest.mark.parametrize(
     "row",
     [
