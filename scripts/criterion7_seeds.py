@@ -13,7 +13,9 @@ MSE/CRB per task.  ``--json`` also writes the summary, the study's wall time
 and every base's values.  ``--compare BEFORE.json`` reads such a file from an
 earlier study (another build, say) and prints, for the bases both ran, each
 base's MSE/CRB deltas, the change in pass rate and in mean MSE/CRB per task,
-and both studies' wall times.
+and both studies' wall times.  ``--compare BEFORE.json AFTER.json`` prints
+the same for two stored studies (a parent and a change run side by side,
+say) and runs no campaign.
 """
 
 from __future__ import annotations
@@ -127,12 +129,22 @@ def main() -> None:
     parser.add_argument("--bases", type=int, default=100, help="how many bases to run")
     parser.add_argument("--first", type=int, default=0, help="the first base")
     parser.add_argument("--json", help="write the summary and per-base values here")
-    parser.add_argument("--compare", metavar="BEFORE.json", help="an earlier study's --json file")
+    parser.add_argument(
+        "--compare", nargs="+", metavar="JSON",
+        help="an earlier study's --json file, or two (BEFORE AFTER) to compare without a run",
+    )
     args = parser.parse_args()
-    before = None
-    if args.compare:
-        with open(args.compare) as fh:
-            before = json.load(fh)
+    if args.compare and len(args.compare) > 2:
+        parser.error("--compare takes BEFORE.json or BEFORE.json AFTER.json")
+    studies = []
+    for path in args.compare or ():
+        with open(path) as fh:
+            studies.append(json.load(fh))
+    if len(studies) == 2:
+        before, after = studies
+        compare(before, after["rows"], after["summary"]["wall_s"])
+        return
+    before = studies[0] if studies else None
     rows = []
     start = time.monotonic()
     for base in range(args.first, args.first + args.bases):

@@ -10,8 +10,10 @@ Two built-in models on probe+ancilla (dim 4):
 
 A model is data: constant matrices plus, for a rotating model, the diagonal
 of the frame generator (see :func:`in_frame` and :meth:`LindbladModel.at`).
-Deterministic evolution is fixed-step RK4 on the lab-frame master equation
-drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2).
+Deterministic evolution is fixed-step RK4 on the master equation
+drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2),
+applied as one (d*d, d*d) step map in the model's frame: the equation is
+linear, and its frame is the one in which every step is the same matrix.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t) and averages pure-state trajectories.
 """
@@ -91,7 +93,8 @@ class LindbladModel:
 
     Construction derives what every integrator stage would otherwise
     rebuild: for a constant model H and the (E, E^dag, E^dag E) triples,
-    for a framed one the phase rate i (g_j - g_k).  Replace a field with
+    for a framed one the phase rate i (g_j - g_k).  The first evolution at
+    a step size dt also keeps that step's map.  Replace a field with
     ``dataclasses.replace``; an array changed in place leaves them stale.
     """
 
@@ -116,6 +119,7 @@ class LindbladModel:
         constant = None if rate is not None else (h0, [_adjoint_terms(e) for e in self.lindblads])
         object.__setattr__(self, "_rate", rate)
         object.__setattr__(self, "_constant", constant)
+        object.__setattr__(self, "_step_maps", {})
 
     def at(self, t: float, order: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
         """(H, [E_k]) at time t, or their ``order``-th parameter derivative.
@@ -151,6 +155,23 @@ class LindbladModel:
             return out
 
         return rhs
+
+    def _step_map(self, dt: float) -> np.ndarray:
+        """The (d*d, d*d) matrix of one RK4 step of length dt in the model's frame.
+
+        A row-major vectorised state steps as ``vec @ step``.  Row j is the
+        lab-frame step from t = 0 applied to the j-th basis matrix.  Since
+        L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every lab-frame step is
+        that one conjugated by D_t, so in the frame it is one matrix: the
+        step from 0 followed by in_frame(., frame, -dt).  Built once per dt.
+        """
+        step = self._step_maps.get(dt)
+        if step is None:
+            n = self.dim * self.dim
+            basis = np.eye(n, dtype=complex).reshape(n, self.dim, self.dim)
+            step = in_frame(_rk4_step(self._generator, basis, 0.0, dt), self.frame, -dt)
+            step = self._step_maps[dt] = step.reshape(n, n)
+        return step
 
 
 def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
@@ -244,21 +265,27 @@ def lindblad_evolve(
 ) -> np.ndarray:
     """Evolve ``rho0`` for duration ``t`` starting at absolute time ``t0``.
 
-    ``rho0`` may be a single (d, d) state or a stacked (..., d, d) batch; the
-    integrator broadcasts over leading axes.  Each step re-symmetrizes the
-    state and checks that the trace drifts by at most 1e-6.
+    RK4 at fixed step ``dt``, applied as the model's step map in its frame:
+    the state enters the frame at t0 and leaves it at the end.  ``rho0`` is
+    a (d, d) state or a stacked (..., d, d) batch; any other shape is a
+    StepError.  Each step re-symmetrizes the state and checks that the trace
+    drifts by at most 1e-6; the diagonal frame changes neither.
     """
     n_steps = fixed_steps(t, dt)
     rho = np.array(rho0, dtype=complex)
-    if rho.shape[-1] != model.dim or rho.shape[-2] != model.dim:
-        raise StepError(f"state shape {rho.shape} does not match model dim {model.dim}")
+    d = model.dim
+    if rho.shape[-2:] != (d, d):
+        raise StepError(f"state shape {rho.shape} does not match model dim {d}")
+    step = model._step_map(dt)
+    shape, flat = rho.shape, rho.shape[:-2] + (d * d,)
+    rho = in_frame(rho, model.frame, -t0)
     for k in range(n_steps):
-        rho = _rk4_step(model._generator, rho, t0 + k * dt, dt)
+        rho = (rho.reshape(flat) @ step).reshape(shape)
         rho = 0.5 * (rho + _dagger(rho))
         drift = np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0).max()
         if drift > _TRACE_TOL:
             raise InstabilityError(f"trace drifted by {drift:.3e} at step {k + 1}")
-    return rho
+    return in_frame(rho, model.frame, t0 + n_steps * dt)
 
 
 # ---------------------------------------------------------------------------

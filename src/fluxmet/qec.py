@@ -39,6 +39,7 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     DegenerateErrorSpaceError,
+    DimensionError,
     DomainError,
     LeakageError,
     NumericError,
@@ -159,11 +160,15 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel; fails on trace leakage.
 
-    ``rho`` may be a single (d, d) state or a stacked (..., d, d) batch.
-    Trace loss above 1e-6 in any state means it had weight outside the span
-    of the code and its correctable error space.
+    ``rho`` may be a single (d, d) state or a stacked (..., d, d) batch; any
+    other shape is a DimensionError.  Trace loss above 1e-6 in any state
+    means it had weight outside the span of the code and its correctable
+    error space.
     """
     rho = np.asarray(rho, dtype=complex)  # a real state is converted; a complex one is not copied
+    d = code.c0.shape[0]
+    if rho.shape[-2:] != (d, d):
+        raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
     out = np.zeros_like(rho)
     for k, k_dag in code._recovery_pairs(t):
         out += k @ rho @ k_dag

@@ -137,12 +137,11 @@ def test_lindblad_rhs_matches_operators_rebuilt_at_each_time() -> None:
             assert np.array_equal(lindblad_rhs(model, rho, t), _rhs_from_operators(model, rho, t))
 
 
-@pytest.mark.parametrize(
-    "model, per_step", [(omega_model(B, GAMMA, 0.5), 3), (theta_model(B, GAMMA, 0.5), 0)]
-)
-def test_rk4_builds_operators_three_times_per_step(monkeypatch, model, per_step) -> None:
-    # A framed model's operators are built at t, t + dt/2 (shared by both
-    # midpoint stages) and t + dt; a constant model's once, at construction.
+def test_step_map_is_built_once_per_step_size(monkeypatch) -> None:
+    # The first evolve at a dt builds a framed model's operators at 0, dt/2
+    # (shared by both midpoint stages) and dt, once for the whole step map;
+    # later evolves at that dt reuse it.  A constant model's operators are
+    # built once, at construction.
     calls = []
     at = dynamics.LindbladModel.at
 
@@ -151,22 +150,32 @@ def test_rk4_builds_operators_three_times_per_step(monkeypatch, model, per_step)
         return at(self, *args)
 
     monkeypatch.setattr(dynamics.LindbladModel, "at", counted)
-    lindblad_evolve(model, bell_rho(), 0.01)
-    assert len(calls) == 10 * per_step
+    framed = omega_model(B, GAMMA, 0.5)
+    for dt, t0, built in ((1e-3, 0.0, 3), (1e-3, 0.7, 0), (2e-3, 0.0, 3)):
+        calls.clear()
+        lindblad_evolve(framed, bell_rho(), 0.01, dt=dt, t0=t0)
+        assert len(calls) == built
+    calls.clear()
+    lindblad_evolve(theta_model(B, GAMMA, 0.5), bell_rho(), 0.01)
+    assert calls == []
 
 
 def test_replaced_model_rebuilds_derived_operators() -> None:
+    # Each original has evolved once, so its step map at dt = 0.01 is memoised;
+    # the replaced model must evolve with a map of its own.
     rho = _random_rho(7)
-    model = theta_model(0.3, 0.2, 0.7)
+    model, framed = theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)
     replaced = [
-        dataclasses.replace(model, hamiltonian=2.0 * model.hamiltonian),
-        dataclasses.replace(model, lindblads=[0.5 * model.lindblads[0]]),
-        dataclasses.replace(omega_model(0.3, 0.2, 1.3), frame=None),
+        (model, dataclasses.replace(model, hamiltonian=2.0 * model.hamiltonian)),
+        (model, dataclasses.replace(model, lindblads=[0.5 * model.lindblads[0]])),
+        (framed, dataclasses.replace(framed, frame=None)),
     ]
-    for new in replaced:
+    for original, new in replaced:
         want = _rhs_from_operators(new, rho, 0.37)
         assert np.array_equal(lindblad_rhs(new, rho, 0.37), want)
-        assert not np.array_equal(lindblad_rhs(model, rho, 0.37), want)
+        assert not np.array_equal(lindblad_rhs(original, rho, 0.37), want)
+        evolved = lindblad_evolve(original, rho, 1.0, dt=0.01, t0=0.4)
+        assert np.max(np.abs(lindblad_evolve(new, rho, 1.0, dt=0.01, t0=0.4) - evolved)) > 1e-3
 
 
 def test_lindblad_evolve_unitary_limit() -> None:
@@ -211,6 +220,12 @@ def test_lindblad_evolve_trace_and_positivity() -> None:
 def test_lindblad_evolve_step_error() -> None:
     with pytest.raises(StepError):
         lindblad_evolve(theta_model(B, GAMMA, 0.3), bell_rho(), t=0.5, dt=1.0)
+
+
+@pytest.mark.parametrize("state", [np.ones(4), np.eye(3) / 3, np.ones((2, 4, 3)), np.float64(1.0)])
+def test_lindblad_evolve_refuses_a_state_of_the_wrong_shape(state) -> None:
+    with pytest.raises(StepError, match="does not match model dim 4"):
+        lindblad_evolve(theta_model(B, GAMMA, 0.3), state, 1.0)
 
 
 def test_lindblad_evolve_unstable_step_raises() -> None:

@@ -8,8 +8,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from fluxmet.cli import load_model_file, resolve_model_path
 from fluxmet.dynamics import (
     LindbladModel,
+    _rk4_step,
+    fixed_steps,
     in_frame,
     lindblad_evolve,
     omega_model,
@@ -20,6 +23,7 @@ from fluxmet.dynamics import (
 from fluxmet.errors import (
     ConfigError,
     DegenerateErrorSpaceError,
+    DimensionError,
     DomainError,
     LeakageError,
     QecConditionError,
@@ -213,6 +217,12 @@ def test_replaced_code_rebuilds_recovery() -> None:
     assert np.array_equal(
         apply_recovery(static, rho, 0.37), _recover_from_kraus(static, rho, 0.37)
     )
+
+
+@pytest.mark.parametrize("state", [np.ones(4), np.eye(3) / 3, np.ones((2, 4, 3)), np.float64(1.0)])
+def test_apply_recovery_refuses_a_state_of_the_wrong_shape(state) -> None:
+    with pytest.raises(DimensionError, match=r"state shape \(.*\) does not match code dim 4"):
+        apply_recovery(theta_code(0.3), state)
 
 
 def test_apply_recovery_broadcasts_over_a_batch() -> None:
@@ -575,9 +585,10 @@ def test_expansion_evolve_step_error() -> None:
 # ---------------------------------------------------------------------------
 
 # Recorded while every model operator was a function of time, evaluated on
-# each integrator sub-step.  The angle task's evolutions must keep every
-# byte; the frequency task's may move by rounding only, since its operators
-# are now phase-weighted t = 0 matrices.
+# each integrator sub-step.  The angle task's digest is of the lab-frame RK4
+# loop below, which keeps every byte; the frequency task's literals may move
+# by rounding only, since its operators are now phase-weighted t = 0
+# matrices.  The production step map is pinned to both within 1e-12.
 _THETA_SHA256 = "935db7319b9f32eba2164ee11095cbbdf408261ca46ab67bb4a9a99aa39b6e30"
 _OMEGA_EVOLVED = np.array([
     [0.30846166712801626+0.0j, -0.05475562420498503-0.04699756590038305j,
@@ -608,14 +619,62 @@ def _random_states(n: int) -> np.ndarray:
     return v[:, :, None] * v[:, None, :].conj()
 
 
+def _reference_evolve(model, rho0, t: float, dt: float, t0: float = 0.0) -> np.ndarray:
+    # The lab-frame RK4 loop: every step rebuilds the generator at its own
+    # times, then re-symmetrises.
+    rho = np.array(rho0, dtype=complex)
+    for k in range(fixed_steps(t, dt)):
+        rho = _rk4_step(model._generator, rho, t0 + k * dt, dt)
+        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return rho
+
+
+def _reference_corrected(model, code: QecCode, t: float, dt: float, n_recoveries: int):
+    # _corrected_evolve with each interval evolved by the lab-frame loop.
+    rho = outer(code_probe(code))
+    interval = t / n_recoveries
+    for k in range(n_recoveries):
+        tau = k * interval
+        rho = apply_recovery(code, _reference_evolve(model, rho, interval, dt, t0=tau), tau)
+        if code._rate is not None:
+            rho = rho * np.exp(code._rate * interval)
+    return rho
+
+
 def test_evolution_numbers_pinned() -> None:
     rho = _random_states(2)
-    digest = hashlib.sha256()
-    digest.update(lindblad_evolve(theta_model(0.3, 0.2, 0.7), rho, 1.0, dt=0.01, t0=0.4).tobytes())
-    corrected = corrected_evolve_theta(0.3, 0.2, 0.9, 0.8, 1.0, dt=0.01, n_recoveries=20)
+    theta, omega = theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)
+    evolved = _reference_evolve(theta, rho, 1.0, 0.01, t0=0.4)
+    corrected = _reference_corrected(theta_model(0.3, 0.2, 0.9), theta_code(0.8), 1.0, 0.01, 20)
+    digest = hashlib.sha256(evolved.tobytes())
     digest.update(corrected.tobytes())
     assert digest.hexdigest() == _THETA_SHA256
-    evolved = lindblad_evolve(omega_model(0.3, 0.2, 1.3), rho[0], 1.0, dt=0.01, t0=0.4)
+    assert np.max(np.abs(lindblad_evolve(theta, rho, 1.0, dt=0.01, t0=0.4) - evolved)) < 1e-12
+    got = corrected_evolve_theta(0.3, 0.2, 0.9, 0.8, 1.0, dt=0.01, n_recoveries=20)
+    assert np.max(np.abs(got - corrected)) < 1e-12
+
+    evolved = lindblad_evolve(omega, rho[0], 1.0, dt=0.01, t0=0.4)
     assert np.max(np.abs(evolved - _OMEGA_EVOLVED)) < 1e-12
+    assert np.max(np.abs(_reference_evolve(omega, rho[0], 1.0, 0.01, t0=0.4) - evolved)) < 1e-12
     corrected = corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=0.01, n_recoveries=20)
     assert np.max(np.abs(corrected - _OMEGA_CORRECTED)) < 1e-12
+    reference = _reference_corrected(omega_model(0.3, 0.2, 1.4), omega_code(1.2), 1.0, 0.01, 20)
+    assert np.max(np.abs(reference - corrected)) < 1e-12
+
+
+def test_step_map_matches_the_lab_frame_loop() -> None:
+    # One step map in the model's frame against RK4 rebuilt at every step:
+    # a constant model, a framed one started at t0 != 0, a model file, and a
+    # stacked batch of a framed model.
+    file_model, _ = load_model_file(resolve_model_path("theta_example"))
+    rho = _random_states(6)
+    cases = [
+        (theta_model(0.3, 0.2, 0.7), rho[0], 2.0, 0.01, 0.0),
+        (omega_model(0.3, 0.2, 1.3), rho[1], 2.0, 0.01, 1.7),
+        (file_model, rho[2], 2.0, 0.02, 0.3),
+        (omega_model(0.5, 0.1, 0.9), rho.reshape(3, 2, 4, 4), 1.0, 5e-3, 0.4),
+    ]
+    for model, rho0, t, dt, t0 in cases:
+        got = lindblad_evolve(model, rho0, t, dt=dt, t0=t0)
+        assert got.shape == rho0.shape
+        assert np.max(np.abs(got - _reference_evolve(model, rho0, t, dt, t0))) < 1e-12
