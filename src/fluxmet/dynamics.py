@@ -9,11 +9,13 @@ Two built-in models on probe+ancilla (dim 4):
   which is sigma1 seen from the frame exp(+i omega t sigma3 / 2).
 
 A model is data: constant matrices plus, for a rotating model, the diagonal
-of the frame generator (see :func:`in_frame` and :meth:`LindbladModel.at`).
-Deterministic evolution is fixed-step RK4 on the master equation
+of the frame generator, whose phase rate :func:`in_frame` applies (see
+:meth:`LindbladModel.at`).  Deterministic evolution is fixed-step RK4 on the
+master equation
 drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2),
 applied as one (d*d, d*d) step map in the model's frame: the equation is
 linear, and its frame is the one in which every step is the same matrix.
+:func:`_rk4_map` builds that matrix for any linear right-hand side.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t) and averages pure-state trajectories.
 """
@@ -57,27 +59,22 @@ def rotating_frame(omega: float) -> np.ndarray:
     return 0.5 * omega * np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def in_frame(op: np.ndarray, frame: np.ndarray | None, t: float) -> np.ndarray:
-    """exp(iGt) op exp(-iGt) for the diagonal generator G = diag(frame).
+def in_frame(op: np.ndarray, rate: np.ndarray | None, t: float) -> np.ndarray:
+    """exp(iGt) op exp(-iGt) for a diagonal generator G, given its phase rate.
 
-    Elementwise, op_jk exp(i (g_j - g_k) t); ``op`` may be a stacked
-    (..., d, d) batch, or a scalar that scales the phases.  A None frame
-    leaves ``op`` as it is.
+    ``rate`` is the (d, d) matrix i (g_j - g_k) that a model or code keeps
+    as ``_rate``, so entry jk becomes op_jk exp(i (g_j - g_k) t); ``op`` may
+    be a stacked (..., d, d) batch, or a scalar that scales the phases.  A
+    None rate leaves ``op`` as it is.
     """
-    if frame is None:
+    if rate is None:
         return op
-    return op * np.exp(_frame_rate(frame) * t)
+    return op * np.exp(rate * t)
 
 
 def _frame_rate(frame: np.ndarray) -> np.ndarray:
     """i (g_j - g_k): entry jk's phase rate in the frame of diagonal g."""
     return 1j * np.subtract.outer(frame, frame)
-
-
-def _adjoint_terms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, E^dag, E^dag E): one Lindblad operator as the dissipator uses it."""
-    e_dag = e.conj().T
-    return e, e_dag, e_dag @ e
 
 
 @dataclass(frozen=True)
@@ -91,11 +88,10 @@ class LindbladModel:
     point; the general engine alone needs them.  The field names other than
     ``frame`` are the keys of a model file.
 
-    Construction derives what every integrator stage would otherwise
-    rebuild: for a constant model H and the (E, E^dag, E^dag E) triples,
-    for a framed one the phase rate i (g_j - g_k).  The first evolution at
-    a step size dt also keeps that step's map.  Replace a field with
-    ``dataclasses.replace``; an array changed in place leaves them stale.
+    Construction derives a framed model's phase rate i (g_j - g_k), and the
+    first evolution at a step size dt keeps that step's map.  Replace a
+    field with ``dataclasses.replace``; an array changed in place leaves
+    them stale.
     """
 
     dim: int
@@ -116,9 +112,7 @@ class LindbladModel:
             if derivs is not None and len(derivs) != len(self.lindblads):
                 raise DomainError(f"{name} length {len(derivs)} != {len(self.lindblads)} lindblads")
         rate = None if self.frame is None else _frame_rate(self.frame)
-        constant = None if rate is not None else (h0, [_adjoint_terms(e) for e in self.lindblads])
         object.__setattr__(self, "_rate", rate)
-        object.__setattr__(self, "_constant", constant)
         object.__setattr__(self, "_step_maps", {})
 
     def at(self, t: float, order: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -134,19 +128,15 @@ class LindbladModel:
             raise ConfigError(
                 f"model has no {which}-derivative operators", field=prefix + "hamiltonian"
             )
-        if self.frame is None:
+        if self._rate is None:
             return h, ops
-        phase = t**order * np.exp(self._rate * t)  # t**k exp(i (g_j - g_k) t), entry jk
+        phase = in_frame(t**order, self._rate, t)  # t**k exp(i (g_j - g_k) t), entry jk
         return h * phase, [e * phase for e in ops]
 
     def _generator(self, t: float):
-        """rho -> drho/dt at time t, from the operators built at construction
-        (a constant model) or from the phases at t (a framed one)."""
-        if self._constant is not None:
-            h, terms = self._constant
-        else:
-            h, ops = self.at(t)
-            terms = [_adjoint_terms(e) for e in ops]
+        """rho -> drho/dt at time t, from the operators at t."""
+        h, ops = self.at(t)
+        terms = [(e, e.conj().T, e.conj().T @ e) for e in ops]
 
         def rhs(rho: np.ndarray) -> np.ndarray:
             out = -1j * (h @ rho - rho @ h)
@@ -159,18 +149,17 @@ class LindbladModel:
     def _step_map(self, dt: float) -> np.ndarray:
         """The (d*d, d*d) matrix of one RK4 step of length dt in the model's frame.
 
-        A row-major vectorised state steps as ``vec @ step``.  Row j is the
-        lab-frame step from t = 0 applied to the j-th basis matrix.  Since
+        A row-major vectorised state steps as ``vec @ step``.  Since
         L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every lab-frame step is
-        that one conjugated by D_t, so in the frame it is one matrix: the
-        step from 0 followed by in_frame(., frame, -dt).  Built once per dt.
+        the one from t = 0 conjugated by D_t, so in the frame it is one
+        matrix: the step from 0 followed by in_frame(., rate, -dt).  Built
+        once per dt.
         """
         step = self._step_maps.get(dt)
         if step is None:
-            n = self.dim * self.dim
-            basis = np.eye(n, dtype=complex).reshape(n, self.dim, self.dim)
-            step = in_frame(_rk4_step(self._generator, basis, 0.0, dt), self.frame, -dt)
-            step = self._step_maps[dt] = step.reshape(n, n)
+            d, n = self.dim, self.dim * self.dim
+            lab = _rk4_map(self._generator, d, dt).reshape(n, d, d)
+            step = self._step_maps[dt] = in_frame(lab, self._rate, -dt).reshape(n, n)
         return step
 
 
@@ -244,6 +233,17 @@ def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _rk4_map(field, d: int, dt: float) -> np.ndarray:
+    """The (d*d, d*d) matrix of one RK4 step from t = 0 of a linear field on (d, d) matrices.
+
+    Row j is the step applied to the j-th basis matrix, so a row-major
+    vectorised state steps as ``vec @ step``.
+    """
+    n = d * d
+    basis = np.eye(n, dtype=complex).reshape(n, d, d)
+    return _rk4_step(field, basis, 0.0, dt).reshape(n, n)
+
+
 def fixed_steps(t: float, dt: float) -> int:
     """Number of steps dt > 0 that make up the duration t >= 0.
 
@@ -278,14 +278,14 @@ def lindblad_evolve(
         raise StepError(f"state shape {rho.shape} does not match model dim {d}")
     step = model._step_map(dt)
     shape, flat = rho.shape, rho.shape[:-2] + (d * d,)
-    rho = in_frame(rho, model.frame, -t0)
+    rho = in_frame(rho, model._rate, -t0)
     for k in range(n_steps):
         rho = (rho.reshape(flat) @ step).reshape(shape)
         rho = 0.5 * (rho + _dagger(rho))
         drift = np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0).max()
-        if drift > _TRACE_TOL:
+        if not drift <= _TRACE_TOL:  # a NaN drift fails too
             raise InstabilityError(f"trace drifted by {drift:.3e} at step {k + 1}")
-    return in_frame(rho, model.frame, t0 + n_steps * dt)
+    return in_frame(rho, model._rate, t0 + n_steps * dt)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ for the rotation-frequency task.  Both protect a two-dimensional code space
 of the probe+ancilla pair against the parameter-correlated noise axis at the
 current estimate; recovery is the two-operator Kraus set {P, P sigma_n}.
 A code is data: its t = 0 code words and recovery plus, for a rotating code,
-the diagonal of the frame generator that carries them along in time.
-Stepwise corrected evolution and the continuous-recovery closed state are
-written once for both codes.
+the diagonal of the frame generator that carries them along in time; its
+phase rate goes through ``dynamics.in_frame`` like a model's.  Stepwise
+corrected evolution and the continuous-recovery closed state are written
+once for both codes.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -16,6 +17,8 @@ recovered dynamics around the operating point, L = L0 + L1 dx + L2 dx^2,
 together with the asymptotic information rate
 J = 4 t^2 Var(H_eff) - 4 t <L2>.  Each stage is a pure function that
 returns a frozen record: ``QecConditions``, then ``GeneralQecReport``.
+``expansion_evolve`` steps the expansion with an RK4 step map from
+``dynamics._rk4_map``, the builder of ``lindblad_evolve``'s maps.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from .dynamics import (
     LindbladModel,
     _dagger,
     _frame_rate,
-    _rk4_step,
+    _rk4_map,
     fixed_steps,
+    in_frame,
     lindblad_evolve,
     omega_model,
     rotating_frame,
@@ -93,10 +97,7 @@ class QecCode:
     def recovery_kraus(self, t: float = 0.0) -> list[np.ndarray]:
         if self.recovery is None:
             raise ConfigError("code has no recovery Kraus set")
-        if self._rate is None:
-            return list(self.recovery)
-        phase = np.exp(self._rate * t)
-        return [k * phase for k in self.recovery]
+        return [in_frame(k, self._rate, t) for k in self.recovery]
 
     def _recovery_pairs(self, t: float) -> list[tuple[np.ndarray, np.ndarray]]:
         """(K, K^dag) of every recovery Kraus operator at time t."""
@@ -173,7 +174,7 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
     for k, k_dag in code._recovery_pairs(t):
         out += k @ rho @ k_dag
     loss = np.abs((out - rho).trace(axis1=-2, axis2=-1).real).max()
-    if loss > 1e-6:
+    if not loss <= 1e-6:  # a NaN loss fails too
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
     return 0.5 * (out + _dagger(out))
 
@@ -200,13 +201,10 @@ def _corrected_evolve(
     """
     rho = _outer(code_probe(code))
     n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
-    advance = None if code._rate is None else np.exp(code._rate * interval)
     for k in range(n_rec):
         tau = k * interval
         rho = lindblad_evolve(model, rho, interval, dt, t0=tau)
-        rho = apply_recovery(code, rho, tau)
-        if advance is not None:
-            rho = rho * advance
+        rho = in_frame(apply_recovery(code, rho, tau), code._rate, interval)
     return rho
 
 
@@ -450,7 +448,10 @@ def expansion_evolve(
     """Evolve a code-space state under L0 + L1 dx + L2 dx^2 for duration t.
 
     The control Hamiltonian -P H P cancels the zeroth-order generator,
-    leaving the detuning-driven dynamics only.
+    leaving the detuning-driven dynamics only.  The equation is constant and
+    linear, so every RK4 step at ``dt`` is one (d*d, d*d) map, built once;
+    each step re-symmetrizes the state.  ``rho0`` is one (d, d) state; any
+    other shape is a DimensionError.
     """
     h = dx * report.l1_generator
 
@@ -459,7 +460,11 @@ def expansion_evolve(
 
     n_steps = fixed_steps(t, dt)
     rho = np.array(rho0, dtype=complex)
-    for k in range(n_steps):
-        rho = _rk4_step(lambda _t: rhs, rho, k * dt, dt)
+    d = h.shape[0]
+    if rho.shape != (d, d):
+        raise DimensionError(f"state shape {rho.shape} does not match report dim {d}")
+    step = _rk4_map(lambda _t: rhs, d, dt)
+    for _ in range(n_steps):
+        rho = (rho.reshape(d * d) @ step).reshape(d, d)
         rho = 0.5 * (rho + rho.conj().T)
     return rho

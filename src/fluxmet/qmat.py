@@ -9,7 +9,6 @@ by scipy, whose import would dominate the start-up of every CLI process.
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 import numpy as np
 
@@ -114,19 +113,6 @@ def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     s = (v * np.sqrt(w)) @ v.conj().T
     return 0.5 * (s + s.conj().T)
-
-
-def partial_trace(rho: np.ndarray, keep: Literal["first", "second"]) -> np.ndarray:
-    """Trace out one qubit of a two-qubit (4x4) operator."""
-    rho = _as_square(rho)
-    if rho.shape != (4, 4):
-        raise DimensionError(f"partial_trace expects dim 4, got {rho.shape[0]}")
-    r = rho.reshape(2, 2, 2, 2)
-    if keep == "first":
-        return np.einsum("ikjk->ij", r)
-    if keep == "second":
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:

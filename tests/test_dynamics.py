@@ -138,13 +138,13 @@ def test_lindblad_rhs_matches_operators_rebuilt_at_each_time() -> None:
 
 
 @pytest.mark.parametrize(
-    "model, per_step", [(omega_model(B, GAMMA, 0.5), 3), (theta_model(B, GAMMA, 0.5), 0)]
+    "model, per_step", [(omega_model(B, GAMMA, 0.5), 3), (theta_model(B, GAMMA, 0.5), 3)]
 )
 def test_rk4_builds_operators_three_times_per_step(monkeypatch, model, per_step) -> None:
-    # A framed model's operators are built at 0, dt/2 (shared by both
-    # midpoint stages) and dt, once per step size: the first evolve at a dt
-    # builds the step map, later evolves at that dt reuse it.  A constant
-    # model's operators are built once, at construction.
+    # A model's operators are built at 0, dt/2 (shared by both midpoint
+    # stages) and dt, once per step size, whether or not it is framed: the
+    # first evolve at a dt builds the step map, later evolves at that dt
+    # reuse it.
     model = dataclasses.replace(model)  # a fresh instance, with no step map yet
     calls = []
     at = dynamics.LindbladModel.at
@@ -233,6 +233,15 @@ def test_lindblad_evolve_unstable_step_raises() -> None:
     # trace leaves 1 within a few steps.
     with pytest.raises(InstabilityError, match="trace drifted"):
         lindblad_evolve(theta_model(100.0, 0.05, 0.3), bell_rho(), 10.0, dt=0.1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_lindblad_evolve_refuses_a_non_finite_state(value) -> None:
+    # A NaN drift is not within tolerance.  An inf state turns NaN in its
+    # first step, where numpy warns of an invalid value.
+    for model in (theta_model(B, GAMMA, 0.3), omega_model(B, GAMMA, 0.3)):
+        with np.errstate(invalid="ignore"), pytest.raises(InstabilityError, match="by nan at step 1"):
+            lindblad_evolve(model, np.full((4, 4), value), 0.01)
 
 
 def test_lindblad_evolve_step_halving_order() -> None:

@@ -52,7 +52,7 @@ from fluxmet.qec import (
     omega_code,
     theta_code,
 )
-from fluxmet.qmat import expm, kron, partial_trace, sigma1
+from fluxmet.qmat import expm, kron, sigma1
 
 B, GAMMA, T = 0.1, 0.05, 5.0
 EYE2 = np.eye(2, dtype=complex)
@@ -113,9 +113,9 @@ def test_theta_code_recovery_completeness() -> None:
 def test_code_probe_maximally_entangled() -> None:
     psi = code_probe(theta_code(np.pi / 4))
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
-    rho = outer(psi)
-    assert np.allclose(partial_trace(rho, "first"), EYE2 / 2, atol=1e-12)
-    assert np.allclose(partial_trace(rho, "second"), EYE2 / 2, atol=1e-12)
+    r = outer(psi).reshape(2, 2, 2, 2)
+    assert np.allclose(np.einsum("ikjk->ij", r), EYE2 / 2, atol=1e-12)  # the probe's reduced state
+    assert np.allclose(np.einsum("kikj->ij", r), EYE2 / 2, atol=1e-12)  # the ancilla's
 
 
 def test_omega_code_rotating_basis() -> None:
@@ -171,10 +171,19 @@ def test_apply_recovery_leakage() -> None:
         apply_recovery(no_recovery, rho0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_apply_recovery_refuses_a_non_finite_state(value) -> None:
+    # A NaN trace loss is not within tolerance.  An inf state turns NaN in
+    # the Kraus sandwich, where numpy warns of an invalid value.
+    for code in (theta_code(0.3), omega_code(0.3)):
+        with np.errstate(invalid="ignore"), pytest.raises(LeakageError, match="lost trace nan"):
+            apply_recovery(code, np.full((4, 4), value), 0.4)
+
+
 def _correctable_state(code: QecCode, noise: np.ndarray, t: float) -> np.ndarray:
     # Probe and its noise image, at the code's time t: recovery keeps its trace.
     rho0 = outer(code_probe(code))
-    return in_frame(0.3 * rho0 + 0.7 * noise @ rho0 @ noise, code.frame_generator, t)
+    return in_frame(0.3 * rho0 + 0.7 * noise @ rho0 @ noise, code._rate, t)
 
 
 def _recover_from_kraus(code: QecCode, rho: np.ndarray, t: float) -> np.ndarray:
@@ -193,7 +202,7 @@ def test_apply_recovery_matches_kraus_sandwich() -> None:
     ]
     for code, noise in codes:
         for t in (0.0, 0.37, 5.0):
-            kraus = [in_frame(k, code.frame_generator, t) for k in code.recovery]
+            kraus = [in_frame(k, code._rate, t) for k in code.recovery]
             assert all(np.array_equal(a, b) for a, b in zip(code.recovery_kraus(t), kraus))
             rho = _correctable_state(code, noise, t)
             assert np.array_equal(apply_recovery(code, rho, t), _recover_from_kraus(code, rho, t))
@@ -578,6 +587,37 @@ def test_expansion_evolve_step_error() -> None:
     rho0 = outer(code_probe(code))
     with pytest.raises(StepError):
         expansion_evolve(report, rho0, 0.05, 5.0005, dt=1e-3)
+
+
+@pytest.mark.parametrize("state", [np.ones(16), np.ones((2, 8)), np.ones((2, 4, 4))])
+def test_expansion_evolve_refuses_a_state_of_the_wrong_shape(state) -> None:
+    report = expansion_superoperators(theta_model(B, GAMMA, 0.3), theta_code(0.3))
+    with pytest.raises(DimensionError, match=r"state shape \(.*\) does not match report dim 4"):
+        expansion_evolve(report, state, 0.05, 0.01, dt=1e-3)
+
+
+def _reference_expansion(report, rho0, dx: float, t: float, dt: float) -> np.ndarray:
+    # The closure loop: every RK4 stage applies the expansion's operators,
+    # then each step re-symmetrises.
+    h = dx * report.l1_generator
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        return -1j * (h @ rho - rho @ h) + dx * dx * report.l2_action.apply(rho)
+
+    rho = np.array(rho0, dtype=complex)
+    for k in range(fixed_steps(t, dt)):
+        rho = _rk4_step(lambda _t: rhs, rho, k * dt, dt)
+        rho = 0.5 * (rho + rho.conj().T)
+    return rho
+
+
+@pytest.mark.parametrize("dx", [0.0, 0.05])
+def test_expansion_step_map_matches_the_closure_loop(dx) -> None:
+    code = theta_code(np.pi / 4)
+    report = expansion_superoperators(theta_model(B, GAMMA, np.pi / 4), code)
+    rho0 = outer(code_probe(code))
+    got = expansion_evolve(report, rho0, dx, T, dt=1e-2)
+    assert np.max(np.abs(got - _reference_expansion(report, rho0, dx, T, 1e-2))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

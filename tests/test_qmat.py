@@ -18,7 +18,6 @@ from fluxmet.qmat import (
     expm,
     hermitian_eig,
     kron,
-    partial_trace,
     sqrtm_psd,
 )
 
@@ -208,37 +207,6 @@ def test_sqrtm_psd_squares_back() -> None:
 def test_sqrtm_psd_rejects_indefinite() -> None:
     with pytest.raises(NotPsdError):
         sqrtm_psd(np.diag([1.0, -0.5]).astype(complex))
-
-
-def test_partial_trace_product_state() -> None:
-    ket00 = np.zeros(4, dtype=complex)
-    ket00[0] = 1
-    rho = np.outer(ket00, ket00.conj())
-    assert np.allclose(partial_trace(rho, "first"), np.diag([1.0, 0.0]), atol=1e-14)
-
-
-def test_partial_trace_bell_is_maximally_mixed() -> None:
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    assert np.allclose(partial_trace(rho, "first"), EYE2 / 2, atol=1e-14)
-    assert np.allclose(partial_trace(rho, "second"), EYE2 / 2, atol=1e-14)
-
-
-def test_partial_trace_factorizes_products() -> None:
-    rng = np.random.default_rng(17)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    sig = b @ b.conj().T
-    sig /= np.trace(sig).real
-    assert np.allclose(partial_trace(kron(rho, sig), "second"), sig, atol=1e-12)
-    assert abs(np.trace(partial_trace(kron(rho, sig), "first")) - 1) < 1e-12
-
-
-def test_partial_trace_wrong_dim() -> None:
-    with pytest.raises(DimensionError):
-        partial_trace(np.eye(2, dtype=complex), "first")
 
 
 def test_check_density_matrix_accepts_valid() -> None:

@@ -26,8 +26,9 @@ from fluxmet.estimation import (
 # nothing called, the method/params fields of FisherResult, the polar
 # isometry the general engine no longer builds, the CLI's copy of the adapt
 # config types, the finite difference folded into qfi_sld_numeric, the
-# per-task p(+) that each task's coherence record replaced and the likelihood
-# peak search that reading the estimate off the grid replaced.
+# per-task p(+) that each task's coherence record replaced, the likelihood
+# peak search that reading the estimate off the grid replaced and a partial
+# trace that nothing in the package called.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -46,18 +47,20 @@ _REMOVED_NAMES = {
     "fluxmet.dynamics": ("TrajectoryPhase", "sample_phase"),
     "fluxmet.metrology": ("METHODS", "state_derivative"),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
-    "fluxmet.qmat": ("polar_isometry", "PolarIsometry"),
+    "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace"),
     "fluxmet.errors": ("NonIsotropicError",),
 }
 
-# Tolerance keywords that were only ever called with their default, and
-# arguments that no caller passed.
+# Tolerance keywords that were only ever called with their default,
+# arguments that no caller passed, and the frame diagonal that in_frame
+# took before it took the phase rate each model and code keeps.
 _REMOVED_KEYWORDS = [
     (qmat.sqrtm_psd, "neg_tol"),
     (qmat.sqrtm_psd, "clamp_tol"),
     (qmat.hermitian_eig, "tol"),
     (qmat.check_density_matrix, "tol"),
     (dynamics.lindblad_evolve, "trace_tol"),
+    (dynamics.in_frame, "frame"),
     (qec.expansion_evolve, "apply_control"),
     (qec.check_qec_conditions, "tol"),
     (qec.expansion_superoperators, "tol"),
