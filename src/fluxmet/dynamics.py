@@ -219,6 +219,11 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _largest(x: np.ndarray) -> np.ndarray:
+    """``x.max()``; the 0-d value of a single state skips numpy's reduction."""
+    return x if x.ndim == 0 else x.max()
+
+
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t: float) -> np.ndarray:
     return model._generator(t)(rho)
 
@@ -269,20 +274,23 @@ def lindblad_evolve(
     the state enters the frame at t0 and leaves it at the end.  ``rho0`` is
     a (d, d) state or a stacked (..., d, d) batch; any other shape is a
     StepError.  Each step re-symmetrizes the state and checks that the trace
-    drifts by at most 1e-6; the diagonal frame changes neither.
+    drifts by at most 1e-6; the diagonal frame changes neither.  A zero
+    duration returns a copy of ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
-    rho = np.array(rho0, dtype=complex)
+    rho = np.asarray(rho0, dtype=complex)
     d = model.dim
     if rho.shape[-2:] != (d, d):
         raise StepError(f"state shape {rho.shape} does not match model dim {d}")
+    if n_steps == 0:
+        return rho.copy()
     step = model._step_map(dt)
     shape, flat = rho.shape, rho.shape[:-2] + (d * d,)
     rho = in_frame(rho, model._rate, -t0)
     for k in range(n_steps):
         rho = (rho.reshape(flat) @ step).reshape(shape)
         rho = 0.5 * (rho + _dagger(rho))
-        drift = np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0).max()
+        drift = _largest(np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0))
         if not drift <= _TRACE_TOL:  # a NaN drift fails too
             raise InstabilityError(f"trace drifted by {drift:.3e} at step {k + 1}")
     return in_frame(rho, model._rate, t0 + n_steps * dt)

@@ -3,12 +3,12 @@
 Two concrete codes: a static one for the field-angle task and a rotating one
 for the rotation-frequency task.  Both protect a two-dimensional code space
 of the probe+ancilla pair against the parameter-correlated noise axis at the
-current estimate; recovery is the two-operator Kraus set {P, P sigma_n}.
-A code is data: its t = 0 code words and recovery plus, for a rotating code,
-the diagonal of the frame generator that carries them along in time; its
-phase rate goes through ``dynamics.in_frame`` like a model's.  Stepwise
-corrected evolution and the continuous-recovery closed state are written
-once for both codes.
+current estimate; recovery is the two-operator Kraus set {P, P sigma_n},
+applied as one (d*d, d*d) superoperator.  A code is data: its t = 0 code
+words and recovery plus, for a rotating code, the diagonal of the frame
+generator that carries them along in time; its phase rate goes through
+``dynamics.in_frame`` like a model's.  Stepwise corrected evolution and the
+continuous-recovery closed state are written once for both codes.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -31,6 +31,7 @@ from .dynamics import (
     LindbladModel,
     _dagger,
     _frame_rate,
+    _largest,
     _rk4_map,
     fixed_steps,
     in_frame,
@@ -66,10 +67,11 @@ class QecCode:
     ingredient is its t = 0 value conjugated by exp(+i G t).  ``recovery`` is
     None for a code that only states the error-correction conditions.
 
-    Construction derives what every recovery would otherwise rebuild: for a
-    static code the (K, K^dag) pairs, for a rotating one the phase rate
-    i (g_j - g_k).  Replace a field with ``dataclasses.replace``; an array
-    changed in place leaves them stale.
+    Construction derives what every recovery would otherwise rebuild: the
+    t = 0 recovery superoperator (sum_k K x K*)^T, under which a row-major
+    vectorised state recovers as ``vec @ superop`` like a model's step map,
+    and for a rotating code the phase rate i (g_j - g_k).  Replace a field
+    with ``dataclasses.replace``; an array changed in place leaves them stale.
     """
 
     c0: np.ndarray
@@ -79,10 +81,12 @@ class QecCode:
 
     def __post_init__(self) -> None:
         rate = None if self.frame_generator is None else _frame_rate(self.frame_generator)
-        static = rate is None and self.recovery is not None
-        pairs = [(k, k.conj().T) for k in self.recovery] if static else None
+        superop = None
+        if self.recovery is not None:
+            n = self.c0.shape[0] ** 2
+            superop = sum((np.kron(k, k.conj()) for k in self.recovery), np.zeros((n, n))).T
         object.__setattr__(self, "_rate", rate)
-        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_superop", superop)
 
     def basis(self, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         if self.frame_generator is None:
@@ -98,12 +102,6 @@ class QecCode:
         if self.recovery is None:
             raise ConfigError("code has no recovery Kraus set")
         return [in_frame(k, self._rate, t) for k in self.recovery]
-
-    def _recovery_pairs(self, t: float) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(K, K^dag) of every recovery Kraus operator at time t."""
-        if self._pairs is not None:
-            return self._pairs
-        return [(k, k.conj().T) for k in self.recovery_kraus(t)]
 
 
 def _outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -159,21 +157,24 @@ def code_probe(code: QecCode) -> np.ndarray:
 
 
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Apply the code's recovery channel; fails on trace leakage.
+    """Apply the code's recovery channel at time t; fails on trace leakage.
 
-    ``rho`` may be a single (d, d) state or a stacked (..., d, d) batch; any
-    other shape is a DimensionError.  Trace loss above 1e-6 in any state
-    means it had weight outside the span of the code and its correctable
-    error space.
+    Each state enters the code's frame at t, recovers as one row times the
+    code's superoperator, and leaves the frame.  ``rho`` may be a single
+    (d, d) state or a stacked (..., d, d) batch; any other shape is a
+    DimensionError.  Trace loss above 1e-6 in any state means it had weight
+    outside the span of the code and its correctable error space.
     """
     rho = np.asarray(rho, dtype=complex)  # a real state is converted; a complex one is not copied
     d = code.c0.shape[0]
     if rho.shape[-2:] != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
-    out = np.zeros_like(rho)
-    for k, k_dag in code._recovery_pairs(t):
-        out += k @ rho @ k_dag
-    loss = np.abs((out - rho).trace(axis1=-2, axis2=-1).real).max()
+    if code._superop is None:
+        raise ConfigError("code has no recovery Kraus set")
+    phase = in_frame(1.0, code._rate, t)  # exp(i (g_j - g_k) t) at entry jk; 1 if static
+    rows = (rho / phase).reshape(rho.shape[:-2] + (1, d * d))
+    out = (rows @ code._superop).reshape(rho.shape) * phase
+    loss = _largest(np.abs((out - rho).trace(axis1=-2, axis2=-1).real))
     if not loss <= 1e-6:  # a NaN loss fails too
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
     return 0.5 * (out + _dagger(out))
@@ -201,10 +202,11 @@ def _corrected_evolve(
     """
     rho = _outer(code_probe(code))
     n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
+    advance = in_frame(1.0, code._rate, interval)
     for k in range(n_rec):
         tau = k * interval
         rho = lindblad_evolve(model, rho, interval, dt, t0=tau)
-        rho = in_frame(apply_recovery(code, rho, tau), code._rate, interval)
+        rho = apply_recovery(code, rho, tau) * advance
     return rho
 
 

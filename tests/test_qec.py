@@ -194,18 +194,20 @@ def _recover_from_kraus(code: QecCode, rho: np.ndarray, t: float) -> np.ndarray:
 
 
 def test_apply_recovery_matches_kraus_sandwich() -> None:
-    # The (K, K^dag) pairs and the frame rate derived at construction give
-    # the same bits as the Kraus set rebuilt at each time.
+    # The superoperator and the frame rate derived at construction agree
+    # with the Kraus set rebuilt at each time, to rounding (1.1e-16 seen),
+    # out to a rotating code's phase at t = 1e3.
     codes = [
         (theta_code(0.8), kron(sigma_n_theta(0.8), EYE2)),
         (omega_code(1.2), kron(sigma1, EYE2)),
     ]
     for code, noise in codes:
-        for t in (0.0, 0.37, 5.0):
+        for t in (0.0, 0.37, 5.0, 1e3):
             kraus = [in_frame(k, code._rate, t) for k in code.recovery]
             assert all(np.array_equal(a, b) for a, b in zip(code.recovery_kraus(t), kraus))
             rho = _correctable_state(code, noise, t)
-            assert np.array_equal(apply_recovery(code, rho, t), _recover_from_kraus(code, rho, t))
+            got = apply_recovery(code, rho, t)
+            assert np.max(np.abs(got - _recover_from_kraus(code, rho, t))) <= 1e-15
 
 
 def test_apply_recovery_accepts_a_real_state() -> None:
@@ -223,9 +225,25 @@ def test_replaced_code_rebuilds_recovery() -> None:
     new = dataclasses.replace(theta_code(0.8), recovery=other.recovery)
     assert np.array_equal(apply_recovery(new, rho), apply_recovery(other, rho))
     static = dataclasses.replace(omega_code(1.2), frame_generator=None)
-    assert np.array_equal(
-        apply_recovery(static, rho, 0.37), _recover_from_kraus(static, rho, 0.37)
-    )
+    got = apply_recovery(static, rho, 0.37)
+    assert np.max(np.abs(got - _recover_from_kraus(static, rho, 0.37))) <= 1e-15
+
+
+def test_results_do_not_alias_the_input() -> None:
+    # Each result is an array of its own, even where no step, frame change
+    # or conversion makes one: changing it leaves the caller's state alone.
+    code = theta_code(0.3)
+    rho = _correctable_state(code, kron(sigma_n_theta(0.3), EYE2), 0.0)
+    kept = rho.copy()
+    results = [
+        lindblad_evolve(theta_model(B, GAMMA, 0.3), rho, 0.0),
+        lindblad_evolve(omega_model(B, GAMMA, 0.3), rho, 0.0, t0=0.4),
+        apply_recovery(code, rho),
+    ]
+    assert all(np.array_equal(out, kept) for out in results[:2])  # no time, no change
+    for out in results:
+        out[0, 1] = 7.0
+        assert np.array_equal(rho, kept)
 
 
 @pytest.mark.parametrize("state", [np.ones(4), np.eye(3) / 3, np.ones((2, 4, 3)), np.float64(1.0)])
@@ -670,12 +688,13 @@ def _reference_evolve(model, rho0, t: float, dt: float, t0: float = 0.0) -> np.n
 
 
 def _reference_corrected(model, code: QecCode, t: float, dt: float, n_recoveries: int):
-    # _corrected_evolve with each interval evolved by the lab-frame loop.
+    # _corrected_evolve with each interval evolved by the lab-frame loop and
+    # recovered by the Kraus sandwich.
     rho = outer(code_probe(code))
     interval = t / n_recoveries
     for k in range(n_recoveries):
         tau = k * interval
-        rho = apply_recovery(code, _reference_evolve(model, rho, interval, dt, t0=tau), tau)
+        rho = _recover_from_kraus(code, _reference_evolve(model, rho, interval, dt, t0=tau), tau)
         if code._rate is not None:
             rho = rho * np.exp(code._rate * interval)
     return rho
