@@ -13,9 +13,12 @@ of the frame generator, whose phase rate :func:`in_frame` applies (see
 :meth:`LindbladModel.at`).  Deterministic evolution is fixed-step RK4 on the
 master equation
 drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2),
-applied as one (d*d, d*d) step map in the model's frame: the equation is
-linear, and its frame is the one in which every step is the same matrix.
-:func:`_rk4_map` builds that matrix for any linear right-hand side.
+applied as one step map in the model's frame: the equation is linear, and
+its frame is the one in which every step is the same matrix.
+:func:`_rk4_map` builds that (d*d, d*d) matrix for any linear right-hand
+side, and :func:`_checked_map` turns it, or a recovery, into one real matrix
+on the float64 view of the state that also applies the Hermitian projection
+and returns the output's trace for the step's check.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t) and averages pure-state trajectories.
 """
@@ -147,19 +150,19 @@ class LindbladModel:
         return rhs
 
     def _step_map(self, dt: float) -> np.ndarray:
-        """The (d*d, d*d) matrix of one RK4 step of length dt in the model's frame.
+        """One checked RK4 step of length dt in the model's frame, as :func:`_checked_map`.
 
-        A row-major vectorised state steps as ``vec @ step``.  Since
-        L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every lab-frame step is
-        the one from t = 0 conjugated by D_t, so in the frame it is one
-        matrix: the step from 0 followed by in_frame(., rate, -dt).  Built
-        once per dt.
+        Since L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every lab-frame
+        step is the one from t = 0 conjugated by D_t, so in the frame it is
+        one matrix: the step from 0 followed by in_frame(., rate, -dt).
+        Built once per dt.
         """
         step = self._step_maps.get(dt)
         if step is None:
             d, n = self.dim, self.dim * self.dim
             lab = _rk4_map(self._generator, d, dt).reshape(n, d, d)
-            step = self._step_maps[dt] = in_frame(lab, self._rate, -dt).reshape(n, n)
+            framed = in_frame(lab, self._rate, -dt).reshape(n, n)
+            step = self._step_maps[dt] = _checked_map(framed, d)
         return step
 
 
@@ -215,13 +218,52 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     )
 
 
-def _dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
+def _largest_gap(x: np.ndarray, target: float) -> float:
+    """max |x - target|; a single state's 0-d value is read as a float, skipping numpy's ufuncs."""
+    return abs(float(x) - target) if x.ndim == 0 else float(np.abs(x - target).max())
 
 
-def _largest(x: np.ndarray) -> np.ndarray:
-    """``x.max()``; the 0-d value of a single state skips numpy's reduction."""
-    return x if x.ndim == 0 else x.max()
+def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) -> np.ndarray:
+    """The real (2 d^2, 2 d^2 + 1) matrix of one checked linear step on (d, d) states.
+
+    ``linear`` is a complex (d^2, d^2) map under which a row-major
+    vectorised state steps as ``vec @ linear``.  The real matrix acts on the
+    float64 view of that row (real and imaginary parts interleaved, see
+    :func:`_as_rows`): its first 2 d^2 columns apply ``linear`` and then the
+    Hermitian projection (rho + rho^dag) / 2, which is real-linear and so
+    folds in, and its last column returns the output's real trace, less the
+    input's if ``minus_input_trace``.  Columns (a, b) and (b, a) are equal,
+    or negatives for the imaginary parts, bit for bit, so a product that
+    treats equal columns alike, as the tests check, returns exactly
+    Hermitian states (Havel, J. Math. Phys. 44, 534 (2003)).
+    """
+    n = d * d
+    real = np.empty((n, 2, n, 2))  # [input entry, input re/im, output entry, output re/im]
+    real[:, 0, :, 0] = real[:, 1, :, 1] = linear.real
+    real[:, 0, :, 1] = linear.imag
+    real[:, 1, :, 0] = -linear.imag
+    mirror = real[:, :, np.arange(n).reshape(d, d).T.ravel()]  # output entry (b, a)
+    folded = (0.5 * (real + mirror * [1.0, -1.0])).reshape(2 * n, 2 * n)
+    diagonal = slice(0, 2 * n, 2 * (d + 1))  # real parts of the entries (a, a)
+    trace = folded[:, diagonal].sum(axis=1)
+    if minus_input_trace:
+        trace[diagonal] -= 1.0
+    return np.column_stack([folded, trace])
+
+
+def _as_rows(rho: np.ndarray) -> np.ndarray:
+    """The float64 view of each complex (d, d) state as one (1, 2 d^2) row.
+
+    The (..., 1, 2 d^2) shape sends a single state and every state of a
+    stacked batch down one BLAS path, so they step alike bit for bit.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    return rho.view(np.float64).reshape(rho.shape[:-2] + (1, 2 * rho.shape[-1] ** 2))
+
+
+def _from_rows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex states of ``shape`` held in the rows of :func:`_as_rows`."""
+    return np.ascontiguousarray(rows).view(complex).reshape(shape)
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t: float) -> np.ndarray:
@@ -250,15 +292,15 @@ def _rk4_map(field, d: int, dt: float) -> np.ndarray:
 
 
 def fixed_steps(t: float, dt: float) -> int:
-    """Number of steps dt > 0 that make up the duration t >= 0.
+    """Number of steps dt > 0 that make up the finite duration t >= 0.
 
     The one rule of every fixed-step loop: t is an integer multiple of dt
     (within 1e-9), and a positive t takes at least one step.
     """
     if not dt > 0:
         raise StepError(f"dt must be positive, got {dt}")
-    if not t >= 0:
-        raise DomainError(f"duration must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise DomainError(f"duration must be >= 0 and finite, got {t}")
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 or (n_steps == 0 and t > 0):
         raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
@@ -270,12 +312,13 @@ def lindblad_evolve(
 ) -> np.ndarray:
     """Evolve ``rho0`` for duration ``t`` starting at absolute time ``t0``.
 
-    RK4 at fixed step ``dt``, applied as the model's step map in its frame:
-    the state enters the frame at t0 and leaves it at the end.  ``rho0`` is
-    a (d, d) state or a stacked (..., d, d) batch; any other shape is a
-    StepError.  Each step re-symmetrizes the state and checks that the trace
-    drifts by at most 1e-6; the diagonal frame changes neither.  A zero
-    duration returns a copy of ``rho0``.
+    RK4 at fixed step ``dt``, applied as the model's checked step map in its
+    frame: the state enters the frame at t0 and leaves it at the end.
+    ``rho0`` is a (d, d) state or a stacked (..., d, d) batch; any other
+    shape is a StepError.  Each step is one product that also re-symmetrizes
+    the state and returns its trace, which may drift from 1 by at most 1e-6;
+    the diagonal frame changes neither.  A zero duration returns a copy of
+    ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
     rho = np.asarray(rho0, dtype=complex)
@@ -285,15 +328,14 @@ def lindblad_evolve(
     if n_steps == 0:
         return rho.copy()
     step = model._step_map(dt)
-    shape, flat = rho.shape, rho.shape[:-2] + (d * d,)
-    rho = in_frame(rho, model._rate, -t0)
+    rows = _as_rows(in_frame(rho, model._rate, -t0))
     for k in range(n_steps):
-        rho = (rho.reshape(flat) @ step).reshape(shape)
-        rho = 0.5 * (rho + _dagger(rho))
-        drift = _largest(np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0))
+        out = rows @ step
+        drift = _largest_gap(out[..., 0, -1], 1.0)
         if not drift <= _TRACE_TOL:  # a NaN drift fails too
             raise InstabilityError(f"trace drifted by {drift:.3e} at step {k + 1}")
-    return in_frame(rho, model._rate, t0 + n_steps * dt)
+        rows = out[..., :-1]
+    return in_frame(_from_rows(rows, rho.shape), model._rate, t0 + n_steps * dt)
 
 
 # ---------------------------------------------------------------------------

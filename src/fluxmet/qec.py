@@ -4,11 +4,13 @@ Two concrete codes: a static one for the field-angle task and a rotating one
 for the rotation-frequency task.  Both protect a two-dimensional code space
 of the probe+ancilla pair against the parameter-correlated noise axis at the
 current estimate; recovery is the two-operator Kraus set {P, P sigma_n},
-applied as one (d*d, d*d) superoperator.  A code is data: its t = 0 code
-words and recovery plus, for a rotating code, the diagonal of the frame
-generator that carries them along in time; its phase rate goes through
-``dynamics.in_frame`` like a model's.  Stepwise corrected evolution and the
-continuous-recovery closed state are written once for both codes.
+applied as one real matrix from ``dynamics._checked_map`` that also
+re-symmetrizes the state and returns the trace it lost for the leakage
+check.  A code is data: its t = 0 code words and recovery plus, for a
+rotating code, the diagonal of the frame generator that carries them along
+in time; its phase rate goes through ``dynamics.in_frame`` like a model's.
+Stepwise corrected evolution and the continuous-recovery closed state are
+written once for both codes.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -17,8 +19,8 @@ recovered dynamics around the operating point, L = L0 + L1 dx + L2 dx^2,
 together with the asymptotic information rate
 J = 4 t^2 Var(H_eff) - 4 t <L2>.  Each stage is a pure function that
 returns a frozen record: ``QecConditions``, then ``GeneralQecReport``.
-``expansion_evolve`` steps the expansion with an RK4 step map from
-``dynamics._rk4_map``, the builder of ``lindblad_evolve``'s maps.
+``expansion_evolve`` steps the expansion with an RK4 step map built like
+``lindblad_evolve``'s, by ``dynamics._rk4_map`` and ``dynamics._checked_map``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ import numpy as np
 
 from .dynamics import (
     LindbladModel,
-    _dagger,
+    _as_rows,
+    _checked_map,
     _frame_rate,
-    _largest,
+    _from_rows,
+    _largest_gap,
     _rk4_map,
     fixed_steps,
     in_frame,
@@ -68,10 +72,12 @@ class QecCode:
     None for a code that only states the error-correction conditions.
 
     Construction derives what every recovery would otherwise rebuild: the
-    t = 0 recovery superoperator (sum_k K x K*)^T, under which a row-major
-    vectorised state recovers as ``vec @ superop`` like a model's step map,
-    and for a rotating code the phase rate i (g_j - g_k).  Replace a field
-    with ``dataclasses.replace``; an array changed in place leaves them stale.
+    t = 0 recovery (sum_k K x K*)^T, under which a row-major vectorised
+    state recovers as ``vec @ superop`` like a model's step map, kept as the
+    checked real map of ``dynamics._checked_map`` whose last column is the
+    trace lost, and for a rotating code the phase rate i (g_j - g_k).
+    Replace a field with ``dataclasses.replace``; an array changed in place
+    leaves them stale.
     """
 
     c0: np.ndarray
@@ -81,12 +87,13 @@ class QecCode:
 
     def __post_init__(self) -> None:
         rate = None if self.frame_generator is None else _frame_rate(self.frame_generator)
-        superop = None
+        checked = None
         if self.recovery is not None:
-            n = self.c0.shape[0] ** 2
-            superop = sum((np.kron(k, k.conj()) for k in self.recovery), np.zeros((n, n))).T
+            d = self.c0.shape[0]
+            superop = sum((np.kron(k, k.conj()) for k in self.recovery), np.zeros((d * d, d * d))).T
+            checked = _checked_map(superop, d, minus_input_trace=True)
         object.__setattr__(self, "_rate", rate)
-        object.__setattr__(self, "_superop", superop)
+        object.__setattr__(self, "_recovery_map", checked)
 
     def basis(self, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         if self.frame_generator is None:
@@ -159,8 +166,9 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel at time t; fails on trace leakage.
 
-    Each state enters the code's frame at t, recovers as one row times the
-    code's superoperator, and leaves the frame.  ``rho`` may be a single
+    Each state enters a rotating code's frame at t, recovers as one row
+    times the code's checked map, which also re-symmetrizes it and returns
+    the trace it lost, and leaves the frame.  ``rho`` may be a single
     (d, d) state or a stacked (..., d, d) batch; any other shape is a
     DimensionError.  Trace loss above 1e-6 in any state means it had weight
     outside the span of the code and its correctable error space.
@@ -169,20 +177,24 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
     d = code.c0.shape[0]
     if rho.shape[-2:] != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
-    if code._superop is None:
+    if code._recovery_map is None:
         raise ConfigError("code has no recovery Kraus set")
-    phase = in_frame(1.0, code._rate, t)  # exp(i (g_j - g_k) t) at entry jk; 1 if static
-    rows = (rho / phase).reshape(rho.shape[:-2] + (1, d * d))
-    out = (rows @ code._superop).reshape(rho.shape) * phase
-    loss = _largest(np.abs((out - rho).trace(axis1=-2, axis2=-1).real))
+    if code._rate is not None:
+        phase = in_frame(1.0, code._rate, t)  # exp(i (g_j - g_k) t) at entry jk
+        rho = rho / phase
+    out = _as_rows(rho) @ code._recovery_map
+    loss = _largest_gap(out[..., 0, -1], 0.0)
     if not loss <= 1e-6:  # a NaN loss fails too
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
-    return 0.5 * (out + _dagger(out))
+    out = _from_rows(out[..., :-1], rho.shape)
+    return out if code._rate is None else out * phase
 
 
 def _recovery_intervals(t: float, dt: float, n_recoveries: int | None) -> tuple[int, float]:
     if n_recoveries is None:
         n_recoveries = fixed_steps(t, dt)
+    if not isinstance(n_recoveries, (int, np.integer)):
+        raise StepError(f"n_recoveries must be an integer, got {n_recoveries!r}")
     if n_recoveries < 1:
         raise StepError(f"n_recoveries must be >= 1, got {n_recoveries}")
     interval = t / n_recoveries
@@ -206,7 +218,9 @@ def _corrected_evolve(
     for k in range(n_rec):
         tau = k * interval
         rho = lindblad_evolve(model, rho, interval, dt, t0=tau)
-        rho = apply_recovery(code, rho, tau) * advance
+        rho = apply_recovery(code, rho, tau)
+        if code._rate is not None:
+            rho = rho * advance
     return rho
 
 
@@ -451,9 +465,9 @@ def expansion_evolve(
 
     The control Hamiltonian -P H P cancels the zeroth-order generator,
     leaving the detuning-driven dynamics only.  The equation is constant and
-    linear, so every RK4 step at ``dt`` is one (d*d, d*d) map, built once;
-    each step re-symmetrizes the state.  ``rho0`` is one (d, d) state; any
-    other shape is a DimensionError.
+    linear, so every RK4 step at ``dt`` is one checked map, built once,
+    which also re-symmetrizes the state; its trace column goes unread.
+    ``rho0`` is one (d, d) state; any other shape is a DimensionError.
     """
     h = dx * report.l1_generator
 
@@ -465,8 +479,8 @@ def expansion_evolve(
     d = h.shape[0]
     if rho.shape != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match report dim {d}")
-    step = _rk4_map(lambda _t: rhs, d, dt)
+    step = _checked_map(_rk4_map(lambda _t: rhs, d, dt), d)
+    rows = _as_rows(rho)
     for _ in range(n_steps):
-        rho = (rho.reshape(d * d) @ step).reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)
-    return rho
+        rows = (rows @ step)[..., :-1]
+    return _from_rows(rows, rho.shape)

@@ -244,6 +244,32 @@ def test_lindblad_evolve_refuses_a_non_finite_state(value) -> None:
             lindblad_evolve(model, np.full((4, 4), value), 0.01)
 
 
+@pytest.mark.parametrize("gain, step", [(1 + 3e-7, 4), (1 - 3e-7, 4), (1 + 1e-7, 10)])
+def test_trace_column_raises_at_the_step_the_state_drifts(gain, step) -> None:
+    # An RK4 step of a Lindbladian keeps the trace exactly, so a genuine
+    # drift needs a map that does not: the step scaled by ``gain``.  The
+    # checked map's trace column must fail at the step where the trace of
+    # the state itself, stepped by the complex map, first leaves 1 by more
+    # than 1e-6; (1 + 1e-7)^10 - 1 clears 1e-6 by only 4.5e-13.
+    model = theta_model(B, GAMMA, 0.3)
+    lab = gain * dynamics._rk4_map(model._generator, 4, 0.01)
+    rho = bell_rho()
+    for k in range(1, step + 1):
+        rho = (rho.reshape(16) @ lab).reshape(4, 4)
+        assert (abs(np.trace(rho).real - 1.0) > 1e-6) == (k == step)
+    model._step_maps[0.01] = dynamics._checked_map(lab, 4)
+    with pytest.raises(InstabilityError, match=f"at step {step}$"):
+        lindblad_evolve(model, bell_rho(), 1.0, dt=0.01)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_lindblad_evolve_refuses_a_non_finite_duration(t) -> None:
+    with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
+        dynamics.fixed_steps(t, 1e-3)
+    with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
+        lindblad_evolve(theta_model(B, GAMMA, 0.3), bell_rho(), t)
+
+
 def test_lindblad_evolve_step_halving_order() -> None:
     model = omega_model(B, GAMMA, 0.5)
     r1 = lindblad_evolve(model, bell_rho(), 1.0, dt=0.02)

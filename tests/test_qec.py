@@ -271,6 +271,35 @@ def test_apply_recovery_broadcasts_over_a_batch() -> None:
     assert np.allclose(apply_recovery(incomplete, leaking[::2]), rho0, atol=1e-12)
 
 
+def _is_hermitian(rho: np.ndarray) -> bool:
+    return np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+
+
+def test_every_returned_state_is_exactly_hermitian() -> None:
+    # The checked maps pair the columns of entries (a, b) and (b, a) bit for
+    # bit, and a frame phase is conjugate-symmetric, so every state the
+    # evolutions and recoveries return equals its conjugate transpose exactly.
+    rho = _random_states(6)
+    evolved = [
+        lindblad_evolve(theta_model(0.3, 0.2, 0.7), rho[0], 1.0, dt=0.01),
+        lindblad_evolve(theta_model(0.3, 0.2, 0.7), rho.reshape(3, 2, 4, 4), 1.0, dt=0.01),
+        lindblad_evolve(omega_model(0.3, 0.2, 1.3), rho[1], 1.0, dt=0.01, t0=1.7),
+        lindblad_evolve(omega_model(0.5, 0.1, 0.9), rho, 1.0, dt=5e-3, t0=0.4),
+    ]
+    assert all(_is_hermitian(out) for out in evolved)
+    codes = [
+        (theta_code(0.8), kron(sigma_n_theta(0.8), EYE2)),
+        (omega_code(1.2), kron(sigma1, EYE2)),
+    ]
+    for code, noise in codes:
+        for t in (0.0, 0.37, 1e3):
+            states = np.stack([_correctable_state(code, noise, t), rho[2], rho[3]])
+            assert _is_hermitian(apply_recovery(code, states[0], t))
+            assert _is_hermitian(apply_recovery(code, states, t))
+    assert _is_hermitian(corrected_evolve_theta(0.3, 0.2, 0.9, 0.8, 1.0, dt=0.01, n_recoveries=20))
+    assert _is_hermitian(corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=0.01, n_recoveries=20))
+
+
 # ---------------------------------------------------------------------------
 # Stepwise corrected dynamics vs closed forms
 # ---------------------------------------------------------------------------
@@ -303,6 +332,24 @@ def test_corrected_evolve_theta_step_errors() -> None:
 def test_corrected_evolve_theta_rejects_zero_step(n_recoveries) -> None:
     with pytest.raises(StepError, match="dt must be positive"):
         corrected_evolve_theta(B, GAMMA, 0.8, np.pi / 4, T, dt=0.0, n_recoveries=n_recoveries)
+
+
+@pytest.mark.parametrize("n_recoveries", [2.5, 2.0, "2"])
+def test_corrected_evolve_refuses_a_non_integer_recovery_count(n_recoveries) -> None:
+    for evolve in (corrected_evolve_theta, corrected_evolve_omega):
+        with pytest.raises(StepError, match="n_recoveries must be an integer"):
+            evolve(0.1, 0.05, 0.8, 0.8, 1.0, n_recoveries=n_recoveries)
+
+
+@pytest.mark.parametrize("n_recoveries", [None, 2])
+def test_corrected_and_expansion_evolve_refuse_a_non_finite_duration(n_recoveries) -> None:
+    for evolve in (corrected_evolve_theta, corrected_evolve_omega):
+        with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
+            evolve(0.1, 0.05, 0.8, 0.8, np.inf, n_recoveries=n_recoveries)
+    code = theta_code(0.3)
+    report = expansion_superoperators(theta_model(B, GAMMA, 0.3), code)
+    with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
+        expansion_evolve(report, outer(code_probe(code)), 0.05, np.inf)
 
 
 def test_corrected_state_theta_closed_qfi() -> None:

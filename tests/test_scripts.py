@@ -67,3 +67,73 @@ def test_criterion7_seeds_refuses_three_studies(tmp_path, monkeypatch, capsys) -
         script.main()
     assert exit_info.value.code == 2
     assert "--compare takes BEFORE.json or BEFORE.json AFTER.json" in capsys.readouterr().err
+
+
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(goodput: float, p50: float, failed: int = 0) -> dict:
+    # One perfbench result line: every end-to-end metric of BENCHMARK.json,
+    # with the given goodput and median op time and 1.0 for the others.
+    specs = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    values = {spec["name"]: 1.0 for spec in specs} | {"goodput_ops_s": goodput, "op_p50_s": p50}
+    metrics = {name: {"value": value, "unit": ""} for name, value in values.items()}
+    return {"correct": failed == 0, "attempted": 40, "failed": failed, "metrics": metrics}
+
+
+_END_TO_END = [
+    {"name": "goodput_ops_s", "unit": "ops/s", "better": "higher", "bound": 0.2},
+    {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.2},
+]
+
+
+def test_bench_pairs_summarizes_paired_runs() -> None:
+    script = _load_bench_pairs()
+    parent = [_run(g, p) for g, p in ((10.0, 0.05), (12.0, 0.04), (11.0, 0.06), (9.0, 0.05), (13.0, 0.05))]
+    change = [_run(g, p) for g, p in ((15.0, 0.06), (11.0, 0.04), (16.0, 0.07), (14.0, 0.07), (13.0, 0.08))]
+    entry = script.summarize([1, 2, 3, 4, 5], parent, change, _END_TO_END)
+    assert entry["pairs"] == 5
+    assert entry["correct_every_run"] == {"parent": True, "change": True}
+    assert entry["attempted_failed"] == {"parent": [200, 0], "change": [200, 0]}
+    goodput = entry["metrics"]["goodput_ops_s"]
+    assert goodput["parent"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
+    assert goodput["change"] == {"median": 14.0, "q1": 13.0, "q3": 15.0}
+    assert goodput["change_wins"] == "3/5"  # the tie at 13.0 counts for neither
+    assert goodput["relative_worsening"] == round(-3.0 / 11.0, 4)
+    assert goodput["within_bound"] is True
+    p50 = entry["metrics"]["op_p50_s"]
+    assert p50["change_wins"] == "0/5"
+    assert p50["relative_worsening"] == 0.4  # (0.07 - 0.05) / 0.05, lower is better
+    assert p50["within_bound"] is False
+    assert p50["runs"]["change"] == [0.06, 0.04, 0.07, 0.07, 0.08]
+
+
+def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch, capsys) -> None:
+    script = _load_bench_pairs()
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        side = "change" if tree == script.ROOT else "parent"
+        calls.append((side, seed, seconds))
+        return _run(20.0 if side == "change" else 10.0, 0.05, failed=int(side == "parent"))
+
+    monkeypatch.setattr(script, "export_parent", lambda rev, dest: dest)
+    monkeypatch.setattr(script, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"claim": "kept", "workloads": {"cli": {"pairs": 3}}}))
+    argv = ["--parent", "HEAD", "--workload", "campaign", "--first-seed", "7", "--pairs", "2", "--out", str(out)]
+    assert script.main(argv) == 0
+    seconds = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    assert calls == [("parent", 7, seconds), ("change", 7, seconds), ("change", 8, seconds), ("parent", 8, seconds)]
+    doc = json.loads(out.read_text())
+    assert doc["claim"] == "kept" and doc["workloads"]["cli"] == {"pairs": 3}
+    entry = doc["workloads"]["campaign"]
+    assert entry["seeds"] == [7, 8]
+    assert entry["correct_every_run"] == {"parent": False, "change": True}
+    assert entry["attempted_failed"] == {"parent": [80, 2], "change": [80, 0]}
+    assert entry["metrics"]["goodput_ops_s"]["change_wins"] == "2/2"
+    assert "goodput_ops_s: 10.0 -> 20.0" in capsys.readouterr().out

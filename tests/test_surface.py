@@ -28,9 +28,10 @@ from fluxmet.estimation import (
 # config types, the finite difference folded into qfi_sld_numeric, the
 # per-task p(+) that each task's coherence record replaced, the likelihood
 # peak search that reading the estimate off the grid replaced, a partial
-# trace that nothing in the package called and the per-call Kraus pairs that
-# each code's recovery superoperator replaced.  A dotted name is an attribute
-# of a module-level name.
+# trace that nothing in the package called, the per-call Kraus pairs that
+# each code's recovery superoperator replaced, and the re-symmetrisation and
+# trace-reading helpers that the checked real maps replaced.  A dotted name
+# is an attribute of a module-level name.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -46,7 +47,7 @@ _REMOVED_NAMES = {
         "cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json",
         "_ADAPT_SCHEMA",
     ),
-    "fluxmet.dynamics": ("TrajectoryPhase", "sample_phase"),
+    "fluxmet.dynamics": ("TrajectoryPhase", "sample_phase", "_dagger", "_largest"),
     "fluxmet.metrology": ("METHODS", "state_derivative"),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
     "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace"),
