@@ -1,10 +1,11 @@
 """Alternating parent/change benchmark pairs, summarised against BENCHMARK.json.
 
     python3 scripts/bench_pairs.py --parent <commit> --workload numeric_route \\
-        --first-seed 18201 --pairs 10 --out BENCH_18.json
+        --first-seed 18201 --out BENCH_18.json
 
 The parent tree is a ``git archive`` of ``--parent`` in a temporary
-directory; the change tree is this working tree.  Pair k runs
+directory; the change tree is this working tree.  There are ``PAIRS`` = 10
+pairs, the count every record of this repository uses.  Pair k runs
 ``perfbench/run.py --workload W --seed S --seconds T`` once in each tree
 with seed S = first seed + k, the parent first at odd seeds and the change
 first at even ones.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and starts
@@ -35,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def export_parent(rev: str, dest: Path) -> Path:
@@ -105,19 +107,15 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p.add_argument("--parent", required=True, help="commit to compare the working tree against")
     p.add_argument("--workload", required=True)
     p.add_argument("--first-seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--out", type=Path, required=True, help="JSON record to write the workload into")
-    args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be >= 2: quartiles need two runs a side")
-    return args
+    return p.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {"parent": export_parent(args.parent, Path(tmp)), "change": ROOT}

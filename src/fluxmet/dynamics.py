@@ -233,9 +233,11 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
     Hermitian projection (rho + rho^dag) / 2, which is real-linear and so
     folds in, and its last column returns the output's real trace, less the
     input's if ``minus_input_trace``.  Columns (a, b) and (b, a) are equal,
-    or negatives for the imaginary parts, bit for bit, so a product that
-    treats equal columns alike, as the tests check, returns exactly
-    Hermitian states (Havel, J. Math. Phys. 44, 534 (2003)).
+    or negatives for the imaginary parts, bit for bit.  The returned states
+    are exactly Hermitian only if the BLAS product treats equal columns
+    alike: the construction does not guarantee it, and
+    ``test_every_returned_state_is_exactly_hermitian`` checks it on the
+    BLAS at hand (Havel, J. Math. Phys. 44, 534 (2003)).
     """
     n = d * d
     real = np.empty((n, 2, n, 2))  # [input entry, input re/im, output entry, output re/im]

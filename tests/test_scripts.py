@@ -123,9 +123,10 @@ def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch
 
     monkeypatch.setattr(script, "export_parent", lambda rev, dest: dest)
     monkeypatch.setattr(script, "run_once", fake_run)
+    monkeypatch.setattr(script, "PAIRS", 2)
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"claim": "kept", "workloads": {"cli": {"pairs": 3}}}))
-    argv = ["--parent", "HEAD", "--workload", "campaign", "--first-seed", "7", "--pairs", "2", "--out", str(out)]
+    argv = ["--parent", "HEAD", "--workload", "campaign", "--first-seed", "7", "--out", str(out)]
     assert script.main(argv) == 0
     seconds = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["run_seconds"]
     assert calls == [("parent", 7, seconds), ("change", 7, seconds), ("change", 8, seconds), ("parent", 8, seconds)]
