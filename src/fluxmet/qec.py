@@ -6,9 +6,11 @@ of the probe+ancilla pair against the parameter-correlated noise axis at the
 current estimate; recovery is the two-operator Kraus set {P, P sigma_n},
 applied as one real matrix from ``dynamics._checked_map`` that also
 re-symmetrizes the state and returns the trace it lost for the leakage
-check.  A code is data: its t = 0 code words and recovery plus, for a
-rotating code, the diagonal of the frame generator that carries them along
-in time; its phase rate goes through ``dynamics.in_frame`` like a model's.
+check.  A code builds that matrix at its first recovery, so the codes of
+closed states and of the error-correction conditions never do.  A code is
+data: its t = 0 code words and recovery plus, for a rotating code, the
+diagonal of the frame generator that carries them along in time; its phase
+rate goes through ``dynamics.in_frame`` like a model's.
 Stepwise corrected evolution and the continuous-recovery closed state are
 written once for both codes.
 
@@ -26,6 +28,7 @@ returns a frozen record: ``QecConditions``, then ``GeneralQecReport``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +74,14 @@ class QecCode:
     ingredient is its t = 0 value conjugated by exp(+i G t).  ``recovery`` is
     None for a code that only states the error-correction conditions.
 
-    Construction derives what every recovery would otherwise rebuild: the
-    t = 0 recovery (sum_k K x K*)^T, under which a row-major vectorised
+    Construction derives a rotating code's phase rate i (g_j - g_k).  The
+    first recovery derives what every later one would otherwise rebuild:
+    the t = 0 recovery (sum_k K x K*)^T, under which a row-major vectorised
     state recovers as ``vec @ superop`` like a model's step map, kept as the
     checked real map of ``dynamics._checked_map`` whose last column is the
-    trace lost, and for a rotating code the phase rate i (g_j - g_k).
-    Replace a field with ``dataclasses.replace``; an array changed in place
-    leaves them stale.
+    trace lost.  A code that never recovers (a closed state, the
+    error-correction conditions) never builds it.  Replace a field with
+    ``dataclasses.replace``; an array changed in place leaves them stale.
     """
 
     c0: np.ndarray
@@ -87,13 +91,15 @@ class QecCode:
 
     def __post_init__(self) -> None:
         rate = None if self.frame_generator is None else _frame_rate(self.frame_generator)
-        checked = None
-        if self.recovery is not None:
-            d = self.c0.shape[0]
-            superop = sum((np.kron(k, k.conj()) for k in self.recovery), np.zeros((d * d, d * d))).T
-            checked = _checked_map(superop, d, minus_input_trace=True)
         object.__setattr__(self, "_rate", rate)
-        object.__setattr__(self, "_recovery_map", checked)
+
+    @cached_property
+    def _recovery_map(self) -> np.ndarray | None:
+        if self.recovery is None:
+            return None
+        d = self.c0.shape[0]
+        superop = sum((np.kron(k, k.conj()) for k in self.recovery), np.zeros((d * d, d * d))).T
+        return _checked_map(superop, d, minus_input_trace=True)
 
     def basis(self, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         if self.frame_generator is None:

@@ -348,13 +348,15 @@ def test_refinement_matches_the_golden_section_oracle(task, strategy) -> None:
     seed=st.integers(0, 2**31 - 1),
     reps=st.integers(1, 6),
 )
-# m = 1, one round, a guess on the true value, a one-cell grid, and a grid
-# fine enough that two lanes fill a block (lanes 0-1, 2-3 and 4 run apart).
+# m = 1, one round, a guess on the true value, a one-cell grid, a grid fine
+# enough that two lanes fill a block (lanes 0-1, 2-3 and 4 run apart), and one
+# whose 3000 points put two lanes in a chunk (lanes 0-1, 2-3 and 4 of one block).
 @example("theta", "qec_corrected", 1, 3, 0.2, 0.4, 50, 0.3, 0.9, 0.05, 11, 4)
 @example("omega", "unitary_controlled", 7, 1, 0.1, 0.3, 80, 0.6, 0.1, 0.05, 12, 3)
 @example("theta", "unitary_controlled", 5, 4, 0.3, 0.5, 120, 0.4, 0.4, 0.05, 13, 4)
 @example("omega", "qec_corrected", 5, 3, 0.2, 0.2, 1, 0.7, 0.2, 0.05, 14, 4)
 @example("theta", "qec_corrected", 4, 2, 0.6, 0.3, 2**19 - 1, 0.5, 0.0, 0.05, 15, 5)
+@example("omega", "qec_corrected", 6, 3, 0.2, 0.3, 2999, 0.4, 0.6, 0.05, 16, 5)
 def test_campaign_rows_are_independent_runs(
     task, strategy, m, rounds, lo, width, cells, true_at, guess_at, gamma, seed, reps
 ) -> None:
@@ -371,6 +373,44 @@ def test_campaign_rows_are_independent_runs(
     table = campaign_estimates(cfg, reps, task=task)
     for r in range(reps):
         run = run_adaptive(dataclasses.replace(cfg, seed=seed ^ r), task=task)
+        assert list(table[r]) == run.estimates
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("task, true_value", [("theta", np.pi / 4), ("omega", 0.3)])
+def test_campaign_rows_do_not_depend_on_the_chunk(
+    monkeypatch, task, true_value, strategy, lanes
+) -> None:
+    # Chunks of 1, 2 and 3 lanes split 7 repetitions with a partial last
+    # chunk; every row is the same bytes as at the default chunk, where all
+    # 7 lanes share one chunk on this coarse grid, and as a single run.
+    sizes = []
+    loglik = estimation._loglik
+
+    def record(n_plus, n_minus, p):
+        sizes.append(len(n_plus))
+        return loglik(n_plus, n_minus, p)
+
+    cfg = AdaptiveConfig(
+        true_value=true_value,
+        initial_guess=true_value + 0.05,
+        rounds=4,
+        grid=(true_value - 0.2, true_value + 0.2, 0.004),
+        seed=19,
+        strategy=strategy,
+    )
+    whole = campaign_estimates(cfg, 7, task=task)
+    points = estimation._likelihood_grid(cfg, TASKS[task])[0].size
+    assert estimation._CHUNK_BYTES // (8 * points) >= 7
+    monkeypatch.setattr(estimation, "_CHUNK_BYTES", 8 * points * lanes)
+    monkeypatch.setattr(estimation, "_loglik", record)
+    table = campaign_estimates(cfg, 7, task=task)
+    assert table.tobytes() == whole.tobytes()
+    chunks = [lanes] * (7 // lanes) + [7 % lanes] * (7 % lanes > 0)
+    assert sizes == chunks * cfg.rounds + [7]  # then the final log-likelihood, whole
+    for r in range(7):
+        run = run_adaptive(dataclasses.replace(cfg, seed=19 ^ r), task=task)
         assert list(table[r]) == run.estimates
 
 

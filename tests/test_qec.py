@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fluxmet import qec
 from fluxmet.cli import load_model_file, resolve_model_path
 from fluxmet.dynamics import (
     LindbladModel,
@@ -194,7 +195,7 @@ def _recover_from_kraus(code: QecCode, rho: np.ndarray, t: float) -> np.ndarray:
 
 
 def test_apply_recovery_matches_kraus_sandwich() -> None:
-    # The superoperator and the frame rate derived at construction agree
+    # The superoperator and the frame rate derived once per code agree
     # with the Kraus set rebuilt at each time, to rounding (1.1e-16 seen),
     # out to a rotating code's phase at t = 1e3.
     codes = [
@@ -227,6 +228,42 @@ def test_replaced_code_rebuilds_recovery() -> None:
     static = dataclasses.replace(omega_code(1.2), frame_generator=None)
     got = apply_recovery(static, rho, 0.37)
     assert np.max(np.abs(got - _recover_from_kraus(static, rho, 0.37))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "closed, evolve",
+    [
+        (corrected_state_theta_closed, corrected_evolve_theta),
+        (corrected_state_omega_closed, corrected_evolve_omega),
+    ],
+)
+def test_recovery_map_is_built_only_when_a_recovery_runs(monkeypatch, closed, evolve) -> None:
+    # A code builds its checked recovery map at its first recovery and keeps
+    # it: the code of a closed state never builds one, a corrected evolution
+    # builds one for its code rather than one per interval, and a replaced
+    # code builds its own rather than keep the one of the code it came from.
+    built = []
+    checked_map = qec._checked_map
+
+    def record(*args, **kwargs):
+        built.append(kwargs)
+        return checked_map(*args, **kwargs)
+
+    monkeypatch.setattr(qec, "_checked_map", record)
+    closed(B, GAMMA, 0.8, 0.75, T)
+    assert built == []
+    evolve(B, GAMMA, 0.8, 0.75, 0.01, dt=1e-3, n_recoveries=5)
+    assert built == [{"minus_input_trace": True}]
+    code, other = theta_code(0.8), theta_code(0.3)
+    assert "_recovery_map" not in vars(code)
+    probe = outer(code_probe(code))
+    apply_recovery(code, probe)
+    apply_recovery(code, probe)
+    assert len(built) == 2
+    rho = _correctable_state(other, kron(sigma_n_theta(0.3), EYE2), 0.0)
+    replaced = dataclasses.replace(code, recovery=other.recovery)
+    assert np.array_equal(apply_recovery(replaced, rho), apply_recovery(other, rho))
+    assert len(built) == 4
 
 
 def test_results_do_not_alias_the_input() -> None:
