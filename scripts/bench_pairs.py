@@ -1,23 +1,24 @@
 """Alternating parent/change benchmark pairs, summarised against BENCHMARK.json.
 
     python3 scripts/bench_pairs.py --parent <commit> --workload numeric_route \\
-        --first-seed 18201 --out BENCH_18.json
+        --workload campaign --workload cli --first-seed 20201 --out BENCH_20.json
 
 The parent tree is a ``git archive`` of ``--parent`` in a temporary
-directory; the change tree is this working tree.  There are ``PAIRS`` = 10
-pairs, the count every record of this repository uses.  Pair k runs
-``perfbench/run.py --workload W --seed S --seconds T`` once in each tree
-with seed S = first seed + k, the parent first at odd seeds and the change
-first at even ones.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and starts
+directory; the change tree is this working tree.  Each ``--workload`` in
+turn runs ``PAIRS`` = 10 pairs, the count every record of this repository
+uses.  Pair k runs ``perfbench/run.py --workload W --seed S --seconds T``
+once in each tree with seed S = first seed + k, the parent first at odd
+seeds and the change first at even ones.  Every run has ``PYTHONDONTWRITEBYTECODE=1`` and starts
 with every ``__pycache__`` removed from its tree, so neither side imports
 bytecode the other lacks.  T is ``run_seconds`` of BENCHMARK.json.
 
-The workload's entry goes into the ``workloads`` section of ``--out``, in
+Each workload's entry goes into the ``workloads`` section of ``--out``, in
 the layout of the earlier ``BENCH_<n>.json`` records: each side's median
 and inclusive quartiles, ``change_wins`` (pairs in which the change is
 better; ties count for neither) and ``relative_worsening``, (change -
 parent) / parent of the medians signed so that positive is worse, against
-the metric's bound in BENCHMARK.json.  Other keys of ``--out`` are kept.
+the metric's bound in BENCHMARK.json.  ``--out`` is written after each
+workload, and its other keys are kept.
 BENCHMARK.json is read, never written.
 """
 
@@ -105,9 +106,9 @@ def summarize(seeds: list[int], parent: list[dict], change: list[dict], end_to_e
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="commit to compare the working tree against")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", required=True, help="repeat for more workloads")
     p.add_argument("--first-seed", type=int, required=True)
-    p.add_argument("--out", type=Path, required=True, help="JSON record to write the workload into")
+    p.add_argument("--out", type=Path, required=True, help="JSON record to write the workloads into")
     return p.parse_args(argv)
 
 
@@ -116,24 +117,25 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {"parent": export_parent(args.parent, Path(tmp)), "change": ROOT}
-        for seed in seeds:
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                result = run_once(trees[side], args.workload, seed, seconds)
-                runs[side].append(result)
-                goodput = result["metrics"]["goodput_ops_s"]["value"]
-                print(f"{args.workload} seed {seed} {side}: goodput {goodput:.4g} ops/s", flush=True)
-    entry = summarize(seeds, runs["parent"], runs["change"], bench["end_to_end"])
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("workloads", {})[args.workload] = entry
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, m in entry["metrics"].items():
-        print(f"{name}: {m['parent']['median']} -> {m['change']['median']} "
-              f"(worse by {m['relative_worsening']:+.4f}, bound {m['bound']}), "
-              f"change wins {m['change_wins']}")
+        for workload in args.workload:
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for seed in seeds:
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for side in order:
+                    result = run_once(trees[side], workload, seed, seconds)
+                    runs[side].append(result)
+                    goodput = result["metrics"]["goodput_ops_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: goodput {goodput:.4g} ops/s", flush=True)
+            entry = summarize(seeds, runs["parent"], runs["change"], bench["end_to_end"])
+            doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+            doc.setdefault("workloads", {})[workload] = entry
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+            for name, m in entry["metrics"].items():
+                print(f"{workload} {name}: {m['parent']['median']} -> {m['change']['median']} "
+                      f"(worse by {m['relative_worsening']:+.4f}, bound {m['bound']}), "
+                      f"change wins {m['change_wins']}")
     return 0
 
 

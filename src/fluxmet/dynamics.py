@@ -18,7 +18,10 @@ its frame is the one in which every step is the same matrix.
 :func:`_rk4_map` builds that (d*d, d*d) matrix for any linear right-hand
 side, and :func:`_checked_map` turns it, or a recovery, into one real matrix
 on the float64 view of the state that also applies the Hermitian projection
-and returns the output's trace for the step's check.
+and returns the output's trace for the step's check.  :func:`_block_map`
+makes k such steps one matrix that returns the trace after each of them,
+so a run takes one product per block of up to ``_BLOCK_STEPS`` steps and
+still checks every step.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t) and averages pure-state trajectories.
 """
@@ -33,6 +36,7 @@ from .errors import ConfigError, DomainError, InstabilityError, StepError
 from .qmat import eye2, kron, sigma1, sigma2, sigma3
 
 _TRACE_TOL = 1e-6  # largest trace drift lindblad_evolve accepts after a step
+_BLOCK_STEPS = 16  # most RK4 steps one product applies (CHANGES.md has the sweep)
 
 
 def sigma_n_theta(theta: float) -> np.ndarray:
@@ -68,9 +72,10 @@ def in_frame(op: np.ndarray, rate: np.ndarray | None, t: float) -> np.ndarray:
     ``rate`` is the (d, d) matrix i (g_j - g_k) that a model or code keeps
     as ``_rate``, so entry jk becomes op_jk exp(i (g_j - g_k) t); ``op`` may
     be a stacked (..., d, d) batch, or a scalar that scales the phases.  A
-    None rate leaves ``op`` as it is.
+    None rate, or t = 0, where every phase is exactly 1, returns ``op``
+    itself.
     """
-    if rate is None:
+    if rate is None or t == 0:
         return op
     return op * np.exp(rate * t)
 
@@ -92,9 +97,9 @@ class LindbladModel:
     ``frame`` are the keys of a model file.
 
     Construction derives a framed model's phase rate i (g_j - g_k), and the
-    first evolution at a step size dt keeps that step's map.  Replace a
-    field with ``dataclasses.replace``; an array changed in place leaves
-    them stale.
+    first evolution at a step size dt keeps that step's map, and the map of
+    each block length it runs.  Replace a field with
+    ``dataclasses.replace``; an array changed in place leaves them stale.
     """
 
     dim: int
@@ -117,6 +122,7 @@ class LindbladModel:
         rate = None if self.frame is None else _frame_rate(self.frame)
         object.__setattr__(self, "_rate", rate)
         object.__setattr__(self, "_step_maps", {})
+        object.__setattr__(self, "_blocks", {})
 
     def at(self, t: float, order: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
         """(H, [E_k]) at time t, or their ``order``-th parameter derivative.
@@ -219,8 +225,8 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
 
 
 def _largest_gap(x: np.ndarray, target: float) -> float:
-    """max |x - target|; a single state's 0-d value is read as a float, skipping numpy's ufuncs."""
-    return abs(float(x) - target) if x.ndim == 0 else float(np.abs(x - target).max())
+    """max |x - target|; a single value is read as a float, skipping numpy's ufuncs."""
+    return abs(x.item() - target) if x.size == 1 else float(np.abs(x - target).max())
 
 
 def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) -> np.ndarray:
@@ -253,6 +259,25 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
     return np.column_stack([folded, trace])
 
 
+def _block_map(step: np.ndarray, k: int) -> np.ndarray:
+    """The real (2 d^2, 2 d^2 + k) matrix of k steps of the checked map ``step``.
+
+    Its state columns are the k-th power of the state block of ``step``, and
+    column 2 d^2 + j returns the trace after step j + 1: the trace column of
+    ``step`` carried back through the j steps before it.  A row times it
+    equals k products with ``step`` in turn up to rounding, and checks each
+    of the k steps.  One step is ``step`` itself.
+    """
+    if k == 1:
+        return step
+    states, trace = step[:, :-1], step[:, -1]
+    power, traces = states, [trace]
+    for _ in range(k - 1):
+        traces.append(power @ trace)
+        power = power @ states
+    return np.column_stack([power, *traces])
+
+
 def _as_rows(rho: np.ndarray) -> np.ndarray:
     """The float64 view of each complex (d, d) state as one (1, 2 d^2) row.
 
@@ -260,7 +285,7 @@ def _as_rows(rho: np.ndarray) -> np.ndarray:
     stacked batch down one BLAS path, so they step alike bit for bit.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
-    return rho.view(np.float64).reshape(rho.shape[:-2] + (1, 2 * rho.shape[-1] ** 2))
+    return rho.view(np.float64).reshape(rho.shape[:-2] + (1, -1))
 
 
 def _from_rows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -314,13 +339,16 @@ def lindblad_evolve(
 ) -> np.ndarray:
     """Evolve ``rho0`` for duration ``t`` starting at absolute time ``t0``.
 
-    RK4 at fixed step ``dt``, applied as the model's checked step map in its
-    frame: the state enters the frame at t0 and leaves it at the end.
-    ``rho0`` is a (d, d) state or a stacked (..., d, d) batch; any other
-    shape is a StepError.  Each step is one product that also re-symmetrizes
-    the state and returns its trace, which may drift from 1 by at most 1e-6;
-    the diagonal frame changes neither.  A zero duration returns a copy of
-    ``rho0``.
+    RK4 at fixed step ``dt``, applied in the model's frame: the state enters
+    the frame at t0 and leaves it at the end, and neither change costs a
+    phase at t = 0.  ``rho0`` is a (d, d) state or a stacked (..., d, d)
+    batch; any other shape is a StepError.  Each block of up to
+    ``_BLOCK_STEPS`` steps is one product with the model's block map, which
+    re-symmetrizes the state after every step and returns its trace after
+    every step.  Each of those traces may drift from 1 by at most 1e-6, and
+    the error names the first step that does not; the diagonal frame changes
+    no trace.  A one-step run is one product with the step map.  A zero
+    duration returns a copy of ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
     rho = np.asarray(rho0, dtype=complex)
@@ -329,14 +357,21 @@ def lindblad_evolve(
         raise StepError(f"state shape {rho.shape} does not match model dim {d}")
     if n_steps == 0:
         return rho.copy()
-    step = model._step_map(dt)
     rows = _as_rows(in_frame(rho, model._rate, -t0))
-    for k in range(n_steps):
-        out = rows @ step
-        drift = _largest_gap(out[..., 0, -1], 1.0)
+    width = rows.shape[-1]
+    for done in range(0, n_steps, _BLOCK_STEPS):
+        k = min(_BLOCK_STEPS, n_steps - done)
+        block = model._blocks.get((dt, k))
+        if block is None:  # built once per model, dt and k
+            block = model._blocks[(dt, k)] = _block_map(model._step_map(dt), k)
+        out = rows @ block
+        traces = out[..., 0, width:]  # the trace after each step of the block
+        drift = _largest_gap(traces, 1.0)
         if not drift <= _TRACE_TOL:  # a NaN drift fails too
-            raise InstabilityError(f"trace drifted by {drift:.3e} at step {k + 1}")
-        rows = out[..., :-1]
+            gaps = np.abs(traces - 1.0).reshape(-1, k).max(axis=0)  # per step, over the batch
+            first = int(np.argmin(gaps <= _TRACE_TOL))
+            raise InstabilityError(f"trace drifted by {gaps[first]:.3e} at step {done + first + 1}")
+        rows = out[..., :width]
     return in_frame(_from_rows(rows, rho.shape), model._rate, t0 + n_steps * dt)
 
 

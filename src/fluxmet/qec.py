@@ -12,7 +12,9 @@ data: its t = 0 code words and recovery plus, for a rotating code, the
 diagonal of the frame generator that carries them along in time; its phase
 rate goes through ``dynamics.in_frame`` like a model's.
 Stepwise corrected evolution and the continuous-recovery closed state are
-written once for both codes.
+written once for both codes.  The stepwise evolution carries its state in
+the model's frame and recovers it in the code's frame taken relative to
+the model's, so a rotating interval calls np.exp about once.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -22,19 +24,22 @@ together with the asymptotic information rate
 J = 4 t^2 Var(H_eff) - 4 t <L2>.  Each stage is a pure function that
 returns a frozen record: ``QecConditions``, then ``GeneralQecReport``.
 ``expansion_evolve`` steps the expansion with an RK4 step map built like
-``lindblad_evolve``'s, by ``dynamics._rk4_map`` and ``dynamics._checked_map``.
+``lindblad_evolve``'s, by ``dynamics._rk4_map`` and ``dynamics._checked_map``,
+in blocks of steps from ``dynamics._block_map`` like ``lindblad_evolve``'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .dynamics import (
+    _BLOCK_STEPS,
     LindbladModel,
     _as_rows,
+    _block_map,
     _checked_map,
     _frame_rate,
     _from_rows,
@@ -63,6 +68,7 @@ from .qmat import eye2, kron, sigma1
 
 _QEC_TOL = 1e-8  # residual of the error-correction conditions and of the Gram matrix
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
+_PHASE_ROWS = 256  # recovery intervals whose relative frame phases one np.exp computes
 
 
 @dataclass(frozen=True)
@@ -217,17 +223,40 @@ def _corrected_evolve(
     equation, recover with the code frozen at tau and, for a rotating code,
     advance the frame by exp(+i G dt').  Converges first-order in the
     recovery interval to the continuous-recovery closed state.
+
+    The state is carried in the model's frame, so every interval evolves
+    from t0 = 0 and the model's frame costs one phase per interval, when
+    the evolution leaves it.  The recovery sees the code's frame relative
+    to the model's: the state enters it at tau, recovers with the code's
+    t = 0 map and leaves it at tau + dt', which also advances the code.
+    Those phases come from :func:`_interval_phases`, and the state leaves
+    the model's frame once, at the end.
     """
-    rho = _outer(code_probe(code))
     n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
-    advance = in_frame(1.0, code._rate, interval)
-    for k in range(n_rec):
-        tau = k * interval
-        rho = lindblad_evolve(model, rho, interval, dt, t0=tau)
-        rho = apply_recovery(code, rho, tau)
-        if code._rate is not None:
-            rho = rho * advance
-    return rho
+    rate = code._rate
+    if model._rate is not None:
+        rate = -model._rate if rate is None else rate - model._rate
+    rho = _outer(code_probe(code))  # at t = 0 the model's frame is the lab's
+    if rate is None:
+        for _ in range(n_rec):
+            rho = apply_recovery(code, lindblad_evolve(model, rho, interval, dt))
+        return rho
+    static = code if code._rate is None else replace(code, frame_generator=None)
+    for enter, leave in _interval_phases(rate, interval, n_rec):
+        rho = lindblad_evolve(model, rho, interval, dt)
+        rho = apply_recovery(static, rho / enter) * leave
+    return in_frame(rho, model._rate, n_rec * interval)
+
+
+def _interval_phases(rate: np.ndarray, interval: float, n_rec: int):
+    """The phases exp(rate tau) and exp(rate (tau + interval)) of each interval's start tau.
+
+    One np.exp computes those of ``_PHASE_ROWS`` intervals at a time.
+    """
+    for start in range(0, n_rec, _PHASE_ROWS):
+        taus = np.arange(start, min(start + _PHASE_ROWS, n_rec) + 1) * interval
+        phases = np.exp(rate * taus[:, None, None])
+        yield from zip(phases[:-1], phases[1:])
 
 
 def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):
@@ -472,7 +501,9 @@ def expansion_evolve(
     The control Hamiltonian -P H P cancels the zeroth-order generator,
     leaving the detuning-driven dynamics only.  The equation is constant and
     linear, so every RK4 step at ``dt`` is one checked map, built once,
-    which also re-symmetrizes the state; its trace column goes unread.
+    which also re-symmetrizes the state, and each block of up to
+    ``dynamics._BLOCK_STEPS`` steps is one product with that map's
+    ``_block_map``; their trace columns go unread.
     ``rho0`` is one (d, d) state; any other shape is a DimensionError.
     """
     h = dx * report.l1_generator
@@ -487,6 +518,12 @@ def expansion_evolve(
         raise DimensionError(f"state shape {rho.shape} does not match report dim {d}")
     step = _checked_map(_rk4_map(lambda _t: rhs, d, dt), d)
     rows = _as_rows(rho)
-    for _ in range(n_steps):
-        rows = (rows @ step)[..., :-1]
+    width = rows.shape[-1]
+    blocks, rest = divmod(n_steps, _BLOCK_STEPS)
+    if blocks:
+        block = _block_map(step, _BLOCK_STEPS)
+        for _ in range(blocks):
+            rows = (rows @ block)[..., :width]
+    if rest:
+        rows = (rows @ _block_map(step, rest))[..., :width]
     return _from_rows(rows, rho.shape)

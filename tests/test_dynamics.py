@@ -244,7 +244,9 @@ def test_lindblad_evolve_refuses_a_non_finite_state(value) -> None:
             lindblad_evolve(model, np.full((4, 4), value), 0.01)
 
 
-@pytest.mark.parametrize("gain, step", [(1 + 3e-7, 4), (1 - 3e-7, 4), (1 + 1e-7, 10)])
+@pytest.mark.parametrize(
+    "gain, step", [(1 + 3e-7, 4), (1 - 3e-7, 4), (1 + 1e-7, 10), (1 + 3e-8, 34)]
+)
 def test_trace_column_raises_at_the_step_the_state_drifts(gain, step) -> None:
     # An RK4 step of a Lindbladian keeps the trace exactly, so a genuine
     # drift needs a map that does not: the step scaled by ``gain``.  The
@@ -260,6 +262,62 @@ def test_trace_column_raises_at_the_step_the_state_drifts(gain, step) -> None:
     model._step_maps[0.01] = dynamics._checked_map(lab, 4)
     with pytest.raises(InstabilityError, match=f"at step {step}$"):
         lindblad_evolve(model, bell_rho(), 1.0, dt=0.01)
+
+
+def test_the_last_drift_case_fails_inside_a_later_block() -> None:
+    # The (1 + 3e-8, 34) case above must name a step past the first block
+    # of K steps that no block starts or ends at.
+    k = dynamics._BLOCK_STEPS
+    assert 34 > k and 34 % k not in (0, 1)
+
+
+@pytest.mark.parametrize("model", [theta_model(B, GAMMA, 0.3), omega_model(B, GAMMA, 0.3)])
+def test_a_nan_state_in_a_batch_fails_at_step_1(model) -> None:
+    # The blocks check every state of a batch at every step: one NaN state
+    # among finite ones fails the whole call at the first step.
+    batch = np.stack([bell_rho(), np.full((4, 4), np.nan), bell_rho()])
+    with pytest.raises(InstabilityError, match="by nan at step 1$"):
+        lindblad_evolve(model, batch, 1.0, dt=0.01, t0=0.4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="RK4 of a Lindbladian keeps the trace exactly, so the trace-drift check sees an "
+    "unstable step only once rounding at entries of about 1e10 moves the trace by 1e-6; "
+    "no check bounds the size of the state",
+)
+def test_an_unstable_step_with_an_exact_trace_raises() -> None:
+    # One step of 0.1 at B = 1e5 lies far outside RK4's stability region:
+    # the state returns with entries of about 1.8e15 and trace exactly 1.
+    with pytest.raises(InstabilityError):
+        lindblad_evolve(theta_model(1e5, 0.05, 0.3), bell_rho(), 0.1, dt=0.1)
+
+
+def _stepwise(model, rho: np.ndarray, n: int, dt: float, t0: float) -> np.ndarray:
+    # n products with the model's checked step map, in its frame, each
+    # dropping the trace column.
+    step = model._step_map(dt)
+    rows = dynamics._as_rows(dynamics.in_frame(rho, model._rate, -t0))
+    for _ in range(n):
+        rows = (rows @ step)[..., :-1]
+    return dynamics.in_frame(dynamics._from_rows(rows, rho.shape), model._rate, t0 + n * dt)
+
+
+@pytest.mark.parametrize("model", [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)])
+def test_block_maps_match_the_step_map_loop(model) -> None:
+    # A run of n steps takes one product per block of up to K steps; it
+    # must match n products with the step map within rounding, and a
+    # one-step run must be exactly that product.
+    k = dynamics._BLOCK_STEPS
+    states = np.stack([_random_rho(seed) for seed in range(3)])
+    for rho in (states[0], states):
+        for n in (1, k - 1, k, k + 1, 2 * k + 3):
+            got = lindblad_evolve(model, rho, n * 0.01, dt=0.01, t0=0.37)
+            want = _stepwise(model, rho, n, 0.01, 0.37)
+            assert got.shape == rho.shape
+            if n == 1:
+                assert np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])

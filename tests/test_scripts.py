@@ -118,7 +118,7 @@ def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch
 
     def fake_run(tree, workload, seed, seconds):
         side = "change" if tree == script.ROOT else "parent"
-        calls.append((side, seed, seconds))
+        calls.append((workload, side, seed, seconds))
         return _run(20.0 if side == "change" else 10.0, 0.05, failed=int(side == "parent"))
 
     monkeypatch.setattr(script, "export_parent", lambda rev, dest: dest)
@@ -126,15 +126,20 @@ def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch
     monkeypatch.setattr(script, "PAIRS", 2)
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"claim": "kept", "workloads": {"cli": {"pairs": 3}}}))
-    argv = ["--parent", "HEAD", "--workload", "campaign", "--first-seed", "7", "--out", str(out)]
+    argv = ["--parent", "HEAD", "--workload", "campaign", "--workload", "numeric_route",
+            "--first-seed", "7", "--out", str(out)]
     assert script.main(argv) == 0
     seconds = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["run_seconds"]
-    assert calls == [("parent", 7, seconds), ("change", 7, seconds), ("change", 8, seconds), ("parent", 8, seconds)]
+    pairs = [("parent", 7, seconds), ("change", 7, seconds), ("change", 8, seconds), ("parent", 8, seconds)]
+    assert calls == [(w, *call) for w in ("campaign", "numeric_route") for call in pairs]
     doc = json.loads(out.read_text())
     assert doc["claim"] == "kept" and doc["workloads"]["cli"] == {"pairs": 3}
-    entry = doc["workloads"]["campaign"]
-    assert entry["seeds"] == [7, 8]
-    assert entry["correct_every_run"] == {"parent": False, "change": True}
-    assert entry["attempted_failed"] == {"parent": [80, 2], "change": [80, 0]}
-    assert entry["metrics"]["goodput_ops_s"]["change_wins"] == "2/2"
-    assert "goodput_ops_s: 10.0 -> 20.0" in capsys.readouterr().out
+    for workload in ("campaign", "numeric_route"):
+        entry = doc["workloads"][workload]
+        assert entry["seeds"] == [7, 8]
+        assert entry["correct_every_run"] == {"parent": False, "change": True}
+        assert entry["attempted_failed"] == {"parent": [80, 2], "change": [80, 0]}
+        assert entry["metrics"]["goodput_ops_s"]["change_wins"] == "2/2"
+    printed = capsys.readouterr().out
+    assert "campaign goodput_ops_s: 10.0 -> 20.0" in printed
+    assert "numeric_route goodput_ops_s: 10.0 -> 20.0" in printed
