@@ -20,8 +20,8 @@ side, and :func:`_checked_map` turns it, or a recovery, into one real matrix
 on the float64 view of the state that also applies the Hermitian projection
 and returns the output's trace for the step's check.  :func:`_block_map`
 makes k such steps one matrix that returns the trace after each of them,
-so a run takes one product per block of up to ``_BLOCK_STEPS`` steps and
-still checks every step.
+so :func:`_steps`, the one loop of every RK4 run, takes one product per
+block of up to ``_BLOCK_STEPS`` steps and still checks every step.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t) and averages pure-state trajectories.
 """
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, InstabilityError, StepError
 from .qmat import eye2, kron, sigma1, sigma2, sigma3
 
-_TRACE_TOL = 1e-6  # largest trace drift lindblad_evolve accepts after a step
+_TRACE_TOL = 1e-6  # largest trace drift a step, or trace loss a recovery, may show
 _BLOCK_STEPS = 16  # most RK4 steps one product applies (CHANGES.md has the sweep)
 
 
@@ -96,9 +96,9 @@ class LindbladModel:
     point; the general engine alone needs them.  The field names other than
     ``frame`` are the keys of a model file.
 
-    Construction derives a framed model's phase rate i (g_j - g_k), and the
-    first evolution at a step size dt keeps that step's map, and the map of
-    each block length it runs.  Replace a field with
+    Construction derives a framed model's phase rate i (g_j - g_k); the
+    model's one map cache, dt -> {k: checked map of k steps}, fills as it
+    evolves.  Replace a field with
     ``dataclasses.replace``; an array changed in place leaves them stale.
     """
 
@@ -121,8 +121,7 @@ class LindbladModel:
                 raise DomainError(f"{name} length {len(derivs)} != {len(self.lindblads)} lindblads")
         rate = None if self.frame is None else _frame_rate(self.frame)
         object.__setattr__(self, "_rate", rate)
-        object.__setattr__(self, "_step_maps", {})
-        object.__setattr__(self, "_blocks", {})
+        object.__setattr__(self, "_maps", {})
 
     def at(self, t: float, order: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
         """(H, [E_k]) at time t, or their ``order``-th parameter derivative.
@@ -155,21 +154,21 @@ class LindbladModel:
 
         return rhs
 
-    def _step_map(self, dt: float) -> np.ndarray:
-        """One checked RK4 step of length dt in the model's frame, as :func:`_checked_map`.
+    def _maps_at(self, dt: float) -> dict[int, np.ndarray]:
+        """The checked maps of k RK4 steps of length dt in the model's frame, keyed by k.
 
         Since L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every lab-frame
         step is the one from t = 0 conjugated by D_t, so in the frame it is
         one matrix: the step from 0 followed by in_frame(., rate, -dt).
-        Built once per dt.
+        Entry 1 is built once per dt; :func:`_steps` adds the others.
         """
-        step = self._step_maps.get(dt)
-        if step is None:
+        maps = self._maps.get(dt)
+        if maps is None:
             d, n = self.dim, self.dim * self.dim
             lab = _rk4_map(self._generator, d, dt).reshape(n, d, d)
             framed = in_frame(lab, self._rate, -dt).reshape(n, n)
-            step = self._step_maps[dt] = _checked_map(framed, d)
-        return step
+            maps = self._maps[dt] = {1: _checked_map(framed, d)}
+        return maps
 
 
 def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
@@ -225,8 +224,8 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
 
 
 def _largest_gap(x: np.ndarray, target: float) -> float:
-    """max |x - target|; a single value is read as a float, skipping numpy's ufuncs."""
-    return abs(x.item() - target) if x.size == 1 else float(np.abs(x - target).max())
+    """max |x - target|, 0 if x is empty; one value is read as a float, skipping ufuncs."""
+    return abs(x.item() - target) if x.size == 1 else float(np.abs(x - target).max(initial=0.0))
 
 
 def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) -> np.ndarray:
@@ -266,10 +265,8 @@ def _block_map(step: np.ndarray, k: int) -> np.ndarray:
     column 2 d^2 + j returns the trace after step j + 1: the trace column of
     ``step`` carried back through the j steps before it.  A row times it
     equals k products with ``step`` in turn up to rounding, and checks each
-    of the k steps.  One step is ``step`` itself.
+    of the k steps.
     """
-    if k == 1:
-        return step
     states, trace = step[:, :-1], step[:, -1]
     power, traces = states, [trace]
     for _ in range(k - 1):
@@ -285,16 +282,12 @@ def _as_rows(rho: np.ndarray) -> np.ndarray:
     stacked batch down one BLAS path, so they step alike bit for bit.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
-    return rho.view(np.float64).reshape(rho.shape[:-2] + (1, -1))
+    return rho.view(np.float64).reshape(rho.shape[:-2] + (1, 2 * rho.shape[-1] ** 2))
 
 
 def _from_rows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The complex states of ``shape`` held in the rows of :func:`_as_rows`."""
     return np.ascontiguousarray(rows).view(complex).reshape(shape)
-
-
-def lindblad_rhs(model: LindbladModel, rho: np.ndarray, t: float) -> np.ndarray:
-    return model._generator(t)(rho)
 
 
 def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -342,13 +335,11 @@ def lindblad_evolve(
     RK4 at fixed step ``dt``, applied in the model's frame: the state enters
     the frame at t0 and leaves it at the end, and neither change costs a
     phase at t = 0.  ``rho0`` is a (d, d) state or a stacked (..., d, d)
-    batch; any other shape is a StepError.  Each block of up to
-    ``_BLOCK_STEPS`` steps is one product with the model's block map, which
-    re-symmetrizes the state after every step and returns its trace after
-    every step.  Each of those traces may drift from 1 by at most 1e-6, and
-    the error names the first step that does not; the diagonal frame changes
-    no trace.  A one-step run is one product with the step map.  A zero
-    duration returns a copy of ``rho0``.
+    batch; any other shape is a StepError, and an empty batch returns
+    empty.  The steps are :func:`_steps` with the model's cached maps, which
+    re-symmetrize the state and check its trace after every step; the
+    diagonal frame changes no trace.  A zero duration returns a copy of
+    ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
     rho = np.asarray(rho0, dtype=complex)
@@ -357,13 +348,24 @@ def lindblad_evolve(
         raise StepError(f"state shape {rho.shape} does not match model dim {d}")
     if n_steps == 0:
         return rho.copy()
-    rows = _as_rows(in_frame(rho, model._rate, -t0))
+    rows = _steps(_as_rows(in_frame(rho, model._rate, -t0)), model._maps_at(dt), n_steps)
+    return in_frame(_from_rows(rows, rho.shape), model._rate, t0 + n_steps * dt)
+
+
+def _steps(rows: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
+    """``n_steps`` checked steps of :func:`_as_rows` rows, one product per block.
+
+    ``maps`` holds the step map at key 1 and gains the :func:`_block_map` of
+    each block length, up to ``_BLOCK_STEPS``, at its first use.  Every
+    step's trace may drift from 1 by at most ``_TRACE_TOL``, in every state,
+    and the error names the first step that does not.
+    """
     width = rows.shape[-1]
     for done in range(0, n_steps, _BLOCK_STEPS):
         k = min(_BLOCK_STEPS, n_steps - done)
-        block = model._blocks.get((dt, k))
-        if block is None:  # built once per model, dt and k
-            block = model._blocks[(dt, k)] = _block_map(model._step_map(dt), k)
+        block = maps.get(k)
+        if block is None:
+            block = maps[k] = _block_map(maps[1], k)
         out = rows @ block
         traces = out[..., 0, width:]  # the trace after each step of the block
         drift = _largest_gap(traces, 1.0)
@@ -372,7 +374,7 @@ def lindblad_evolve(
             first = int(np.argmin(gaps <= _TRACE_TOL))
             raise InstabilityError(f"trace drifted by {gaps[first]:.3e} at step {done + first + 1}")
         rows = out[..., :width]
-    return in_frame(_from_rows(rows, rho.shape), model._rate, t0 + n_steps * dt)
+    return rows
 
 
 # ---------------------------------------------------------------------------

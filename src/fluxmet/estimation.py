@@ -247,7 +247,7 @@ def _likelihood_grid(config: AdaptiveConfig, task: Task) -> tuple[np.ndarray, fl
 
 def _lockstep(
     config: AdaptiveConfig, task: Task, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Advance one lane per generator through every round together.
 
     Per round and lane: build the code (or control) at the lane's estimate,
@@ -257,8 +257,7 @@ def _lockstep(
     that cell and its neighbours (``_grid_peak``).  The round's p(+) and
     log-likelihood are evaluated for a chunk of ``_CHUNK_BYTES`` of rows at
     a time, elementwise as for each lane alone.  Returns the estimates
-    x_0..x_K, shape (lanes, rounds + 1), the + counts, (lanes, rounds), and
-    each lane's log-likelihood of all rounds at its final estimate.
+    x_0..x_K, shape (lanes, rounds + 1), and the + counts, (lanes, rounds).
     """
     p_plus = _prob_plus(config, task)
     grid, step = _likelihood_grid(config, task)
@@ -286,8 +285,7 @@ def _lockstep(
                 counts = n_plus[rows, k, None]
                 cum[rows] += _loglik(counts, m - counts, p_grid)
             estimates[:, k + 1] = _grid_peak(cum, grid, step)
-        final_ll = _total_loglik(p_plus, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1:])
-    return estimates, n_plus, final_ll[:, 0]
+    return estimates, n_plus
 
 
 def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "theta") -> None:
@@ -322,10 +320,12 @@ def run_adaptive(config: AdaptiveConfig, task: str = "theta") -> EstimationRun:
     """
     record = task_record(task)
     check_campaign_size(config, 1, task)
-    rng = np.random.default_rng(config.seed)
-    estimates, n_plus, final_ll = _lockstep(config, record, [rng])
-    history = [(int(n), config.m - int(n)) for n in n_plus[0]]
-    return EstimationRun(estimates[0].tolist(), history, float(final_ll[0]), config.seed)
+    estimates, n_plus = _lockstep(config, record, [np.random.default_rng(config.seed)])
+    p_plus, m = _prob_plus(config, record), config.m
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0), as in _lockstep
+        final_ll = _total_loglik(p_plus, estimates[:, :-1], n_plus, m - n_plus, estimates[:, -1:])
+    history = [(int(n), m - int(n)) for n in n_plus[0]]
+    return EstimationRun(estimates[0].tolist(), history, float(final_ll[0, 0]), config.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ J = 4 t^2 Var(H_eff) - 4 t <L2>.  Each stage is a pure function that
 returns a frozen record: ``QecConditions``, then ``GeneralQecReport``.
 ``expansion_evolve`` steps the expansion with an RK4 step map built like
 ``lindblad_evolve``'s, by ``dynamics._rk4_map`` and ``dynamics._checked_map``,
-in blocks of steps from ``dynamics._block_map`` like ``lindblad_evolve``'s.
+through ``lindblad_evolve``'s loop ``dynamics._steps``, which checks the
+trace after every step.
 """
 
 from __future__ import annotations
@@ -36,15 +37,15 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
-    _BLOCK_STEPS,
+    _TRACE_TOL,
     LindbladModel,
     _as_rows,
-    _block_map,
     _checked_map,
     _frame_rate,
     _from_rows,
     _largest_gap,
     _rk4_map,
+    _steps,
     fixed_steps,
     in_frame,
     lindblad_evolve,
@@ -182,8 +183,9 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
     times the code's checked map, which also re-symmetrizes it and returns
     the trace it lost, and leaves the frame.  ``rho`` may be a single
     (d, d) state or a stacked (..., d, d) batch; any other shape is a
-    DimensionError.  Trace loss above 1e-6 in any state means it had weight
-    outside the span of the code and its correctable error space.
+    DimensionError, and an empty batch returns empty.  Trace loss above
+    ``dynamics._TRACE_TOL`` in any state means it had weight outside the
+    span of the code and its correctable error space.
     """
     rho = np.asarray(rho, dtype=complex)  # a real state is converted; a complex one is not copied
     d = code.c0.shape[0]
@@ -196,7 +198,7 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
         rho = rho / phase
     out = _as_rows(rho) @ code._recovery_map
     loss = _largest_gap(out[..., 0, -1], 0.0)
-    if not loss <= 1e-6:  # a NaN loss fails too
+    if not loss <= _TRACE_TOL:  # a NaN loss fails too
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
     out = _from_rows(out[..., :-1], rho.shape)
     return out if code._rate is None else out * phase
@@ -500,11 +502,11 @@ def expansion_evolve(
 
     The control Hamiltonian -P H P cancels the zeroth-order generator,
     leaving the detuning-driven dynamics only.  The equation is constant and
-    linear, so every RK4 step at ``dt`` is one checked map, built once,
-    which also re-symmetrizes the state, and each block of up to
-    ``dynamics._BLOCK_STEPS`` steps is one product with that map's
-    ``_block_map``; their trace columns go unread.
-    ``rho0`` is one (d, d) state; any other shape is a DimensionError.
+    linear, so every RK4 step at ``dt`` is one checked map, built once per
+    call, which also re-symmetrizes the state, and ``dynamics._steps`` runs
+    the steps in blocks and checks the trace after each, as
+    ``lindblad_evolve`` does.  ``rho0`` is one (d, d) state; any other shape
+    is a DimensionError.
     """
     h = dx * report.l1_generator
 
@@ -517,13 +519,4 @@ def expansion_evolve(
     if rho.shape != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match report dim {d}")
     step = _checked_map(_rk4_map(lambda _t: rhs, d, dt), d)
-    rows = _as_rows(rho)
-    width = rows.shape[-1]
-    blocks, rest = divmod(n_steps, _BLOCK_STEPS)
-    if blocks:
-        block = _block_map(step, _BLOCK_STEPS)
-        for _ in range(blocks):
-            rows = (rows @ block)[..., :width]
-    if rest:
-        rows = (rows @ _block_map(step, rest))[..., :width]
-    return _from_rows(rows, rho.shape)
+    return _from_rows(_steps(_as_rows(rho), {1: step}, n_steps), rho.shape)

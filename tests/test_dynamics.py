@@ -12,7 +12,6 @@ from fluxmet.dynamics import (
     bell_probe,
     dephasing_kraus,
     lindblad_evolve,
-    lindblad_rhs,
     omega_model,
     sample_omega_trajectories,
     sample_phases,
@@ -134,7 +133,7 @@ def test_lindblad_rhs_matches_operators_rebuilt_at_each_time() -> None:
     for i, model in enumerate(models):
         rho = _random_rho(i, model.dim)
         for t in (0.0, 0.37, 5.0):
-            assert np.array_equal(lindblad_rhs(model, rho, t), _rhs_from_operators(model, rho, t))
+            assert np.array_equal(model._generator(t)(rho), _rhs_from_operators(model, rho, t))
 
 
 @pytest.mark.parametrize(
@@ -172,8 +171,8 @@ def test_replaced_model_rebuilds_derived_operators() -> None:
     ]
     for original, new in replaced:
         want = _rhs_from_operators(new, rho, 0.37)
-        assert np.array_equal(lindblad_rhs(new, rho, 0.37), want)
-        assert not np.array_equal(lindblad_rhs(original, rho, 0.37), want)
+        assert np.array_equal(new._generator(0.37)(rho), want)
+        assert not np.array_equal(original._generator(0.37)(rho), want)
         evolved = lindblad_evolve(original, rho, 1.0, dt=0.01, t0=0.4)
         assert np.max(np.abs(lindblad_evolve(new, rho, 1.0, dt=0.01, t0=0.4) - evolved)) > 1e-3
 
@@ -259,7 +258,7 @@ def test_trace_column_raises_at_the_step_the_state_drifts(gain, step) -> None:
     for k in range(1, step + 1):
         rho = (rho.reshape(16) @ lab).reshape(4, 4)
         assert (abs(np.trace(rho).real - 1.0) > 1e-6) == (k == step)
-    model._step_maps[0.01] = dynamics._checked_map(lab, 4)
+    model._maps[0.01] = {1: dynamics._checked_map(lab, 4)}
     with pytest.raises(InstabilityError, match=f"at step {step}$"):
         lindblad_evolve(model, bell_rho(), 1.0, dt=0.01)
 
@@ -280,6 +279,15 @@ def test_a_nan_state_in_a_batch_fails_at_step_1(model) -> None:
         lindblad_evolve(model, batch, 1.0, dt=0.01, t0=0.4)
 
 
+@pytest.mark.parametrize("model", [theta_model(B, GAMMA, 0.3), omega_model(B, GAMMA, 0.3)])
+def test_lindblad_evolve_returns_an_empty_batch(model) -> None:
+    # A batch of no states has no trace to check: it returns as it came, at
+    # one step, one block and several blocks.
+    for t in (0.01, 0.16, 1.0):
+        out = lindblad_evolve(model, np.zeros((0, 4, 4)), t, dt=0.01, t0=0.4)
+        assert out.shape == (0, 4, 4) and out.dtype == complex
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="RK4 of a Lindbladian keeps the trace exactly, so the trace-drift check sees an "
@@ -296,7 +304,7 @@ def test_an_unstable_step_with_an_exact_trace_raises() -> None:
 def _stepwise(model, rho: np.ndarray, n: int, dt: float, t0: float) -> np.ndarray:
     # n products with the model's checked step map, in its frame, each
     # dropping the trace column.
-    step = model._step_map(dt)
+    step = model._maps[dt][1]
     rows = dynamics._as_rows(dynamics.in_frame(rho, model._rate, -t0))
     for _ in range(n):
         rows = (rows @ step)[..., :-1]

@@ -11,6 +11,7 @@ import pytest
 from fluxmet import qec
 from fluxmet.cli import load_model_file, resolve_model_path
 from fluxmet.dynamics import (
+    _BLOCK_STEPS,
     LindbladModel,
     _rk4_step,
     fixed_steps,
@@ -26,6 +27,7 @@ from fluxmet.errors import (
     DegenerateErrorSpaceError,
     DimensionError,
     DomainError,
+    InstabilityError,
     LeakageError,
     QecConditionError,
     StepError,
@@ -306,6 +308,12 @@ def test_apply_recovery_broadcasts_over_a_batch() -> None:
     with pytest.raises(LeakageError):
         apply_recovery(incomplete, leaking)
     assert np.allclose(apply_recovery(incomplete, leaking[::2]), rho0, atol=1e-12)
+
+
+def test_apply_recovery_returns_an_empty_batch() -> None:
+    for code in (theta_code(0.3), omega_code(0.3)):
+        out = apply_recovery(code, np.zeros((0, 4, 4)), 0.4)
+        assert out.shape == (0, 4, 4) and out.dtype == complex
 
 
 def _is_hermitian(rho: np.ndarray) -> bool:
@@ -720,6 +728,27 @@ def test_expansion_step_map_matches_the_closure_loop(dx) -> None:
     rho0 = outer(code_probe(code))
     got = expansion_evolve(report, rho0, dx, T, dt=1e-2)
     assert np.max(np.abs(got - _reference_expansion(report, rho0, dx, T, 1e-2))) < 1e-12
+
+
+def test_expansion_trace_column_raises_at_the_step_the_state_drifts() -> None:
+    # The expansion keeps the trace exactly, so a genuine drift needs an L2
+    # that does not: its jump operators a_k scaled by 1 - 3e-5 lose trace at
+    # every step.  The check must fail at the step where the closure loop's
+    # trace first leaves 1 by more than 1e-6, inside a later block of steps.
+    code = theta_code(np.pi / 4)
+    report = expansion_superoperators(theta_model(B, GAMMA, np.pi / 4), code)
+    l2 = report.l2_action
+    lossy = dataclasses.replace(
+        report, l2_action=dataclasses.replace(l2, kraus_a=[(1 - 3e-5) * a for a in l2.kraus_a])
+    )
+    rho0 = outer(code_probe(code))
+    step = 34
+    assert step > _BLOCK_STEPS and step % _BLOCK_STEPS not in (0, 1)
+    for k in range(1, step + 1):
+        rho = _reference_expansion(lossy, rho0, 1.0, k * 1e-2, 1e-2)
+        assert (abs(np.trace(rho).real - 1.0) > 1e-6) == (k == step)
+    with pytest.raises(InstabilityError, match=f"at step {step}$"):
+        expansion_evolve(lossy, rho0, 1.0, 1.0, dt=1e-2)
 
 
 # ---------------------------------------------------------------------------

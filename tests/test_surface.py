@@ -29,9 +29,11 @@ from fluxmet.estimation import (
 # per-task p(+) that each task's coherence record replaced, the likelihood
 # peak search that reading the estimate off the grid replaced, a partial
 # trace that nothing in the package called, the per-call Kraus pairs that
-# each code's recovery superoperator replaced, and the re-symmetrisation and
-# trace-reading helpers that the checked real maps replaced.  A dotted name
-# is an attribute of a module-level name.
+# each code's recovery superoperator replaced, the re-symmetrisation and
+# trace-reading helpers that the checked real maps replaced, a right-hand-side
+# wrapper that only tests called, and the step-map cache that each model's
+# one cache of step and block maps replaced.  A dotted name is an attribute
+# of a module-level name.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -47,7 +49,10 @@ _REMOVED_NAMES = {
         "cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json",
         "_ADAPT_SCHEMA",
     ),
-    "fluxmet.dynamics": ("TrajectoryPhase", "sample_phase", "_dagger", "_largest"),
+    "fluxmet.dynamics": (
+        "TrajectoryPhase", "sample_phase", "_dagger", "_largest", "lindblad_rhs",
+        "LindbladModel._step_map",
+    ),
     "fluxmet.metrology": ("METHODS", "state_derivative"),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
     "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace"),
