@@ -1,0 +1,228 @@
+"""Compare what the public routes return in a parent commit and in this tree.
+
+    python3 scripts/output_digest.py --parent <commit> [--out DIGEST.json]
+
+The parent tree is a ``git archive`` of ``--parent`` in a temporary
+directory (``bench_pairs.export_parent``); the change tree is this working
+tree.  In each tree a subprocess with ``PYTHONPATH=<tree>/src`` evaluates
+every route of ``ROUTES``, a fixed list of expressions over the package's
+public functions, and returns each output's sha256 and its numbers: the
+real and imaginary parts of an array, or every number in the bytes a
+command line writes.  One line per route then reads ``identical`` (the
+same bytes) or the largest absolute difference of its numbers.  ``--out``
+also records both digests of every route.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SCRIPT = Path(__file__).resolve()
+_BENCH_PAIRS = importlib.util.spec_from_file_location("bench_pairs", SCRIPT.parent / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_BENCH_PAIRS)
+_BENCH_PAIRS.loader.exec_module(bench_pairs)
+ROOT, export_parent = bench_pairs.ROOT, bench_pairs.export_parent
+
+# name -> expression, evaluated by worker() with the package modules and the
+# helpers below in scope.  The corrected evolutions use numeric_route's shapes.
+ROUTES = {
+    "lindblad_evolve theta": "dynamics.lindblad_evolve(theta_model(), bell(), 16.0, dt=4e-3)",
+    "lindblad_evolve omega t0=0.4": (
+        "dynamics.lindblad_evolve(dynamics.omega_model(0.1, 0.05, 0.3), bell(), 1.0, dt=0.01, t0=0.4)"
+    ),
+    "lindblad_evolve batch": "dynamics.lindblad_evolve(theta_model(), batch(), 0.5)",
+    "corrected_evolve_theta": (
+        "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0, dt=5e-3, n_recoveries=1000)"
+    ),
+    "corrected_evolve_omega": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)"
+    ),
+    "corrected_state_theta_closed": (
+        "qec.corrected_state_theta_closed(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0)"
+    ),
+    "corrected_state_omega_closed": "qec.corrected_state_omega_closed(0.1, 0.05, 0.26, 0.25, 5.0)",
+    **{
+        f"apply_recovery {code} t={t}": f"recovered(qec.{code}, {t})"
+        for code, times in (("theta_code(0.8)", (0, 0.37)), ("omega_code(1.2)", (0, 0.37, 5, 1e3)))
+        for t in times
+    },
+    "expansion_evolve theta_example": "expanded(0.1, 5.0)",
+    "cfi_trajectory_B": "metrology.cfi_trajectory_B(0.1, 0.05, 5.0, 0.3, 10**5, np.random.default_rng(3))",
+    **{
+        f"campaign_estimates {task} {strategy}": (
+            f"estimation.campaign_estimates(estimation.AdaptiveConfig("
+            f"true_value={x}, initial_guess={guess}, strategy={strategy!r}, seed=11), 20, task={task!r})"
+        )
+        for task, x, guess in (("theta", 0.785, 0.7), ("omega", 0.3, 0.25))
+        for strategy in ("qec_corrected", "unitary_controlled")
+    },
+    "cli qfi-theta": "cli_bytes(['qfi-theta', '--t-max', '5', '--points', '11', '--out', 'theta.csv'])",
+    "cli qfi-omega": "cli_bytes(['qfi-omega', '--t-max', '5', '--points', '3', '--out', 'omega.csv'])",
+    "cli general-qec": "cli_bytes(['general-qec', 'theta_example', '--t', '5', '--out', 'report.json'])",
+    "cli adapt theta": (
+        "cli_bytes(['adapt', 'theta', '--config', 'c.json', '--out', 'a.csv'],"
+        " {'true_value': 0.785, 'initial_guess': 0.0, 'repetitions': 3, 'seed': 7})"
+    ),
+    "cli adapt omega": (
+        "cli_bytes(['adapt', 'omega', '--config', 'c.json', '--out', 'a.csv'],"
+        " {'true_value': 0.3, 'initial_guess': 0.2, 'repetitions': 3, 'seed': 7, 'grid': [0.2, 0.4, 1e-4]})"
+    ),
+}
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+# ---------------------------------------------------------------------------
+# Helpers of the route expressions (run in the worker)
+# ---------------------------------------------------------------------------
+
+
+def theta_model():
+    from fluxmet import dynamics
+
+    return dynamics.theta_model(0.1, 0.05, 0.7)
+
+
+def bell():
+    from fluxmet import dynamics
+
+    psi = dynamics.bell_probe()
+    return psi[:, None] * psi.conj()
+
+
+def batch():
+    from fluxmet import qec
+
+    probe = qec.code_probe(qec.theta_code(0.7))
+    return [bell(), np.eye(4, dtype=complex) / 4, probe[:, None] * probe.conj()]
+
+
+def recovered(code, t: float):
+    """The code's recovery at t of a state in its code space and error space."""
+    from fluxmet import qec
+
+    proj, error = code.recovery_kraus(t)  # P and P E at t
+    c0, c1 = code.basis(t)
+    rho = 0.25 * (proj + error.conj().T @ error) + 0.1 * (c0[:, None] * c1.conj() + c1[:, None] * c0.conj())
+    return qec.apply_recovery(code, rho, t)
+
+
+def expanded(dx: float, t: float):
+    from fluxmet import cli, qec
+
+    model, code = cli.load_model_file(cli.resolve_model_path("theta_example"))
+    probe = qec.code_probe(code)
+    report = qec.expansion_superoperators(model, code)
+    return qec.expansion_evolve(report, probe[:, None] * probe.conj(), dx, t)
+
+
+def cli_bytes(argv: list[str], config: dict | None = None) -> bytes:
+    """What ``cli.main(argv)`` prints and writes, run in an empty directory."""
+    from fluxmet import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            if config is not None:
+                Path("c.json").write_text(json.dumps(config))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"cli.main({argv}) exited {code}")
+            files = sorted(p for p in Path(".").iterdir() if p.name != "c.json")
+            return out.getvalue().encode() + b"".join(p.name.encode() + b"\n" + p.read_bytes() for p in files)
+        finally:
+            os.chdir(here)
+
+
+def _digest(value) -> dict:
+    """sha256 of an output's bytes, and its numbers as floats."""
+    if isinstance(value, bytes):
+        return {"sha256": hashlib.sha256(value).hexdigest(),
+                "values": [float(x) for x in _NUMBER.findall(value)]}
+    arr = np.ascontiguousarray(getattr(value, "value", value))
+    floats = arr.view(np.float64) if arr.dtype == complex else arr.astype(np.float64)
+    return {"sha256": hashlib.sha256(arr.tobytes()).hexdigest(), "values": floats.ravel().tolist()}
+
+
+def worker(src: str) -> None:
+    """Evaluate the routes read from stdin with the package in ``src``; JSON digests to stdout."""
+    from fluxmet import cli, dynamics, estimation, metrology, qec
+
+    if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"fluxmet imported from {dynamics.__file__}, not from {src}")
+    scope = dict(globals(), np=np, cli=cli, dynamics=dynamics, estimation=estimation,
+                 metrology=metrology, qec=qec)
+    routes = json.loads(sys.stdin.read())
+    json.dump({name: _digest(eval(expr, scope)) for name, expr in routes.items()}, sys.stdout)
+
+
+# ---------------------------------------------------------------------------
+# Driver
+# ---------------------------------------------------------------------------
+
+
+def run_routes(tree: Path) -> dict:
+    """The digests of every route of ``ROUTES`` with the package of ``tree``."""
+    src = str(tree / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run([sys.executable, str(SCRIPT), "--worker", src], input=json.dumps(ROUTES),
+                              cwd=cwd, env=env, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"routes in {tree} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare(parent: dict, change: dict) -> dict[str, str]:
+    """Per route: ``identical``, or the largest absolute difference of its numbers."""
+    verdicts = {}
+    for name, old in parent.items():
+        new = change[name]
+        if old["sha256"] == new["sha256"]:
+            verdicts[name] = "identical"
+        elif len(old["values"]) != len(new["values"]):
+            verdicts[name] = f"differs: {len(old['values'])} numbers -> {len(new['values'])}"
+        else:
+            gap = max((abs(a - b) for a, b in zip(old["values"], new["values"])), default=0.0)
+            verdicts[name] = f"largest absolute difference {gap:.3g}"
+    return verdicts
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:
+        worker(argv[1])
+        return 0
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="commit to compare the working tree against")
+    p.add_argument("--out", type=Path, default=None, help="JSON record of both digests per route")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
+        digests = {"parent": run_routes(export_parent(args.parent, Path(tmp))), "change": run_routes(ROOT)}
+    verdicts = compare(digests["parent"], digests["change"])
+    for name, verdict in verdicts.items():
+        print(f"{name}: {verdict}")
+    if args.out is not None:
+        routes = {name: {"verdict": verdict, **{side: digests[side][name]["sha256"] for side in digests}}
+                  for name, verdict in verdicts.items()}
+        args.out.write_text(json.dumps({"parent": args.parent, "routes": routes}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

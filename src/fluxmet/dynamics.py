@@ -10,11 +10,12 @@ Two built-in models on probe+ancilla (dim 4):
 
 A model is data: constant matrices plus, for a rotating model, the diagonal
 of the frame generator, whose phase rate :func:`in_frame` applies (see
-:meth:`LindbladModel.at`).  Deterministic evolution is fixed-step RK4 on the
-master equation
+:meth:`LindbladModel.at`); every frame change of a model or a code goes
+through it.  Deterministic evolution is fixed-step RK4 on the master equation
 drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2),
-applied as one step map in the model's frame: the equation is linear, and
-its frame is the one in which every step is the same matrix.
+whose one implementation is :class:`L2Action` (``qec``'s expansion uses it
+too), applied as one step map in the model's frame: the equation is linear,
+and its frame is the one in which every step is the same matrix.
 :func:`_rk4_map` builds that (d*d, d*d) matrix for any linear right-hand
 side, and :func:`_checked_map` turns it, or a recovery, into one real matrix
 on the float64 view of the state that also applies the Hermitian projection
@@ -23,7 +24,8 @@ makes k such steps one matrix that returns the trace after each of them,
 so :func:`_steps`, the one loop of every RK4 run, takes one product per
 block of up to ``_BLOCK_STEPS`` steps and still checks every step.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
-phi ~ Normal(0, gamma t) and averages pure-state trajectories.
+phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
+CFI of ``metrology`` draws through it), and averages pure-state trajectories.
 """
 
 from __future__ import annotations
@@ -86,6 +88,32 @@ def _frame_rate(frame: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class L2Action:
+    """A linear map on states in explicit commutator-plus-Kraus form.
+
+    apply(rho) = -i[generator, rho]
+                 + sum_k (a_k rho a_k^dag - {anti_k, rho}/2)
+                 + sum_kj b_kj rho b_kj^dag
+
+    With anti_k = a_k^dag a_k and no b it is a model's GKLS generator;
+    ``qec``'s general engine fills every slot for its second-order term.
+    """
+
+    generator: np.ndarray
+    kraus_a: list[np.ndarray]
+    anticommutators: list[np.ndarray]
+    kraus_b: list[np.ndarray]
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        out = -1j * (self.generator @ rho - rho @ self.generator)
+        for a, g in zip(self.kraus_a, self.anticommutators):
+            out = out + a @ rho @ a.conj().T - 0.5 * (g @ rho + rho @ g)
+        for b in self.kraus_b:
+            out = out + b @ rho @ b.conj().T
+        return out
+
+
+@dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian, Lindblad operators and optional parameter derivatives.
 
@@ -142,17 +170,9 @@ class LindbladModel:
         return h * phase, [e * phase for e in ops]
 
     def _generator(self, t: float):
-        """rho -> drho/dt at time t, from the operators at t."""
+        """rho -> drho/dt at time t: the :class:`L2Action` of the operators at t."""
         h, ops = self.at(t)
-        terms = [(e, e.conj().T, e.conj().T @ e) for e in ops]
-
-        def rhs(rho: np.ndarray) -> np.ndarray:
-            out = -1j * (h @ rho - rho @ h)
-            for e, e_dag, ede in terms:
-                out = out + e @ rho @ e_dag - 0.5 * (ede @ rho + rho @ ede)
-            return out
-
-        return rhs
+        return L2Action(h, ops, [e.conj().T @ e for e in ops], []).apply
 
     def _maps_at(self, dt: float) -> dict[int, np.ndarray]:
         """The checked maps of k RK4 steps of length dt in the model's frame, keyed by k.
@@ -183,7 +203,7 @@ def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
     theta : float
         Field axis angle.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # NaN fails too
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     sn = kron(sigma_n_theta(theta), eye2)
     sm = kron(sigma_n_theta_deriv(theta), eye2)
@@ -207,7 +227,7 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     G = (omega / 2) sigma3 x I.  d/domega brings down i t [sigma3 / 2, .],
     which takes sigma1 to -t sigma2 and sigma2 to t sigma1.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # NaN fails too
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     root = np.sqrt(gamma)
     s1, s2 = kron(sigma1, eye2), kron(sigma2, eye2)
@@ -384,9 +404,9 @@ def _steps(rows: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.nd
 
 def sample_phases(B: float, gamma: float, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized phase draws; deterministic for a fixed generator state."""
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise DomainError(f"duration must be >= 0, got {t}")
-    if gamma < 0:
+    if not gamma >= 0:  # NaN fails too
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     if gamma * t == 0:
         return np.full(n, B * t)
@@ -464,9 +484,9 @@ def dephasing_kraus(B: float, gamma: float, t: float, theta: float) -> tuple[np.
     K2 = sqrt((1-eta)/2) sigma_n exp(-i B sigma_n t), eta = exp(-2 gamma t);
     K1^dag K1 + K2^dag K2 = I exactly.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise DomainError(f"duration must be >= 0, got {t}")
-    if gamma < 0:
+    if not gamma >= 0:  # NaN fails too
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     sn = sigma_n_theta(theta)
     u = np.cos(B * t) * eye2 - 1j * np.sin(B * t) * sn

@@ -158,7 +158,7 @@ def outcome_probability(
     ``coherence`` at detuning x - x_hat (``metrology.Coherence``).
     """
     record = task_record(task)
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise DomainError(f"t must be >= 0, got {t}")
     p = float(record.coherence.p_plus(x, x_hat, B, gamma, t))
     return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])

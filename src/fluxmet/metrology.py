@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import sample_phases
 from .errors import DimensionError, DomainError, NonHermitianError, NumericError
 from .qmat import check_density_matrix, hermitian_eig, sqrtm_psd
 
@@ -51,9 +52,9 @@ class MeasurementDistribution:
 
     def __post_init__(self) -> None:
         probs = np.array([p for _, p in self.outcomes], dtype=float)
-        if np.any(probs < -1e-12):
-            raise DomainError(f"negative probability in {self.outcomes!r}")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if not np.all(probs >= -1e-12):  # NaN fails too
+            raise DomainError(f"negative or NaN probability in {self.outcomes!r}")
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise DomainError(f"probabilities sum to {probs.sum()!r}, expected 1")
 
     def probability(self, label: str) -> float:
@@ -304,11 +305,11 @@ def cfi_trajectory_B(
 
     Estimates the averaged outcome probability p1(B') = E[cos^2(B' t + phi +
     beta)] at B' = B and B +- a fixed step with common noise draws phi, so the
-    finite-difference derivative is free of Monte-Carlo shot noise.
+    finite-difference derivative is free of Monte-Carlo shot noise.  The
+    draws, and the refusal of a negative or NaN gamma or t, are
+    ``dynamics.sample_phases``'s.
     """
-    if gamma < 0 or t < 0:
-        raise DomainError("gamma and t must be >= 0")
-    phi = rng.normal(0.0, np.sqrt(gamma * t), size=n) if gamma * t > 0 else np.zeros(n)
+    phi = sample_phases(0.0, gamma, t, n, rng)
 
     def p1(b: float) -> float:
         return float(np.mean(np.cos(b * t + phi + beta) ** 2))
@@ -351,7 +352,7 @@ def trajectory_distribution_B(B: float, gamma: float, t: float, beta: float) -> 
 
 
 def _check_t(t: float) -> None:
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise DomainError(f"t must be >= 0, got {t}")
 
 

@@ -10,11 +10,12 @@ check.  A code builds that matrix at its first recovery, so the codes of
 closed states and of the error-correction conditions never do.  A code is
 data: its t = 0 code words and recovery plus, for a rotating code, the
 diagonal of the frame generator that carries them along in time; its phase
-rate goes through ``dynamics.in_frame`` like a model's.
-Stepwise corrected evolution and the continuous-recovery closed state are
-written once for both codes.  The stepwise evolution carries its state in
-the model's frame and recovers it in the code's frame taken relative to
-the model's, so a rotating interval calls np.exp about once.
+rate goes through ``dynamics.in_frame`` like a model's, and so does every
+frame change of a recovery.  Stepwise corrected evolution and the
+continuous-recovery closed state are written once for both codes.  The
+stepwise evolution carries its state in the model's frame and recovers it
+with the code at t = 0 in the code's frame taken relative to the model's,
+so a rotating interval calls np.exp about once.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -22,7 +23,8 @@ parameter derivatives and produces the second-order expansion of the
 recovered dynamics around the operating point, L = L0 + L1 dx + L2 dx^2,
 together with the asymptotic information rate
 J = 4 t^2 Var(H_eff) - 4 t <L2>.  Each stage is a pure function that
-returns a frozen record: ``QecConditions``, then ``GeneralQecReport``.
+returns a frozen record: ``QecConditions``, then ``GeneralQecReport``, whose
+L2 is a ``dynamics.L2Action``, the one commutator-plus-Kraus form.
 ``expansion_evolve`` steps the expansion with an RK4 step map built like
 ``lindblad_evolve``'s, by ``dynamics._rk4_map`` and ``dynamics._checked_map``,
 through ``lindblad_evolve``'s loop ``dynamics._steps``, which checks the
@@ -31,13 +33,14 @@ trace after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .dynamics import (
     _TRACE_TOL,
+    L2Action,
     LindbladModel,
     _as_rows,
     _checked_map,
@@ -179,11 +182,12 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel at time t; fails on trace leakage.
 
-    Each state enters a rotating code's frame at t, recovers as one row
-    times the code's checked map, which also re-symmetrizes it and returns
-    the trace it lost, and leaves the frame.  ``rho`` may be a single
-    (d, d) state or a stacked (..., d, d) batch; any other shape is a
-    DimensionError, and an empty batch returns empty.  Trace loss above
+    Each state enters the code's frame at t through ``dynamics.in_frame``,
+    recovers as one row times the code's checked map, which also
+    re-symmetrizes it and returns the trace it lost, and leaves the frame
+    the same way; a static code, or t = 0, takes no phase.  ``rho`` may be
+    a single (d, d) state or a stacked (..., d, d) batch; any other shape
+    is a DimensionError, and an empty batch returns empty.  Trace loss above
     ``dynamics._TRACE_TOL`` in any state means it had weight outside the
     span of the code and its correctable error space.
     """
@@ -193,15 +197,11 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
         raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
     if code._recovery_map is None:
         raise ConfigError("code has no recovery Kraus set")
-    if code._rate is not None:
-        phase = in_frame(1.0, code._rate, t)  # exp(i (g_j - g_k) t) at entry jk
-        rho = rho / phase
-    out = _as_rows(rho) @ code._recovery_map
+    out = _as_rows(in_frame(rho, code._rate, -t)) @ code._recovery_map
     loss = _largest_gap(out[..., 0, -1], 0.0)
     if not loss <= _TRACE_TOL:  # a NaN loss fails too
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
-    out = _from_rows(out[..., :-1], rho.shape)
-    return out if code._rate is None else out * phase
+    return in_frame(_from_rows(out[..., :-1], rho.shape), code._rate, t)
 
 
 def _recovery_intervals(t: float, dt: float, n_recoveries: int | None) -> tuple[int, float]:
@@ -229,8 +229,9 @@ def _corrected_evolve(
     The state is carried in the model's frame, so every interval evolves
     from t0 = 0 and the model's frame costs one phase per interval, when
     the evolution leaves it.  The recovery sees the code's frame relative
-    to the model's: the state enters it at tau, recovers with the code's
-    t = 0 map and leaves it at tau + dt', which also advances the code.
+    to the model's: the state enters it at tau, recovers with the code at
+    t = 0, where no phase is taken, and leaves it at tau + dt', which also
+    advances the code.
     Those phases come from :func:`_interval_phases`, and the state leaves
     the model's frame once, at the end.
     """
@@ -243,10 +244,9 @@ def _corrected_evolve(
         for _ in range(n_rec):
             rho = apply_recovery(code, lindblad_evolve(model, rho, interval, dt))
         return rho
-    static = code if code._rate is None else replace(code, frame_generator=None)
     for enter, leave in _interval_phases(rate, interval, n_rec):
         rho = lindblad_evolve(model, rho, interval, dt)
-        rho = apply_recovery(static, rho / enter) * leave
+        rho = apply_recovery(code, rho / enter) * leave
     return in_frame(rho, model._rate, n_rec * interval)
 
 
@@ -300,29 +300,6 @@ def corrected_state_omega_closed(B: float, gamma: float, omega: float, omega_hat
 # ---------------------------------------------------------------------------
 # General engine
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class L2Action:
-    """Second-order superoperator in explicit commutator-plus-Kraus form.
-
-    apply(rho) = -i[generator, rho]
-                 + sum_k (a_k rho a_k^dag - {anti_k, rho}/2)
-                 + sum_kj b_kj rho b_kj^dag
-    """
-
-    generator: np.ndarray
-    kraus_a: list[np.ndarray]
-    anticommutators: list[np.ndarray]
-    kraus_b: list[np.ndarray]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (self.generator @ rho - rho @ self.generator)
-        for a, g in zip(self.kraus_a, self.anticommutators):
-            out = out + a @ rho @ a.conj().T - 0.5 * (g @ rho + rho @ g)
-        for b in self.kraus_b:
-            out = out + b @ rho @ b.conj().T
-        return out
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 import fluxmet.metrology as metrology
-from fluxmet.dynamics import bell_probe, dephasing_kraus
-from fluxmet.errors import DimensionError, NotPsdError, NumericError
+from fluxmet.dynamics import (
+    bell_probe,
+    dephasing_kraus,
+    omega_model,
+    sample_phases,
+    theta_model,
+    trajectory_average_state,
+    trajectory_outcome_probability,
+)
+from fluxmet.errors import DimensionError, DomainError, NotPsdError, NumericError
+from fluxmet.estimation import outcome_probability
 from fluxmet.metrology import (
     OMEGA_COHERENCE,
     THETA_COHERENCE,
+    MeasurementDistribution,
     bell_basis_distribution_theta_free,
     cfi,
     cfi_omega_qec_closed,
@@ -240,6 +250,56 @@ def test_cfi_trajectory_B_monte_carlo() -> None:
     beta = np.pi / 4 - B * T
     got = cfi_trajectory_B(B, GAMMA, T, beta, 10**6, rng)
     assert got.value == pytest.approx(4 * T * T * np.exp(-4 * GAMMA * T), rel=0.05)
+
+
+@pytest.mark.parametrize("seed, gamma, t", [(11, GAMMA, T), (12, 0.0, T), (13, GAMMA, 0.0)])
+def test_cfi_trajectory_B_draws_through_sample_phases(seed, gamma, t) -> None:
+    # The noise draws are sample_phases' at zero field, bit for bit, also
+    # where gamma t = 0 draws nothing.
+    beta, n, step = 0.3, 1000, metrology._TRAJECTORY_STEP
+    phi = sample_phases(0.0, gamma, t, n, np.random.default_rng(seed))
+
+    def p1(b: float) -> float:
+        return float(np.mean(np.cos(b * t + phi + beta) ** 2))
+
+    p = p1(B)
+    dp = (p1(B + step) - p1(B - step)) / (2 * step)
+    got = cfi_trajectory_B(B, gamma, t, beta, n, np.random.default_rng(seed))
+    assert got.value == dp * dp / (p * (1 - p))
+
+
+_NAN = float("nan")
+_NAN_CALLS = {
+    "sample_phases t": lambda: sample_phases(B, GAMMA, _NAN, 3, np.random.default_rng(0)),
+    "sample_phases gamma": lambda: sample_phases(B, _NAN, T, 3, np.random.default_rng(0)),
+    "dephasing_kraus t": lambda: dephasing_kraus(B, GAMMA, _NAN, 0.3),
+    "dephasing_kraus gamma": lambda: dephasing_kraus(B, _NAN, T, 0.3),
+    "theta_model": lambda: theta_model(B, _NAN, 0.3),
+    "omega_model": lambda: omega_model(B, _NAN, 0.3),
+    "MeasurementDistribution": lambda: MeasurementDistribution([("+", _NAN), ("-", 0.5)]),
+    "trajectory_average_state": lambda: trajectory_average_state(
+        B, GAMMA, _NAN, 0.3, 3, np.random.default_rng(0)
+    ),
+    "trajectory_outcome_probability": lambda: trajectory_outcome_probability(
+        B, _NAN, T, 0.3, 3, np.random.default_rng(0)
+    ),
+    "outcome_probability t": lambda: outcome_probability(0.3, 0.2, B, GAMMA, _NAN),
+    "outcome_probability gamma": lambda: outcome_probability(0.3, 0.2, B, _NAN, T),
+    "bell_basis_distribution_theta_free": lambda: bell_basis_distribution_theta_free(B, _NAN, T, 0.3),
+    "trajectory_distribution_B": lambda: trajectory_distribution_B(B, GAMMA, _NAN, 0.3),
+    "cfi_trajectory_B": lambda: cfi_trajectory_B(
+        B, GAMMA, _NAN, 0.3, 3, np.random.default_rng(0)
+    ),
+    "qfi_theta_free_closed": lambda: qfi_theta_free_closed(B, GAMMA, _NAN),
+}
+
+
+@pytest.mark.parametrize("name", list(_NAN_CALLS))
+def test_a_nan_input_raises_domain_error(name) -> None:
+    # Each domain check is written so that NaN fails it, rather than
+    # passing a NaN on to the result.
+    with pytest.raises(DomainError):
+        _NAN_CALLS[name]()
 
 
 # ---------------------------------------------------------------------------

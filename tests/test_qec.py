@@ -213,6 +213,19 @@ def test_apply_recovery_matches_kraus_sandwich() -> None:
             assert np.max(np.abs(got - _recover_from_kraus(code, rho, t))) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "code, noise",
+    [(theta_code(0.8), kron(sigma_n_theta(0.8), EYE2)), (omega_code(1.2), kron(sigma1, EYE2))],
+)
+def test_recovery_at_t0_is_the_static_copy_bit_for_bit(code, noise) -> None:
+    # At t = 0 every frame phase is exactly 1, so a code recovers as its
+    # static copy does: a corrected evolution recovers with the code itself.
+    static = dataclasses.replace(code, frame_generator=None)
+    states = [_correctable_state(code, noise, 0.0), outer(code_probe(code))]
+    for rho in (*states, np.stack(states)):
+        assert np.array_equal(apply_recovery(code, rho), apply_recovery(static, rho))
+
+
 def test_apply_recovery_accepts_a_real_state() -> None:
     # A real state recovers as the same state held as complex, bit for bit.
     code = theta_code(0.3)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -143,3 +145,48 @@ def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch
     printed = capsys.readouterr().out
     assert "campaign goodput_ops_s: 10.0 -> 20.0" in printed
     assert "numeric_route goodput_ops_s: 10.0 -> 20.0" in printed
+
+
+def _load_output_digest():
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_digest_runs_one_route_in_both_trees(tmp_path, monkeypatch, capsys) -> None:
+    # The parent tree is a copy of this one, so the route reads identical;
+    # each side still runs in its own subprocess on its own src.
+    script = _load_output_digest()
+
+    def copy_tree(rev, dest):
+        shutil.copytree(script.ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        return dest
+
+    name = "corrected_state_omega_closed"
+    monkeypatch.setattr(script, "export_parent", copy_tree)
+    monkeypatch.setattr(script, "ROUTES", {name: script.ROUTES[name]})
+    out = tmp_path / "digest.json"
+    assert script.main(["--parent", "HEAD", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{name}: identical\n"
+    doc = json.loads(out.read_text())
+    assert doc["parent"] == "HEAD" and list(doc["routes"]) == [name]
+    route = doc["routes"][name]
+    assert route["verdict"] == "identical" and route["parent"] == route["change"]
+
+
+def test_output_digest_compares_numbers_and_bytes() -> None:
+    script = _load_output_digest()
+    arrays = [[0.0, 1.0 + 0.5j], [3.1e-17, 1.0 + 0.5j]]
+    texts = [b"# seed 7\nt,qfi\n0.5,2e-3\n", b"# seed 7\nt,qfi\n0.5,2.5e-3\n"]
+    digest = [script._digest(np.array(a)) for a in arrays] + [script._digest(t) for t in texts]
+    assert digest[0]["values"] == [0.0, 0.0, 1.0, 0.5]  # real and imaginary parts
+    assert digest[2]["values"] == [7.0, 0.5, 2e-3]
+    parent = {"same": digest[0], "array": digest[0], "text": digest[2], "short": digest[2]}
+    change = {"same": digest[0], "array": digest[1], "text": digest[3], "short": script._digest(b"0.5")}
+    assert script.compare(parent, change) == {
+        "same": "identical",
+        "array": "largest absolute difference 3.1e-17",
+        "text": "largest absolute difference 0.0005",
+        "short": "differs: 3 numbers -> 1",
+    }
