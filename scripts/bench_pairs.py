@@ -20,6 +20,16 @@ parent) / parent of the medians signed so that positive is worse, against
 the metric's bound in BENCHMARK.json.  ``--out`` is written after each
 workload, and its other keys are kept.
 BENCHMARK.json is read, never written.
+
+``--micro`` also times the layers ``numeric_route`` spends its time in, the
+cases of ``MICRO``: one static and one rotating recovery interval (a whole
+corrected evolution in that workload's shape, per interval) and one
+4000-step free evolution.  In each of ``PAIRS`` rounds, the parent first in
+even rounds, a subprocess per tree with ``PYTHONPATH=<tree>/src`` and BLAS
+threads pinned to 1 runs every case ``MICRO_REPEATS`` times after one
+warm-up call and reports the fastest call, the one least disturbed by
+the rest of the machine; the rounds go into ``micro_us`` with each side's
+median and quartiles and ``change_wins`` (lower is better).
 """
 
 from __future__ import annotations
@@ -36,8 +46,26 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = Path(__file__).resolve()
+ROOT = SCRIPT.parent.parent
 PAIRS = 10
+# case -> (expression, units per call): micro_worker() times the expression
+# with the package modules in scope and reports microseconds per unit.
+MICRO = {
+    "interval_static": (
+        "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0, dt=5e-3, n_recoveries=1000)",
+        1000,
+    ),
+    "interval_rotating": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000
+    ),
+    "free_4000_steps": (
+        "dynamics.lindblad_evolve(dynamics.theta_model(0.1, 0.05, 0.8), np.full((4, 4), 0.25), 16.0, dt=4e-3)", 1
+    ),
+}
+MICRO_REPEATS = 15
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def export_parent(rev: str, dest: Path) -> Path:
@@ -103,16 +131,79 @@ def summarize(seeds: list[int], parent: list[dict], change: list[dict], end_to_e
     }
 
 
+def micro_worker(src: str) -> None:
+    """Time the cases read from stdin with the package in ``src``; JSON microseconds to stdout."""
+    import time
+
+    import numpy as np
+    from fluxmet import dynamics, qec
+
+    if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"fluxmet imported from {dynamics.__file__}, not from {src}")
+    scope = {"np": np, "dynamics": dynamics, "qec": qec}
+    times = {}
+    for name, (expr, units) in json.loads(sys.stdin.read()).items():
+        code = compile(expr, name, "eval")
+        eval(code, scope)  # warm-up: imports, first-use allocations
+        calls = []
+        for _ in range(MICRO_REPEATS):
+            start = time.perf_counter()
+            eval(code, scope)
+            calls.append(time.perf_counter() - start)
+        times[name] = min(calls) * 1e6 / units
+    json.dump(times, sys.stdout)
+
+
+def micro_once(tree: Path) -> dict[str, float]:
+    """Microseconds per unit of every ``MICRO`` case, timed in a subprocess on ``tree``'s package."""
+    src = str(tree / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1") | dict.fromkeys(THREAD_VARS, "1")
+    done = subprocess.run([sys.executable, str(SCRIPT), "--micro-worker", src], input=json.dumps(MICRO),
+                          env=env, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"micro timings in {tree} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def micro(trees: dict[str, Path]) -> dict:
+    """The ``micro_us`` entry: ``PAIRS`` alternating rounds of :func:`micro_once` per tree."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(PAIRS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            runs[side].append(micro_once(trees[side]))
+    cases = {}
+    for name, (expr, units) in MICRO.items():
+        us = {side: [r[name] for r in rs] for side, rs in runs.items()}
+        wins = sum(c < p for p, c in zip(us["parent"], us["change"]))
+        cases[name] = {
+            "expression": expr,
+            "per": units,
+            "parent": _quartiles(us["parent"]),
+            "change": _quartiles(us["change"]),
+            "change_wins": f"{wins}/{PAIRS}",
+            "runs": {side: [round(v, 4) for v in vs] for side, vs in us.items()},
+        }
+    return {"rounds": PAIRS, "repeats": MICRO_REPEATS, "cases": cases}
+
+
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="commit to compare the working tree against")
-    p.add_argument("--workload", action="append", required=True, help="repeat for more workloads")
+    p.add_argument("--workload", action="append", default=[], help="repeat for more workloads")
     p.add_argument("--first-seed", type=int, required=True)
     p.add_argument("--out", type=Path, required=True, help="JSON record to write the workloads into")
-    return p.parse_args(argv)
+    p.add_argument("--micro", action="store_true", help="also time the MICRO cases into micro_us")
+    args = p.parse_args(argv)
+    if not args.workload and not args.micro:
+        p.error("give at least one --workload, or --micro")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--micro-worker"]:
+        micro_worker(argv[1])
+        return 0
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -136,6 +227,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} {name}: {m['parent']['median']} -> {m['change']['median']} "
                       f"(worse by {m['relative_worsening']:+.4f}, bound {m['bound']}), "
                       f"change wins {m['change_wins']}")
+        if args.micro:
+            entry = micro(trees)
+            doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+            doc["micro_us"] = entry
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+            for name, case in entry["cases"].items():
+                print(f"micro {name}: {case['parent']['median']} -> {case['change']['median']} us, "
+                      f"change wins {case['change_wins']}")
     return 0
 
 

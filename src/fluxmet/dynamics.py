@@ -75,10 +75,12 @@ def in_frame(op: np.ndarray, rate: np.ndarray | None, t: float) -> np.ndarray:
     as ``_rate``, so entry jk becomes op_jk exp(i (g_j - g_k) t); ``op`` may
     be a stacked (..., d, d) batch, or a scalar that scales the phases.  A
     None rate, or t = 0, where every phase is exactly 1, returns ``op``
-    itself.
+    itself; any other t that is not finite is a DomainError.
     """
     if rate is None or t == 0:
         return op
+    if not -np.inf < t < np.inf:  # NaN fails too
+        raise DomainError(f"frame time must be finite, got {t}")
     return op * np.exp(rate * t)
 
 
@@ -125,9 +127,10 @@ class LindbladModel:
     ``frame`` are the keys of a model file.
 
     Construction derives a framed model's phase rate i (g_j - g_k); the
-    model's one map cache, dt -> {k: checked map of k steps}, fills as it
-    evolves.  Replace a field with
-    ``dataclasses.replace``; an array changed in place leaves them stale.
+    model's one map cache fills as it evolves: dt -> {k: checked map of k
+    steps, -k: the phase that leaves the frame after k steps from t0 = 0}.
+    Replace a field with ``dataclasses.replace``; an array changed in place
+    leaves them stale.
     """
 
     dim: int
@@ -299,15 +302,16 @@ def _as_rows(rho: np.ndarray) -> np.ndarray:
     """The float64 view of each complex (d, d) state as one (1, 2 d^2) row.
 
     The (..., 1, 2 d^2) shape sends a single state and every state of a
-    stacked batch down one BLAS path, so they step alike bit for bit.
+    stacked batch down one BLAS path, so they step alike bit for bit.  The
+    entry points make ``rho`` C-contiguous, so one reshape and one view copy
+    nothing; the explicit row width keeps an empty batch's shape.
     """
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    return rho.view(np.float64).reshape(rho.shape[:-2] + (1, 2 * rho.shape[-1] ** 2))
+    return rho.reshape(rho.shape[:-2] + (1, rho.shape[-1] ** 2)).view(np.float64)
 
 
 def _from_rows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The complex states of ``shape`` held in the rows of :func:`_as_rows`."""
-    return np.ascontiguousarray(rows).view(complex).reshape(shape)
+    """The complex states of ``shape`` in :func:`_as_rows` rows, by a view and a reshape, no copy."""
+    return rows.view(complex).reshape(shape)
 
 
 def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -354,22 +358,29 @@ def lindblad_evolve(
 
     RK4 at fixed step ``dt``, applied in the model's frame: the state enters
     the frame at t0 and leaves it at the end, and neither change costs a
-    phase at t = 0.  ``rho0`` is a (d, d) state or a stacked (..., d, d)
-    batch; any other shape is a StepError, and an empty batch returns
-    empty.  The steps are :func:`_steps` with the model's cached maps, which
-    re-symmetrize the state and check its trace after every step; the
-    diagonal frame changes no trace.  A zero duration returns a copy of
-    ``rho0``.
+    phase at t = 0.  From t0 = 0 the phase that leaves it is made once per
+    step count, by :func:`in_frame`, and kept with the step maps.  ``rho0``
+    is a (d, d) state or a stacked (..., d, d) batch; any other shape is a
+    StepError, and an empty batch returns empty.  The steps are
+    :func:`_steps` with the model's cached maps, which re-symmetrize the
+    state and check its trace after every step; the diagonal frame changes
+    no trace.  A zero duration returns a copy of ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
-    rho = np.asarray(rho0, dtype=complex)
+    rho = np.ascontiguousarray(rho0, dtype=complex)
     d = model.dim
     if rho.shape[-2:] != (d, d):
         raise StepError(f"state shape {rho.shape} does not match model dim {d}")
     if n_steps == 0:
         return rho.copy()
-    rows = _steps(_as_rows(in_frame(rho, model._rate, -t0)), model._maps_at(dt), n_steps)
-    return in_frame(_from_rows(rows, rho.shape), model._rate, t0 + n_steps * dt)
+    maps = model._maps_at(dt)
+    out = _from_rows(_steps(_as_rows(in_frame(rho, model._rate, -t0)), maps, n_steps), rho.shape)
+    if t0 != 0 or model._rate is None:
+        return in_frame(out, model._rate, t0 + n_steps * dt)
+    leave = maps.get(-n_steps)  # every interval of a corrected evolution leaves with this phase
+    if leave is None:
+        leave = maps[-n_steps] = in_frame(1.0, model._rate, n_steps * dt)
+    return out * leave
 
 
 def _steps(rows: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
@@ -404,8 +415,8 @@ def _steps(rows: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.nd
 
 def sample_phases(B: float, gamma: float, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized phase draws; deterministic for a fixed generator state."""
-    if not t >= 0:  # NaN fails too
-        raise DomainError(f"duration must be >= 0, got {t}")
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise DomainError(f"duration must be >= 0 and finite, got {t}")
     if not gamma >= 0:  # NaN fails too
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     if gamma * t == 0:
@@ -484,8 +495,8 @@ def dephasing_kraus(B: float, gamma: float, t: float, theta: float) -> tuple[np.
     K2 = sqrt((1-eta)/2) sigma_n exp(-i B sigma_n t), eta = exp(-2 gamma t);
     K1^dag K1 + K2^dag K2 = I exactly.
     """
-    if not t >= 0:  # NaN fails too
-        raise DomainError(f"duration must be >= 0, got {t}")
+    if not 0 <= t < np.inf:  # NaN fails too
+        raise DomainError(f"duration must be >= 0 and finite, got {t}")
     if not gamma >= 0:  # NaN fails too
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     sn = sigma_n_theta(theta)

@@ -306,8 +306,8 @@ def cfi_trajectory_B(
     Estimates the averaged outcome probability p1(B') = E[cos^2(B' t + phi +
     beta)] at B' = B and B +- a fixed step with common noise draws phi, so the
     finite-difference derivative is free of Monte-Carlo shot noise.  The
-    draws, and the refusal of a negative or NaN gamma or t, are
-    ``dynamics.sample_phases``'s.
+    draws, and the refusal of a negative or NaN gamma and of a t that is
+    not finite and >= 0, are ``dynamics.sample_phases``'s.
     """
     phi = sample_phases(0.0, gamma, t, n, rng)
 

@@ -15,7 +15,8 @@ frame change of a recovery.  Stepwise corrected evolution and the
 continuous-recovery closed state are written once for both codes.  The
 stepwise evolution carries its state in the model's frame and recovers it
 with the code at t = 0 in the code's frame taken relative to the model's,
-so a rotating interval calls np.exp about once.
+so a rotating interval calls np.exp not at all: one call makes the relative
+phases of ``_PHASE_ROWS`` intervals, and the model keeps its exit phase.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -191,7 +192,7 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
     ``dynamics._TRACE_TOL`` in any state means it had weight outside the
     span of the code and its correctable error space.
     """
-    rho = np.asarray(rho, dtype=complex)  # a real state is converted; a complex one is not copied
+    rho = np.ascontiguousarray(rho, dtype=complex)  # copies only a real or strided state
     d = code.c0.shape[0]
     if rho.shape[-2:] != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
@@ -227,13 +228,13 @@ def _corrected_evolve(
     recovery interval to the continuous-recovery closed state.
 
     The state is carried in the model's frame, so every interval evolves
-    from t0 = 0 and the model's frame costs one phase per interval, when
-    the evolution leaves it.  The recovery sees the code's frame relative
+    from t0 = 0 and leaves the model's frame with the one phase the model
+    keeps for that interval.  The recovery sees the code's frame relative
     to the model's: the state enters it at tau, recovers with the code at
     t = 0, where no phase is taken, and leaves it at tau + dt', which also
-    advances the code.
-    Those phases come from :func:`_interval_phases`, and the state leaves
-    the model's frame once, at the end.
+    advances the code.  One np.exp makes those phases, exp(rate tau), for
+    ``_PHASE_ROWS`` intervals at a time, and the state leaves the model's
+    frame once, at the end.
     """
     n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
     rate = code._rate
@@ -244,21 +245,13 @@ def _corrected_evolve(
         for _ in range(n_rec):
             rho = apply_recovery(code, lindblad_evolve(model, rho, interval, dt))
         return rho
-    for enter, leave in _interval_phases(rate, interval, n_rec):
-        rho = lindblad_evolve(model, rho, interval, dt)
-        rho = apply_recovery(code, rho / enter) * leave
-    return in_frame(rho, model._rate, n_rec * interval)
-
-
-def _interval_phases(rate: np.ndarray, interval: float, n_rec: int):
-    """The phases exp(rate tau) and exp(rate (tau + interval)) of each interval's start tau.
-
-    One np.exp computes those of ``_PHASE_ROWS`` intervals at a time.
-    """
     for start in range(0, n_rec, _PHASE_ROWS):
         taus = np.arange(start, min(start + _PHASE_ROWS, n_rec) + 1) * interval
         phases = np.exp(rate * taus[:, None, None])
-        yield from zip(phases[:-1], phases[1:])
+        for enter, leave in zip(phases[:-1], phases[1:]):
+            rho = lindblad_evolve(model, rho, interval, dt)
+            rho = apply_recovery(code, rho / enter) * leave
+    return in_frame(rho, model._rate, n_rec * interval)
 
 
 def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):

@@ -336,6 +336,51 @@ def test_lindblad_evolve_refuses_a_non_finite_duration(t) -> None:
         lindblad_evolve(theta_model(B, GAMMA, 0.3), bell_rho(), t)
 
 
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_frame_time_is_a_domain_error(t0) -> None:
+    # A bad input, not an instability: the frame change refuses the time
+    # before any step runs.
+    with pytest.raises(DomainError, match="frame time must be finite"):
+        lindblad_evolve(omega_model(B, GAMMA, 0.3), bell_rho(), 0.01, t0=t0)
+    rate = dynamics._frame_rate(dynamics.rotating_frame(0.3))
+    with pytest.raises(DomainError, match="frame time must be finite"):
+        dynamics.in_frame(bell_rho(), rate, t0)
+
+
+def _in_frame_route(model, rho: np.ndarray, n: int, dt: float) -> np.ndarray:
+    # n steps from t0 = 0 in the model's frame, left through in_frame.
+    rows = dynamics._steps(dynamics._as_rows(rho), model._maps_at(dt), n)
+    return dynamics.in_frame(dynamics._from_rows(rows, rho.shape), model._rate, n * dt)
+
+
+@pytest.mark.parametrize("n", [1, 3, dynamics._BLOCK_STEPS + 5])
+def test_the_kept_exit_phase_is_the_in_frame_phase(monkeypatch, n) -> None:
+    # From t0 = 0 a rotating model leaves its frame with the phase it keeps
+    # beside the step maps: bit for bit the in_frame route, on the call that
+    # makes the phase and on a later one, which calls np.exp no more.
+    model = omega_model(B, GAMMA, 0.7)
+    for rho in (_random_rho(3), np.stack([_random_rho(seed) for seed in range(3)])):
+        first = lindblad_evolve(model, rho, n * 0.01, dt=0.01)
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
+        again = lindblad_evolve(model, rho, n * 0.01, dt=0.01)
+        monkeypatch.undo()
+        want = _in_frame_route(model, rho, n, 0.01)
+        assert np.array_equal(first, want) and np.array_equal(again, want)
+        assert calls == []
+
+
+def test_a_replaced_frame_gets_its_own_exit_phase() -> None:
+    model = omega_model(B, GAMMA, 0.3)
+    before = lindblad_evolve(model, bell_rho(), 0.05, dt=0.01)
+    other = dataclasses.replace(model, frame=dynamics.rotating_frame(0.9))
+    got = lindblad_evolve(other, bell_rho(), 0.05, dt=0.01)
+    assert np.array_equal(got, lindblad_evolve(omega_model(B, GAMMA, 0.9), bell_rho(), 0.05, dt=0.01))
+    assert not np.array_equal(got, before)
+    assert np.array_equal(lindblad_evolve(model, bell_rho(), 0.05, dt=0.01), before)
+
+
 def test_lindblad_evolve_step_halving_order() -> None:
     model = omega_model(B, GAMMA, 0.5)
     r1 = lindblad_evolve(model, bell_rho(), 1.0, dt=0.02)

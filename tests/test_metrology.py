@@ -302,6 +302,26 @@ def test_a_nan_input_raises_domain_error(name) -> None:
         _NAN_CALLS[name]()
 
 
+_INF_CALLS = {
+    "sample_phases": lambda gamma: sample_phases(0.1, gamma, np.inf, 3, np.random.default_rng(0)),
+    "dephasing_kraus": lambda gamma: dephasing_kraus(B, gamma, np.inf, 0.3),
+    "trajectory_outcome_probability": lambda gamma: trajectory_outcome_probability(
+        B, gamma, np.inf, 0.3, 3, np.random.default_rng(0)
+    ),
+    "cfi_trajectory_B": lambda gamma: cfi_trajectory_B(B, gamma, np.inf, 0.3, 3, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, GAMMA])
+@pytest.mark.parametrize("name", list(_INF_CALLS))
+def test_an_infinite_duration_raises_domain_error(name, gamma) -> None:
+    # With gamma = 0, gamma * t is 0 * inf = NaN, which took neither the
+    # noiseless branch nor a refusal; with gamma > 0 the draw had an
+    # infinite scale.  The callers inherit the refusal.
+    with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
+        _INF_CALLS[name](gamma)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------

@@ -183,6 +183,14 @@ def test_apply_recovery_refuses_a_non_finite_state(value) -> None:
             apply_recovery(code, np.full((4, 4), value), 0.4)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_apply_recovery_refuses_a_non_finite_time_on_a_rotating_code(t) -> None:
+    # A bad input, not leakage (the CLI's exit 3): the frame change refuses it.
+    code = omega_code(1.2)
+    with pytest.raises(DomainError, match="frame time must be finite"):
+        apply_recovery(code, outer(code_probe(code)), t)
+
+
 def _correctable_state(code: QecCode, noise: np.ndarray, t: float) -> np.ndarray:
     # Probe and its noise image, at the code's time t: recovery keeps its trace.
     rho0 = outer(code_probe(code))
@@ -426,6 +434,19 @@ def test_corrected_evolve_omega_converges_first_order() -> None:
     e_coarse = np.max(np.abs(corrected_evolve_omega(B, GAMMA, 0.25, 0.2, T, dt=1e-3, n_recoveries=2500) - closed))
     assert e_fine < 5e-5
     assert 1.8 < e_coarse / e_fine < 2.2
+
+
+def test_a_rotating_corrected_evolution_calls_exp_once_per_phase_table(monkeypatch) -> None:
+    # Every interval evolves from t0 = 0 and leaves the model's frame with
+    # the phase the model keeps, so np.exp runs once per _PHASE_ROWS
+    # intervals, not once per interval, plus six times in all: the probe,
+    # two RK4 stage times and the frame of the step map, the kept exit
+    # phase and the final exit.
+    n, calls = 2000, []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
+    corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=1.0 / n, n_recoveries=n)
+    assert len(calls) <= -(-n // qec._PHASE_ROWS) + 6
 
 
 def test_corrected_state_omega_closed_structure() -> None:

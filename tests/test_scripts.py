@@ -147,6 +147,33 @@ def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch
     assert "numeric_route goodput_ops_s: 10.0 -> 20.0" in printed
 
 
+def test_bench_pairs_micro_times_each_tree_in_its_own_process(tmp_path, monkeypatch, capsys) -> None:
+    # A tiny case in two rounds; each side runs in a subprocess on its own
+    # src (the worker refuses a package imported from elsewhere).
+    script = _load_bench_pairs()
+
+    def copy_tree(rev, dest):
+        shutil.copytree(script.ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        return dest
+
+    tiny = "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 0.01, dt=5e-3, n_recoveries=2)"
+    monkeypatch.setattr(script, "export_parent", copy_tree)
+    monkeypatch.setattr(script, "PAIRS", 2)
+    monkeypatch.setattr(script, "MICRO", {"tiny": (tiny, 2)})
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"claim": "kept"}))
+    with pytest.raises(SystemExit):
+        script.main(["--parent", "HEAD", "--first-seed", "1", "--out", str(out)])  # nothing to run
+    assert script.main(["--parent", "HEAD", "--micro", "--first-seed", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["claim"] == "kept" and "workloads" not in doc
+    assert doc["micro_us"]["rounds"] == 2
+    case = doc["micro_us"]["cases"]["tiny"]
+    assert case["expression"] == tiny and case["per"] == 2
+    assert all(len(vs) == 2 and min(vs) > 0 for vs in case["runs"].values())
+    assert "micro tiny: " in capsys.readouterr().out
+
+
 def _load_output_digest():
     spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
     module = importlib.util.module_from_spec(spec)
