@@ -37,7 +37,10 @@ _BENCH_PAIRS.loader.exec_module(bench_pairs)
 ROOT, export_parent = bench_pairs.ROOT, bench_pairs.export_parent
 
 # name -> expression, evaluated by worker() with the package modules and the
-# helpers below in scope.  The corrected evolutions use numeric_route's shapes.
+# helpers below in scope.  The corrected evolutions use numeric_route's shapes;
+# the closed forms, distributions and draws are entry points that refuse
+# their inputs through dynamics._check_domain, each at in-domain values only.
+TIMES = (0.0, 0.5, 5.0)
 ROUTES = {
     "lindblad_evolve theta": "dynamics.lindblad_evolve(theta_model(), bell(), 16.0, dt=4e-3)",
     "lindblad_evolve omega t0=0.4": (
@@ -61,6 +64,31 @@ ROUTES = {
     },
     "expansion_evolve theta_example": "expanded(0.1, 5.0)",
     "cfi_trajectory_B": "metrology.cfi_trajectory_B(0.1, 0.05, 5.0, 0.3, 10**5, np.random.default_rng(3))",
+    **{
+        f"{coherence}.{method} d={d}": (
+            f"[metrology.{coherence}.{method}(0.1, 0.05, t, {d}).value for t in TIMES]"
+        )
+        for coherence in ("THETA_COHERENCE", "OMEGA_COHERENCE")
+        for method in ("qfi", "cfi")
+        for d in (0, 0.05)
+    },
+    "qfi_theta_free_closed": "[metrology.qfi_theta_free_closed(0.1, 0.05, t).value for t in TIMES]",
+    "qfi_theta_unitary_controlled": (
+        "[metrology.qfi_theta_unitary_controlled(0.1, t, d).value for t in TIMES for d in (0, 0.05)]"
+    ),
+    "qfi_omega_unitary_controlled": (
+        "[metrology.qfi_omega_unitary_controlled(0.1, t, d).value for t in TIMES for d in (0, 0.05)]"
+    ),
+    "outcome_probability theta": (
+        "[p for t in TIMES for _, p in estimation.outcome_probability(0.9, 0.8, 0.1, 0.05, t).outcomes]"
+    ),
+    "outcome_probability omega": (
+        "[p for t in TIMES for _, p in"
+        " estimation.outcome_probability(0.26, 0.25, 0.1, 0.05, t, task='omega').outcomes]"
+    ),
+    "dephasing_kraus": "[dynamics.dephasing_kraus(0.1, 0.05, t, 0.7) for t in TIMES]",
+    "sample_phases": "dynamics.sample_phases(0.1, 0.05, 5.0, 1000, np.random.default_rng(5))",
+    "asymptotic_qfi theta_example": "[qec.asymptotic_qfi(*theta_example(), t).value for t in TIMES]",
     **{
         f"campaign_estimates {task} {strategy}": (
             f"estimation.campaign_estimates(estimation.AdaptiveConfig("
@@ -119,12 +147,18 @@ def recovered(code, t: float):
     return qec.apply_recovery(code, rho, t)
 
 
-def expanded(dx: float, t: float):
+def theta_example():
+    """The expansion report of the shipped theta_example model, and its code's probe."""
     from fluxmet import cli, qec
 
     model, code = cli.load_model_file(cli.resolve_model_path("theta_example"))
-    probe = qec.code_probe(code)
-    report = qec.expansion_superoperators(model, code)
+    return qec.expansion_superoperators(model, code), qec.code_probe(code)
+
+
+def expanded(dx: float, t: float):
+    from fluxmet import qec
+
+    report, probe = theta_example()
     return qec.expansion_evolve(report, probe[:, None] * probe.conj(), dx, t)
 
 

@@ -31,7 +31,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .dynamics import LindbladModel
+from .dynamics import _FINITE, LindbladModel, _check_domain
 from .errors import (
     ConfigError,
     CrossCheckError,
@@ -198,10 +198,8 @@ def cmd_qfi(
     the eigendecomposition route on each column's state family.
     """
     spec = task_record(task)
-    if not np.isfinite(B):
-        raise DomainError(f"B must be finite, got {B}")
-    if not 0 <= gamma < np.inf:
-        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
+    _check_domain("B", B, _FINITE)
+    _check_domain("gamma", gamma)
     if not 1e-9 < t_max < np.inf:  # the cross-check gate samples t > 1e-9
         raise DomainError(f"t_max must be finite and > 1e-9, got {t_max}")
     if not 2 <= n_points <= MAX_SWEEP_POINTS:

@@ -26,6 +26,7 @@ block of up to ``_BLOCK_STEPS`` steps and still checks every step.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
 CFI of ``metrology`` draws through it), and averages pure-state trajectories.
+Every refusal of a duration, rate, field, angle or frequency is :func:`_check_domain`'s.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .qmat import eye2, kron, sigma1, sigma2, sigma3
 
 _TRACE_TOL = 1e-6  # largest trace drift a step, or trace loss a recovery, may show
 _BLOCK_STEPS = 16  # most RK4 steps one product applies (CHANGES.md has the sweep)
+_FINITE = -float(np.finfo(float).max)  # the least finite float, _check_domain's finite-only bound
 
 
 def sigma_n_theta(theta: float) -> np.ndarray:
@@ -65,6 +67,7 @@ def bell_probe() -> np.ndarray:
 
 def rotating_frame(omega: float) -> np.ndarray:
     """Diagonal of (omega / 2) sigma3 x I: the frame of an axis rotating at omega."""
+    _check_domain("omega", omega, _FINITE)
     return 0.5 * omega * np.array([1.0, 1.0, -1.0, -1.0])
 
 
@@ -79,8 +82,7 @@ def in_frame(op: np.ndarray, rate: np.ndarray | None, t: float) -> np.ndarray:
     """
     if rate is None or t == 0:
         return op
-    if not -np.inf < t < np.inf:  # NaN fails too
-        raise DomainError(f"frame time must be finite, got {t}")
+    _check_domain("frame time", t, _FINITE)
     return op * np.exp(rate * t)
 
 
@@ -195,19 +197,8 @@ class LindbladModel:
 
 
 def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
-    """Probe+ancilla model with a static fluctuating field along sigma_n(theta).
-
-    Parameters
-    ----------
-    B : float
-        Field strength.
-    gamma : float
-        Fluctuation rate (>= 0); enters as Lindblad operator sqrt(gamma)*sigma_n.
-    theta : float
-        Field axis angle.
-    """
-    if not gamma >= 0:  # NaN fails too
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    """Static-axis model: H = B sigma_n(theta), one Lindblad operator sqrt(gamma) sigma_n(theta)."""
+    _check_domain("gamma", gamma)
     sn = kron(sigma_n_theta(theta), eye2)
     sm = kron(sigma_n_theta_deriv(theta), eye2)
     root = np.sqrt(gamma)
@@ -230,8 +221,7 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     G = (omega / 2) sigma3 x I.  d/domega brings down i t [sigma3 / 2, .],
     which takes sigma1 to -t sigma2 and sigma2 to t sigma1.
     """
-    if not gamma >= 0:  # NaN fails too
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    _check_domain("gamma", gamma)
     root = np.sqrt(gamma)
     s1, s2 = kron(sigma1, eye2), kron(sigma2, eye2)
     return LindbladModel(
@@ -335,6 +325,13 @@ def _rk4_map(field, d: int, dt: float) -> np.ndarray:
     return _rk4_step(field, basis, 0.0, dt).reshape(n, n)
 
 
+def _check_domain(name: str, value: float, least: float = 0.0) -> None:
+    """The package's one refusal of an input: DomainError unless ``value`` is finite
+    and >= ``least``, which is 0 for a duration or a rate and ``_FINITE`` otherwise."""
+    if not least <= value < np.inf:  # NaN fails too
+        raise DomainError(f"{name} must be {'>= 0 and ' if least == 0 else ''}finite, got {value}")
+
+
 def fixed_steps(t: float, dt: float) -> int:
     """Number of steps dt > 0 that make up the finite duration t >= 0.
 
@@ -343,8 +340,7 @@ def fixed_steps(t: float, dt: float) -> int:
     """
     if not dt > 0:
         raise StepError(f"dt must be positive, got {dt}")
-    if not 0 <= t < np.inf:
-        raise DomainError(f"duration must be >= 0 and finite, got {t}")
+    _check_domain("duration", t)
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 or (n_steps == 0 and t > 0):
         raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
@@ -415,10 +411,9 @@ def _steps(rows: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.nd
 
 def sample_phases(B: float, gamma: float, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized phase draws; deterministic for a fixed generator state."""
-    if not 0 <= t < np.inf:  # NaN fails too
-        raise DomainError(f"duration must be >= 0 and finite, got {t}")
-    if not gamma >= 0:  # NaN fails too
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    _check_domain("duration", t)
+    _check_domain("gamma", gamma)
+    _check_domain("B", B, _FINITE)
     if gamma * t == 0:
         return np.full(n, B * t)
     return B * t + rng.normal(0.0, np.sqrt(gamma * t), size=n)
@@ -458,6 +453,7 @@ def trajectory_outcome_probability(
     B: float, gamma: float, t: float, beta: float, n: int, rng: np.random.Generator
 ) -> float:
     """Monte-Carlo estimate of the first-outcome probability cos^2(Phi + beta)."""
+    _check_domain("beta", beta, _FINITE)
     phis = sample_phases(B, gamma, t, n, rng)
     return float(np.mean(np.cos(phis + beta) ** 2))
 
@@ -479,6 +475,7 @@ def sample_omega_trajectories(
     array of final states.
     """
     n_steps = fixed_steps(t, dt)
+    _check_domain("gamma", gamma)
     psi = np.tile(bell_probe(), (n, 1))
     for k in range(n_steps):
         tau = k * dt
@@ -495,10 +492,10 @@ def dephasing_kraus(B: float, gamma: float, t: float, theta: float) -> tuple[np.
     K2 = sqrt((1-eta)/2) sigma_n exp(-i B sigma_n t), eta = exp(-2 gamma t);
     K1^dag K1 + K2^dag K2 = I exactly.
     """
-    if not 0 <= t < np.inf:  # NaN fails too
-        raise DomainError(f"duration must be >= 0 and finite, got {t}")
-    if not gamma >= 0:  # NaN fails too
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    _check_domain("duration", t)
+    _check_domain("gamma", gamma)
+    _check_domain("B", B, _FINITE)
+    _check_domain("theta", theta, _FINITE)
     sn = sigma_n_theta(theta)
     u = np.cos(B * t) * eye2 - 1j * np.sin(B * t) * sn
     eta = np.exp(-2 * gamma * t)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _check_domain
 from .errors import DomainError
 from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, Task, task_record
@@ -128,10 +129,8 @@ class AdaptiveConfig:
             if not (hi - lo) / res <= MAX_GRID_CELLS:
                 cells = f"(hi - lo) / resolution = {(hi - lo) / res:.3g}"
                 raise DomainError(f"grid must be at most {MAX_GRID_CELLS} cells, got {cells}")
-        if self.gamma < 0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.t < 0:
-            raise DomainError(f"t must be >= 0, got {self.t}")
+        _check_domain("gamma", self.gamma)
+        _check_domain("t", self.t)
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,9 @@ def outcome_probability(
     p(+) = (1 + exp(-decay) cos(phase))/2 with the phase and decay of the task's
     ``coherence`` at detuning x - x_hat (``metrology.Coherence``).
     """
-    record = task_record(task)
-    if not t >= 0:  # NaN fails too
-        raise DomainError(f"t must be >= 0, got {t}")
-    p = float(record.coherence.p_plus(x, x_hat, B, gamma, t))
+    _check_domain("t", t)
+    _check_domain("gamma", gamma)
+    p = float(task_record(task).coherence.p_plus(x, x_hat, B, gamma, t))
     return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])
 
 

@@ -11,6 +11,7 @@ against each other in the test suite:
 Scalar helpers with removable singularities at zero detuning are evaluated
 by series below a crossover argument; the series are carried to enough
 orders that both branches agree to machine precision at the crossover.
+``dynamics._check_domain`` refuses a t or gamma outside [0, inf); ``Coherence.p_plus`` does not.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import sample_phases
+from .dynamics import _FINITE, _check_domain, sample_phases
 from .errors import DimensionError, DomainError, NonHermitianError, NumericError
 from .qmat import check_density_matrix, hermitian_eig, sqrtm_psd
 
@@ -306,9 +307,10 @@ def cfi_trajectory_B(
     Estimates the averaged outcome probability p1(B') = E[cos^2(B' t + phi +
     beta)] at B' = B and B +- a fixed step with common noise draws phi, so the
     finite-difference derivative is free of Monte-Carlo shot noise.  The
-    draws, and the refusal of a negative or NaN gamma and of a t that is
-    not finite and >= 0, are ``dynamics.sample_phases``'s.
+    draws, and the refusal of t or gamma, are ``dynamics.sample_phases``'s.
     """
+    _check_domain("B", B, _FINITE)
+    _check_domain("beta", beta, _FINITE)
     phi = sample_phases(0.0, gamma, t, n, rng)
 
     def p1(b: float) -> float:
@@ -329,6 +331,8 @@ def cfi_trajectory_B(
 
 def bell_basis_distribution_theta_free(B: float, gamma: float, t: float, theta: float) -> MeasurementDistribution:
     """Bell-basis outcome probabilities for the freely evolved theta probe."""
+    _check_domain("t", t)
+    _check_domain("gamma", gamma)
     eta_c = np.exp(-2 * gamma * t) * np.cos(2 * B * t)
     return MeasurementDistribution(
         outcomes=[
@@ -342,6 +346,8 @@ def bell_basis_distribution_theta_free(B: float, gamma: float, t: float, theta: 
 
 def trajectory_distribution_B(B: float, gamma: float, t: float, beta: float) -> MeasurementDistribution:
     """Phase-averaged two-outcome distribution for field estimation."""
+    _check_domain("t", t)
+    _check_domain("gamma", gamma)
     p1 = 0.5 * (1 + np.exp(-2 * gamma * t) * np.cos(2 * B * t + 2 * beta))
     return MeasurementDistribution(outcomes=[("+", p1), ("-", 1 - p1)])
 
@@ -349,11 +355,6 @@ def trajectory_distribution_B(B: float, gamma: float, t: float, beta: float) -> 
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
-
-
-def _check_t(t: float) -> None:
-    if not t >= 0:  # NaN fails too
-        raise DomainError(f"t must be >= 0, got {t}")
 
 
 @dataclass(frozen=True)
@@ -378,7 +379,8 @@ class Coherence:
     def qfi(self, B: float, gamma: float, t: float, d: float = 0.0) -> FisherResult:
         """QFI dphase^2 e^(-2 decay) + ddecay^2 / expm1(2 decay) at detuning d;
         where the decay is zero or subnormal the noise term is its d -> 0 limit."""
-        _check_t(t)
+        _check_domain("t", t)
+        _check_domain("gamma", gamma)
         decay = self.at(B, gamma, d, t)[1]
         dphase, ddecay = self.deriv(B, gamma, d, t)
         if decay > _TINY:
@@ -391,7 +393,8 @@ class Coherence:
         """CFI of the code-basis measurement at detuning d: with E = e^-decay,
         E^2 (ddecay cos phase + dphase sin phase)^2 / (1 - E^2 cos^2 phase).
         Without decay the measurement is optimal and this is the QFI."""
-        _check_t(t)
+        _check_domain("t", t)
+        _check_domain("gamma", gamma)
         phase, decay = self.at(B, gamma, d, t)
         if not decay > _TINY:
             return self.qfi(B, gamma, t, d)
@@ -433,7 +436,8 @@ cfi_omega_qec_closed = OMEGA_COHERENCE.cfi
 
 def qfi_theta_free_closed(B: float, gamma: float, t: float) -> FisherResult:
     """QFI of the freely dephasing theta probe: 2[1 - e^(-2 gamma t) cos 2Bt]."""
-    _check_t(t)
+    _check_domain("t", t)
+    _check_domain("gamma", gamma)
     value = 2.0 * (1.0 - np.exp(-2 * gamma * t) * np.cos(2 * B * t))
     return FisherResult(value)
 
@@ -443,7 +447,7 @@ def qfi_theta_unitary_controlled(B: float, t: float, dtheta: float = 0.0) -> Fis
 
     Collapses to 4 B^2 t^2 at dtheta = 0 and decreases quartically in dtheta.
     """
-    _check_t(t)
+    _check_domain("t", t)
     bt = B * t
     phi = 2.0 * abs(np.sin(dtheta / 2))  # sqrt(2 - 2 cos dtheta)
     value = 0.5 * (1 + 4 * bt * bt + 4 * bt * bt * np.cos(dtheta) - np.cos(2 * bt * phi))
@@ -456,7 +460,7 @@ def qfi_omega_unitary_controlled(B: float, t: float, domega: float = 0.0) -> Fis
     Quadratic expansion B^2 t^4 (1 - t^2 domega^2 / 18), valid for small
     |domega| * t.
     """
-    _check_t(t)
+    _check_domain("t", t)
     penalty = t * t * domega * domega / 18.0
     if penalty > 1:
         raise DomainError(f"|domega|*t = {abs(domega) * t} is outside the expansion's validity")
@@ -466,6 +470,7 @@ def qfi_omega_unitary_controlled(B: float, t: float, domega: float = 0.0) -> Fis
 
 def qfi_B_trajectory_averaged(t: float, gamma: float) -> FisherResult:
     """Phase-averaged QFI for field estimation: 4 t^2 e^(-4 gamma t)."""
-    _check_t(t)
+    _check_domain("t", t)
+    _check_domain("gamma", gamma)
     value = 4.0 * t * t * np.exp(-4 * gamma * t)
     return FisherResult(value)

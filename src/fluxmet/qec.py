@@ -44,6 +44,7 @@ from .dynamics import (
     L2Action,
     LindbladModel,
     _as_rows,
+    _check_domain,
     _checked_map,
     _frame_rate,
     _from_rows,
@@ -256,6 +257,8 @@ def _corrected_evolve(
 
 def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):
     """Equal-weight state on the time-t code words, coherence exp(-(decay + i phase)) at d."""
+    _check_domain("t", t)
+    _check_domain("gamma", gamma)
     phase, decay = coherence.at(B, gamma, d, t)
     coh = np.exp(-decay - 1j * phase)
     c0, c1 = code.basis(t)
@@ -441,8 +444,7 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
     expectation to be non-positive (both within 1e-10).  A t at which J
     overflows is a DomainError.
     """
-    if not 0 <= t < np.inf:
-        raise DomainError(f"t must be >= 0 and finite, got {t}")
+    _check_domain("t", t)
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise DomainError("probe vector is not normalized")

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import fluxmet.metrology as metrology
+from fluxmet.cli import cmd_qfi
 from fluxmet.dynamics import (
     bell_probe,
     dephasing_kraus,
     omega_model,
+    sample_omega_trajectories,
     sample_phases,
     theta_model,
     trajectory_average_state,
     trajectory_outcome_probability,
 )
 from fluxmet.errors import DimensionError, DomainError, NotPsdError, NumericError
-from fluxmet.estimation import outcome_probability
+from fluxmet.estimation import AdaptiveConfig, outcome_probability
 from fluxmet.metrology import (
     OMEGA_COHERENCE,
     THETA_COHERENCE,
@@ -44,7 +48,13 @@ from fluxmet.metrology import (
     sld,
     trajectory_distribution_B,
 )
-from fluxmet.qec import corrected_state_theta_closed
+from fluxmet.qec import (
+    corrected_evolve_omega,
+    corrected_evolve_theta,
+    corrected_state_omega_closed,
+    corrected_state_theta_closed,
+    omega_code,
+)
 from fluxmet.qmat import expm, kron
 from fluxmet.tasks import TASKS
 
@@ -291,6 +301,32 @@ _NAN_CALLS = {
         B, GAMMA, _NAN, 0.3, 3, np.random.default_rng(0)
     ),
     "qfi_theta_free_closed": lambda: qfi_theta_free_closed(B, GAMMA, _NAN),
+    "omega_model omega": lambda: omega_model(B, GAMMA, _NAN),
+    "omega_code": lambda: omega_code(_NAN),
+    "sample_phases B": lambda: sample_phases(_NAN, GAMMA, T, 3, np.random.default_rng(0)),
+    "dephasing_kraus B": lambda: dephasing_kraus(_NAN, GAMMA, T, 0.3),
+    "dephasing_kraus theta": lambda: dephasing_kraus(B, GAMMA, T, _NAN),
+    "trajectory_average_state B": lambda: trajectory_average_state(
+        _NAN, GAMMA, T, 0.3, 3, np.random.default_rng(0)
+    ),
+    "trajectory_outcome_probability beta": lambda: trajectory_outcome_probability(
+        B, GAMMA, T, _NAN, 3, np.random.default_rng(0)
+    ),
+    "cfi_trajectory_B B": lambda: cfi_trajectory_B(_NAN, GAMMA, T, 0.3, 3, np.random.default_rng(0)),
+    "cfi_trajectory_B beta": lambda: cfi_trajectory_B(B, GAMMA, T, _NAN, 3, np.random.default_rng(0)),
+    "sample_omega_trajectories gamma": lambda: sample_omega_trajectories(
+        B, _NAN, 0.3, T, 0.5, 3, np.random.default_rng(0)
+    ),
+    "corrected_state_theta_closed t": lambda: corrected_state_theta_closed(B, GAMMA, 0.9, 0.8, _NAN),
+    "corrected_state_theta_closed gamma": lambda: corrected_state_theta_closed(B, _NAN, 0.9, 0.8, T),
+    "corrected_state_omega_closed t": lambda: corrected_state_omega_closed(B, GAMMA, 0.3, 0.2, _NAN),
+    "corrected_state_omega_closed gamma": lambda: corrected_state_omega_closed(B, _NAN, 0.3, 0.2, T),
+    "qfi_theta_qec_closed gamma": lambda: qfi_theta_qec_closed(B, _NAN, T),
+    "qfi_omega_qec_closed gamma": lambda: qfi_omega_qec_closed(B, _NAN, T),
+    "cfi_theta_qec_closed gamma": lambda: cfi_theta_qec_closed(B, _NAN, T, 0.05),
+    "cfi_omega_qec_closed gamma": lambda: cfi_omega_qec_closed(B, _NAN, T, 0.05),
+    "qfi_theta_free_closed gamma": lambda: qfi_theta_free_closed(B, _NAN, T),
+    "qfi_B_trajectory_averaged gamma": lambda: qfi_B_trajectory_averaged(T, _NAN),
 }
 
 
@@ -320,6 +356,84 @@ def test_an_infinite_duration_raises_domain_error(name, gamma) -> None:
     # infinite scale.  The callers inherit the refusal.
     with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
         _INF_CALLS[name](gamma)
+
+
+def _rng() -> np.random.Generator:
+    return np.random.default_rng(0)
+
+
+# entry point -> (its call at duration t and rate gamma, the arguments it
+# refuses outside [0, inf) with dynamics._check_domain's message).  A t that
+# fixed_steps or sample_phases refuses was refused so before and is left out.
+_DOMAIN_CALLS = {
+    "sample_phases": (lambda t, gamma: sample_phases(B, gamma, t, 3, _rng()), ["gamma"]),
+    "dephasing_kraus": (lambda t, gamma: dephasing_kraus(B, gamma, t, 0.3), ["gamma"]),
+    "trajectory_average_state": (
+        lambda t, gamma: trajectory_average_state(B, gamma, t, 0.3, 3, _rng()), ["gamma"]
+    ),
+    "trajectory_outcome_probability": (
+        lambda t, gamma: trajectory_outcome_probability(B, gamma, t, 0.3, 3, _rng()), ["gamma"]
+    ),
+    "cfi_trajectory_B": (lambda t, gamma: cfi_trajectory_B(B, gamma, t, 0.3, 3, _rng()), ["gamma"]),
+    "sample_omega_trajectories": (
+        lambda t, gamma: sample_omega_trajectories(B, gamma, 0.3, t, 0.5, 3, _rng()), ["gamma"]
+    ),
+    "theta_model": (lambda t, gamma: theta_model(B, gamma, 0.3), ["gamma"]),
+    "omega_model": (lambda t, gamma: omega_model(B, gamma, 0.3), ["gamma"]),
+    "corrected_evolve_theta": (
+        lambda t, gamma: corrected_evolve_theta(B, gamma, 0.9, 0.8, t, dt=0.5), ["gamma"]
+    ),
+    "corrected_evolve_omega": (
+        lambda t, gamma: corrected_evolve_omega(B, gamma, 0.3, 0.2, t, dt=0.5), ["gamma"]
+    ),
+    "corrected_state_theta_closed": (
+        lambda t, gamma: corrected_state_theta_closed(B, gamma, 0.9, 0.8, t), ["t", "gamma"]
+    ),
+    "corrected_state_omega_closed": (
+        lambda t, gamma: corrected_state_omega_closed(B, gamma, 0.3, 0.2, t), ["t", "gamma"]
+    ),
+    "qfi_theta_qec_closed": (lambda t, gamma: qfi_theta_qec_closed(B, gamma, t, 0.05), ["t", "gamma"]),
+    "qfi_omega_qec_closed": (lambda t, gamma: qfi_omega_qec_closed(B, gamma, t, 0.05), ["t", "gamma"]),
+    "cfi_theta_qec_closed": (lambda t, gamma: cfi_theta_qec_closed(B, gamma, t, 0.05), ["t", "gamma"]),
+    "cfi_omega_qec_closed": (lambda t, gamma: cfi_omega_qec_closed(B, gamma, t, 0.05), ["t", "gamma"]),
+    "qfi_theta_free_closed": (lambda t, gamma: qfi_theta_free_closed(B, gamma, t), ["t", "gamma"]),
+    "qfi_theta_unitary_controlled": (lambda t, gamma: qfi_theta_unitary_controlled(B, t), ["t"]),
+    "qfi_omega_unitary_controlled": (lambda t, gamma: qfi_omega_unitary_controlled(B, t), ["t"]),
+    "qfi_B_trajectory_averaged": (lambda t, gamma: qfi_B_trajectory_averaged(t, gamma), ["t", "gamma"]),
+    "bell_basis_distribution_theta_free": (
+        lambda t, gamma: bell_basis_distribution_theta_free(B, gamma, t, 0.3), ["t", "gamma"]
+    ),
+    "trajectory_distribution_B": (
+        lambda t, gamma: trajectory_distribution_B(B, gamma, t, 0.3), ["t", "gamma"]
+    ),
+    "outcome_probability theta": (
+        lambda t, gamma: outcome_probability(0.9, 0.8, B, gamma, t), ["t", "gamma"]
+    ),
+    "outcome_probability omega": (
+        lambda t, gamma: outcome_probability(0.3, 0.2, B, gamma, t, task="omega"), ["t", "gamma"]
+    ),
+    "AdaptiveConfig": (lambda t, gamma: AdaptiveConfig(0.9, 0.8, t=t, gamma=gamma), ["t", "gamma"]),
+    "cmd_qfi": (lambda t, gamma: cmd_qfi("theta", B, gamma, t, 3, [0.0], None), ["gamma"]),
+}
+_OUTSIDE_THE_DOMAIN = [
+    (name, arg, value)
+    for name, (_, args) in _DOMAIN_CALLS.items()
+    for arg in args
+    for value in (-1.0, np.inf)
+    # AdaptiveConfig refuses an infinite t or gamma first as "not a finite number"
+    if not (name == "AdaptiveConfig" and value == np.inf)
+]
+
+
+@pytest.mark.parametrize("name, arg, value", _OUTSIDE_THE_DOMAIN)
+def test_a_negative_or_infinite_time_or_rate_raises_domain_error(name, arg, value) -> None:
+    # Unrefused, a negative gamma gives p(+) = 1.05 in outcome_probability
+    # and a matrix with a negative eigenvalue in corrected_state_theta_closed,
+    # and an infinite t a NaN state or a NumericError in the closed forms.
+    # One function refuses both, with one message.
+    call = _DOMAIN_CALLS[name][0]
+    with pytest.raises(DomainError, match=re.escape(f"{arg} must be >= 0 and finite, got {value}")):
+        call(**{"t": T, "gamma": GAMMA, arg: value})
 
 
 # ---------------------------------------------------------------------------

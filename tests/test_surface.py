@@ -53,7 +53,7 @@ _REMOVED_NAMES = {
         "TrajectoryPhase", "sample_phase", "_dagger", "_largest", "lindblad_rhs",
         "LindbladModel._step_map",
     ),
-    "fluxmet.metrology": ("METHODS", "state_derivative"),
+    "fluxmet.metrology": ("METHODS", "state_derivative", "_check_t"),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
     "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace"),
     "fluxmet.errors": ("NonIsotropicError",),
