@@ -23,8 +23,10 @@ BENCHMARK.json is read, never written.
 
 ``--micro`` also times the layers ``numeric_route`` spends its time in, the
 cases of ``MICRO``: one static and one rotating recovery interval (a whole
-corrected evolution in that workload's shape, per interval) and one
-4000-step free evolution.  In each of ``PAIRS`` rounds, the parent first in
+corrected evolution in that workload's shape, per interval), one
+4000-step free evolution, and the two calls of a rotating interval apart:
+one single-state ``lindblad_evolve`` step and one ``apply_recovery``, each
+per call of 1000 on a model or code built in the expression.  In each of ``PAIRS`` rounds, the parent first in
 even rounds, a subprocess per tree with ``PYTHONPATH=<tree>/src`` and BLAS
 threads pinned to 1 runs every case ``MICRO_REPEATS`` times after one
 warm-up call and reports the fastest call, the one least disturbed by
@@ -61,6 +63,14 @@ MICRO = {
     ),
     "free_4000_steps": (
         "dynamics.lindblad_evolve(dynamics.theta_model(0.1, 0.05, 0.8), np.full((4, 4), 0.25), 16.0, dt=4e-3)", 1
+    ),
+    "evolve_one_step": (
+        "(lambda m, rho: [dynamics.lindblad_evolve(m, rho, 2.5e-3, dt=2.5e-3) for _ in range(1000)])"
+        "(dynamics.omega_model(0.1, 0.05, 0.26), np.full((4, 4), 0.25))", 1000
+    ),
+    "recovery_one_call": (
+        "(lambda c, rho: [qec.apply_recovery(c, rho) for _ in range(1000)])"
+        "(qec.omega_code(0.25), np.full((4, 4), 0.25))", 1000
     ),
 }
 MICRO_REPEATS = 15

@@ -9,20 +9,17 @@ Two built-in models on probe+ancilla (dim 4):
   which is sigma1 seen from the frame exp(+i omega t sigma3 / 2).
 
 A model is data: constant matrices plus, for a rotating model, the diagonal
-of the frame generator, whose phase rate :func:`in_frame` applies (see
-:meth:`LindbladModel.at`); every frame change of a model or a code goes
-through it.  Deterministic evolution is fixed-step RK4 on the master equation
-drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2),
-whose one implementation is :class:`L2Action` (``qec``'s expansion uses it
-too), applied as one step map in the model's frame: the equation is linear,
-and its frame is the one in which every step is the same matrix.
-:func:`_rk4_map` builds that (d*d, d*d) matrix for any linear right-hand
-side, and :func:`_checked_map` turns it, or a recovery, into one real matrix
-on the float64 view of the state that also applies the Hermitian projection
-and returns the output's trace for the step's check.  :func:`_block_map`
-makes k such steps one matrix that returns the trace after each of them,
-so :func:`_steps`, the one loop of every RK4 run, takes one product per
-block of up to ``_BLOCK_STEPS`` steps and still checks every step.
+of the frame generator, whose phase rate :func:`in_frame` applies; every
+frame change of a model or a code goes through it.  Deterministic evolution
+is fixed-step RK4 on the master equation
+drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2)
+(:class:`L2Action`, shared with ``qec``'s expansion), in the model's frame,
+where every step is the same matrix.  :func:`_rk4_map` builds it,
+:func:`_checked_map` makes it, or a recovery, one real matrix on the float64
+view of the state that also applies the Hermitian projection and returns the
+trace, and :func:`_block_map` makes k steps one matrix that returns each
+step's trace.  :func:`_steps`, the one loop of every RK4 run, takes one
+:func:`_product` per block of up to ``_BLOCK_STEPS`` steps.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
 CFI of ``metrology`` draws through it), and averages pure-state trajectories.
@@ -35,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InstabilityError, StepError
+from .errors import ConfigError, DimensionError, DomainError, InstabilityError, StepError
 from .qmat import eye2, kron, sigma1, sigma2, sigma3
 
 _TRACE_TOL = 1e-6  # largest trace drift a step, or trace loss a recovery, may show
 _BLOCK_STEPS = 16  # most RK4 steps one product applies (CHANGES.md has the sweep)
 _FINITE = -float(np.finfo(float).max)  # the least finite float, _check_domain's finite-only bound
+_REAL, _COMPLEX = np.dtype(np.float64), np.dtype(complex)  # the two views of a state's rows
 
 
 def sigma_n_theta(theta: float) -> np.ndarray:
@@ -236,9 +234,12 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     )
 
 
-def _largest_gap(x: np.ndarray, target: float) -> float:
-    """max |x - target|, 0 if x is empty; one value is read as a float, skipping ufuncs."""
-    return abs(x.item() - target) if x.size == 1 else float(np.abs(x - target).max(initial=0.0))
+def _largest_gap(out: np.ndarray, start: int, target: float) -> float:
+    """max |x - target| over the trace columns x = ``out[..., 0, start:]``, 0 if there are none;
+    one state's one column, the common case, is read by ``item``, skipping three ufunc calls."""
+    if out.size == start + 1:
+        return abs(out.item(start) - target)
+    return float(np.abs(out[..., 0, start:] - target).max(initial=0.0))
 
 
 def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) -> np.ndarray:
@@ -246,16 +247,14 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
 
     ``linear`` is a complex (d^2, d^2) map under which a row-major
     vectorised state steps as ``vec @ linear``.  The real matrix acts on the
-    float64 view of that row (real and imaginary parts interleaved, see
-    :func:`_as_rows`): its first 2 d^2 columns apply ``linear`` and then the
-    Hermitian projection (rho + rho^dag) / 2, which is real-linear and so
-    folds in, and its last column returns the output's real trace, less the
-    input's if ``minus_input_trace``.  Columns (a, b) and (b, a) are equal,
-    or negatives for the imaginary parts, bit for bit.  The returned states
-    are exactly Hermitian only if the BLAS product treats equal columns
-    alike: the construction does not guarantee it, and
-    ``test_every_returned_state_is_exactly_hermitian`` checks it on the
-    BLAS at hand (Havel, J. Math. Phys. 44, 534 (2003)).
+    :func:`_as_rows` float64 view of that row: its first 2 d^2 columns apply
+    ``linear`` and then the Hermitian projection (rho + rho^dag) / 2, which
+    is real-linear, and its last column returns the output's real trace,
+    less the input's if ``minus_input_trace``.  Columns (a, b) and (b, a)
+    are equal, or negatives for the imaginary parts, bit for bit; the states
+    are exactly Hermitian only if the BLAS treats equal columns alike, which
+    ``test_every_returned_state_is_exactly_hermitian`` checks (Havel,
+    J. Math. Phys. 44, 534 (2003)).
     """
     n = d * d
     real = np.empty((n, 2, n, 2))  # [input entry, input re/im, output entry, output re/im]
@@ -291,17 +290,24 @@ def _block_map(step: np.ndarray, k: int) -> np.ndarray:
 def _as_rows(rho: np.ndarray) -> np.ndarray:
     """The float64 view of each complex (d, d) state as one (1, 2 d^2) row.
 
-    The (..., 1, 2 d^2) shape sends a single state and every state of a
-    stacked batch down one BLAS path, so they step alike bit for bit.  The
-    entry points make ``rho`` C-contiguous, so one reshape and one view copy
-    nothing; the explicit row width keeps an empty batch's shape.
+    :func:`_product` steps one state's 2-D row by ``ndarray.dot``, which
+    dispatches about 0.9 us faster than ``@``, and a stacked batch by ``@``,
+    one product per state, so that it steps as each state alone, bit for bit
+    (``dot`` would make one larger product).  The entry points make ``rho``
+    C-contiguous, so one reshape and one view copy nothing; the explicit row
+    width keeps an empty batch's shape.
     """
-    return rho.reshape(rho.shape[:-2] + (1, rho.shape[-1] ** 2)).view(np.float64)
+    return rho.reshape(rho.shape[:-2] + (1, rho.shape[-1] ** 2)).view(_REAL)
 
 
 def _from_rows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The complex states of ``shape`` in :func:`_as_rows` rows, by a view and a reshape, no copy."""
-    return rows.view(complex).reshape(shape)
+    return rows.view(_COMPLEX).reshape(shape)
+
+
+def _product(rows: np.ndarray):
+    """(rows, map) -> rows times a checked map, by the product :func:`_as_rows` names for their shape."""
+    return np.ndarray.dot if rows.ndim == 2 else np.matmul
 
 
 def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -352,52 +358,51 @@ def lindblad_evolve(
 ) -> np.ndarray:
     """Evolve ``rho0`` for duration ``t`` starting at absolute time ``t0``.
 
-    RK4 at fixed step ``dt``, applied in the model's frame: the state enters
-    the frame at t0 and leaves it at the end, and neither change costs a
-    phase at t = 0.  From t0 = 0 the phase that leaves it is made once per
-    step count, by :func:`in_frame`, and kept with the step maps.  ``rho0``
-    is a (d, d) state or a stacked (..., d, d) batch; any other shape is a
-    StepError, and an empty batch returns empty.  The steps are
-    :func:`_steps` with the model's cached maps, which re-symmetrize the
-    state and check its trace after every step; the diagonal frame changes
-    no trace.  A zero duration returns a copy of ``rho0``.
+    RK4 at fixed step ``dt`` in the model's frame: the state enters it at t0
+    and leaves it at the end, with no :func:`in_frame` call at t0 = 0 or for
+    a static model; from t0 = 0 the exit phase is kept with the step maps.
+    ``rho0`` is a (d, d) state or a stacked (..., d, d) batch; any other
+    shape is a DimensionError, and an empty batch returns empty.
+    :func:`_steps` runs the model's cached maps, which re-symmetrize the
+    state and check its trace after every step.  A zero duration returns a
+    copy of ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
-    rho = np.ascontiguousarray(rho0, dtype=complex)
-    d = model.dim
+    rho = np.ascontiguousarray(rho0, dtype=_COMPLEX)
+    d, rate = model.dim, model._rate
     if rho.shape[-2:] != (d, d):
-        raise StepError(f"state shape {rho.shape} does not match model dim {d}")
+        raise DimensionError(f"state shape {rho.shape} does not match model dim {d}")
     if n_steps == 0:
         return rho.copy()
-    maps = model._maps_at(dt)
-    out = _from_rows(_steps(_as_rows(in_frame(rho, model._rate, -t0)), maps, n_steps), rho.shape)
-    if t0 != 0 or model._rate is None:
-        return in_frame(out, model._rate, t0 + n_steps * dt)
+    maps, framed = model._maps_at(dt), rate is not None and t0 != 0
+    rows = _steps(_as_rows(in_frame(rho, rate, -t0) if framed else rho), maps, n_steps)
+    out = _from_rows(rows, rho.shape)
+    if rate is None or framed:
+        return in_frame(out, rate, t0 + n_steps * dt) if framed else out
     leave = maps.get(-n_steps)  # every interval of a corrected evolution leaves with this phase
     if leave is None:
-        leave = maps[-n_steps] = in_frame(1.0, model._rate, n_steps * dt)
+        leave = maps[-n_steps] = in_frame(1.0, rate, n_steps * dt)
     return out * leave
 
 
 def _steps(rows: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
-    """``n_steps`` checked steps of :func:`_as_rows` rows, one product per block.
+    """``n_steps`` checked steps of :func:`_as_rows` rows, one :func:`_product` per block.
 
     ``maps`` holds the step map at key 1 and gains the :func:`_block_map` of
     each block length, up to ``_BLOCK_STEPS``, at its first use.  Every
     step's trace may drift from 1 by at most ``_TRACE_TOL``, in every state,
     and the error names the first step that does not.
     """
-    width = rows.shape[-1]
+    width, product = rows.shape[-1], _product(rows)
     for done in range(0, n_steps, _BLOCK_STEPS):
         k = min(_BLOCK_STEPS, n_steps - done)
         block = maps.get(k)
         if block is None:
             block = maps[k] = _block_map(maps[1], k)
-        out = rows @ block
-        traces = out[..., 0, width:]  # the trace after each step of the block
-        drift = _largest_gap(traces, 1.0)
+        out = product(rows, block)
+        drift = _largest_gap(out, width, 1.0)  # over the trace after each step of the block
         if not drift <= _TRACE_TOL:  # a NaN drift fails too
-            gaps = np.abs(traces - 1.0).reshape(-1, k).max(axis=0)  # per step, over the batch
+            gaps = np.abs(out[..., 0, width:] - 1.0).reshape(-1, k).max(axis=0)  # per step, over the batch
             first = int(np.argmin(gaps <= _TRACE_TOL))
             raise InstabilityError(f"trace drifted by {gaps[first]:.3e} at step {done + first + 1}")
         rows = out[..., :width]
@@ -429,19 +434,14 @@ class TrajectoryEnsemble:
     n: int
 
 
-def _phase_states(theta: float, phis: np.ndarray) -> np.ndarray:
-    """Pure states exp(-i Phi sigma_n x I)|bell> for a batch of phases."""
-    psi0 = bell_probe()
-    rotated = kron(sigma_n_theta(theta), eye2) @ psi0
-    return np.cos(phis)[:, None] * psi0 - 1j * np.sin(phis)[:, None] * rotated
-
-
 def trajectory_average_state(
     B: float, gamma: float, t: float, theta: float, n: int, rng: np.random.Generator
 ) -> TrajectoryEnsemble:
-    """Average n sampled-phase pure states of the theta model Bell probe."""
+    """Average n sampled-phase pure states exp(-i Phi sigma_n x I)|bell> of the theta model."""
     phis = sample_phases(B, gamma, t, n, rng)
-    psi = _phase_states(theta, phis)
+    psi0 = bell_probe()
+    rotated = kron(sigma_n_theta(theta), eye2) @ psi0
+    psi = np.cos(phis)[:, None] * psi0 - 1j * np.sin(phis)[:, None] * rotated
     projectors = psi[:, :, None] * psi[:, None, :].conj()
     mean = projectors.mean(axis=0)
     sem_real = projectors.real.std(axis=0, ddof=1) / np.sqrt(n)

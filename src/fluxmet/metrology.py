@@ -11,7 +11,7 @@ against each other in the test suite:
 Scalar helpers with removable singularities at zero detuning are evaluated
 by series below a crossover argument; the series are carried to enough
 orders that both branches agree to machine precision at the crossover.
-``dynamics._check_domain`` refuses a t or gamma outside [0, inf); ``Coherence.p_plus`` does not.
+``dynamics._check_domain`` refuses a bad t, gamma, B or detuning; ``Coherence.p_plus`` checks none.
 """
 
 from __future__ import annotations
@@ -371,6 +371,14 @@ class Coherence:
     deriv: Callable[..., tuple]
     information: Callable[[float, float, float], float]
 
+    def _checked_at(self, B: float, gamma: float, d: float, t: float) -> tuple:
+        """``at`` once t and gamma are >= 0 and finite and B and d are finite (``p_plus`` checks none)."""
+        _check_domain("t", t)
+        _check_domain("gamma", gamma)
+        _check_domain("B", B, _FINITE)
+        _check_domain("detuning", d, _FINITE)
+        return self.at(B, gamma, d, t)
+
     def p_plus(self, x, x_hat, B: float, gamma: float, t: float):
         """Code-basis outcome probability (1 + e^-decay cos phase)/2, elementwise."""
         phase, decay = self.at(B, gamma, x - x_hat, t)
@@ -379,9 +387,7 @@ class Coherence:
     def qfi(self, B: float, gamma: float, t: float, d: float = 0.0) -> FisherResult:
         """QFI dphase^2 e^(-2 decay) + ddecay^2 / expm1(2 decay) at detuning d;
         where the decay is zero or subnormal the noise term is its d -> 0 limit."""
-        _check_domain("t", t)
-        _check_domain("gamma", gamma)
-        decay = self.at(B, gamma, d, t)[1]
+        decay = self._checked_at(B, gamma, d, t)[1]
         dphase, ddecay = self.deriv(B, gamma, d, t)
         if decay > _TINY:
             noise = ddecay * ddecay / np.expm1(2 * decay)
@@ -393,9 +399,7 @@ class Coherence:
         """CFI of the code-basis measurement at detuning d: with E = e^-decay,
         E^2 (ddecay cos phase + dphase sin phase)^2 / (1 - E^2 cos^2 phase).
         Without decay the measurement is optimal and this is the QFI."""
-        _check_domain("t", t)
-        _check_domain("gamma", gamma)
-        phase, decay = self.at(B, gamma, d, t)
+        phase, decay = self._checked_at(B, gamma, d, t)
         if not decay > _TINY:
             return self.qfi(B, gamma, t, d)
         dphase, ddecay = self.deriv(B, gamma, d, t)

@@ -4,19 +4,17 @@ Two concrete codes: a static one for the field-angle task and a rotating one
 for the rotation-frequency task.  Both protect a two-dimensional code space
 of the probe+ancilla pair against the parameter-correlated noise axis at the
 current estimate; recovery is the two-operator Kraus set {P, P sigma_n},
-applied as one real matrix from ``dynamics._checked_map`` that also
-re-symmetrizes the state and returns the trace it lost for the leakage
-check.  A code builds that matrix at its first recovery, so the codes of
-closed states and of the error-correction conditions never do.  A code is
-data: its t = 0 code words and recovery plus, for a rotating code, the
-diagonal of the frame generator that carries them along in time; its phase
-rate goes through ``dynamics.in_frame`` like a model's, and so does every
-frame change of a recovery.  Stepwise corrected evolution and the
-continuous-recovery closed state are written once for both codes.  The
-stepwise evolution carries its state in the model's frame and recovers it
-with the code at t = 0 in the code's frame taken relative to the model's,
-so a rotating interval calls np.exp not at all: one call makes the relative
-phases of ``_PHASE_ROWS`` intervals, and the model keeps its exit phase.
+applied as one real matrix, built at the first recovery by
+``dynamics._checked_map``, that also re-symmetrizes the state and returns
+the trace it lost for the leakage check.  A code is data: its t = 0 code
+words and recovery plus, for a rotating code, the diagonal of the frame
+generator that carries them along in time; its phase rate goes through
+``dynamics.in_frame`` like a model's, and so does every frame change of a
+recovery.  Stepwise corrected evolution and the continuous-recovery closed
+state are written once for both codes.  A stepwise interval is one
+``lindblad_evolve`` and one ``apply_recovery`` call, each one product of
+the state's real row and its check, plus two in-place phases in a rotating
+frame (see ``_corrected_evolve``).
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -43,12 +41,14 @@ from .dynamics import (
     _TRACE_TOL,
     L2Action,
     LindbladModel,
+    _COMPLEX,
     _as_rows,
     _check_domain,
     _checked_map,
     _frame_rate,
     _from_rows,
     _largest_gap,
+    _product,
     _rk4_map,
     _steps,
     fixed_steps,
@@ -106,9 +106,9 @@ class QecCode:
         object.__setattr__(self, "_rate", rate)
 
     @cached_property
-    def _recovery_map(self) -> np.ndarray | None:
+    def _recovery_map(self) -> np.ndarray:
         if self.recovery is None:
-            return None
+            raise ConfigError("code has no recovery Kraus set")
         d = self.c0.shape[0]
         superop = sum((np.kron(k, k.conj()) for k in self.recovery), np.zeros((d * d, d * d))).T
         return _checked_map(superop, d, minus_input_trace=True)
@@ -184,26 +184,26 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel at time t; fails on trace leakage.
 
-    Each state enters the code's frame at t through ``dynamics.in_frame``,
-    recovers as one row times the code's checked map, which also
-    re-symmetrizes it and returns the trace it lost, and leaves the frame
-    the same way; a static code, or t = 0, takes no phase.  ``rho`` may be
-    a single (d, d) state or a stacked (..., d, d) batch; any other shape
-    is a DimensionError, and an empty batch returns empty.  Trace loss above
-    ``dynamics._TRACE_TOL`` in any state means it had weight outside the
-    span of the code and its correctable error space.
+    ``rho`` is a (d, d) state or a stacked (..., d, d) batch; any other
+    shape is a DimensionError, and an empty batch returns empty.  Each state
+    enters the code's frame at t, recovers as one ``dynamics._product`` of
+    its row and the code's checked map, which re-symmetrizes it and returns
+    the trace it lost, and leaves the frame; a static code, or t = 0, calls
+    no ``in_frame``.  Trace loss above ``dynamics._TRACE_TOL`` in any state
+    means weight outside the code and its correctable error space.
     """
-    rho = np.ascontiguousarray(rho, dtype=complex)  # copies only a real or strided state
-    d = code.c0.shape[0]
+    rho = np.ascontiguousarray(rho, dtype=_COMPLEX)  # copies only a real or strided state
+    d, rate = code.c0.shape[0], code._rate
     if rho.shape[-2:] != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
-    if code._recovery_map is None:
-        raise ConfigError("code has no recovery Kraus set")
-    out = _as_rows(in_frame(rho, code._rate, -t)) @ code._recovery_map
-    loss = _largest_gap(out[..., 0, -1], 0.0)
+    framed = rate is not None and t != 0
+    rows = _as_rows(in_frame(rho, rate, -t) if framed else rho)
+    out = _product(rows)(rows, code._recovery_map)
+    loss = _largest_gap(out, rows.shape[-1], 0.0)
     if not loss <= _TRACE_TOL:  # a NaN loss fails too
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
-    return in_frame(_from_rows(out[..., :-1], rho.shape), code._rate, t)
+    out = _from_rows(out[..., :-1], rho.shape)
+    return in_frame(out, rate, t) if framed else out
 
 
 def _recovery_intervals(t: float, dt: float, n_recoveries: int | None) -> tuple[int, float]:
@@ -228,14 +228,13 @@ def _corrected_evolve(
     advance the frame by exp(+i G dt').  Converges first-order in the
     recovery interval to the continuous-recovery closed state.
 
-    The state is carried in the model's frame, so every interval evolves
-    from t0 = 0 and leaves the model's frame with the one phase the model
-    keeps for that interval.  The recovery sees the code's frame relative
-    to the model's: the state enters it at tau, recovers with the code at
-    t = 0, where no phase is taken, and leaves it at tau + dt', which also
-    advances the code.  One np.exp makes those phases, exp(rate tau), for
-    ``_PHASE_ROWS`` intervals at a time, and the state leaves the model's
-    frame once, at the end.
+    The state is carried in the model's frame: each interval evolves from
+    t0 = 0 and leaves that frame with the phase the model keeps.  The
+    recovery sees the code's frame relative to the model's: the state enters
+    it at tau and leaves it at tau + dt', both in place, and recovers with
+    the code at t = 0, where no phase is taken.  One np.exp makes those
+    phases for ``_PHASE_ROWS`` intervals; the state leaves the model's frame
+    once, at the end.
     """
     n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
     rate = code._rate
@@ -251,15 +250,15 @@ def _corrected_evolve(
         phases = np.exp(rate * taus[:, None, None])
         for enter, leave in zip(phases[:-1], phases[1:]):
             rho = lindblad_evolve(model, rho, interval, dt)
-            rho = apply_recovery(code, rho / enter) * leave
+            rho /= enter  # in place: both calls return arrays of their own
+            rho = apply_recovery(code, rho)
+            rho *= leave
     return in_frame(rho, model._rate, n_rec * interval)
 
 
 def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):
     """Equal-weight state on the time-t code words, coherence exp(-(decay + i phase)) at d."""
-    _check_domain("t", t)
-    _check_domain("gamma", gamma)
-    phase, decay = coherence.at(B, gamma, d, t)
+    phase, decay = coherence._checked_at(B, gamma, d, t)
     coh = np.exp(-decay - 1j * phase)
     c0, c1 = code.basis(t)
     return 0.5 * (_outer(c0) + _outer(c1) + coh * _outer(c0, c1) + np.conj(coh) * _outer(c1, c0))

@@ -22,8 +22,9 @@ from fluxmet.dynamics import (
     trajectory_outcome_probability,
 )
 from fluxmet.cli import load_model_file, resolve_model_path
-from fluxmet.errors import DomainError, InstabilityError, StepError
+from fluxmet.errors import DimensionError, DomainError, InstabilityError, StepError
 from fluxmet.metrology import qfi_sld_numeric
+from fluxmet.qec import omega_code
 from fluxmet.qmat import expm, hermitian_eig, kron
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -223,7 +224,7 @@ def test_lindblad_evolve_step_error() -> None:
 
 @pytest.mark.parametrize("state", [np.ones(4), np.eye(3) / 3, np.ones((2, 4, 3)), np.float64(1.0)])
 def test_lindblad_evolve_refuses_a_state_of_the_wrong_shape(state) -> None:
-    with pytest.raises(StepError, match="does not match model dim 4"):
+    with pytest.raises(DimensionError, match="does not match model dim 4"):
         lindblad_evolve(theta_model(B, GAMMA, 0.3), state, 1.0)
 
 
@@ -326,6 +327,31 @@ def test_block_maps_match_the_step_map_loop(model) -> None:
             if n == 1:
                 assert np.array_equal(got, want)
             assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.37])
+@pytest.mark.parametrize("n", [1, dynamics._BLOCK_STEPS, 2 * dynamics._BLOCK_STEPS + 3])
+@pytest.mark.parametrize("model", [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)])
+def test_a_batch_evolves_as_each_state_alone(model, n, t0) -> None:
+    # One state's row steps by ndarray.dot and a batch by matmul, one
+    # product per state: dot on the stack would be one larger product,
+    # which rounds differently.
+    states = np.stack([_random_rho(seed) for seed in range(3)])
+    batch = lindblad_evolve(model, states, n * 0.01, dt=0.01, t0=t0)
+    for rho, evolved in zip(states, batch):
+        assert np.array_equal(evolved, lindblad_evolve(model, rho, n * 0.01, dt=0.01, t0=t0))
+
+
+def test_the_product_of_one_state_is_matmul_bit_for_bit() -> None:
+    # ndarray.dot on one state's row rounds as matmul does, for the step
+    # map, a full block map and a code's recovery map.
+    step = omega_model(0.3, 0.2, 1.3)._maps_at(0.01)[1]
+    maps = (step, dynamics._block_map(step, dynamics._BLOCK_STEPS), omega_code(1.2)._recovery_map)
+    for m in maps:
+        for seed in range(5):
+            rows = dynamics._as_rows(_random_rho(seed))
+            assert dynamics._product(rows) is np.ndarray.dot
+            assert np.array_equal(dynamics._product(rows)(rows, m), rows @ m)
 
 
 @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])

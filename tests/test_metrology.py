@@ -327,6 +327,14 @@ _NAN_CALLS = {
     "cfi_omega_qec_closed gamma": lambda: cfi_omega_qec_closed(B, _NAN, T, 0.05),
     "qfi_theta_free_closed gamma": lambda: qfi_theta_free_closed(B, _NAN, T),
     "qfi_B_trajectory_averaged gamma": lambda: qfi_B_trajectory_averaged(T, _NAN),
+    "corrected_state_theta_closed B": lambda: corrected_state_theta_closed(_NAN, GAMMA, 0.9, 0.8, T),
+    "corrected_state_theta_closed theta": lambda: corrected_state_theta_closed(B, GAMMA, _NAN, 0.8, T),
+    "corrected_state_omega_closed B": lambda: corrected_state_omega_closed(_NAN, GAMMA, 0.3, 0.2, T),
+    "corrected_state_omega_closed omega": lambda: corrected_state_omega_closed(B, GAMMA, _NAN, 0.2, T),
+    "qfi_theta_qec_closed B": lambda: qfi_theta_qec_closed(_NAN, GAMMA, T),
+    "qfi_omega_qec_closed d": lambda: qfi_omega_qec_closed(B, GAMMA, T, _NAN),
+    "cfi_theta_qec_closed B": lambda: cfi_theta_qec_closed(_NAN, GAMMA, T, 0.05),
+    "cfi_omega_qec_closed d": lambda: cfi_omega_qec_closed(B, GAMMA, T, _NAN),
 }
 
 
