@@ -8,9 +8,10 @@ tree.  In each tree a subprocess with ``PYTHONPATH=<tree>/src`` evaluates
 every route of ``ROUTES``, a fixed list of expressions over the package's
 public functions, and returns each output's sha256 and its numbers: the
 real and imaginary parts of an array, or every number in the bytes a
-command line writes.  One line per route then reads ``identical`` (the
-same bytes) or the largest absolute difference of its numbers.  ``--out``
-also records both digests of every route.
+command line writes (for a refused one, its exit code and error message).
+One line per route then reads ``identical`` (the same bytes) or the largest
+absolute difference of its numbers.  ``--out`` also records both digests
+of every route.
 """
 
 from __future__ import annotations
@@ -108,6 +109,20 @@ ROUTES = {
         "cli_bytes(['adapt', 'omega', '--config', 'c.json', '--out', 'a.csv'],"
         " {'true_value': 0.3, 'initial_guess': 0.2, 'repetitions': 3, 'seed': 7, 'grid': [0.2, 0.4, 1e-4]})"
     ),
+    # README's adapt refusals, each refused before any draw.
+    **{
+        f"cli adapt {task} refused {name}": (
+            f"cli_bytes(['adapt', {task!r}, '--config', 'c.json', '--out', 'a.csv'],"
+            f" {{'true_value': 0.3, 'initial_guess': 0.2, 'repetitions': 3, **{change!r}}})"
+        )
+        for task, name, change in (
+            ("theta", "t=0", {"t": 0}),
+            ("theta", "B=0 unitary", {"B": 0, "strategies": ["unitary_controlled"]}),
+            ("omega", "t=1e100", {"t": 1e100}),
+            ("theta", "B=2 t=10", {"B": 2, "t": 10}),
+            ("theta", "m=10**11", {"m": 10**11}),
+        )
+    },
 }
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
@@ -163,7 +178,8 @@ def expanded(dx: float, t: float):
 
 
 def cli_bytes(argv: list[str], config: dict | None = None) -> bytes:
-    """What ``cli.main(argv)`` prints and writes, run in an empty directory."""
+    """What ``cli.main(argv)`` prints and writes, run in an empty directory;
+    for a non-zero exit, ``exit <code>`` and what it printed to stderr."""
     from fluxmet import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -172,11 +188,11 @@ def cli_bytes(argv: list[str], config: dict | None = None) -> bytes:
         try:
             if config is not None:
                 Path("c.json").write_text(json.dumps(config))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             if code != 0:
-                raise SystemExit(f"cli.main({argv}) exited {code}")
+                return f"exit {code}\n{err.getvalue()}".encode()
             files = sorted(p for p in Path(".").iterdir() if p.name != "c.json")
             return out.getvalue().encode() + b"".join(p.name.encode() + b"\n" + p.read_bytes() for p in files)
         finally:

@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -41,7 +40,7 @@ from .errors import (
     NumericError,
     QecConditionError,
 )
-from .estimation import AdaptiveConfig, campaign_estimates, check_campaign_size, crb_line
+from .estimation import AdaptiveConfig, _finite, campaign_estimates, check_campaign_size, crb_line
 from .metrology import qfi_sld_numeric
 from .qec import QecCode, asymptotic_qfi, code_probe, expansion_superoperators
 from .tasks import STRATEGIES, TASKS, Task, task_record
@@ -204,8 +203,8 @@ def cmd_qfi(
         raise DomainError(f"t_max must be finite and > 1e-9, got {t_max}")
     if not 2 <= n_points <= MAX_SWEEP_POINTS:
         raise DomainError(f"points must be >= 2 and at most {MAX_SWEEP_POINTS}, got {n_points}")
-    if not all(map(math.isfinite, d_list)):
-        raise DomainError(f"{spec.symbol} must be finite, got {d_list}")
+    for d in d_list:
+        _check_domain(spec.symbol, d, _FINITE)
     ts = np.linspace(0.0, t_max, n_points)
     curves = _curves(spec, B, gamma, d_list)
     inputs = f"got B = {B:g}, gamma = {gamma:g}, t_max = {t_max:g}"
@@ -277,22 +276,6 @@ def _strategy_out_path(out_path: str, strategy: str) -> str:
     return f"{base}.{strategy}{ext or '.csv'}"
 
 
-def _crb_value(record: Task, cfg: AdaptiveConfig) -> float:
-    """The Cramer-Rao line 1/(m K J); ConfigError unless it is finite and positive."""
-    crb = crb_line(cfg, record)
-    if not 0 < crb < np.inf:
-        field, bound = ("t", "> 0") if cfg.t == 0 else ("B", "nonzero")
-        if not crb > 0:  # 0 or nan: J overflows
-            field, bound = "t", "small enough for a finite J at this B and gamma"
-        raise ConfigError(
-            f"{field} must be {bound}: at t = {cfg.t:g}, B = {cfg.B:g}, gamma = {cfg.gamma:g} "
-            f"the {cfg.strategy} campaign's Cramer-Rao line 1/(m K J) is {crb:g}, not a finite "
-            "positive number",
-            field=field,
-        )
-    return crb
-
-
 def cmd_adapt(
     task: str,
     config_path: str,
@@ -314,21 +297,21 @@ def cmd_adapt(
     seed = raw.get("seed", 0) if seed is None else seed
     strategies = raw["strategies"] if strategy is None else [strategy]
     kwargs = {k: v for k, v in raw.items() if k not in ("repetitions", "strategies", "seed")}
-    # Every strategy's config, campaign size and Cramer-Rao line are checked
-    # before any campaign runs, so a bad one writes no file.
+    # Every strategy's campaign is admitted before any campaign runs, so a
+    # bad one writes no file.
     runs = []
     for s in strategies:
         cfg = AdaptiveConfig(**kwargs, seed=seed, strategy=s)
         check_campaign_size(cfg, reps, task)
-        runs.append((s, cfg, _crb_value(record, cfg)))
+        runs.append((s, cfg))
     tables: dict[str, CurveTable] = {}
-    for strategy, cfg, crb_value in runs:
+    for strategy, cfg in runs:
         estimates = campaign_estimates(cfg, reps, task=task)
         with np.errstate(over="ignore"):  # an overflow is an inf cell, which the table refuses
             mse = np.mean((estimates - cfg.true_value) ** 2, axis=0)
         mean = np.mean(estimates, axis=0)
         rounds = np.arange(cfg.rounds + 1, dtype=float)
-        crb = np.full_like(rounds, crb_value)
+        crb = np.full_like(rounds, crb_line(cfg, record))
         rows = np.column_stack([rounds, mean, mse, crb])
         params = dict(raw, repetitions=reps, strategy=strategy, task=task, seed=seed)
         tables[strategy] = CurveTable(
@@ -354,10 +337,7 @@ def _complex_from_json(obj, shape: tuple[int, ...], field: str) -> np.ndarray:
     """
     def valid(node, want: tuple[int, ...]) -> bool:
         if not want:
-            try:
-                return not isinstance(node, bool) and math.isfinite(node)
-            except (OverflowError, TypeError):  # ints beyond the float range, non-numbers
-                return False
+            return _finite(node)
         return isinstance(node, list) and len(node) == want[0] and all(
             valid(item, want[1:]) for item in node
         )

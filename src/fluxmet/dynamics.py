@@ -196,6 +196,8 @@ class LindbladModel:
 
 def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
     """Static-axis model: H = B sigma_n(theta), one Lindblad operator sqrt(gamma) sigma_n(theta)."""
+    _check_domain("B", B, _FINITE)
+    _check_domain("theta", theta, _FINITE)
     _check_domain("gamma", gamma)
     sn = kron(sigma_n_theta(theta), eye2)
     sm = kron(sigma_n_theta_deriv(theta), eye2)
@@ -219,6 +221,7 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     G = (omega / 2) sigma3 x I.  d/domega brings down i t [sigma3 / 2, .],
     which takes sigma1 to -t sigma2 and sigma2 to t sigma1.
     """
+    _check_domain("B", B, _FINITE)
     _check_domain("gamma", gamma)
     root = np.sqrt(gamma)
     s1, s2 = kron(sigma1, eye2), kron(sigma2, eye2)

@@ -61,6 +61,9 @@ MAX_GRID_CELLS = 10**7
 # 2-core Xeon (30-75 on the default grids, 36-95 on a grid of 10**6 cells): a
 # campaign of more updates (about 10 minutes) is refused before its first draw.
 MAX_CAMPAIGN_CELL_UPDATES = 10**10
+# A lane-round, one repetition's one round, costs 6-8 us on a 2-core Xeon even
+# on a 3-cell grid, and a float64 per table: more (80 MB, 60-80 s) are refused.
+_MAX_LANE_ROUNDS = 10**7
 
 
 def _finite(value) -> bool:
@@ -235,11 +238,6 @@ def _grid_cells(config: AdaptiveConfig, task: Task) -> tuple[float, float, int]:
 
 def _likelihood_grid(config: AdaptiveConfig, task: Task) -> tuple[np.ndarray, float]:
     lo, hi, n_cells = _grid_cells(config, task)
-    if task.phase_scale(config.B, config.t) * (hi - lo) >= 2.0 * np.pi:
-        raise DomainError(
-            f"grid width {hi - lo} aliases the likelihood phase at t={config.t}; "
-            "shorten t or the prior interval"
-        )
     return np.linspace(lo, hi, n_cells + 1), (hi - lo) / n_cells
 
 
@@ -287,10 +285,13 @@ def _lockstep(
 
 
 def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "theta") -> None:
-    """DomainError unless repetitions is an integer >= 1 and the campaign
-    fits its two bounds: outcome draws, m * rounds * repetitions, at most
-    ``MAX_CAMPAIGN_DRAWS``, and likelihood-grid cell updates, cells * rounds
-    * repetitions on ``task``'s grid, at most ``MAX_CAMPAIGN_CELL_UPDATES``."""
+    """DomainError unless the campaign is admitted, by these rules in order:
+    repetitions an integer >= 1; at most ``MAX_CAMPAIGN_DRAWS`` outcome draws
+    (m * rounds * repetitions), ``MAX_CAMPAIGN_CELL_UPDATES`` grid-cell updates
+    (cells * rounds * repetitions) and ``_MAX_LANE_ROUNDS`` lane-rounds (rounds
+    * repetitions); a finite positive Cramer-Rao line 1/(m K J); and a grid
+    narrower than one period of the likelihood phase, whose rate is |dphase/dx|
+    of the task's coherence at zero detuning (2 |B| t angle, |B| t^2 frequency)."""
     _check_integer("repetitions", repetitions)
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
@@ -301,13 +302,36 @@ def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "t
             f"outcome draws exceeds the limit of {MAX_CAMPAIGN_DRAWS}; lower m, rounds or "
             "repetitions"
         )
-    cells = _grid_cells(config, task_record(task))[2]
+    record = task_record(task)
+    lo, hi, cells = _grid_cells(config, record)
     updates = cells * config.rounds * repetitions
     if updates > MAX_CAMPAIGN_CELL_UPDATES:
         raise DomainError(
             f"grid cells * rounds * repetitions must be at most {MAX_CAMPAIGN_CELL_UPDATES} "
             f"likelihood updates, got {cells} * {config.rounds} * {repetitions} = {updates}; "
             "coarsen the grid or lower rounds or repetitions"
+        )
+    lane_rounds = config.rounds * repetitions
+    if lane_rounds > _MAX_LANE_ROUNDS:
+        raise DomainError(
+            f"rounds * repetitions must be at most {_MAX_LANE_ROUNDS}, got "
+            f"{config.rounds} * {repetitions} = {lane_rounds}; lower rounds or repetitions"
+        )
+    crb = crb_line(config, record)
+    if not 0 < crb < np.inf:
+        field, bound = ("t", "> 0") if config.t == 0 else ("B", "nonzero")
+        if not crb > 0:  # 0 or nan: J overflows
+            field, bound = "t", "small enough for a finite J at this B and gamma"
+        raise DomainError(
+            f"{field} must be {bound}: at t = {config.t:g}, B = {config.B:g}, gamma = {config.gamma:g} "
+            f"the {config.strategy} campaign's Cramer-Rao line 1/(m K J) is {crb:g}, not a finite "
+            "positive number"
+        )
+    rate = abs(float(record.coherence.deriv(config.B, config.gamma, 0.0, config.t)[0]))
+    if rate * (hi - lo) >= 2.0 * np.pi:
+        raise DomainError(
+            f"grid width {hi - lo} aliases the likelihood phase at t={config.t}; "
+            "shorten t or the prior interval"
         )
 
 

@@ -42,6 +42,7 @@ from .dynamics import (
     L2Action,
     LindbladModel,
     _COMPLEX,
+    _FINITE,
     _as_rows,
     _check_domain,
     _checked_map,
@@ -148,6 +149,7 @@ def theta_code(theta_hat: float) -> QecCode:
     derivative; their equal superposition is the maximally entangled probe.
     Recovery is {P, P (sigma_n x I)} with the noise axis at theta_hat.
     """
+    _check_domain("theta_hat", theta_hat, _FINITE)
     half = theta_hat / 2
     plus = np.array([-np.cos(half), np.sin(half)], dtype=complex)
     minus = np.array([np.sin(half), np.cos(half)], dtype=complex)

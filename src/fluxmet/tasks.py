@@ -45,8 +45,7 @@ class Task:
     Estimation: the corrected family's ``coherence`` (its p(+) is
     ``coherence.p_plus(x, x_hat, B, gamma, t)``), the unitary p(+)
     ``p_plus_unitary(x, x_hat, B, t)``, the (lo, hi) ``prior`` that the
-    default likelihood grid spans, the likelihood phase per unit of
-    parameter ``phase_scale(B, t)`` and :meth:`information`.
+    default likelihood grid spans and :meth:`information`.
     Sweep: the closed forms ``qec_closed``, ``unitary_closed`` and
     ``free_closed`` (None: no free column), checked at ``x_hat`` against the
     SLD route on ``corrected_state``, ``unitary_family`` and ``free_family``.
@@ -58,7 +57,6 @@ class Task:
     coherence: Coherence
     p_plus_unitary: Callable
     prior: tuple[float, float]
-    phase_scale: Callable[[float, float], float]
     x_hat: float
     qec_closed: Callable[..., FisherResult]
     unitary_closed: Callable[..., FisherResult]
@@ -137,7 +135,6 @@ TASKS: dict[str, Task] = {
         coherence=THETA_COHERENCE,
         p_plus_unitary=_p_plus_theta_unitary,
         prior=(0.0, np.pi / 2),
-        phase_scale=lambda B, t: B * t,
         x_hat=np.pi / 4,
         qec_closed=qfi_theta_qec_closed,
         unitary_closed=qfi_theta_unitary_controlled,
@@ -153,7 +150,6 @@ TASKS: dict[str, Task] = {
         coherence=OMEGA_COHERENCE,
         p_plus_unitary=_p_plus_omega_unitary,
         prior=(0.0, 1.0),
-        phase_scale=lambda B, t: B * t * t,
         x_hat=0.5,
         qec_closed=qfi_omega_qec_closed,
         unitary_closed=qfi_omega_unitary_controlled,

@@ -304,6 +304,37 @@ def test_adapt_with_oversized_m_exits_2_without_drawing(tmp_path) -> None:
     assert list(tmp_path.glob("camp*")) == []
 
 
+def test_adapt_with_a_billion_rounds_exits_2_without_drawing(tmp_path) -> None:
+    # 10**9 rounds on a 3-cell grid pass the draw and cell-update bounds but
+    # would hold two 8 GB tables and run for hours; run with a timeout.
+    config = _adapt_config(tmp_path, m=1, rounds=10**9, repetitions=1, grid=[0, 1.5, 0.5])
+    out = tmp_path / "camp.csv"
+    argv = ["adapt", "theta", "--config", config, "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(fluxmet.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fluxmet", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("an adapt config with 10**9 rounds was not refused within 60 s")
+    assert proc.returncode == 2, proc.stderr
+    assert "rounds * repetitions must be at most 10000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.glob("camp*")) == []
+
+
+def test_adapt_with_an_aliased_grid_exits_2_without_files(tmp_path, capsys) -> None:
+    # At B = 0.5 and t = 5 the angle's likelihood phase turns 2 |B| t = 5 rad
+    # per radian, 7.85 rad across the prior: more than one period.
+    config = _adapt_config(tmp_path, B=0.5, t=5)
+    out = tmp_path / "camp.csv"
+    assert cli.main(["adapt", "theta", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid width 1.5707963267948966 aliases the likelihood phase at t=5;" in err
+    assert list(tmp_path.glob("camp*")) == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_adapt_with_overflowing_mse_exits_2_without_files(tmp_path, capsys) -> None:
     # (estimate - 1e300)^2 overflows, so the mse column would hold inf.

@@ -306,6 +306,11 @@ def test_run_adaptive_phase_guard() -> None:
         run_adaptive(AdaptiveConfig(true_value=0.5, initial_guess=0.4, B=2.0, t=10.0))
     with pytest.raises(DomainError):
         run_adaptive(AdaptiveConfig(true_value=0.3, initial_guess=0.3, t=10.0), task="omega")
+    # The angle's likelihood phase turns 2 |B| t per radian: 7.85 rad across
+    # the prior at B = 0.5, t = 5.  p(+) is even in B, so B = -2 aliases too.
+    for B, t in ((0.5, 5.0), (-2.0, 10.0)):
+        with pytest.raises(DomainError, match="aliases the likelihood phase"):
+            run_adaptive(AdaptiveConfig(true_value=0.5, initial_guess=0.4, B=B, t=t))
 
 
 def test_campaign_estimates_shape_and_seeding() -> None:
@@ -538,6 +543,50 @@ def test_oversized_campaign_is_refused_before_any_draw(monkeypatch, run) -> None
         run(cfg)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cfg, task: campaign_estimates(cfg, 2, task=task),
+        lambda cfg, task: mse_campaign(cfg, 2, task=task),
+        lambda cfg, task: run_adaptive(cfg, task=task),
+    ],
+    ids=["campaign_estimates", "mse_campaign", "run_adaptive"],
+)
+@pytest.mark.parametrize(
+    "task, change, message",
+    [
+        ("theta", dict(t=0.0), "t must be > 0"),
+        ("omega", dict(B=0.0, strategy="unitary_controlled"), "B must be nonzero"),
+        ("omega", dict(t=1e100), "t must be small enough for a finite J at this B and gamma"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_campaign_without_finite_information_is_refused_before_any_draw(
+    monkeypatch, run, task, change, message
+) -> None:
+    # No information, or a J that overflows: the CLI's messages.
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, **change)
+    monkeypatch.setattr(estimation, "_lockstep", _no_draws)
+    with pytest.raises(DomainError, match=f"^{message}: .* Cramer-Rao line 1/\\(m K J\\)"):
+        run(cfg, task)
+
+
+def test_campaign_lane_round_limit_is_inclusive(monkeypatch) -> None:
+    # A 3-cell grid passes the draw and cell-update bounds at 10**9 rounds,
+    # or at 10 rounds and 10**8 repetitions, yet either would hold an 8 GB
+    # table of estimates.
+    cfg = AdaptiveConfig(true_value=0.7, initial_guess=0.0, m=1, rounds=10, grid=[0, 1.5, 0.5])
+    estimation.check_campaign_size(cfg, 10**6)
+    message = r"rounds \* repetitions must be at most 10000000, got 10 \* 1000001 = 10000010"
+    with pytest.raises(DomainError, match=message):
+        estimation.check_campaign_size(cfg, 10**6 + 1)
+    with pytest.raises(DomainError, match=r"got 10 \* 100000000 ="):
+        estimation.check_campaign_size(cfg, 10**8)
+    monkeypatch.setattr(estimation, "_lockstep", _no_draws)
+    with pytest.raises(DomainError, match=r"got 1000000000 \* 1 ="):
+        run_adaptive(dataclasses.replace(cfg, rounds=10**9))
+
+
 def test_campaign_size_limit_is_inclusive() -> None:
     cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=10**7, rounds=10)
     assert cfg.m * cfg.rounds * 10 == estimation.MAX_CAMPAIGN_DRAWS
@@ -554,13 +603,13 @@ def test_campaign_cell_update_limit_is_inclusive() -> None:
     estimation.check_campaign_size(cfg, 10**5, task="omega")
     with pytest.raises(DomainError, match=r"grid cells \* rounds \* repetitions must be"):
         estimation.check_campaign_size(cfg, 10**5 + 1, task="omega")
-    # The default grids count their derived cells: at m = 1 and 10 rounds the
-    # final-round width is sqrt(1 / (10 J)), 0.2236 for the angle (J = 2), so
-    # its grid has round((pi/2) / (0.2236 / 64)) = 450 cells.
-    cfg = dataclasses.replace(cfg, grid=None)
-    most = 10**10 // (450 * 10)
+    # The default grids count their derived cells: at m = 100 and 10 rounds
+    # the final-round width is sqrt(1 / (1000 J)), 0.02236 for the angle
+    # (J = 2), so its grid has round((pi/2) / (0.02236 / 64)) = 4496 cells.
+    cfg = dataclasses.replace(cfg, m=100, grid=None)
+    most = 10**10 // (4496 * 10)
     estimation.check_campaign_size(cfg, most, task="theta")
-    with pytest.raises(DomainError, match=r"450 \* 10 \*"):
+    with pytest.raises(DomainError, match=r"4496 \* 10 \*"):
         estimation.check_campaign_size(cfg, most + 1, task="theta")
 
 

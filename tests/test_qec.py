@@ -191,6 +191,27 @@ def test_apply_recovery_refuses_a_non_finite_time_on_a_rotating_code(t) -> None:
         apply_recovery(code, outer(code_probe(code)), t)
 
 
+_CONSTRUCTORS = {
+    "B": [lambda v: theta_model(v, GAMMA, 0.3), lambda v: omega_model(v, GAMMA, 0.3)],
+    "theta": [lambda v: theta_model(B, GAMMA, v)],
+    "theta_hat": [
+        theta_code,
+        lambda v: corrected_evolve_theta(B, GAMMA, 0.9, v, 0.1),
+        lambda v: corrected_state_theta_closed(B, GAMMA, 0.9, v, T),
+    ],
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", list(_CONSTRUCTORS))
+@pytest.mark.filterwarnings("error")
+def test_constructors_name_a_non_finite_field_or_angle(name, value) -> None:
+    # Refused by name before any matrix is built, so numpy never warns.
+    for build in _CONSTRUCTORS[name]:
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            build(value)
+
+
 def _correctable_state(code: QecCode, noise: np.ndarray, t: float) -> np.ndarray:
     # Probe and its noise image, at the code's time t: recovery keeps its trace.
     rho0 = outer(code_probe(code))

@@ -217,3 +217,13 @@ def test_output_digest_compares_numbers_and_bytes() -> None:
         "text": "largest absolute difference 0.0005",
         "short": "differs: 3 numbers -> 1",
     }
+
+
+def test_output_digest_digests_a_refused_command_line() -> None:
+    # A refusal is a route too: its exit code and stderr, where main prints it.
+    script = _load_output_digest()
+    argv = ["adapt", "theta", "--config", "c.json", "--out", "a.csv"]
+    text = script.cli_bytes(argv, {"true_value": 0.3, "initial_guess": 0.2, "repetitions": 3, "t": 0})
+    assert text.startswith(b"exit 2\nerror: t must be > 0: at t = 0, B = 0.1, gamma = 0.05 ")
+    assert text.endswith(b"not a finite positive number\n")
+    assert script._digest(text)["values"][:3] == [2.0, 0.0, 0.0]

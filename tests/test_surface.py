@@ -31,9 +31,10 @@ from fluxmet.estimation import (
 # trace that nothing in the package called, the per-call Kraus pairs that
 # each code's recovery superoperator replaced, the re-symmetrisation and
 # trace-reading helpers that the checked real maps replaced, a right-hand-side
-# wrapper that only tests called, and the step-map cache that each model's
-# one cache of step and block maps replaced.  A dotted name is an attribute
-# of a module-level name.
+# wrapper that only tests called, the step-map cache that each model's
+# one cache of step and block maps replaced, and the CLI's copy of the
+# campaign's information rule.  A dotted name is an attribute of a
+# module-level name.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -47,7 +48,7 @@ _REMOVED_NAMES = {
     ),
     "fluxmet.cli": (
         "cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json",
-        "_ADAPT_SCHEMA",
+        "_ADAPT_SCHEMA", "_crb_value",
     ),
     "fluxmet.dynamics": (
         "TrajectoryPhase", "sample_phase", "_dagger", "_largest", "lindblad_rhs",
