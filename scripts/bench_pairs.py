@@ -24,14 +24,18 @@ BENCHMARK.json is read, never written.
 ``--micro`` also times the layers ``numeric_route`` spends its time in, the
 cases of ``MICRO``: one static and one rotating recovery interval (a whole
 corrected evolution in that workload's shape, per interval), one
-4000-step free evolution, and the two calls of a rotating interval apart:
-one single-state ``lindblad_evolve`` step and one ``apply_recovery``, each
-per call of 1000 on a model or code built in the expression.  In each of ``PAIRS`` rounds, the parent first in
-even rounds, a subprocess per tree with ``PYTHONPATH=<tree>/src`` and BLAS
-threads pinned to 1 runs every case ``MICRO_REPEATS`` times after one
-warm-up call and reports the fastest call, the one least disturbed by
-the rest of the machine; the rounds go into ``micro_us`` with each side's
-median and quartiles and ``change_wins`` (lower is better).
+4000-step free evolution, and the two calls of each interval apart: one
+single-state ``lindblad_evolve`` step and one ``apply_recovery``, on the
+rotating model and code and (``_static``) on the static ones, each per
+call of 1000 on a model or code built in the expression.  In each of
+``PAIRS`` rounds a worker subprocess per tree, with ``PYTHONPATH=<tree>/src``
+and BLAS threads pinned to 1, warms every case up with one call; then
+every case is called ``MICRO_REPEATS`` times in each worker, the calls
+alternating between the two workers, the parent first in even rounds, so
+that a change in the machine's speed reaches both sides of a pair alike.
+Each side reports its fastest call, the one least disturbed by the rest of
+the machine; the rounds go into ``micro_us`` with each side's median and
+quartiles and ``change_wins`` (lower is better).
 """
 
 from __future__ import annotations
@@ -71,6 +75,14 @@ MICRO = {
     "recovery_one_call": (
         "(lambda c, rho: [qec.apply_recovery(c, rho) for _ in range(1000)])"
         "(qec.omega_code(0.25), np.full((4, 4), 0.25))", 1000
+    ),
+    "evolve_one_step_static": (
+        "(lambda m, rho: [dynamics.lindblad_evolve(m, rho, 5e-3, dt=5e-3) for _ in range(1000)])"
+        "(dynamics.theta_model(0.1, 0.05, np.pi / 4 + 0.01), np.full((4, 4), 0.25))", 1000
+    ),
+    "recovery_one_call_static": (
+        "(lambda c, rho: [qec.apply_recovery(c, rho) for _ in range(1000)])"
+        "(qec.theta_code(np.pi / 4), np.full((4, 4), 0.25))", 1000
     ),
 }
 MICRO_REPEATS = 15
@@ -142,7 +154,12 @@ def summarize(seeds: list[int], parent: list[dict], change: list[dict], end_to_e
 
 
 def micro_worker(src: str) -> None:
-    """Time the cases read from stdin with the package in ``src``; JSON microseconds to stdout."""
+    """Time the cases of the first stdin line with the package in ``src``, one call per later line.
+
+    The first line is ``MICRO`` as JSON; every case is called once to warm
+    up, and ``ready`` is printed.  Each later line names a case: the worker
+    calls it once and prints its microseconds per unit.
+    """
     import time
 
     import numpy as np
@@ -151,36 +168,67 @@ def micro_worker(src: str) -> None:
     if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"fluxmet imported from {dynamics.__file__}, not from {src}")
     scope = {"np": np, "dynamics": dynamics, "qec": qec}
-    times = {}
-    for name, (expr, units) in json.loads(sys.stdin.read()).items():
-        code = compile(expr, name, "eval")
+    header = sys.stdin.readline()
+    if not header:  # closed unasked: the other worker failed
+        return
+    cases = {name: (compile(expr, name, "eval"), units) for name, (expr, units) in json.loads(header).items()}
+    for code, _ in cases.values():
         eval(code, scope)  # warm-up: imports, first-use allocations
-        calls = []
-        for _ in range(MICRO_REPEATS):
-            start = time.perf_counter()
-            eval(code, scope)
-            calls.append(time.perf_counter() - start)
-        times[name] = min(calls) * 1e6 / units
-    json.dump(times, sys.stdout)
+    print("ready", flush=True)
+    for line in sys.stdin:
+        code, units = cases[line.strip()]
+        start = time.perf_counter()
+        eval(code, scope)
+        print((time.perf_counter() - start) * 1e6 / units, flush=True)
 
 
-def micro_once(tree: Path) -> dict[str, float]:
-    """Microseconds per unit of every ``MICRO`` case, timed in a subprocess on ``tree``'s package."""
-    src = str(tree / "src")
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1") | dict.fromkeys(THREAD_VARS, "1")
-    done = subprocess.run([sys.executable, str(SCRIPT), "--micro-worker", src], input=json.dumps(MICRO),
-                          env=env, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise SystemExit(f"micro timings in {tree} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout)
+def micro_round(trees: dict[str, Path], order: tuple[str, str]) -> dict[str, dict[str, float]]:
+    """Microseconds per unit of every ``MICRO`` case, per side: the fastest of ``MICRO_REPEATS`` calls.
+
+    Each tree's worker is its own subprocess on its own package.  The calls
+    alternate between the two workers, in ``order``, so that both sides of
+    a pair are timed within a few milliseconds of each other.
+    """
+    workers = {}
+    for side in order:
+        src = str(trees[side] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1") | dict.fromkeys(THREAD_VARS, "1")
+        workers[side] = subprocess.Popen([sys.executable, str(SCRIPT), "--micro-worker", src], env=env,
+                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def ask(side: str, line: str) -> str:
+        worker = workers[side]
+        try:
+            worker.stdin.write(line + "\n")
+            worker.stdin.flush()
+            reply = worker.stdout.readline()
+        except BrokenPipeError:  # the worker has exited
+            reply = ""
+        if not reply:
+            raise SystemExit(f"micro timings in {trees[side]} exited {worker.wait()}")
+        return reply
+
+    try:
+        for side in order:
+            ask(side, json.dumps(MICRO))
+        best = {side: dict.fromkeys(MICRO, float("inf")) for side in order}
+        for name in MICRO:
+            for _ in range(MICRO_REPEATS):
+                for side in order:
+                    best[side][name] = min(best[side][name], float(ask(side, name)))
+        return best
+    finally:
+        for worker in workers.values():
+            worker.communicate()  # closes its stdin, which ends its loop
 
 
 def micro(trees: dict[str, Path]) -> dict:
-    """The ``micro_us`` entry: ``PAIRS`` alternating rounds of :func:`micro_once` per tree."""
+    """The ``micro_us`` entry: ``PAIRS`` rounds of :func:`micro_round`, the parent first in even ones."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(PAIRS):
-        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            runs[side].append(micro_once(trees[side]))
+        best = micro_round(trees, ("parent", "change") if k % 2 == 0 else ("change", "parent"))
+        for side, times in best.items():
+            runs[side].append(times)
     cases = {}
     for name, (expr, units) in MICRO.items():
         us = {side: [r[name] for r in rs] for side, rs in runs.items()}

@@ -18,8 +18,8 @@ where every step is the same matrix.  :func:`_rk4_map` builds it,
 :func:`_checked_map` makes it, or a recovery, one real matrix on the float64
 view of the state that also applies the Hermitian projection and returns the
 trace, and :func:`_block_map` makes k steps one matrix that returns each
-step's trace.  :func:`_steps`, the one loop of every RK4 run, takes one
-:func:`_product` per block of up to ``_BLOCK_STEPS`` steps.
+step's trace.  One state in one block of up to ``_BLOCK_STEPS`` steps is one
+``ndarray.dot``; :func:`_steps` loops over the blocks of a longer or batched run.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
 CFI of ``metrology`` draws through it), and averages pure-state trajectories.
@@ -183,7 +183,7 @@ class LindbladModel:
         Since L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every lab-frame
         step is the one from t = 0 conjugated by D_t, so in the frame it is
         one matrix: the step from 0 followed by in_frame(., rate, -dt).
-        Entry 1 is built once per dt; :func:`_steps` adds the others.
+        Entry 1 is built once per dt; :func:`_block_map` adds the others.
         """
         maps = self._maps.get(dt)
         if maps is None:
@@ -237,14 +237,6 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     )
 
 
-def _largest_gap(out: np.ndarray, start: int, target: float) -> float:
-    """max |x - target| over the trace columns x = ``out[..., 0, start:]``, 0 if there are none;
-    one state's one column, the common case, is read by ``item``, skipping three ufunc calls."""
-    if out.size == start + 1:
-        return abs(out.item(start) - target)
-    return float(np.abs(out[..., 0, start:] - target).max(initial=0.0))
-
-
 def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) -> np.ndarray:
     """The real (2 d^2, 2 d^2 + 1) matrix of one checked linear step on (d, d) states.
 
@@ -273,32 +265,35 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
     return np.column_stack([folded, trace])
 
 
-def _block_map(step: np.ndarray, k: int) -> np.ndarray:
-    """The real (2 d^2, 2 d^2 + k) matrix of k steps of the checked map ``step``.
+def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
+    """``maps[k]``, the real (2 d^2, 2 d^2 + k) matrix of k checked steps ``maps[1]``, made once.
 
-    Its state columns are the k-th power of the state block of ``step``, and
-    column 2 d^2 + j returns the trace after step j + 1: the trace column of
-    ``step`` carried back through the j steps before it.  A row times it
-    equals k products with ``step`` in turn up to rounding, and checks each
+    Its state columns are the k-th power of the step's state block, and
+    column 2 d^2 + j returns the trace after step j + 1: the step's trace
+    column carried back through the j steps before it.  A row times it
+    equals k products with the step in turn up to rounding, and checks each
     of the k steps.
     """
-    states, trace = step[:, :-1], step[:, -1]
+    if k in maps:
+        return maps[k]
+    states, trace = maps[1][:, :-1], maps[1][:, -1]
     power, traces = states, [trace]
     for _ in range(k - 1):
         traces.append(power @ trace)
         power = power @ states
-    return np.column_stack([power, *traces])
+    block = maps[k] = np.column_stack([power, *traces])
+    return block
 
 
 def _as_rows(rho: np.ndarray) -> np.ndarray:
     """The float64 view of each complex (d, d) state as one (1, 2 d^2) row.
 
-    :func:`_product` steps one state's 2-D row by ``ndarray.dot``, which
-    dispatches about 0.9 us faster than ``@``, and a stacked batch by ``@``,
-    one product per state, so that it steps as each state alone, bit for bit
-    (``dot`` would make one larger product).  The entry points make ``rho``
-    C-contiguous, so one reshape and one view copy nothing; the explicit row
-    width keeps an empty batch's shape.
+    One state's 2-D row steps by ``ndarray.dot``, which dispatches about
+    0.9 us faster than ``@`` and rounds as it does, and a stacked batch by
+    ``@``, one product per state, so that it steps as each state alone, bit
+    for bit (``dot`` would make one larger product).  The entry points make
+    ``rho`` C-contiguous, so one reshape and one view copy nothing; the
+    explicit row width keeps an empty batch's shape.
     """
     return rho.reshape(rho.shape[:-2] + (1, rho.shape[-1] ** 2)).view(_REAL)
 
@@ -306,11 +301,6 @@ def _as_rows(rho: np.ndarray) -> np.ndarray:
 def _from_rows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The complex states of ``shape`` in :func:`_as_rows` rows, by a view and a reshape, no copy."""
     return rows.view(_COMPLEX).reshape(shape)
-
-
-def _product(rows: np.ndarray):
-    """(rows, map) -> rows times a checked map, by the product :func:`_as_rows` names for their shape."""
-    return np.ndarray.dot if rows.ndim == 2 else np.matmul
 
 
 def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -366,9 +356,10 @@ def lindblad_evolve(
     a static model; from t0 = 0 the exit phase is kept with the step maps.
     ``rho0`` is a (d, d) state or a stacked (..., d, d) batch; any other
     shape is a DimensionError, and an empty batch returns empty.
-    :func:`_steps` runs the model's cached maps, which re-symmetrize the
-    state and check its trace after every step.  A zero duration returns a
-    copy of ``rho0``.
+    The model's cached maps re-symmetrize the state and check its trace
+    after every step: one state in at most one block by one product here,
+    anything longer or batched through :func:`_steps`.  A zero duration
+    returns a copy of ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
     rho = np.ascontiguousarray(rho0, dtype=_COMPLEX)
@@ -378,8 +369,17 @@ def lindblad_evolve(
     if n_steps == 0:
         return rho.copy()
     maps, framed = model._maps_at(dt), rate is not None and t0 != 0
-    rows = _steps(_as_rows(in_frame(rho, rate, -t0) if framed else rho), maps, n_steps)
-    out = _from_rows(rows, rho.shape)
+    rho = in_frame(rho, rate, -t0) if framed else rho
+    if rho.ndim == 2 and n_steps <= _BLOCK_STEPS:  # one state, one block: a recovery interval
+        width = 2 * d * d  # its row and state are views of literal shape on contiguous memory
+        out = np.ndarray((1, width), _REAL, rho).dot(_block_map(maps, n_steps))
+        for j in range(n_steps):
+            drift = abs(out.item(width + j) - 1.0)
+            if not drift <= _TRACE_TOL:  # a NaN drift fails too
+                raise InstabilityError(f"trace drifted by {drift:.3e} at step {j + 1}")
+        out = np.ndarray((d, d), _COMPLEX, out)
+    else:
+        out = _from_rows(_steps(_as_rows(rho), maps, n_steps), rho.shape)
     if rate is None or framed:
         return in_frame(out, rate, t0 + n_steps * dt) if framed else out
     leave = maps.get(-n_steps)  # every interval of a corrected evolution leaves with this phase
@@ -389,23 +389,20 @@ def lindblad_evolve(
 
 
 def _steps(rows: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
-    """``n_steps`` checked steps of :func:`_as_rows` rows, one :func:`_product` per block.
+    """``n_steps`` checked steps of :func:`_as_rows` rows, one product per block.
 
     ``maps`` holds the step map at key 1 and gains the :func:`_block_map` of
     each block length, up to ``_BLOCK_STEPS``, at its first use.  Every
     step's trace may drift from 1 by at most ``_TRACE_TOL``, in every state,
     and the error names the first step that does not.
     """
-    width, product = rows.shape[-1], _product(rows)
+    width, product = rows.shape[-1], (np.ndarray.dot if rows.ndim == 2 else np.matmul)  # see _as_rows
     for done in range(0, n_steps, _BLOCK_STEPS):
         k = min(_BLOCK_STEPS, n_steps - done)
-        block = maps.get(k)
-        if block is None:
-            block = maps[k] = _block_map(maps[1], k)
-        out = product(rows, block)
-        drift = _largest_gap(out, width, 1.0)  # over the trace after each step of the block
-        if not drift <= _TRACE_TOL:  # a NaN drift fails too
-            gaps = np.abs(out[..., 0, width:] - 1.0).reshape(-1, k).max(axis=0)  # per step, over the batch
+        out = product(rows, _block_map(maps, k))
+        gaps = np.abs(out[..., 0, width:] - 1.0)  # the trace after each step of the block
+        if not gaps.max(initial=0.0) <= _TRACE_TOL:  # a NaN drift fails too
+            gaps = gaps.reshape(-1, k).max(axis=0)  # per step, over the batch
             first = int(np.argmin(gaps <= _TRACE_TOL))
             raise InstabilityError(f"trace drifted by {gaps[first]:.3e} at step {done + first + 1}")
         rows = out[..., :width]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_domain
+from .dynamics import _FINITE, _check_domain
 from .errors import DomainError
 from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, Task, task_record
@@ -161,6 +161,9 @@ def outcome_probability(
     """
     _check_domain("t", t)
     _check_domain("gamma", gamma)
+    _check_domain("x", x, _FINITE)
+    _check_domain("x_hat", x_hat, _FINITE)
+    _check_domain("B", B, _FINITE)
     p = float(task_record(task).coherence.p_plus(x, x_hat, B, gamma, t))
     return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])
 

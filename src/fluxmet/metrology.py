@@ -442,6 +442,7 @@ def qfi_theta_free_closed(B: float, gamma: float, t: float) -> FisherResult:
     """QFI of the freely dephasing theta probe: 2[1 - e^(-2 gamma t) cos 2Bt]."""
     _check_domain("t", t)
     _check_domain("gamma", gamma)
+    _check_domain("B", B, _FINITE)
     value = 2.0 * (1.0 - np.exp(-2 * gamma * t) * np.cos(2 * B * t))
     return FisherResult(value)
 
@@ -452,6 +453,8 @@ def qfi_theta_unitary_controlled(B: float, t: float, dtheta: float = 0.0) -> Fis
     Collapses to 4 B^2 t^2 at dtheta = 0 and decreases quartically in dtheta.
     """
     _check_domain("t", t)
+    _check_domain("B", B, _FINITE)
+    _check_domain("dtheta", dtheta, _FINITE)
     bt = B * t
     phi = 2.0 * abs(np.sin(dtheta / 2))  # sqrt(2 - 2 cos dtheta)
     value = 0.5 * (1 + 4 * bt * bt + 4 * bt * bt * np.cos(dtheta) - np.cos(2 * bt * phi))
@@ -465,6 +468,8 @@ def qfi_omega_unitary_controlled(B: float, t: float, domega: float = 0.0) -> Fis
     |domega| * t.
     """
     _check_domain("t", t)
+    _check_domain("B", B, _FINITE)
+    _check_domain("domega", domega, _FINITE)
     penalty = t * t * domega * domega / 18.0
     if penalty > 1:
         raise DomainError(f"|domega|*t = {abs(domega) * t} is outside the expansion's validity")

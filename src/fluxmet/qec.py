@@ -12,9 +12,9 @@ generator that carries them along in time; its phase rate goes through
 ``dynamics.in_frame`` like a model's, and so does every frame change of a
 recovery.  Stepwise corrected evolution and the continuous-recovery closed
 state are written once for both codes.  A stepwise interval is one
-``lindblad_evolve`` and one ``apply_recovery`` call, each one product of
-the state's real row and its check, plus two in-place phases in a rotating
-frame (see ``_corrected_evolve``).
+``lindblad_evolve`` and one ``apply_recovery`` call, each on its one-state
+path one ``ndarray.dot`` of the state's real row and a checked map, plus
+two in-place phases in a rotating frame (see ``_corrected_evolve``).
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -43,13 +43,12 @@ from .dynamics import (
     LindbladModel,
     _COMPLEX,
     _FINITE,
+    _REAL,
     _as_rows,
     _check_domain,
     _checked_map,
     _frame_rate,
     _from_rows,
-    _largest_gap,
-    _product,
     _rk4_map,
     _steps,
     fixed_steps,
@@ -188,23 +187,29 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
 
     ``rho`` is a (d, d) state or a stacked (..., d, d) batch; any other
     shape is a DimensionError, and an empty batch returns empty.  Each state
-    enters the code's frame at t, recovers as one ``dynamics._product`` of
-    its row and the code's checked map, which re-symmetrizes it and returns
-    the trace it lost, and leaves the frame; a static code, or t = 0, calls
-    no ``in_frame``.  Trace loss above ``dynamics._TRACE_TOL`` in any state
-    means weight outside the code and its correctable error space.
+    enters the code's frame at t, recovers as one product of its row and the
+    code's checked map, which re-symmetrizes it and returns the trace it
+    lost, and leaves the frame; a static code, or t = 0, calls no
+    ``in_frame``; one state's product is ``ndarray.dot``, a batch's ``@``.
+    Trace loss above ``dynamics._TRACE_TOL`` in any state means weight
+    outside the code and its correctable error space.
     """
     rho = np.ascontiguousarray(rho, dtype=_COMPLEX)  # copies only a real or strided state
     d, rate = code.c0.shape[0], code._rate
     if rho.shape[-2:] != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
     framed = rate is not None and t != 0
-    rows = _as_rows(in_frame(rho, rate, -t) if framed else rho)
-    out = _product(rows)(rows, code._recovery_map)
-    loss = _largest_gap(out, rows.shape[-1], 0.0)
+    rho = in_frame(rho, rate, -t) if framed else rho
+    if rho.ndim == 2:  # one state, as in dynamics.lindblad_evolve: views and ndarray.dot
+        out = np.ndarray((1, 2 * d * d), _REAL, rho).dot(code._recovery_map)
+        loss = abs(out.item(-1))
+        out = np.ndarray((d, d), _COMPLEX, out)
+    else:
+        out = _as_rows(rho) @ code._recovery_map
+        loss = float(np.abs(out[..., 0, -1]).max(initial=0.0))
+        out = _from_rows(out[..., :-1], rho.shape)
     if not loss <= _TRACE_TOL:  # a NaN loss fails too
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
-    out = _from_rows(out[..., :-1], rho.shape)
     return in_frame(out, rate, t) if framed else out
 
 

@@ -24,7 +24,7 @@ from fluxmet.dynamics import (
 from fluxmet.cli import load_model_file, resolve_model_path
 from fluxmet.errors import DimensionError, DomainError, InstabilityError, StepError
 from fluxmet.metrology import qfi_sld_numeric
-from fluxmet.qec import omega_code
+from fluxmet.qec import apply_recovery, omega_code
 from fluxmet.qmat import expm, hermitian_eig, kron
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -264,6 +264,30 @@ def test_trace_column_raises_at_the_step_the_state_drifts(gain, step) -> None:
         lindblad_evolve(model, bell_rho(), 1.0, dt=0.01)
 
 
+@pytest.mark.parametrize(
+    "gain, step", [(1 + 2e-6, 1), (1 + 3e-7, 4), (1 - 3e-7, 4), (1 + 1e-7, 10), (1 + 6.5e-8, 16)]
+)
+def test_one_state_in_one_block_names_the_step_that_drifts(gain, step) -> None:
+    # The gain trick above on a one-state run of one full block: its own
+    # path (one ndarray.dot, the traces read by item) names the step, in
+    # the words of the batch path, which the same state as a (1, 4, 4)
+    # batch takes.  (1 + 6.5e-8)^16 - 1 clears 1e-6 by 4e-8, ^15 misses it.
+    k = dynamics._BLOCK_STEPS
+    model = theta_model(B, GAMMA, 0.3)
+    lab = gain * dynamics._rk4_map(model._generator, 4, 0.01)
+    rho = bell_rho()
+    for j in range(1, step + 1):
+        rho = (rho.reshape(16) @ lab).reshape(4, 4)
+        assert (abs(np.trace(rho).real - 1.0) > 1e-6) == (j == step)
+    model._maps[0.01] = {1: dynamics._checked_map(lab, 4)}
+    messages = []
+    for state in (bell_rho(), bell_rho()[None]):
+        with pytest.raises(InstabilityError, match=f"at step {step}$") as err:
+            lindblad_evolve(model, state, k * 0.01, dt=0.01)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_the_last_drift_case_fails_inside_a_later_block() -> None:
     # The (1 + 3e-8, 34) case above must name a step past the first block
     # of K steps that no block starts or ends at.
@@ -342,16 +366,36 @@ def test_a_batch_evolves_as_each_state_alone(model, n, t0) -> None:
         assert np.array_equal(evolved, lindblad_evolve(model, rho, n * 0.01, dt=0.01, t0=t0))
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.37])
+@pytest.mark.parametrize("model", [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)])
+def test_one_state_in_one_block_steps_as_a_batch_of_one(model, t0) -> None:
+    # One state in at most one block takes its own path; it must return
+    # what the block loop returns for the same state as a (1, 4, 4) batch.
+    for n in (1, 2, dynamics._BLOCK_STEPS):
+        for seed in range(3):
+            rho = _random_rho(seed)
+            got = lindblad_evolve(model, rho, n * 0.01, dt=0.01, t0=t0)
+            batch = lindblad_evolve(model, rho[None], n * 0.01, dt=0.01, t0=t0)
+            assert got.shape == (4, 4) and np.array_equal(got, batch[0])
+
+
 def test_the_product_of_one_state_is_matmul_bit_for_bit() -> None:
-    # ndarray.dot on one state's row rounds as matmul does, for the step
-    # map, a full block map and a code's recovery map.
-    step = omega_model(0.3, 0.2, 1.3)._maps_at(0.01)[1]
-    maps = (step, dynamics._block_map(step, dynamics._BLOCK_STEPS), omega_code(1.2)._recovery_map)
-    for m in maps:
-        for seed in range(5):
-            rows = dynamics._as_rows(_random_rho(seed))
-            assert dynamics._product(rows) is np.ndarray.dot
-            assert np.array_equal(dynamics._product(rows)(rows, m), rows @ m)
+    # One state steps and recovers by ndarray.dot on its row, which rounds
+    # as matmul does, for the step map, a full block map and a code's
+    # recovery map: each one-state call returns both products, bit for bit.
+    model, code, k = omega_model(0.3, 0.2, 1.3), omega_code(1.2), dynamics._BLOCK_STEPS
+    for seed in range(5):
+        rho = _random_rho(seed)
+        rows = dynamics._as_rows(rho)
+        for n in (1, k):
+            got = lindblad_evolve(model, rho, n * 0.01, dt=0.01)
+            maps = model._maps[0.01]
+            for product in (np.ndarray.dot, np.matmul):
+                want = dynamics._from_rows(product(rows, maps[n])[..., :-n], rho.shape) * maps[-n]
+                assert np.array_equal(got, want)
+        for product in (np.ndarray.dot, np.matmul):
+            want = dynamics._from_rows(product(rows, code._recovery_map)[..., :-1], rho.shape)
+            assert np.array_equal(apply_recovery(code, rho), want)
 
 
 @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])

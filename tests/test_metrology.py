@@ -444,6 +444,31 @@ def test_a_negative_or_infinite_time_or_rate_raises_domain_error(name, arg, valu
         call(**{"t": T, "gamma": GAMMA, arg: value})
 
 
+# (entry point, argument) -> its call with that argument at the given value
+_FINITE_CALLS = {
+    ("qfi_theta_free_closed", "B"): lambda v: qfi_theta_free_closed(v, GAMMA, T),
+    ("qfi_theta_unitary_controlled", "B"): lambda v: qfi_theta_unitary_controlled(v, T, 0.05),
+    ("qfi_theta_unitary_controlled", "dtheta"): lambda v: qfi_theta_unitary_controlled(B, T, v),
+    ("qfi_omega_unitary_controlled", "B"): lambda v: qfi_omega_unitary_controlled(v, T, 0.05),
+    ("qfi_omega_unitary_controlled", "domega"): lambda v: qfi_omega_unitary_controlled(B, T, v),
+    ("outcome_probability", "x"): lambda v: outcome_probability(v, 0.8, B, GAMMA, T),
+    ("outcome_probability", "x_hat"): lambda v: outcome_probability(0.9, v, B, GAMMA, T),
+    ("outcome_probability", "B"): lambda v: outcome_probability(0.3, 0.2, v, GAMMA, T, task="omega"),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, arg", list(_FINITE_CALLS))
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_field_angle_or_estimate_is_refused_by_name(name, arg, value) -> None:
+    # Unrefused, these computed first: a NaN read "Fisher information is not
+    # finite" (a runtime NumericError) or "negative or NaN probability", and
+    # an infinity warned in numpy's sin or cos.
+    with pytest.raises(DomainError) as err:
+        _FINITE_CALLS[name, arg](value)
+    assert str(err.value) == f"{arg} must be finite, got {value}"
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------

@@ -352,6 +352,27 @@ def test_apply_recovery_broadcasts_over_a_batch() -> None:
     assert np.allclose(apply_recovery(incomplete, leaking[::2]), rho0, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "code, noise",
+    [(theta_code(0.7), kron(sigma_n_theta(0.7), EYE2)), (omega_code(1.3), kron(sigma1, EYE2))],
+)
+def test_one_state_recovers_as_a_batch_of_one(code, noise, t) -> None:
+    # One state takes its own path (one ndarray.dot, its loss read by
+    # item): it returns what the batch path returns for it as a (1, 4, 4)
+    # batch, and a leaking state raises that path's message.
+    for rho in _random_states(3):
+        got = apply_recovery(code, rho, t)
+        assert got.shape == (4, 4) and np.array_equal(got, apply_recovery(code, rho[None], t)[0])
+    incomplete = dataclasses.replace(code, recovery=[code.projector()])
+    rho0 = outer(code_probe(code))
+    leaking = 0.5 * rho0 + 0.5 * noise @ rho0 @ noise
+    for state in (leaking, leaking[None]):
+        with pytest.raises(LeakageError) as err:
+            apply_recovery(incomplete, state, t)
+        assert str(err.value) == "recovery lost trace 5.000e-01: error space not fully spanned"
+
+
 def test_apply_recovery_returns_an_empty_batch() -> None:
     for code in (theta_code(0.3), omega_code(0.3)):
         out = apply_recovery(code, np.zeros((0, 4, 4)), 0.4)

@@ -52,7 +52,7 @@ _REMOVED_NAMES = {
     ),
     "fluxmet.dynamics": (
         "TrajectoryPhase", "sample_phase", "_dagger", "_largest", "lindblad_rhs",
-        "LindbladModel._step_map",
+        "LindbladModel._step_map", "_product", "_largest_gap",
     ),
     "fluxmet.metrology": ("METHODS", "state_derivative", "_check_t"),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
