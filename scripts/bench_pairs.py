@@ -27,8 +27,10 @@ corrected evolution in that workload's shape, per interval), one
 4000-step free evolution, and the two calls of each interval apart: one
 single-state ``lindblad_evolve`` step and one ``apply_recovery``, on the
 rotating model and code and (``_static``) on the static ones, each per
-call of 1000 on a model or code built in the expression.  In each of
-``PAIRS`` rounds a worker subprocess per tree, with ``PYTHONPATH=<tree>/src``
+call of 1000 on a model or code built in the expression and on a complex
+state, which no call copies, as in an interval.  ``evolve_batch_100`` is
+the acceptance suite's one batch, 100 states for 2500 steps, per call.
+In each of ``PAIRS`` rounds a worker subprocess per tree, with ``PYTHONPATH=<tree>/src``
 and BLAS threads pinned to 1, warms every case up with one call; then
 every case is called ``MICRO_REPEATS`` times in each worker, the calls
 alternating between the two workers, the parent first in even rounds, so
@@ -70,19 +72,23 @@ MICRO = {
     ),
     "evolve_one_step": (
         "(lambda m, rho: [dynamics.lindblad_evolve(m, rho, 2.5e-3, dt=2.5e-3) for _ in range(1000)])"
-        "(dynamics.omega_model(0.1, 0.05, 0.26), np.full((4, 4), 0.25))", 1000
+        "(dynamics.omega_model(0.1, 0.05, 0.26), np.full((4, 4), 0.25 + 0j))", 1000
     ),
     "recovery_one_call": (
         "(lambda c, rho: [qec.apply_recovery(c, rho) for _ in range(1000)])"
-        "(qec.omega_code(0.25), np.full((4, 4), 0.25))", 1000
+        "(qec.omega_code(0.25), np.full((4, 4), 0.25 + 0j))", 1000
     ),
     "evolve_one_step_static": (
         "(lambda m, rho: [dynamics.lindblad_evolve(m, rho, 5e-3, dt=5e-3) for _ in range(1000)])"
-        "(dynamics.theta_model(0.1, 0.05, np.pi / 4 + 0.01), np.full((4, 4), 0.25))", 1000
+        "(dynamics.theta_model(0.1, 0.05, np.pi / 4 + 0.01), np.full((4, 4), 0.25 + 0j))", 1000
     ),
     "recovery_one_call_static": (
         "(lambda c, rho: [qec.apply_recovery(c, rho) for _ in range(1000)])"
-        "(qec.theta_code(np.pi / 4), np.full((4, 4), 0.25))", 1000
+        "(qec.theta_code(np.pi / 4), np.full((4, 4), 0.25 + 0j))", 1000
+    ),
+    "evolve_batch_100": (
+        "dynamics.lindblad_evolve(dynamics.theta_model(0.1, 0.05, np.pi / 4), np.full((100, 4, 4), 0.25 + 0j), 5.0, dt=2e-3)",
+        1,
     ),
 }
 MICRO_REPEATS = 15

@@ -18,8 +18,8 @@ where every step is the same matrix.  :func:`_rk4_map` builds it,
 :func:`_checked_map` makes it, or a recovery, one real matrix on the float64
 view of the state that also applies the Hermitian projection and returns the
 trace, and :func:`_block_map` makes k steps one matrix that returns each
-step's trace.  One state in one block of up to ``_BLOCK_STEPS`` steps is one
-``ndarray.dot``; :func:`_steps` loops over the blocks of a longer or batched run.
+step's trace.  :func:`_steps` steps one state by one ``ndarray.dot`` per block
+of up to ``_BLOCK_STEPS`` steps; a stacked batch goes state by state.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
 CFI of ``metrology`` draws through it), and averages pure-state trajectories.
@@ -242,7 +242,7 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
 
     ``linear`` is a complex (d^2, d^2) map under which a row-major
     vectorised state steps as ``vec @ linear``.  The real matrix acts on the
-    :func:`_as_rows` float64 view of that row: its first 2 d^2 columns apply
+    (1, 2 d^2) float64 view of that row: its first 2 d^2 columns apply
     ``linear`` and then the Hermitian projection (rho + rho^dag) / 2, which
     is real-linear, and its last column returns the output's real trace,
     less the input's if ``minus_input_trace``.  Columns (a, b) and (b, a)
@@ -266,7 +266,7 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
 
 
 def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
-    """``maps[k]``, the real (2 d^2, 2 d^2 + k) matrix of k checked steps ``maps[1]``, made once.
+    """The real (2 d^2, 2 d^2 + k) matrix of k checked steps ``maps[1]``, kept as ``maps[k]``.
 
     Its state columns are the k-th power of the step's state block, and
     column 2 d^2 + j returns the trace after step j + 1: the step's trace
@@ -274,8 +274,6 @@ def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
     equals k products with the step in turn up to rounding, and checks each
     of the k steps.
     """
-    if k in maps:
-        return maps[k]
     states, trace = maps[1][:, :-1], maps[1][:, -1]
     power, traces = states, [trace]
     for _ in range(k - 1):
@@ -283,24 +281,6 @@ def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
         power = power @ states
     block = maps[k] = np.column_stack([power, *traces])
     return block
-
-
-def _as_rows(rho: np.ndarray) -> np.ndarray:
-    """The float64 view of each complex (d, d) state as one (1, 2 d^2) row.
-
-    One state's 2-D row steps by ``ndarray.dot``, which dispatches about
-    0.9 us faster than ``@`` and rounds as it does, and a stacked batch by
-    ``@``, one product per state, so that it steps as each state alone, bit
-    for bit (``dot`` would make one larger product).  The entry points make
-    ``rho`` C-contiguous, so one reshape and one view copy nothing; the
-    explicit row width keeps an empty batch's shape.
-    """
-    return rho.reshape(rho.shape[:-2] + (1, rho.shape[-1] ** 2)).view(_REAL)
-
-
-def _from_rows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The complex states of ``shape`` in :func:`_as_rows` rows, by a view and a reshape, no copy."""
-    return rows.view(_COMPLEX).reshape(shape)
 
 
 def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -354,32 +334,23 @@ def lindblad_evolve(
     RK4 at fixed step ``dt`` in the model's frame: the state enters it at t0
     and leaves it at the end, with no :func:`in_frame` call at t0 = 0 or for
     a static model; from t0 = 0 the exit phase is kept with the step maps.
-    ``rho0`` is a (d, d) state or a stacked (..., d, d) batch; any other
-    shape is a DimensionError, and an empty batch returns empty.
-    The model's cached maps re-symmetrize the state and check its trace
-    after every step: one state in at most one block by one product here,
-    anything longer or batched through :func:`_steps`.  A zero duration
-    returns a copy of ``rho0``.
+    ``rho0`` is a (d, d) state or a stacked (..., d, d) batch, which goes
+    state by state through :func:`_each_state`; any other shape is a
+    DimensionError, and an empty batch returns empty.  The model's cached
+    maps re-symmetrize the state and check its trace after every step, in
+    :func:`_steps`.  A zero duration returns a copy of ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
     rho = np.ascontiguousarray(rho0, dtype=_COMPLEX)
     d, rate = model.dim, model._rate
-    if rho.shape[-2:] != (d, d):
-        raise DimensionError(f"state shape {rho.shape} does not match model dim {d}")
+    if rho.shape != (d, d):
+        if rho.shape[-2:] != (d, d):
+            raise DimensionError(f"state shape {rho.shape} does not match model dim {d}")
+        return _each_state(lindblad_evolve, model, rho, t, dt, t0)
     if n_steps == 0:
         return rho.copy()
     maps, framed = model._maps_at(dt), rate is not None and t0 != 0
-    rho = in_frame(rho, rate, -t0) if framed else rho
-    if rho.ndim == 2 and n_steps <= _BLOCK_STEPS:  # one state, one block: a recovery interval
-        width = 2 * d * d  # its row and state are views of literal shape on contiguous memory
-        out = np.ndarray((1, width), _REAL, rho).dot(_block_map(maps, n_steps))
-        for j in range(n_steps):
-            drift = abs(out.item(width + j) - 1.0)
-            if not drift <= _TRACE_TOL:  # a NaN drift fails too
-                raise InstabilityError(f"trace drifted by {drift:.3e} at step {j + 1}")
-        out = np.ndarray((d, d), _COMPLEX, out)
-    else:
-        out = _from_rows(_steps(_as_rows(rho), maps, n_steps), rho.shape)
+    out = _steps(in_frame(rho, rate, -t0) if framed else rho, maps, n_steps)
     if rate is None or framed:
         return in_frame(out, rate, t0 + n_steps * dt) if framed else out
     leave = maps.get(-n_steps)  # every interval of a corrected evolution leaves with this phase
@@ -388,25 +359,39 @@ def lindblad_evolve(
     return out * leave
 
 
-def _steps(rows: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
-    """``n_steps`` checked steps of :func:`_as_rows` rows, one product per block.
+def _each_state(call, owner, rho: np.ndarray, *args) -> np.ndarray:
+    """``call(owner, state, *args)`` of each (d, d) state of a stacked batch, in one new stack.
 
-    ``maps`` holds the step map at key 1 and gains the :func:`_block_map` of
-    each block length, up to ``_BLOCK_STEPS``, at its first use.  Every
-    step's trace may drift from 1 by at most ``_TRACE_TOL``, in every state,
-    and the error names the first step that does not.
+    The one batch rule of ``lindblad_evolve`` and ``qec.apply_recovery``: a
+    batch returns each state as that state alone would, bit for bit, and the
+    first state that fails, in C order, raises its own error.
     """
-    width, product = rows.shape[-1], (np.ndarray.dot if rows.ndim == 2 else np.matmul)  # see _as_rows
-    for done in range(0, n_steps, _BLOCK_STEPS):
+    out = np.empty_like(rho)
+    for index in np.ndindex(rho.shape[:-2]):
+        out[index] = call(owner, rho[index], *args)
+    return out
+
+
+def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
+    """``n_steps`` checked steps of one C-contiguous complex (d, d) state, one product per block.
+
+    The state's memory is viewed as its (1, 2 d^2) float64 row, each block
+    of up to ``_BLOCK_STEPS`` steps is one ``ndarray.dot`` with its
+    :func:`_block_map`, which ``maps`` (the step map at key 1) gains at its
+    first use, and the first 2 d^2 floats of the last product are viewed as
+    the (d, d) state.  Every step's trace may drift from 1 by at most
+    ``_TRACE_TOL``, and the error names the first step that does not.
+    """
+    width, out, done = 2 * rho.size, rho, 0
+    while done < n_steps:
         k = min(_BLOCK_STEPS, n_steps - done)
-        out = product(rows, _block_map(maps, k))
-        gaps = np.abs(out[..., 0, width:] - 1.0)  # the trace after each step of the block
-        if not gaps.max(initial=0.0) <= _TRACE_TOL:  # a NaN drift fails too
-            gaps = gaps.reshape(-1, k).max(axis=0)  # per step, over the batch
-            first = int(np.argmin(gaps <= _TRACE_TOL))
-            raise InstabilityError(f"trace drifted by {gaps[first]:.3e} at step {done + first + 1}")
-        rows = out[..., :width]
-    return rows
+        out = np.ndarray((1, width), _REAL, out).dot(maps[k] if k in maps else _block_map(maps, k))
+        for j in range(width, width + k):  # the trace after each step of the block
+            drift = abs(out.item(j) - 1.0)
+            if not drift <= _TRACE_TOL:  # a NaN drift fails too
+                raise InstabilityError(f"trace drifted by {drift:.3e} at step {done + j - width + 1}")
+        done += k
+    return np.ndarray(rho.shape, _COMPLEX, out)
 
 
 # ---------------------------------------------------------------------------

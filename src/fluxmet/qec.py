@@ -12,9 +12,10 @@ generator that carries them along in time; its phase rate goes through
 ``dynamics.in_frame`` like a model's, and so does every frame change of a
 recovery.  Stepwise corrected evolution and the continuous-recovery closed
 state are written once for both codes.  A stepwise interval is one
-``lindblad_evolve`` and one ``apply_recovery`` call, each on its one-state
-path one ``ndarray.dot`` of the state's real row and a checked map, plus
-two in-place phases in a rotating frame (see ``_corrected_evolve``).
+``lindblad_evolve`` and one ``apply_recovery`` call, each one
+``ndarray.dot`` of the state's real row and a checked map (a batch goes
+state by state), plus two in-place phases in a rotating frame (see
+``_corrected_evolve``).
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -44,11 +45,10 @@ from .dynamics import (
     _COMPLEX,
     _FINITE,
     _REAL,
-    _as_rows,
     _check_domain,
     _checked_map,
+    _each_state,
     _frame_rate,
-    _from_rows,
     _rk4_map,
     _steps,
     fixed_steps,
@@ -185,31 +185,28 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel at time t; fails on trace leakage.
 
-    ``rho`` is a (d, d) state or a stacked (..., d, d) batch; any other
-    shape is a DimensionError, and an empty batch returns empty.  Each state
-    enters the code's frame at t, recovers as one product of its row and the
-    code's checked map, which re-symmetrizes it and returns the trace it
+    ``rho`` is a (d, d) state or a stacked (..., d, d) batch, which goes
+    state by state through ``dynamics._each_state``; any other shape is a
+    DimensionError, and an empty batch returns empty.  The state enters the
+    code's frame at t, recovers as one ``ndarray.dot`` of its float64 row and
+    the code's checked map, which re-symmetrizes it and returns the trace it
     lost, and leaves the frame; a static code, or t = 0, calls no
-    ``in_frame``; one state's product is ``ndarray.dot``, a batch's ``@``.
-    Trace loss above ``dynamics._TRACE_TOL`` in any state means weight
+    ``in_frame``.  Trace loss above ``dynamics._TRACE_TOL`` means weight
     outside the code and its correctable error space.
     """
     rho = np.ascontiguousarray(rho, dtype=_COMPLEX)  # copies only a real or strided state
     d, rate = code.c0.shape[0], code._rate
-    if rho.shape[-2:] != (d, d):
-        raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
+    if rho.shape != (d, d):
+        if rho.shape[-2:] != (d, d):
+            raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
+        return _each_state(apply_recovery, code, rho, t)
     framed = rate is not None and t != 0
     rho = in_frame(rho, rate, -t) if framed else rho
-    if rho.ndim == 2:  # one state, as in dynamics.lindblad_evolve: views and ndarray.dot
-        out = np.ndarray((1, 2 * d * d), _REAL, rho).dot(code._recovery_map)
-        loss = abs(out.item(-1))
-        out = np.ndarray((d, d), _COMPLEX, out)
-    else:
-        out = _as_rows(rho) @ code._recovery_map
-        loss = float(np.abs(out[..., 0, -1]).max(initial=0.0))
-        out = _from_rows(out[..., :-1], rho.shape)
+    out = np.ndarray((1, 2 * d * d), _REAL, rho).dot(code._recovery_map)
+    loss = abs(out.item(-1))
     if not loss <= _TRACE_TOL:  # a NaN loss fails too
         raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
+    out = np.ndarray((d, d), _COMPLEX, out)
     return in_frame(out, rate, t) if framed else out
 
 
@@ -497,4 +494,4 @@ def expansion_evolve(
     if rho.shape != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match report dim {d}")
     step = _checked_map(_rk4_map(lambda _t: rhs, d, dt), d)
-    return _from_rows(_steps(_as_rows(rho), {1: step}, n_steps), rho.shape)
+    return _steps(rho, {1: step}, n_steps)

@@ -268,10 +268,10 @@ def test_trace_column_raises_at_the_step_the_state_drifts(gain, step) -> None:
     "gain, step", [(1 + 2e-6, 1), (1 + 3e-7, 4), (1 - 3e-7, 4), (1 + 1e-7, 10), (1 + 6.5e-8, 16)]
 )
 def test_one_state_in_one_block_names_the_step_that_drifts(gain, step) -> None:
-    # The gain trick above on a one-state run of one full block: its own
-    # path (one ndarray.dot, the traces read by item) names the step, in
-    # the words of the batch path, which the same state as a (1, 4, 4)
-    # batch takes.  (1 + 6.5e-8)^16 - 1 clears 1e-6 by 4e-8, ^15 misses it.
+    # The gain trick above on a one-state run of one full block (one
+    # ndarray.dot, the traces read by item) names the step, in the words
+    # the same state as a (1, 4, 4) batch raises.  (1 + 6.5e-8)^16 - 1
+    # clears 1e-6 by 4e-8, ^15 misses it.
     k = dynamics._BLOCK_STEPS
     model = theta_model(B, GAMMA, 0.3)
     lab = gain * dynamics._rk4_map(model._generator, 4, 0.01)
@@ -295,9 +295,30 @@ def test_the_last_drift_case_fails_inside_a_later_block() -> None:
     assert 34 > k and 34 % k not in (0, 1)
 
 
+def test_a_batch_raises_the_error_of_its_first_failing_state() -> None:
+    # The gain trick above on two states: trace 1 drifts at step 10, and
+    # trace 1 + 4.5e-7 at step 6.  A batch goes state by state, so it
+    # raises the first state's error in C order, not the earliest step
+    # over the batch.
+    model = theta_model(B, GAMMA, 0.3)
+    lab = (1 + 1e-7) * dynamics._rk4_map(model._generator, 4, 0.01)
+    states = [bell_rho(), (1 + 4.5e-7) * bell_rho()]
+    for rho, step in zip(states, (10, 6)):
+        for j in range(1, step + 1):
+            rho = (rho.reshape(16) @ lab).reshape(4, 4)
+            assert (abs(np.trace(rho).real - 1.0) > 1e-6) == (j == step)
+    model._maps[0.01] = {1: dynamics._checked_map(lab, 4)}
+    for batch, step in ((np.stack(states), 10), (np.stack(states[::-1]), 6)):
+        with pytest.raises(InstabilityError, match=f"at step {step}$") as err:
+            lindblad_evolve(model, batch, 1.0, dt=0.01)
+        with pytest.raises(InstabilityError) as alone:
+            lindblad_evolve(model, batch[0], 1.0, dt=0.01)
+        assert str(err.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("model", [theta_model(B, GAMMA, 0.3), omega_model(B, GAMMA, 0.3)])
 def test_a_nan_state_in_a_batch_fails_at_step_1(model) -> None:
-    # The blocks check every state of a batch at every step: one NaN state
+    # Every state of a batch is checked at every step: one NaN state
     # among finite ones fails the whole call at the first step.
     batch = np.stack([bell_rho(), np.full((4, 4), np.nan), bell_rho()])
     with pytest.raises(InstabilityError, match="by nan at step 1$"):
@@ -327,13 +348,14 @@ def test_an_unstable_step_with_an_exact_trace_raises() -> None:
 
 
 def _stepwise(model, rho: np.ndarray, n: int, dt: float, t0: float) -> np.ndarray:
-    # n products with the model's checked step map, in its frame, each
-    # dropping the trace column.
+    # n products with the model's checked step map, in its frame, of each
+    # state's (1, 2 d^2) float64 row, each dropping the trace column.
     step = model._maps[dt][1]
-    rows = dynamics._as_rows(dynamics.in_frame(rho, model._rate, -t0))
+    framed = np.ascontiguousarray(dynamics.in_frame(rho, model._rate, -t0))
+    rows = framed.reshape(rho.shape[:-2] + (1, 16)).view(np.float64)
     for _ in range(n):
         rows = (rows @ step)[..., :-1]
-    return dynamics.in_frame(dynamics._from_rows(rows, rho.shape), model._rate, t0 + n * dt)
+    return dynamics.in_frame(rows.view(complex).reshape(rho.shape), model._rate, t0 + n * dt)
 
 
 @pytest.mark.parametrize("model", [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)])
@@ -357,20 +379,22 @@ def test_block_maps_match_the_step_map_loop(model) -> None:
 @pytest.mark.parametrize("n", [1, dynamics._BLOCK_STEPS, 2 * dynamics._BLOCK_STEPS + 3])
 @pytest.mark.parametrize("model", [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)])
 def test_a_batch_evolves_as_each_state_alone(model, n, t0) -> None:
-    # One state's row steps by ndarray.dot and a batch by matmul, one
-    # product per state: dot on the stack would be one larger product,
-    # which rounds differently.
-    states = np.stack([_random_rho(seed) for seed in range(3)])
-    batch = lindblad_evolve(model, states, n * 0.01, dt=0.01, t0=t0)
-    for rho, evolved in zip(states, batch):
-        assert np.array_equal(evolved, lindblad_evolve(model, rho, n * 0.01, dt=0.01, t0=t0))
+    # A batch goes state by state through the one-state path, so each
+    # state, on one batch axis or two, evolves as it does alone, bit for bit.
+    states = np.stack([_random_rho(seed) for seed in range(6)])
+    for stack in (states[:3], states.reshape(2, 3, 4, 4)):
+        batch = lindblad_evolve(model, stack, n * 0.01, dt=0.01, t0=t0)
+        assert batch.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-2]):
+            alone = lindblad_evolve(model, stack[index], n * 0.01, dt=0.01, t0=t0)
+            assert np.array_equal(batch[index], alone)
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.37])
 @pytest.mark.parametrize("model", [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)])
 def test_one_state_in_one_block_steps_as_a_batch_of_one(model, t0) -> None:
-    # One state in at most one block takes its own path; it must return
-    # what the block loop returns for the same state as a (1, 4, 4) batch.
+    # One state in at most one block returns what the same state returns
+    # as a (1, 4, 4) batch.
     for n in (1, 2, dynamics._BLOCK_STEPS):
         for seed in range(3):
             rho = _random_rho(seed)
@@ -386,15 +410,15 @@ def test_the_product_of_one_state_is_matmul_bit_for_bit() -> None:
     model, code, k = omega_model(0.3, 0.2, 1.3), omega_code(1.2), dynamics._BLOCK_STEPS
     for seed in range(5):
         rho = _random_rho(seed)
-        rows = dynamics._as_rows(rho)
+        rows = rho.reshape(1, 16).view(np.float64)
         for n in (1, k):
             got = lindblad_evolve(model, rho, n * 0.01, dt=0.01)
             maps = model._maps[0.01]
             for product in (np.ndarray.dot, np.matmul):
-                want = dynamics._from_rows(product(rows, maps[n])[..., :-n], rho.shape) * maps[-n]
+                want = product(rows, maps[n])[..., :-n].view(complex).reshape(rho.shape) * maps[-n]
                 assert np.array_equal(got, want)
         for product in (np.ndarray.dot, np.matmul):
-            want = dynamics._from_rows(product(rows, code._recovery_map)[..., :-1], rho.shape)
+            want = product(rows, code._recovery_map)[..., :-1].view(complex).reshape(rho.shape)
             assert np.array_equal(apply_recovery(code, rho), want)
 
 
@@ -418,9 +442,10 @@ def test_a_non_finite_frame_time_is_a_domain_error(t0) -> None:
 
 
 def _in_frame_route(model, rho: np.ndarray, n: int, dt: float) -> np.ndarray:
-    # n steps from t0 = 0 in the model's frame, left through in_frame.
-    rows = dynamics._steps(dynamics._as_rows(rho), model._maps_at(dt), n)
-    return dynamics.in_frame(dynamics._from_rows(rows, rho.shape), model._rate, n * dt)
+    # n steps of each state from t0 = 0 in the model's frame, left through in_frame.
+    maps = model._maps_at(dt)
+    stepped = [dynamics._steps(np.ascontiguousarray(state), maps, n) for state in rho.reshape(-1, 4, 4)]
+    return dynamics.in_frame(np.stack(stepped).reshape(rho.shape), model._rate, n * dt)
 
 
 @pytest.mark.parametrize("n", [1, 3, dynamics._BLOCK_STEPS + 5])

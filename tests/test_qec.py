@@ -334,16 +334,19 @@ def test_apply_recovery_refuses_a_state_of_the_wrong_shape(state) -> None:
 
 
 def test_apply_recovery_broadcasts_over_a_batch() -> None:
-    # A stack of states recovers as each state alone, bit for bit, and one
-    # leaking state in the stack fails the whole call.
+    # A stack of states, on one batch axis or two, recovers as each state
+    # alone, bit for bit, and one leaking state in the stack fails the
+    # whole call.
     code = omega_code(1.2)
     noise = kron(sigma1, EYE2)
     states = np.stack(
         [_correctable_state(code, noise, 0.37), outer(code_probe(code)), _random_states(1)[0]]
     )
-    batch = apply_recovery(code, states, 0.37)
-    for rho, recovered in zip(states, batch):
-        assert np.array_equal(recovered, apply_recovery(code, rho, 0.37))
+    for stack in (states, np.stack([states, _random_states(3)])):
+        batch = apply_recovery(code, stack, 0.37)
+        assert batch.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-2]):
+            assert np.array_equal(batch[index], apply_recovery(code, stack[index], 0.37))
     incomplete = QecCode(c0=code.c0, c1=code.c1, recovery=[code.projector()])
     rho0 = outer(code_probe(code))
     leaking = np.stack([rho0, 0.5 * rho0 + 0.5 * noise @ rho0 @ noise, rho0])
@@ -352,15 +355,28 @@ def test_apply_recovery_broadcasts_over_a_batch() -> None:
     assert np.allclose(apply_recovery(incomplete, leaking[::2]), rho0, atol=1e-12)
 
 
+def test_a_leaking_batch_raises_the_loss_of_its_first_leaking_state() -> None:
+    # A batch goes state by state: of two leaking states it names the
+    # first one's loss in C order, not the largest loss over the batch.
+    code = theta_code(0.7)
+    noise = kron(sigma_n_theta(0.7), EYE2)
+    incomplete = dataclasses.replace(code, recovery=[code.projector()])
+    rho0 = outer(code_probe(code))
+    small, large = (0.8 * rho0 + 0.2 * noise @ rho0 @ noise, 0.5 * rho0 + 0.5 * noise @ rho0 @ noise)
+    for batch, loss in ((np.stack([rho0, small, large]), "2.000e-01"), (np.stack([large, small]), "5.000e-01")):
+        with pytest.raises(LeakageError, match=f"^recovery lost trace {loss}: "):
+            apply_recovery(incomplete, batch)
+
+
 @pytest.mark.parametrize("t", [0.0, 0.3])
 @pytest.mark.parametrize(
     "code, noise",
     [(theta_code(0.7), kron(sigma_n_theta(0.7), EYE2)), (omega_code(1.3), kron(sigma1, EYE2))],
 )
 def test_one_state_recovers_as_a_batch_of_one(code, noise, t) -> None:
-    # One state takes its own path (one ndarray.dot, its loss read by
-    # item): it returns what the batch path returns for it as a (1, 4, 4)
-    # batch, and a leaking state raises that path's message.
+    # One state (one ndarray.dot, its loss read by item) returns what it
+    # returns as a (1, 4, 4) batch, and a leaking state raises the same
+    # message either way.
     for rho in _random_states(3):
         got = apply_recovery(code, rho, t)
         assert got.shape == (4, 4) and np.array_equal(got, apply_recovery(code, rho[None], t)[0])
