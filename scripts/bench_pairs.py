@@ -28,8 +28,7 @@ corrected evolution in that workload's shape, per interval), one
 single-state ``lindblad_evolve`` step and one ``apply_recovery``, on the
 rotating model and code and (``_static``) on the static ones, each per
 call of 1000 on a model or code built in the expression and on a complex
-state, which no call copies, as in an interval.  ``evolve_batch_100`` is
-the acceptance suite's one batch, 100 states for 2500 steps, per call.
+state, which no call copies, as in an interval.
 In each of ``PAIRS`` rounds a worker subprocess per tree, with ``PYTHONPATH=<tree>/src``
 and BLAS threads pinned to 1, warms every case up with one call; then
 every case is called ``MICRO_REPEATS`` times in each worker, the calls
@@ -85,10 +84,6 @@ MICRO = {
     "recovery_one_call_static": (
         "(lambda c, rho: [qec.apply_recovery(c, rho) for _ in range(1000)])"
         "(qec.theta_code(np.pi / 4), np.full((4, 4), 0.25 + 0j))", 1000
-    ),
-    "evolve_batch_100": (
-        "dynamics.lindblad_evolve(dynamics.theta_model(0.1, 0.05, np.pi / 4), np.full((100, 4, 4), 0.25 + 0j), 5.0, dt=2e-3)",
-        1,
     ),
 }
 MICRO_REPEATS = 15

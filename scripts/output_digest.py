@@ -47,7 +47,9 @@ ROUTES = {
     "lindblad_evolve omega t0=0.4": (
         "dynamics.lindblad_evolve(dynamics.omega_model(0.1, 0.05, 0.3), bell(), 1.0, dt=0.01, t0=0.4)"
     ),
-    "lindblad_evolve batch": "dynamics.lindblad_evolve(theta_model(), batch(), 0.5)",
+    "lindblad_evolve state by state": (
+        "np.stack([dynamics.lindblad_evolve(theta_model(), rho, 0.5) for rho in states()])"
+    ),
     "corrected_evolve_theta": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0, dt=5e-3, n_recoveries=1000)"
     ),
@@ -99,6 +101,10 @@ ROUTES = {
         for strategy in ("qec_corrected", "unitary_controlled")
     },
     "cli qfi-theta": "cli_bytes(['qfi-theta', '--t-max', '5', '--points', '11', '--out', 'theta.csv'])",
+    "cli qfi-theta then plot": (
+        "cli_bytes(['qfi-theta', '--t-max', '5', '--points', '11', '--out', 'theta.csv'],"
+        " then=['plot', 'theta.csv', '--out', 'theta.svg'])"
+    ),
     "cli qfi-omega": "cli_bytes(['qfi-omega', '--t-max', '5', '--points', '3', '--out', 'omega.csv'])",
     "cli general-qec": "cli_bytes(['general-qec', 'theta_example', '--t', '5', '--out', 'report.json'])",
     "cli adapt theta": (
@@ -145,7 +151,7 @@ def bell():
     return psi[:, None] * psi.conj()
 
 
-def batch():
+def states():
     from fluxmet import qec
 
     probe = qec.code_probe(qec.theta_code(0.7))
@@ -177,9 +183,10 @@ def expanded(dx: float, t: float):
     return qec.expansion_evolve(report, probe[:, None] * probe.conj(), dx, t)
 
 
-def cli_bytes(argv: list[str], config: dict | None = None) -> bytes:
-    """What ``cli.main(argv)`` prints and writes, run in an empty directory;
-    for a non-zero exit, ``exit <code>`` and what it printed to stderr."""
+def cli_bytes(argv: list[str], config: dict | None = None, then: list[str] | None = None) -> bytes:
+    """What ``cli.main(argv)``, and then ``cli.main(then)`` if given, print and
+    write, run in one empty directory; for a non-zero exit, ``exit <code>``
+    and what it printed to stderr."""
     from fluxmet import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,6 +198,8 @@ def cli_bytes(argv: list[str], config: dict | None = None) -> bytes:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
+                if code == 0 and then is not None:
+                    code = cli.main(then)
             if code != 0:
                 return f"exit {code}\n{err.getvalue()}".encode()
             files = sorted(p for p in Path(".").iterdir() if p.name != "c.json")

@@ -19,7 +19,7 @@ where every step is the same matrix.  :func:`_rk4_map` builds it,
 view of the state that also applies the Hermitian projection and returns the
 trace, and :func:`_block_map` makes k steps one matrix that returns each
 step's trace.  :func:`_steps` steps one state by one ``ndarray.dot`` per block
-of up to ``_BLOCK_STEPS`` steps; a stacked batch goes state by state.
+of up to ``_BLOCK_STEPS`` steps.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
 CFI of ``metrology`` draws through it), and averages pure-state trajectories.
@@ -334,19 +334,15 @@ def lindblad_evolve(
     RK4 at fixed step ``dt`` in the model's frame: the state enters it at t0
     and leaves it at the end, with no :func:`in_frame` call at t0 = 0 or for
     a static model; from t0 = 0 the exit phase is kept with the step maps.
-    ``rho0`` is a (d, d) state or a stacked (..., d, d) batch, which goes
-    state by state through :func:`_each_state`; any other shape is a
-    DimensionError, and an empty batch returns empty.  The model's cached
-    maps re-symmetrize the state and check its trace after every step, in
-    :func:`_steps`.  A zero duration returns a copy of ``rho0``.
+    ``rho0`` is one (d, d) state; any other shape is a DimensionError.  The
+    model's cached maps re-symmetrize the state and check its trace after
+    every step, in :func:`_steps`.  A zero duration returns a copy of ``rho0``.
     """
     n_steps = fixed_steps(t, dt)
     rho = np.ascontiguousarray(rho0, dtype=_COMPLEX)
     d, rate = model.dim, model._rate
     if rho.shape != (d, d):
-        if rho.shape[-2:] != (d, d):
-            raise DimensionError(f"state shape {rho.shape} does not match model dim {d}")
-        return _each_state(lindblad_evolve, model, rho, t, dt, t0)
+        raise DimensionError(f"state shape {rho.shape} does not match model dim {d}")
     if n_steps == 0:
         return rho.copy()
     maps, framed = model._maps_at(dt), rate is not None and t0 != 0
@@ -357,19 +353,6 @@ def lindblad_evolve(
     if leave is None:
         leave = maps[-n_steps] = in_frame(1.0, rate, n_steps * dt)
     return out * leave
-
-
-def _each_state(call, owner, rho: np.ndarray, *args) -> np.ndarray:
-    """``call(owner, state, *args)`` of each (d, d) state of a stacked batch, in one new stack.
-
-    The one batch rule of ``lindblad_evolve`` and ``qec.apply_recovery``: a
-    batch returns each state as that state alone would, bit for bit, and the
-    first state that fails, in C order, raises its own error.
-    """
-    out = np.empty_like(rho)
-    for index in np.ndindex(rho.shape[:-2]):
-        out[index] = call(owner, rho[index], *args)
-    return out
 
 
 def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:

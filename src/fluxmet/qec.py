@@ -13,9 +13,8 @@ generator that carries them along in time; its phase rate goes through
 recovery.  Stepwise corrected evolution and the continuous-recovery closed
 state are written once for both codes.  A stepwise interval is one
 ``lindblad_evolve`` and one ``apply_recovery`` call, each one
-``ndarray.dot`` of the state's real row and a checked map (a batch goes
-state by state), plus two in-place phases in a rotating frame (see
-``_corrected_evolve``).
+``ndarray.dot`` of the state's real row and a checked map, plus two
+in-place phases in a rotating frame (see ``_corrected_evolve``).
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -47,7 +46,6 @@ from .dynamics import (
     _REAL,
     _check_domain,
     _checked_map,
-    _each_state,
     _frame_rate,
     _rk4_map,
     _steps,
@@ -185,21 +183,17 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel at time t; fails on trace leakage.
 
-    ``rho`` is a (d, d) state or a stacked (..., d, d) batch, which goes
-    state by state through ``dynamics._each_state``; any other shape is a
-    DimensionError, and an empty batch returns empty.  The state enters the
-    code's frame at t, recovers as one ``ndarray.dot`` of its float64 row and
-    the code's checked map, which re-symmetrizes it and returns the trace it
-    lost, and leaves the frame; a static code, or t = 0, calls no
-    ``in_frame``.  Trace loss above ``dynamics._TRACE_TOL`` means weight
-    outside the code and its correctable error space.
+    ``rho`` is one (d, d) state; any other shape is a DimensionError.  The
+    state enters the code's frame at t, recovers as one ``ndarray.dot`` of
+    its float64 row and the code's checked map, which re-symmetrizes it and
+    returns the trace it lost, and leaves the frame; a static code, or
+    t = 0, calls no ``in_frame``.  Trace loss above ``dynamics._TRACE_TOL``
+    means weight outside the code and its correctable error space.
     """
     rho = np.ascontiguousarray(rho, dtype=_COMPLEX)  # copies only a real or strided state
     d, rate = code.c0.shape[0], code._rate
     if rho.shape != (d, d):
-        if rho.shape[-2:] != (d, d):
-            raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
-        return _each_state(apply_recovery, code, rho, t)
+        raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
     framed = rate is not None and t != 0
     rho = in_frame(rho, rate, -t) if framed else rho
     out = np.ndarray((1, 2 * d * d), _REAL, rho).dot(code._recovery_map)

@@ -324,7 +324,8 @@ def test_criterion_9_kraus_lindblad_identity() -> None:
     k1, k2 = dephasing_kraus(B, GAMMA, T, np.pi / 4)
     k14, k24 = kron(k1, eye2), kron(k2, eye2)
     out_kraus = k14 @ rhos @ k14.conj().T + k24 @ rhos @ k24.conj().T
-    out_lind = lindblad_evolve(theta_model(B, GAMMA, np.pi / 4), rhos, T, dt=2e-3)
+    model = theta_model(B, GAMMA, np.pi / 4)
+    out_lind = np.stack([lindblad_evolve(model, rho, T, dt=2e-3) for rho in rhos])
     worst = float(np.max(np.abs(out_kraus - out_lind)))
     assert worst < 1e-6
     print(f"criterion 9: PASS (max deviation {worst:.2e} over 100 random states)")

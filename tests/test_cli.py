@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import types
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,35 @@ def test_cmd_qfi_omega_detuning_penalty() -> None:
     table = cmd_qfi("omega", 0.1, 0.05, 8.0, 5, [0.0, 0.1], None)
     positive = table.rows[:, 0] > 0
     assert np.all(table.rows[positive, 3] < table.rows[positive, 2])
+
+
+@pytest.mark.parametrize(
+    "task, values",
+    [
+        ("theta", ["0.1", "0.1000001"]),
+        ("omega", ["0.05", "0", "0.05"]),
+        ("theta", ["1e-7", "1.0000001e-7"]),
+    ],
+)
+def test_detunings_that_name_one_column_exit_2_before_any_cell(
+    tmp_path, monkeypatch, capsys, task, values
+) -> None:
+    # Two detunings that print alike under %g would give two columns of one
+    # name; the sweep refuses them, naming both, before a closed form runs.
+    def cell(*args):
+        raise AssertionError("a cell was computed")
+
+    record = dataclasses.replace(
+        TASKS[task], qec_closed=cell, unitary_closed=cell, free_closed=None
+    )
+    monkeypatch.setattr(cli, "task_record", lambda name: record)
+    symbol, out = TASKS[task].symbol, tmp_path / "sweep.csv"
+    flags = [arg for value in values for arg in (f"--{symbol}", value)]
+    assert cli.main([f"qfi-{task}", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    first, second = values[0], values[-1]
+    assert f"{symbol} values {float(first)!r} and {float(second)!r} both name qfi_qec_" in err
+    assert not out.exists()
 
 
 def test_readme_qfi_omega_line_passes_the_gate(tmp_path) -> None:
@@ -272,6 +302,7 @@ def test_cmd_adapt_schema_rejection(tmp_path, capsys) -> None:
         ({"repetitions": 2.5}, "'repetitions'"),
         ({"strategies": []}, "strategies"),
         ({"strategies": "qec_corrected"}, "strategies"),
+        ({"strategies": ["qec_corrected", "unitary_controlled", "qec_corrected"]}, "strategies"),
         # 10**7 cells, 10 rounds and 1000 repetitions: over an hour of updates
         ({"grid": [0, 1, 1e-7], "rounds": 10, "repetitions": 1000}, "repetitions"),
     ],
@@ -419,6 +450,17 @@ def test_fluxmet_seed_must_be_integer(tmp_path, monkeypatch, capsys) -> None:
     code = cli.main(["adapt", "theta", "--config", config, "--out", str(tmp_path / "c.csv")])
     assert code == 2
     assert "FLUXMET_SEED" in capsys.readouterr().err
+
+
+def test_a_repeated_strategy_is_refused_before_any_draw(tmp_path, monkeypatch) -> None:
+    # Each strategy's campaign writes one file, so a repeat would run a
+    # campaign twice for nothing.
+    config = _adapt_config(tmp_path, strategies=["qec_corrected", "qec_corrected"])
+    monkeypatch.setattr(cli, "campaign_estimates", lambda *a, **k: pytest.fail("a campaign ran"))
+    with pytest.raises(ConfigError, match="strategies must be distinct") as err:
+        cmd_adapt("theta", config, str(tmp_path / "camp.csv"))
+    assert err.value.field == "strategies"
+    assert list(tmp_path.glob("camp*")) == []
 
 
 def test_cmd_adapt_strategy_override(tmp_path) -> None:
@@ -600,6 +642,38 @@ def test_cmd_plot_polylines_and_determinism(tmp_path) -> None:
     first = svg_path.read_bytes()
     cmd_plot(csv_path, str(svg_path))
     assert svg_path.read_bytes() == first
+
+
+def test_cmd_plot_escapes_column_names(tmp_path) -> None:
+    # Header names are text content of the SVG: markup characters are
+    # escaped, so the file parses and each label reads back as written.
+    csv_path = tmp_path / "marks.csv"
+    csv_path.write_text("t<0 & >1,a<b & c,\"q\"\n0,1,2\n1,2,3\n")
+    svg_path = tmp_path / "marks.svg"
+    cmd_plot(str(csv_path), str(svg_path))
+    root = ET.parse(svg_path).getroot()
+    labels = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == ["t<0 & >1", "a<b & c", '"q"']
+    assert "a&lt;b &amp; c" in svg_path.read_text()
+
+
+def test_written_files_get_the_mode_a_plain_open_gives(tmp_path) -> None:
+    # Each command writes through a temp file and a rename; the file still
+    # gets 0o666 less the umask, as open(path, "w") would give it.
+    old = os.umask(0o022)
+    try:
+        csv_path, svg_path, report = tmp_path / "t.csv", tmp_path / "t.svg", tmp_path / "r.json"
+        assert cli.main(["qfi-theta", "--t-max", "1", "--points", "3", "--out", str(csv_path)]) == 0
+        assert cli.main(["plot", str(csv_path), "--out", str(svg_path)]) == 0
+        assert cli.main(["general-qec", "theta_example", "--out", str(report)]) == 0
+        (tmp_path / "plain.txt").write_text("x")
+        for path in (csv_path, svg_path, report, tmp_path / "plain.txt"):
+            assert path.stat().st_mode & 0o777 == 0o644, path.name
+        os.umask(0o077)
+        write_csv(_table(), str(csv_path))
+        assert csv_path.stat().st_mode & 0o777 == 0o600
+    finally:
+        os.umask(old)
 
 
 def test_cmd_plot_two_column_csv(tmp_path) -> None:

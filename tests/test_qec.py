@@ -251,7 +251,7 @@ def test_recovery_at_t0_is_the_static_copy_bit_for_bit(code, noise) -> None:
     # static copy does: a corrected evolution recovers with the code itself.
     static = dataclasses.replace(code, frame_generator=None)
     states = [_correctable_state(code, noise, 0.0), outer(code_probe(code))]
-    for rho in (*states, np.stack(states)):
+    for rho in states:
         assert np.array_equal(apply_recovery(code, rho), apply_recovery(static, rho))
 
 
@@ -327,76 +327,26 @@ def test_results_do_not_alias_the_input() -> None:
         assert np.array_equal(rho, kept)
 
 
-@pytest.mark.parametrize("state", [np.ones(4), np.eye(3) / 3, np.ones((2, 4, 3)), np.float64(1.0)])
+@pytest.mark.parametrize(
+    "state",
+    [
+        np.ones(4),
+        np.eye(3) / 3,
+        np.ones((2, 4, 3)),
+        np.float64(1.0),
+        np.zeros((0, 4, 4)),
+        np.ones((1, 4, 4)),
+        np.ones((3, 4, 4)),
+    ],
+)
 def test_apply_recovery_refuses_a_state_of_the_wrong_shape(state) -> None:
+    # One (d, d) state per call: a stack of states, even of none or one, is refused.
     with pytest.raises(DimensionError, match=r"state shape \(.*\) does not match code dim 4"):
         apply_recovery(theta_code(0.3), state)
 
 
-def test_apply_recovery_broadcasts_over_a_batch() -> None:
-    # A stack of states, on one batch axis or two, recovers as each state
-    # alone, bit for bit, and one leaking state in the stack fails the
-    # whole call.
-    code = omega_code(1.2)
-    noise = kron(sigma1, EYE2)
-    states = np.stack(
-        [_correctable_state(code, noise, 0.37), outer(code_probe(code)), _random_states(1)[0]]
-    )
-    for stack in (states, np.stack([states, _random_states(3)])):
-        batch = apply_recovery(code, stack, 0.37)
-        assert batch.shape == stack.shape
-        for index in np.ndindex(stack.shape[:-2]):
-            assert np.array_equal(batch[index], apply_recovery(code, stack[index], 0.37))
-    incomplete = QecCode(c0=code.c0, c1=code.c1, recovery=[code.projector()])
-    rho0 = outer(code_probe(code))
-    leaking = np.stack([rho0, 0.5 * rho0 + 0.5 * noise @ rho0 @ noise, rho0])
-    with pytest.raises(LeakageError):
-        apply_recovery(incomplete, leaking)
-    assert np.allclose(apply_recovery(incomplete, leaking[::2]), rho0, atol=1e-12)
-
-
-def test_a_leaking_batch_raises_the_loss_of_its_first_leaking_state() -> None:
-    # A batch goes state by state: of two leaking states it names the
-    # first one's loss in C order, not the largest loss over the batch.
-    code = theta_code(0.7)
-    noise = kron(sigma_n_theta(0.7), EYE2)
-    incomplete = dataclasses.replace(code, recovery=[code.projector()])
-    rho0 = outer(code_probe(code))
-    small, large = (0.8 * rho0 + 0.2 * noise @ rho0 @ noise, 0.5 * rho0 + 0.5 * noise @ rho0 @ noise)
-    for batch, loss in ((np.stack([rho0, small, large]), "2.000e-01"), (np.stack([large, small]), "5.000e-01")):
-        with pytest.raises(LeakageError, match=f"^recovery lost trace {loss}: "):
-            apply_recovery(incomplete, batch)
-
-
-@pytest.mark.parametrize("t", [0.0, 0.3])
-@pytest.mark.parametrize(
-    "code, noise",
-    [(theta_code(0.7), kron(sigma_n_theta(0.7), EYE2)), (omega_code(1.3), kron(sigma1, EYE2))],
-)
-def test_one_state_recovers_as_a_batch_of_one(code, noise, t) -> None:
-    # One state (one ndarray.dot, its loss read by item) returns what it
-    # returns as a (1, 4, 4) batch, and a leaking state raises the same
-    # message either way.
-    for rho in _random_states(3):
-        got = apply_recovery(code, rho, t)
-        assert got.shape == (4, 4) and np.array_equal(got, apply_recovery(code, rho[None], t)[0])
-    incomplete = dataclasses.replace(code, recovery=[code.projector()])
-    rho0 = outer(code_probe(code))
-    leaking = 0.5 * rho0 + 0.5 * noise @ rho0 @ noise
-    for state in (leaking, leaking[None]):
-        with pytest.raises(LeakageError) as err:
-            apply_recovery(incomplete, state, t)
-        assert str(err.value) == "recovery lost trace 5.000e-01: error space not fully spanned"
-
-
-def test_apply_recovery_returns_an_empty_batch() -> None:
-    for code in (theta_code(0.3), omega_code(0.3)):
-        out = apply_recovery(code, np.zeros((0, 4, 4)), 0.4)
-        assert out.shape == (0, 4, 4) and out.dtype == complex
-
-
 def _is_hermitian(rho: np.ndarray) -> bool:
-    return np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    return np.array_equal(rho, rho.conj().T)
 
 
 def test_every_returned_state_is_exactly_hermitian() -> None:
@@ -405,10 +355,9 @@ def test_every_returned_state_is_exactly_hermitian() -> None:
     # evolutions and recoveries return equals its conjugate transpose exactly.
     rho = _random_states(6)
     evolved = [
-        lindblad_evolve(theta_model(0.3, 0.2, 0.7), rho[0], 1.0, dt=0.01),
-        lindblad_evolve(theta_model(0.3, 0.2, 0.7), rho.reshape(3, 2, 4, 4), 1.0, dt=0.01),
+        *(lindblad_evolve(theta_model(0.3, 0.2, 0.7), state, 1.0, dt=0.01) for state in rho),
         lindblad_evolve(omega_model(0.3, 0.2, 1.3), rho[1], 1.0, dt=0.01, t0=1.7),
-        lindblad_evolve(omega_model(0.5, 0.1, 0.9), rho, 1.0, dt=5e-3, t0=0.4),
+        *(lindblad_evolve(omega_model(0.5, 0.1, 0.9), state, 1.0, dt=5e-3, t0=0.4) for state in rho),
     ]
     assert all(_is_hermitian(out) for out in evolved)
     codes = [
@@ -417,9 +366,8 @@ def test_every_returned_state_is_exactly_hermitian() -> None:
     ]
     for code, noise in codes:
         for t in (0.0, 0.37, 1e3):
-            states = np.stack([_correctable_state(code, noise, t), rho[2], rho[3]])
-            assert _is_hermitian(apply_recovery(code, states[0], t))
-            assert _is_hermitian(apply_recovery(code, states, t))
+            for state in (_correctable_state(code, noise, t), rho[2], rho[3]):
+                assert _is_hermitian(apply_recovery(code, state, t))
     assert _is_hermitian(corrected_evolve_theta(0.3, 0.2, 0.9, 0.8, 1.0, dt=0.01, n_recoveries=20))
     assert _is_hermitian(corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=0.01, n_recoveries=20))
 
@@ -913,7 +861,8 @@ def test_evolution_numbers_pinned() -> None:
     digest = hashlib.sha256(evolved.tobytes())
     digest.update(corrected.tobytes())
     assert digest.hexdigest() == _THETA_SHA256
-    assert np.max(np.abs(lindblad_evolve(theta, rho, 1.0, dt=0.01, t0=0.4) - evolved)) < 1e-12
+    alone = np.stack([lindblad_evolve(theta, state, 1.0, dt=0.01, t0=0.4) for state in rho])
+    assert np.max(np.abs(alone - evolved)) < 1e-12
     got = corrected_evolve_theta(0.3, 0.2, 0.9, 0.8, 1.0, dt=0.01, n_recoveries=20)
     assert np.max(np.abs(got - corrected)) < 1e-12
 
@@ -928,15 +877,15 @@ def test_evolution_numbers_pinned() -> None:
 
 def test_step_map_matches_the_lab_frame_loop() -> None:
     # One step map in the model's frame against RK4 rebuilt at every step:
-    # a constant model, a framed one started at t0 != 0, a model file, and a
-    # stacked batch of a framed model.
+    # a constant model, a framed one started at t0 != 0, a model file, and
+    # six states of another framed model.
     file_model, _ = load_model_file(resolve_model_path("theta_example"))
     rho = _random_states(6)
     cases = [
         (theta_model(0.3, 0.2, 0.7), rho[0], 2.0, 0.01, 0.0),
         (omega_model(0.3, 0.2, 1.3), rho[1], 2.0, 0.01, 1.7),
         (file_model, rho[2], 2.0, 0.02, 0.3),
-        (omega_model(0.5, 0.1, 0.9), rho.reshape(3, 2, 4, 4), 1.0, 5e-3, 0.4),
+        *((omega_model(0.5, 0.1, 0.9), state, 1.0, 5e-3, 0.4) for state in rho),
     ]
     for model, rho0, t, dt, t0 in cases:
         got = lindblad_evolve(model, rho0, t, dt=dt, t0=t0)

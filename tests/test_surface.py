@@ -33,9 +33,10 @@ from fluxmet.estimation import (
 # trace-reading helpers that the checked real maps replaced, a right-hand-side
 # wrapper that only tests called, the step-map cache that each model's
 # one cache of step and block maps replaced, the CLI's copy of the
-# campaign's information rule, and the stacked-row views that a batch
-# going state by state no longer needs.  A dotted name is an attribute of
-# a module-level name.
+# campaign's information rule, the stacked-row views that a batch going
+# state by state no longer needed, and the batch loop itself, since each
+# state map takes one state.  A dotted name is an attribute of a
+# module-level name.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -54,6 +55,7 @@ _REMOVED_NAMES = {
     "fluxmet.dynamics": (
         "TrajectoryPhase", "sample_phase", "_dagger", "_largest", "lindblad_rhs",
         "LindbladModel._step_map", "_product", "_largest_gap", "_as_rows", "_from_rows",
+        "_each_state",
     ),
     "fluxmet.metrology": ("METHODS", "state_derivative", "_check_t"),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
