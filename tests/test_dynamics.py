@@ -341,6 +341,23 @@ def test_block_maps_match_the_step_map_loop(model) -> None:
             assert np.max(np.abs(got - want)) <= 1e-13
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.37])
+@pytest.mark.parametrize("n", [2, dynamics._BLOCK_STEPS + 1, 2 * dynamics._BLOCK_STEPS + 3])
+@pytest.mark.parametrize("model", [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)])
+def test_a_run_split_in_two_calls_evolves_as_one_call(model, n, t0) -> None:
+    # A state evolved m steps and then n - m more from t0 + m dt, as the
+    # corrected evolutions do interval by interval, lands where one run of
+    # n steps lands, within rounding, whether a block boundary is crossed or not.
+    for seed in range(3):
+        rho = _random_rho(seed)
+        whole = lindblad_evolve(model, rho, n * 0.01, dt=0.01, t0=t0)
+        for m in (1, n // 2, n - 1):
+            head = lindblad_evolve(model, rho, m * 0.01, dt=0.01, t0=t0)
+            tail = lindblad_evolve(model, head, (n - m) * 0.01, dt=0.01, t0=t0 + m * 0.01)
+            assert tail.shape == (4, 4)
+            assert np.max(np.abs(tail - whole)) <= 1e-13
+
+
 def test_the_product_of_one_state_is_matmul_bit_for_bit() -> None:
     # One state steps and recovers by ndarray.dot on its row, which rounds
     # as matmul does, for the step map, a full block map and a code's

@@ -345,6 +345,23 @@ def test_apply_recovery_refuses_a_state_of_the_wrong_shape(state) -> None:
         apply_recovery(theta_code(0.3), state)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "code, noise",
+    [(theta_code(0.7), kron(sigma_n_theta(0.7), EYE2)), (omega_code(1.3), kron(sigma1, EYE2))],
+)
+def test_a_leaking_state_names_its_trace_loss(code, noise, t) -> None:
+    # A recovery that misses the error space names the trace the state
+    # lost, read from its one row by item, at any frame time.
+    incomplete = dataclasses.replace(code, recovery=[code.projector()])
+    rho0 = outer(code_probe(code))
+    for weight, loss in ((0.2, "2.000e-01"), (0.5, "5.000e-01")):
+        leaking = in_frame((1 - weight) * rho0 + weight * noise @ rho0 @ noise, code._rate, t)
+        with pytest.raises(LeakageError) as err:
+            apply_recovery(incomplete, leaking, t)
+        assert str(err.value) == f"recovery lost trace {loss}: error space not fully spanned"
+
+
 def _is_hermitian(rho: np.ndarray) -> bool:
     return np.array_equal(rho, rho.conj().T)
 
