@@ -42,6 +42,11 @@ ROOT, export_parent = bench_pairs.ROOT, bench_pairs.export_parent
 # the closed forms, distributions and draws are entry points that refuse
 # their inputs through dynamics._check_domain, each at in-domain values only.
 TIMES = (0.0, 0.5, 5.0)
+# Detunings at t = 5 on both sides of the frequency coherence's series
+# crossovers: |a t| = 0.1 (phase) and |2 a t| = 0.1 (decay).
+DETUNINGS = np.array(
+    [-0.3, -0.0201, -0.0199, -0.0101, -0.0099, 0.0, 0.005, 0.0099, 0.0101, 0.0199, 0.0201, 0.3]
+)
 ROUTES = {
     "lindblad_evolve theta": "dynamics.lindblad_evolve(theta_model(), bell(), 16.0, dt=4e-3)",
     "lindblad_evolve omega t0=0.4": (
@@ -74,6 +79,18 @@ ROUTES = {
         for coherence in ("THETA_COHERENCE", "OMEGA_COHERENCE")
         for method in ("qfi", "cfi")
         for d in (0, 0.05)
+    },
+    **{
+        f"{coherence}.{method} detunings": f"metrology.{coherence}.{method}(0.1, 0.05, DETUNINGS, 5.0)"
+        for coherence in ("THETA_COHERENCE", "OMEGA_COHERENCE")
+        for method in ("at", "deriv")
+    },
+    **{
+        f"unitary_family {task}": (
+            f"[tasks.TASKS[{task!r}].unitary_family(0.1, 5.0, x)(x + d)"
+            f" for x in [tasks.TASKS[{task!r}].x_hat] for d in (-0.02, -0.01, 0.0, 0.01, 0.02)]"
+        )
+        for task in ("theta", "omega")
     },
     "qfi_theta_free_closed": "[metrology.qfi_theta_free_closed(0.1, 0.05, t).value for t in TIMES]",
     "qfi_theta_unitary_controlled": (
@@ -115,6 +132,12 @@ ROUTES = {
         "cli_bytes(['adapt', 'omega', '--config', 'c.json', '--out', 'a.csv'],"
         " {'true_value': 0.3, 'initial_guess': 0.2, 'repetitions': 3, 'seed': 7, 'grid': [0.2, 0.4, 1e-4]})"
     ),
+    "cli general-qec refused wrong_code": "cli_bytes(['general-qec', 'wrong_code'])",
+    # ROADMAP item 6: the gate's small-t failure.
+    "cli qfi-theta refused t_max=1e-4": (
+        "cli_bytes(['qfi-theta', '--t-max', '1e-4', '--points', '11', '--out', 'theta.csv'])"
+    ),
+    "cli plot refused missing csv": "cli_bytes(['plot', 'missing.csv', '--out', 'x.svg'])",
     # README's adapt refusals, each refused before any draw.
     **{
         f"cli adapt {task} refused {name}": (
@@ -220,12 +243,12 @@ def _digest(value) -> dict:
 
 def worker(src: str) -> None:
     """Evaluate the routes read from stdin with the package in ``src``; JSON digests to stdout."""
-    from fluxmet import cli, dynamics, estimation, metrology, qec
+    from fluxmet import cli, dynamics, estimation, metrology, qec, tasks
 
     if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"fluxmet imported from {dynamics.__file__}, not from {src}")
     scope = dict(globals(), np=np, cli=cli, dynamics=dynamics, estimation=estimation,
-                 metrology=metrology, qec=qec)
+                 metrology=metrology, qec=qec, tasks=tasks)
     routes = json.loads(sys.stdin.read())
     json.dump({name: _digest(eval(expr, scope)) for name, expr in routes.items()}, sys.stdout)
 

@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .estimation import AdaptiveConfig, _finite, campaign_estimates, check_campaign_size, crb_line
 from .metrology import qfi_sld_numeric
-from .qec import QecCode, asymptotic_qfi, code_probe, expansion_superoperators
+from .qec import QecCode, _l2_expectation, asymptotic_qfi, code_probe, expansion_superoperators
 from .tasks import STRATEGIES, TASKS, Task, task_record
 
 _CROSSCHECK_RTOL = 1e-3
@@ -50,6 +49,8 @@ _CROSSCHECK_SAMPLES = 5
 # A sweep fills its table one point at a time, about 0.15 ms a point for the
 # frequency task on a 2-core x86 host; more points are refused up front.
 MAX_SWEEP_POINTS = 10**5
+# The exit code of each failure class; any other FluxmetError or OSError exits 2.
+_EXIT_CODES = ((QecConditionError, 3), (LeakageError, 3), (CrossCheckError, 4), (NumericError, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +80,15 @@ class CurveTable:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` through a temp file and a rename, with the mode that
-    ``open(path, "w")`` gives a new file: 0o666 less the umask."""
+    """Write ``text`` through a new temp file beside ``path`` and a rename.
+    The temp file is created as ``open(path, "w")`` creates a file, with mode
+    0o666 less the umask; O_EXCL refuses a file or symlink at its name."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fluxmet-")
+    tmp = os.path.join(directory, f".fluxmet-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -178,7 +178,7 @@ def _curves(spec: Task, B: float, gamma: float, d_list: list[float]) -> list[tup
     )]
     seen: dict[str, float] = {}
     for d in d_list:
-        column = f"qfi_qec_{spec.symbol}_{d:g}"
+        column = f"qfi_qec_{spec.symbol}_{d + 0.0:g}"  # -0 names the column of 0
         if column in seen:
             raise DomainError(f"{spec.symbol} values {seen[column]!r} and {d!r} both name {column}")
         seen[column] = d
@@ -448,8 +448,6 @@ def cmd_general_qec(
     psi = _parse_probe(probe_spec, code)
     result = asymptotic_qfi(report, psi, t)
     h_spec = np.linalg.eigvalsh(report.l1_generator)
-    rho = np.outer(psi, psi.conj())
-    l2_val = float(np.vdot(psi, report.l2_action.apply(rho) @ psi).real)
     doc = {
         "model": os.path.basename(model_path),
         "t": t,
@@ -458,7 +456,7 @@ def cmd_general_qec(
         "beta": [[[z.real, z.imag] for z in row] for row in report.conditions.beta],
         "d": [float(x) for x in report.conditions.d],
         "h_eff_spectrum": [float(x) for x in h_spec],
-        "l2_expectation": l2_val,
+        "l2_expectation": float(_l2_expectation(report, psi)),
         "qfi_asymptotic": result.value,
         "orthogonalized": report.orthogonalized,
         "version": __version__,
@@ -596,20 +594,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"asymptotic QFI at t={args.t:g}: {doc['qfi_asymptotic']:.12g}")
         elif args.command == "plot":
             cmd_plot(args.csv, args.out)
-    except QecConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for name, residual in exc.residuals:
-            print(f"  {name}: residual {residual:.3e}", file=sys.stderr)
-        return 3
-    except LeakageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CrossCheckError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (FluxmetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        for name, residual in getattr(exc, "residuals", ()):  # a QecConditionError's
+            print(f"  {name}: residual {residual:.3e}", file=sys.stderr)
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 2)
     return 0
 
 

@@ -124,26 +124,6 @@ def _h2(w):
     )
 
 
-def omega_frame_phase(B: float, a, t: float):
-    """Accumulated rotating-frame phase 2B(1 - cos(a t))/a at detuning a."""
-    return 2.0 * B * a * t * t * _f1(a * t)
-
-
-def omega_frame_decay(gamma: float, a, t: float):
-    """Rotating-frame decay exponent gamma*(t - sin(2 a t)/(2 a))."""
-    return gamma * t * _g1(2.0 * a * t)
-
-
-def omega_frame_phase_deriv(B: float, a, t: float):
-    """d/da of the rotating-frame phase; equals B t^2 at a = 0."""
-    return 2.0 * B * t * t * _h1(a * t)
-
-
-def omega_frame_decay_deriv(gamma: float, a, t: float):
-    """d/da of the decay exponent; vanishes at a = 0."""
-    return 2.0 * gamma * t * t * _h2(2.0 * a * t)
-
-
 # ---------------------------------------------------------------------------
 # State distances
 # ---------------------------------------------------------------------------
@@ -419,11 +399,21 @@ THETA_COHERENCE = Coherence(
     deriv=lambda B, gamma, d, t: (2.0 * B * t * np.cos(d), 2.0 * gamma * t * np.sin(2.0 * d)),
     information=lambda B, gamma, t: 4 * B * B * t * t + 4 * gamma * t,
 )
+
+
+def _omega_at(B: float, gamma: float, a, t: float):
+    # Rotating-frame phase 2B(1 - cos(a t))/a and decay gamma*(t - sin(2 a t)/(2 a)).
+    return 2.0 * B * a * t * t * _f1(a * t), gamma * t * _g1(2.0 * a * t)
+
+
+def _omega_deriv(B: float, gamma: float, a, t: float):
+    # Their a-derivatives: B t^2 and 0 at a = 0.
+    return 2.0 * B * t * t * _h1(a * t), 2.0 * gamma * t * t * _h2(2.0 * a * t)
+
+
 OMEGA_COHERENCE = Coherence(
-    at=lambda B, gamma, a, t: (omega_frame_phase(B, a, t), omega_frame_decay(gamma, a, t)),
-    deriv=lambda B, gamma, a, t: (
-        omega_frame_phase_deriv(B, a, t), omega_frame_decay_deriv(gamma, a, t)
-    ),
+    at=_omega_at,
+    deriv=_omega_deriv,
     # numpy's t**4 overflows to inf where a float's raises OverflowError
     information=lambda B, gamma, t: (
         B * B * np.float64(t) ** 4 + (4.0 / 3.0) * gamma * np.float64(t) ** 3

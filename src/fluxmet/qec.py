@@ -135,7 +135,7 @@ def _outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 def _noise_code(c0: np.ndarray, c1: np.ndarray, noise: np.ndarray, frame=None) -> QecCode:
     """Code with recovery {P, P noise}, for noise that maps the code space to
     an orthogonal error space."""
-    proj = QecCode(c0, c1).projector()
+    proj = _outer(c0) + _outer(c1)
     return QecCode(c0=c0, c1=c1, recovery=[proj, proj @ noise], frame_generator=frame)
 
 
@@ -433,6 +433,11 @@ def expansion_superoperators(
     return GeneralQecReport(conditions, orthogonalized, active, h_eff, l2_action)
 
 
+def _l2_expectation(report: GeneralQecReport, psi: np.ndarray):
+    """<psi|L2(|psi><psi|)|psi>, the second-order expectation of a report."""
+    return np.vdot(psi, report.l2_action.apply(_outer(psi)) @ psi).real
+
+
 def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> FisherResult:
     """Information rate J = 4 t^2 Var_psi(H_eff) - 4 t <psi|L2(|psi><psi|)|psi>.
 
@@ -455,7 +460,7 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
     l1_val = np.vdot(psi, (-1j) * (h_eff @ rho - rho @ h_eff) @ psi)
     if abs(l1_val) > 1e-10:
         raise NumericError(f"first-order expectation {l1_val!r} does not vanish")
-    l2_val = np.vdot(psi, report.l2_action.apply(rho) @ psi).real
+    l2_val = _l2_expectation(report, psi)
     if -l2_val < -1e-10:
         raise NumericError(f"second-order expectation {l2_val!r} is positive")
     value = float(4.0 * t * t * var - 4.0 * t * l2_val)

@@ -99,32 +99,33 @@ def _theta_free_family(B: float, gamma: float, t: float) -> StateFamily:
     return state
 
 
-def _theta_unitary_family(B: float, t: float, theta_hat: float) -> StateFamily:
+def _rotated_bell(generator: Callable[[float], np.ndarray]) -> StateFamily:
+    """x -> |psi><psi| with psi = expm(-1j * generator(x)) applied to the Bell probe."""
     bell = bell_probe()
-    sn_hat = kron(sigma_n_theta(theta_hat), eye2)
 
-    def state(th: float) -> np.ndarray:
-        h = B * (kron(sigma_n_theta(th), eye2) - sn_hat)
-        psi = expm(-1j * t * h) @ bell
+    def state(x: float) -> np.ndarray:
+        psi = expm(-1j * generator(x)) @ bell
         return np.outer(psi, psi.conj())
 
     return state
 
 
-def _omega_unitary_family(B: float, t: float, omega_hat: float) -> StateFamily:
-    bell = bell_probe()
+def _theta_unitary_family(B: float, t: float, theta_hat: float) -> StateFamily:
+    sn_hat = kron(sigma_n_theta(theta_hat), eye2)
+    return _rotated_bell(lambda th: t * (B * (kron(sigma_n_theta(th), eye2) - sn_hat)))
 
-    def state(om: float) -> np.ndarray:
+
+def _omega_unitary_family(B: float, t: float, omega_hat: float) -> StateFamily:
+    def generator(om: float) -> np.ndarray:
         # Control-frame average of the detuning Hamiltonian, time
         # pre-integrated into the axis components.
         a = om - omega_hat
         z = a * t
         v1 = -t * _g1(z)
         v2 = -a * t * t * _f1(z)
-        psi = expm(-1j * B * kron(v1 * sigma1 + v2 * sigma2, eye2)) @ bell
-        return np.outer(psi, psi.conj())
+        return B * kron(v1 * sigma1 + v2 * sigma2, eye2)
 
-    return state
+    return _rotated_bell(generator)
 
 
 TASKS: dict[str, Task] = {

@@ -28,7 +28,16 @@ from fluxmet.cli import (
     write_csv,
     _config_hash,
 )
-from fluxmet.errors import ConfigError, DomainError
+from fluxmet.errors import (
+    ConfigError,
+    CrossCheckError,
+    DegenerateErrorSpaceError,
+    DomainError,
+    InstabilityError,
+    LeakageError,
+    NumericError,
+    QecConditionError,
+)
 from fluxmet.tasks import STRATEGIES, TASKS
 
 
@@ -146,6 +155,7 @@ def test_cmd_qfi_omega_detuning_penalty() -> None:
         ("theta", ["0.1", "0.1000001"]),
         ("omega", ["0.05", "0", "0.05"]),
         ("theta", ["1e-7", "1.0000001e-7"]),
+        ("theta", ["0", "-0"]),
     ],
 )
 def test_detunings_that_name_one_column_exit_2_before_any_cell(
@@ -618,6 +628,44 @@ def test_directory_paths_exit_2(tmp_path, capsys, argv) -> None:
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "pair.csv"]
     assert list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "exc, code, extra",
+    [
+        (QecConditionError("code fails", [("E_0", 1.5e-3), ("E_1", 2e-9)]), 3,
+         ["  E_0: residual 1.500e-03", "  E_1: residual 2.000e-09"]),
+        (LeakageError("trace lost"), 3, []),
+        (CrossCheckError("routes disagree"), 4, []),
+        (NumericError("not finite"), 4, []),
+        (InstabilityError("drift"), 2, []),
+        (DegenerateErrorSpaceError("d_kk ~ 0"), 2, []),
+        (DomainError("t must be finite"), 2, []),
+        (ConfigError("bad key", field="k"), 2, []),
+        (IsADirectoryError(21, "Is a directory", "d"), 2, []),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None,
+)
+def test_main_maps_each_failure_class_to_its_exit_code(monkeypatch, capsys, exc, code, extra) -> None:
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_plot", fail)
+    assert cli.main(["plot", "in.csv", "--out", "out.svg"]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {exc}", *extra]
+
+
+def test_a_file_at_the_temp_name_is_refused_not_followed(tmp_path, monkeypatch, capsys) -> None:
+    # The temp file is created with O_EXCL: a symlink already at its name
+    # makes the write fail, and the file the link points at is untouched.
+    target = tmp_path / "target.txt"
+    target.write_text("keep")
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    (tmp_path / f".fluxmet-{bytes(8).hex()}").symlink_to(target)
+    out = tmp_path / "t.csv"
+    assert cli.main(["qfi-theta", "--t-max", "1", "--points", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    assert target.read_text() == "keep" and not out.exists()
 
 
 def test_parse_probe_rejects_garbage() -> None:

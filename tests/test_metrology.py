@@ -32,10 +32,6 @@ from fluxmet.metrology import (
     cfi_trajectory_B,
     fidelity,
     fidelity_qubit,
-    omega_frame_decay,
-    omega_frame_decay_deriv,
-    omega_frame_phase,
-    omega_frame_phase_deriv,
     qfi_B_trajectory_averaged,
     qfi_fidelity_fd,
     qfi_omega_qec_closed,
@@ -656,7 +652,8 @@ def _ref_p_plus_theta(theta, theta_hat, B, gamma, t):
 def _ref_p_plus_omega(omega, omega_hat, B, gamma, t):
     a = omega - omega_hat
     return 0.5 * (
-        1.0 + np.exp(-omega_frame_decay(gamma, a, t)) * np.cos(omega_frame_phase(B, a, t))
+        1.0
+        + np.exp(-OMEGA_COHERENCE.at(B, gamma, a, t)[1]) * np.cos(OMEGA_COHERENCE.at(B, gamma, a, t)[0])
     )
 
 
@@ -671,9 +668,9 @@ def _ref_qfi_theta(B, gamma, t, dtheta):
 def _ref_qfi_omega(B, gamma, t, a):
     if t == 0:
         return 0.0
-    dphase = omega_frame_phase_deriv(B, a, t)
-    decay = omega_frame_decay(gamma, a, t)
-    ddecay = omega_frame_decay_deriv(gamma, a, t)
+    dphase = OMEGA_COHERENCE.deriv(B, gamma, a, t)[0]
+    decay = OMEGA_COHERENCE.at(B, gamma, a, t)[1]
+    ddecay = OMEGA_COHERENCE.deriv(B, gamma, a, t)[1]
     if gamma == 0:
         noise = 0.0
     elif abs(a * t) < 1e-8:
@@ -702,14 +699,14 @@ def _ref_cfi_theta(B, gamma, t, dtheta):
 def _ref_cfi_omega(B, gamma, t, a):
     if t == 0:
         return 0.0, 0.0
-    dphase = omega_frame_phase_deriv(B, a, t)
+    dphase = OMEGA_COHERENCE.deriv(B, gamma, a, t)[0]
     if gamma == 0:
         return dphase * dphase, 0.0
     if abs(a * t) < 1e-8:
         return B * B * t**4 + (4.0 / 3.0) * gamma * t**3, 0.0
-    phase = omega_frame_phase(B, a, t)
-    decay = omega_frame_decay(gamma, a, t)
-    ddecay = omega_frame_decay_deriv(gamma, a, t)
+    phase = OMEGA_COHERENCE.at(B, gamma, a, t)[0]
+    decay = OMEGA_COHERENCE.at(B, gamma, a, t)[1]
+    ddecay = OMEGA_COHERENCE.deriv(B, gamma, a, t)[1]
     den = np.sin(phase) ** 2 - np.cos(phase) ** 2 * np.expm1(-2 * decay)
     terms = np.array([ddecay * np.cos(phase), dphase * np.sin(phase)])
     scale = np.exp(-2 * decay) * np.sum(np.abs(terms)) ** 2 / den
@@ -773,25 +770,26 @@ def test_frame_helpers_crossover_continuity() -> None:
     # Series/direct switch: phase helpers at |a t| = 0.1, decay helpers at
     # |2 a t| = 0.1.  Values on both sides of each switch must agree.
     cases = (
-        (omega_frame_phase, B, 1.0),
-        (omega_frame_phase_deriv, B, 1.0),
-        (omega_frame_decay, GAMMA, 2.0),
-        (omega_frame_decay_deriv, GAMMA, 2.0),
+        (OMEGA_COHERENCE.at, 0, 1.0),
+        (OMEGA_COHERENCE.deriv, 0, 1.0),
+        (OMEGA_COHERENCE.at, 1, 2.0),
+        (OMEGA_COHERENCE.deriv, 1, 2.0),
     )
-    for fn, coeff, scale in cases:
+    for fn, part, scale in cases:
         a_switch = 0.1 / (scale * T)
-        lo = fn(coeff, a_switch * (1 - 1e-9), T)
-        hi = fn(coeff, a_switch * (1 + 1e-9), T)
+        lo = fn(B, GAMMA, a_switch * (1 - 1e-9), T)[part]
+        hi = fn(B, GAMMA, a_switch * (1 + 1e-9), T)[part]
         assert lo == pytest.approx(hi, rel=1e-6)
 
 
 def test_frame_derivative_helpers_match_finite_differences() -> None:
     h = 1e-6
     for a in (0.0, 0.03, 0.4):
-        fd_phase = (omega_frame_phase(B, a + h, T) - omega_frame_phase(B, a - h, T)) / (2 * h)
-        assert omega_frame_phase_deriv(B, a, T) == pytest.approx(fd_phase, rel=1e-6, abs=1e-9)
-        fd_decay = (omega_frame_decay(GAMMA, a + h, T) - omega_frame_decay(GAMMA, a - h, T)) / (2 * h)
-        assert omega_frame_decay_deriv(GAMMA, a, T) == pytest.approx(fd_decay, rel=1e-6, abs=1e-9)
+        at, deriv = OMEGA_COHERENCE.at, OMEGA_COHERENCE.deriv
+        fd_phase = (at(B, GAMMA, a + h, T)[0] - at(B, GAMMA, a - h, T)[0]) / (2 * h)
+        assert deriv(B, GAMMA, a, T)[0] == pytest.approx(fd_phase, rel=1e-6, abs=1e-9)
+        fd_decay = (at(B, GAMMA, a + h, T)[1] - at(B, GAMMA, a - h, T)[1]) / (2 * h)
+        assert deriv(B, GAMMA, a, T)[1] == pytest.approx(fd_decay, rel=1e-6, abs=1e-9)
 
 
 def test_qfi_sld_numeric_evaluates_each_state_once() -> None:

@@ -33,9 +33,8 @@ from fluxmet.errors import (
     StepError,
 )
 from fluxmet.metrology import (
+    OMEGA_COHERENCE,
     fidelity,
-    omega_frame_decay,
-    omega_frame_phase,
     qfi_omega_qec_closed,
     qfi_sld_numeric,
     qfi_theta_qec_closed,
@@ -479,8 +478,10 @@ def test_corrected_state_omega_closed_structure() -> None:
     rho = corrected_state_omega_closed(B, GAMMA, om, om_hat, T)
     coh = np.vdot(c0, rho @ c1)
     a = om - om_hat
-    assert abs(coh) == pytest.approx(0.5 * np.exp(-omega_frame_decay(GAMMA, a, T)), abs=1e-12)
-    assert np.angle(coh) == pytest.approx(-omega_frame_phase(B, a, T), abs=1e-12)
+    assert abs(coh) == pytest.approx(
+        0.5 * np.exp(-OMEGA_COHERENCE.at(B, GAMMA, a, T)[1]), abs=1e-12
+    )
+    assert np.angle(coh) == pytest.approx(-OMEGA_COHERENCE.at(B, GAMMA, a, T)[0], abs=1e-12)
 
 
 def test_corrected_state_omega_closed_qfi() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -14,6 +15,7 @@ import pytest
 import fluxmet
 from fluxmet import cli, dynamics, estimation, metrology, qec, qmat
 from fluxmet.errors import DomainError
+from fluxmet.tasks import TASKS
 from fluxmet.estimation import (
     AdaptiveConfig,
     campaign_estimates,
@@ -34,8 +36,9 @@ from fluxmet.estimation import (
 # wrapper that only tests called, the step-map cache that each model's
 # one cache of step and block maps replaced, the CLI's copy of the
 # campaign's information rule, the stacked-row views that a batch going
-# state by state no longer needed, and the batch loop itself, since each
-# state map takes one state.  A dotted name is an attribute of a
+# state by state no longer needed, the batch loop itself, since each
+# state map takes one state, and the frequency coherence's public wrappers,
+# whose formulas OMEGA_COHERENCE holds as THETA_COHERENCE holds its own.  A dotted name is an attribute of a
 # module-level name.
 _REMOVED_NAMES = {
     "fluxmet": (
@@ -57,7 +60,10 @@ _REMOVED_NAMES = {
         "LindbladModel._step_map", "_product", "_largest_gap", "_as_rows", "_from_rows",
         "_each_state",
     ),
-    "fluxmet.metrology": ("METHODS", "state_derivative", "_check_t"),
+    "fluxmet.metrology": (
+        "METHODS", "state_derivative", "_check_t", "omega_frame_phase", "omega_frame_decay",
+        "omega_frame_phase_deriv", "omega_frame_decay_deriv",
+    ),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
     "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace"),
     "fluxmet.errors": ("NonIsotropicError",),
@@ -169,3 +175,66 @@ def test_readme_library_block_prints_its_values(capsys) -> None:
     assert float(lines[1]) == pytest.approx(2.0, rel=1e-6)
     assert float(lines[2]) == pytest.approx(0.991, abs=5e-4)
     assert lines[3] == "(20, 11)"
+
+
+# The benchmark under perfbench/ calls the package by module attribute; a
+# name it uses that the package drops fails here, not only when it runs.
+_BENCH = Path(__file__).parents[1] / "perfbench"
+_BENCH_MODULES = {"fcli": cli, "dynamics": dynamics, "metrology": metrology, "qec": qec, "qmat": qmat}
+
+
+def _bench_attributes(node: ast.AST) -> list[tuple[str, str]]:
+    """The (module, attribute) pairs an expression reads: ``module.attr``, or
+    ``getattr(module, f"...{task}...")`` once per task."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [(node.value.id, node.attr)] if node.value.id in _BENCH_MODULES else []
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"):
+        return []
+    module, name = node.args[0], node.args[1]
+    if not (isinstance(module, ast.Name) and module.id in _BENCH_MODULES):
+        return []
+    if isinstance(name, ast.Constant):
+        return [(module.id, name.value)]
+    assert isinstance(name, ast.JoinedStr), ast.dump(name)
+    return [
+        (module.id, "".join(p.value if isinstance(p, ast.Constant) else task for p in name.values))
+        for task in TASKS
+    ]
+
+
+def _bench_uses() -> tuple[set, set]:
+    """Attributes of the package modules that bench_workloads.py reads, and the
+    (module, attribute, keyword) of every keyword it passes to one of them."""
+    tree = ast.parse((_BENCH / "bench_workloads.py").read_text())
+    bound = {  # a local name bound to getattr(module, ...)
+        node.targets[0].id: _bench_attributes(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Call) and _bench_attributes(node.value)
+    }
+    reads, keywords = set(), set()
+    for node in ast.walk(tree):
+        reads.update(_bench_attributes(node))
+        if isinstance(node, ast.Call):
+            callees = bound.get(node.func.id, []) if isinstance(node.func, ast.Name) else _bench_attributes(node.func)
+            keywords.update((m, a, kw.arg) for m, a in callees for kw in node.keywords if kw.arg)
+    return reads, keywords
+
+
+def test_the_benchmark_uses_only_names_the_package_has() -> None:
+    reads, keywords = _bench_uses()
+    # bench_workloads.py's own calls, and what perfbench/test_bench.py wraps and calls.
+    assert {("fcli", "cmd_adapt"), ("qec", "corrected_evolve_omega"), ("dynamics", "lindblad_evolve")} <= reads
+    assert ("qec", "corrected_evolve_theta", "n_recoveries") in keywords
+    reads |= {
+        ("qmat", "kron"), ("qmat", "expm"), ("dynamics", "kron"), ("dynamics", "lindblad_evolve"),
+        ("metrology", "hermitian_eig"), ("qec", "lindblad_evolve"),
+        ("qec", "corrected_evolve_theta"), ("qec", "corrected_evolve_omega"),
+    }
+    assert sorted(f"{m}.{a}" for m, a in reads if not hasattr(_BENCH_MODULES[m], a)) == []
+    missing = []
+    for m, a, keyword in sorted(keywords):
+        params = inspect.signature(getattr(_BENCH_MODULES[m], a)).parameters.values()
+        if not any(p.name == keyword or p.kind is p.VAR_KEYWORD for p in params):
+            missing.append(f"{m}.{a}({keyword}=)")
+    assert missing == []
