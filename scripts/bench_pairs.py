@@ -23,8 +23,8 @@ BENCHMARK.json is read, never written.
 
 ``--micro`` also times the layers ``numeric_route`` spends its time in, the
 cases of ``MICRO``: one static and one rotating recovery interval (a whole
-corrected evolution in that workload's shape, per interval), one
-4000-step free evolution, and the two calls of each interval apart: one
+corrected evolution in that workload's shape, per interval), one static
+interval of four steps (criterion 5's shape), one 4000-step free evolution, and the two calls of each interval apart: one
 single-state ``lindblad_evolve`` step and one ``apply_recovery``, on the
 rotating model and code and (``_static``) on the static ones, each per
 call of 1000 on a model or code built in the expression and on a complex
@@ -62,6 +62,9 @@ MICRO = {
     "interval_static": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0, dt=5e-3, n_recoveries=1000)",
         1000,
+    ),
+    "interval_static_4_steps": (
+        "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.05, np.pi / 4, 5.0, dt=2.5e-3, n_recoveries=500)", 500
     ),
     "interval_rotating": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000

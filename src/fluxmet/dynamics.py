@@ -19,7 +19,7 @@ where every step is the same matrix.  :func:`_rk4_map` builds it,
 view of the state that also applies the Hermitian projection and returns the
 trace, and :func:`_block_map` makes k steps one matrix that returns each
 step's trace.  :func:`_steps` steps one state by one ``ndarray.dot`` per block
-of up to ``_BLOCK_STEPS`` steps.
+of up to ``_BLOCK_STEPS`` steps, through :func:`_run`, the one checked loop.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
 CFI of ``metrology`` draws through it), and averages pure-state trajectories.
@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, InstabilityError, StepError
+from .errors import ConfigError, DimensionError, DomainError, InstabilityError, LeakageError, StepError
 from .qmat import eye2, kron, sigma1, sigma2, sigma3
 
 _TRACE_TOL = 1e-6  # largest trace drift a step, or trace loss a recovery, may show
 _BLOCK_STEPS = 16  # most RK4 steps one product applies (CHANGES.md has the sweep)
+_CHUNK = 64  # most products of a run whose check columns one read takes
 _FINITE = -float(np.finfo(float).max)  # the least finite float, _check_domain's finite-only bound
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(complex)  # the two views of a state's rows
 
@@ -126,11 +127,11 @@ class LindbladModel:
     point; the general engine alone needs them.  The field names other than
     ``frame`` are the keys of a model file.
 
-    Construction derives a framed model's phase rate i (g_j - g_k); the
-    model's one map cache fills as it evolves: dt -> {k: checked map of k
-    steps, -k: the phase that leaves the frame after k steps from t0 = 0}.
-    Replace a field with ``dataclasses.replace``; an array changed in place
-    leaves them stale.
+    Construction derives a framed model's phase rate i (g_j - g_k); the map
+    cache fills as the model evolves: dt -> {k: checked map of k steps, -k:
+    the phase that leaves the frame after k steps from t0 = 0}.  Replace a
+    field with ``dataclasses.replace``; an array changed in place leaves
+    them stale.
     """
 
     dim: int
@@ -180,10 +181,9 @@ class LindbladModel:
     def _maps_at(self, dt: float) -> dict[int, np.ndarray]:
         """The checked maps of k RK4 steps of length dt in the model's frame, keyed by k.
 
-        Since L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every lab-frame
-        step is the one from t = 0 conjugated by D_t, so in the frame it is
-        one matrix: the step from 0 followed by in_frame(., rate, -dt).
-        Entry 1 is built once per dt; :func:`_block_map` adds the others.
+        Since L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every step in the
+        frame is the step from 0 followed by in_frame(., rate, -dt).  Entry 1
+        is built once per dt; :func:`_block_map` adds the others.
         """
         maps = self._maps.get(dt)
         if maps is None:
@@ -266,21 +266,20 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
 
 
 def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
-    """The real (2 d^2, 2 d^2 + k) matrix of k checked steps ``maps[1]``, kept as ``maps[k]``.
+    """``maps[k]``: k checked maps ``maps[1]`` in turn as one real matrix, built at its first use.
 
-    Its state columns are the k-th power of the step's state block, and
-    column 2 d^2 + j returns the trace after step j + 1: the step's trace
-    column carried back through the j steps before it.  A row times it
-    equals k products with the step in turn up to rounding, and checks each
-    of the k steps.
+    ``maps[1]`` is (w, w + c): a state block and c check columns, such as a
+    step's trace.  ``maps[k]`` is the state block's k-th power, then the
+    checks of each map j = 1..k carried back through the j - 1 before it.
     """
-    states, trace = maps[1][:, :-1], maps[1][:, -1]
-    power, traces = states, [trace]
-    for _ in range(k - 1):
-        traces.append(power @ trace)
-        power = power @ states
-    block = maps[k] = np.column_stack([power, *traces])
-    return block
+    if k not in maps:
+        states, checks = np.hsplit(maps[1], [maps[1].shape[0]])
+        power, carried = states, [checks]
+        for _ in range(k - 1):
+            carried.append(power @ checks)
+            power = power @ states
+        maps[k] = np.column_stack([power, *carried])
+    return maps[k]
 
 
 def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -331,12 +330,11 @@ def lindblad_evolve(
 ) -> np.ndarray:
     """Evolve ``rho0`` for duration ``t`` starting at absolute time ``t0``.
 
-    RK4 at fixed step ``dt`` in the model's frame: the state enters it at t0
-    and leaves it at the end, with no :func:`in_frame` call at t0 = 0 or for
-    a static model; from t0 = 0 the exit phase is kept with the step maps.
-    ``rho0`` is one (d, d) state; any other shape is a DimensionError.  The
-    model's cached maps re-symmetrize the state and check its trace after
-    every step, in :func:`_steps`.  A zero duration returns a copy of ``rho0``.
+    RK4 at fixed step ``dt`` in the model's frame, through :func:`_steps`:
+    the state enters it at t0 and leaves it at the end, with no
+    :func:`in_frame` call at t0 = 0, where the exit phase is kept with the
+    step maps, or for a static model.  ``rho0`` is one (d, d) state; any
+    other shape is a DimensionError.  A zero duration returns a copy.
     """
     n_steps = fixed_steps(t, dt)
     rho = np.ascontiguousarray(rho0, dtype=_COMPLEX)
@@ -349,32 +347,59 @@ def lindblad_evolve(
     out = _steps(in_frame(rho, rate, -t0) if framed else rho, maps, n_steps)
     if rate is None or framed:
         return in_frame(out, rate, t0 + n_steps * dt) if framed else out
-    leave = maps.get(-n_steps)  # every interval of a corrected evolution leaves with this phase
-    if leave is None:
-        leave = maps[-n_steps] = in_frame(1.0, rate, n_steps * dt)
-    return out * leave
+    if -n_steps not in maps:  # from t0 = 0 a framed model leaves with this phase
+        maps[-n_steps] = in_frame(1.0, rate, n_steps * dt)
+    return out * maps[-n_steps]
 
 
 def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
     """``n_steps`` checked steps of one C-contiguous complex (d, d) state, one product per block.
 
-    The state's memory is viewed as its (1, 2 d^2) float64 row, each block
-    of up to ``_BLOCK_STEPS`` steps is one ``ndarray.dot`` with its
-    :func:`_block_map`, which ``maps`` (the step map at key 1) gains at its
-    first use, and the first 2 d^2 floats of the last product are viewed as
-    the (d, d) state.  Every step's trace may drift from 1 by at most
-    ``_TRACE_TOL``, and the error names the first step that does not.
+    Each block of up to ``_BLOCK_STEPS`` steps is one ``ndarray.dot`` of the state's float64 row and its
+    :func:`_block_map`; past 8 blocks, about :func:`_run`'s fixed cost, all but the last go through it.
     """
-    width, out, done = 2 * rho.size, rho, 0
+    width, done, out = 2 * rho.size, 0, rho
+    if n_steps > 8 * _BLOCK_STEPS:
+        done = (n_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS
+        out = _run(rho, _block_map(maps, _BLOCK_STEPS), done // _BLOCK_STEPS, n_steps)
     while done < n_steps:
         k = min(_BLOCK_STEPS, n_steps - done)
-        out = np.ndarray((1, width), _REAL, out).dot(maps[k] if k in maps else _block_map(maps, k))
+        out = np.ndarray((width,), _REAL, out).dot(maps[k] if k in maps else _block_map(maps, k))
         for j in range(width, width + k):  # the trace after each step of the block
-            drift = abs(out.item(j) - 1.0)
-            if not drift <= _TRACE_TOL:  # a NaN drift fails too
-                raise InstabilityError(f"trace drifted by {drift:.3e} at step {done + j - width + 1}")
+            if not abs(out.item(j) - 1.0) <= _TRACE_TOL:  # a NaN drift fails too
+                _read_checks(out[None, width:], done, n_steps)
         done += k
     return np.ndarray(rho.shape, _COMPLEX, out)
+
+
+def _run(rho: np.ndarray, block: np.ndarray, n: int, s: int) -> np.ndarray:
+    """``n`` products of a (d, d) state's float64 row with a :func:`_block_map`, a new state.
+
+    Each product goes by ``ndarray.dot`` into a row of a ``_CHUNK``-row buffer, whose checks
+    :func:`_read_checks` reads after the chunk: a failing run goes on to its chunk's end.
+    """
+    row, w, buf = rho.view(_REAL).ravel(), 2 * rho.size, np.empty((min(n, _CHUNK), block.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n, _CHUNK):
+            for out in buf[: n - first]:
+                row.dot(block, out=out)
+                row = out[:w]
+            _read_checks(buf[: n - first, w:], first * (block.shape[1] - w), s)
+    return row.copy().view(_COMPLEX).reshape(rho.shape)
+
+
+def _read_checks(checks: np.ndarray, offset: int, s: int) -> None:
+    """Raise for the first of the (n, c) ``checks``, the run's from ``offset`` on, off its target by more than
+    ``_TRACE_TOL``: s step traces (1), then a recovery's loss (0); s = n for n plain steps, 0 for a recovery."""
+    targets = np.ones(checks.shape[1])
+    targets[s :: s + 1] = 0.0
+    gaps = np.abs(checks - targets)  # no compare while passing: its first use pages in 256 KB of numpy
+    if not gaps.max() <= _TRACE_TOL:  # a NaN gap fails too
+        j = int(np.argmax(~(gaps <= _TRACE_TOL)))
+        i, value = offset + j, checks.flat[j]
+        if i % (s + 1) < s:
+            raise InstabilityError(f"trace drifted by {abs(value - 1.0):.3e} at step {i % (s + 1) + 1}")
+        raise LeakageError(f"recovery lost trace {abs(value):.3e}: error space not fully spanned")
 
 
 # ---------------------------------------------------------------------------

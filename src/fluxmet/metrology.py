@@ -207,8 +207,8 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
     directions are excluded from the bare SLD so their spurious radial terms
     do not double-count.  Families of constant rank are unaffected.
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if delta <= 0 or (delta < np.inf and not delta * delta < np.inf):  # the family names NaN, inf
+        raise DomainError(f"delta must be positive with a finite square, got {delta}")
     rho, rho_p, rho_m = state_map(x), state_map(x + delta), state_map(x - delta)
     d1 = (rho_p - rho_m) / (2 * delta)
     d2 = (state_map(x + delta / 2) - state_map(x - delta / 2)) / delta
@@ -247,8 +247,8 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
 
 def qfi_fidelity_fd(state_map, x: float, delta: float = 1e-3) -> FisherResult:
     """QFI from the infinitesimal Bures distance: 8 (1 - F(rho_x, rho_x+d))/d^2."""
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if delta <= 0 or (delta < np.inf and not delta * delta < np.inf):  # the family names NaN, inf
+        raise DomainError(f"delta must be positive with a finite square, got {delta}")
     f = fidelity(state_map(x), state_map(x + delta))
     if f > 1 + 1e-8:
         raise NumericError(f"fidelity {f!r} exceeds 1 beyond tolerance")

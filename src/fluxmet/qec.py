@@ -4,17 +4,14 @@ Two concrete codes: a static one for the field-angle task and a rotating one
 for the rotation-frequency task.  Both protect a two-dimensional code space
 of the probe+ancilla pair against the parameter-correlated noise axis at the
 current estimate; recovery is the two-operator Kraus set {P, P sigma_n},
-applied as one real matrix, built at the first recovery by
-``dynamics._checked_map``, that also re-symmetrizes the state and returns
-the trace it lost for the leakage check.  A code is data: its t = 0 code
-words and recovery plus, for a rotating code, the diagonal of the frame
-generator that carries them along in time; its phase rate goes through
-``dynamics.in_frame`` like a model's, and so does every frame change of a
-recovery.  Stepwise corrected evolution and the continuous-recovery closed
-state are written once for both codes.  A stepwise interval is one
-``lindblad_evolve`` and one ``apply_recovery`` call, each one
-``ndarray.dot`` of the state's real row and a checked map, plus two
-in-place phases in a rotating frame (see ``_corrected_evolve``).
+applied as one checked real map that also re-symmetrizes the state and
+returns the trace it lost.  A code is data: its t = 0 code words and
+recovery plus, for a rotating code, the diagonal of the frame generator that
+carries them along in time, whose phase rate goes through
+``dynamics.in_frame`` like a model's.  Stepwise corrected evolution and the
+continuous-recovery closed state are written once for both codes; a static
+one takes 16 recovery intervals per ``ndarray.dot``, a rotating one two
+products and no public call per interval (``_corrected_evolve``).
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -24,10 +21,7 @@ together with the asymptotic information rate
 J = 4 t^2 Var(H_eff) - 4 t <L2>.  Each stage is a pure function that
 returns a frozen record: ``QecConditions``, then ``GeneralQecReport``, whose
 L2 is a ``dynamics.L2Action``, the one commutator-plus-Kraus form.
-``expansion_evolve`` steps the expansion with an RK4 step map built like
-``lindblad_evolve``'s, by ``dynamics._rk4_map`` and ``dynamics._checked_map``,
-through ``lindblad_evolve``'s loop ``dynamics._steps``, which checks the
-trace after every step.
+``expansion_evolve`` steps the expansion as ``lindblad_evolve`` steps a model.
 """
 
 from __future__ import annotations
@@ -38,16 +32,20 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
+    _BLOCK_STEPS,
     _TRACE_TOL,
     L2Action,
     LindbladModel,
     _COMPLEX,
     _FINITE,
     _REAL,
+    _block_map,
     _check_domain,
     _checked_map,
     _frame_rate,
+    _read_checks,
     _rk4_map,
+    _run,
     _steps,
     fixed_steps,
     in_frame,
@@ -62,7 +60,6 @@ from .errors import (
     DegenerateErrorSpaceError,
     DimensionError,
     DomainError,
-    LeakageError,
     NumericError,
     QecConditionError,
     StepError,
@@ -72,7 +69,7 @@ from .qmat import eye2, kron, sigma1
 
 _QEC_TOL = 1e-8  # residual of the error-correction conditions and of the Gram matrix
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
-_PHASE_ROWS = 256  # recovery intervals whose relative frame phases one np.exp computes
+_PHASE_ROWS = 64  # rotating intervals whose frame phases one np.exp computes and one read checks
 
 
 @dataclass(frozen=True)
@@ -85,13 +82,10 @@ class QecCode:
     None for a code that only states the error-correction conditions.
 
     Construction derives a rotating code's phase rate i (g_j - g_k).  The
-    first recovery derives what every later one would otherwise rebuild:
-    the t = 0 recovery (sum_k K x K*)^T, under which a row-major vectorised
-    state recovers as ``vec @ superop`` like a model's step map, kept as the
-    checked real map of ``dynamics._checked_map`` whose last column is the
-    trace lost.  A code that never recovers (a closed state, the
-    error-correction conditions) never builds it.  Replace a field with
-    ``dataclasses.replace``; an array changed in place leaves them stale.
+    first recovery builds ``_recovery_map``: the t = 0 recovery
+    (sum_k K x K*)^T as ``dynamics._checked_map``, whose last column is the
+    trace lost; a code that never recovers never builds it.  Replace a field
+    with ``dataclasses.replace``; an array changed in place leaves them stale.
     """
 
     c0: np.ndarray
@@ -184,36 +178,19 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
     """Apply the code's recovery channel at time t; fails on trace leakage.
 
     ``rho`` is one (d, d) state; any other shape is a DimensionError.  The
-    state enters the code's frame at t, recovers as one ``ndarray.dot`` of
-    its float64 row and the code's checked map, which re-symmetrizes it and
-    returns the trace it lost, and leaves the frame; a static code, or
-    t = 0, calls no ``in_frame``.  Trace loss above ``dynamics._TRACE_TOL``
-    means weight outside the code and its correctable error space.
+    state enters the code's frame at t (no ``in_frame`` call for a static
+    code or at t = 0) and recovers as one ``ndarray.dot`` of its float64 row
+    and ``_recovery_map``.  Trace loss above ``dynamics._TRACE_TOL`` means
+    weight outside the code and its correctable error space.
     """
     rho = np.ascontiguousarray(rho, dtype=_COMPLEX)  # copies only a real or strided state
     d, rate = code.c0.shape[0], code._rate
     if rho.shape != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
-    framed = rate is not None and t != 0
-    rho = in_frame(rho, rate, -t) if framed else rho
-    out = np.ndarray((1, 2 * d * d), _REAL, rho).dot(code._recovery_map)
-    loss = abs(out.item(-1))
-    if not loss <= _TRACE_TOL:  # a NaN loss fails too
-        raise LeakageError(f"recovery lost trace {loss:.3e}: error space not fully spanned")
-    out = np.ndarray((d, d), _COMPLEX, out)
-    return in_frame(out, rate, t) if framed else out
-
-
-def _recovery_intervals(t: float, dt: float, n_recoveries: int | None) -> tuple[int, float]:
-    if n_recoveries is None:
-        n_recoveries = fixed_steps(t, dt)
-    if not isinstance(n_recoveries, (int, np.integer)):
-        raise StepError(f"n_recoveries must be an integer, got {n_recoveries!r}")
-    if n_recoveries < 1:
-        raise StepError(f"n_recoveries must be >= 1, got {n_recoveries}")
-    interval = t / n_recoveries
-    fixed_steps(interval, dt)  # StepError unless dt divides the interval
-    return n_recoveries, interval
+    out = np.ndarray((1, 2 * d * d), _REAL, in_frame(rho, rate, -t)).dot(code._recovery_map)
+    if not abs(out.item(-1)) <= _TRACE_TOL:  # a NaN loss fails too
+        _read_checks(out[:, -1:], 0, 0)
+    return in_frame(np.ndarray((d, d), _COMPLEX, out), rate, t)
 
 
 def _corrected_evolve(
@@ -226,31 +203,52 @@ def _corrected_evolve(
     advance the frame by exp(+i G dt').  Converges first-order in the
     recovery interval to the continuous-recovery closed state.
 
-    The state is carried in the model's frame: each interval evolves from
-    t0 = 0 and leaves that frame with the phase the model keeps.  The
-    recovery sees the code's frame relative to the model's: the state enters
-    it at tau and leaves it at tau + dt', both in place, and recovers with
-    the code at t = 0, where no phase is taken.  One np.exp makes those
-    phases for ``_PHASE_ROWS`` intervals; the state leaves the model's frame
-    once, at the end.
+    An interval of s <= ``_BLOCK_STEPS`` steps is the s-step block map and
+    the recovery map, checked by s traces and the trace lost.  A static
+    pair takes 16 intervals per product of a ``_block_map`` in
+    ``dynamics._run``; a rotating one steps each from t0 = 0, leaves the
+    model's frame with its kept phase, enters the code's (relative to the
+    model's) at tau, recovers and leaves at tau + dt', with no call but in
+    ``lindblad_evolve`` and ``apply_recovery``'s arithmetic and order.  Its
+    two buffers are read once per ``_PHASE_ROWS`` intervals, whose phases
+    one np.exp makes (a shorter last table re-reads passed rows).  The rest
+    (n_rec % 16 static intervals, or all if s is larger) make those calls.
     """
-    n_rec, interval = _recovery_intervals(t, dt, n_recoveries)
-    rate = code._rate
-    if model._rate is not None:
-        rate = -model._rate if rate is None else rate - model._rate
-    rho = _outer(code_probe(code))  # at t = 0 the model's frame is the lab's
-    if rate is None:
-        for _ in range(n_rec):
-            rho = apply_recovery(code, lindblad_evolve(model, rho, interval, dt))
-        return rho
-    for start in range(0, n_rec, _PHASE_ROWS):
-        taus = np.arange(start, min(start + _PHASE_ROWS, n_rec) + 1) * interval
-        phases = np.exp(rate * taus[:, None, None])
-        for enter, leave in zip(phases[:-1], phases[1:]):
-            rho = lindblad_evolve(model, rho, interval, dt)
-            rho /= enter  # in place: both calls return arrays of their own
-            rho = apply_recovery(code, rho)
-            rho *= leave
+    n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
+    if not isinstance(n_rec, (int, np.integer)):
+        raise StepError(f"n_recoveries must be an integer, got {n_rec!r}")
+    if n_rec < 1:
+        raise StepError(f"n_recoveries must be >= 1, got {n_rec}")
+    interval = t / n_rec
+    s = fixed_steps(interval, dt)  # StepError unless dt divides the interval
+    rho, done, w = _outer(code_probe(code)), 0, 2 * code.c0.size**2
+    steps = _block_map(model._maps_at(dt), s) if 0 < s <= _BLOCK_STEPS else None
+    rate = code._rate if model._rate is None else -model._rate if code._rate is None else code._rate - model._rate
+    if steps is not None and rate is None and n_rec >= _BLOCK_STEPS:
+        done, stepped = n_rec - n_rec % _BLOCK_STEPS, steps[:, :w] @ code._recovery_map
+        unit = {1: np.column_stack([stepped[:, :w], steps[:, w:], stepped[:, w:]])}  # s traces, a loss
+        rho = _run(rho, _block_map(unit, _BLOCK_STEPS), done // _BLOCK_STEPS, s)
+    elif steps is not None and rate is not None:
+        recover, keep, rows = code._recovery_map, in_frame(1.0, model._rate, s * dt), min(n_rec, _PHASE_ROWS)
+        evolved, recovered = np.empty((rows, w + s)), np.empty((rows, w + 1))
+        xs, ys = (buf[:, :w].view(_COMPLEX).reshape(rows, *rho.shape) for buf in (evolved, recovered))
+        views, row = [*zip(evolved, xs, evolved[:, :w], recovered, ys, recovered[:, :w])], rho.view(_REAL).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n_rec, _PHASE_ROWS):
+                taus = np.arange(start, min(start + _PHASE_ROWS, n_rec) + 1) * interval
+                phases = np.exp(rate * taus[:, None, None])
+                for (out, x, x_row, rec, y, y_row), enter, leave in zip(views, phases[:-1], phases[1:]):
+                    row.dot(steps, out=out)
+                    x *= keep
+                    x /= enter
+                    x_row.dot(recover, out=rec)
+                    y *= leave
+                    row = y_row
+                _read_checks(np.column_stack([evolved[:, w:], recovered[:, w:]]), start * (s + 1), s)
+        return in_frame(row.copy().view(_COMPLEX).reshape(rho.shape), model._rate, n_rec * interval)
+    for k in range(done, n_rec):  # the code's frame entered and left relative to the model's, as above
+        rho = lindblad_evolve(model, rho, interval, dt) / in_frame(1.0, rate, k * interval)
+        rho = apply_recovery(code, rho) * in_frame(1.0, rate, (k + 1) * interval)
     return in_frame(rho, model._rate, n_rec * interval)
 
 
@@ -476,11 +474,9 @@ def expansion_evolve(
 
     The control Hamiltonian -P H P cancels the zeroth-order generator,
     leaving the detuning-driven dynamics only.  The equation is constant and
-    linear, so every RK4 step at ``dt`` is one checked map, built once per
-    call, which also re-symmetrizes the state, and ``dynamics._steps`` runs
-    the steps in blocks and checks the trace after each, as
-    ``lindblad_evolve`` does.  ``rho0`` is one (d, d) state; any other shape
-    is a DimensionError.
+    linear, so every RK4 step at ``dt`` is one checked map, built per call,
+    and ``dynamics._steps`` checks each, as in ``lindblad_evolve``.  ``rho0``
+    is one (d, d) state; any other shape is a DimensionError.
     """
     h = dx * report.l1_generator
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,24 @@ def test_one_state_in_one_block_names_the_step_that_drifts(gain, step) -> None:
     model._maps[0.01] = {1: dynamics._checked_map(lab, 4)}
     with pytest.raises(InstabilityError, match=f"^trace drifted by .* at step {step}$"):
         lindblad_evolve(model, bell_rho(), k * 0.01, dt=0.01)
+
+
+def test_a_long_run_names_a_drift_at_its_first_step_without_a_warning() -> None:
+    # A 4000-step run reads its blocks' traces once per chunk, so it steps
+    # on past a failed step: scaled by 1e3 at every step, the state
+    # overflows near step 100, inside the first chunk.  The error still
+    # names step 1, and no RuntimeWarning escapes with warnings as errors.
+    # A gain of 1 + 8.7e-10 fails inside a later block of a later chunk.
+    model = theta_model(B, GAMMA, 0.3)
+    lab = dynamics._rk4_map(model._generator, 4, 4e-3)
+    step = next(k for k in range(1, 4001) if abs((1 + 8.7e-10) ** k - 1.0) > 1e-6)
+    assert step > dynamics._CHUNK * dynamics._BLOCK_STEPS and step % dynamics._BLOCK_STEPS not in (0, 1)
+    for gain, message in ((1e3, "trace drifted by 9.990e[+]02 at step 1"), (1 + 8.7e-10, f"at step {step}")):
+        model._maps[4e-3] = {1: dynamics._checked_map(gain * lab, 4)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=f"{message}$"):
+                lindblad_evolve(model, bell_rho(), 16.0, dt=4e-3)
 
 
 def test_the_last_drift_case_fails_inside_a_later_block() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,30 @@ def test_qfi_fidelity_fd_corrected_family() -> None:
 
     got = qfi_fidelity_fd(family, np.pi / 4, delta=1e-4).value
     assert got == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("route", [qfi_sld_numeric, qfi_fidelity_fd])
+def test_a_step_whose_square_overflows_is_refused_by_name(route) -> None:
+    # A finite delta above about 1.3e154 once raised a bare OverflowError
+    # from delta**2; it is refused by name before the family is evaluated.
+    # A NaN or infinite delta still reaches the family, which names it.
+    calls = []
+
+    def family(th: float) -> np.ndarray:
+        calls.append(th)
+        return corrected_state_theta_closed(B, GAMMA, th, np.pi / 4, T)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (1e300, 1.4e154, -1.0, 0.0):
+            message = f"delta must be positive with a finite square, got {delta}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                route(family, 0.7, delta)
+        assert calls == []
+        for delta in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="^detuning must be finite"):
+                route(family, 0.7, delta)
+    assert route(family, 0.7, 1e-4).value > 0
 
 
 def test_qfi_fidelity_fd_rejects_superunital(monkeypatch: pytest.MonkeyPatch) -> None:

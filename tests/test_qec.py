@@ -494,6 +494,109 @@ def test_corrected_state_omega_closed_qfi() -> None:
 
 
 # ---------------------------------------------------------------------------
+# Fused and lean corrected evolutions against one call of each per interval
+# ---------------------------------------------------------------------------
+
+# (model, code, the path's block of intervals) per task: a static pair takes
+# 16 intervals per product, a rotating pair reads its checks once per table.
+_PAIRS = {
+    "theta": (lambda: (theta_model(0.1, 0.05, 0.85), theta_code(0.8)), _BLOCK_STEPS),
+    "omega": (lambda: (omega_model(0.3, 0.2, 1.4), omega_code(1.2)), qec._PHASE_ROWS),
+}
+
+
+def _per_interval(model, code, t: float, dt: float, n: int, witness=None):
+    # The corrected evolution as one lindblad_evolve and one apply_recovery
+    # call per interval, in the model's frame, entering and leaving the
+    # code's relative frame around each recovery: yields each interval's
+    # state, or, given a witness column, the witness of its recovery's input.
+    rate, interval = code._rate, t / n
+    if model._rate is not None:
+        rate = -model._rate if rate is None else rate - model._rate
+    rho = outer(code_probe(code))
+    for k in range(n):
+        rho = lindblad_evolve(model, rho, interval, dt)
+        if rate is not None:
+            rho = rho / np.exp(rate * (k * interval))
+        if witness is not None:
+            yield rho.reshape(1, 16).view(np.float64) @ witness
+        rho = apply_recovery(code, rho)
+        if rate is not None:
+            rho = rho * np.exp(rate * ((k + 1) * interval))
+        if witness is None:
+            yield rho if rate is None else in_frame(rho, model._rate, (k + 1) * interval)
+
+
+@pytest.mark.parametrize("s", [1, 2, 4, 5, 20])
+@pytest.mark.parametrize("task", ["theta", "omega"])
+def test_the_fused_and_lean_paths_match_one_call_of_each_per_interval(task, s) -> None:
+    # A static evolution of n intervals takes n // 16 fused products and
+    # n % 16 pairs of calls; a rotating one makes no call.  Both land within
+    # 1e-13 of the route of one call of each per interval, across block
+    # and table boundaries, and return exactly Hermitian states.  Intervals
+    # of 20 steps, more than one block, take that route themselves.
+    build, dt = _PAIRS[task][0], 1e-3
+    evolve = corrected_evolve_theta if task == "theta" else corrected_evolve_omega
+    args = (0.1, 0.05, 0.85, 0.8) if task == "theta" else (0.3, 0.2, 1.4, 1.2)
+    for n in (15, 16, 17, 33, 1000):
+        got = evolve(*args, n * s * dt, dt=dt, n_recoveries=n)
+        *_, want = _per_interval(*build(), n * s * dt, dt, n)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert _is_hermitian(got)
+
+
+def _failing_interval(intervals) -> tuple[int, str, type]:
+    # The interval, counted from 1, at which a per-interval route first
+    # raises, with the message and class it raises.
+    done = 0
+    with pytest.raises((InstabilityError, LeakageError)) as err:
+        for _ in intervals:
+            done += 1
+    return done + 1, str(err.value), err.type
+
+
+@pytest.mark.parametrize("kind", ["drift", "leakage"])
+@pytest.mark.parametrize("task", ["theta", "omega"])
+def test_a_forced_failure_inside_a_later_block_names_what_one_call_of_each_names(task, kind) -> None:
+    # Drift: the recovery's second Kraus operator, shrunk by eps, loses a
+    # little trace at each recovery until a step's trace has drifted by
+    # 1e-6.  Leakage: the recovery's lost-trace column also reads alpha
+    # times the code-word coherence Im <c0|rho|c1>, which the detuning
+    # grows, so one recovery's reading passes 1e-6 and the state is not
+    # touched.  A route of one call of each per interval finds the failing
+    # interval k, inside a later block and at no block boundary; the fused
+    # or lean path raises its class and message, and an evolution of k - 1
+    # intervals of the same length raises nothing.
+    (build, block), dt, s = _PAIRS[task], 1e-3, 5 if task == "theta" else 2
+    model, code = build()
+    n, target = 4 * block if task == "theta" else 2 * block, block + 5
+    if kind == "drift":
+        eps = 5.6e-5 if task == "theta" else 1.4e-5
+        code = dataclasses.replace(code, recovery=[code.recovery[0], (1 - eps) * code.recovery[1]])
+    else:
+        c0, c1 = code.basis()
+        z = np.outer(c0.conj(), c1).ravel()
+        coherence = np.column_stack([z.imag, z.real]).reshape(16 * 2, 1)  # Im <c0|rho|c1> of a float64 row
+        readings = np.abs(np.ravel(list(_per_interval(model, code, n * s * dt, dt, n, coherence))))
+        assert np.all(np.diff(readings) > 0)
+        alpha = 2e-6 / (readings[target - 2] + readings[target - 1])
+        leaky = code._recovery_map.copy()
+        leaky[:, -1:] += alpha * coherence
+        code = dataclasses.replace(code)
+        vars(code)["_recovery_map"] = leaky
+    k, message, error = _failing_interval(_per_interval(model, code, n * s * dt, dt, n))
+    assert k > block and k % block not in (0, 1)
+    if kind == "leakage":
+        assert k == target and error is LeakageError
+    else:
+        assert message.endswith("at step 1") and error is InstabilityError
+    with pytest.raises(error) as err:
+        qec._corrected_evolve(model, code, n * s * dt, dt, n)
+    assert str(err.value) == message
+    qec._corrected_evolve(model, code, (k - 1) * s * dt, dt, k - 1)
+
+
+# ---------------------------------------------------------------------------
 # Error-correction conditions
 # ---------------------------------------------------------------------------
 
