@@ -497,7 +497,7 @@ def test_corrected_state_omega_closed_qfi() -> None:
 # Fused and lean corrected evolutions against one call of each per interval
 # ---------------------------------------------------------------------------
 
-# (model, code, the path's block of intervals) per task: a static pair takes
+# (a builder of the model and code, the path's block of intervals) per task: a static pair takes
 # 16 intervals per product, a rotating pair reads its checks once per table.
 _PAIRS = {
     "theta": (lambda: (theta_model(0.1, 0.05, 0.85), theta_code(0.8)), _BLOCK_STEPS),
