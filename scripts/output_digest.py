@@ -52,6 +52,13 @@ ROUTES = {
     "lindblad_evolve omega t0=0.4": (
         "dynamics.lindblad_evolve(dynamics.omega_model(0.1, 0.05, 0.3), bell(), 1.0, dt=0.01, t0=0.4)"
     ),
+    # From t0 = 0: 100 steps, and 5 steps in one block.
+    "lindblad_evolve omega t0=0": (
+        "dynamics.lindblad_evolve(dynamics.omega_model(0.1, 0.05, 0.3), bell(), 1.0, dt=0.01)"
+    ),
+    "lindblad_evolve omega one block": (
+        "dynamics.lindblad_evolve(dynamics.omega_model(0.1, 0.05, 0.3), bell(), 0.05, dt=0.01)"
+    ),
     "lindblad_evolve state by state": (
         "np.stack([dynamics.lindblad_evolve(theta_model(), rho, 0.5) for rho in states()])"
     ),
@@ -62,7 +69,8 @@ ROUTES = {
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)"
     ),
     # A static run whose last 1007 % 16 intervals are one call of each, criterion 5's
-    # intervals of four steps, and a rotating run of five-step intervals.
+    # intervals of four steps, a rotating run of five-step intervals, and one of
+    # 20-step intervals, which are one call of each.
     "corrected_evolve_theta 1007 intervals": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.035, dt=5e-3, n_recoveries=1007)"
     ),
@@ -71,6 +79,9 @@ ROUTES = {
     ),
     "corrected_evolve_omega 5 steps": (
         "qec.corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=0.01, n_recoveries=20)"
+    ),
+    "corrected_evolve_omega 20 steps": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=100)"
     ),
     "corrected_state_theta_closed": (
         "qec.corrected_state_theta_closed(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0)"

@@ -128,10 +128,9 @@ class LindbladModel:
     ``frame`` are the keys of a model file.
 
     Construction derives a framed model's phase rate i (g_j - g_k); the map
-    cache fills as the model evolves: dt -> {k: checked map of k steps, -k:
-    the phase that leaves the frame after k steps from t0 = 0}.  Replace a
-    field with ``dataclasses.replace``; an array changed in place leaves
-    them stale.
+    cache fills as the model evolves: dt -> {k: checked map of k steps}.
+    Replace a field with ``dataclasses.replace``; an array changed in place
+    leaves them stale.
     """
 
     dim: int
@@ -331,11 +330,12 @@ def lindblad_evolve(
     """Evolve ``rho0`` for duration ``t`` starting at absolute time ``t0``.
 
     RK4 at fixed step ``dt`` in the model's frame, through :func:`_steps`:
-    the state enters it at t0 and leaves it at the end, with no
-    :func:`in_frame` call at t0 = 0, where the exit phase is kept with the
-    step maps, or for a static model.  ``rho0`` is one (d, d) state; any
-    other shape is a DimensionError.  A zero duration returns a copy.
+    the state enters it by :func:`in_frame` at t0 and leaves it the same
+    way at the end.  A non-finite t0 is a DomainError for every model.
+    ``rho0`` is one (d, d) state; any other shape is a DimensionError.  A
+    zero duration returns a copy.
     """
+    _check_domain("frame time", t0, _FINITE)
     n_steps = fixed_steps(t, dt)
     rho = np.ascontiguousarray(rho0, dtype=_COMPLEX)
     d, rate = model.dim, model._rate
@@ -343,13 +343,8 @@ def lindblad_evolve(
         raise DimensionError(f"state shape {rho.shape} does not match model dim {d}")
     if n_steps == 0:
         return rho.copy()
-    maps, framed = model._maps_at(dt), rate is not None and t0 != 0
-    out = _steps(in_frame(rho, rate, -t0) if framed else rho, maps, n_steps)
-    if rate is None or framed:
-        return in_frame(out, rate, t0 + n_steps * dt) if framed else out
-    if -n_steps not in maps:  # from t0 = 0 a framed model leaves with this phase
-        maps[-n_steps] = in_frame(1.0, rate, n_steps * dt)
-    return out * maps[-n_steps]
+    out = _steps(in_frame(rho, rate, -t0), model._maps_at(dt), n_steps)
+    return in_frame(out, rate, t0 + n_steps * dt)
 
 
 def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
@@ -364,7 +359,7 @@ def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.nda
         out = _run(rho, _block_map(maps, _BLOCK_STEPS), done // _BLOCK_STEPS, n_steps)
     while done < n_steps:
         k = min(_BLOCK_STEPS, n_steps - done)
-        out = np.ndarray((width,), _REAL, out).dot(maps[k] if k in maps else _block_map(maps, k))
+        out = np.ndarray((width,), _REAL, out).dot(_block_map(maps, k))
         for j in range(width, width + k):  # the trace after each step of the block
             if not abs(out.item(j) - 1.0) <= _TRACE_TOL:  # a NaN drift fails too
                 _read_checks(out[None, width:], done, n_steps)

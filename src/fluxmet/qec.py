@@ -11,7 +11,7 @@ carries them along in time, whose phase rate goes through
 ``dynamics.in_frame`` like a model's.  Stepwise corrected evolution and the
 continuous-recovery closed state are written once for both codes; a static
 one takes 16 recovery intervals per ``ndarray.dot``, a rotating one two
-products and no public call per interval (``_corrected_evolve``).
+products per interval, its phases read off tables (``_corrected_evolve``).
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -33,6 +33,7 @@ import numpy as np
 
 from .dynamics import (
     _BLOCK_STEPS,
+    _CHUNK,
     _TRACE_TOL,
     L2Action,
     LindbladModel,
@@ -69,7 +70,6 @@ from .qmat import eye2, kron, sigma1
 
 _QEC_TOL = 1e-8  # residual of the error-correction conditions and of the Gram matrix
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
-_PHASE_ROWS = 64  # rotating intervals whose frame phases one np.exp computes and one read checks
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,13 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel at time t; fails on trace leakage.
 
-    ``rho`` is one (d, d) state; any other shape is a DimensionError.  The
-    state enters the code's frame at t (no ``in_frame`` call for a static
-    code or at t = 0) and recovers as one ``ndarray.dot`` of its float64 row
-    and ``_recovery_map``.  Trace loss above ``dynamics._TRACE_TOL`` means
-    weight outside the code and its correctable error space.
+    ``rho`` is one (d, d) state; any other shape is a DimensionError, and a
+    non-finite t is a DomainError.  The state enters the code's frame at t
+    through ``in_frame`` and recovers as one ``ndarray.dot`` of its float64
+    row and ``_recovery_map``.  Trace loss above ``dynamics._TRACE_TOL``
+    means weight outside the code and its correctable error space.
     """
+    _check_domain("frame time", t, _FINITE)
     rho = np.ascontiguousarray(rho, dtype=_COMPLEX)  # copies only a real or strided state
     d, rate = code.c0.shape[0], code._rate
     if rho.shape != (d, d):
@@ -207,11 +208,11 @@ def _corrected_evolve(
     the recovery map, checked by s traces and the trace lost.  A static
     pair takes 16 intervals per product of a ``_block_map`` in
     ``dynamics._run``; a rotating one steps each from t0 = 0, leaves the
-    model's frame with its kept phase, enters the code's (relative to the
-    model's) at tau, recovers and leaves at tau + dt', with no call but in
+    model's frame at s dt, enters the code's (relative to the model's) at
+    tau, recovers and leaves at tau + dt', with no call but in
     ``lindblad_evolve`` and ``apply_recovery``'s arithmetic and order.  Its
-    two buffers are read once per ``_PHASE_ROWS`` intervals, whose phases
-    one np.exp makes (a shorter last table re-reads passed rows).  The rest
+    two buffers are read once per ``_CHUNK`` intervals, whose phases one
+    np.exp makes (a shorter last table re-reads passed rows).  The rest
     (n_rec % 16 static intervals, or all if s is larger) make those calls.
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
@@ -229,23 +230,23 @@ def _corrected_evolve(
         unit = {1: np.column_stack([stepped[:, :w], steps[:, w:], stepped[:, w:]])}  # s traces, a loss
         rho = _run(rho, _block_map(unit, _BLOCK_STEPS), done // _BLOCK_STEPS, s)
     elif steps is not None and rate is not None:
-        recover, keep, rows = code._recovery_map, in_frame(1.0, model._rate, s * dt), min(n_rec, _PHASE_ROWS)
+        recover, model_exit, rows = code._recovery_map, in_frame(1.0, model._rate, s * dt), min(n_rec, _CHUNK)
         evolved, recovered = np.empty((rows, w + s)), np.empty((rows, w + 1))
         xs, ys = (buf[:, :w].view(_COMPLEX).reshape(rows, *rho.shape) for buf in (evolved, recovered))
         views, row = [*zip(evolved, xs, evolved[:, :w], recovered, ys, recovered[:, :w])], rho.view(_REAL).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n_rec, _PHASE_ROWS):
-                taus = np.arange(start, min(start + _PHASE_ROWS, n_rec) + 1) * interval
+            for start in range(0, n_rec, _CHUNK):
+                taus = np.arange(start, min(start + _CHUNK, n_rec) + 1) * interval
                 phases = np.exp(rate * taus[:, None, None])
                 for (out, x, x_row, rec, y, y_row), enter, leave in zip(views, phases[:-1], phases[1:]):
                     row.dot(steps, out=out)
-                    x *= keep
+                    x *= model_exit
                     x /= enter
                     x_row.dot(recover, out=rec)
                     y *= leave
                     row = y_row
                 _read_checks(np.column_stack([evolved[:, w:], recovered[:, w:]]), start * (s + 1), s)
-        return in_frame(row.copy().view(_COMPLEX).reshape(rho.shape), model._rate, n_rec * interval)
+        rho, done = row.copy().view(_COMPLEX).reshape(rho.shape), n_rec
     for k in range(done, n_rec):  # the code's frame entered and left relative to the model's, as above
         rho = lindblad_evolve(model, rho, interval, dt) / in_frame(1.0, rate, k * interval)
         rho = apply_recovery(code, rho) * in_frame(1.0, rate, (k + 1) * interval)

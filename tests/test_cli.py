@@ -454,12 +454,50 @@ def test_cmd_adapt_rejects_negative_seed(
     assert list(tmp_path.glob("camp*")) == []
 
 
-def test_fluxmet_seed_must_be_integer(tmp_path, monkeypatch, capsys) -> None:
-    config = _adapt_config(tmp_path)
-    monkeypatch.setenv("FLUXMET_SEED", "lots")
-    code = cli.main(["adapt", "theta", "--config", config, "--out", str(tmp_path / "c.csv")])
-    assert code == 2
-    assert "FLUXMET_SEED" in capsys.readouterr().err
+def _adapt_rows(tmp_path, monkeypatch, env: str | None, flags=()) -> np.ndarray:
+    # The rows one `adapt theta` run writes, under FLUXMET_SEED=env (unset for
+    # None), from a guess off the truth so that the draws move the estimates.
+    if env is None:
+        monkeypatch.delenv("FLUXMET_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FLUXMET_SEED", env)
+    config, out = _adapt_config(tmp_path, initial_guess=0.3), str(tmp_path / "camp.csv")
+    assert cli.main(["adapt", "theta", "--config", config, "--out", out, *flags]) == 0
+    return read_csv(str(tmp_path / "camp.qec_corrected.csv")).rows
+
+
+def test_fluxmet_seed_seeds_the_draws_when_no_flag_is_given(tmp_path, monkeypatch) -> None:
+    # The environment's seed, not the config's 5, drives the campaign: its
+    # rows are those of --seed 9, and not those of the config's seed.
+    flagged = _adapt_rows(tmp_path, monkeypatch, None, ["--seed", "9"])
+    assert np.array_equal(_adapt_rows(tmp_path, monkeypatch, "9"), flagged)
+    assert not np.array_equal(_adapt_rows(tmp_path, monkeypatch, None), flagged)
+
+
+@pytest.mark.parametrize("env", ["9", "lots"])
+def test_the_seed_flag_overrides_fluxmet_seed(tmp_path, monkeypatch, env) -> None:
+    # With --seed given the environment is never read, so even a value that
+    # is not an integer leaves the run as --seed alone makes it.
+    flagged = _adapt_rows(tmp_path, monkeypatch, None, ["--seed", "3"])
+    assert np.array_equal(_adapt_rows(tmp_path, monkeypatch, env, ["--seed", "3"]), flagged)
+
+
+@pytest.mark.parametrize(
+    "env, message",
+    [
+        ("lots", "FLUXMET_SEED must be an integer, got 'lots'"),
+        ("1.5", "FLUXMET_SEED must be an integer, got '1.5'"),
+        ("", "FLUXMET_SEED must be an integer, got ''"),
+        ("-2", "seed must be >= 0, got -2"),
+    ],
+)
+def test_a_bad_fluxmet_seed_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, env, message) -> None:
+    monkeypatch.setattr(cli, "campaign_estimates", lambda *a, **k: pytest.fail("a campaign ran"))
+    monkeypatch.setenv("FLUXMET_SEED", env)
+    out = str(tmp_path / "camp.csv")
+    assert cli.main(["adapt", "theta", "--config", _adapt_config(tmp_path), "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("camp*")) == []
 
 
 def test_a_repeated_strategy_is_refused_before_any_draw(tmp_path, monkeypatch) -> None:

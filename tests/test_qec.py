@@ -183,11 +183,12 @@ def test_apply_recovery_refuses_a_non_finite_state(value) -> None:
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
-def test_apply_recovery_refuses_a_non_finite_time_on_a_rotating_code(t) -> None:
-    # A bad input, not leakage (the CLI's exit 3): the frame change refuses it.
-    code = omega_code(1.2)
-    with pytest.raises(DomainError, match="frame time must be finite"):
-        apply_recovery(code, outer(code_probe(code)), t)
+def test_apply_recovery_refuses_a_non_finite_time(t) -> None:
+    # A bad input, not leakage (the CLI's exit 3): a static or a rotating
+    # code refuses the time it was given, sign and all.
+    for code in (theta_code(0.3), omega_code(1.2)):
+        with pytest.raises(DomainError, match=f"^frame time must be finite, got {t}$"):
+            apply_recovery(code, outer(code_probe(code)), t)
 
 
 _CONSTRUCTORS = {
@@ -460,15 +461,15 @@ def test_corrected_evolve_omega_converges_first_order() -> None:
 
 def test_a_rotating_corrected_evolution_calls_exp_once_per_phase_table(monkeypatch) -> None:
     # Every interval evolves from t0 = 0 and leaves the model's frame with
-    # the phase the model keeps, so np.exp runs once per _PHASE_ROWS
+    # one phase made before the loop, so np.exp runs once per _CHUNK
     # intervals, not once per interval, plus six times in all: the probe,
-    # two RK4 stage times and the frame of the step map, the kept exit
-    # phase and the final exit.
+    # two RK4 stage times and the frame of the step map, that exit phase
+    # and the final exit.
     n, calls = 2000, []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
     corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=1.0 / n, n_recoveries=n)
-    assert len(calls) <= -(-n // qec._PHASE_ROWS) + 6
+    assert len(calls) <= -(-n // qec._CHUNK) + 6
 
 
 def test_corrected_state_omega_closed_structure() -> None:
@@ -501,7 +502,7 @@ def test_corrected_state_omega_closed_qfi() -> None:
 # 16 intervals per product, a rotating pair reads its checks once per table.
 _PAIRS = {
     "theta": (lambda: (theta_model(0.1, 0.05, 0.85), theta_code(0.8)), _BLOCK_STEPS),
-    "omega": (lambda: (omega_model(0.3, 0.2, 1.4), omega_code(1.2)), qec._PHASE_ROWS),
+    "omega": (lambda: (omega_model(0.3, 0.2, 1.4), omega_code(1.2)), qec._CHUNK),
 }
 
 

@@ -37,9 +37,10 @@ from fluxmet.estimation import (
 # one cache of step and block maps replaced, the CLI's copy of the
 # campaign's information rule, the stacked-row views that a batch going
 # state by state no longer needed, the batch loop itself, since each
-# state map takes one state, and the frequency coherence's public wrappers,
-# whose formulas OMEGA_COHERENCE holds as THETA_COHERENCE holds its own.  A dotted name is an attribute of a
-# module-level name.
+# state map takes one state, the frequency coherence's public wrappers,
+# whose formulas OMEGA_COHERENCE holds as THETA_COHERENCE holds its own, and
+# the rotating phase-table rows that dynamics._CHUNK already counts.  A
+# dotted name is an attribute of a module-level name.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -67,7 +68,7 @@ _REMOVED_NAMES = {
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
     "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace"),
     "fluxmet.errors": ("NonIsotropicError",),
-    "fluxmet.qec": ("QecCode._recovery_pairs",),
+    "fluxmet.qec": ("QecCode._recovery_pairs", "_PHASE_ROWS"),
 }
 
 # Tolerance keywords that were only ever called with their default,
