@@ -23,8 +23,10 @@ BENCHMARK.json is read, never written.
 
 ``--micro`` also times the layers ``numeric_route`` spends its time in, the
 cases of ``MICRO``: one static and one rotating recovery interval (a whole
-corrected evolution in that workload's shape, per interval), one static
-interval of four steps (criterion 5's shape), one 4000-step free evolution, and the two calls of each interval apart: one
+corrected evolution in that workload's shape, per interval), one static and
+one rotating interval of four steps (criterion 5's shape), one rotating
+interval at zero detuning (the centre point of the workload's frequency
+family), one 4000-step free evolution, and the two calls of each interval apart: one
 single-state ``lindblad_evolve`` step and one ``apply_recovery``, on the
 rotating model and code and (``_static``) on the static ones, each per
 call of 1000 on a model or code built in the expression and on a complex
@@ -36,12 +38,17 @@ alternating between the two workers, the parent first in even rounds, so
 that a change in the machine's speed reaches both sides of a pair alike.
 Each side reports its fastest call, the one least disturbed by the rest of
 the machine; the rounds go into ``micro_us`` with each side's median and
-quartiles and ``change_wins`` (lower is better).
+quartiles, ``change_wins`` (lower is better) and the median of the rounds'
+change/parent ratios.  ``micro_side_by_side_us`` then holds the same cases
+timed with both trees in one worker process, the parent's package imported
+as ``fluxmet_parent``, in ``2 * PAIRS + 1`` alternating rounds: a drift of
+the machine's speed between two processes cannot favour either side there.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -68,6 +75,12 @@ MICRO = {
     ),
     "interval_rotating": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000
+    ),
+    "interval_rotating_4_steps": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.3, 0.25, 5.0, dt=2.5e-3, n_recoveries=500)", 500
+    ),
+    "interval_rotating_centre": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.25, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000
     ),
     "free_4000_steps": (
         "dynamics.lindblad_evolve(dynamics.theta_model(0.1, 0.05, 0.8), np.full((4, 4), 0.25), 16.0, dt=4e-3)", 1
@@ -226,6 +239,24 @@ def micro_round(trees: dict[str, Path], order: tuple[str, str]) -> dict[str, dic
             worker.communicate()  # closes its stdin, which ends its loop
 
 
+def _micro_cases(us: dict[str, dict[str, list[float]]]) -> dict:
+    """Per ``MICRO`` case, from each side's microseconds per unit in each round: quartiles and wins
+    (lower is better), and the median of the rounds' change/parent ratios."""
+    cases = {}
+    for name, (expr, units) in MICRO.items():
+        parent, change = us["parent"][name], us["change"][name]
+        cases[name] = {
+            "expression": expr,
+            "per": units,
+            "parent": _quartiles(parent),
+            "change": _quartiles(change),
+            "change_wins": f"{sum(c < p for p, c in zip(parent, change))}/{len(parent)}",
+            "median_ratio": round(statistics.median(c / p for p, c in zip(parent, change)), 4),
+            "runs": {side: [round(v, 4) for v in vs[name]] for side, vs in us.items()},
+        }
+    return cases
+
+
 def micro(trees: dict[str, Path]) -> dict:
     """The ``micro_us`` entry: ``PAIRS`` rounds of :func:`micro_round`, the parent first in even ones."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -233,19 +264,71 @@ def micro(trees: dict[str, Path]) -> dict:
         best = micro_round(trees, ("parent", "change") if k % 2 == 0 else ("change", "parent"))
         for side, times in best.items():
             runs[side].append(times)
-    cases = {}
-    for name, (expr, units) in MICRO.items():
-        us = {side: [r[name] for r in rs] for side, rs in runs.items()}
-        wins = sum(c < p for p, c in zip(us["parent"], us["change"]))
-        cases[name] = {
-            "expression": expr,
-            "per": units,
-            "parent": _quartiles(us["parent"]),
-            "change": _quartiles(us["change"]),
-            "change_wins": f"{wins}/{PAIRS}",
-            "runs": {side: [round(v, 4) for v in vs] for side, vs in us.items()},
-        }
-    return {"rounds": PAIRS, "repeats": MICRO_REPEATS, "cases": cases}
+    us = {side: {name: [r[name] for r in rs] for name in MICRO} for side, rs in runs.items()}
+    return {"rounds": PAIRS, "repeats": MICRO_REPEATS, "cases": _micro_cases(us)}
+
+
+def side_by_side_worker(parent_src: str) -> None:
+    """Time the cases of the stdin JSON with both trees' packages in this one process; print the times as JSON.
+
+    ``fluxmet`` is the change's, from ``PYTHONPATH``; the parent's, in ``parent_src``, is imported as
+    ``fluxmet_parent``.  The JSON holds ``cases`` (in ``MICRO``'s layout), ``rounds`` and ``repeats``.
+    Every case is called once per side to warm up.  In each round every case is called ``repeats``
+    times per side, the calls alternating between the sides, the parent first in even rounds, and each
+    side keeps its fastest call: ``{side: {case: [microseconds per unit, one per round]}}``.
+    """
+    import time
+
+    import numpy as np
+
+    init = Path(parent_src) / "fluxmet" / "__init__.py"
+    spec = importlib.util.spec_from_file_location("fluxmet_parent", init, submodule_search_locations=[str(init.parent)])
+    sys.modules["fluxmet_parent"] = parent = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parent)
+    import fluxmet_parent.dynamics
+    import fluxmet_parent.qec
+    from fluxmet import dynamics, qec
+
+    if Path(dynamics.__file__).resolve().is_relative_to(Path(parent_src).resolve()):
+        raise SystemExit(f"fluxmet imported from {dynamics.__file__}, the parent's tree")
+    job = json.loads(sys.stdin.read())
+    scopes = {"parent": {"np": np, "dynamics": fluxmet_parent.dynamics, "qec": fluxmet_parent.qec},
+              "change": {"np": np, "dynamics": dynamics, "qec": qec}}
+    cases = {name: (compile(expr, name, "eval"), units) for name, (expr, units) in job["cases"].items()}
+    for code, _ in cases.values():
+        for scope in scopes.values():
+            eval(code, scope)  # warm-up: first-use allocations
+    us: dict[str, dict[str, list[float]]] = {side: {name: [] for name in cases} for side in scopes}
+    for k in range(job["rounds"]):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for name, (code, units) in cases.items():
+            best = dict.fromkeys(order, float("inf"))
+            for _ in range(job["repeats"]):
+                for side in order:
+                    start = time.perf_counter()
+                    eval(code, scopes[side])
+                    best[side] = min(best[side], time.perf_counter() - start)
+            for side in order:
+                us[side][name].append(best[side] * 1e6 / units)
+    print(json.dumps(us))
+
+
+def side_by_side(trees: dict[str, Path]) -> dict:
+    """The ``micro_side_by_side_us`` entry: ``2 * PAIRS + 1`` rounds of :func:`side_by_side_worker`.
+
+    Both trees run in one process, with BLAS threads pinned to 1, so that the machine's drift between
+    processes, which the per-tree workers of ``micro_us`` see, reaches both sides of a round alike.
+    """
+    rounds = 2 * PAIRS + 1
+    env = dict(os.environ, PYTHONPATH=str(trees["change"] / "src"), PYTHONDONTWRITEBYTECODE="1")
+    job = json.dumps({"cases": MICRO, "rounds": rounds, "repeats": MICRO_REPEATS})
+    cmd = [sys.executable, str(SCRIPT), "--side-by-side-worker", str(trees["parent"] / "src")]
+    done = subprocess.run(cmd, input=job, env=env | dict.fromkeys(THREAD_VARS, "1"), capture_output=True,
+                          text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"side-by-side timings exited {done.returncode}:\n{done.stderr}")
+    return {"how": "both packages in one process, the parent's imported as fluxmet_parent", "rounds": rounds,
+            "repeats": MICRO_REPEATS, "cases": _micro_cases(json.loads(done.stdout))}
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -265,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--micro-worker"]:
         micro_worker(argv[1])
+        return 0
+    if argv[:1] == ["--side-by-side-worker"]:
+        side_by_side_worker(argv[1])
         return 0
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -290,13 +376,15 @@ def main(argv: list[str] | None = None) -> int:
                       f"(worse by {m['relative_worsening']:+.4f}, bound {m['bound']}), "
                       f"change wins {m['change_wins']}")
         if args.micro:
-            entry = micro(trees)
-            doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-            doc["micro_us"] = entry
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
-            for name, case in entry["cases"].items():
-                print(f"micro {name}: {case['parent']['median']} -> {case['change']['median']} us, "
-                      f"change wins {case['change_wins']}")
+            for label, key, timings in (("micro", "micro_us", micro),
+                                        ("micro side by side", "micro_side_by_side_us", side_by_side)):
+                entry = timings(trees)
+                doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+                doc[key] = entry
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+                for name, case in entry["cases"].items():
+                    print(f"{label} {name}: {case['parent']['median']} -> {case['change']['median']} us, "
+                          f"change wins {case['change_wins']}, median ratio {case['median_ratio']}")
     return 0
 
 

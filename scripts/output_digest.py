@@ -69,13 +69,20 @@ ROUTES = {
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)"
     ),
     # A static run whose last 1007 % 16 intervals are one call of each, criterion 5's
-    # intervals of four steps, a rotating run of five-step intervals, and one of
-    # 20-step intervals, which are one call of each.
+    # intervals of four steps (static and rotating), a rotating run at zero detuning,
+    # whose intervals are one unit each, one of five-step intervals, and one of 20-step
+    # intervals, which are one call of each.
     "corrected_evolve_theta 1007 intervals": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.035, dt=5e-3, n_recoveries=1007)"
     ),
     "corrected_evolve_theta 4 steps": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.05, np.pi / 4, 5.0, dt=2.5e-3, n_recoveries=500)"
+    ),
+    "corrected_evolve_omega 4 steps": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.3, 0.25, 5.0, dt=2.5e-3, n_recoveries=500)"
+    ),
+    "corrected_evolve_omega zero detuning": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.25, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)"
     ),
     "corrected_evolve_omega 5 steps": (
         "qec.corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=0.01, n_recoveries=20)"

@@ -29,6 +29,7 @@ Every refusal of a duration, rate, field, angle or frequency is :func:`_check_do
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -367,19 +368,22 @@ def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.nda
     return np.ndarray(rho.shape, _COMPLEX, out)
 
 
-def _run(rho: np.ndarray, block: np.ndarray, n: int, s: int) -> np.ndarray:
-    """``n`` products of a (d, d) state's float64 row with a :func:`_block_map`, a new state.
-
-    Each product goes by ``ndarray.dot`` into a row of a ``_CHUNK``-row buffer, whose checks
-    :func:`_read_checks` reads after the chunk: a failing run goes on to its chunk's end.
-    """
-    row, w, buf = rho.view(_REAL).ravel(), 2 * rho.size, np.empty((min(n, _CHUNK), block.shape[1]))
+def _run(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> np.ndarray:
+    """``n`` products of a (d, d) state's float64 row with a (w, w + c) checked map, or, given ``weights``, with
+    the stack ``maps`` weighted by the (m, q) ``weights(k, m)`` for m products from k, made per chunk.  Each goes
+    by ``ndarray.dot`` into a row of a ``_CHUNK``-row buffer, whose checks :func:`_read_checks` reads after the
+    chunk: a failing run goes on to its chunk's end."""
+    row, w, buf = rho.view(_REAL).ravel(), 2 * rho.size, np.empty((min(n, _CHUNK), maps.shape[-1]))
+    tables = repeat(maps) if weights is None else np.empty((len(buf), *maps.shape[1:]))  # reused: no page faults
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, _CHUNK):
-            for out in buf[: n - first]:
+            m = min(_CHUNK, n - first)
+            if weights is not None:
+                np.matmul(weights(first, m), maps.reshape(len(maps), -1), out=tables[:m].reshape(m, -1))
+            for out, block in zip(buf[:m], tables):
                 row.dot(block, out=out)
                 row = out[:w]
-            _read_checks(buf[: n - first, w:], first * (block.shape[1] - w), s)
+            _read_checks(buf[:m, w:], first * (buf.shape[1] - w), s)
     return row.copy().view(_COMPLEX).reshape(rho.shape)
 
 

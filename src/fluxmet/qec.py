@@ -9,9 +9,8 @@ returns the trace it lost.  A code is data: its t = 0 code words and
 recovery plus, for a rotating code, the diagonal of the frame generator that
 carries them along in time, whose phase rate goes through
 ``dynamics.in_frame`` like a model's.  Stepwise corrected evolution and the
-continuous-recovery closed state are written once for both codes; a static
-one takes 16 recovery intervals per ``ndarray.dot``, a rotating one two
-products per interval, its phases read off tables (``_corrected_evolve``).
+continuous-recovery closed state are written once for both codes; the former
+makes one ``ndarray.dot`` per 16 static intervals or per rotating one.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -101,9 +100,10 @@ class QecCode:
     def _recovery_map(self) -> np.ndarray:
         if self.recovery is None:
             raise ConfigError("code has no recovery Kraus set")
-        d = self.c0.shape[0]
-        superop = sum((np.kron(k, k.conj()) for k in self.recovery), np.zeros((d * d, d * d))).T
-        return _checked_map(superop, d, minus_input_trace=True)
+        n = self.c0.shape[0] ** 2
+        krons = ((k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(n, n) for k in self.recovery)
+        superop = sum(krons, np.zeros((n, n))).T  # np.kron(k, k*) bit for bit, without its overhead
+        return _checked_map(superop, self.c0.shape[0], minus_input_trace=True)
 
     def basis(self, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         if self.frame_generator is None:
@@ -145,7 +145,7 @@ def theta_code(theta_hat: float) -> QecCode:
     plus = np.array([-np.cos(half), np.sin(half)], dtype=complex)
     minus = np.array([np.sin(half), np.cos(half)], dtype=complex)
     noise = kron(sigma_n_theta(theta_hat), eye2)
-    return _noise_code(np.kron(plus, plus), np.kron(minus, minus), noise)
+    return _noise_code((plus[:, None] * plus).ravel(), (minus[:, None] * minus).ravel(), noise)
 
 
 def omega_code(omega_hat: float) -> QecCode:
@@ -160,12 +160,8 @@ def omega_code(omega_hat: float) -> QecCode:
     minus0 = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
-    return _noise_code(
-        np.kron(plus0, e0),
-        np.kron(minus0, e1),
-        kron(sigma1, eye2),
-        frame=rotating_frame(omega_hat),
-    )
+    words = (plus0[:, None] * e0).ravel(), (minus0[:, None] * e1).ravel()  # np.kron's products
+    return _noise_code(*words, kron(sigma1, eye2), frame=rotating_frame(omega_hat))
 
 
 def code_probe(code: QecCode) -> np.ndarray:
@@ -199,21 +195,14 @@ def _corrected_evolve(
 ) -> np.ndarray:
     """Stepwise evolve-and-recover dynamics from the code-word superposition probe.
 
-    Per interval [tau, tau+dt'] of t/n_recoveries: evolve under the master
-    equation, recover with the code frozen at tau and, for a rotating code,
-    advance the frame by exp(+i G dt').  Converges first-order in the
-    recovery interval to the continuous-recovery closed state.
+    Per interval [tau, tau+dt'] of t/n_recoveries: evolve under the master equation, recover with the code
+    frozen at tau and, for a rotating code, advance the frame by exp(+i G dt').  Converges first-order in
+    the recovery interval to the continuous-recovery closed state.
 
-    An interval of s <= ``_BLOCK_STEPS`` steps is the s-step block map and
-    the recovery map, checked by s traces and the trace lost.  A static
-    pair takes 16 intervals per product of a ``_block_map`` in
-    ``dynamics._run``; a rotating one steps each from t0 = 0, leaves the
-    model's frame at s dt, enters the code's (relative to the model's) at
-    tau, recovers and leaves at tau + dt', with no call but in
-    ``lindblad_evolve`` and ``apply_recovery``'s arithmetic and order.  Its
-    two buffers are read once per ``_CHUNK`` intervals, whose phases one
-    np.exp makes (a shorter last table re-reads passed rows).  The rest
-    (n_rec % 16 static intervals, or all if s is larger) make those calls.
+    An interval of s <= ``_BLOCK_STEPS`` steps is one checked map (:func:`_interval_maps`) that
+    ``dynamics._run`` applies.  Where the code's frame does not turn against the model's, every interval
+    is one unit and 16 go per product; the last n_rec % 16, and all intervals of more steps, make one
+    ``lindblad_evolve`` and one ``apply_recovery`` call each.  Else each map is :func:`_interval_polynomial`'s.
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
     if not isinstance(n_rec, (int, np.integer)):
@@ -222,35 +211,47 @@ def _corrected_evolve(
         raise StepError(f"n_recoveries must be >= 1, got {n_rec}")
     interval = t / n_rec
     s = fixed_steps(interval, dt)  # StepError unless dt divides the interval
-    rho, done, w = _outer(code_probe(code)), 0, 2 * code.c0.size**2
+    rho, done = _outer(code_probe(code)), 0
     steps = _block_map(model._maps_at(dt), s) if 0 < s <= _BLOCK_STEPS else None
     rate = code._rate if model._rate is None else -model._rate if code._rate is None else code._rate - model._rate
-    if steps is not None and rate is None and n_rec >= _BLOCK_STEPS:
-        done, stepped = n_rec - n_rec % _BLOCK_STEPS, steps[:, :w] @ code._recovery_map
-        unit = {1: np.column_stack([stepped[:, :w], steps[:, w:], stepped[:, w:]])}  # s traces, a loss
+    model_exit, turning = np.ravel(in_frame(1.0, model._rate, s * dt)), rate is not None and rate.any()
+    if steps is not None and not turning and n_rec >= _BLOCK_STEPS:
+        done, unit = n_rec - n_rec % _BLOCK_STEPS, {1: _interval_maps(steps, code, model_exit, 1.0)[0]}
         rho = _run(rho, _block_map(unit, _BLOCK_STEPS), done // _BLOCK_STEPS, s)
-    elif steps is not None and rate is not None:
-        recover, model_exit, rows = code._recovery_map, in_frame(1.0, model._rate, s * dt), min(n_rec, _CHUNK)
-        evolved, recovered = np.empty((rows, w + s)), np.empty((rows, w + 1))
-        xs, ys = (buf[:, :w].view(_COMPLEX).reshape(rows, *rho.shape) for buf in (evolved, recovered))
-        views, row = [*zip(evolved, xs, evolved[:, :w], recovered, ys, recovered[:, :w])], rho.view(_REAL).ravel()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n_rec, _CHUNK):
-                taus = np.arange(start, min(start + _CHUNK, n_rec) + 1) * interval
-                phases = np.exp(rate * taus[:, None, None])
-                for (out, x, x_row, rec, y, y_row), enter, leave in zip(views, phases[:-1], phases[1:]):
-                    row.dot(steps, out=out)
-                    x *= model_exit
-                    x /= enter
-                    x_row.dot(recover, out=rec)
-                    y *= leave
-                    row = y_row
-                _read_checks(np.column_stack([evolved[:, w:], recovered[:, w:]]), start * (s + 1), s)
-        rho, done = row.copy().view(_COMPLEX).reshape(rho.shape), n_rec
-    for k in range(done, n_rec):  # the code's frame entered and left relative to the model's, as above
+    elif steps is not None and turning:
+        samples, weights = _interval_polynomial(steps, code, model_exit, rate, interval)
+        rho, done = _run(rho, samples, n_rec, s, weights), n_rec
+    for k in range(done, n_rec):  # the code's frame entered and left relative to the model's
         rho = lindblad_evolve(model, rho, interval, dt) / in_frame(1.0, rate, k * interval)
         rho = apply_recovery(code, rho) * in_frame(1.0, rate, (k + 1) * interval)
     return in_frame(rho, model._rate, n_rec * interval)
+
+
+def _interval_maps(steps: np.ndarray, code: QecCode, entry, leave) -> np.ndarray:
+    """The (m, w, w + s + 1) maps of m intervals on a state's float64 row: the s-step block map ``steps`` (and
+    its s trace columns), the phase ``entry``, the code's ``_recovery_map`` (and its lost-trace column), then
+    the phase ``leave``.  The phases multiply the (m, w, w / 2) complex entries by broadcasting."""
+    w = steps.shape[0]
+    x = (steps[:, :w].view(_COMPLEX) * entry).reshape(-1, w, w // 2)
+    recovered = x.view(_REAL).reshape(-1, w) @ code._recovery_map
+    maps = np.empty((len(x), w, steps.shape[1] + 1))
+    maps[..., :w] = (recovered[:, :w].view(_COMPLEX).reshape(x.shape) * leave).view(_REAL)
+    maps[..., w:-1], maps[..., -1] = steps[:, w:], recovered[:, w].reshape(len(x), w)
+    return maps
+
+
+def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.ndarray, interval: float):
+    """The maps of intervals from tau = k interval, as (5, w, w + s + 1) samples and weights(k, m) for m
+    intervals.  ``rate`` is 0 or +-i nu, so on a float64 row the phases at tau and tau + interval are
+    rotations by +-nu tau, and a map is a trigonometric polynomial of degree 2 in nu tau.  Its samples at
+    nu tau = 2 pi j / 5 fix it; the weights, its 5-point DFT evaluated at nu tau, are the Dirichlet kernel."""
+    nu, grid = float(np.max(np.abs(rate))), 2 * np.pi / 5 * np.arange(5)
+    angles = np.add.outer([0.0, nu * interval], grid)[..., None, None]  # nu tau, nu (tau + interval)
+    enter, leave = np.exp(1j * np.sign(rate.imag).ravel() * angles)
+    def weights(k: int, m: int) -> np.ndarray:
+        apart = np.subtract.outer(nu * interval * np.arange(k, k + m), grid)
+        return 0.2 + 0.4 * (np.cos(apart) + np.cos(2 * apart))
+    return _interval_maps(steps, code, model_exit / enter, leave), weights
 
 
 def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):

@@ -34,13 +34,12 @@ def _as_square(a: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the package's dimension cap."""
-    a = _as_square(a)
-    b = _as_square(b)
+    """Kronecker product with the package's dimension cap: ``np.kron`` bit for bit, one product an entry."""
+    a, b = _as_square(a), _as_square(b)
     dim = a.shape[0] * b.shape[0]
     if dim > MAX_DIM:
         raise DimensionError(f"kron result dimension {dim} exceeds {MAX_DIM}")
-    return np.kron(a, b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, dim)
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fluxmet import qec
+from fluxmet import dynamics, qec
 from fluxmet.cli import load_model_file, resolve_model_path
 from fluxmet.dynamics import (
     _BLOCK_STEPS,
@@ -495,15 +495,18 @@ def test_corrected_state_omega_closed_qfi() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fused and lean corrected evolutions against one call of each per interval
+# Fused and rotating corrected evolutions against one call of each per interval
 # ---------------------------------------------------------------------------
 
-# (a builder of the model and code, the path's block of intervals) per task: a static pair takes
-# 16 intervals per product, a rotating pair reads its checks once per table.
+# (a builder of the model and code, the path's block of intervals) per task: a static pair, or a
+# rotating one at zero detuning, takes 16 intervals per product, a rotating pair reads its checks
+# once per table.
 _PAIRS = {
     "theta": (lambda: (theta_model(0.1, 0.05, 0.85), theta_code(0.8)), _BLOCK_STEPS),
     "omega": (lambda: (omega_model(0.3, 0.2, 1.4), omega_code(1.2)), qec._CHUNK),
+    "omega_centre": (lambda: (omega_model(0.3, 0.2, 1.2), omega_code(1.2)), _BLOCK_STEPS),
 }
+_ARGS = {"theta": (0.1, 0.05, 0.85, 0.8), "omega": (0.3, 0.2, 1.4, 1.2), "omega_centre": (0.3, 0.2, 1.2, 1.2)}
 
 
 def _per_interval(model, code, t: float, dt: float, n: int, witness=None):
@@ -529,21 +532,56 @@ def _per_interval(model, code, t: float, dt: float, n: int, witness=None):
 
 
 @pytest.mark.parametrize("s", [1, 2, 4, 5, 20])
-@pytest.mark.parametrize("task", ["theta", "omega"])
+@pytest.mark.parametrize("task", ["theta", "omega", "omega_centre"])
 def test_the_fused_and_lean_paths_match_one_call_of_each_per_interval(task, s) -> None:
     # A static evolution of n intervals takes n // 16 fused products and
-    # n % 16 pairs of calls; a rotating one makes no call.  Both land within
-    # 1e-13 of the route of one call of each per interval, across block
-    # and table boundaries, and return exactly Hermitian states.  Intervals
-    # of 20 steps, more than one block, take that route themselves.
-    build, dt = _PAIRS[task][0], 1e-3
+    # n % 16 pairs of calls, as does a rotating one at zero detuning, whose
+    # every interval is the same unit; a detuned rotating one makes no call.
+    # All land within 1e-13 of the route of one call of each per interval,
+    # across block and table boundaries, and return exactly Hermitian
+    # states.  Intervals of 20 steps, more than one block, take that route
+    # themselves.
+    build, dt, args = _PAIRS[task][0], 1e-3, _ARGS[task]
     evolve = corrected_evolve_theta if task == "theta" else corrected_evolve_omega
-    args = (0.1, 0.05, 0.85, 0.8) if task == "theta" else (0.3, 0.2, 1.4, 1.2)
     for n in (15, 16, 17, 33, 1000):
         got = evolve(*args, n * s * dt, dt=dt, n_recoveries=n)
         *_, want = _per_interval(*build(), n * s * dt, dt, n)
         assert np.max(np.abs(got - want)) <= 1e-13
         assert _is_hermitian(got)
+
+
+@pytest.mark.parametrize("s", [1, 4, 16])
+def test_a_rotating_interval_map_is_the_degree_2_polynomial_through_its_five_samples(s) -> None:
+    # The code's frame turns against the model's at nu = |omega_hat - omega|, so the
+    # map of the interval from tau is a trigonometric polynomial of degree 2 in
+    # nu tau.  The map the weights rebuild from the five samples matches, within a
+    # few ulps of its norm, the interval composed directly on the identity rows
+    # (the block map, the frame phases, the recovery) at angles off the sample grid.
+    # A frame with a second rate would break the polynomial and fail here.
+    (model, code), dt, w = _PAIRS["omega"][0](), 1e-3, 32
+    interval, rate = s * dt, code._rate - model._rate
+    steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
+    samples, weights = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
+    for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s to 2 * s
+        tau, want = k * interval, []
+        for row in np.eye(w):
+            stepped = row @ steps
+            x = stepped[:w].view(complex).reshape(4, 4) * model_exit / np.exp(rate * tau)
+            recovered = x.ravel().view(np.float64) @ code._recovery_map
+            y = recovered[:w].view(complex).reshape(4, 4) * np.exp(rate * (tau + interval))
+            want.append(np.concatenate([y.ravel().view(np.float64), stepped[w:], recovered[w:]]))
+        got = (weights(k, 1) @ samples.reshape(5, -1)).reshape(w, -1)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize("omega, omega_hat", [(1e-308, 2e-308), (5e-324, 0.0)])
+def test_a_subnormal_detuning_evolves_like_one_call_of_each(omega, omega_hat) -> None:
+    # The samples' phases take nu tau as an angle and the sign of the rate as its
+    # direction, so a detuning that is tiny, even subnormal, divides by nothing and
+    # overflows nowhere.
+    got = corrected_evolve_omega(0.3, 0.2, omega, omega_hat, 0.1, dt=1e-3, n_recoveries=20)
+    *_, want = _per_interval(omega_model(0.3, 0.2, omega), omega_code(omega_hat), 0.1, 1e-3, 20)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def _failing_interval(intervals) -> tuple[int, str, type]:

@@ -171,7 +171,16 @@ def test_bench_pairs_micro_times_each_tree_in_its_own_process(tmp_path, monkeypa
     case = doc["micro_us"]["cases"]["tiny"]
     assert case["expression"] == tiny and case["per"] == 2
     assert all(len(vs) == 2 and min(vs) > 0 for vs in case["runs"].values())
-    assert "micro tiny: " in capsys.readouterr().out
+    # Both packages side by side in one worker: 2 * PAIRS + 1 rounds, each side's
+    # fastest call per round and the median of the rounds' change/parent ratios.
+    side = doc["micro_side_by_side_us"]
+    assert side["rounds"] == 5 and side["cases"]["tiny"]["expression"] == tiny
+    runs = side["cases"]["tiny"]["runs"]
+    assert all(len(vs) == 5 and min(vs) > 0 for vs in runs.values())
+    ratios = sorted(c / p for p, c in zip(runs["parent"], runs["change"]))
+    assert side["cases"]["tiny"]["median_ratio"] == pytest.approx(ratios[2], rel=1e-3)
+    printed = capsys.readouterr().out
+    assert "micro tiny: " in printed and "micro side by side tiny: " in printed
 
 
 def _load_output_digest():
