@@ -21,16 +21,19 @@ the metric's bound in BENCHMARK.json.  ``--out`` is written after each
 workload, and its other keys are kept.
 BENCHMARK.json is read, never written.
 
-``--micro`` also times the layers ``numeric_route`` spends its time in, the
-cases of ``MICRO``: one static and one rotating recovery interval (a whole
-corrected evolution in that workload's shape, per interval), one static and
-one rotating interval of four steps (criterion 5's shape), one rotating
-interval at zero detuning (the centre point of the workload's frequency
-family), one 4000-step free evolution, and the two calls of each interval apart: one
-single-state ``lindblad_evolve`` step and one ``apply_recovery``, on the
-rotating model and code and (``_static``) on the static ones, each per
-call of 1000 on a model or code built in the expression and on a complex
-state, which no call copies, as in an interval.
+``--micro`` also times the layers ``numeric_route`` and ``campaign`` spend
+their time in, the cases of ``MICRO``: one static and one rotating recovery
+interval (a whole corrected evolution in that workload's shape, per
+interval), one static and one rotating interval of four steps (criterion
+5's shape), one rotating interval at zero detuning (the centre point of the
+workload's frequency family), one 4000-step free evolution, and the two
+calls of each interval apart: one single-state ``lindblad_evolve`` step and
+one ``apply_recovery``, on the rotating model and code and (``_static``) on
+the static ones, each per call of 1000 on a model or code built in the
+expression and on a complex state, which no call copies, as in an interval.
+Two campaign cases time one ``campaign_estimates`` per repetition: the
+frequency task at 100 repetitions on README's grid, and criterion 7's angle
+shape at 10 repetitions (``campaign``'s size) from a guess at the prior's edge.
 In each of ``PAIRS`` rounds a worker subprocess per tree, with ``PYTHONPATH=<tree>/src``
 and BLAS threads pinned to 1, warms every case up with one call; then
 every case is called ``MICRO_REPEATS`` times in each worker, the calls
@@ -100,6 +103,14 @@ MICRO = {
     "recovery_one_call_static": (
         "(lambda c, rho: [qec.apply_recovery(c, rho) for _ in range(1000)])"
         "(qec.theta_code(np.pi / 4), np.full((4, 4), 0.25 + 0j))", 1000
+    ),
+    "campaign_omega_100": (
+        "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.3, initial_guess=0.2, "
+        "grid=(0.2, 0.4, 1e-4), seed=20240811), 100, task='omega')", 100
+    ),
+    "campaign_theta_10": (
+        "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=np.pi / 4, initial_guess=0.0, "
+        "seed=20240811), 10)", 10
     ),
 }
 MICRO_REPEATS = 15
@@ -180,11 +191,11 @@ def micro_worker(src: str) -> None:
     import time
 
     import numpy as np
-    from fluxmet import dynamics, qec
+    from fluxmet import dynamics, estimation, qec
 
     if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"fluxmet imported from {dynamics.__file__}, not from {src}")
-    scope = {"np": np, "dynamics": dynamics, "qec": qec}
+    scope = {"np": np, "dynamics": dynamics, "estimation": estimation, "qec": qec}
     header = sys.stdin.readline()
     if not header:  # closed unasked: the other worker failed
         return
@@ -286,14 +297,16 @@ def side_by_side_worker(parent_src: str) -> None:
     sys.modules["fluxmet_parent"] = parent = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parent)
     import fluxmet_parent.dynamics
+    import fluxmet_parent.estimation
     import fluxmet_parent.qec
-    from fluxmet import dynamics, qec
+    from fluxmet import dynamics, estimation, qec
 
     if Path(dynamics.__file__).resolve().is_relative_to(Path(parent_src).resolve()):
         raise SystemExit(f"fluxmet imported from {dynamics.__file__}, the parent's tree")
     job = json.loads(sys.stdin.read())
-    scopes = {"parent": {"np": np, "dynamics": fluxmet_parent.dynamics, "qec": fluxmet_parent.qec},
-              "change": {"np": np, "dynamics": dynamics, "qec": qec}}
+    scopes = {"parent": {"np": np, "dynamics": fluxmet_parent.dynamics, "estimation": fluxmet_parent.estimation,
+                         "qec": fluxmet_parent.qec},
+              "change": {"np": np, "dynamics": dynamics, "estimation": estimation, "qec": qec}}
     cases = {name: (compile(expr, name, "eval"), units) for name, (expr, units) in job["cases"].items()}
     for code, _ in cases.values():
         for scope in scopes.values():

@@ -146,6 +146,15 @@ ROUTES = {
         for task, x, guess in (("theta", 0.785, 0.7), ("omega", 0.3, 0.25))
         for strategy in ("qec_corrected", "unitary_controlled")
     },
+    # A guess at the prior's edge, where many lanes share a count history, and
+    # a 523-lane block where by the last round nearly every history differs.
+    "campaign_estimates theta edge guess": (
+        "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.785, initial_guess=0.0, seed=11), 200)"
+    ),
+    "campaign_estimates omega distinct histories": (
+        "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=1000, rounds=3,"
+        " gamma=50, grid=(0.2, 0.4, 1e-4), seed=11), 523, task='omega')"
+    ),
     "cli qfi-theta": "cli_bytes(['qfi-theta', '--t-max', '5', '--points', '11', '--out', 'theta.csv'])",
     "cli qfi-theta then plot": (
         "cli_bytes(['qfi-theta', '--t-max', '5', '--points', '11', '--out', 'theta.csv'],"

@@ -13,16 +13,15 @@ every public entry point takes the task name ("theta" or "omega") as its
 ``task`` argument.
 
 One lockstep engine runs every campaign: a block of repetitions ("lanes")
-moves through each round together.  Each lane draws from its own generator
-and adds its round to its own row of a shared (lanes, grid) cumulative
-log-likelihood, and each lane's estimate is read off its own row
-(``_grid_peak``).  The round is added a chunk of lanes at a time, as many
-rows as fit in 48 KiB (4 on the default angle grid): every element keeps the
-operands and the order of operations it has alone, so a lane's estimates do
-not depend on which lanes share its block or its chunk, and a single run
-(``run_adaptive``) is the one-lane case.  Blocks hold at most 2**20 grid
-cells (8 MB) and at most 1024 lanes.  A default grid is sized to the
-likelihood (``AdaptiveConfig``).
+moves through each round together, each lane drawing from its own generator.
+The lanes with one count history so far (a group) share one row of a (lanes,
+grid) cumulative log-likelihood and the estimate read off it (``_grid_peak``).
+The round is added a chunk of group rows at a time, as many as fit in 48 KiB
+(4 on the default angle grid): every element keeps the operands and the order
+of operations it has alone, so a lane's estimates do not depend on which lanes
+share its block, group or chunk, and a single run (``run_adaptive``) is the
+one-lane case.  Blocks hold at most 2**20 grid cells (8 MB) and at most 1024
+lanes.  A default grid is sized to the likelihood (``AdaptiveConfig``).
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ _FINEST_DEFAULT = 1e-4
 _BLOCK_CELLS = 2**20
 _BLOCK_LANES = 1024
 _DRAW_CHUNK = 2**16
-# Each round adds to the grid likelihood this many bytes of float64 rows at a
-# time, so that a chunk's temporaries stay in cache.  On 10-lane campaigns
-# 48 KiB cost 20% less CPU than one row at a time; 16 KiB (one row on the
-# default grids) saved nothing, and 120 KiB or a whole block only 9-13%.
+# Each round adds to the grid likelihood this many bytes of float64 group rows
+# at a time, so that a chunk's temporaries stay in cache.  With a row per lane,
+# 10-lane campaigns took 20% less CPU at 48 KiB than one row at a time; 16 KiB
+# (one row on the default grids) saved nothing, 120 KiB or a whole block 9-13%.
 _CHUNK_BYTES = 48 * 1024
 # A campaign draws m outcomes per repetition and round, at about 3e8 draws a
 # second; one that asks for more than this many draws is refused before its
@@ -57,9 +56,9 @@ MAX_CAMPAIGN_DRAWS = 10**9
 # A likelihood grid of (hi - lo) / resolution cells peaks near 0.5 GB at
 # 10**7 cells; a finer one is refused before anything is allocated.
 MAX_GRID_CELLS = 10**7
-# Every repetition and round updates each grid cell, at 30-95 ns a cell on a
-# 2-core Xeon (30-75 on the default grids, 36-95 on a grid of 10**6 cells): a
-# campaign of more updates (about 10 minutes) is refused before its first draw.
+# At worst, when no two count histories agree, every repetition and round
+# updates each grid cell, at 30-95 ns a cell on a 2-core Xeon (30-75 on the
+# default grids, 36-95 on 10**6 cells): more (about 10 minutes) are refused.
 MAX_CAMPAIGN_CELL_UPDATES = 10**10
 # A lane-round, one repetition's one round, costs 6-8 us on a 2-core Xeon even
 # on a 3-cell grid, and a float64 per table: more (80 MB, 60-80 s) are refused.
@@ -249,14 +248,14 @@ def _lockstep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one lane per generator through every round together.
 
-    Per round and lane: build the code (or control) at the lane's estimate,
-    draw config.m outcomes at the true value from the lane's generator, add
-    the round to the lane's row of the cumulative grid likelihood and take
-    its argmax (first index on ties), moved to the parabola's vertex through
-    that cell and its neighbours (``_grid_peak``).  The round's p(+) and
-    log-likelihood are evaluated for a chunk of ``_CHUNK_BYTES`` of rows at
-    a time, elementwise as for each lane alone.  Returns the estimates
-    x_0..x_K, shape (lanes, rounds + 1), and the + counts, (lanes, rounds).
+    Per round: each lane draws config.m outcomes at the true value from its
+    generator, the code (or control) at its estimate.  The lanes of one count
+    history so far (a group) share a row of the cumulative grid likelihood: a
+    new group's row is its parent's plus the round at the parent's estimate,
+    filled in place ``_CHUNK_BYTES`` at a time, elementwise as for one lane.
+    Its estimate is the row's argmax (first on ties) moved to the vertex of
+    the parabola through it and its neighbours (``_grid_peak``).  Returns the
+    estimates x_0..x_K, (lanes, rounds + 1), and the + counts, (lanes, rounds).
     """
     p_plus = _prob_plus(config, task)
     grid, step = _likelihood_grid(config, task)
@@ -264,7 +263,7 @@ def _lockstep(
     estimates = np.empty((lanes, config.rounds + 1))
     estimates[:, 0] = config.initial_guess
     n_plus = np.empty((lanes, config.rounds), dtype=np.int64)
-    cum = np.zeros((lanes, grid.size))
+    cum, group = np.zeros((lanes, grid.size)), np.zeros(lanes, dtype=np.int64)  # all in group 0
     chunk = max(1, _CHUNK_BYTES // (8 * grid.size))
     # log(0) is -inf, and 0 * log(0) is NaN masked by _loglik's np.where.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -276,14 +275,15 @@ def _lockstep(
                 # Generator.random returns the same stream in pieces as at once.
                 draws = (min(_DRAW_CHUNK, m - s) for s in range(0, m, _DRAW_CHUNK))
                 n_plus[i, k] = sum(np.count_nonzero(rng.random(c) < p_true[i]) for c in draws)
-            # In round 0 every lane stands at initial_guess: one grid serves all.
-            shared = p_plus(grid, x_hat[0]) if k == 0 else None
-            for lo in range(0, lanes, chunk):
-                rows = slice(lo, lo + chunk)
-                p_grid = shared if shared is not None else p_plus(grid[None, :], x_hat[rows, None])
-                counts = n_plus[rows, k, None]
-                cum[rows] += _loglik(counts, m - counts, p_grid)
-            estimates[:, k + 1] = _grid_peak(cum, grid, step)
+            # Sorted keys (old group, count) put every parent row at or before its new row:
+            # filled from the last chunk down, each is read before it is overwritten.
+            _, first, new = np.unique(group * (m + 1) + n_plus[:, k], return_index=True, return_inverse=True)
+            parent, group, counts, at = group[first], new, n_plus[first, k, None], x_hat[first, None]
+            rows = cum[: first.size]
+            for lo in reversed(range(0, first.size, chunk)):
+                c = slice(lo, lo + chunk)
+                rows[c] = rows[parent[c]] + _loglik(counts[c], m - counts[c], p_plus(grid[None, :], at[c]))
+            estimates[:, k + 1] = _grid_peak(rows, grid, step)[group]
     return estimates, n_plus
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,9 +472,11 @@ def test_campaign_rows_are_independent_runs(
 def test_campaign_rows_do_not_depend_on_the_chunk(
     monkeypatch, task, true_value, strategy, lanes
 ) -> None:
-    # Chunks of 1, 2 and 3 lanes split 7 repetitions with a partial last
-    # chunk; every row is the same bytes as at the default chunk, where all
-    # 7 lanes share one chunk on this coarse grid, and as a single run.
+    # Chunks of 1, 2 and 3 rows split each round's groups (one row per count
+    # history so far) with a partial last chunk, and in some round the groups
+    # outnumber the largest chunk; every row is the same bytes as at the
+    # default chunk, where all 7 lanes fit one chunk on this coarse grid, and
+    # as a single run.
     sizes = []
     loglik = estimation._loglik
 
@@ -483,7 +486,8 @@ def test_campaign_rows_do_not_depend_on_the_chunk(
 
     cfg = AdaptiveConfig(
         true_value=true_value,
-        initial_guess=true_value + 0.05,
+        initial_guess=true_value + 0.15,
+        m=30,
         rounds=4,
         grid=(true_value - 0.2, true_value + 0.2, 0.004),
         seed=19,
@@ -496,11 +500,67 @@ def test_campaign_rows_do_not_depend_on_the_chunk(
     monkeypatch.setattr(estimation, "_loglik", record)
     table = campaign_estimates(cfg, 7, task=task)
     assert table.tobytes() == whole.tobytes()
-    chunks = [lanes] * (7 // lanes) + [7 % lanes] * (7 % lanes > 0)
-    assert sizes == chunks * cfg.rounds  # a campaign takes no final log-likelihood
+    layout, histories = list(sizes), []  # a campaign takes no final log-likelihood
     for r in range(7):
         run = run_adaptive(dataclasses.replace(cfg, seed=19 ^ r), task=task)
         assert list(table[r]) == run.estimates
+        histories.append(run.outcome_history)
+    # Per round, the groups in chunks of `lanes` rows, from the last chunk down.
+    groups = [len({tuple(h[: k + 1]) for h in histories}) for k in range(cfg.rounds)]
+    assert max(groups) > 3
+    assert layout == [min(lanes, g - lo) for g in groups for lo in reversed(range(0, g, lanes))]
+
+
+def test_campaign_takes_one_likelihood_row_per_count_history(monkeypatch) -> None:
+    # A guess at the prior's edge near the true value: the 40 lanes share 2 to
+    # 13 count histories a round.  Each round evaluates _loglik and takes the
+    # grid peak on one row per distinct history so far, and every lane's
+    # estimates are still a single run's.
+    cfg = AdaptiveConfig(true_value=0.1, initial_guess=0.0, seed=5)
+    loglik, grid_peak, rows, peaks = estimation._loglik, estimation._grid_peak, [0], []
+
+    def record_rows(n_plus, n_minus, p):
+        rows[-1] += len(n_plus)
+        return loglik(n_plus, n_minus, p)
+
+    def record_peak(cum, grid, step):
+        rows.append(0)
+        peaks.append(len(cum))
+        return grid_peak(cum, grid, step)
+
+    monkeypatch.setattr(estimation, "_loglik", record_rows)
+    monkeypatch.setattr(estimation, "_grid_peak", record_peak)
+    rngs = [np.random.default_rng(cfg.seed ^ r) for r in range(40)]
+    estimates, n_plus = estimation._lockstep(cfg, TASKS["theta"], rngs)
+    monkeypatch.undo()
+    histories = [len({tuple(h[: k + 1]) for h in n_plus.tolist()}) for k in range(cfg.rounds)]
+    assert rows[:-1] == peaks == histories
+    assert 1 < histories[0] and histories[-1] < 20
+    for r in range(40):
+        assert list(estimates[r]) == run_adaptive(dataclasses.replace(cfg, seed=cfg.seed ^ r)).estimates
+
+
+def test_campaign_block_memory_when_nearly_every_history_differs() -> None:
+    # At m = 1000 and gamma = 50, p(+) is near 1/2 on the whole grid, so by
+    # the last round nearly every lane of the 523-lane block has its own
+    # history.  The rows are filled in place in the block's (lanes, cells)
+    # buffer, so the engine's peak stays within 1.1 times that buffer; a copy
+    # of the gathered parent rows would take it to about 1.9.
+    cfg = AdaptiveConfig(
+        true_value=0.3, initial_guess=0.2, m=1000, rounds=3, gamma=50, grid=(0.2, 0.4, 1e-4)
+    )
+    lanes, record = 523, TASKS["omega"]
+    cells = estimation._likelihood_grid(cfg, record)[0].size
+    rngs = [np.random.default_rng(cfg.seed ^ r) for r in range(lanes)]
+    tracemalloc.start()
+    try:
+        estimates, n_plus = estimation._lockstep(cfg, record, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({tuple(h) for h in n_plus.tolist()}) > 0.9 * lanes
+    assert peak <= 1.1 * lanes * cells * 8
+    assert np.array_equal(estimates, campaign_estimates(cfg, lanes, task="omega"))
 
 
 @pytest.mark.parametrize("task, true_value", [("theta", np.pi / 4), ("omega", 0.3)])

@@ -459,17 +459,17 @@ def test_corrected_evolve_omega_converges_first_order() -> None:
     assert 1.8 < e_coarse / e_fine < 2.2
 
 
-def test_a_rotating_corrected_evolution_calls_exp_once_per_phase_table(monkeypatch) -> None:
-    # Every interval evolves from t0 = 0 and leaves the model's frame with
-    # one phase made before the loop, so np.exp runs once per _CHUNK
-    # intervals, not once per interval, plus six times in all: the probe,
-    # two RK4 stage times and the frame of the step map, that exit phase
-    # and the final exit.
-    n, calls = 2000, []
+@pytest.mark.parametrize("n", [1, 65, 2000])
+def test_a_rotating_corrected_evolution_calls_exp_seven_times_at_any_length(monkeypatch, n) -> None:
+    # Every phase is made once per evolution, none per interval or per table
+    # of intervals: the probe's frame, the two RK4 stage times (dt / 2 and
+    # dt) and the frame of the step map, the model's exit after an interval,
+    # the phases of the interval map's five samples, and the final exit.
+    calls = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
     corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=1.0 / n, n_recoveries=n)
-    assert len(calls) <= -(-n // qec._CHUNK) + 6
+    assert len(calls) == 7
 
 
 def test_corrected_state_omega_closed_structure() -> None:
