@@ -155,6 +155,19 @@ ROUTES = {
         "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=1000, rounds=3,"
         " gamma=50, grid=(0.2, 0.4, 1e-4), seed=11), 523, task='omega')"
     ),
+    # m above _DRAW_CHUNK (2**16), so each lane draws its outcomes in two pieces;
+    # README's explicit angle grid of resolution 1e-4 (15 709 points, one block
+    # of 66 repetitions, a p(+) row per chunk); and one seeded batch of random
+    # campaigns over both tasks and strategies, m, guesses and grids.
+    "campaign_estimates omega m=70000": (
+        "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.3, initial_guess=0.25, m=70000,"
+        " rounds=2, seed=11), 3, task='omega')"
+    ),
+    "campaign_estimates theta grid 1e-4": (
+        "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.785, initial_guess=0.0,"
+        " grid=(0.0, np.pi / 2, 1e-4), seed=11), 66)"
+    ),
+    "campaign_estimates random batch": "random_campaigns(40, 35)",
     "cli qfi-theta": "cli_bytes(['qfi-theta', '--t-max', '5', '--points', '11', '--out', 'theta.csv'])",
     "cli qfi-theta then plot": (
         "cli_bytes(['qfi-theta', '--t-max', '5', '--points', '11', '--out', 'theta.csv'],"
@@ -242,6 +255,31 @@ def expanded(dx: float, t: float):
 
     report, probe = theta_example()
     return qec.expansion_evolve(report, probe[:, None] * probe.conj(), dx, t)
+
+
+def random_campaigns(count: int, seed: int) -> np.ndarray:
+    """The estimates of ``count`` campaigns drawn from ``seed``, end to end: both
+    tasks and strategies, m in {1, 3, 10, 30, 1000}, a guess at a grid end or
+    inside it, and the task's default grid or an explicit one at most 0.3 wide
+    (so that every campaign is admitted)."""
+    from fluxmet import estimation
+
+    rng, tables = np.random.default_rng(seed), []
+    for _ in range(count):
+        task, strategy = rng.choice(["theta", "omega"]), rng.choice(["qec_corrected", "unitary_controlled"])
+        lo, hi = (0.0, np.pi / 2) if task == "theta" else (0.0, 1.0)
+        grid = None
+        if rng.random() < 0.5:
+            lo = rng.uniform(lo, hi - 0.3)
+            hi = lo + rng.uniform(0.02, 0.3)
+            grid = (lo, hi, (hi - lo) / int(rng.choice([2, 3, 50, 400, 3500])))
+        true_value = rng.uniform(lo, hi)
+        guess = [lo, hi, rng.uniform(lo, hi)][rng.integers(3)]
+        config = dict(m=int(rng.choice([1, 3, 10, 30, 1000])), rounds=int(rng.integers(1, 6)),
+                      seed=int(rng.integers(2**31)), strategy=str(strategy), grid=grid)
+        cfg = estimation.AdaptiveConfig(true_value=float(true_value), initial_guess=float(guess), **config)
+        tables.append(estimation.campaign_estimates(cfg, int(rng.integers(1, 40)), task=str(task)).ravel())
+    return np.concatenate(tables)
 
 
 def cli_bytes(argv: list[str], config: dict | None = None, then: list[str] | None = None) -> bytes:

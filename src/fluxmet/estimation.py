@@ -16,12 +16,13 @@ One lockstep engine runs every campaign: a block of repetitions ("lanes")
 moves through each round together, each lane drawing from its own generator.
 The lanes with one count history so far (a group) share one row of a (lanes,
 grid) cumulative log-likelihood and the estimate read off it (``_grid_peak``).
-The round is added a chunk of group rows at a time, as many as fit in 48 KiB
-(4 on the default angle grid): every element keeps the operands and the order
-of operations it has alone, so a lane's estimates do not depend on which lanes
-share its block, group or chunk, and a single run (``run_adaptive``) is the
-one-lane case.  Blocks hold at most 2**20 grid cells (8 MB) and at most 1024
-lanes.  A default grid is sized to the likelihood (``AdaptiveConfig``).
+Each round evaluates p(+) and its logs on the grid once per parent group, 48
+KiB of rows at a time, and each child group adds its counts' terms to its
+parent's row: every element keeps the operands and order of operations it has
+alone, so a lane's estimates do not depend on which lanes share its block, group
+or chunk, and a single run (``run_adaptive``) is the one-lane case.  Blocks hold
+at most 2**20 grid cells (8 MB) and 1024 lanes; a default grid is sized to the
+likelihood (``AdaptiveConfig``).
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ _FINEST_DEFAULT = 1e-4
 _BLOCK_CELLS = 2**20
 _BLOCK_LANES = 1024
 _DRAW_CHUNK = 2**16
-# Each round adds to the grid likelihood this many bytes of float64 group rows
-# at a time, so that a chunk's temporaries stay in cache.  With a row per lane,
-# 10-lane campaigns took 20% less CPU at 48 KiB than one row at a time; 16 KiB
-# (one row on the default grids) saved nothing, 120 KiB or a whole block 9-13%.
+# Each round evaluates p(+) and its logs on the grid for this many bytes of
+# float64 parent rows at a time, so that their temporaries stay in cache.  With
+# a row per lane, 10-lane campaigns took 20% less CPU at 48 KiB than one row at a
+# time; 16 KiB (a row on the default grids) saved nothing, 120 KiB or a block 9-13%.
 _CHUNK_BYTES = 48 * 1024
 # A campaign draws m outcomes per repetition and round, at about 3e8 draws a
 # second; one that asks for more than this many draws is refused before its
@@ -172,32 +173,30 @@ def outcome_probability(
 # ---------------------------------------------------------------------------
 
 
-def _loglik(n_plus, n_minus, p):
-    """n+ log p + n- log(1 - p) elementwise, a zero count adding 0.0.
+def _loglik(n_plus: int, n_minus: int, log_p, log_q):
+    """n+ log p + n- log(1 - p) from log p and log(1 - p), for n+ + n- >= 1.
 
-    The log term of a count that is zero throughout is not evaluated.  The
-    caller holds np.errstate for log(0) under a positive count.
+    A zero count's term is skipped, where 0 * log(0) would be NaN; no term is
+    -0.0, so the result is the bytes of a sum with that term set to 0.0.
     """
-    p = np.asarray(p, dtype=float)
-    plus, minus = n_plus > 0, n_minus > 0
-    lp = np.where(plus, n_plus * np.log(p), 0.0) if plus.any() else 0.0
-    lm = np.where(minus, n_minus * np.log(1.0 - p), 0.0) if minus.any() else 0.0
-    return lp + lm
+    if n_plus and n_minus:
+        return n_plus * log_p + n_minus * log_q
+    return n_plus * log_p if n_plus else n_minus * log_q
 
 
 def _grid_peak(cum, grid, step) -> np.ndarray:
     """Per row of cum, its grid argmax (first on ties) moved to the vertex of
     the parabola through that cell and its two neighbours, by at most one
     step.  There is no step from a grid end, or where the three values are
-    not finite and concave.  Rows do not interact.
+    not each finite and concave.  Rows do not interact.
     """
     j, last = np.argmax(cum, axis=1), grid.size - 1
-    near = np.clip(j[:, None] + np.arange(-1, 2), 0, last)
-    left, mid, right = np.take_along_axis(cum, near, axis=1).T
+    at = np.arange(0, cum.size, grid.size)
+    left, mid, right = near = cum.ravel()[[np.maximum(j - 1, 0) + at, j + at, np.minimum(j + 1, last) + at]]
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = left - 2.0 * mid + right
-        shift = np.clip(0.5 * (left - right) / curvature, -1.0, 1.0) * step
-    vertex = (0 < j) & (j < last) & (curvature < 0) & np.isfinite([left, mid, right]).all(axis=0)
+        shift = np.minimum(np.maximum(0.5 * (left - right) / curvature, -1.0), 1.0) * step
+    vertex = (0 < j) & (j < last) & (curvature < 0) & np.isfinite(near).all(axis=0)
     return grid[j] + np.where(vertex, shift, 0.0)
 
 
@@ -214,8 +213,13 @@ def _total_loglik(prob_plus, x_hats, n_plus, n_minus, x) -> np.ndarray:
     The rounds are summed left to right into zeros, the order of a scalar
     running total, so a lane's value does not depend on the other lanes.
     """
-    terms = _loglik(n_plus[:, None], n_minus[:, None], prob_plus(x[:, :, None], x_hats[:, None]))
-    return sum(np.moveaxis(terms, -1, 0), np.zeros(x.shape))
+    p = prob_plus(x[:, :, None], x_hats[:, None])
+    log_p, log_q, total = np.log(p), np.log(1.0 - p), np.zeros(x.shape)
+    for k in range(x_hats.shape[1]):
+        for plus, minus in set(zip(n_plus[:, k].tolist(), n_minus[:, k].tolist())):
+            lanes = (n_plus[:, k] == plus) & (n_minus[:, k] == minus)
+            total[lanes] += _loglik(plus, minus, log_p[lanes, :, k], log_q[lanes, :, k])
+    return total
 
 
 def crb_line(config: AdaptiveConfig, task: Task) -> float:
@@ -251,39 +255,50 @@ def _lockstep(
     Per round: each lane draws config.m outcomes at the true value from its
     generator, the code (or control) at its estimate.  The lanes of one count
     history so far (a group) share a row of the cumulative grid likelihood: a
-    new group's row is its parent's plus the round at the parent's estimate,
-    filled in place ``_CHUNK_BYTES`` at a time, elementwise as for one lane.
-    Its estimate is the row's argmax (first on ties) moved to the vertex of
-    the parabola through it and its neighbours (``_grid_peak``).  Returns the
+    new group's row is its parent's plus the round at the parent's estimate.
+    p(+) on the grid and its two logs are evaluated once per parent,
+    ``_CHUNK_BYTES`` of parent rows at a time, and each child adds its own
+    counts' terms (``_loglik``), elementwise as for one lane.  A group's
+    estimate is its row's argmax (first on ties) moved to the vertex of the
+    parabola through it and its neighbours (``_grid_peak``).  Returns the
     estimates x_0..x_K, (lanes, rounds + 1), and the + counts, (lanes, rounds).
     """
-    p_plus = _prob_plus(config, task)
     grid, step = _likelihood_grid(config, task)
-    lanes, m = len(rngs), config.m
-    estimates = np.empty((lanes, config.rounds + 1))
-    estimates[:, 0] = config.initial_guess
+    lanes, m, p_plus = len(rngs), config.m, _prob_plus(config, task)
+    estimates = np.full((lanes, config.rounds + 1), config.initial_guess, dtype=float)
     n_plus = np.empty((lanes, config.rounds), dtype=np.int64)
     cum, group = np.zeros((lanes, grid.size)), np.zeros(lanes, dtype=np.int64)  # all in group 0
-    chunk = max(1, _CHUNK_BYTES // (8 * grid.size))
-    # log(0) is -inf, and 0 * log(0) is NaN masked by _loglik's np.where.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    peaks, chunk = estimates[:1, 0], max(1, _CHUNK_BYTES // (8 * grid.size))
+    # At most _DRAW_CHUNK draws at a time, so memory does not grow with m;
+    # Generator.random returns the same stream in pieces as at once.
+    draws = [min(_DRAW_CHUNK, m - s) for s in range(0, m, _DRAW_CHUNK)]
+    new = np.ones(lanes, dtype=bool)  # new[i]: the i-th lane in key order opens a group
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) is -inf
         for k in range(config.rounds):
-            x_hat = estimates[:, k]
-            p_true = p_plus(config.true_value, x_hat)
-            for i, rng in enumerate(rngs):
-                # At most _DRAW_CHUNK draws at a time, so memory does not grow with m;
-                # Generator.random returns the same stream in pieces as at once.
-                draws = (min(_DRAW_CHUNK, m - s) for s in range(0, m, _DRAW_CHUNK))
-                n_plus[i, k] = sum(np.count_nonzero(rng.random(c) < p_true[i]) for c in draws)
-            # Sorted keys (old group, count) put every parent row at or before its new row:
-            # filled from the last chunk down, each is read before it is overwritten.
-            _, first, new = np.unique(group * (m + 1) + n_plus[:, k], return_index=True, return_inverse=True)
-            parent, group, counts, at = group[first], new, n_plus[first, k, None], x_hat[first, None]
-            rows = cum[: first.size]
-            for lo in reversed(range(0, first.size, chunk)):
-                c = slice(lo, lo + chunk)
-                rows[c] = rows[parent[c]] + _loglik(counts[c], m - counts[c], p_plus(grid[None, :], at[c]))
-            estimates[:, k + 1] = _grid_peak(rows, grid, step)[group]
+            for i, (rng, p_true) in enumerate(zip(rngs, p_plus(config.true_value, peaks)[group].tolist())):
+                n = 0
+                for size in draws:
+                    n += np.count_nonzero(rng.random(size) < p_true)
+                n_plus[i, k] = n
+            # Groups numbered by sorted key (parent group, count), as by np.unique: a parent
+            # row is at or before its children's, so filled from the last row down, each
+            # row is read before it is overwritten.
+            key = group * (m + 1) + n_plus[:, k]
+            order = np.argsort(key, kind="stable")
+            np.not_equal(key[order[1:]], key[order[:-1]], out=new[1:])
+            first = order[new]
+            parent, counts = group[first].tolist(), n_plus[first, k].tolist()
+            group[order] = np.cumsum(new) - 1
+            rows, g = cum[: first.size], first.size
+            for lo in reversed(range(0, peaks.size, chunk)):
+                p = p_plus(grid[None, :], peaks[lo : lo + chunk, None])
+                log_p, log_q = np.log(p), np.log(1.0 - p)
+                while g and parent[g - 1] >= lo:
+                    g -= 1
+                    j, n = parent[g], counts[g]
+                    np.add(rows[j], _loglik(n, m - n, log_p[j - lo], log_q[j - lo]), out=rows[g])
+            peaks = _grid_peak(rows, grid, step)
+            estimates[:, k + 1] = peaks[group]
     return estimates, n_plus
 
 

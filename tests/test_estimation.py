@@ -472,23 +472,33 @@ def test_campaign_rows_are_independent_runs(
 def test_campaign_rows_do_not_depend_on_the_chunk(
     monkeypatch, task, true_value, strategy, lanes
 ) -> None:
-    # Chunks of 1, 2 and 3 rows split each round's groups (one row per count
-    # history so far) with a partial last chunk, and in some round the groups
-    # outnumber the largest chunk; every row is the same bytes as at the
-    # default chunk, where all 7 lanes fit one chunk on this coarse grid, and
-    # as a single run.
-    sizes = []
-    loglik = estimation._loglik
+    # Chunks of 1, 2 and 3 rows split each round's parents (one grid p(+) row
+    # per count history before the round) with a partial last chunk, and in
+    # some round the parents outnumber the largest chunk; every row is the same
+    # bytes as at the default chunk, where all 7 lanes fit one chunk on this
+    # coarse grid, and as a single run.
+    sizes, children = [], []
+    prob_plus, loglik = estimation._prob_plus, estimation._loglik
 
-    def record(n_plus, n_minus, p):
-        sizes.append(len(n_plus))
-        return loglik(n_plus, n_minus, p)
+    def record(config, task):
+        p_plus = prob_plus(config, task)
+
+        def grid_rows(x, x_hat):
+            if np.ndim(x):  # on the grid, not at the true value
+                sizes.append(len(x_hat))
+            return p_plus(x, x_hat)
+
+        return grid_rows
+
+    def record_child(*args):
+        children.append(1)
+        return loglik(*args)
 
     cfg = AdaptiveConfig(
         true_value=true_value,
         initial_guess=true_value + 0.15,
         m=30,
-        rounds=4,
+        rounds=5,
         grid=(true_value - 0.2, true_value + 0.2, 0.004),
         seed=19,
         strategy=strategy,
@@ -497,18 +507,22 @@ def test_campaign_rows_do_not_depend_on_the_chunk(
     points = estimation._likelihood_grid(cfg, TASKS[task])[0].size
     assert estimation._CHUNK_BYTES // (8 * points) >= 7
     monkeypatch.setattr(estimation, "_CHUNK_BYTES", 8 * points * lanes)
-    monkeypatch.setattr(estimation, "_loglik", record)
+    monkeypatch.setattr(estimation, "_prob_plus", record)
+    monkeypatch.setattr(estimation, "_loglik", record_child)
     table = campaign_estimates(cfg, 7, task=task)
     assert table.tobytes() == whole.tobytes()
-    layout, histories = list(sizes), []  # a campaign takes no final log-likelihood
+    layout, child_rows, histories = list(sizes), len(children), []  # a campaign takes no final log-likelihood
     for r in range(7):
         run = run_adaptive(dataclasses.replace(cfg, seed=19 ^ r), task=task)
         assert list(table[r]) == run.estimates
         histories.append(run.outcome_history)
-    # Per round, the groups in chunks of `lanes` rows, from the last chunk down.
+    # Per round, the parents in chunks of `lanes` rows, from the last chunk
+    # down, and one _loglik row per group.
     groups = [len({tuple(h[: k + 1]) for h in histories}) for k in range(cfg.rounds)]
-    assert max(groups) > 3
-    assert layout == [min(lanes, g - lo) for g in groups for lo in reversed(range(0, g, lanes))]
+    parents = [1, *groups[:-1]]
+    assert max(parents) > 3
+    assert layout == [min(lanes, g - lo) for g in parents for lo in reversed(range(0, g, lanes))]
+    assert child_rows == sum(groups)
 
 
 def test_campaign_takes_one_likelihood_row_per_count_history(monkeypatch) -> None:
@@ -519,9 +533,9 @@ def test_campaign_takes_one_likelihood_row_per_count_history(monkeypatch) -> Non
     cfg = AdaptiveConfig(true_value=0.1, initial_guess=0.0, seed=5)
     loglik, grid_peak, rows, peaks = estimation._loglik, estimation._grid_peak, [0], []
 
-    def record_rows(n_plus, n_minus, p):
-        rows[-1] += len(n_plus)
-        return loglik(n_plus, n_minus, p)
+    def record_rows(*args):
+        rows[-1] += 1
+        return loglik(*args)
 
     def record_peak(cum, grid, step):
         rows.append(0)
@@ -538,6 +552,50 @@ def test_campaign_takes_one_likelihood_row_per_count_history(monkeypatch) -> Non
     assert 1 < histories[0] and histories[-1] < 20
     for r in range(40):
         assert list(estimates[r]) == run_adaptive(dataclasses.replace(cfg, seed=cfg.seed ^ r)).estimates
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 8], ids=["default-chunk", "one-row-chunk"])
+@pytest.mark.parametrize(
+    "grid, lanes, parent_rows, group_rows",
+    [(None, 200, 484, 564), ((0.0, np.pi / 2, 1e-4), 66, 202, 230)],
+    ids=["default-grid", "grid-1e-4"],
+)
+def test_campaign_takes_one_p_plus_row_per_parent(
+    monkeypatch, chunk_bytes, grid, lanes, parent_rows, group_rows
+) -> None:
+    # Siblings (groups that split from one group by their new counts) stand at
+    # their parent's estimate: per round, p(+) on the grid is evaluated on one
+    # row per count-history prefix before the round (the parents), at the
+    # default chunk (4 rows on the default angle grid, one on the 1e-4 grid)
+    # and at one row per chunk, and the estimates keep their bytes.
+    cfg = AdaptiveConfig(true_value=np.pi / 4, initial_guess=0.0, grid=grid)
+    theta, rounds = TASKS["theta"], []
+    rngs = [np.random.default_rng(cfg.seed ^ r) for r in range(lanes)]
+    whole = estimation._lockstep(cfg, theta, rngs)[0]
+    prob_plus = estimation._prob_plus
+
+    def recorded(config, task):
+        p_plus = prob_plus(config, task)
+
+        def on_grid(x, x_hat):
+            if np.ndim(x):
+                rounds[-1] += len(x_hat)
+            else:  # the draws at the true value open each round
+                rounds.append(0)
+            return p_plus(x, x_hat)
+
+        return on_grid
+
+    monkeypatch.setattr(estimation, "_prob_plus", recorded)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(estimation, "_CHUNK_BYTES", chunk_bytes)
+    rngs = [np.random.default_rng(cfg.seed ^ r) for r in range(lanes)]
+    estimates, n_plus = estimation._lockstep(cfg, theta, rngs)
+    histories = n_plus.tolist()
+    parents = [len({tuple(h[:k]) for h in histories}) for k in range(cfg.rounds)]
+    assert rounds == parents and sum(parents) == parent_rows
+    assert len({tuple(h[:k]) for h in histories for k in range(1, cfg.rounds + 1)}) == group_rows
+    assert estimates.tobytes() == whole.tobytes()
 
 
 def test_campaign_block_memory_when_nearly_every_history_differs() -> None:
@@ -780,6 +838,38 @@ def test_grid_peak_on_a_one_cell_grid() -> None:
     grid = np.array([0.2, 0.4])
     cum = np.array([[0.0, -1.0], [-1.0, 0.0], [-np.inf, -np.inf], [0.0, 0.0]])
     assert np.array_equal(estimation._grid_peak(cum, grid, 0.2), [0.2, 0.4, 0.2, 0.2])
+
+
+def _grid_peak_reference(cum, grid, step) -> np.ndarray:
+    """_grid_peak as written with np.clip and np.take_along_axis, before it
+    came to read the three cells of each row by flat indexing."""
+    j, last = np.argmax(cum, axis=1), grid.size - 1
+    near = np.clip(j[:, None] + np.arange(-1, 2), 0, last)
+    left, mid, right = np.take_along_axis(cum, near, axis=1).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvature = left - 2.0 * mid + right
+        shift = np.clip(0.5 * (left - right) / curvature, -1.0, 1.0) * step
+    vertex = (0 < j) & (j < last) & (curvature < 0) & np.isfinite([left, mid, right]).all(axis=0)
+    return grid[j] + np.where(vertex, shift, 0.0)
+
+
+# Ties, infinities, NaN, signed zeros, and finite values near the float range
+# whose differences and sums overflow.
+_PEAK_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -2.0, np.inf, -np.inf, np.nan, 1e308, -1e308]),
+    st.floats(1e307, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-10.0, 10.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.integers(2, 3), rows=st.integers(1, 5), data=st.data())
+def test_grid_peak_matches_the_clip_and_gather_reference(points, rows, data) -> None:
+    cells = data.draw(st.lists(_PEAK_CELLS, min_size=rows * points, max_size=rows * points))
+    cum = np.array(cells).reshape(rows, points)
+    grid = np.linspace(0.2, 0.2 + 0.1 * (points - 1), points)
+    with np.errstate(over="ignore"):
+        assert estimation._grid_peak(cum, grid, 0.1).tobytes() == _grid_peak_reference(cum, grid, 0.1).tobytes()
 
 
 def test_campaign_rows_equal_runs_with_edge_lanes_in_the_block(monkeypatch) -> None:
