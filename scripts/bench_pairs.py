@@ -18,7 +18,9 @@ and inclusive quartiles, ``change_wins`` (pairs in which the change is
 better; ties count for neither) and ``relative_worsening``, (change -
 parent) / parent of the medians signed so that positive is worse, against
 the metric's bound in BENCHMARK.json.  ``--out`` is written after each
-workload, and its other keys are kept.
+workload, and its other keys are kept, but for two it writes itself:
+``parent``, the full hash that ``--parent`` names (``git rev-parse``), and
+``claim``, the ``--claim`` text, when one is given.
 BENCHMARK.json is read, never written.
 
 ``--micro`` also times the layers ``numeric_route`` and ``campaign`` spend
@@ -351,6 +353,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p.add_argument("--first-seed", type=int, required=True)
     p.add_argument("--out", type=Path, required=True, help="JSON record to write the workloads into")
     p.add_argument("--micro", action="store_true", help="also time the MICRO cases into micro_us")
+    p.add_argument("--claim", default=None, help="the gain the record is for, written as its claim")
     args = p.parse_args(argv)
     if not args.workload and not args.micro:
         p.error("give at least one --workload, or --micro")
@@ -369,6 +372,13 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
+    parent = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["parent"] = parent
+    if args.claim is not None:
+        doc["claim"] = args.claim
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {"parent": export_parent(args.parent, Path(tmp)), "change": ROOT}
         for workload in args.workload:

@@ -90,6 +90,20 @@ ROUTES = {
     "corrected_evolve_omega 20 steps": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=100)"
     ),
+    # The edges of dynamics._run's loop: one product, a full chunk of 64 and one
+    # more, a full block of 4096 interval weights and one more, and 64 static
+    # fused products plus one interval of one call of each; then the shortest
+    # free run that _steps sends through _run (8 blocks of 16 steps and one step).
+    **{
+        f"corrected_evolve_omega n_recoveries={n}": (
+            f"qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, {n} * 2.5e-3, dt=2.5e-3, n_recoveries={n})"
+        )
+        for n in (1, 65, 4097)
+    },
+    "corrected_evolve_theta 1025 intervals": (
+        "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.125, dt=5e-3, n_recoveries=1025)"
+    ),
+    "lindblad_evolve theta 129 steps": "dynamics.lindblad_evolve(theta_model(), bell(), 129 * 4e-3, dt=4e-3)",
     "corrected_state_theta_closed": (
         "qec.corrected_state_theta_closed(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0)"
     ),

@@ -19,7 +19,9 @@ where every step is the same matrix.  :func:`_rk4_map` builds it,
 view of the state that also applies the Hermitian projection and returns the
 trace, and :func:`_block_map` makes k steps one matrix that returns each
 step's trace.  :func:`_steps` steps one state by one ``ndarray.dot`` per block
-of up to ``_BLOCK_STEPS`` steps, through :func:`_run`, the one checked loop.
+of up to ``_BLOCK_STEPS`` steps, through :func:`_run`, the one checked loop,
+which makes its row views once per run and takes a rotating code's interval
+weights once per ``_CHUNK**2`` = 4096 products.
 The stochastic picture draws the accumulated phase Phi = B t + phi with
 phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
 CFI of ``metrology`` draws through it), and averages pure-state trajectories.
@@ -29,7 +31,6 @@ Every refusal of a duration, rate, field, angle or frequency is :func:`_check_do
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -370,21 +371,25 @@ def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.nda
 
 def _run(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> np.ndarray:
     """``n`` products of a (d, d) state's float64 row with a (w, w + c) checked map, or, given ``weights``, with
-    the stack ``maps`` weighted by the (m, q) ``weights(k, m)`` for m products from k, made per chunk.  Each goes
-    by ``ndarray.dot`` into a row of a ``_CHUNK``-row buffer, whose checks :func:`_read_checks` reads after the
-    chunk: a failing run goes on to its chunk's end."""
-    row, w, buf = rho.view(_REAL).ravel(), 2 * rho.size, np.empty((min(n, _CHUNK), maps.shape[-1]))
-    tables = repeat(maps) if weights is None else np.empty((len(buf), *maps.shape[1:]))  # reused: no page faults
+    the stack ``maps`` weighted by the (m, q) ``weights(k, m)`` for m products from k, taken once per
+    ``_CHUNK**2`` products and combined per chunk.  Each is one ``ndarray.dot`` of row views made once per run
+    into a row of a ``_CHUNK``-row buffer, whose checks :func:`_read_checks` reads after the chunk: a failing
+    run goes on to its chunk's end."""
+    w, buf = 2 * rho.size, np.empty((min(n, _CHUNK), maps.shape[-1]))
+    tables = [maps] * len(buf) if weights is None else np.empty((len(buf), *maps.shape[1:]))  # reused: no page faults
+    ins, outs, blocks = [rho.view(_REAL).ravel(), *buf[:-1, :w]], list(buf), list(tables)
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, _CHUNK):
-            m = min(_CHUNK, n - first)
+            m, at = min(_CHUNK, n - first), first % _CHUNK**2
             if weights is not None:
-                np.matmul(weights(first, m), maps.reshape(len(maps), -1), out=tables[:m].reshape(m, -1))
-            for out, block in zip(buf[:m], tables):
-                row.dot(block, out=out)
-                row = out[:w]
+                if at == 0:  # one weights call per _CHUNK**2 products, so memory does not grow with n
+                    weight_block = weights(first, min(_CHUNK**2, n - first))
+                np.matmul(weight_block[at : at + m], maps.reshape(len(maps), -1), out=tables[:m].reshape(m, -1))
+            for row, out, table in zip(ins, outs[:m], blocks):
+                row.dot(table, out)
+            ins[0] = buf[-1, :w]  # the next chunk's first input: this chunk's last output
             _read_checks(buf[:m, w:], first * (buf.shape[1] - w), s)
-    return row.copy().view(_COMPLEX).reshape(rho.shape)
+    return buf[m - 1, :w].copy().view(_COMPLEX).reshape(rho.shape)
 
 
 def _read_checks(checks: np.ndarray, offset: int, s: int) -> None:

@@ -185,9 +185,9 @@ def _loglik(n_plus: int, n_minus: int, log_p, log_q):
 
 
 def _grid_peak(cum, grid, step) -> np.ndarray:
-    """Per row of cum, its grid argmax (first on ties) moved to the vertex of
-    the parabola through that cell and its two neighbours, by at most one
-    step.  There is no step from a grid end, or where the three values are
+    """Per row of cum, its grid argmax (first on ties) moved to the vertex of the parabola through
+    that cell and its two neighbours, by at most half a step as neither neighbour is higher (rounding
+    in a near-tie can make it one).  There is no step from a grid end, or where the three values are
     not each finite and concave.  Rows do not interact.
     """
     j, last = np.argmax(cum, axis=1), grid.size - 1
@@ -195,7 +195,7 @@ def _grid_peak(cum, grid, step) -> np.ndarray:
     left, mid, right = near = cum.ravel()[[np.maximum(j - 1, 0) + at, j + at, np.minimum(j + 1, last) + at]]
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = left - 2.0 * mid + right
-        shift = np.minimum(np.maximum(0.5 * (left - right) / curvature, -1.0), 1.0) * step
+        shift = 0.5 * (left - right) / curvature * step
     vertex = (0 < j) & (j < last) & (curvature < 0) & np.isfinite(near).all(axis=0)
     return grid[j] + np.where(vertex, shift, 0.0)
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from itertools import repeat
 
 import numpy as np
 import pytest
 
-from fluxmet import dynamics
+from fluxmet import dynamics, qec
 from fluxmet.dynamics import (
     bell_probe,
     dephasing_kraus,
@@ -23,7 +24,7 @@ from fluxmet.dynamics import (
     trajectory_outcome_probability,
 )
 from fluxmet.cli import load_model_file, resolve_model_path
-from fluxmet.errors import DimensionError, DomainError, InstabilityError, StepError
+from fluxmet.errors import DimensionError, DomainError, InstabilityError, LeakageError, StepError
 from fluxmet.metrology import qfi_sld_numeric
 from fluxmet.qec import apply_recovery, omega_code
 from fluxmet.qmat import expm, hermitian_eig, kron
@@ -395,6 +396,86 @@ def test_the_product_of_one_state_is_matmul_bit_for_bit() -> None:
         for product in (np.ndarray.dot, np.matmul):
             want = product(rows, code._recovery_map)[..., :-1].view(complex).reshape(rho.shape)
             assert np.array_equal(apply_recovery(code, rho), want)
+
+
+def _reference_run(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> np.ndarray:
+    # dynamics._run as it stood with its views made per product and its
+    # weights taken per chunk of _CHUNK products: the oracle of the test below.
+    chunk = dynamics._CHUNK
+    row, w, buf = rho.view(np.float64).ravel(), 2 * rho.size, np.empty((min(n, chunk), maps.shape[-1]))
+    tables = repeat(maps) if weights is None else np.empty((len(buf), *maps.shape[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n, chunk):
+            m = min(chunk, n - first)
+            if weights is not None:
+                np.matmul(weights(first, m), maps.reshape(len(maps), -1), out=tables[:m].reshape(m, -1))
+            for out, block in zip(buf[:m], tables):
+                row.dot(block, out=out)
+                row = out[:w]
+            dynamics._read_checks(buf[:m, w:], first * (buf.shape[1] - w), s)
+    return row.copy().view(complex).reshape(rho.shape)
+
+
+def _rotating_stack(gain: float = 1.0):
+    # The five samples and weights of a detuned rotating recovery interval of
+    # four steps, as qec._corrected_evolve builds them, scaled by ``gain``,
+    # and the code's probe.
+    model, code, s, dt = omega_model(0.1, 0.05, 0.3), omega_code(0.25), 4, 2.5e-3
+    steps = dynamics._block_map(model._maps_at(dt), s)
+    model_exit = np.ravel(dynamics.in_frame(1.0, model._rate, s * dt))
+    samples, weights = qec._interval_polynomial(steps, code, model_exit, code._rate - model._rate, s * dt)
+    return gain * samples, weights, s, qec._outer(qec.code_probe(code))
+
+
+def _run_both(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> list:
+    # What dynamics._run and the reference return or raise, with warnings as errors.
+    results = []
+    for run in (dynamics._run, _reference_run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                results.append(run(rho, maps, n, s, weights).tobytes())
+            except (InstabilityError, LeakageError) as err:
+                results.append((type(err), str(err)))
+    return results
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 4095, 4096, 4097])
+def test_run_is_the_per_product_loop_byte_for_byte(n) -> None:
+    # _run makes its row views once per run and takes the weights once per
+    # _CHUNK**2 products; it must return the bytes of the loop that built
+    # them per product and took the weights per chunk, for one static
+    # checked map and, across the weight blocks' edge, for a weighted stack.
+    samples, weights, s, probe = _rotating_stack()
+    got, want = _run_both(probe, samples, n, s, weights)
+    assert isinstance(got, bytes) and got == want
+    if n < 4095:
+        block = dynamics._block_map(theta_model(B, GAMMA, 0.3)._maps_at(0.01), dynamics._BLOCK_STEPS)
+        got, want = _run_both(_random_rho(n), block, n, n * dynamics._BLOCK_STEPS)
+        assert isinstance(got, bytes) and got == want
+
+
+@pytest.mark.parametrize(
+    "gain, n, clean, weighted",
+    [(1e3, 129, 0, False), (1 + 8.7e-10, 80, 64, False), (1 + 8.7e-10, 200, 64, False),
+     (1 + 2.4e-10, 4200, 4160, True)],
+)
+def test_a_failing_run_raises_what_the_per_product_loop_raises(gain, n, clean, weighted) -> None:
+    # Scaled maps whose first ``clean`` products pass: one that fails at its
+    # first step and overflows on to the chunk's end, one that fails in a
+    # partial last chunk, one in a full chunk after the first and, weighted,
+    # one in a partial last chunk past the first weight block.  _run raises
+    # the reference's class and message, and no warning escapes.
+    if weighted:
+        maps, weights, s, rho = _rotating_stack(gain)
+    else:
+        lab = gain * dynamics._rk4_map(theta_model(B, GAMMA, 0.3)._generator, 4, 4e-3)
+        maps = dynamics._block_map({1: dynamics._checked_map(lab, 4)}, dynamics._BLOCK_STEPS)
+        weights, s, rho = None, n * dynamics._BLOCK_STEPS, bell_rho()
+    if clean:
+        dynamics._run(rho, maps, clean, s, weights)
+    got, want = _run_both(rho, maps, n, s, weights)
+    assert got == want and got[0] is InstabilityError
 
 
 @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])

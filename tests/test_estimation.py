@@ -803,6 +803,26 @@ def test_grid_peak_at_a_grid_end_returns_that_end() -> None:
     assert np.array_equal(estimation._grid_peak(cum, _GRID, _STEP), _GRID[[0, 0, -1, -1]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_grid_peak_moves_by_at_most_half_a_step() -> None:
+    # At a row's argmax neither neighbour is higher, so |left - right| is at
+    # most -(curvature) and the vertex lies within half a cell of it, up to
+    # rounding: the curvature's, relative to it, and that of grid[j] + shift.
+    # Random concave rows with interior peaks, and rows whose argmax's right
+    # neighbour is tied to it, which step by half a cell.
+    rng, rows = np.random.default_rng(36), np.arange(2000)
+    centre, scale = rng.uniform(0.12, 0.48, rows.size), 10.0 ** rng.uniform(-2, 6, rows.size)
+    cum = -scale[:, None] * (_GRID - centre[:, None]) ** 2 + rng.normal(0.0, 50.0, rows.size)[:, None]
+    j, tied = np.argmax(cum, axis=1), rng.random(rows.size) < 0.5
+    cum[tied, j[tied] + 1] = cum[tied, j[tied]]
+    left, mid, right = cum[rows, j - 1], cum[rows, j], cum[rows, j + 1]
+    cancel = (abs(left) + 2 * abs(mid) + abs(right)) / -(left - 2 * mid + right)
+    slack = 4 * np.finfo(float).eps * cancel * _STEP + np.spacing(_GRID[j])
+    gap = np.abs(estimation._grid_peak(cum, _GRID, _STEP) - _GRID[j])
+    assert np.all(gap <= _STEP / 2 + slack)
+    assert tied.sum() > 900 and np.all(np.abs(gap[tied] - _STEP / 2) <= slack[tied])
+
+
 @pytest.mark.parametrize("width", [0.0, 1e-12, 1e-4, 0.3, 7.0])
 @pytest.mark.filterwarnings("error")
 def test_grid_peak_at_any_grid_width(width) -> None:

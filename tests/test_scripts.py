@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -127,15 +128,18 @@ def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch
     monkeypatch.setattr(script, "run_once", fake_run)
     monkeypatch.setattr(script, "PAIRS", 2)
     out = tmp_path / "bench.json"
-    out.write_text(json.dumps({"claim": "kept", "workloads": {"cli": {"pairs": 3}}}))
+    out.write_text(json.dumps({"claim": "old", "parent": "HEAD~1", "workloads": {"cli": {"pairs": 3}}}))
     argv = ["--parent", "HEAD", "--workload", "campaign", "--workload", "numeric_route",
-            "--first-seed", "7", "--out", str(out)]
+            "--first-seed", "7", "--out", str(out), "--claim", "campaign goodput_ops_s rises"]
     assert script.main(argv) == 0
     seconds = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["run_seconds"]
     pairs = [("parent", 7, seconds), ("change", 7, seconds), ("change", 8, seconds), ("parent", 8, seconds)]
     assert calls == [(w, *call) for w in ("campaign", "numeric_route") for call in pairs]
     doc = json.loads(out.read_text())
-    assert doc["claim"] == "kept" and doc["workloads"]["cli"] == {"pairs": 3}
+    # The record names its parent by full hash and its claim by --claim; other keys are kept.
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS, capture_output=True, text=True, check=True)
+    assert doc["parent"] == head.stdout.strip()
+    assert doc["claim"] == "campaign goodput_ops_s rises" and doc["workloads"]["cli"] == {"pairs": 3}
     for workload in ("campaign", "numeric_route"):
         entry = doc["workloads"][workload]
         assert entry["seeds"] == [7, 8]
