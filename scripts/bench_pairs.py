@@ -26,9 +26,10 @@ BENCHMARK.json is read, never written.
 ``--micro`` also times the layers ``numeric_route`` and ``campaign`` spend
 their time in, the cases of ``MICRO``: one static and one rotating recovery
 interval (a whole corrected evolution in that workload's shape, per
-interval), one static and one rotating interval of four steps (criterion
-5's shape), one rotating interval at zero detuning (the centre point of the
-workload's frequency family), one 4000-step free evolution, and the two
+interval), one static and one rotating interval of four steps and one
+rotating interval of two (criterion 5's shapes), one rotating interval at
+zero detuning (the centre point of the workload's frequency family), one
+4000-step free evolution, and the two
 calls of each interval apart: one single-state ``lindblad_evolve`` step and
 one ``apply_recovery``, on the rotating model and code and (``_static``) on
 the static ones, each per call of 1000 on a model or code built in the
@@ -80,6 +81,9 @@ MICRO = {
     ),
     "interval_rotating": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000
+    ),
+    "interval_rotating_2_steps": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=1000)", 1000
     ),
     "interval_rotating_4_steps": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.3, 0.25, 5.0, dt=2.5e-3, n_recoveries=500)", 500

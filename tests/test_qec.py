@@ -543,7 +543,7 @@ def test_the_fused_and_lean_paths_match_one_call_of_each_per_interval(task, s) -
     # themselves.
     build, dt, args = _PAIRS[task][0], 1e-3, _ARGS[task]
     evolve = corrected_evolve_theta if task == "theta" else corrected_evolve_omega
-    for n in (15, 16, 17, 33, 1000):
+    for n in (1, 2, 3, 15, 16, 17, 33, 259, 1000):
         got = evolve(*args, n * s * dt, dt=dt, n_recoveries=n)
         *_, want = _per_interval(*build(), n * s * dt, dt, n)
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -574,6 +574,42 @@ def test_a_rotating_interval_map_is_the_degree_2_polynomial_through_its_five_sam
         assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.linalg.norm(want, 2)
 
 
+def _intervals_on_rows(steps, code, model_exit, rate, tau: float, interval: float, p: int) -> np.ndarray:
+    # p detuned rotating intervals from tau composed directly on the identity
+    # rows: each interval's block map, frame phases and recovery, then its s
+    # step traces and its recovery's lost trace as check columns.
+    w = steps.shape[0]
+    rows, checks = np.eye(w), []
+    for i in range(p):
+        stepped = rows @ steps
+        x = stepped[:, :w].view(complex).reshape(w, 4, 4) * model_exit / np.exp(rate * (tau + i * interval))
+        recovered = x.reshape(w, 16).view(np.float64) @ code._recovery_map
+        y = recovered[:, :w].view(complex).reshape(w, 4, 4) * np.exp(rate * (tau + (i + 1) * interval))
+        rows = y.reshape(w, 16).view(np.float64)
+        checks += [stepped[:, w:], recovered[:, w:]]
+    return np.concatenate([rows, *checks], axis=1)
+
+
+@pytest.mark.parametrize("s, p", [(1, 4), (2, 2), (4, 2), (16, 2)])
+def test_a_fused_rotating_map_is_the_degree_2p_polynomial_through_its_4p_plus_1_samples(s, p) -> None:
+    # A product of p detuned rotating intervals from nu tau = a is a trigonometric
+    # polynomial of degree 2p in a, fixed by its 4p + 1 samples.  For each (s, p)
+    # the rule in qec._corrected_evolve picks, the map the weights rebuild at
+    # angles off the sample grid matches, within a few ulps of its norm, the p
+    # intervals composed directly on the identity rows, each interval's checks
+    # carried back through the ones before it.
+    (model, code), dt = _PAIRS["omega"][0](), 1e-3
+    interval, rate = s * dt, code._rate - model._rate
+    steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
+    samples, _ = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
+    fused, weights = qec._fused_polynomial(samples, rate, interval, p)
+    assert fused.shape == (4 * p + 1, 32, 32 + p * (s + 1))
+    for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s p to 2 * s p
+        want = _intervals_on_rows(steps, code, model_exit, rate, k * p * interval, interval, p)
+        got = (weights(k, 1) @ fused.reshape(4 * p + 1, -1)).reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.linalg.norm(want, 2)
+
+
 @pytest.mark.parametrize("omega, omega_hat", [(1e-308, 2e-308), (5e-324, 0.0)])
 def test_a_subnormal_detuning_evolves_like_one_call_of_each(omega, omega_hat) -> None:
     # The samples' phases take nu tau as an angle and the sign of the rate as its
@@ -594,39 +630,57 @@ def _failing_interval(intervals) -> tuple[int, str, type]:
     return done + 1, str(err.value), err.type
 
 
+# (task, steps per interval, the failing interval's place): on the static task
+# inside a product of 16 intervals; on the rotating one at each position inside
+# a product of p intervals (p = 4 at one step an interval, 2 at two), and in
+# the last n % p intervals, which go one per product.
+_FAILING = [("theta", 5, None)] + [("omega", s, at) for s, p in ((1, 4), (2, 2)) for at in [*range(p), "tail"]]
+
+
 @pytest.mark.parametrize("kind", ["drift", "leakage"])
-@pytest.mark.parametrize("task", ["theta", "omega"])
-def test_a_forced_failure_inside_a_later_block_names_what_one_call_of_each_names(task, kind) -> None:
-    # Drift: the recovery's second Kraus operator, shrunk by eps, loses a
-    # little trace at each recovery until a step's trace has drifted by
-    # 1e-6.  Leakage: the recovery's lost-trace column also reads alpha
-    # times the code-word coherence Im <c0|rho|c1>, which the detuning
+@pytest.mark.parametrize("task, s, at", _FAILING)
+def test_a_forced_failure_inside_a_later_block_names_what_one_call_of_each_names(task, s, at, kind) -> None:
+    # Drift: the recovery's second Kraus operator K, shrunk by eps, loses
+    # (2 eps - eps^2) <K^dag K> of trace at each recovery until a step's trace
+    # has drifted by 1e-6.  Leakage: the recovery's lost-trace column also reads
+    # alpha times the code-word coherence Im <c0|rho|c1>, which the detuning
     # grows, so one recovery's reading passes 1e-6 and the state is not
-    # touched.  A route of one call of each per interval finds the failing
-    # interval k, inside a later block and at no block boundary; the fused
-    # or lean path raises its class and message, and an evolution of k - 1
-    # intervals of the same length raises nothing.
-    (build, block), dt, s = _PAIRS[task], 1e-3, 5 if task == "theta" else 2
+    # touched.  A route of one call of each per interval reads the witness
+    # before each recovery, and eps or alpha is set so that the first failure
+    # falls at the target interval, in a later block (16 static intervals, or
+    # 64 rotating products of p intervals) and at no block boundary.  The route
+    # then finds it there; the fused path raises its class and message, and an
+    # evolution of k - 1 intervals of the same length raises nothing.
+    (build, block), dt = _PAIRS[task], 1e-3
     model, code = build()
-    n, target = 4 * block if task == "theta" else 2 * block, block + 5
+    p = 1 if task == "theta" else 4 if s == 1 else 2
+    n = 4 * block if task == "theta" else 2 * block * p + (p - 1 if at == "tail" else 0)
+    target = n if at == "tail" else block + 5 if task == "theta" else (block + 5) * p + at + 1
     if kind == "drift":
-        eps = 5.6e-5 if task == "theta" else 1.4e-5
-        code = dataclasses.replace(code, recovery=[code.recovery[0], (1 - eps) * code.recovery[1]])
+        kraus = code.recovery[1].conj().T @ code.recovery[1]
+        witness = np.column_stack([kraus.T.real.ravel(), -kraus.T.imag.ravel()]).reshape(16 * 2, 1)
     else:
         c0, c1 = code.basis()
         z = np.outer(c0.conj(), c1).ravel()
-        coherence = np.column_stack([z.imag, z.real]).reshape(16 * 2, 1)  # Im <c0|rho|c1> of a float64 row
-        readings = np.abs(np.ravel(list(_per_interval(model, code, n * s * dt, dt, n, coherence))))
+        witness = np.column_stack([z.imag, z.real]).reshape(16 * 2, 1)  # Im <c0|rho|c1> of a float64 row
+    readings = np.abs(np.ravel(list(_per_interval(model, code, n * s * dt, dt, n, witness))))
+    if kind == "drift":  # the trace lost by the recoveries before the target's first step crosses 1e-6
+        lost = np.cumsum(readings)
+        assert np.all(readings > 0)
+        eps = 1 - np.sqrt(1 - 2e-6 / (lost[target - 3] + lost[target - 2]))
+        code = dataclasses.replace(code, recovery=[code.recovery[0], (1 - eps) * code.recovery[1]])
+    else:
         assert np.all(np.diff(readings) > 0)
         alpha = 2e-6 / (readings[target - 2] + readings[target - 1])
         leaky = code._recovery_map.copy()
-        leaky[:, -1:] += alpha * coherence
+        leaky[:, -1:] += alpha * witness
         code = dataclasses.replace(code)
         vars(code)["_recovery_map"] = leaky
     k, message, error = _failing_interval(_per_interval(model, code, n * s * dt, dt, n))
-    assert k > block and k % block not in (0, 1)
+    assert k == target
+    assert k > n - n % p if at == "tail" else k > block * p and (k - 1) // p % block not in (0, block - 1)
     if kind == "leakage":
-        assert k == target and error is LeakageError
+        assert error is LeakageError
     else:
         assert message.endswith("at step 1") and error is InstabilityError
     with pytest.raises(error) as err:
