@@ -26,10 +26,11 @@ BENCHMARK.json is read, never written.
 ``--micro`` also times the layers ``numeric_route`` and ``campaign`` spend
 their time in, the cases of ``MICRO``: one static and one rotating recovery
 interval (a whole corrected evolution in that workload's shape, per
-interval), one static and one rotating interval of four steps and one
-rotating interval of two (criterion 5's shapes), one rotating interval at
-zero detuning (the centre point of the workload's frequency family), one
-4000-step free evolution, and the two
+interval), one rotating interval of a run of 128, too short for
+``qec._corrected_evolve`` to fuse its intervals, one static and one rotating
+interval of four steps and one rotating interval of two (criterion 5's
+shapes), one rotating interval at zero detuning (the centre point of the
+workload's frequency family), one 4000-step free evolution, and the two
 calls of each interval apart: one single-state ``lindblad_evolve`` step and
 one ``apply_recovery``, on the rotating model and code and (``_static``) on
 the static ones, each per call of 1000 on a model or code built in the
@@ -81,6 +82,9 @@ MICRO = {
     ),
     "interval_rotating": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000
+    ),
+    "interval_rotating_128": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 0.32, dt=2.5e-3, n_recoveries=128)", 128
     ),
     "interval_rotating_2_steps": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=1000)", 1000

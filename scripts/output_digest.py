@@ -100,15 +100,15 @@ ROUTES = {
         )
         for n in (1, 65, 4097)
     },
-    # Detuned rotating runs at the edges of the fused products of qec._corrected_evolve:
-    # at one step an interval (four intervals a product) with one and three intervals
-    # left over, at two and three steps an interval (two a product), and on both sides
-    # of the shortest run that goes fused.
+    # Detuned rotating runs at the edges of the fused products of qec._corrected_evolve
+    # (two intervals a product): at one step an interval with one interval left over,
+    # at two and three steps an interval, on both sides of the shortest run that goes
+    # fused, and on both sides of the most steps an interval that go fused.
     **{
         f"corrected_evolve_omega {s} steps {n} intervals": (
             f"qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, {n * s} * 2.5e-3, dt=2.5e-3, n_recoveries={n})"
         )
-        for s, n in ((1, 2001), (1, 2003), (2, 1000), (3, 667), (1, 255), (1, 256))
+        for s, n in ((1, 2001), (1, 2003), (2, 1000), (3, 667), (1, 255), (1, 256), (8, 256), (9, 256))
     },
     "corrected_evolve_theta 1025 intervals": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.125, dt=5e-3, n_recoveries=1025)"

@@ -7,12 +7,11 @@ current estimate; recovery is the two-operator Kraus set {P, P sigma_n},
 applied as one checked real map that also re-symmetrizes the state and
 returns the trace it lost.  A code is data: its t = 0 code words and
 recovery plus, for a rotating code, the diagonal of the frame generator that
-carries them along in time, whose phase rate goes through
-``dynamics.in_frame`` like a model's.  Stepwise corrected evolution and the
-continuous-recovery closed state are written once for both codes; the former
-makes one ``ndarray.dot`` per 16 static intervals or per p rotating ones: a map
-fixed by 4p + 1 samples, p = 4 at one step an interval, else 2, in runs of 256
-or more intervals, and p = 1 (five samples) in shorter runs.
+carries them along in time, whose phase rate goes through ``dynamics.in_frame``
+like a model's.  Stepwise corrected evolution and the continuous-recovery
+closed state are written once for both codes; the former makes one
+``ndarray.dot`` per 16 static intervals or per p rotating ones, p as
+``_corrected_evolve`` picks it.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -204,9 +203,9 @@ def _corrected_evolve(
     An interval of s <= ``_BLOCK_STEPS`` steps is one checked map (:func:`_interval_maps`) that
     ``dynamics._run`` applies.  Where the code's frame does not turn against the model's, every interval
     is one unit and 16 go per product; the last n_rec % 16, and all intervals of more steps, make one
-    ``lindblad_evolve`` and one ``apply_recovery`` call each.  Else, in a run of at least 256 intervals, p go
-    per product (p = 4 at s = 1, else 2) with :func:`_fused_polynomial`'s 4p + 1 samples; the last n_rec % p,
-    and every interval of a shorter run, go one per product with :func:`_interval_polynomial`'s five.
+    ``lindblad_evolve`` and one ``apply_recovery`` call each.  Else a run of 256 or more intervals of s <= 8
+    steps goes two per product on :func:`_fused_polynomial`'s 4p + 1 = 9 samples, and every other interval one
+    per product on :func:`_interval_polynomial`'s five: only there did fusing pay (CHANGES.md has the sweep).
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
     if not isinstance(n_rec, (int, np.integer)):
@@ -224,11 +223,10 @@ def _corrected_evolve(
         rho = _run(rho, _block_map(unit, _BLOCK_STEPS), done // _BLOCK_STEPS, s)
     elif steps is not None and turning:
         samples, weights = _interval_polynomial(steps, code, model_exit, rate, interval)
-        p = (4 if s == 1 else 2) if n_rec >= 4 * _CHUNK else 1  # CHANGES.md has the sweep
-        if p > 1:  # all but the last n_rec % p intervals go p per product
-            fused, fused_weights = _fused_polynomial(samples, rate, interval, p)
-            rho, done = _run(rho, fused, n_rec // p, s, fused_weights), n_rec - n_rec % p
-        if done < n_rec:
+        if n_rec >= 256 and s <= 8:  # all but the last n_rec % 2 intervals, two a product
+            fused, fused_weights = _fused_polynomial(samples, rate, interval, 2)
+            rho, done = _run(rho, fused, n_rec // 2, s, fused_weights), n_rec - n_rec % 2
+        if done < n_rec:  # _run takes no empty run
             rho, done = _run(rho, samples, n_rec - done, s, lambda k, m, first=done: weights(first + k, m)), n_rec
     for k in range(done, n_rec):  # the code's frame entered and left relative to the model's
         rho = lindblad_evolve(model, rho, interval, dt) / in_frame(1.0, rate, k * interval)
@@ -253,9 +251,7 @@ def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.
     """The maps of intervals from tau = k interval, as (5, w, w + s + 1) samples and weights(k, m) for m
     intervals.  ``rate`` is 0 or +-i nu, so on a float64 row the phases at tau and tau + interval are
     rotations by +-nu tau, and a map is a trigonometric polynomial of degree 2 in nu tau.  Its samples at
-    nu tau = 2 pi j / 5 fix it; the weights, its 5-point DFT evaluated at nu tau, are the Dirichlet kernel.
-    Runs of 256 or more intervals go p per product (p = 4 at s = 1, else 2): p intervals in turn are a
-    polynomial of degree 2p, fixed by the 4p + 1 samples that :func:`_fused_polynomial` builds from these."""
+    nu tau = 2 pi j / 5 fix it; the weights, its 5-point DFT evaluated at nu tau, are the Dirichlet kernel."""
     nu, grid = float(np.max(np.abs(rate))), 2 * np.pi / 5 * np.arange(5)
     angles = np.add.outer([0.0, nu * interval], grid)[..., None, None]  # nu tau, nu (tau + interval)
     enter, leave = np.exp(1j * np.sign(rate.imag).ravel() * angles)
@@ -266,25 +262,21 @@ def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.
 
 
 def _fused_polynomial(samples: np.ndarray, rate: np.ndarray, interval: float, p: int):
-    """The maps of p intervals in turn from nu tau = a = k p nu interval, a polynomial of degree 2p in a, as
-    (4p + 1, w, w + p (s + 1)) samples at a = 2 pi j / (4p + 1) and weights(k, m) for m products.  A sample
-    is its p intervals, interpolated from the five ``samples``, with ``_block_map``'s carry of their checks."""
+    """The maps of p intervals in turn from a = nu tau, of degree 2p in a, as (4p + 1, w, w + p (s + 1)) samples at
+    a = 2 pi j / (4p + 1), each its p intervals interpolated from the five ``samples`` and composed with
+    ``_block_map``'s carry of their checks, and weights(k, m) for m products from the k-th: the Dirichlet kernel."""
+    def dirichlet(a: np.ndarray, q: int) -> np.ndarray:  # cos(l (a - a_j)) split: q - 1 cos and sin calls an angle
+        l = np.arange(1, q // 2 + 1)
+        x, y = np.multiply.outer(a, l), np.outer(l, 2 * np.pi / q * np.arange(q))
+        return 1 / q + 2 / q * (np.cos(x) @ np.cos(y) + np.sin(x) @ np.sin(y))
     c, q, w = float(np.max(np.abs(rate))) * interval, 4 * p + 1, samples.shape[1]
     starts = np.add.outer(2 * np.pi / q * np.arange(q), c * np.arange(p))  # of each sample's p intervals
-    single = (_dirichlet(starts, 5) @ samples.reshape(5, -1)).reshape(q, p, w, -1)
+    single = (dirichlet(starts, 5) @ samples.reshape(5, -1)).reshape(q, p, w, -1)
     power, carried = single[:, 0, :, :w], [single[:, 0, :, w:]]
     for i in range(1, p):
         carried.append(power @ single[:, i, :, w:])
         power = power @ single[:, i, :, :w]
-    return np.concatenate([power, *carried], axis=-1), lambda k, m: _dirichlet(c * p * np.arange(k, k + m), q)
-
-
-def _dirichlet(angles: np.ndarray, q: int) -> np.ndarray:
-    """The (..., q) Dirichlet weights at ``angles`` of samples at 2 pi j / q, each cos(l (a - 2 pi j / q)) taken
-    apart into cos(l a) and sin(l a), so that an angle costs q - 1 transcendentals, not q (q - 1) / 2."""
-    l = np.arange(1, q // 2 + 1)
-    x, y = np.multiply.outer(angles, l), np.outer(l, 2 * np.pi / q * np.arange(q))
-    return 1 / q + 2 / q * (np.cos(x) @ np.cos(y) + np.sin(x) @ np.sin(y))
+    return np.concatenate([power, *carried], axis=-1), lambda k, m: dirichlet(c * p * np.arange(k, k + m), q)
 
 
 def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):

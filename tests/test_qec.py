@@ -472,6 +472,19 @@ def test_a_rotating_corrected_evolution_calls_exp_seven_times_at_any_length(monk
     assert len(calls) == 7
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2001])
+@pytest.mark.parametrize("s", [1, 8, 9, 16])
+def test_a_detuned_rotating_evolution_makes_no_call_per_interval(monkeypatch, s, n) -> None:
+    # Fused two a product or one a product, the odd last interval too, every
+    # interval of up to 16 steps is a product of dynamics._run.
+    def refuse(*args):
+        raise AssertionError("one call of each per interval")
+
+    monkeypatch.setattr(qec, "lindblad_evolve", refuse)
+    monkeypatch.setattr(qec, "apply_recovery", refuse)
+    corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, n * s * 1e-3, dt=1e-3, n_recoveries=n)
+
+
 def test_corrected_state_omega_closed_structure() -> None:
     om, om_hat = 0.25, 0.2
     code = omega_code(om_hat)
@@ -550,6 +563,21 @@ def test_the_fused_and_lean_paths_match_one_call_of_each_per_interval(task, s) -
         assert _is_hermitian(got)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("args, dt", [((0.3, 0.2, 1.4, 1.2), 1e-3), ((0.1, 0.05, 0.26, 0.25), 2.5e-3)])
+def test_a_long_fused_run_stays_within_half_the_per_interval_routes_own_drift(args, dt, s) -> None:
+    # Over thousands of intervals the rounding of both routes grows past 1e-13.
+    # The route of one call of each per interval keeps the trace at 1 up to its
+    # own rounding, which drifts by about 2 eps per interval; the fused path's
+    # state stays within half that drift of it (it reads at most 0.21 of it).
+    for n in (2000, 4097):
+        got = corrected_evolve_omega(*args, n * s * dt, dt=dt, n_recoveries=n)
+        *_, want = _per_interval(omega_model(*args[:3]), omega_code(args[3]), n * s * dt, dt, n)
+        drift = abs(np.trace(want) - 1)
+        assert drift > 1e-13
+        assert np.max(np.abs(got - want)) <= drift / 2
+
+
 @pytest.mark.parametrize("s", [1, 4, 16])
 def test_a_rotating_interval_map_is_the_degree_2_polynomial_through_its_five_samples(s) -> None:
     # The code's frame turns against the model's at nu = |omega_hat - omega|, so the
@@ -590,14 +618,14 @@ def _intervals_on_rows(steps, code, model_exit, rate, tau: float, interval: floa
     return np.concatenate([rows, *checks], axis=1)
 
 
-@pytest.mark.parametrize("s, p", [(1, 4), (2, 2), (4, 2), (16, 2)])
+@pytest.mark.parametrize("s, p", [(1, 2), (2, 2), (8, 2), (1, 4)])
 def test_a_fused_rotating_map_is_the_degree_2p_polynomial_through_its_4p_plus_1_samples(s, p) -> None:
     # A product of p detuned rotating intervals from nu tau = a is a trigonometric
-    # polynomial of degree 2p in a, fixed by its 4p + 1 samples.  For each (s, p)
-    # the rule in qec._corrected_evolve picks, the map the weights rebuild at
-    # angles off the sample grid matches, within a few ulps of its norm, the p
-    # intervals composed directly on the identity rows, each interval's checks
-    # carried back through the ones before it.
+    # polynomial of degree 2p in a, fixed by its 4p + 1 samples.  At p = 2, which
+    # qec._corrected_evolve takes at 1 to 8 steps an interval, and at p = 4, the
+    # map the weights rebuild at angles off the sample grid matches, within a
+    # few ulps of its norm, the p intervals composed directly on the identity
+    # rows, each interval's checks carried back through the ones before it.
     (model, code), dt = _PAIRS["omega"][0](), 1e-3
     interval, rate = s * dt, code._rate - model._rate
     steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
@@ -631,10 +659,11 @@ def _failing_interval(intervals) -> tuple[int, str, type]:
 
 
 # (task, steps per interval, the failing interval's place): on the static task
-# inside a product of 16 intervals; on the rotating one at each position inside
-# a product of p intervals (p = 4 at one step an interval, 2 at two), and in
-# the last n % p intervals, which go one per product.
-_FAILING = [("theta", 5, None)] + [("omega", s, at) for s, p in ((1, 4), (2, 2)) for at in [*range(p), "tail"]]
+# inside a product of 16 intervals; on the rotating one in a run of 128
+# intervals, too short to go fused, so one per product; and in runs of 256 or
+# more at each place inside a product of two intervals, and in the last
+# interval of an odd run, which goes alone.
+_FAILING = [("theta", 5, None), ("omega", 2, None)] + [("omega", s, at) for s in (1, 2) for at in (0, 1, "tail")]
 
 
 @pytest.mark.parametrize("kind", ["drift", "leakage"])
@@ -653,9 +682,12 @@ def test_a_forced_failure_inside_a_later_block_names_what_one_call_of_each_names
     # evolution of k - 1 intervals of the same length raises nothing.
     (build, block), dt = _PAIRS[task], 1e-3
     model, code = build()
-    p = 1 if task == "theta" else 4 if s == 1 else 2
-    n = 4 * block if task == "theta" else 2 * block * p + (p - 1 if at == "tail" else 0)
-    target = n if at == "tail" else block + 5 if task == "theta" else (block + 5) * p + at + 1
+    if at is None:  # one interval a product, in blocks of 16 static ones or 64 rotating ones
+        n, p, target = (4 if task == "theta" else 2) * block, 1, block + 5
+    else:  # a rotating run of 256 or more intervals, two a product
+        p = 2
+        n = 2 * block * p + (p - 1 if at == "tail" else 0)
+        target = n if at == "tail" else (block + 5) * p + at + 1
     if kind == "drift":
         kraus = code.recovery[1].conj().T @ code.recovery[1]
         witness = np.column_stack([kraus.T.real.ravel(), -kraus.T.imag.ravel()]).reshape(16 * 2, 1)
