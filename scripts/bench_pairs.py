@@ -35,6 +35,9 @@ calls of each interval apart: one single-state ``lindblad_evolve`` step and
 one ``apply_recovery``, on the rotating model and code and (``_static``) on
 the static ones, each per call of 1000 on a model or code built in the
 expression and on a complex state, which no call copies, as in an interval.
+Two cases time a model's RK4 step map, which every public evolution builds
+for its fresh model: one ``_maps_at`` per static and per rotating model,
+each model built in the expression, per call of 100.
 Two campaign cases time one ``campaign_estimates`` per repetition: the
 frequency task at 100 repetitions on README's grid, and criterion 7's angle
 shape at 10 repetitions (``campaign``'s size) from a guess at the prior's edge.
@@ -113,6 +116,12 @@ MICRO = {
     "recovery_one_call_static": (
         "(lambda c, rho: [qec.apply_recovery(c, rho) for _ in range(1000)])"
         "(qec.theta_code(np.pi / 4), np.full((4, 4), 0.25 + 0j))", 1000
+    ),
+    "step_map_static": (
+        "[dynamics.theta_model(0.1, 0.05, np.pi / 4 + 0.01)._maps_at(5e-3) for _ in range(100)]", 100
+    ),
+    "step_map_rotating": (
+        "[dynamics.omega_model(0.1, 0.05, 0.26)._maps_at(2.5e-3) for _ in range(100)]", 100
     ),
     "campaign_omega_100": (
         "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.3, initial_guess=0.2, "

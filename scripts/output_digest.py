@@ -62,6 +62,10 @@ ROUTES = {
     "lindblad_evolve state by state": (
         "np.stack([dynamics.lindblad_evolve(theta_model(), rho, 0.5) for rho in states()])"
     ),
+    # The first routes whose operators are not real symmetric: the shipped model file,
+    # and a framed model with complex, non-Hermitian Lindblad operators.
+    "lindblad_evolve theta_example": "dynamics.lindblad_evolve(file_model(), bell(), 2.0, dt=0.01)",
+    "lindblad_evolve complex framed": "dynamics.lindblad_evolve(complex_model(), bell(), 1.0, dt=0.01, t0=0.3)",
     "corrected_evolve_theta": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0, dt=5e-3, n_recoveries=1000)"
     ),
@@ -254,6 +258,21 @@ def states():
 
     probe = qec.code_probe(qec.theta_code(0.7))
     return [bell(), np.eye(4, dtype=complex) / 4, probe[:, None] * probe.conj()]
+
+
+def file_model():
+    from fluxmet import cli
+
+    return cli.load_model_file(cli.resolve_model_path("theta_example"))[0]
+
+
+def complex_model():
+    """A framed model with a random Hermitian H and two complex, non-Hermitian Lindblad operators."""
+    from fluxmet import dynamics
+
+    rng = np.random.default_rng(38)
+    ops = [0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) for _ in range(3)]
+    return dynamics.LindbladModel(4, ops[0] + ops[0].conj().T, ops[1:], frame=rng.normal(size=4))
 
 
 def recovered(code, t: float):

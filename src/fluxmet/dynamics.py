@@ -14,7 +14,8 @@ frame change of a model or a code goes through it.  Deterministic evolution
 is fixed-step RK4 on the master equation
 drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2)
 (:class:`L2Action`, shared with ``qec``'s expansion), in the model's frame,
-where every step is the same matrix.  :func:`_rk4_map` builds it,
+where every step is the same matrix.  :func:`_rk4_map` builds it as the RK4
+polynomial of the model's (d^2, d^2) superoperator at the three stage times,
 :func:`_checked_map` makes it, or a recovery, one real matrix on the float64
 view of the state that also applies the Hermitian projection and returns the
 trace, and :func:`_block_map` makes k steps one matrix that returns each
@@ -102,6 +103,7 @@ class L2Action:
 
     With anti_k = a_k^dag a_k and no b it is a model's GKLS generator;
     ``qec``'s general engine fills every slot for its second-order term.
+    ``matrix()`` is the same map as the superoperator that RK4 steps build on.
     """
 
     generator: np.ndarray
@@ -116,6 +118,16 @@ class L2Action:
         for b in self.kraus_b:
             out = out + b @ rho @ b.conj().T
         return out
+
+    def matrix(self) -> np.ndarray:
+        """The (d^2, d^2) M with vec(rho) @ M == vec(apply(rho)) for row-major vec: a rho b is entry
+        ((i, j), (k, l)) = a[k, i] b[j, l], for the left factor -i G - sum anti / 2, the right factor
+        +i G - sum anti / 2 and each Kraus pair (a, a^dag), by broadcasting."""
+        d = len(self.generator)
+        eye, anti = np.eye(d), 0.5 * sum(self.anticommutators, np.zeros((d, d)))
+        pairs = [(-1j * self.generator - anti, eye), (eye, 1j * self.generator - anti)]
+        pairs += [(a, a.conj().T) for a in (*self.kraus_a, *self.kraus_b)]
+        return sum(a.T[:, None, :, None] * b[None, :, None, :] for a, b in pairs).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -174,24 +186,21 @@ class LindbladModel:
         phase = in_frame(t**order, self._rate, t)  # t**k exp(i (g_j - g_k) t), entry jk
         return h * phase, [e * phase for e in ops]
 
-    def _generator(self, t: float):
-        """rho -> drho/dt at time t: the :class:`L2Action` of the operators at t."""
-        h, ops = self.at(t)
-        return L2Action(h, ops, [e.conj().T @ e for e in ops], []).apply
-
     def _maps_at(self, dt: float) -> dict[int, np.ndarray]:
         """The checked maps of k RK4 steps of length dt in the model's frame, keyed by k.
 
-        Since L(t + s) = D_t L(s) D_-t with D_t = exp(iGt), every step in the
-        frame is the step from 0 followed by in_frame(., rate, -dt).  Entry 1
-        is built once per dt; :func:`_block_map` adds the others.
+        Since L(t) = D_t L(0) D_-t with D_t = exp(iGt), L at a stage time tau is L(0)'s
+        entry (a, b) times conj(p_a) p_b, p the raveled in_frame(1, rate, tau) ([1.0] if
+        static), and a step in the frame is the step from 0 left by p(dt)'s conjugate.
+        Entry 1 is built once per dt from one ``at(0)``; :func:`_block_map` adds the others.
         """
         maps = self._maps.get(dt)
         if maps is None:
-            d, n = self.dim, self.dim * self.dim
-            lab = _rk4_map(self._generator, d, dt).reshape(n, d, d)
-            framed = in_frame(lab, self._rate, -dt).reshape(n, n)
-            maps = self._maps[dt] = {1: _checked_map(framed, d)}
+            h, ops = self.at(0.0)
+            l0 = L2Action(h, ops, [e.conj().T @ e for e in ops], []).matrix()
+            mid, end = (np.ravel(in_frame(1.0, self._rate, tau)) for tau in (0.5 * dt, dt))
+            stages = (l0 * np.multiply.outer(p.conj(), p) for p in (mid, end))
+            maps = self._maps[dt] = {1: _checked_map(_rk4_map(l0, *stages, dt) * end.conj(), self.dim)}
         return maps
 
 
@@ -283,25 +292,15 @@ def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
     return maps[k]
 
 
-def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical RK4 step of drho/dt = field(t)(rho); both midpoint stages use one field."""
-    k1 = field(t)(rho)
-    mid = field(t + 0.5 * dt)
-    k2 = mid(rho + 0.5 * dt * k1)
-    k3 = mid(rho + 0.5 * dt * k2)
-    k4 = field(t + dt)(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _rk4_map(field, d: int, dt: float) -> np.ndarray:
-    """The (d*d, d*d) matrix of one RK4 step from t = 0 of a linear field on (d, d) matrices.
-
-    Row j is the step applied to the j-th basis matrix, so a row-major
-    vectorised state steps as ``vec @ step``.
-    """
-    n = d * d
-    basis = np.eye(n, dtype=complex).reshape(n, d, d)
-    return _rk4_step(field, basis, 0.0, dt).reshape(n, n)
+def _rk4_map(l0: np.ndarray, mid: np.ndarray, end: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step, I + dt/6 (l0 + 2 k2 + 2 k3 + k4), of a linear equation whose
+    superoperators (:meth:`L2Action.matrix`) at the step's start, midpoint and end are ``l0``,
+    ``mid`` and ``end``: k2 = (I + dt/2 l0) mid, k3 = (I + dt/2 k2) mid, k4 = (I + dt k3) end."""
+    eye = np.eye(len(l0))
+    k2 = (eye + 0.5 * dt * l0) @ mid
+    k3 = (eye + 0.5 * dt * k2) @ mid
+    k4 = (eye + dt * k3) @ end
+    return eye + (dt / 6.0) * (l0 + 2 * k2 + 2 * k3 + k4)
 
 
 def _check_domain(name: str, value: float, least: float = 0.0) -> None:

@@ -157,6 +157,7 @@ def omega_code(omega_hat: float) -> QecCode:
     later times every ingredient is the t = 0 one conjugated by
     exp(+i omega_hat t sigma3 / 2) on the probe.
     """
+    _check_domain("omega_hat", omega_hat, _FINITE)
     plus0 = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2)
     minus0 = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
     e0 = np.array([1.0, 0.0], dtype=complex)
@@ -298,6 +299,7 @@ def corrected_evolve_theta(
 
 def corrected_state_theta_closed(B: float, gamma: float, theta: float, theta_hat: float, t: float):
     """Continuous-recovery corrected state for the field-angle task."""
+    _check_domain("theta", theta, _FINITE)
     return _closed_state(theta_code(theta_hat), THETA_COHERENCE, B, gamma, theta - theta_hat, t)
 
 
@@ -312,6 +314,7 @@ def corrected_evolve_omega(
 
 def corrected_state_omega_closed(B: float, gamma: float, omega: float, omega_hat: float, t: float):
     """Continuous-recovery corrected state for the rotation-frequency task, in the lab frame."""
+    _check_domain("omega", omega, _FINITE)
     return _closed_state(omega_code(omega_hat), OMEGA_COHERENCE, B, gamma, omega - omega_hat, t)
 
 
@@ -501,19 +504,16 @@ def expansion_evolve(
 
     The control Hamiltonian -P H P cancels the zeroth-order generator,
     leaving the detuning-driven dynamics only.  The equation is constant and
-    linear, so every RK4 step at ``dt`` is one checked map, built per call,
-    and ``dynamics._steps`` checks each, as in ``lindblad_evolve``.  ``rho0``
-    is one (d, d) state; any other shape is a DimensionError.
+    linear, with superoperator ``L2Action(dx H_eff, [], [], []).matrix()``
+    plus dx^2 times L2's, so every RK4 step at ``dt`` is one checked map,
+    ``dynamics._rk4_map`` of it, built per call, and ``dynamics._steps``
+    checks each, as in ``lindblad_evolve``.  ``rho0`` is one (d, d) state;
+    any other shape is a DimensionError.
     """
-    h = dx * report.l1_generator
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        return -1j * (h @ rho - rho @ h) + dx * dx * report.l2_action.apply(rho)
-
     n_steps = fixed_steps(t, dt)
     rho = np.array(rho0, dtype=complex)
-    d = h.shape[0]
+    d = report.l1_generator.shape[0]
     if rho.shape != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match report dim {d}")
-    step = _checked_map(_rk4_map(lambda _t: rhs, d, dt), d)
-    return _steps(rho, {1: step}, n_steps)
+    l = L2Action(dx * report.l1_generator, [], [], []).matrix() + dx * dx * report.l2_action.matrix()
+    return _steps(rho, {1: _checked_map(_rk4_map(l, l, l, dt), d)}, n_steps)

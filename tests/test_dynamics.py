@@ -128,6 +128,12 @@ def _rhs_from_operators(model, rho: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _action(model, t: float = 0.0) -> dynamics.L2Action:
+    # The master equation of the model's operators at t as one L2Action.
+    h, ops = model.at(t)
+    return dynamics.L2Action(h, ops, [e.conj().T @ e for e in ops], [])
+
+
 def test_lindblad_rhs_matches_operators_rebuilt_at_each_time() -> None:
     # The operators derived at construction give the same bits as the
     # master equation rebuilt from the model's operators at time t.
@@ -136,15 +142,33 @@ def test_lindblad_rhs_matches_operators_rebuilt_at_each_time() -> None:
     for i, model in enumerate(models):
         rho = _random_rho(i, model.dim)
         for t in (0.0, 0.37, 5.0):
-            assert np.array_equal(model._generator(t)(rho), _rhs_from_operators(model, rho, t))
+            assert np.array_equal(_action(model, t).apply(rho), _rhs_from_operators(model, rho, t))
 
 
-@pytest.mark.parametrize(
-    "model, per_step", [(omega_model(B, GAMMA, 0.5), 3), (theta_model(B, GAMMA, 0.5), 3)]
-)
-def test_rk4_builds_operators_three_times_per_step(monkeypatch, model, per_step) -> None:
-    # A model's operators are built at 0, dt/2 (shared by both midpoint
-    # stages) and dt, once per step size, whether or not it is framed: the
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_superoperator_is_apply_on_complex_non_hermitian_operators(d) -> None:
+    # Every operator the package ships is real symmetric, where a transposed
+    # or conjugated factor goes unseen; random complex, non-Hermitian
+    # operators in all four slots tell each factor of matrix() apart.
+    rng = np.random.default_rng(d)
+
+    def op() -> np.ndarray:
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    action = dynamics.L2Action(op(), [op(), op()], [op(), op()], [op(), op(), op()])
+    matrix = action.matrix()
+    assert matrix.shape == (d * d, d * d)
+    for _ in range(3):
+        rho = op()
+        want = action.apply(rho)
+        got = (rho.reshape(-1) @ matrix).reshape(d, d)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model", [omega_model(B, GAMMA, 0.5), theta_model(B, GAMMA, 0.5)])
+def test_a_step_map_builds_operators_once_per_step_size(monkeypatch, model) -> None:
+    # A model's operators are built once, at t = 0, per step size, whether or
+    # not it is framed: the stage times take them by their frame phases.  The
     # first evolve at a dt builds the step map, later evolves at that dt
     # reuse it.
     model = dataclasses.replace(model)  # a fresh instance, with no step map yet
@@ -156,7 +180,7 @@ def test_rk4_builds_operators_three_times_per_step(monkeypatch, model, per_step)
         return at(self, *args)
 
     monkeypatch.setattr(dynamics.LindbladModel, "at", counted)
-    for dt, t0, built in ((1e-3, 0.0, per_step), (1e-3, 0.7, 0), (2e-3, 0.0, per_step)):
+    for dt, t0, built in ((1e-3, 0.0, 1), (1e-3, 0.7, 0), (2e-3, 0.0, 1)):
         calls.clear()
         lindblad_evolve(model, bell_rho(), 0.01, dt=dt, t0=t0)
         assert len(calls) == built
@@ -174,8 +198,8 @@ def test_replaced_model_rebuilds_derived_operators() -> None:
     ]
     for original, new in replaced:
         want = _rhs_from_operators(new, rho, 0.37)
-        assert np.array_equal(new._generator(0.37)(rho), want)
-        assert not np.array_equal(original._generator(0.37)(rho), want)
+        assert np.array_equal(_action(new, 0.37).apply(rho), want)
+        assert not np.array_equal(_action(original, 0.37).apply(rho), want)
         evolved = lindblad_evolve(original, rho, 1.0, dt=0.01, t0=0.4)
         assert np.max(np.abs(lindblad_evolve(new, rho, 1.0, dt=0.01, t0=0.4) - evolved)) > 1e-3
 
@@ -268,7 +292,7 @@ def test_trace_column_raises_at_the_step_the_state_drifts(gain, step) -> None:
     # the state itself, stepped by the complex map, first leaves 1 by more
     # than 1e-6; (1 + 1e-7)^10 - 1 clears 1e-6 by only 4.5e-13.
     model = theta_model(B, GAMMA, 0.3)
-    lab = gain * dynamics._rk4_map(model._generator, 4, 0.01)
+    lab = gain * dynamics._rk4_map(*[_action(model).matrix()] * 3, 0.01)
     rho = bell_rho()
     for k in range(1, step + 1):
         rho = (rho.reshape(16) @ lab).reshape(4, 4)
@@ -287,7 +311,7 @@ def test_one_state_in_one_block_names_the_step_that_drifts(gain, step) -> None:
     # (1 + 6.5e-8)^16 - 1 clears 1e-6 by 4e-8, ^15 misses it.
     k = dynamics._BLOCK_STEPS
     model = theta_model(B, GAMMA, 0.3)
-    lab = gain * dynamics._rk4_map(model._generator, 4, 0.01)
+    lab = gain * dynamics._rk4_map(*[_action(model).matrix()] * 3, 0.01)
     rho = bell_rho()
     for j in range(1, step + 1):
         rho = (rho.reshape(16) @ lab).reshape(4, 4)
@@ -304,7 +328,7 @@ def test_a_long_run_names_a_drift_at_its_first_step_without_a_warning() -> None:
     # names step 1, and no RuntimeWarning escapes with warnings as errors.
     # A gain of 1 + 8.7e-10 fails inside a later block of a later chunk.
     model = theta_model(B, GAMMA, 0.3)
-    lab = dynamics._rk4_map(model._generator, 4, 4e-3)
+    lab = dynamics._rk4_map(*[_action(model).matrix()] * 3, 4e-3)
     step = next(k for k in range(1, 4001) if abs((1 + 8.7e-10) ** k - 1.0) > 1e-6)
     assert step > dynamics._CHUNK * dynamics._BLOCK_STEPS and step % dynamics._BLOCK_STEPS not in (0, 1)
     for gain, message in ((1e3, "trace drifted by 9.990e[+]02 at step 1"), (1 + 8.7e-10, f"at step {step}")):
@@ -469,7 +493,7 @@ def test_a_failing_run_raises_what_the_per_product_loop_raises(gain, n, clean, w
     if weighted:
         maps, weights, s, rho = _rotating_stack(gain)
     else:
-        lab = gain * dynamics._rk4_map(theta_model(B, GAMMA, 0.3)._generator, 4, 4e-3)
+        lab = gain * dynamics._rk4_map(*[_action(theta_model(B, GAMMA, 0.3)).matrix()] * 3, 4e-3)
         maps = dynamics._block_map({1: dynamics._checked_map(lab, 4)}, dynamics._BLOCK_STEPS)
         weights, s, rho = None, n * dynamics._BLOCK_STEPS, bell_rho()
     if clean:

@@ -247,7 +247,7 @@ def test_a_step_whose_square_overflows_is_refused_by_name(route) -> None:
                 route(family, 0.7, delta)
         assert calls == []
         for delta in (np.nan, np.inf):
-            with pytest.raises(DomainError, match="^detuning must be finite"):
+            with pytest.raises(DomainError, match="^theta must be finite"):
                 route(family, 0.7, delta)
     assert route(family, 0.7, 1e-4).value > 0
 

@@ -13,7 +13,6 @@ from fluxmet.cli import load_model_file, resolve_model_path
 from fluxmet.dynamics import (
     _BLOCK_STEPS,
     LindbladModel,
-    _rk4_step,
     fixed_steps,
     in_frame,
     lindblad_evolve,
@@ -193,11 +192,17 @@ def test_apply_recovery_refuses_a_non_finite_time(t) -> None:
 
 _CONSTRUCTORS = {
     "B": [lambda v: theta_model(v, GAMMA, 0.3), lambda v: omega_model(v, GAMMA, 0.3)],
-    "theta": [lambda v: theta_model(B, GAMMA, v)],
+    "theta": [lambda v: theta_model(B, GAMMA, v), lambda v: corrected_state_theta_closed(B, GAMMA, v, 0.9, T)],
     "theta_hat": [
         theta_code,
         lambda v: corrected_evolve_theta(B, GAMMA, 0.9, v, 0.1),
         lambda v: corrected_state_theta_closed(B, GAMMA, 0.9, v, T),
+    ],
+    "omega": [lambda v: omega_model(B, GAMMA, v), lambda v: corrected_state_omega_closed(B, GAMMA, v, 0.9, T)],
+    "omega_hat": [
+        omega_code,
+        lambda v: corrected_evolve_omega(B, GAMMA, 0.9, v, 0.1),
+        lambda v: corrected_state_omega_closed(B, GAMMA, 0.9, v, T),
     ],
 }
 
@@ -206,7 +211,8 @@ _CONSTRUCTORS = {
 @pytest.mark.parametrize("name", list(_CONSTRUCTORS))
 @pytest.mark.filterwarnings("error")
 def test_constructors_name_a_non_finite_field_or_angle(name, value) -> None:
-    # Refused by name before any matrix is built, so numpy never warns.
+    # A field, angle or frequency, or its estimate, is refused by its own name
+    # before any matrix is built, so numpy never warns.
     for build in _CONSTRUCTORS[name]:
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             build(value)
@@ -460,16 +466,17 @@ def test_corrected_evolve_omega_converges_first_order() -> None:
 
 
 @pytest.mark.parametrize("n", [1, 65, 2000])
-def test_a_rotating_corrected_evolution_calls_exp_seven_times_at_any_length(monkeypatch, n) -> None:
+def test_a_rotating_corrected_evolution_calls_exp_six_times_at_any_length(monkeypatch, n) -> None:
     # Every phase is made once per evolution, none per interval or per table
     # of intervals: the probe's frame, the two RK4 stage times (dt / 2 and
-    # dt) and the frame of the step map, the model's exit after an interval,
-    # the phases of the interval map's five samples, and the final exit.
+    # dt, whose phase also takes the step map out of the frame), the model's
+    # exit after an interval, the phases of the interval map's five samples,
+    # and the final exit.
     calls = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
     corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=1.0 / n, n_recoveries=n)
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 2001])
@@ -992,6 +999,25 @@ def test_expansion_evolve_refuses_a_state_of_the_wrong_shape(state) -> None:
         expansion_evolve(report, state, 0.05, 0.01, dt=1e-3)
 
 
+def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One classical RK4 step of drho/dt = field(t)(rho); both midpoint stages use one field."""
+    k1 = field(t)(rho)
+    mid = field(t + 0.5 * dt)
+    k2 = mid(rho + 0.5 * dt * k1)
+    k3 = mid(rho + 0.5 * dt * k2)
+    k4 = field(t + dt)(rho + dt * k3)
+    return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _field(model):
+    # t -> the master equation of the model's operators at t, as their L2Action's apply.
+    def at(t: float):
+        h, ops = model.at(t)
+        return dynamics.L2Action(h, ops, [e.conj().T @ e for e in ops], []).apply
+
+    return at
+
+
 def _reference_expansion(report, rho0, dx: float, t: float, dt: float) -> np.ndarray:
     # The closure loop: every RK4 stage applies the expansion's operators,
     # then each step re-symmetrises.
@@ -1081,7 +1107,7 @@ def _reference_evolve(model, rho0, t: float, dt: float, t0: float = 0.0) -> np.n
     # times, then re-symmetrises.
     rho = np.array(rho0, dtype=complex)
     for k in range(fixed_steps(t, dt)):
-        rho = _rk4_step(model._generator, rho, t0 + k * dt, dt)
+        rho = _rk4_step(_field(model), rho, t0 + k * dt, dt)
         rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return rho
 
@@ -1137,3 +1163,24 @@ def test_step_map_matches_the_lab_frame_loop() -> None:
         got = lindblad_evolve(model, rho0, t, dt=dt, t0=t0)
         assert got.shape == rho0.shape
         assert np.max(np.abs(got - _reference_evolve(model, rho0, t, dt, t0))) < 1e-12
+
+
+@pytest.mark.parametrize("framed", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_step_map_is_the_lab_frame_rk4_step_on_complex_operators(d, framed) -> None:
+    # The superoperator polynomial of _maps_at against one lab-frame RK4 step
+    # of every basis matrix, taken into the frame at dt, on a random Hermitian
+    # H, random complex non-Hermitian Lindblad operators and a random frame.
+    rng = np.random.default_rng(10 * d + framed)
+
+    def op() -> np.ndarray:
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    h, frame = op(), rng.normal(size=d) if framed else None
+    model = LindbladModel(d, h + h.conj().T, [op(), op()], frame=frame)
+    dt, n = 0.01, d * d
+    basis = np.eye(n, dtype=complex).reshape(n, d, d)
+    lab = in_frame(_rk4_step(_field(model), basis, 0.0, dt), model._rate, -dt).reshape(n, n)
+    want = dynamics._checked_map(lab, d)
+    gap = np.max(np.abs(model._maps_at(dt)[1] - want))
+    assert gap <= 4 * np.finfo(float).eps * np.linalg.norm(want, 2)
