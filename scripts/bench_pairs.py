@@ -29,8 +29,9 @@ interval (a whole corrected evolution in that workload's shape, per
 interval), one rotating interval of a run of 128, too short for
 ``qec._corrected_evolve`` to fuse its intervals, one static and one rotating
 interval of four steps and one rotating interval of two (criterion 5's
-shapes), one rotating interval at zero detuning (the centre point of the
-workload's frequency family), one 4000-step free evolution, and the two
+shapes), one rotating interval of 20 steps, more than a step block, one
+rotating interval at zero detuning (the centre point of the workload's
+frequency family), one 4000-step free evolution, and the two
 calls of each interval apart: one single-state ``lindblad_evolve`` step and
 one ``apply_recovery``, on the rotating model and code and (``_static``) on
 the static ones, each per call of 1000 on a model or code built in the
@@ -94,6 +95,9 @@ MICRO = {
     ),
     "interval_rotating_4_steps": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.3, 0.25, 5.0, dt=2.5e-3, n_recoveries=500)", 500
+    ),
+    "interval_rotating_20_steps": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=100)", 100
     ),
     "interval_rotating_centre": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.25, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000

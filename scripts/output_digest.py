@@ -114,6 +114,18 @@ ROUTES = {
         )
         for s, n in ((1, 2001), (1, 2003), (2, 1000), (3, 667), (1, 255), (1, 256), (8, 256), (9, 256))
     },
+    # Detuned rotating runs on the code-coordinate path: the one tail length mod 4,
+    # the fused products' size, that the runs above leave out; 17 steps an interval,
+    # one more than a step block; and omega_hat above omega.
+    "corrected_evolve_omega 1 steps 2002 intervals": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 2002 * 2.5e-3, dt=2.5e-3, n_recoveries=2002)"
+    ),
+    "corrected_evolve_omega 17 steps": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 4.25, dt=2.5e-3, n_recoveries=100)"
+    ),
+    "corrected_evolve_omega omega_hat above omega": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.24, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)"
+    ),
     "corrected_evolve_theta 1025 intervals": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.125, dt=5e-3, n_recoveries=1025)"
     ),

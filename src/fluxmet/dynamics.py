@@ -43,6 +43,7 @@ _BLOCK_STEPS = 16  # most RK4 steps one product applies (CHANGES.md has the swee
 _CHUNK = 64  # most products of a run whose check columns one read takes
 _FINITE = -float(np.finfo(float).max)  # the least finite float, _check_domain's finite-only bound
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(complex)  # the two views of a state's rows
+_SIGMA1_I, _SIGMA2_I = kron(sigma1, eye2), kron(sigma2, eye2)  # the rotating model's axis and its derivative's
 
 
 def sigma_n_theta(theta: float) -> np.ndarray:
@@ -233,8 +234,7 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     """
     _check_domain("B", B, _FINITE)
     _check_domain("gamma", gamma)
-    root = np.sqrt(gamma)
-    s1, s2 = kron(sigma1, eye2), kron(sigma2, eye2)
+    root, s1, s2 = np.sqrt(gamma), _SIGMA1_I, _SIGMA2_I
     return LindbladModel(
         dim=4,
         hamiltonian=B * s1,
@@ -278,16 +278,17 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
 def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
     """``maps[k]``: k checked maps ``maps[1]`` in turn as one real matrix, built at its first use.
 
-    ``maps[1]`` is (w, w + c): a state block and c check columns, such as a
-    step's trace.  ``maps[k]`` is the state block's k-th power, then the
-    checks of each map j = 1..k carried back through the j - 1 before it.
+    ``maps[1]`` is (w, w + c): a state block and c check columns, such as a step's trace.  ``maps[k]`` is
+    the state block's k-th power, then the checks of each map j = 1..k carried back through the j - 1
+    before it.  Past ``_BLOCK_STEPS`` maps it chains blocks of that many, then the rest one by one.
     """
     if k not in maps:
-        states, checks = np.hsplit(maps[1], [maps[1].shape[0]])
-        power, carried = states, [checks]
-        for _ in range(k - 1):
-            carried.append(power @ checks)
-            power = power @ states
+        q, r = divmod(k, _BLOCK_STEPS) if k > _BLOCK_STEPS else (0, k)
+        units, w = [_block_map(maps, _BLOCK_STEPS) for _ in range(q)] + [maps[1]] * r, maps[1].shape[0]
+        power, carried = units[0][:, :w], [units[0][:, w:]]
+        for unit in units[1:]:
+            carried.append(power @ unit[:, w:])
+            power = power @ unit[:, :w]
         maps[k] = np.column_stack([power, *carried])
     return maps[k]
 

@@ -10,8 +10,8 @@ recovery plus, for a rotating code, the diagonal of the frame generator that
 carries them along in time, whose phase rate goes through ``dynamics.in_frame``
 like a model's.  Stepwise corrected evolution and the continuous-recovery
 closed state are written once for both codes; the former makes one
-``ndarray.dot`` per 16 static intervals or per p rotating ones, p as
-``_corrected_evolve`` picks it.
+``ndarray.dot`` per 16 static intervals or per p rotating ones (on the 8
+floats of their code-word coordinates), p as ``_corrected_evolve`` picks it.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -40,6 +40,7 @@ from .dynamics import (
     _COMPLEX,
     _FINITE,
     _REAL,
+    _SIGMA1_I,
     _block_map,
     _check_domain,
     _checked_map,
@@ -66,9 +67,9 @@ from .errors import (
     StepError,
 )
 from .metrology import OMEGA_COHERENCE, THETA_COHERENCE, Coherence, FisherResult
-from .qmat import eye2, kron, sigma1
+from .qmat import eye2, kron
 
-_QEC_TOL = 1e-8  # residual of the error-correction conditions and of the Gram matrix
+_QEC_TOL = 1e-8  # residual of the error-correction conditions, of the Gram matrix and of a recovery out of the code
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
 
 
@@ -84,7 +85,8 @@ class QecCode:
     Construction derives a rotating code's phase rate i (g_j - g_k).  The
     first recovery builds ``_recovery_map``: the t = 0 recovery
     (sum_k K x K*)^T as ``dynamics._checked_map``, whose last column is the
-    trace lost; a code that never recovers never builds it.  Replace a field
+    trace lost; a code that never recovers never builds it, and a detuned
+    rotating evolution also builds ``_coordinate_maps`` from it.  Replace a field
     with ``dataclasses.replace``; an array changed in place leaves them stale.
     """
 
@@ -102,9 +104,22 @@ class QecCode:
         if self.recovery is None:
             raise ConfigError("code has no recovery Kraus set")
         n = self.c0.shape[0] ** 2
-        krons = ((k[:, None, :, None] * k.conj()[None, :, None, :]).reshape(n, n) for k in self.recovery)
-        superop = sum(krons, np.zeros((n, n))).T  # np.kron(k, k*) bit for bit, without its overhead
+        superop = sum((_kron_conj(k) for k in self.recovery), np.zeros((n, n))).T
         return _checked_map(superop, self.c0.shape[0], minus_input_trace=True)
+
+    @cached_property
+    def _coordinate_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(embed, recover) on float64 rows: the (8, 2 d^2) map of code coordinates y to V y V^dag, V = [c0 c1],
+        and the (2 d^2, 9) ``_recovery_map`` into coordinates by the embedding's left inverse, L rho L^dag with
+        L = G^-1 V^dag, G = V^dag V.  A recovery out of span{c0, c1} is a ConfigError: y would drop it unseen."""
+        def rows(a: np.ndarray) -> np.ndarray:  # rho -> a rho a^dag: its complex row map, and i times it
+            return (_kron_conj(a.T)[:, None] * np.array([[1.0], [1j]])).reshape(2 * a.shape[1] ** 2, -1).view(_REAL)
+        v, recovery = np.column_stack([self.c0, self.c1]), self._recovery_map
+        embed, compress = rows(v), rows(np.linalg.solve(v.conj().T @ v, v.conj().T))
+        recovered = recovery[:, :-1] @ compress
+        if not np.max(np.abs(recovered @ embed - recovery[:, :-1])) <= _QEC_TOL:  # a NaN fails too
+            raise ConfigError("recovery leaves the span of the code words")
+        return embed, np.column_stack([recovered, recovery[:, -1]])
 
     def basis(self, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         if self.frame_generator is None:
@@ -125,6 +140,11 @@ class QecCode:
 def _outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     w = v if w is None else w
     return v[:, None] * w[None, :].conj()
+
+
+def _kron_conj(a: np.ndarray) -> np.ndarray:
+    """np.kron(a, a*) bit for bit, without its overhead; for a^T, the row map of rho -> a rho a^dag."""
+    return (a[:, None, :, None] * a.conj()[None, :, None, :]).reshape(a.shape[0] ** 2, -1)
 
 
 def _noise_code(c0: np.ndarray, c1: np.ndarray, noise: np.ndarray, frame=None) -> QecCode:
@@ -163,7 +183,7 @@ def omega_code(omega_hat: float) -> QecCode:
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
     words = (plus0[:, None] * e0).ravel(), (minus0[:, None] * e1).ravel()  # np.kron's products
-    return _noise_code(*words, kron(sigma1, eye2), frame=rotating_frame(omega_hat))
+    return _noise_code(*words, _SIGMA1_I, frame=rotating_frame(omega_hat))
 
 
 def code_probe(code: QecCode) -> np.ndarray:
@@ -201,12 +221,13 @@ def _corrected_evolve(
     frozen at tau and, for a rotating code, advance the frame by exp(+i G dt').  Converges first-order in
     the recovery interval to the continuous-recovery closed state.
 
-    An interval of s <= ``_BLOCK_STEPS`` steps is one checked map (:func:`_interval_maps`) that
-    ``dynamics._run`` applies.  Where the code's frame does not turn against the model's, every interval
-    is one unit and 16 go per product; the last n_rec % 16, and all intervals of more steps, make one
-    ``lindblad_evolve`` and one ``apply_recovery`` call each.  Else a run of 256 or more intervals of s <= 8
-    steps goes two per product on :func:`_fused_polynomial`'s 4p + 1 = 9 samples, and every other interval one
-    per product on :func:`_interval_polynomial`'s five: only there did fusing pay (CHANGES.md has the sweep).
+    Where the code's frame turns against the model's, each interval of any s >= 1 steps is a ``dynamics._run``
+    product on the 8-float row of the recovered state's coordinates in the t = 0 code words (which
+    ``QecCode._coordinate_maps`` builds): a run of 256 or more intervals of s <= 8 steps goes four per product on
+    :func:`_fused_polynomial`'s 4p + 1 = 17 samples, every other interval one per product on
+    :func:`_interval_polynomial`'s five (CHANGES.md has the sweep).  Static or at zero detuning, the 32-float row
+    of the (4, 4) state takes an interval of s <= ``_BLOCK_STEPS`` steps as one checked map (:func:`_interval_maps`),
+    16 a product; only there do the last n_rec % 16, and longer intervals, call ``lindblad_evolve`` and recover.
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
     if not isinstance(n_rec, (int, np.integer)):
@@ -215,51 +236,49 @@ def _corrected_evolve(
         raise StepError(f"n_recoveries must be >= 1, got {n_rec}")
     interval = t / n_rec
     s = fixed_steps(interval, dt)  # StepError unless dt divides the interval
-    rho, done = _outer(code_probe(code)), 0
-    steps = _block_map(model._maps_at(dt), s) if 0 < s <= _BLOCK_STEPS else None
     rate = code._rate if model._rate is None else -model._rate if code._rate is None else code._rate - model._rate
     model_exit, turning = np.ravel(in_frame(1.0, model._rate, s * dt)), rate is not None and rate.any()
-    if steps is not None and not turning and n_rec >= _BLOCK_STEPS:
-        done, unit = n_rec - n_rec % _BLOCK_STEPS, {1: _interval_maps(steps, code, model_exit, 1.0)[0]}
-        rho = _run(rho, _block_map(unit, _BLOCK_STEPS), done // _BLOCK_STEPS, s)
-    elif steps is not None and turning:
-        samples, weights = _interval_polynomial(steps, code, model_exit, rate, interval)
-        if n_rec >= 256 and s <= 8:  # all but the last n_rec % 2 intervals, two a product
-            fused, fused_weights = _fused_polynomial(samples, rate, interval, 2)
-            rho, done = _run(rho, fused, n_rec // 2, s, fused_weights), n_rec - n_rec % 2
+    if s and turning:
+        samples, weights = _interval_polynomial(_block_map(model._maps_at(dt), s), code, model_exit, rate, interval)
+        y, done = np.full((2, 2), 0.5 + 0j), 0  # the probe's coordinates
+        if n_rec >= 256 and s <= 8:  # all but the last n_rec % 4 intervals, four a product
+            fused, fused_weights = _fused_polynomial(samples, rate, interval, 4)
+            y, done = _run(y, fused, n_rec // 4, s, fused_weights), n_rec - n_rec % 4
         if done < n_rec:  # _run takes no empty run
-            rho, done = _run(rho, samples, n_rec - done, s, lambda k, m, first=done: weights(first + k, m)), n_rec
+            y = _run(y, samples, n_rec - done, s, lambda k, m, first=done: weights(first + k, m))
+        rho = (v := np.column_stack(code.basis(t))) @ y @ v.conj().T
+        return 0.5 * (rho + rho.conj().T)
+    rho, done = _outer(code_probe(code)), 0
+    if 0 < s <= _BLOCK_STEPS and n_rec >= _BLOCK_STEPS:  # every interval is one unit
+        unit = _interval_maps(_block_map(model._maps_at(dt), s), model_exit, code._recovery_map)
+        done = n_rec - n_rec % _BLOCK_STEPS
+        rho = _run(rho, _block_map({1: unit}, _BLOCK_STEPS), done // _BLOCK_STEPS, s)
     for k in range(done, n_rec):  # the code's frame entered and left relative to the model's
         rho = lindblad_evolve(model, rho, interval, dt) / in_frame(1.0, rate, k * interval)
         rho = apply_recovery(code, rho) * in_frame(1.0, rate, (k + 1) * interval)
     return in_frame(rho, model._rate, n_rec * interval)
 
 
-def _interval_maps(steps: np.ndarray, code: QecCode, entry, leave) -> np.ndarray:
-    """The (m, w, w + s + 1) maps of m intervals on a state's float64 row: the s-step block map ``steps`` (and
-    its s trace columns), the phase ``entry``, the code's ``_recovery_map`` (and its lost-trace column), then
-    the phase ``leave``.  The phases multiply the (m, w, w / 2) complex entries by broadcasting."""
-    w = steps.shape[0]
-    x = (steps[:, :w].view(_COMPLEX) * entry).reshape(-1, w, w // 2)
-    recovered = x.view(_REAL).reshape(-1, w) @ code._recovery_map
-    maps = np.empty((len(x), w, steps.shape[1] + 1))
-    maps[..., :w] = (recovered[:, :w].view(_COMPLEX).reshape(x.shape) * leave).view(_REAL)
-    maps[..., w:-1], maps[..., -1] = steps[:, w:], recovered[:, w].reshape(len(x), w)
-    return maps
+def _interval_maps(stepped: np.ndarray, entry, recovery: np.ndarray) -> np.ndarray:
+    """The (..., r, c + s + 1) maps of intervals from r rows ``stepped`` by an s-step block map (w state, s trace
+    columns): the phase ``entry`` by broadcasting, then ``recovery``, (w, c + 1) with the trace lost last."""
+    w = recovery.shape[0]
+    recovered = (stepped[..., :w].view(_COMPLEX) * entry).view(_REAL) @ recovery
+    return np.concatenate([recovered[..., :-1], stepped[..., w:], recovered[..., -1:]], axis=-1)
 
 
 def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.ndarray, interval: float):
-    """The maps of intervals from tau = k interval, as (5, w, w + s + 1) samples and weights(k, m) for m
-    intervals.  ``rate`` is 0 or +-i nu, so on a float64 row the phases at tau and tau + interval are
-    rotations by +-nu tau, and a map is a trigonometric polynomial of degree 2 in nu tau.  Its samples at
-    nu tau = 2 pi j / 5 fix it; the weights, its 5-point DFT evaluated at nu tau, are the Dirichlet kernel."""
+    """The maps of intervals from tau = k interval on code coordinates (embed with the phase at tau, step, enter the
+    code's frame at tau, recover into coordinates), as (5, 8, 8 + s + 1) samples and weights(k, m) for m intervals.
+    ``rate`` is 0 or +-i nu, so the phases rotate by +-nu tau, and a map is a trigonometric polynomial of degree 2
+    in nu tau fixed by its samples at nu tau = 2 pi j / 5; the weights, its 5-point DFT at nu tau, are Dirichlet's."""
     nu, grid = float(np.max(np.abs(rate))), 2 * np.pi / 5 * np.arange(5)
-    angles = np.add.outer([0.0, nu * interval], grid)[..., None, None]  # nu tau, nu (tau + interval)
-    enter, leave = np.exp(1j * np.sign(rate.imag).ravel() * angles)
+    embed, recover = code._coordinate_maps
+    phase = np.exp(1j * np.sign(rate.imag).ravel() * grid[:, None, None])  # exp(rate tau) at nu tau on the grid
     def weights(k: int, m: int) -> np.ndarray:
         apart = np.subtract.outer(nu * interval * np.arange(k, k + m), grid)
         return 0.2 + 0.4 * (np.cos(apart) + np.cos(2 * apart))
-    return _interval_maps(steps, code, model_exit / enter, leave), weights
+    return _interval_maps((embed.view(_COMPLEX) * phase).view(_REAL) @ steps, model_exit / phase, recover), weights
 
 
 def _fused_polynomial(samples: np.ndarray, rate: np.ndarray, interval: float, p: int):

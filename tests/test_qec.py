@@ -466,24 +466,24 @@ def test_corrected_evolve_omega_converges_first_order() -> None:
 
 
 @pytest.mark.parametrize("n", [1, 65, 2000])
-def test_a_rotating_corrected_evolution_calls_exp_six_times_at_any_length(monkeypatch, n) -> None:
+def test_a_rotating_corrected_evolution_calls_exp_five_times_at_any_length(monkeypatch, n) -> None:
     # Every phase is made once per evolution, none per interval or per table
-    # of intervals: the probe's frame, the two RK4 stage times (dt / 2 and
-    # dt, whose phase also takes the step map out of the frame), the model's
-    # exit after an interval, the phases of the interval map's five samples,
-    # and the final exit.
+    # of intervals: the two RK4 stage times (dt / 2 and dt, whose phase also
+    # takes the step map out of the frame), the model's exit after an
+    # interval, the phases of the interval map's five samples, and the code
+    # words at the end, which carry the coordinates out.
     calls = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
     corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=1.0 / n, n_recoveries=n)
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 2001])
-@pytest.mark.parametrize("s", [1, 8, 9, 16])
+@pytest.mark.parametrize("s", [1, 8, 9, 16, 17])
 def test_a_detuned_rotating_evolution_makes_no_call_per_interval(monkeypatch, s, n) -> None:
-    # Fused two a product or one a product, the odd last interval too, every
-    # interval of up to 16 steps is a product of dynamics._run.
+    # Fused four a product or one a product, the last n % 4 intervals too,
+    # every interval of any length is a product of dynamics._run.
     def refuse(*args):
         raise AssertionError("one call of each per interval")
 
@@ -559,8 +559,8 @@ def test_the_fused_and_lean_paths_match_one_call_of_each_per_interval(task, s) -
     # every interval is the same unit; a detuned rotating one makes no call.
     # All land within 1e-13 of the route of one call of each per interval,
     # across block and table boundaries, and return exactly Hermitian
-    # states.  Intervals of 20 steps, more than one block, take that route
-    # themselves.
+    # states.  Static and centre intervals of 20 steps, more than one block,
+    # take that route themselves.
     build, dt, args = _PAIRS[task][0], 1e-3, _ARGS[task]
     evolve = corrected_evolve_theta if task == "theta" else corrected_evolve_omega
     for n in (1, 2, 3, 15, 16, 17, 33, 259, 1000):
@@ -576,7 +576,7 @@ def test_a_long_fused_run_stays_within_half_the_per_interval_routes_own_drift(ar
     # Over thousands of intervals the rounding of both routes grows past 1e-13.
     # The route of one call of each per interval keeps the trace at 1 up to its
     # own rounding, which drifts by about 2 eps per interval; the fused path's
-    # state stays within half that drift of it (it reads at most 0.21 of it).
+    # state stays within half that drift of it (it reads at most 0.11 of it).
     for n in (2000, 4097):
         got = corrected_evolve_omega(*args, n * s * dt, dt=dt, n_recoveries=n)
         *_, want = _per_interval(omega_model(*args[:3]), omega_code(args[3]), n * s * dt, dt, n)
@@ -585,51 +585,49 @@ def test_a_long_fused_run_stays_within_half_the_per_interval_routes_own_drift(ar
         assert np.max(np.abs(got - want)) <= drift / 2
 
 
-@pytest.mark.parametrize("s", [1, 4, 16])
-def test_a_rotating_interval_map_is_the_degree_2_polynomial_through_its_five_samples(s) -> None:
-    # The code's frame turns against the model's at nu = |omega_hat - omega|, so the
-    # map of the interval from tau is a trigonometric polynomial of degree 2 in
-    # nu tau.  The map the weights rebuild from the five samples matches, within a
-    # few ulps of its norm, the interval composed directly on the identity rows
-    # (the block map, the frame phases, the recovery) at angles off the sample grid.
-    # A frame with a second rate would break the polynomial and fail here.
-    (model, code), dt, w = _PAIRS["omega"][0](), 1e-3, 32
-    interval, rate = s * dt, code._rate - model._rate
-    steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
-    samples, weights = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
-    for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s to 2 * s
-        tau, want = k * interval, []
-        for row in np.eye(w):
-            stepped = row @ steps
-            x = stepped[:w].view(complex).reshape(4, 4) * model_exit / np.exp(rate * tau)
-            recovered = x.ravel().view(np.float64) @ code._recovery_map
-            y = recovered[:w].view(complex).reshape(4, 4) * np.exp(rate * (tau + interval))
-            want.append(np.concatenate([y.ravel().view(np.float64), stepped[w:], recovered[w:]]))
-        got = (weights(k, 1) @ samples.reshape(5, -1)).reshape(w, -1)
-        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.linalg.norm(want, 2)
-
-
 def _intervals_on_rows(steps, code, model_exit, rate, tau: float, interval: float, p: int) -> np.ndarray:
     # p detuned rotating intervals from tau composed directly on the identity
-    # rows: each interval's block map, frame phases and recovery, then its s
-    # step traces and its recovery's lost trace as check columns.
+    # rows of the code coordinates: each interval's embedding with the frame
+    # phase at its start, block map, phase into the code's frame, and recovery
+    # into coordinates, then its s step traces and its recovery's lost trace as
+    # check columns.
+    embed, recover = code._coordinate_maps
     w = steps.shape[0]
-    rows, checks = np.eye(w), []
+    rows, checks = np.eye(8), []
     for i in range(p):
-        stepped = rows @ steps
-        x = stepped[:, :w].view(complex).reshape(w, 4, 4) * model_exit / np.exp(rate * (tau + i * interval))
-        recovered = x.reshape(w, 16).view(np.float64) @ code._recovery_map
-        y = recovered[:, :w].view(complex).reshape(w, 4, 4) * np.exp(rate * (tau + (i + 1) * interval))
-        rows = y.reshape(w, 16).view(np.float64)
-        checks += [stepped[:, w:], recovered[:, w:]]
+        phase = np.exp(rate * (tau + i * interval)).ravel()
+        stepped = ((rows @ embed).view(complex) * phase).view(np.float64) @ steps
+        recovered = (stepped[:, :w].view(complex) * model_exit.ravel() / phase).view(np.float64) @ recover
+        rows = recovered[:, :8]
+        checks += [stepped[:, w:], recovered[:, 8:]]
     return np.concatenate([rows, *checks], axis=1)
 
 
-@pytest.mark.parametrize("s, p", [(1, 2), (2, 2), (8, 2), (1, 4)])
+@pytest.mark.parametrize("s", [1, 4, 16, 20])
+def test_a_rotating_interval_map_is_the_degree_2_polynomial_through_its_five_samples(s) -> None:
+    # The code's frame turns against the model's at nu = |omega_hat - omega|, so the
+    # map of the interval from tau on the code coordinates is a trigonometric
+    # polynomial of degree 2 in nu tau.  The map the weights rebuild from the five
+    # samples matches, within a few ulps of its norm, the interval composed directly
+    # on the identity rows (the embedding, the block map, the frame phases, the
+    # recovery) at angles off the sample grid.  A frame with a second rate would
+    # break the polynomial and fail here.
+    (model, code), dt = _PAIRS["omega"][0](), 1e-3
+    interval, rate = s * dt, code._rate - model._rate
+    steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
+    samples, weights = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
+    assert samples.shape == (5, 8, 8 + s + 1)
+    for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s to 2 * s
+        want = _intervals_on_rows(steps, code, model_exit, rate, k * interval, interval, 1)
+        got = (weights(k, 1) @ samples.reshape(5, -1)).reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize("s, p", [(1, 2), (2, 2), (8, 2), (1, 4), (8, 4)])
 def test_a_fused_rotating_map_is_the_degree_2p_polynomial_through_its_4p_plus_1_samples(s, p) -> None:
     # A product of p detuned rotating intervals from nu tau = a is a trigonometric
-    # polynomial of degree 2p in a, fixed by its 4p + 1 samples.  At p = 2, which
-    # qec._corrected_evolve takes at 1 to 8 steps an interval, and at p = 4, the
+    # polynomial of degree 2p in a, fixed by its 4p + 1 samples.  At p = 4, which
+    # qec._corrected_evolve takes at 1 to 8 steps an interval, and at p = 2, the
     # map the weights rebuild at angles off the sample grid matches, within a
     # few ulps of its norm, the p intervals composed directly on the identity
     # rows, each interval's checks carried back through the ones before it.
@@ -638,11 +636,53 @@ def test_a_fused_rotating_map_is_the_degree_2p_polynomial_through_its_4p_plus_1_
     steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
     samples, _ = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
     fused, weights = qec._fused_polynomial(samples, rate, interval, p)
-    assert fused.shape == (4 * p + 1, 32, 32 + p * (s + 1))
+    assert fused.shape == (4 * p + 1, 8, 8 + p * (s + 1))
     for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s p to 2 * s p
         want = _intervals_on_rows(steps, code, model_exit, rate, k * p * interval, interval, p)
         got = (weights(k, 1) @ fused.reshape(4 * p + 1, -1)).reshape(want.shape)
         assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize("s", [1, 20])
+@pytest.mark.parametrize("omega", [1.4, 1.0])
+def test_a_code_coordinate_sample_is_the_32_float_interval_between_embedding_and_compression(omega, s) -> None:
+    # With omega above and below omega_hat = 1.2, the map that the weights rebuild
+    # from the five samples, at angles off their grid, is the interval map on the
+    # (4, 4) state's float64 row (the block map, the phase into the code's frame at
+    # tau, the recovery, the phase out of it at tau + interval), entered from the
+    # coordinates y as V y V^dag in the frame at tau and left by the embedding's
+    # left inverse G^-1 V^dag rho V G^-1, G = V^dag V, in the frame at tau + interval.
+    model, code, dt = omega_model(0.3, 0.2, omega), omega_code(1.2), 1e-3
+    interval, rate = s * dt, code._rate - model._rate
+    steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
+    samples, weights = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
+    v = np.column_stack([code.c0, code.c1])
+    left = np.linalg.inv(v.conj().T @ v) @ v.conj().T
+    units = np.eye(8).view(complex).reshape(8, 2, 2)  # the coordinates' float64 rows, as matrices
+    for k in (1, 7, 250, 1999, 4321, 9999):
+        tau = k * interval
+        embedded = (v @ units @ v.conj().T) * np.exp(rate * tau)
+        stepped = embedded.reshape(8, 16).view(np.float64) @ steps
+        x = stepped[:, :32].view(complex).reshape(8, 4, 4) * model_exit / np.exp(rate * tau)
+        recovered = x.reshape(8, 16).view(np.float64) @ code._recovery_map
+        out = recovered[:, :32].view(complex).reshape(8, 4, 4) * np.exp(rate * (tau + interval))
+        y = left @ (out / np.exp(rate * (tau + interval))) @ left.conj().T
+        want = np.concatenate([y.reshape(8, 4).view(np.float64), stepped[:, 32:], recovered[:, 32:]], axis=1)
+        got = (weights(k, 1) @ samples.reshape(5, -1)).reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.linalg.norm(want, 2)
+
+
+def test_a_recovery_that_leaves_the_code_words_is_refused_before_any_product(monkeypatch) -> None:
+    # A detuned rotating evolution keeps only the recovered state's coordinates in
+    # the code words, so a recovery whose output leaves their span would drop that
+    # weight with no check seeing it: it is refused before any product runs.
+    def refuse(*args):
+        raise AssertionError("a product ran")
+
+    monkeypatch.setattr(qec, "_run", refuse)
+    code = dataclasses.replace(omega_code(1.2), recovery=[np.eye(4)])
+    with pytest.raises(ConfigError, match="^recovery leaves the span of the code words$"):
+        qec._corrected_evolve(omega_model(0.3, 0.2, 1.4), code, 0.1, 1e-3, 20)
 
 
 @pytest.mark.parametrize("omega, omega_hat", [(1e-308, 2e-308), (5e-324, 0.0)])
@@ -668,9 +708,9 @@ def _failing_interval(intervals) -> tuple[int, str, type]:
 # (task, steps per interval, the failing interval's place): on the static task
 # inside a product of 16 intervals; on the rotating one in a run of 128
 # intervals, too short to go fused, so one per product; and in runs of 256 or
-# more at each place inside a product of two intervals, and in the last
-# interval of an odd run, which goes alone.
-_FAILING = [("theta", 5, None), ("omega", 2, None)] + [("omega", s, at) for s in (1, 2) for at in (0, 1, "tail")]
+# more at each place inside a product of four intervals, and in the last of
+# the three intervals left over, which go one per product.
+_FAILING = [("theta", 5, None), ("omega", 2, None)] + [("omega", s, at) for s in (1, 2) for at in (0, 1, 2, 3, "tail")]
 
 
 @pytest.mark.parametrize("kind", ["drift", "leakage"])
@@ -691,8 +731,8 @@ def test_a_forced_failure_inside_a_later_block_names_what_one_call_of_each_names
     model, code = build()
     if at is None:  # one interval a product, in blocks of 16 static ones or 64 rotating ones
         n, p, target = (4 if task == "theta" else 2) * block, 1, block + 5
-    else:  # a rotating run of 256 or more intervals, two a product
-        p = 2
+    else:  # a rotating run of 256 or more intervals, four a product
+        p = 4
         n = 2 * block * p + (p - 1 if at == "tail" else 0)
         target = n if at == "tail" else (block + 5) * p + at + 1
     if kind == "drift":
