@@ -30,6 +30,8 @@ interval), one rotating interval of a run of 128, too short for
 ``qec._corrected_evolve`` to fuse its intervals, one static and one rotating
 interval of four steps and one rotating interval of two (criterion 5's
 shapes), one rotating interval of 20 steps, more than a step block, one
+rotating interval of a run of four of 1000 steps, which ``qec._corrected_evolve``
+steps one call of each an interval rather than build its long map, one
 rotating interval at zero detuning (the centre point of the workload's
 frequency family), one 4000-step free evolution, and the two
 calls of each interval apart: one single-state ``lindblad_evolve`` step and
@@ -98,6 +100,9 @@ MICRO = {
     ),
     "interval_rotating_20_steps": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=100)", 100
+    ),
+    "interval_rotating_1000_steps": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 10.0, dt=2.5e-3, n_recoveries=4)", 4
     ),
     "interval_rotating_centre": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.25, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000

@@ -278,17 +278,16 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
 def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
     """``maps[k]``: k checked maps ``maps[1]`` in turn as one real matrix, built at its first use.
 
-    ``maps[1]`` is (w, w + c): a state block and c check columns, such as a step's trace.  ``maps[k]`` is
-    the state block's k-th power, then the checks of each map j = 1..k carried back through the j - 1
-    before it.  Past ``_BLOCK_STEPS`` maps it chains blocks of that many, then the rest one by one.
+    ``maps[1]`` is (w, w + c): a state block and c check columns, such as a
+    step's trace.  ``maps[k]`` is the state block's k-th power, then the
+    checks of each map j = 1..k carried back through the j - 1 before it.
     """
     if k not in maps:
-        q, r = divmod(k, _BLOCK_STEPS) if k > _BLOCK_STEPS else (0, k)
-        units, w = [_block_map(maps, _BLOCK_STEPS) for _ in range(q)] + [maps[1]] * r, maps[1].shape[0]
-        power, carried = units[0][:, :w], [units[0][:, w:]]
-        for unit in units[1:]:
-            carried.append(power @ unit[:, w:])
-            power = power @ unit[:, :w]
+        states, checks = np.hsplit(maps[1], [maps[1].shape[0]])
+        power, carried = states, [checks]
+        for _ in range(k - 1):
+            carried.append(power @ checks)
+            power = power @ states
         maps[k] = np.column_stack([power, *carried])
     return maps[k]
 

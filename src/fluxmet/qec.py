@@ -71,6 +71,7 @@ from .qmat import eye2, kron
 
 _QEC_TOL = 1e-8  # residual of the error-correction conditions, of the Gram matrix and of a recovery out of the code
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
+_COORDINATE_STEPS = 128  # most steps of a detuned rotating interval on code coordinates (CHANGES.md has the sweep)
 
 
 @dataclass(frozen=True)
@@ -108,18 +109,18 @@ class QecCode:
         return _checked_map(superop, self.c0.shape[0], minus_input_trace=True)
 
     @cached_property
-    def _coordinate_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(embed, recover) on float64 rows: the (8, 2 d^2) map of code coordinates y to V y V^dag, V = [c0 c1],
-        and the (2 d^2, 9) ``_recovery_map`` into coordinates by the embedding's left inverse, L rho L^dag with
-        L = G^-1 V^dag, G = V^dag V.  A recovery out of span{c0, c1} is a ConfigError: y would drop it unseen."""
+    def _coordinate_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(embed, recover, probe): the (8, 2 d^2) float64 row map of code coordinates y to V y V^dag, V = [c0 c1];
+        the (2 d^2, 9) ``_recovery_map`` into y by the embedding's left inverse, L rho L^dag, L = G^-1 V^dag with
+        G = V^dag V; and :func:`code_probe`'s y.  A recovery out of span{c0, c1} is a ConfigError: y would drop it."""
         def rows(a: np.ndarray) -> np.ndarray:  # rho -> a rho a^dag: its complex row map, and i times it
             return (_kron_conj(a.T)[:, None] * np.array([[1.0], [1j]])).reshape(2 * a.shape[1] ** 2, -1).view(_REAL)
         v, recovery = np.column_stack([self.c0, self.c1]), self._recovery_map
-        embed, compress = rows(v), rows(np.linalg.solve(v.conj().T @ v, v.conj().T))
-        recovered = recovery[:, :-1] @ compress
+        embed, left = rows(v), np.linalg.solve(v.conj().T @ v, v.conj().T)
+        recovered = recovery[:, :-1] @ rows(left)
         if not np.max(np.abs(recovered @ embed - recovery[:, :-1])) <= _QEC_TOL:  # a NaN fails too
             raise ConfigError("recovery leaves the span of the code words")
-        return embed, np.column_stack([recovered, recovery[:, -1]])
+        return embed, np.column_stack([recovered, recovery[:, -1]]), _outer(left @ code_probe(self))
 
     def basis(self, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         if self.frame_generator is None:
@@ -221,13 +222,13 @@ def _corrected_evolve(
     frozen at tau and, for a rotating code, advance the frame by exp(+i G dt').  Converges first-order in
     the recovery interval to the continuous-recovery closed state.
 
-    Where the code's frame turns against the model's, each interval of any s >= 1 steps is a ``dynamics._run``
-    product on the 8-float row of the recovered state's coordinates in the t = 0 code words (which
-    ``QecCode._coordinate_maps`` builds): a run of 256 or more intervals of s <= 8 steps goes four per product on
-    :func:`_fused_polynomial`'s 4p + 1 = 17 samples, every other interval one per product on
-    :func:`_interval_polynomial`'s five (CHANGES.md has the sweep).  Static or at zero detuning, the 32-float row
-    of the (4, 4) state takes an interval of s <= ``_BLOCK_STEPS`` steps as one checked map (:func:`_interval_maps`),
-    16 a product; only there do the last n_rec % 16, and longer intervals, call ``lindblad_evolve`` and recover.
+    Where the code's frame turns against the model's, intervals of s <= 16 steps, or in runs of 16 or more of
+    s <= ``_COORDINATE_STEPS``, are ``dynamics._run`` products on the 8-float row of the recovered state's coordinates
+    in the t = 0 code words (``QecCode._coordinate_maps``): runs of 256 or more of s <= 8 go four per product on
+    :func:`_fused_polynomial`'s 4p + 1 = 17 samples, the rest one per product on :func:`_interval_polynomial`'s five
+    (CHANGES.md has both sweeps).  Else the 32-float row of the (4, 4) state takes static or zero-detuning intervals
+    of s <= ``_BLOCK_STEPS`` steps as one checked map (:func:`_interval_maps`), 16 a product, and every other
+    interval is one ``lindblad_evolve`` and one ``apply_recovery`` call.
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
     if not isinstance(n_rec, (int, np.integer)):
@@ -238,9 +239,9 @@ def _corrected_evolve(
     s = fixed_steps(interval, dt)  # StepError unless dt divides the interval
     rate = code._rate if model._rate is None else -model._rate if code._rate is None else code._rate - model._rate
     model_exit, turning = np.ravel(in_frame(1.0, model._rate, s * dt)), rate is not None and rate.any()
-    if s and turning:
+    if turning and 0 < s <= (_COORDINATE_STEPS if n_rec >= _BLOCK_STEPS else _BLOCK_STEPS):
         samples, weights = _interval_polynomial(_block_map(model._maps_at(dt), s), code, model_exit, rate, interval)
-        y, done = np.full((2, 2), 0.5 + 0j), 0  # the probe's coordinates
+        y, done = code._coordinate_maps[2], 0
         if n_rec >= 256 and s <= 8:  # all but the last n_rec % 4 intervals, four a product
             fused, fused_weights = _fused_polynomial(samples, rate, interval, 4)
             y, done = _run(y, fused, n_rec // 4, s, fused_weights), n_rec - n_rec % 4
@@ -249,7 +250,7 @@ def _corrected_evolve(
         rho = (v := np.column_stack(code.basis(t))) @ y @ v.conj().T
         return 0.5 * (rho + rho.conj().T)
     rho, done = _outer(code_probe(code)), 0
-    if 0 < s <= _BLOCK_STEPS and n_rec >= _BLOCK_STEPS:  # every interval is one unit
+    if 0 < s <= _BLOCK_STEPS and n_rec >= _BLOCK_STEPS and not turning:  # every interval is one unit
         unit = _interval_maps(_block_map(model._maps_at(dt), s), model_exit, code._recovery_map)
         done = n_rec - n_rec % _BLOCK_STEPS
         rho = _run(rho, _block_map({1: unit}, _BLOCK_STEPS), done // _BLOCK_STEPS, s)
@@ -273,7 +274,7 @@ def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.
     ``rate`` is 0 or +-i nu, so the phases rotate by +-nu tau, and a map is a trigonometric polynomial of degree 2
     in nu tau fixed by its samples at nu tau = 2 pi j / 5; the weights, its 5-point DFT at nu tau, are Dirichlet's."""
     nu, grid = float(np.max(np.abs(rate))), 2 * np.pi / 5 * np.arange(5)
-    embed, recover = code._coordinate_maps
+    embed, recover, _ = code._coordinate_maps
     phase = np.exp(1j * np.sign(rate.imag).ravel() * grid[:, None, None])  # exp(rate tau) at nu tau on the grid
     def weights(k: int, m: int) -> np.ndarray:
         apart = np.subtract.outer(nu * interval * np.arange(k, k + m), grid)

@@ -385,23 +385,6 @@ def test_block_maps_match_the_step_map_loop(model) -> None:
             assert np.max(np.abs(got - want)) <= 1e-13
 
 
-@pytest.mark.parametrize("k", [dynamics._BLOCK_STEPS + 1, 2 * dynamics._BLOCK_STEPS, 2 * dynamics._BLOCK_STEPS + 5])
-def test_a_block_map_past_a_block_is_the_chain_of_its_steps(k) -> None:
-    # Past _BLOCK_STEPS steps a block map chains whole blocks and then single
-    # steps; it matches k step maps in turn on the identity rows, each step's
-    # trace carried back through the steps before it, within rounding.
-    maps = omega_model(0.3, 0.2, 1.3)._maps_at(0.01)
-    rows, checks = np.eye(32), []
-    for _ in range(k):
-        out = rows @ maps[1]
-        rows = out[:, :32]
-        checks.append(out[:, 32:])
-    want = np.concatenate([rows, *checks], axis=1)
-    got = dynamics._block_map(maps, k)
-    assert got.shape == (32, 32 + k)
-    assert np.max(np.abs(got - want)) <= 1e-13
-
-
 @pytest.mark.parametrize("t0", [0.0, 0.37])
 @pytest.mark.parametrize("n", [2, dynamics._BLOCK_STEPS + 1, 2 * dynamics._BLOCK_STEPS + 3])
 @pytest.mark.parametrize("model", [theta_model(0.3, 0.2, 0.7), omega_model(0.3, 0.2, 1.3)])
@@ -465,7 +448,7 @@ def _rotating_stack(gain: float = 1.0):
     steps = dynamics._block_map(model._maps_at(dt), s)
     model_exit = np.ravel(dynamics.in_frame(1.0, model._rate, s * dt))
     samples, weights = qec._interval_polynomial(steps, code, model_exit, code._rate - model._rate, s * dt)
-    return gain * samples, weights, s, np.full((2, 2), 0.5 + 0j)
+    return gain * samples, weights, s, code._coordinate_maps[2]
 
 
 def _run_both(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> list:

@@ -466,24 +466,25 @@ def test_corrected_evolve_omega_converges_first_order() -> None:
 
 
 @pytest.mark.parametrize("n", [1, 65, 2000])
-def test_a_rotating_corrected_evolution_calls_exp_five_times_at_any_length(monkeypatch, n) -> None:
+def test_a_rotating_corrected_evolution_calls_exp_six_times_at_any_length(monkeypatch, n) -> None:
     # Every phase is made once per evolution, none per interval or per table
-    # of intervals: the two RK4 stage times (dt / 2 and dt, whose phase also
-    # takes the step map out of the frame), the model's exit after an
-    # interval, the phases of the interval map's five samples, and the code
-    # words at the end, which carry the coordinates out.
+    # of intervals: the probe's frame, whose coordinates start the code-word
+    # path, the two RK4 stage times (dt / 2 and dt, whose phase also takes the
+    # step map out of the frame), the model's exit after an interval, the
+    # phases of the interval map's five samples, and the code words at the
+    # end, which carry the coordinates out.
     calls = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
     corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=1.0 / n, n_recoveries=n)
-    assert len(calls) == 5
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 2001])
-@pytest.mark.parametrize("s", [1, 8, 9, 16, 17])
+@pytest.mark.parametrize("s", [1, 8, 9, 16])
 def test_a_detuned_rotating_evolution_makes_no_call_per_interval(monkeypatch, s, n) -> None:
     # Fused four a product or one a product, the last n % 4 intervals too,
-    # every interval of any length is a product of dynamics._run.
+    # every interval of up to 16 steps is a product of dynamics._run.
     def refuse(*args):
         raise AssertionError("one call of each per interval")
 
@@ -591,7 +592,7 @@ def _intervals_on_rows(steps, code, model_exit, rate, tau: float, interval: floa
     # phase at its start, block map, phase into the code's frame, and recovery
     # into coordinates, then its s step traces and its recovery's lost trace as
     # check columns.
-    embed, recover = code._coordinate_maps
+    embed, recover, _ = code._coordinate_maps
     w = steps.shape[0]
     rows, checks = np.eye(8), []
     for i in range(p):
@@ -683,6 +684,40 @@ def test_a_recovery_that_leaves_the_code_words_is_refused_before_any_product(mon
     code = dataclasses.replace(omega_code(1.2), recovery=[np.eye(4)])
     with pytest.raises(ConfigError, match="^recovery leaves the span of the code words$"):
         qec._corrected_evolve(omega_model(0.3, 0.2, 1.4), code, 0.1, 1e-3, 20)
+
+
+def test_a_detuned_rotating_run_starts_from_the_probes_code_coordinates() -> None:
+    # The coordinates the code-word path starts from embed as the probe's state.
+    code = omega_code(1.2)
+    v = np.column_stack([code.c0, code.c1])
+    assert np.max(np.abs(v @ code._coordinate_maps[2] @ v.conj().T - outer(code_probe(code)))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "n, s, on_coordinates",
+    [(1, 16, True), (15, 17, False), (16, 17, True), (16, qec._COORDINATE_STEPS, True),
+     (16, qec._COORDINATE_STEPS + 1, False), (1, 5000, False)],
+)
+def test_a_detuned_rotating_run_takes_code_coordinates_only_where_they_pay(monkeypatch, n, s, on_coordinates) -> None:
+    # The code-word path builds an s-step block map and five (8, 8 + s + 1)
+    # samples up front, so it pays for intervals of up to 16 steps, and for
+    # up to _COORDINATE_STEPS in runs of 16 or more; other runs make one call
+    # of each per interval, whose step blocks hold at most 16 steps and so keep
+    # memory flat in s.  Only the code-word path builds the s-step map and
+    # makes no such call, and either path lands within 1e-13 of one call of
+    # each per interval.
+    def refuse(*args):
+        raise AssertionError("one call of each per interval")
+
+    if on_coordinates:
+        monkeypatch.setattr(qec, "lindblad_evolve", refuse)
+        monkeypatch.setattr(qec, "apply_recovery", refuse)
+    model, code, dt = omega_model(0.3, 0.2, 1.4), omega_code(1.2), 1e-3
+    got = qec._corrected_evolve(model, code, n * s * dt, dt, n)
+    assert (s in model._maps_at(dt)) == on_coordinates
+    *_, want = _per_interval(omega_model(0.3, 0.2, 1.4), omega_code(1.2), n * s * dt, dt, n)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert _is_hermitian(got)
 
 
 @pytest.mark.parametrize("omega, omega_hat", [(1e-308, 2e-308), (5e-324, 0.0)])
