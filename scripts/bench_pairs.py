@@ -41,6 +41,9 @@ expression and on a complex state, which no call copies, as in an interval.
 Two cases time a model's RK4 step map, which every public evolution builds
 for its fresh model: one ``_maps_at`` per static and per rotating model,
 each model built in the expression, per call of 100.
+Two cases time one ``qfi_sld_numeric`` per family point, five corrected
+evolutions at one estimate, on a corrected angle and a corrected frequency
+family in the workload's shapes.
 Two campaign cases time one ``campaign_estimates`` per repetition: the
 frequency task at 100 repetitions on README's grid, and criterion 7's angle
 shape at 10 repetitions (``campaign``'s size) from a guess at the prior's edge.
@@ -132,6 +135,14 @@ MICRO = {
     "step_map_rotating": (
         "[dynamics.omega_model(0.1, 0.05, 0.26)._maps_at(2.5e-3) for _ in range(100)]", 100
     ),
+    "qfi_sld_corrected_theta": (
+        "metrology.qfi_sld_numeric(lambda x: qec.corrected_evolve_theta(0.1, 0.05, x, np.pi / 4, 5.0, dt=5e-3,"
+        " n_recoveries=1000), np.pi / 4, delta=1e-4)", 5
+    ),
+    "qfi_sld_corrected_omega": (
+        "metrology.qfi_sld_numeric(lambda x: qec.corrected_evolve_omega(0.1, 0.05, x, 0.25, 5.0, dt=2.5e-3,"
+        " n_recoveries=2000), 0.25, delta=5e-4)", 5
+    ),
     "campaign_omega_100": (
         "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.3, initial_guess=0.2, "
         "grid=(0.2, 0.4, 1e-4), seed=20240811), 100, task='omega')", 100
@@ -219,11 +230,11 @@ def micro_worker(src: str) -> None:
     import time
 
     import numpy as np
-    from fluxmet import dynamics, estimation, qec
+    from fluxmet import dynamics, estimation, metrology, qec
 
     if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"fluxmet imported from {dynamics.__file__}, not from {src}")
-    scope = {"np": np, "dynamics": dynamics, "estimation": estimation, "qec": qec}
+    scope = {"np": np, "dynamics": dynamics, "estimation": estimation, "metrology": metrology, "qec": qec}
     header = sys.stdin.readline()
     if not header:  # closed unasked: the other worker failed
         return
@@ -326,15 +337,16 @@ def side_by_side_worker(parent_src: str) -> None:
     spec.loader.exec_module(parent)
     import fluxmet_parent.dynamics
     import fluxmet_parent.estimation
+    import fluxmet_parent.metrology
     import fluxmet_parent.qec
-    from fluxmet import dynamics, estimation, qec
+    from fluxmet import dynamics, estimation, metrology, qec
 
     if Path(dynamics.__file__).resolve().is_relative_to(Path(parent_src).resolve()):
         raise SystemExit(f"fluxmet imported from {dynamics.__file__}, the parent's tree")
     job = json.loads(sys.stdin.read())
     scopes = {"parent": {"np": np, "dynamics": fluxmet_parent.dynamics, "estimation": fluxmet_parent.estimation,
-                         "qec": fluxmet_parent.qec},
-              "change": {"np": np, "dynamics": dynamics, "estimation": estimation, "qec": qec}}
+                         "metrology": fluxmet_parent.metrology, "qec": fluxmet_parent.qec},
+              "change": {"np": np, "dynamics": dynamics, "estimation": estimation, "metrology": metrology, "qec": qec}}
     cases = {name: (compile(expr, name, "eval"), units) for name, (expr, units) in job["cases"].items()}
     for code, _ in cases.values():
         for scope in scopes.values():

@@ -130,6 +130,23 @@ ROUTES = {
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.125, dt=5e-3, n_recoveries=1025)"
     ),
     "lindblad_evolve theta 129 steps": "dynamics.lindblad_evolve(theta_model(), bell(), 129 * 4e-3, dt=4e-3)",
+    # qec keeps the code of a recent estimate: corrected evolutions repeated at one
+    # estimate, the later ones on a kept code, and the estimates 0.0 and -0.0, whose
+    # code words differ in the signs of zeros, so each must build its own.
+    "corrected_evolve repeated estimate": (
+        "[qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + d, np.pi / 4, 5.0, dt=5e-3, n_recoveries=1000)"
+        " for d in (0.01, 0.01, -0.01)] + [qec.corrected_evolve_omega(0.1, 0.05, 0.25 + d, 0.25, 5.0, dt=2.5e-3,"
+        " n_recoveries=2000) for d in (0.01, 0.01, -0.01)]"
+    ),
+    **{
+        f"corrected estimate {hat}": (
+            f"[qec.corrected_evolve_theta(0.1, 0.05, 0.01, {hat}, 5.0, dt=5e-3, n_recoveries=1000),"
+            f" qec.corrected_state_theta_closed(0.1, 0.05, 0.01, {hat}, 5.0),"
+            f" qec.corrected_evolve_omega(0.1, 0.05, 0.01, {hat}, 5.0, dt=2.5e-3, n_recoveries=2000),"
+            f" qec.corrected_state_omega_closed(0.1, 0.05, 0.01, {hat}, 5.0)]"
+        )
+        for hat in ("0.0", "-0.0")
+    },
     "corrected_state_theta_closed": (
         "qec.corrected_state_theta_closed(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0)"
     ),

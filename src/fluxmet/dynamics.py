@@ -191,8 +191,8 @@ class LindbladModel:
         """The checked maps of k RK4 steps of length dt in the model's frame, keyed by k.
 
         Since L(t) = D_t L(0) D_-t with D_t = exp(iGt), L at a stage time tau is L(0)'s
-        entry (a, b) times conj(p_a) p_b, p the raveled in_frame(1, rate, tau) ([1.0] if
-        static), and a step in the frame is the step from 0 left by p(dt)'s conjugate.
+        entry (a, b) times conj(p_a) p_b, p the raveled in_frame(1, rate, tau), and a step in
+        the frame is the step from 0 left by p(dt)'s conjugate; a static model's is l0's alone.
         Entry 1 is built once per dt from one ``at(0)``; :func:`_block_map` adds the others.
         """
         maps = self._maps.get(dt)
@@ -201,7 +201,8 @@ class LindbladModel:
             l0 = L2Action(h, ops, [e.conj().T @ e for e in ops], []).matrix()
             mid, end = (np.ravel(in_frame(1.0, self._rate, tau)) for tau in (0.5 * dt, dt))
             stages = (l0 * np.multiply.outer(p.conj(), p) for p in (mid, end))
-            maps = self._maps[dt] = {1: _checked_map(_rk4_map(l0, *stages, dt) * end.conj(), self.dim)}
+            step = _rk4_map(l0, l0, l0, dt) if self._rate is None else _rk4_map(l0, *stages, dt) * end.conj()
+            maps = self._maps[dt] = {1: _checked_map(step, self.dim)}
         return maps
 
 
@@ -210,8 +211,8 @@ def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
     _check_domain("B", B, _FINITE)
     _check_domain("theta", theta, _FINITE)
     _check_domain("gamma", gamma)
-    sn = kron(sigma_n_theta(theta), eye2)
-    sm = kron(sigma_n_theta_deriv(theta), eye2)
+    axes = np.array([sigma_n_theta(theta), sigma_n_theta_deriv(theta)])
+    sn, sm = (axes[:, :, None, :, None] * eye2[:, None, :]).reshape(2, 4, 4)  # kron(axis, eye2) bit for bit
     root = np.sqrt(gamma)
     return LindbladModel(
         dim=4,

@@ -12,6 +12,8 @@ like a model's.  Stepwise corrected evolution and the continuous-recovery
 closed state are written once for both codes; the former makes one
 ``ndarray.dot`` per 16 static intervals or per p rotating ones (on the 8
 floats of their code-word coordinates), p as ``_corrected_evolve`` picks it.
+Both build a code once per estimate, within a bound: ``_memo_code`` keeps
+the ``_CODE_MEMO`` latest, and with each its recovery and coordinate maps.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
 -> ``asymptotic_qfi``) takes any model with explicit first and second
@@ -27,7 +29,7 @@ L2 is a ``dynamics.L2Action``, the one commutator-plus-Kraus form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,6 +74,7 @@ from .qmat import eye2, kron
 _QEC_TOL = 1e-8  # residual of the error-correction conditions, of the Gram matrix and of a recovery out of the code
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
 _COORDINATE_STEPS = 128  # most steps of a detuned rotating interval on code coordinates (CHANGES.md has the sweep)
+_CODE_MEMO = 16  # most (constructor, estimate) codes the corrected states and evolutions keep built
 
 
 @dataclass(frozen=True)
@@ -308,19 +311,29 @@ def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d
     return 0.5 * (_outer(c0) + _outer(c1) + coh * _outer(c0, c1) + np.conj(coh) * _outer(c1, c0))
 
 
+def _code_at(make, estimate: float) -> QecCode:
+    """``make(estimate)``, kept for the next call at that float by :func:`_memo_code` (its maps with it)."""
+    return _memo_code(make, estimate.hex()) if isinstance(estimate, float) else make(estimate)
+
+
+@lru_cache(maxsize=_CODE_MEMO)
+def _memo_code(make, estimate: str) -> QecCode:  # keyed by float.hex, so 0.0 and -0.0 are apart; a refusal is not kept
+    return make(float.fromhex(estimate))
+
+
 def corrected_evolve_theta(
     B: float, gamma: float, theta: float, theta_hat: float, t: float,
     dt: float = 1e-3, n_recoveries: int | None = None,
 ) -> np.ndarray:
     """Stepwise corrected dynamics for the field-angle task, recovering at theta_hat."""
-    model, code = theta_model(B, gamma, theta), theta_code(theta_hat)
+    model, code = theta_model(B, gamma, theta), _code_at(theta_code, theta_hat)
     return _corrected_evolve(model, code, t, dt, n_recoveries)
 
 
 def corrected_state_theta_closed(B: float, gamma: float, theta: float, theta_hat: float, t: float):
     """Continuous-recovery corrected state for the field-angle task."""
     _check_domain("theta", theta, _FINITE)
-    return _closed_state(theta_code(theta_hat), THETA_COHERENCE, B, gamma, theta - theta_hat, t)
+    return _closed_state(_code_at(theta_code, theta_hat), THETA_COHERENCE, B, gamma, theta - theta_hat, t)
 
 
 def corrected_evolve_omega(
@@ -328,14 +341,14 @@ def corrected_evolve_omega(
     dt: float = 1e-3, n_recoveries: int | None = None,
 ) -> np.ndarray:
     """Stepwise corrected dynamics for the rotation-frequency task, code rotating at omega_hat."""
-    model, code = omega_model(B, gamma, omega), omega_code(omega_hat)
+    model, code = omega_model(B, gamma, omega), _code_at(omega_code, omega_hat)
     return _corrected_evolve(model, code, t, dt, n_recoveries)
 
 
 def corrected_state_omega_closed(B: float, gamma: float, omega: float, omega_hat: float, t: float):
     """Continuous-recovery corrected state for the rotation-frequency task, in the lab frame."""
     _check_domain("omega", omega, _FINITE)
-    return _closed_state(omega_code(omega_hat), OMEGA_COHERENCE, B, gamma, omega - omega_hat, t)
+    return _closed_state(_code_at(omega_code, omega_hat), OMEGA_COHERENCE, B, gamma, omega - omega_hat, t)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from fluxmet.errors import (
 )
 from fluxmet.metrology import (
     OMEGA_COHERENCE,
+    THETA_COHERENCE,
     fidelity,
     qfi_omega_qec_closed,
     qfi_sld_numeric,
@@ -289,9 +290,11 @@ def test_replaced_code_rebuilds_recovery() -> None:
 )
 def test_recovery_map_is_built_only_when_a_recovery_runs(monkeypatch, closed, evolve) -> None:
     # A code builds its checked recovery map at its first recovery and keeps
-    # it: the code of a closed state never builds one, a corrected evolution
-    # builds one for its code rather than one per interval, and a replaced
-    # code builds its own rather than keep the one of the code it came from.
+    # it: the code of a closed state never builds one, corrected evolutions
+    # build one per estimate rather than one per interval or per call, and a
+    # replaced code builds its own rather than keep the one of the code it
+    # came from.  The memo starts empty, so the first evolution builds it.
+    qec._memo_code.cache_clear()
     built = []
     checked_map = qec._checked_map
 
@@ -303,6 +306,7 @@ def test_recovery_map_is_built_only_when_a_recovery_runs(monkeypatch, closed, ev
     closed(B, GAMMA, 0.8, 0.75, T)
     assert built == []
     evolve(B, GAMMA, 0.8, 0.75, 0.01, dt=1e-3, n_recoveries=5)
+    evolve(B, GAMMA, 0.81, 0.75, 0.01, dt=1e-3, n_recoveries=5)
     assert built == [{"minus_input_trace": True}]
     code, other = theta_code(0.8), theta_code(0.3)
     assert "_recovery_map" not in vars(code)
@@ -314,6 +318,89 @@ def test_recovery_map_is_built_only_when_a_recovery_runs(monkeypatch, closed, ev
     replaced = dataclasses.replace(code, recovery=other.recovery)
     assert np.array_equal(apply_recovery(replaced, rho), apply_recovery(other, rho))
     assert len(built) == 4
+
+
+_CORRECTED = [
+    (corrected_state_theta_closed, corrected_evolve_theta, theta_code, np.pi / 4, "theta_hat"),
+    (corrected_state_omega_closed, corrected_evolve_omega, omega_code, 0.25, "omega_hat"),
+]
+
+
+@pytest.mark.parametrize("closed, evolve, make, hat, name", _CORRECTED)
+def test_a_repeated_estimate_builds_no_recovery_or_coordinate_map(monkeypatch, closed, evolve, make, hat, name):
+    # Short runs at one estimate, 2-step intervals: the static one recovers
+    # through apply_recovery, the detuned rotating one on code coordinates.
+    qec._memo_code.cache_clear()
+    evolve(B, GAMMA, hat + 0.01, hat, 0.02, dt=1e-3, n_recoveries=10)
+    assert "_recovery_map" in vars(qec._memo_code(make, hat.hex()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map built again")
+
+    monkeypatch.setattr(qec, "_checked_map", refuse)
+    monkeypatch.setattr(qec, "_kron_conj", refuse)
+    for x in (hat - 0.01, hat + 0.02):
+        evolve(B, GAMMA, x, hat, 0.02, dt=1e-3, n_recoveries=10)
+        closed(B, GAMMA, x, hat, T)
+
+
+@pytest.mark.parametrize("closed, evolve, make, hat, name", _CORRECTED)
+def test_a_memo_hit_returns_the_bytes_of_a_fresh_code(closed, evolve, make, hat, name) -> None:
+    # Two calls at one estimate (the second a hit), one after the memo is
+    # cleared, and one with the estimate as a numpy float, which shares it.
+    def outputs(estimate):
+        return [evolve(B, GAMMA, hat + 0.01, estimate, 0.05, dt=2.5e-3, n_recoveries=n) for n in (5, 20)] + [
+            closed(B, GAMMA, hat + 0.01, estimate, T)
+        ]
+
+    qec._memo_code.cache_clear()
+    first, hit = outputs(hat), outputs(hat)
+    qec._memo_code.cache_clear()
+    for got in (hit, outputs(hat), outputs(np.float64(hat))):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in first]
+    assert qec._memo_code.cache_info().currsize == 1
+
+
+def test_signed_zero_estimates_and_the_two_codes_keep_their_own_entries() -> None:
+    # theta_code(0.0) and theta_code(-0.0) differ in the signs of zeros, so a
+    # hit of one for the other would hand out a code other than the one asked
+    # for; theta and omega codes at one value are different codes.
+    assert theta_code(0.0).c0.tobytes() != theta_code(-0.0).c0.tobytes()
+    qec._memo_code.cache_clear()
+    for closed, _, make, _, _ in _CORRECTED:
+        for hat in (0.0, -0.0):
+            got = closed(B, GAMMA, 0.01, hat, T)
+            coherence = THETA_COHERENCE if make is theta_code else OMEGA_COHERENCE
+            want = qec._closed_state(make(hat), coherence, B, GAMMA, 0.01 - hat, T)
+            assert got.tobytes() == want.tobytes()
+            assert qec._memo_code(make, hat.hex()).c0.tobytes() == make(hat).c0.tobytes()
+    assert qec._memo_code.cache_info().currsize == 4
+
+
+def test_the_code_memo_stays_bounded_and_public_codes_stay_fresh() -> None:
+    qec._memo_code.cache_clear()
+    for k in range(3 * qec._CODE_MEMO):
+        corrected_state_theta_closed(B, GAMMA, 0.8, 0.8 + k * 1e-3, T)
+        corrected_state_omega_closed(B, GAMMA, 0.3, 0.3 + k * 1e-3, T)
+    assert qec._memo_code.cache_info().currsize == qec._CODE_MEMO
+    qec._memo_code.cache_clear()  # an int estimate is built afresh, to the bytes of its float
+    at_int = corrected_state_omega_closed(B, GAMMA, 0.3, 1, T)
+    assert qec._memo_code.cache_info().currsize == 0
+    assert at_int.tobytes() == corrected_state_omega_closed(B, GAMMA, 0.3, 1.0, T).tobytes()
+    assert theta_code(0.8) is not theta_code(0.8)
+    assert omega_code(0.3) is not omega_code(0.3)
+
+
+@pytest.mark.parametrize("closed, evolve, make, hat, name", _CORRECTED)
+@pytest.mark.parametrize("bad", [float("nan"), np.float64("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_estimate_is_refused_by_name_on_every_call(closed, evolve, make, hat, name, bad) -> None:
+    qec._memo_code.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match=f"{name} must be finite, got {bad}"):
+            evolve(B, GAMMA, hat, bad, 0.01, dt=1e-3, n_recoveries=5)
+        with pytest.raises(DomainError, match=f"{name} must be finite, got {bad}"):
+            closed(B, GAMMA, hat, bad, T)
+    assert qec._memo_code.cache_info().currsize == 0
 
 
 def test_results_do_not_alias_the_input() -> None:
@@ -472,12 +559,17 @@ def test_a_rotating_corrected_evolution_calls_exp_six_times_at_any_length(monkey
     # path, the two RK4 stage times (dt / 2 and dt, whose phase also takes the
     # step map out of the frame), the model's exit after an interval, the
     # phases of the interval map's five samples, and the code words at the
-    # end, which carry the coordinates out.
+    # end, which carry the coordinates out.  The probe's frame is made once
+    # per estimate: a second evolution there keeps its code's coordinates.
+    qec._memo_code.cache_clear()
     calls = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
     corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, 1.0, dt=1.0 / n, n_recoveries=n)
     assert len(calls) == 6
+    calls.clear()
+    corrected_evolve_omega(0.3, 0.2, 1.41, 1.2, 1.0, dt=1.0 / n, n_recoveries=n)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 2001])
