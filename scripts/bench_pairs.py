@@ -33,7 +33,10 @@ shapes), one rotating interval of 20 steps, more than a step block, one
 rotating interval of a run of four of 1000 steps, which ``qec._corrected_evolve``
 steps one call of each an interval rather than build its long map, one
 rotating interval at zero detuning (the centre point of the workload's
-frequency family), one 4000-step free evolution, and the two
+frequency family), four intervals of runs that the interval rule of
+``qec._corrected_evolve`` routes by their length alone (static runs of 1000
+intervals of 20 steps and of 64 of 1000 steps, detuned runs of 16 intervals
+of 1024 steps and of four of 16), one 4000-step free evolution, and the two
 calls of each interval apart: one single-state ``lindblad_evolve`` step and
 one ``apply_recovery``, on the rotating model and code and (``_static``) on
 the static ones, each per call of 1000 on a model or code built in the
@@ -106,6 +109,21 @@ MICRO = {
     ),
     "interval_rotating_1000_steps": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 10.0, dt=2.5e-3, n_recoveries=4)", 4
+    ),
+    # Runs whose path the interval rule of qec._corrected_evolve decides by their length alone: static runs of
+    # 1000 intervals of 20 steps and of 64 of 1000 steps, and detuned runs of 16 intervals of 1024 steps and of
+    # four of 16 steps, the shortest that goes product by product and a run below it.
+    "interval_static_20_steps": (
+        "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0, dt=2.5e-4, n_recoveries=1000)", 1000
+    ),
+    "interval_static_1000_steps": (
+        "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 6.4, dt=1e-4, n_recoveries=64)", 64
+    ),
+    "interval_rotating_1024_steps": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 4.096, dt=2.5e-4, n_recoveries=16)", 16
+    ),
+    "interval_rotating_16_steps_4_intervals": (
+        "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 0.16, dt=2.5e-3, n_recoveries=4)", 4
     ),
     "interval_rotating_centre": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.25, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)", 2000

@@ -126,6 +126,22 @@ ROUTES = {
     "corrected_evolve_omega omega_hat above omega": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.24, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)"
     ),
+    # Runs whose path the interval rule decides by their length alone: static runs of 64 intervals
+    # of 1000 steps (products of a 1000-step map) and of 20 of five steps (a tail of four intervals
+    # as one product), and detuned runs of 16 intervals of 1024 steps (code-word products), of one
+    # of 5000 steps and of four of 16 steps (one call of each per interval).
+    **{
+        f"corrected_evolve_{task} {s} steps {n} intervals": (
+            f"qec.corrected_evolve_{task}(0.1, 0.05, {x}, {hat}, {n * s} * {dt}, dt={dt}, n_recoveries={n})"
+        )
+        for task, x, hat, dt, s, n in (
+            ("theta", "np.pi / 4 + 0.01", "np.pi / 4", 1e-4, 1000, 64),
+            ("theta", "np.pi / 4 + 0.01", "np.pi / 4", 5e-3, 5, 20),
+            ("omega", 0.26, 0.25, 2.5e-4, 1024, 16),
+            ("omega", 0.26, 0.25, 1e-3, 5000, 1),
+            ("omega", 0.26, 0.25, 2.5e-3, 16, 4),
+        )
+    },
     "corrected_evolve_theta 1025 intervals": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.125, dt=5e-3, n_recoveries=1025)"
     ),

@@ -8,30 +8,21 @@ Two built-in models on probe+ancilla (dim 4):
   omega: sigma_n(omega, t) = cos(omega t) sigma1 - sin(omega t) sigma2,
   which is sigma1 seen from the frame exp(+i omega t sigma3 / 2).
 
-A model is data: constant matrices plus, for a rotating model, the diagonal
-of the frame generator, whose phase rate :func:`in_frame` applies; every
-frame change of a model or a code goes through it.  Deterministic evolution
-is fixed-step RK4 on the master equation
-drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2)
-(:class:`L2Action`, shared with ``qec``'s expansion), in the model's frame,
-where every step is the same matrix.  :func:`_rk4_map` builds it as the RK4
-polynomial of the model's (d^2, d^2) superoperator at the three stage times,
-:func:`_checked_map` makes it, or a recovery, one real matrix on the float64
-view of the state that also applies the Hermitian projection and returns the
-trace, and :func:`_block_map` makes k steps one matrix that returns each
-step's trace.  :func:`_steps` steps one state by one ``ndarray.dot`` per block
-of up to ``_BLOCK_STEPS`` steps, through :func:`_run`, the one checked loop,
-which makes its row views once per run and takes a rotating code's interval
-weights once per ``_CHUNK**2`` = 4096 products.
-The stochastic picture draws the accumulated phase Phi = B t + phi with
-phi ~ Normal(0, gamma t), in :func:`sample_phases` alone (the trajectory
-CFI of ``metrology`` draws through it), and averages pure-state trajectories.
+A model is data: constant matrices plus, for a rotating model, the diagonal of the frame generator, whose phase
+rate :func:`in_frame` applies to every frame change of a model or a code.  Deterministic evolution is fixed-step
+RK4 on drho/dt = -i[H, rho] + sum_k (E_k rho E_k^dag - {E_k^dag E_k, rho}/2) (:class:`L2Action`), in the model's
+frame, where every step is the same matrix.  A step, a recovery or any product of them is one checked real map on
+the state's float64 row with the same three check columns (:func:`_checked_map`, :func:`_block_map`), and
+:func:`_run` screens them per chunk of products and replays a failing product to name the step that failed.
+The stochastic picture draws the accumulated phase Phi = B t + phi with phi ~ Normal(0, gamma t), in
+:func:`sample_phases` alone, and averages pure-state trajectories.
 Every refusal of a duration, rate, field, angle or frequency is :func:`_check_domain`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -40,7 +31,10 @@ from .qmat import eye2, kron, sigma1, sigma2, sigma3
 
 _TRACE_TOL = 1e-6  # largest trace drift a step, or trace loss a recovery, may show
 _BLOCK_STEPS = 16  # most RK4 steps one product applies (CHANGES.md has the sweep)
-_CHUNK = 64  # most products of a run whose check columns one read takes
+_CHUNK = 64  # most products of a run whose check columns one screen reads
+# Targets and largest gaps of the checks that end every checked map: the trace and the witness after its last
+# step, and the trace its recoveries lost, which a recovery's map returns alone.
+_TARGET, _LIMIT = np.array([1.0, 0.0, 0.0]), np.array([_TRACE_TOL, 1.0 + _TRACE_TOL, _TRACE_TOL])
 _FINITE = -float(np.finfo(float).max)  # the least finite float, _check_domain's finite-only bound
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(complex)  # the two views of a state's rows
 _SIGMA1_I, _SIGMA2_I = kron(sigma1, eye2), kron(sigma2, eye2)  # the rotating model's axis and its derivative's
@@ -77,11 +71,10 @@ def rotating_frame(omega: float) -> np.ndarray:
 def in_frame(op: np.ndarray, rate: np.ndarray | None, t: float) -> np.ndarray:
     """exp(iGt) op exp(-iGt) for a diagonal generator G, given its phase rate.
 
-    ``rate`` is the (d, d) matrix i (g_j - g_k) that a model or code keeps
-    as ``_rate``, so entry jk becomes op_jk exp(i (g_j - g_k) t); ``op`` may
-    be a stacked (..., d, d) batch, or a scalar that scales the phases.  A
-    None rate, or t = 0, where every phase is exactly 1, returns ``op``
-    itself; any other t that is not finite is a DomainError.
+    ``rate`` is the (d, d) matrix i (g_j - g_k) that a model or code keeps as ``_rate``, so entry jk becomes
+    op_jk exp(i (g_j - g_k) t); ``op`` may be a stacked (..., d, d) batch, or a scalar that scales the phases.
+    A None rate, or t = 0, where every phase is exactly 1, returns ``op`` itself; another non-finite t is a
+    DomainError.
     """
     if rate is None or t == 0:
         return op
@@ -248,19 +241,16 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     )
 
 
-def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) -> np.ndarray:
-    """The real (2 d^2, 2 d^2 + 1) matrix of one checked linear step on (d, d) states.
+def _checked_map(linear: np.ndarray, d: int, recovery: bool = False) -> np.ndarray:
+    """The real (2 d^2, 2 d^2 + 3) matrix of one checked linear step on (d, d) states.
 
-    ``linear`` is a complex (d^2, d^2) map under which a row-major
-    vectorised state steps as ``vec @ linear``.  The real matrix acts on the
-    (1, 2 d^2) float64 view of that row: its first 2 d^2 columns apply
-    ``linear`` and then the Hermitian projection (rho + rho^dag) / 2, which
-    is real-linear, and its last column returns the output's real trace,
-    less the input's if ``minus_input_trace``.  Columns (a, b) and (b, a)
-    are equal, or negatives for the imaginary parts, bit for bit; the states
-    are exactly Hermitian only if the BLAS treats equal columns alike, which
-    ``test_every_returned_state_is_exactly_hermitian`` checks (Havel,
-    J. Math. Phys. 44, 534 (2003)).
+    ``linear`` is a complex (d^2, d^2) map under which a row-major vectorised state steps as ``vec @ linear``.
+    The real matrix acts on the (1, 2 d^2) float64 view of that row: its first 2 d^2 columns apply ``linear`` and
+    then the Hermitian projection (rho + rho^dag) / 2, which is real-linear, and its last three the :func:`_checks`
+    of the output; a ``recovery``'s map returns the last alone, the output's trace less the input's.  Columns
+    (a, b) and (b, a) are equal, or negatives for the imaginary parts, bit for bit; the states are exactly
+    Hermitian only if the BLAS treats equal columns alike, which ``test_every_returned_state_is_exactly_hermitian``
+    checks (Havel, J. Math. Phys. 44, 534 (2003)).
     """
     n = d * d
     real = np.empty((n, 2, n, 2))  # [input entry, input re/im, output entry, output re/im]
@@ -269,27 +259,37 @@ def _checked_map(linear: np.ndarray, d: int, minus_input_trace: bool = False) ->
     real[:, 1, :, 0] = -linear.imag
     mirror = real[:, :, np.arange(n).reshape(d, d).T.ravel()]  # output entry (b, a)
     folded = (0.5 * (real + mirror * [1.0, -1.0])).reshape(2 * n, 2 * n)
-    diagonal = slice(0, 2 * n, 2 * (d + 1))  # real parts of the entries (a, a)
-    trace = folded[:, diagonal].sum(axis=1)
-    if minus_input_trace:
-        trace[diagonal] -= 1.0
-    return np.column_stack([folded, trace])
+    trace = _checks(d)[:, :1]
+    return np.concatenate([folded, folded @ trace - trace if recovery else folded @ _checks(d)], axis=1)
+
+
+@lru_cache
+def _checks(d: int) -> np.ndarray:
+    """The (2 d^2, 3) columns of Tr(rho), Tr(W rho) and a lost trace of 0 on a float64 row, for a fixed Hermitian W
+    of spectral norm 1 with no zero entry: a state keeps |Tr(W rho)| <= Tr(rho), which an unstable step breaks."""
+    j = np.arange(d)
+    w = 1 / np.add.outer(j, j + 1) + 1j * np.subtract.outer(j, j) / np.add.outer(j, j + 2)
+    w /= np.abs(np.linalg.eigvalsh(w)).max()  # the spectral norm, without the pages an SVD's first call maps in
+    rows = np.array([np.eye(d), w, np.zeros((d, d))]).reshape(3, d * d)
+    (columns := rows.view(_REAL).T).setflags(write=False)  # one array for every caller
+    return columns
+
+
+def _then(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` then ``b`` as one checked map, stacks too: ``a``'s state block times ``b``, plus the trace ``a`` lost."""
+    out = a[..., : b.shape[-2]] @ b
+    out[..., -1] += a[..., -1]
+    return out
 
 
 def _block_map(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
-    """``maps[k]``: k checked maps ``maps[1]`` in turn as one real matrix, built at its first use.
-
-    ``maps[1]`` is (w, w + c): a state block and c check columns, such as a
-    step's trace.  ``maps[k]`` is the state block's k-th power, then the
-    checks of each map j = 1..k carried back through the j - 1 before it.
-    """
+    """``maps[k]``: k checked maps ``maps[1]`` in turn as one by :func:`_then`, built at its first use: one map at a
+    time up to ``_BLOCK_STEPS``, past it one block of ``_BLOCK_STEPS`` at a time, then the rest as one block (the
+    block raised by binary powering drifted further from one step at a time; CHANGES.md has the measurement)."""
     if k not in maps:
-        states, checks = np.hsplit(maps[1], [maps[1].shape[0]])
-        power, carried = states, [checks]
-        for _ in range(k - 1):
-            carried.append(power @ checks)
-            power = power @ states
-        maps[k] = np.column_stack([power, *carried])
+        q, r = divmod(k - 1, _BLOCK_STEPS)
+        parts = [_block_map(maps, _BLOCK_STEPS)] * q + [_block_map(maps, r + 1)] if q else [maps[1]] * k
+        maps[k] = reduce(_then, parts)
     return maps[k]
 
 
@@ -331,11 +331,9 @@ def lindblad_evolve(
 ) -> np.ndarray:
     """Evolve ``rho0`` for duration ``t`` starting at absolute time ``t0``.
 
-    RK4 at fixed step ``dt`` in the model's frame, through :func:`_steps`:
-    the state enters it by :func:`in_frame` at t0 and leaves it the same
-    way at the end.  A non-finite t0 is a DomainError for every model.
-    ``rho0`` is one (d, d) state; any other shape is a DimensionError.  A
-    zero duration returns a copy.
+    RK4 at fixed step ``dt`` in the model's frame, through :func:`_steps`: the state enters it by :func:`in_frame`
+    at t0 and leaves it the same way at the end.  A non-finite t0 is a DomainError for every model.  ``rho0`` is
+    one (d, d) state; any other shape is a DimensionError.  A zero duration returns a copy.
     """
     _check_domain("frame time", t0, _FINITE)
     n_steps = fixed_steps(t, dt)
@@ -350,34 +348,40 @@ def lindblad_evolve(
 
 
 def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
-    """``n_steps`` checked steps of one C-contiguous complex (d, d) state, one product per block.
-
-    Each block of up to ``_BLOCK_STEPS`` steps is one ``ndarray.dot`` of the state's float64 row and its
-    :func:`_block_map`; past 8 blocks, about :func:`_run`'s fixed cost, all but the last go through it.
-    """
-    width, done, out = 2 * rho.size, 0, rho
+    """``n_steps`` checked steps of one C-contiguous complex (d, d) state: one ``ndarray.dot`` of its float64 row and
+    a :func:`_block_map` per block of up to ``_BLOCK_STEPS``, through :func:`_run` for all but the last of over 8."""
+    w, done, out = 2 * rho.size, 0, rho
     if n_steps > 8 * _BLOCK_STEPS:
         done = (n_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS
-        out = _run(rho, _block_map(maps, _BLOCK_STEPS), done // _BLOCK_STEPS, n_steps)
+        out = _run(rho, _block_map(maps, _BLOCK_STEPS), done // _BLOCK_STEPS,
+                   lambda i, row: _step_by_step(row, maps[1], i * _BLOCK_STEPS, _BLOCK_STEPS))
     while done < n_steps:
-        k = min(_BLOCK_STEPS, n_steps - done)
-        out = np.ndarray((width,), _REAL, out).dot(_block_map(maps, k))
-        for j in range(width, width + k):  # the trace after each step of the block
-            if not abs(out.item(j) - 1.0) <= _TRACE_TOL:  # a NaN drift fails too
-                _read_checks(out[None, width:], done, n_steps)
+        k, row = min(_BLOCK_STEPS, n_steps - done), np.ndarray((w,), _REAL, out)
+        out = row.dot(_block_map(maps, k))
+        if not (abs(out.item(w) - 1.0) <= _TRACE_TOL and abs(out.item(w + 1)) <= 1.0 + _TRACE_TOL):  # NaN fails too
+            _step_by_step(row, maps[1], done, k)
         done += k
     return np.ndarray(rho.shape, _COMPLEX, out)
 
 
-def _run(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> np.ndarray:
-    """``n`` products of a (d, d) state's float64 row with a (w, w + c) checked map, or, given ``weights``, with
-    the stack ``maps`` weighted by the (m, q) ``weights(k, m)`` for m products from k, taken once per
-    ``_CHUNK**2`` products and combined per chunk.  Each is one ``ndarray.dot`` of row views made once per run
-    into a row of a ``_CHUNK``-row buffer, whose checks :func:`_read_checks` reads after the chunk: a failing
-    run goes on to its chunk's end."""
-    w, buf = 2 * rho.size, np.empty((min(n, _CHUNK), maps.shape[-1]))
-    tables = [maps] * len(buf) if weights is None else np.empty((len(buf), *maps.shape[1:]))  # reused: no page faults
-    ins, outs, blocks = [rho.view(_REAL).ravel(), *buf[:-1, :w]], list(buf), list(tables)
+def _step_by_step(row: np.ndarray, step: np.ndarray, first: int, k: int) -> None:
+    """Replay steps ``first`` + 1 to ``first`` + k from their input ``row``, one checked ``step`` at a time."""
+    for j in range(first, first + k):
+        out = row.dot(step)
+        _read_checks(out[None, len(row) :], j)
+        row = out[: len(row)]
+
+
+def _run(rho: np.ndarray, maps: np.ndarray, n: int, replay, weights=None) -> np.ndarray:
+    """``n`` products of a (d, d) state's float64 row with a checked map, or, given ``weights``, with the stack
+    ``maps`` weighted by the (m, q) ``weights(k, m)`` for m products from k, taken once per ``_CHUNK**2`` products.
+    Each is one ``ndarray.dot`` of row views made once per run, from buffer row i into i + 1.  Per chunk one screen
+    reads their checks, and ``replay(i, row)`` replays each failing product i from its input row: it raises at the
+    first step or recovery that fails, or returns, and the run goes on."""
+    w, m = 2 * rho.size, min(n, _CHUNK)
+    buf, tables = np.empty((m + 1, maps.shape[-1])), [maps] * m if weights is None else np.empty((m, *maps.shape[1:]))
+    ins, outs, blocks = list(buf[:-1, :w]), list(buf[1:]), list(tables)  # tables reused: no page faults
+    buf[0, :w] = rho.view(_REAL).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, _CHUNK):
             m, at = min(_CHUNK, n - first), first % _CHUNK**2
@@ -385,25 +389,27 @@ def _run(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> np.
                 if at == 0:  # one weights call per _CHUNK**2 products, so memory does not grow with n
                     weight_block = weights(first, min(_CHUNK**2, n - first))
                 np.matmul(weight_block[at : at + m], maps.reshape(len(maps), -1), out=tables[:m].reshape(m, -1))
-            for row, out, table in zip(ins, outs[:m], blocks):
+            for row, out, table in zip(ins[:m], outs, blocks):
                 row.dot(table, out)
-            ins[0] = buf[-1, :w]  # the next chunk's first input: this chunk's last output
-            _read_checks(buf[:m, w:], first * (buf.shape[1] - w), s)
-    return buf[m - 1, :w].copy().view(_COMPLEX).reshape(rho.shape)
+            gaps = np.abs(buf[1 : m + 1, w:] - _TARGET) - _LIMIT  # no compare while passing: its first use pages in
+            if not gaps.max() <= 0:  # 256 KB of numpy; a NaN gap fails too
+                for i in np.flatnonzero(~(gaps <= 0).all(axis=1)):
+                    replay(first + int(i), buf[i, :w])
+            buf[0, :w] = buf[m, :w]  # the next chunk's first input
+    return buf[m, :w].copy().view(_COMPLEX).reshape(rho.shape)
 
 
-def _read_checks(checks: np.ndarray, offset: int, s: int) -> None:
-    """Raise for the first of the (n, c) ``checks``, the run's from ``offset`` on, off its target by more than
-    ``_TRACE_TOL``: s step traces (1), then a recovery's loss (0); s = n for n plain steps, 0 for a recovery."""
-    targets = np.ones(checks.shape[1])
-    targets[s :: s + 1] = 0.0
-    gaps = np.abs(checks - targets)  # no compare while passing: its first use pages in 256 KB of numpy
-    if not gaps.max() <= _TRACE_TOL:  # a NaN gap fails too
-        j = int(np.argmax(~(gaps <= _TRACE_TOL)))
-        i, value = offset + j, checks.flat[j]
-        if i % (s + 1) < s:
-            raise InstabilityError(f"trace drifted by {abs(value - 1.0):.3e} at step {i % (s + 1) + 1}")
-        raise LeakageError(f"recovery lost trace {abs(value):.3e}: error space not fully spanned")
+def _read_checks(checks: np.ndarray, offset: int = 0) -> None:
+    """Raise for the first failing check of single steps, row i step ``offset`` + i + 1, or of recoveries."""
+    gaps = np.abs(checks - _TARGET[-checks.shape[1] :]) - _LIMIT[-checks.shape[1] :]
+    if not gaps.max() <= 0:  # a NaN gap fails too
+        i, j = divmod(int(np.argmax(~(gaps <= 0))), checks.shape[1])
+        value, kind = checks[i, j], j - checks.shape[1]  # from the end: -3 trace, -2 witness, -1 lost trace
+        if kind == -1:
+            raise LeakageError(f"recovery lost trace {abs(value):.3e}: error space not fully spanned")
+        if kind == -3:
+            raise InstabilityError(f"trace drifted by {abs(value - 1.0):.3e} at step {offset + i + 1}")
+        raise InstabilityError(f"trace-norm witness read {abs(value):.3e} at step {offset + i + 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,17 @@
 """Adaptive error-correction machinery.
 
-Two concrete codes: a static one for the field-angle task and a rotating one
-for the rotation-frequency task.  Both protect a two-dimensional code space
-of the probe+ancilla pair against the parameter-correlated noise axis at the
-current estimate; recovery is the two-operator Kraus set {P, P sigma_n},
-applied as one checked real map that also re-symmetrizes the state and
-returns the trace it lost.  A code is data: its t = 0 code words and
-recovery plus, for a rotating code, the diagonal of the frame generator that
-carries them along in time, whose phase rate goes through ``dynamics.in_frame``
-like a model's.  Stepwise corrected evolution and the continuous-recovery
-closed state are written once for both codes; the former makes one
-``ndarray.dot`` per 16 static intervals or per p rotating ones (on the 8
-floats of their code-word coordinates), p as ``_corrected_evolve`` picks it.
-Both build a code once per estimate, within a bound: ``_memo_code`` keeps
-the ``_CODE_MEMO`` latest, and with each its recovery and coordinate maps.
+Two concrete codes, a static one for the field-angle task and a rotating one for the rotation-frequency task,
+protect a two-dimensional code space of the probe+ancilla pair against the noise axis at the current estimate
+with the recovery {P, P sigma_n}, one checked real map.  A code is data: its t = 0 code words and recovery and, for
+a rotating code, the diagonal of its frame generator, applied through ``dynamics.in_frame``.  Stepwise corrected
+evolution (:func:`_corrected_evolve`) and the continuous-recovery closed state are written once for both codes, on
+a code built once per estimate (``_memo_code``).
 
-The general engine (``check_qec_conditions`` -> ``expansion_superoperators``
--> ``asymptotic_qfi``) takes any model with explicit first and second
-parameter derivatives and produces the second-order expansion of the
-recovered dynamics around the operating point, L = L0 + L1 dx + L2 dx^2,
-together with the asymptotic information rate
-J = 4 t^2 Var(H_eff) - 4 t <L2>.  Each stage is a pure function that
-returns a frozen record: ``QecConditions``, then ``GeneralQecReport``, whose
-L2 is a ``dynamics.L2Action``, the one commutator-plus-Kraus form.
-``expansion_evolve`` steps the expansion as ``lindblad_evolve`` steps a model.
+The general engine (``check_qec_conditions`` -> ``expansion_superoperators`` -> ``asymptotic_qfi``) takes any
+model with explicit first and second parameter derivatives to the second-order expansion of the recovered
+dynamics, L = L0 + L1 dx + L2 dx^2, and the asymptotic information rate J = 4 t^2 Var(H_eff) - 4 t <L2>, each
+stage a pure function returning a frozen record.  ``expansion_evolve`` steps the expansion as ``lindblad_evolve``
+steps a model.
 """
 
 from __future__ import annotations
@@ -35,7 +23,6 @@ import numpy as np
 
 from .dynamics import (
     _BLOCK_STEPS,
-    _CHUNK,
     _TRACE_TOL,
     L2Action,
     LindbladModel,
@@ -51,6 +38,7 @@ from .dynamics import (
     _rk4_map,
     _run,
     _steps,
+    _then,
     fixed_steps,
     in_frame,
     lindblad_evolve,
@@ -73,7 +61,6 @@ from .qmat import eye2, kron
 
 _QEC_TOL = 1e-8  # residual of the error-correction conditions, of the Gram matrix and of a recovery out of the code
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
-_COORDINATE_STEPS = 128  # most steps of a detuned rotating interval on code coordinates (CHANGES.md has the sweep)
 _CODE_MEMO = 16  # most (constructor, estimate) codes the corrected states and evolutions keep built
 
 
@@ -81,17 +68,11 @@ _CODE_MEMO = 16  # most (constructor, estimate) codes the corrected states and e
 class QecCode:
     """Code words and recovery Kraus set at t = 0, and the code's frame.
 
-    ``frame_generator`` is None for a static code; otherwise it is the real
-    diagonal of the generator G that carries the code along: at time t every
-    ingredient is its t = 0 value conjugated by exp(+i G t).  ``recovery`` is
-    None for a code that only states the error-correction conditions.
-
-    Construction derives a rotating code's phase rate i (g_j - g_k).  The
-    first recovery builds ``_recovery_map``: the t = 0 recovery
-    (sum_k K x K*)^T as ``dynamics._checked_map``, whose last column is the
-    trace lost; a code that never recovers never builds it, and a detuned
-    rotating evolution also builds ``_coordinate_maps`` from it.  Replace a field
-    with ``dataclasses.replace``; an array changed in place leaves them stale.
+    ``frame_generator`` is None for a static code; otherwise it is the real diagonal of the generator G that carries
+    the code along: at time t every ingredient is its t = 0 value conjugated by exp(+i G t).  ``recovery`` is None
+    for a code that only states the error-correction conditions.  The maps ``_recovery_map`` and
+    ``_coordinate_maps`` are built at first use; replace a field with ``dataclasses.replace``, since an array
+    changed in place leaves them stale.
     """
 
     c0: np.ndarray
@@ -109,7 +90,7 @@ class QecCode:
             raise ConfigError("code has no recovery Kraus set")
         n = self.c0.shape[0] ** 2
         superop = sum((_kron_conj(k) for k in self.recovery), np.zeros((n, n))).T
-        return _checked_map(superop, self.c0.shape[0], minus_input_trace=True)
+        return _checked_map(superop, self.c0.shape[0], recovery=True)
 
     @cached_property
     def _coordinate_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,11 +180,9 @@ def code_probe(code: QecCode) -> np.ndarray:
 def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Apply the code's recovery channel at time t; fails on trace leakage.
 
-    ``rho`` is one (d, d) state; any other shape is a DimensionError, and a
-    non-finite t is a DomainError.  The state enters the code's frame at t
-    through ``in_frame`` and recovers as one ``ndarray.dot`` of its float64
-    row and ``_recovery_map``.  Trace loss above ``dynamics._TRACE_TOL``
-    means weight outside the code and its correctable error space.
+    ``rho`` is one (d, d) state; any other shape is a DimensionError, and a non-finite t is a DomainError.  The
+    state enters the code's frame at t and recovers as one ``ndarray.dot`` of its float64 row and ``_recovery_map``.
+    Trace loss above ``dynamics._TRACE_TOL`` means weight outside the code and its correctable error space.
     """
     _check_domain("frame time", t, _FINITE)
     rho = np.ascontiguousarray(rho, dtype=_COMPLEX)  # copies only a real or strided state
@@ -212,7 +191,7 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
         raise DimensionError(f"state shape {rho.shape} does not match code dim {d}")
     out = np.ndarray((1, 2 * d * d), _REAL, in_frame(rho, rate, -t)).dot(code._recovery_map)
     if not abs(out.item(-1)) <= _TRACE_TOL:  # a NaN loss fails too
-        _read_checks(out[:, -1:], 0, 0)
+        _read_checks(out[:, -1:])
     return in_frame(np.ndarray((d, d), _COMPLEX, out), rate, t)
 
 
@@ -221,17 +200,12 @@ def _corrected_evolve(
 ) -> np.ndarray:
     """Stepwise evolve-and-recover dynamics from the code-word superposition probe.
 
-    Per interval [tau, tau+dt'] of t/n_recoveries: evolve under the master equation, recover with the code
-    frozen at tau and, for a rotating code, advance the frame by exp(+i G dt').  Converges first-order in
-    the recovery interval to the continuous-recovery closed state.
-
-    Where the code's frame turns against the model's, intervals of s <= 16 steps, or in runs of 16 or more of
-    s <= ``_COORDINATE_STEPS``, are ``dynamics._run`` products on the 8-float row of the recovered state's coordinates
-    in the t = 0 code words (``QecCode._coordinate_maps``): runs of 256 or more of s <= 8 go four per product on
-    :func:`_fused_polynomial`'s 4p + 1 = 17 samples, the rest one per product on :func:`_interval_polynomial`'s five
-    (CHANGES.md has both sweeps).  Else the 32-float row of the (4, 4) state takes static or zero-detuning intervals
-    of s <= ``_BLOCK_STEPS`` steps as one checked map (:func:`_interval_maps`), 16 a product, and every other
-    interval is one ``lindblad_evolve`` and one ``apply_recovery`` call.
+    Per interval [tau, tau+dt'] of t/n_recoveries: evolve under the master equation, recover with the code frozen at
+    tau and, for a rotating code, advance the frame by exp(+i G dt').  Fewer than ``_BLOCK_STEPS`` intervals make one
+    ``lindblad_evolve`` and one ``apply_recovery`` call each, through which a longer run replays a failing product
+    of interval maps: 16 a product on the (4, 4) state's 32-float row where the code's frame does not turn against
+    the model's (:func:`_interval_maps`), else one a product on the 8 floats of the state's coordinates in the code
+    words (:func:`_interval_polynomial`), four in runs of 256 or more (:func:`_fused_polynomial`).
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
     if not isinstance(n_rec, (int, np.integer)):
@@ -241,39 +215,54 @@ def _corrected_evolve(
     interval = t / n_rec
     s = fixed_steps(interval, dt)  # StepError unless dt divides the interval
     rate = code._rate if model._rate is None else -model._rate if code._rate is None else code._rate - model._rate
-    model_exit, turning = np.ravel(in_frame(1.0, model._rate, s * dt)), rate is not None and rate.any()
-    if turning and 0 < s <= (_COORDINATE_STEPS if n_rec >= _BLOCK_STEPS else _BLOCK_STEPS):
-        samples, weights = _interval_polynomial(_block_map(model._maps_at(dt), s), code, model_exit, rate, interval)
-        y, done = code._coordinate_maps[2], 0
-        if n_rec >= 256 and s <= 8:  # all but the last n_rec % 4 intervals, four a product
-            fused, fused_weights = _fused_polynomial(samples, rate, interval, 4)
-            y, done = _run(y, fused, n_rec // 4, s, fused_weights), n_rec - n_rec % 4
-        if done < n_rec:  # _run takes no empty run
-            y = _run(y, samples, n_rec - done, s, lambda k, m, first=done: weights(first + k, m))
-        rho = (v := np.column_stack(code.basis(t))) @ y @ v.conj().T
-        return 0.5 * (rho + rho.conj().T)
-    rho, done = _outer(code_probe(code)), 0
-    if 0 < s <= _BLOCK_STEPS and n_rec >= _BLOCK_STEPS and not turning:  # every interval is one unit
-        unit = _interval_maps(_block_map(model._maps_at(dt), s), model_exit, code._recovery_map)
+
+    def intervals(rho: np.ndarray, first: int, m: int) -> np.ndarray:  # the code's frame entered and left
+        for k in range(first, first + m):  # relative to the model's around each recovery
+            rho = lindblad_evolve(model, rho, interval, dt) / in_frame(1.0, rate, k * interval)
+            rho = apply_recovery(code, rho) * in_frame(1.0, rate, (k + 1) * interval)
+        return rho
+
+    def replay(first: int, p: int, coordinates: bool = False):  # of a run from interval first, p a product:
+        def product(i: int, row: np.ndarray) -> None:  # the i-th from its state's row, or its code-word coordinates
+            k, z, v = first + i * p, row.view(_COMPLEX), np.column_stack([code.c0, code.c1])
+            rho = v @ z.reshape(2, 2) @ v.conj().T if coordinates else z.reshape(model.dim, -1)
+            intervals(in_frame(rho, rate, k * interval), k, p)
+        return product
+
+    if n_rec < _BLOCK_STEPS or t == 0:
+        return in_frame(intervals(_outer(code_probe(code)), 0, n_rec), model._rate, n_rec * interval)
+    steps, model_exit = _block_map(model._maps_at(dt), s), np.ravel(in_frame(1.0, model._rate, s * dt))
+    if rate is None or not rate.any():  # every interval is the same unit
+        units, rho = {1: _interval_maps(steps, model_exit, code._recovery_map)}, _outer(code_probe(code))
         done = n_rec - n_rec % _BLOCK_STEPS
-        rho = _run(rho, _block_map({1: unit}, _BLOCK_STEPS), done // _BLOCK_STEPS, s)
-    for k in range(done, n_rec):  # the code's frame entered and left relative to the model's
-        rho = lindblad_evolve(model, rho, interval, dt) / in_frame(1.0, rate, k * interval)
-        rho = apply_recovery(code, rho) * in_frame(1.0, rate, (k + 1) * interval)
-    return in_frame(rho, model._rate, n_rec * interval)
+        rho = _run(rho, _block_map(units, _BLOCK_STEPS), done // _BLOCK_STEPS, replay(0, _BLOCK_STEPS))
+        if done < n_rec:  # the last n_rec % 16 intervals as one product
+            rho = _run(rho, _block_map(units, n_rec - done), 1, replay(done, n_rec - done))
+        return in_frame(rho, model._rate, n_rec * interval)
+    samples, weights = _interval_polynomial(steps, code, model_exit, rate, interval)
+    y, done = code._coordinate_maps[2], 0
+    if n_rec >= 256:  # all but the last n_rec % 4 intervals, four a product (CHANGES.md has the sweep)
+        fused, fused_weights = _fused_polynomial(samples, rate, interval, 4)
+        y, done = _run(y, fused, n_rec // 4, replay(0, 4, True), fused_weights), n_rec - n_rec % 4
+    if done < n_rec:  # _run takes no empty run
+        y = _run(y, samples, n_rec - done, replay(done, 1, True), lambda k, m, first=done: weights(first + k, m))
+    rho = (v := np.column_stack(code.basis(t))) @ y @ v.conj().T
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _interval_maps(stepped: np.ndarray, entry, recovery: np.ndarray) -> np.ndarray:
-    """The (..., r, c + s + 1) maps of intervals from r rows ``stepped`` by an s-step block map (w state, s trace
-    columns): the phase ``entry`` by broadcasting, then ``recovery``, (w, c + 1) with the trace lost last."""
+    """The checked (..., r, c + 3) maps of intervals from r rows ``stepped`` by a block map (w state columns): the
+    phase ``entry`` by broadcasting, then ``recovery``, (w, c + 1) with the trace lost last, which adds to theirs."""
     w = recovery.shape[0]
     recovered = (stepped[..., :w].view(_COMPLEX) * entry).view(_REAL) @ recovery
-    return np.concatenate([recovered[..., :-1], stepped[..., w:], recovered[..., -1:]], axis=-1)
+    out = np.concatenate([recovered[..., :-1], stepped[..., w:]], axis=-1)
+    out[..., -1] += recovered[..., -1]
+    return out
 
 
 def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.ndarray, interval: float):
     """The maps of intervals from tau = k interval on code coordinates (embed with the phase at tau, step, enter the
-    code's frame at tau, recover into coordinates), as (5, 8, 8 + s + 1) samples and weights(k, m) for m intervals.
+    code's frame at tau, recover into coordinates), as (5, 8, 8 + 3) samples and weights(k, m) for m intervals.
     ``rate`` is 0 or +-i nu, so the phases rotate by +-nu tau, and a map is a trigonometric polynomial of degree 2
     in nu tau fixed by its samples at nu tau = 2 pi j / 5; the weights, its 5-point DFT at nu tau, are Dirichlet's."""
     nu, grid = float(np.max(np.abs(rate))), 2 * np.pi / 5 * np.arange(5)
@@ -286,9 +275,9 @@ def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.
 
 
 def _fused_polynomial(samples: np.ndarray, rate: np.ndarray, interval: float, p: int):
-    """The maps of p intervals in turn from a = nu tau, of degree 2p in a, as (4p + 1, w, w + p (s + 1)) samples at
-    a = 2 pi j / (4p + 1), each its p intervals interpolated from the five ``samples`` and composed with
-    ``_block_map``'s carry of their checks, and weights(k, m) for m products from the k-th: the Dirichlet kernel."""
+    """The maps of p intervals in turn from a = nu tau, of degree 2p in a, as (4p + 1, w, w + 3) samples at
+    a = 2 pi j / (4p + 1), each its p intervals interpolated from the five ``samples`` and composed by
+    ``dynamics._then``, and weights(k, m) for m products from the k-th: the Dirichlet kernel."""
     def dirichlet(a: np.ndarray, q: int) -> np.ndarray:  # cos(l (a - a_j)) split: q - 1 cos and sin calls an angle
         l = np.arange(1, q // 2 + 1)
         x, y = np.multiply.outer(a, l), np.outer(l, 2 * np.pi / q * np.arange(q))
@@ -296,11 +285,10 @@ def _fused_polynomial(samples: np.ndarray, rate: np.ndarray, interval: float, p:
     c, q, w = float(np.max(np.abs(rate))) * interval, 4 * p + 1, samples.shape[1]
     starts = np.add.outer(2 * np.pi / q * np.arange(q), c * np.arange(p))  # of each sample's p intervals
     single = (dirichlet(starts, 5) @ samples.reshape(5, -1)).reshape(q, p, w, -1)
-    power, carried = single[:, 0, :, :w], [single[:, 0, :, w:]]
+    fused = single[:, 0]
     for i in range(1, p):
-        carried.append(power @ single[:, i, :, w:])
-        power = power @ single[:, i, :, :w]
-    return np.concatenate([power, *carried], axis=-1), lambda k, m: dirichlet(c * p * np.arange(k, k + m), q)
+        fused = _then(fused, single[:, i])
+    return fused, lambda k, m: dirichlet(c * p * np.arange(k, k + m), q)
 
 
 def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):

@@ -268,8 +268,9 @@ def test_lindblad_evolve_refuses_a_state_of_the_wrong_shape(state) -> None:
 
 def test_lindblad_evolve_unstable_step_raises() -> None:
     # At B = 100 a step of 0.1 is far beyond RK4's stability region: the
-    # trace leaves 1 within a few steps.
-    with pytest.raises(InstabilityError, match="trace drifted"):
+    # state's trace-norm witness leaves its bound at the first step, five
+    # steps before the trace leaves 1.
+    with pytest.raises(InstabilityError, match="^trace-norm witness read .* at step 1$"):
         lindblad_evolve(theta_model(100.0, 0.05, 0.3), bell_rho(), 10.0, dt=0.1)
 
 
@@ -346,12 +347,6 @@ def test_the_last_drift_case_fails_inside_a_later_block() -> None:
     assert 34 > k and 34 % k not in (0, 1)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="RK4 of a Lindbladian keeps the trace exactly, so the trace-drift check sees an "
-    "unstable step only once rounding at entries of about 1e10 moves the trace by 1e-6; "
-    "no check bounds the size of the state",
-)
 def test_an_unstable_step_with_an_exact_trace_raises() -> None:
     # One step of 0.1 at B = 1e5 lies far outside RK4's stability region:
     # the state returns with entries of about 1.8e15 and trace exactly 1.
@@ -361,11 +356,11 @@ def test_an_unstable_step_with_an_exact_trace_raises() -> None:
 
 def _stepwise(model, rho: np.ndarray, n: int, dt: float, t0: float) -> np.ndarray:
     # n products with the model's checked step map, in its frame, of the
-    # state's (1, 2 d^2) float64 row, each dropping the trace column.
+    # state's (1, 2 d^2) float64 row, each dropping the three check columns.
     step = model._maps[dt][1]
     row = np.ascontiguousarray(dynamics.in_frame(rho, model._rate, -t0)).reshape(1, 16).view(np.float64)
     for _ in range(n):
-        row = (row @ step)[:, :-1]
+        row = (row @ step)[:, :-3]
     return dynamics.in_frame(row.view(complex).reshape(4, 4), model._rate, t0 + n * dt)
 
 
@@ -414,7 +409,7 @@ def test_the_product_of_one_state_is_matmul_bit_for_bit() -> None:
             got = lindblad_evolve(model, rho, n * 0.01, dt=0.01)
             maps = model._maps[0.01]
             for product in (np.ndarray.dot, np.matmul):
-                want = product(rows, maps[n])[..., :-n].view(complex).reshape(rho.shape)
+                want = product(rows, maps[n])[..., :-3].view(complex).reshape(rho.shape)
                 want = want * dynamics.in_frame(1.0, model._rate, n * 0.01)
                 assert np.array_equal(got, want)
         for product in (np.ndarray.dot, np.matmul):
@@ -422,9 +417,10 @@ def test_the_product_of_one_state_is_matmul_bit_for_bit() -> None:
             assert np.array_equal(apply_recovery(code, rho), want)
 
 
-def _reference_run(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> np.ndarray:
-    # dynamics._run as it stood with its views made per product and its
-    # weights taken per chunk of _CHUNK products: the oracle of the test below.
+def _reference_run(rho: np.ndarray, maps: np.ndarray, n: int, replay, weights=None) -> np.ndarray:
+    # dynamics._run as it stood with its views made per product, its weights
+    # taken per chunk of _CHUNK products and each product's checks screened as
+    # it lands: the oracle of the tests below.
     chunk = dynamics._CHUNK
     row, w, buf = rho.view(np.float64).ravel(), 2 * rho.size, np.empty((min(n, chunk), maps.shape[-1]))
     tables = repeat(maps) if weights is None else np.empty((len(buf), *maps.shape[1:]))
@@ -433,10 +429,11 @@ def _reference_run(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=No
             m = min(chunk, n - first)
             if weights is not None:
                 np.matmul(weights(first, m), maps.reshape(len(maps), -1), out=tables[:m].reshape(m, -1))
-            for out, block in zip(buf[:m], tables):
+            for i, out, block in zip(range(first, first + m), buf[:m], tables):
                 row.dot(block, out=out)
+                if not np.all(np.abs(out[w:] - dynamics._TARGET) <= dynamics._LIMIT):
+                    replay(i, row)
                 row = out[:w]
-            dynamics._read_checks(buf[:m, w:], first * (buf.shape[1] - w), s)
     return row.copy().view(complex).reshape(rho.shape)
 
 
@@ -448,20 +445,33 @@ def _rotating_stack(gain: float = 1.0):
     steps = dynamics._block_map(model._maps_at(dt), s)
     model_exit = np.ravel(dynamics.in_frame(1.0, model._rate, s * dt))
     samples, weights = qec._interval_polynomial(steps, code, model_exit, code._rate - model._rate, s * dt)
-    return gain * samples, weights, s, code._coordinate_maps[2]
+    return gain * samples, weights, code._coordinate_maps[2]
 
 
-def _run_both(rho: np.ndarray, maps: np.ndarray, n: int, s: int, weights=None) -> list:
+def _alone(maps: np.ndarray, weights=None):
+    # A replay that makes product i again, alone, from the input row it is
+    # given, and reads its checks as those of step i + 1.
+    def replay(i: int, row: np.ndarray) -> None:
+        table = maps if weights is None else (weights(i, 1) @ maps.reshape(len(maps), -1)).reshape(maps.shape[1:])
+        dynamics._read_checks(row.dot(table)[None, len(row) :], i)
+    return replay
+
+
+def _run_both(rho: np.ndarray, maps: np.ndarray, n: int, replay, weights=None) -> list:
     # What dynamics._run and the reference return or raise, with warnings as errors.
     results = []
     for run in (dynamics._run, _reference_run):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                results.append(run(rho, maps, n, s, weights).tobytes())
+                results.append(run(rho, maps, n, replay, weights).tobytes())
             except (InstabilityError, LeakageError) as err:
                 results.append((type(err), str(err)))
     return results
+
+
+def _never(i: int, row: np.ndarray) -> None:
+    raise AssertionError(f"product {i} replayed")
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 4095, 4096, 4097])
@@ -470,36 +480,66 @@ def test_run_is_the_per_product_loop_byte_for_byte(n) -> None:
     # _CHUNK**2 products; it must return the bytes of the loop that built
     # them per product and took the weights per chunk, for one static
     # checked map and, across the weight blocks' edge, for a weighted stack.
-    samples, weights, s, probe = _rotating_stack()
-    got, want = _run_both(probe, samples, n, s, weights)
+    samples, weights, probe = _rotating_stack()
+    got, want = _run_both(probe, samples, n, _never, weights)
     assert isinstance(got, bytes) and got == want
     if n < 4095:
         block = dynamics._block_map(theta_model(B, GAMMA, 0.3)._maps_at(0.01), dynamics._BLOCK_STEPS)
-        got, want = _run_both(_random_rho(n), block, n, n * dynamics._BLOCK_STEPS)
+        got, want = _run_both(_random_rho(n), block, n, _never)
         assert isinstance(got, bytes) and got == want
+
+
+def _scaled_blocks(gain: float):
+    # The 16-step block of a step map scaled by ``gain``, and the replay of a
+    # failing block one scaled step at a time, as dynamics._steps makes it.
+    lab = gain * dynamics._rk4_map(*[_action(theta_model(B, GAMMA, 0.3)).matrix()] * 3, 4e-3)
+    maps, k = {1: dynamics._checked_map(lab, 4)}, dynamics._BLOCK_STEPS
+    return dynamics._block_map(maps, k), lambda i, row: dynamics._step_by_step(row, maps[1], i * k, k)
 
 
 @pytest.mark.parametrize(
     "gain, n, clean, weighted",
     [(1e3, 129, 0, False), (1 + 8.7e-10, 80, 64, False), (1 + 8.7e-10, 200, 64, False),
-     (1 + 2.4e-10, 4200, 4160, True)],
+     (1 + 9.7e-10, 130, 64, False), (1 + 2.4e-10, 4200, 4160, True)],
 )
 def test_a_failing_run_raises_what_the_per_product_loop_raises(gain, n, clean, weighted) -> None:
     # Scaled maps whose first ``clean`` products pass: one that fails at its
     # first step and overflows on to the chunk's end, one that fails in a
-    # partial last chunk, one in a full chunk after the first and, weighted,
-    # one in a partial last chunk past the first weight block.  _run raises
-    # the reference's class and message, and no warning escapes.
+    # partial last chunk, one in a full chunk after the first, one at the
+    # first product of a later chunk, whose input row the chunk before
+    # wrote last, and, weighted, one in a partial last chunk past the first
+    # weight block.  _run raises the reference's class and message, from the
+    # replay of the failing product, and no warning escapes.
     if weighted:
-        maps, weights, s, rho = _rotating_stack(gain)
+        maps, weights, rho = _rotating_stack(gain)
+        replay = _alone(maps, weights)
     else:
-        lab = gain * dynamics._rk4_map(*[_action(theta_model(B, GAMMA, 0.3)).matrix()] * 3, 4e-3)
-        maps = dynamics._block_map({1: dynamics._checked_map(lab, 4)}, dynamics._BLOCK_STEPS)
-        weights, s, rho = None, n * dynamics._BLOCK_STEPS, bell_rho()
+        (maps, replay), weights, rho = _scaled_blocks(gain), None, bell_rho()
     if clean:
-        dynamics._run(rho, maps, clean, s, weights)
-    got, want = _run_both(rho, maps, n, s, weights)
+        dynamics._run(rho, maps, clean, _never, weights)
+    got, want = _run_both(rho, maps, n, replay, weights)
     assert got == want and got[0] is InstabilityError
+    if gain == 1 + 9.7e-10:
+        assert got[1].endswith(f"at step {64 * dynamics._BLOCK_STEPS + 7}")
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_run_goes_on_past_a_product_whose_replay_finds_nothing(weighted) -> None:
+    # A replay that returns lets the run go on: _run calls it at every product
+    # that fails its screen, in order and from its input row, and returns the
+    # bytes the per-product loop returns.
+    if weighted:
+        maps, weights, rho = _rotating_stack(1 + 2.4e-10)
+        n = 4200
+    else:
+        (maps, _), weights, rho, n = _scaled_blocks(1 + 9.7e-10), None, bell_rho(), 200
+    calls = {}
+    for run in (dynamics._run, _reference_run):
+        seen = calls[run] = []
+        got = run(rho, maps, n, lambda i, row, seen=seen: seen.append((i, row.tobytes())), weights)
+        seen.append(got.tobytes())
+    assert calls[dynamics._run] == calls[_reference_run]
+    assert len(calls[dynamics._run]) > 2
 
 
 @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])

@@ -55,6 +55,7 @@ from fluxmet.qec import (
     theta_code,
 )
 from fluxmet.qmat import expm, kron, sigma1
+from per_interval import per_interval as _per_interval
 
 B, GAMMA, T = 0.1, 0.05, 5.0
 EYE2 = np.eye(2, dtype=complex)
@@ -307,7 +308,7 @@ def test_recovery_map_is_built_only_when_a_recovery_runs(monkeypatch, closed, ev
     assert built == []
     evolve(B, GAMMA, 0.8, 0.75, 0.01, dt=1e-3, n_recoveries=5)
     evolve(B, GAMMA, 0.81, 0.75, 0.01, dt=1e-3, n_recoveries=5)
-    assert built == [{"minus_input_trace": True}]
+    assert built == [{"recovery": True}]
     code, other = theta_code(0.8), theta_code(0.3)
     assert "_recovery_map" not in vars(code)
     probe = outer(code_probe(code))
@@ -552,9 +553,10 @@ def test_corrected_evolve_omega_converges_first_order() -> None:
     assert 1.8 < e_coarse / e_fine < 2.2
 
 
-@pytest.mark.parametrize("n", [1, 65, 2000])
+@pytest.mark.parametrize("n", [16, 65, 2000])
 def test_a_rotating_corrected_evolution_calls_exp_six_times_at_any_length(monkeypatch, n) -> None:
-    # Every phase is made once per evolution, none per interval or per table
+    # From the shortest run on the code-word path on, every phase is made once
+    # per evolution, none per interval or per table
     # of intervals: the probe's frame, whose coordinates start the code-word
     # path, the two RK4 stage times (dt / 2 and dt, whose phase also takes the
     # step map out of the frame), the model's exit after an interval, the
@@ -572,11 +574,11 @@ def test_a_rotating_corrected_evolution_calls_exp_six_times_at_any_length(monkey
     assert len(calls) == 5
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 2001])
+@pytest.mark.parametrize("n", [16, 255, 256, 257, 2001])
 @pytest.mark.parametrize("s", [1, 8, 9, 16])
 def test_a_detuned_rotating_evolution_makes_no_call_per_interval(monkeypatch, s, n) -> None:
     # Fused four a product or one a product, the last n % 4 intervals too,
-    # every interval of up to 16 steps is a product of dynamics._run.
+    # every interval of a run of 16 or more is a product of dynamics._run.
     def refuse(*args):
         raise AssertionError("one call of each per interval")
 
@@ -616,32 +618,10 @@ def test_corrected_state_omega_closed_qfi() -> None:
 # once per table.
 _PAIRS = {
     "theta": (lambda: (theta_model(0.1, 0.05, 0.85), theta_code(0.8)), _BLOCK_STEPS),
-    "omega": (lambda: (omega_model(0.3, 0.2, 1.4), omega_code(1.2)), qec._CHUNK),
+    "omega": (lambda: (omega_model(0.3, 0.2, 1.4), omega_code(1.2)), dynamics._CHUNK),
     "omega_centre": (lambda: (omega_model(0.3, 0.2, 1.2), omega_code(1.2)), _BLOCK_STEPS),
 }
 _ARGS = {"theta": (0.1, 0.05, 0.85, 0.8), "omega": (0.3, 0.2, 1.4, 1.2), "omega_centre": (0.3, 0.2, 1.2, 1.2)}
-
-
-def _per_interval(model, code, t: float, dt: float, n: int, witness=None):
-    # The corrected evolution as one lindblad_evolve and one apply_recovery
-    # call per interval, in the model's frame, entering and leaving the
-    # code's relative frame around each recovery: yields each interval's
-    # state, or, given a witness column, the witness of its recovery's input.
-    rate, interval = code._rate, t / n
-    if model._rate is not None:
-        rate = -model._rate if rate is None else rate - model._rate
-    rho = outer(code_probe(code))
-    for k in range(n):
-        rho = lindblad_evolve(model, rho, interval, dt)
-        if rate is not None:
-            rho = rho / np.exp(rate * (k * interval))
-        if witness is not None:
-            yield rho.reshape(1, 16).view(np.float64) @ witness
-        rho = apply_recovery(code, rho)
-        if rate is not None:
-            rho = rho * np.exp(rate * ((k + 1) * interval))
-        if witness is None:
-            yield rho if rate is None else in_frame(rho, model._rate, (k + 1) * interval)
 
 
 @pytest.mark.parametrize("s", [1, 2, 4, 5, 20])
@@ -682,18 +662,17 @@ def _intervals_on_rows(steps, code, model_exit, rate, tau: float, interval: floa
     # p detuned rotating intervals from tau composed directly on the identity
     # rows of the code coordinates: each interval's embedding with the frame
     # phase at its start, block map, phase into the code's frame, and recovery
-    # into coordinates, then its s step traces and its recovery's lost trace as
-    # check columns.
+    # into coordinates; then the check columns, the last interval's trace and
+    # witness after its steps and the trace all p recoveries lost.
     embed, recover, _ = code._coordinate_maps
     w = steps.shape[0]
-    rows, checks = np.eye(8), []
+    rows, lost = np.eye(8), 0.0
     for i in range(p):
         phase = np.exp(rate * (tau + i * interval)).ravel()
         stepped = ((rows @ embed).view(complex) * phase).view(np.float64) @ steps
         recovered = (stepped[:, :w].view(complex) * model_exit.ravel() / phase).view(np.float64) @ recover
-        rows = recovered[:, :8]
-        checks += [stepped[:, w:], recovered[:, 8:]]
-    return np.concatenate([rows, *checks], axis=1)
+        rows, lost = recovered[:, :8], lost + stepped[:, -1:] + recovered[:, 8:]
+    return np.concatenate([rows, stepped[:, w:-1], lost], axis=1)
 
 
 @pytest.mark.parametrize("s", [1, 4, 16, 20])
@@ -709,7 +688,7 @@ def test_a_rotating_interval_map_is_the_degree_2_polynomial_through_its_five_sam
     interval, rate = s * dt, code._rate - model._rate
     steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
     samples, weights = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
-    assert samples.shape == (5, 8, 8 + s + 1)
+    assert samples.shape == (5, 8, 8 + 3)
     for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s to 2 * s
         want = _intervals_on_rows(steps, code, model_exit, rate, k * interval, interval, 1)
         got = (weights(k, 1) @ samples.reshape(5, -1)).reshape(want.shape)
@@ -723,13 +702,13 @@ def test_a_fused_rotating_map_is_the_degree_2p_polynomial_through_its_4p_plus_1_
     # qec._corrected_evolve takes at 1 to 8 steps an interval, and at p = 2, the
     # map the weights rebuild at angles off the sample grid matches, within a
     # few ulps of its norm, the p intervals composed directly on the identity
-    # rows, each interval's checks carried back through the ones before it.
+    # rows, with the last interval's trace and witness and the summed lost trace.
     (model, code), dt = _PAIRS["omega"][0](), 1e-3
     interval, rate = s * dt, code._rate - model._rate
     steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
     samples, _ = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
     fused, weights = qec._fused_polynomial(samples, rate, interval, p)
-    assert fused.shape == (4 * p + 1, 8, 8 + p * (s + 1))
+    assert fused.shape == (4 * p + 1, 8, 8 + 3)
     for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s p to 2 * s p
         want = _intervals_on_rows(steps, code, model_exit, rate, k * p * interval, interval, p)
         got = (weights(k, 1) @ fused.reshape(4 * p + 1, -1)).reshape(want.shape)
@@ -760,7 +739,8 @@ def test_a_code_coordinate_sample_is_the_32_float_interval_between_embedding_and
         recovered = x.reshape(8, 16).view(np.float64) @ code._recovery_map
         out = recovered[:, :32].view(complex).reshape(8, 4, 4) * np.exp(rate * (tau + interval))
         y = left @ (out / np.exp(rate * (tau + interval))) @ left.conj().T
-        want = np.concatenate([y.reshape(8, 4).view(np.float64), stepped[:, 32:], recovered[:, 32:]], axis=1)
+        lost = stepped[:, -1:] + recovered[:, 32:]
+        want = np.concatenate([y.reshape(8, 4).view(np.float64), stepped[:, 32:-1], lost], axis=1)
         got = (weights(k, 1) @ samples.reshape(5, -1)).reshape(want.shape)
         assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.linalg.norm(want, 2)
 
@@ -787,26 +767,26 @@ def test_a_detuned_rotating_run_starts_from_the_probes_code_coordinates() -> Non
 
 @pytest.mark.parametrize(
     "n, s, on_coordinates",
-    [(1, 16, True), (15, 17, False), (16, 17, True), (16, qec._COORDINATE_STEPS, True),
-     (16, qec._COORDINATE_STEPS + 1, False), (1, 5000, False)],
+    [(15, 1, False), (16, 1, True), (15, 17, False), (16, 17, True), (15, 129, False), (16, 129, True),
+     (1, 5000, False), (16, 1000, True)],
 )
 def test_a_detuned_rotating_run_takes_code_coordinates_only_where_they_pay(monkeypatch, n, s, on_coordinates) -> None:
-    # The code-word path builds an s-step block map and five (8, 8 + s + 1)
-    # samples up front, so it pays for intervals of up to 16 steps, and for
-    # up to _COORDINATE_STEPS in runs of 16 or more; other runs make one call
-    # of each per interval, whose step blocks hold at most 16 steps and so keep
-    # memory flat in s.  Only the code-word path builds the s-step map and
-    # makes no such call, and either path lands within 1e-13 of one call of
-    # each per interval.
+    # A run of 16 or more intervals, at any number of steps an interval, is
+    # dynamics._run products on the code coordinates and makes no call of
+    # lindblad_evolve or apply_recovery; a shorter run makes one call of each
+    # per interval, whose step blocks hold at most 16 steps.  Either path
+    # lands within 1e-13 of one call of each per interval.
     def refuse(*args):
         raise AssertionError("one call of each per interval")
 
     if on_coordinates:
         monkeypatch.setattr(qec, "lindblad_evolve", refuse)
         monkeypatch.setattr(qec, "apply_recovery", refuse)
+    runs = []
+    monkeypatch.setattr(qec, "_run", lambda *args, run=qec._run: runs.append(args) or run(*args))
     model, code, dt = omega_model(0.3, 0.2, 1.4), omega_code(1.2), 1e-3
     got = qec._corrected_evolve(model, code, n * s * dt, dt, n)
-    assert (s in model._maps_at(dt)) == on_coordinates
+    assert bool(runs) == on_coordinates
     *_, want = _per_interval(omega_model(0.3, 0.2, 1.4), omega_code(1.2), n * s * dt, dt, n)
     assert np.max(np.abs(got - want)) <= 1e-13
     assert _is_hermitian(got)
