@@ -26,21 +26,23 @@ BENCHMARK.json is read, never written.
 ``--micro`` also times the layers ``numeric_route`` and ``campaign`` spend
 their time in, the cases of ``MICRO``: one static and one rotating recovery
 interval (a whole corrected evolution in that workload's shape, per
-interval), one rotating interval of a run of 128, too short for
-``qec._corrected_evolve`` to fuse its intervals, one static and one rotating
-interval of four steps and one rotating interval of two (criterion 5's
-shapes), one rotating interval of 20 steps, more than a step block, one
-rotating interval of a run of four of 1000 steps, which ``qec._corrected_evolve``
-steps one call of each an interval rather than build its long map, one
-rotating interval at zero detuning (the centre point of the workload's
-frequency family), four intervals of runs that the interval rule of
-``qec._corrected_evolve`` routes by their length alone (static runs of 1000
-intervals of 20 steps and of 64 of 1000 steps, detuned runs of 16 intervals
-of 1024 steps and of four of 16), one 4000-step free evolution, and the two
-calls of each interval apart: one single-state ``lindblad_evolve`` step and
-one ``apply_recovery``, on the rotating model and code and (``_static``) on
-the static ones, each per call of 1000 on a model or code built in the
-expression and on a complex state, which no call copies, as in an interval.
+interval), one static interval of a run of 64, which ``dynamics._steps``
+applies without ``dynamics._run``, one rotating interval of a run of 128,
+too short for ``qec._corrected_evolve`` to fuse its intervals, one static
+and one rotating interval of four steps and one rotating interval of two
+(criterion 5's shapes), one rotating interval of 20 steps, more than a step
+block, one rotating interval of a run of four of 1000 steps, which
+``qec._corrected_evolve`` steps one call of each an interval rather than
+build its long map, one rotating interval at zero detuning (the centre point
+of the workload's frequency family), four intervals of runs that the
+interval rule of ``qec._corrected_evolve`` routes by their length alone
+(static runs of 1000 intervals of 20 steps and of 64 of 1000 steps, detuned
+runs of 16 intervals of 1024 steps and of four of 16), one 4000-step free
+evolution, and the two calls of each interval apart: one single-state
+``lindblad_evolve`` step and one ``apply_recovery``, on the rotating model
+and code and (``_static``) on the static ones, each per call of 1000 on a
+model or code built in the expression and on a complex state, which no call
+copies, as in an interval.
 Two cases time a model's RK4 step map, which every public evolution builds
 for its fresh model: one ``_maps_at`` per static and per rotating model,
 each model built in the expression, per call of 100.
@@ -50,18 +52,16 @@ family in the workload's shapes.
 Two campaign cases time one ``campaign_estimates`` per repetition: the
 frequency task at 100 repetitions on README's grid, and criterion 7's angle
 shape at 10 repetitions (``campaign``'s size) from a guess at the prior's edge.
-In each of ``PAIRS`` rounds a worker subprocess per tree, with ``PYTHONPATH=<tree>/src``
-and BLAS threads pinned to 1, warms every case up with one call; then
-every case is called ``MICRO_REPEATS`` times in each worker, the calls
-alternating between the two workers, the parent first in even rounds, so
-that a change in the machine's speed reaches both sides of a pair alike.
-Each side reports its fastest call, the one least disturbed by the rest of
-the machine; the rounds go into ``micro_us`` with each side's median and
-quartiles, ``change_wins`` (lower is better) and the median of the rounds'
-change/parent ratios.  ``micro_side_by_side_us`` then holds the same cases
-timed with both trees in one worker process, the parent's package imported
-as ``fluxmet_parent``, in ``2 * PAIRS + 1`` alternating rounds: a drift of
-the machine's speed between two processes cannot favour either side there.
+One worker process imports both trees' packages, the change's from
+``PYTHONPATH`` and the parent's as ``fluxmet_parent``, with BLAS threads
+pinned to 1, and warms every case up with one call per side.  In each of
+``2 * PAIRS + 1`` rounds every case is called ``MICRO_REPEATS`` times per
+side, the calls alternating between the sides, the parent first in even
+rounds, and each side keeps its fastest call, the one least disturbed by the
+rest of the machine; a drift of the machine's speed cannot favour either
+side.  The rounds go into ``micro_side_by_side_us`` with each side's median
+and quartiles, ``change_wins`` (lower is better) and the median of the
+rounds' change/parent ratios.
 """
 
 from __future__ import annotations
@@ -82,12 +82,15 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve()
 ROOT = SCRIPT.parent.parent
 PAIRS = 10
-# case -> (expression, units per call): micro_worker() times the expression
-# with the package modules in scope and reports microseconds per unit.
+# case -> (expression, units per call): side_by_side_worker() times the expression
+# with each tree's package modules in scope and reports microseconds per unit.
 MICRO = {
     "interval_static": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0, dt=5e-3, n_recoveries=1000)",
         1000,
+    ),
+    "interval_static_64": (
+        "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 0.32, dt=5e-3, n_recoveries=64)", 64
     ),
     "interval_static_4_steps": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.05, np.pi / 4, 5.0, dt=2.5e-3, n_recoveries=500)", 500
@@ -238,75 +241,6 @@ def summarize(seeds: list[int], parent: list[dict], change: list[dict], end_to_e
     }
 
 
-def micro_worker(src: str) -> None:
-    """Time the cases of the first stdin line with the package in ``src``, one call per later line.
-
-    The first line is ``MICRO`` as JSON; every case is called once to warm
-    up, and ``ready`` is printed.  Each later line names a case: the worker
-    calls it once and prints its microseconds per unit.
-    """
-    import time
-
-    import numpy as np
-    from fluxmet import dynamics, estimation, metrology, qec
-
-    if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise SystemExit(f"fluxmet imported from {dynamics.__file__}, not from {src}")
-    scope = {"np": np, "dynamics": dynamics, "estimation": estimation, "metrology": metrology, "qec": qec}
-    header = sys.stdin.readline()
-    if not header:  # closed unasked: the other worker failed
-        return
-    cases = {name: (compile(expr, name, "eval"), units) for name, (expr, units) in json.loads(header).items()}
-    for code, _ in cases.values():
-        eval(code, scope)  # warm-up: imports, first-use allocations
-    print("ready", flush=True)
-    for line in sys.stdin:
-        code, units = cases[line.strip()]
-        start = time.perf_counter()
-        eval(code, scope)
-        print((time.perf_counter() - start) * 1e6 / units, flush=True)
-
-
-def micro_round(trees: dict[str, Path], order: tuple[str, str]) -> dict[str, dict[str, float]]:
-    """Microseconds per unit of every ``MICRO`` case, per side: the fastest of ``MICRO_REPEATS`` calls.
-
-    Each tree's worker is its own subprocess on its own package.  The calls
-    alternate between the two workers, in ``order``, so that both sides of
-    a pair are timed within a few milliseconds of each other.
-    """
-    workers = {}
-    for side in order:
-        src = str(trees[side] / "src")
-        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1") | dict.fromkeys(THREAD_VARS, "1")
-        workers[side] = subprocess.Popen([sys.executable, str(SCRIPT), "--micro-worker", src], env=env,
-                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-
-    def ask(side: str, line: str) -> str:
-        worker = workers[side]
-        try:
-            worker.stdin.write(line + "\n")
-            worker.stdin.flush()
-            reply = worker.stdout.readline()
-        except BrokenPipeError:  # the worker has exited
-            reply = ""
-        if not reply:
-            raise SystemExit(f"micro timings in {trees[side]} exited {worker.wait()}")
-        return reply
-
-    try:
-        for side in order:
-            ask(side, json.dumps(MICRO))
-        best = {side: dict.fromkeys(MICRO, float("inf")) for side in order}
-        for name in MICRO:
-            for _ in range(MICRO_REPEATS):
-                for side in order:
-                    best[side][name] = min(best[side][name], float(ask(side, name)))
-        return best
-    finally:
-        for worker in workers.values():
-            worker.communicate()  # closes its stdin, which ends its loop
-
-
 def _micro_cases(us: dict[str, dict[str, list[float]]]) -> dict:
     """Per ``MICRO`` case, from each side's microseconds per unit in each round: quartiles and wins
     (lower is better), and the median of the rounds' change/parent ratios."""
@@ -323,17 +257,6 @@ def _micro_cases(us: dict[str, dict[str, list[float]]]) -> dict:
             "runs": {side: [round(v, 4) for v in vs[name]] for side, vs in us.items()},
         }
     return cases
-
-
-def micro(trees: dict[str, Path]) -> dict:
-    """The ``micro_us`` entry: ``PAIRS`` rounds of :func:`micro_round`, the parent first in even ones."""
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(PAIRS):
-        best = micro_round(trees, ("parent", "change") if k % 2 == 0 else ("change", "parent"))
-        for side, times in best.items():
-            runs[side].append(times)
-    us = {side: {name: [r[name] for r in rs] for name in MICRO} for side, rs in runs.items()}
-    return {"rounds": PAIRS, "repeats": MICRO_REPEATS, "cases": _micro_cases(us)}
 
 
 def side_by_side_worker(parent_src: str) -> None:
@@ -387,8 +310,8 @@ def side_by_side_worker(parent_src: str) -> None:
 def side_by_side(trees: dict[str, Path]) -> dict:
     """The ``micro_side_by_side_us`` entry: ``2 * PAIRS + 1`` rounds of :func:`side_by_side_worker`.
 
-    Both trees run in one process, with BLAS threads pinned to 1, so that the machine's drift between
-    processes, which the per-tree workers of ``micro_us`` see, reaches both sides of a round alike.
+    Both trees run in one process, with BLAS threads pinned to 1, so that a drift of the machine's speed
+    between processes cannot favour either side.
     """
     rounds = 2 * PAIRS + 1
     env = dict(os.environ, PYTHONPATH=str(trees["change"] / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -408,7 +331,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p.add_argument("--workload", action="append", default=[], help="repeat for more workloads")
     p.add_argument("--first-seed", type=int, required=True)
     p.add_argument("--out", type=Path, required=True, help="JSON record to write the workloads into")
-    p.add_argument("--micro", action="store_true", help="also time the MICRO cases into micro_us")
+    p.add_argument("--micro", action="store_true", help="also time the MICRO cases into micro_side_by_side_us")
     p.add_argument("--claim", default=None, help="the gain the record is for, written as its claim")
     args = p.parse_args(argv)
     if not args.workload and not args.micro:
@@ -418,9 +341,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--micro-worker"]:
-        micro_worker(argv[1])
-        return 0
     if argv[:1] == ["--side-by-side-worker"]:
         side_by_side_worker(argv[1])
         return 0
@@ -455,15 +375,13 @@ def main(argv: list[str] | None = None) -> int:
                       f"(worse by {m['relative_worsening']:+.4f}, bound {m['bound']}), "
                       f"change wins {m['change_wins']}")
         if args.micro:
-            for label, key, timings in (("micro", "micro_us", micro),
-                                        ("micro side by side", "micro_side_by_side_us", side_by_side)):
-                entry = timings(trees)
-                doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-                doc[key] = entry
-                args.out.write_text(json.dumps(doc, indent=1) + "\n")
-                for name, case in entry["cases"].items():
-                    print(f"{label} {name}: {case['parent']['median']} -> {case['change']['median']} us, "
-                          f"change wins {case['change_wins']}, median ratio {case['median_ratio']}")
+            entry = side_by_side(trees)
+            doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+            doc["micro_side_by_side_us"] = entry
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+            for name, case in entry["cases"].items():
+                print(f"micro side by side {name}: {case['parent']['median']} -> {case['change']['median']} us, "
+                      f"change wins {case['change_wins']}, median ratio {case['median_ratio']}")
     return 0
 
 

@@ -72,10 +72,10 @@ ROUTES = {
     "corrected_evolve_omega": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=2000)"
     ),
-    # A static run whose last 1007 % 16 intervals are one call of each, criterion 5's
+    # A static run whose last 1007 % 16 intervals are one product, criterion 5's
     # intervals of four steps (static and rotating), a rotating run at zero detuning,
-    # whose intervals are one unit each, one of five-step intervals, and one of 20-step
-    # intervals, which are one call of each.
+    # whose intervals are one map each, one of five-step intervals, and one of 20-step
+    # intervals, one product each on the code-word coordinates.
     "corrected_evolve_theta 1007 intervals": (
         "qec.corrected_evolve_theta(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.035, dt=5e-3, n_recoveries=1007)"
     ),
@@ -94,10 +94,11 @@ ROUTES = {
     "corrected_evolve_omega 20 steps": (
         "qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, 5.0, dt=2.5e-3, n_recoveries=100)"
     ),
-    # The edges of dynamics._run's loop: one product, a full chunk of 64 and one
-    # more, a full block of 4096 interval weights and one more, and 64 static
-    # fused products plus one interval of one call of each; then the shortest
-    # free run that _steps sends through _run (8 blocks of 16 steps and one step).
+    # The edges of dynamics._run's loop: a run of one interval, which takes no product,
+    # a full chunk of 64 products and one more, 1024 fused products and one interval
+    # more, and 64 static products of 16 intervals plus one interval as one product;
+    # then the shortest free run that _steps sends through _run (8 blocks of 16 steps
+    # and one step).
     **{
         f"corrected_evolve_omega n_recoveries={n}": (
             f"qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, {n} * 2.5e-3, dt=2.5e-3, n_recoveries={n})"
@@ -105,9 +106,9 @@ ROUTES = {
         for n in (1, 65, 4097)
     },
     # Detuned rotating runs at the edges of the fused products of qec._corrected_evolve
-    # (two intervals a product): at one step an interval with one interval left over,
+    # (four intervals a product): at one step an interval with one interval left over,
     # at two and three steps an interval, on both sides of the shortest run that goes
-    # fused, and on both sides of the most steps an interval that go fused.
+    # fused, and fused runs of eight and nine steps an interval.
     **{
         f"corrected_evolve_omega {s} steps {n} intervals": (
             f"qec.corrected_evolve_omega(0.1, 0.05, 0.26, 0.25, {n * s} * 2.5e-3, dt=2.5e-3, n_recoveries={n})"

@@ -347,19 +347,24 @@ def lindblad_evolve(
     return in_frame(out, rate, t0 + n_steps * dt)
 
 
-def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int) -> np.ndarray:
-    """``n_steps`` checked steps of one C-contiguous complex (d, d) state: one ``ndarray.dot`` of its float64 row and
-    a :func:`_block_map` per block of up to ``_BLOCK_STEPS``, through :func:`_run` for all but the last of over 8."""
+def _steps(rho: np.ndarray, maps: dict[int, np.ndarray], n_steps: int, replay=None) -> np.ndarray:
+    """``n_steps`` checked maps ``maps[1]``, steps or recovery intervals, of one C-contiguous complex (d, d) state:
+    one ``ndarray.dot`` of its float64 row and a :func:`_block_map` per block of up to ``_BLOCK_STEPS``, through
+    :func:`_run` for all but the last of over 8.  ``replay(first, k, row)``, by default step by step, replays a
+    failing block of maps ``first`` + 1 to ``first`` + k from its input ``row``: it raises at the first map that
+    fails, or returns."""
     w, done, out = 2 * rho.size, 0, rho
+    replay = replay or (lambda first, k, row: _step_by_step(row, maps[1], first, k))
     if n_steps > 8 * _BLOCK_STEPS:
         done = (n_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS
         out = _run(rho, _block_map(maps, _BLOCK_STEPS), done // _BLOCK_STEPS,
-                   lambda i, row: _step_by_step(row, maps[1], i * _BLOCK_STEPS, _BLOCK_STEPS))
+                   lambda i, row: replay(i * _BLOCK_STEPS, _BLOCK_STEPS, row))
     while done < n_steps:
         k, row = min(_BLOCK_STEPS, n_steps - done), np.ndarray((w,), _REAL, out)
         out = row.dot(_block_map(maps, k))
-        if not (abs(out.item(w) - 1.0) <= _TRACE_TOL and abs(out.item(w + 1)) <= 1.0 + _TRACE_TOL):  # NaN fails too
-            _step_by_step(row, maps[1], done, k)
+        if not (abs(out.item(w) - 1.0) <= _TRACE_TOL and abs(out.item(w + 1)) <= 1.0 + _TRACE_TOL
+                and abs(out.item(w + 2)) <= _TRACE_TOL):  # NaN fails too
+            replay(done, k, row)
         done += k
     return np.ndarray(rho.shape, _COMPLEX, out)
 

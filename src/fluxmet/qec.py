@@ -202,10 +202,10 @@ def _corrected_evolve(
 
     Per interval [tau, tau+dt'] of t/n_recoveries: evolve under the master equation, recover with the code frozen at
     tau and, for a rotating code, advance the frame by exp(+i G dt').  Fewer than ``_BLOCK_STEPS`` intervals make one
-    ``lindblad_evolve`` and one ``apply_recovery`` call each, through which a longer run replays a failing product
-    of interval maps: 16 a product on the (4, 4) state's 32-float row where the code's frame does not turn against
-    the model's (:func:`_interval_maps`), else one a product on the 8 floats of the state's coordinates in the code
-    words (:func:`_interval_polynomial`), four in runs of 256 or more (:func:`_fused_polynomial`).
+    ``lindblad_evolve`` and one ``apply_recovery`` call each, by which a longer run replays a failing product.  Where
+    the code's frame does not turn against the model's, ``dynamics._steps`` applies the one interval map
+    (:func:`_interval_maps`) as it applies a step; else a product of ``dynamics._run`` is one interval on the 8 floats
+    of the state's coordinates in the code words (:func:`_interval_polynomial`), four in runs of 256 or more.
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
     if not isinstance(n_rec, (int, np.integer)):
@@ -222,30 +222,24 @@ def _corrected_evolve(
             rho = apply_recovery(code, rho) * in_frame(1.0, rate, (k + 1) * interval)
         return rho
 
-    def replay(first: int, p: int, coordinates: bool = False):  # of a run from interval first, p a product:
-        def product(i: int, row: np.ndarray) -> None:  # the i-th from its state's row, or its code-word coordinates
-            k, z, v = first + i * p, row.view(_COMPLEX), np.column_stack([code.c0, code.c1])
-            rho = v @ z.reshape(2, 2) @ v.conj().T if coordinates else z.reshape(model.dim, -1)
-            intervals(in_frame(rho, rate, k * interval), k, p)
-        return product
+    def replay(first: int, m: int, row: np.ndarray) -> None:  # intervals first + 1 to first + m from their input's
+        z, v = row.view(_COMPLEX), np.column_stack([code.c0, code.c1])  # row: the state's, or its 2x2 code-word block
+        rho = v @ z.reshape(2, 2) @ v.conj().T if z.size == 4 else z.reshape(model.dim, -1)
+        intervals(in_frame(rho, rate, first * interval), first, m)
 
     if n_rec < _BLOCK_STEPS or t == 0:
         return in_frame(intervals(_outer(code_probe(code)), 0, n_rec), model._rate, n_rec * interval)
     steps, model_exit = _block_map(model._maps_at(dt), s), np.ravel(in_frame(1.0, model._rate, s * dt))
-    if rate is None or not rate.any():  # every interval is the same unit
-        units, rho = {1: _interval_maps(steps, model_exit, code._recovery_map)}, _outer(code_probe(code))
-        done = n_rec - n_rec % _BLOCK_STEPS
-        rho = _run(rho, _block_map(units, _BLOCK_STEPS), done // _BLOCK_STEPS, replay(0, _BLOCK_STEPS))
-        if done < n_rec:  # the last n_rec % 16 intervals as one product
-            rho = _run(rho, _block_map(units, n_rec - done), 1, replay(done, n_rec - done))
-        return in_frame(rho, model._rate, n_rec * interval)
+    if rate is None or not rate.any():  # every interval is the same map
+        unit = _interval_maps(steps, model_exit, code._recovery_map)
+        return in_frame(_steps(_outer(code_probe(code)), {1: unit}, n_rec, replay), model._rate, n_rec * interval)
     samples, weights = _interval_polynomial(steps, code, model_exit, rate, interval)
-    y, done = code._coordinate_maps[2], 0
-    if n_rec >= 256:  # all but the last n_rec % 4 intervals, four a product (CHANGES.md has the sweep)
+    y, done = code._coordinate_maps[2], n_rec // 4 * 4 if n_rec >= 256 else 0
+    if done:  # all but the last n_rec % 4 intervals, four a product (CHANGES.md has the sweep)
         fused, fused_weights = _fused_polynomial(samples, rate, interval, 4)
-        y, done = _run(y, fused, n_rec // 4, replay(0, 4, True), fused_weights), n_rec - n_rec % 4
+        y = _run(y, fused, done // 4, lambda i, row: replay(4 * i, 4, row), fused_weights)
     if done < n_rec:  # _run takes no empty run
-        y = _run(y, samples, n_rec - done, replay(done, 1, True), lambda k, m, first=done: weights(first + k, m))
+        y = _run(y, samples, n_rec - done, lambda i, row: replay(done + i, 1, row), lambda k, m: weights(done + k, m))
     rho = (v := np.column_stack(code.basis(t))) @ y @ v.conj().T
     return 0.5 * (rho + rho.conj().T)
 

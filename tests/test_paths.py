@@ -1,16 +1,18 @@
-"""Every path of the stepwise corrected evolution against one call of each per interval.
+"""Every evolution path against its reference: corrected runs against one call of each per interval, free runs
+against the lab-frame RK4 loop.
 
 ``qec._corrected_evolve`` picks its path from the run's length and from
 whether the code's frame turns against the model's: one call of each per
-interval, products of 16 interval maps on the state's 32-float row, or
-products of one or four on the recovered state's code-word coordinates.
-Whatever it picks, it must land where the per-interval route lands and fail
-where that route fails, with its class and message.  Hypothesis draws the
-task, the field, the rate, the detuning (zero and a subnormal one included),
-the steps an interval and the intervals, derandomized, with no example
+interval, ``dynamics._steps`` of the interval map on the state's 32-float
+row, or products of one or four on the recovered state's code-word
+coordinates.  Whatever it picks, it must land where the per-interval route
+lands and fail where that route fails, with its class and message.
+Hypothesis draws the task, the field, the rate, the detuning (zero and a
+subnormal one included), the steps an interval and the intervals, and, for
+``lindblad_evolve``, dt, t0 and the steps, derandomized, with no example
 database and a fixed number of examples, each kept to at most 200 steps an
-interval and 300 intervals so that the file runs in a few seconds; that
-bounds the cost only and steers around no known defect.
+interval and 300 intervals, or 1100 free steps, so that the file runs in a
+few seconds; that bounds the cost only and steers around no known defect.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fluxmet import dynamics, qec
-from fluxmet.dynamics import omega_model, theta_model
+from fluxmet.dynamics import lindblad_evolve, omega_model, theta_model
 from fluxmet.errors import InstabilityError, LeakageError
 from fluxmet.qec import omega_code, theta_code
+from lab_frame import lab_frame_evolve
 from per_interval import per_interval
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -53,11 +56,14 @@ def _pair(task: str, B: float, gamma: float, estimate: float, detuning: float):
 
 # The edges of the path rule: the shortest run of products and the longest
 # per-interval one, detuned and static; a fused run of four intervals a
-# product with a tail of three; a subnormal detuning; a long static run.
+# product with a tail of three; a subnormal detuning; a long static run; and
+# static runs of 128 and 129 intervals, on both sides of the run past which
+# dynamics._steps sends all but its last block through dynamics._run.
 _EDGES = [
     ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 3, 16), ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 3, 15),
     ("theta", 0.3, 0.2, 0.8, 0.05, 1e-3, 7, 16), ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 2, 259),
     ("omega", 0.1, 0.05, 0.0, _SUBNORMAL, 2.5e-3, 1, 300), ("theta", 1.0, 0.5, 0.8, -0.3, 1e-3, 200, 37),
+    ("theta", 0.3, 0.2, 0.8, 0.05, 1e-3, 2, 128), ("theta", 0.3, 0.2, 0.8, 0.05, 1e-3, 2, 129),
 ]
 
 
@@ -183,3 +189,30 @@ def test_every_checked_map_carries_the_one_layout_of_checks(frame) -> None:
     recovery = code._recovery_map
     assert recovery.shape[-1] - recovery.shape[-2] == 1
     assert np.array_equal(dynamics._block_map(maps, 1000)[:, -1], np.zeros(32))  # steps lose no trace
+
+
+@st.composite
+def _free_runs(draw):
+    # (task, B, gamma, angle or frequency, state seed, dt, t0, steps): the
+    # steps on either side of the 128 past which dynamics._steps sends all but
+    # its last block through dynamics._run, or past 1040, where more than one
+    # chunk of 64 blocks goes through it.
+    return (draw(st.sampled_from(["theta", "omega"])), draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 0.5)),
+            draw(st.floats(-1.5, 1.5)), draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1e-3, 2.5e-3, 1e-2])),
+            draw(st.floats(-2.0, 2.0)), draw(st.one_of(st.integers(1, 300), st.integers(1041, 1100))))
+
+
+@settings(_SETTINGS, max_examples=12)
+@example(run=("theta", 0.3, 0.2, 0.7, 1, 1e-3, 0.0, 128))
+@example(run=("omega", 0.3, 0.2, 1.3, 2, 1e-2, 0.4, 129))
+@example(run=("omega", 0.5, 0.1, 0.9, 3, 2.5e-3, -1.7, 1041))
+@given(run=_free_runs())
+def test_a_free_evolution_lands_on_the_lab_frame_loop(run) -> None:
+    # lindblad_evolve from t0 against RK4 rebuilt from the model's operators
+    # at every step in the lab frame, on a random mixed state, within 1e-12.
+    task, B, gamma, x, seed, dt, t0, n = run
+    model = (theta_model if task == "theta" else omega_model)(B, gamma, x)
+    v = np.random.default_rng(seed).normal(size=(2, 4, 2)).view(complex)[..., 0]
+    rho0 = (v.T @ v.conj()) / np.vdot(v, v).real
+    got = lindblad_evolve(model, rho0, n * dt, dt=dt, t0=t0)
+    assert np.max(np.abs(got - lab_frame_evolve(model, rho0, n * dt, dt, t0))) <= 1e-12

@@ -55,6 +55,7 @@ from fluxmet.qec import (
     theta_code,
 )
 from fluxmet.qmat import expm, kron, sigma1
+from lab_frame import field as _field, lab_frame_evolve as _reference_evolve, rk4_step as _rk4_step
 from per_interval import per_interval as _per_interval
 
 B, GAMMA, T = 0.1, 0.05, 5.0
@@ -627,13 +628,14 @@ _ARGS = {"theta": (0.1, 0.05, 0.85, 0.8), "omega": (0.3, 0.2, 1.4, 1.2), "omega_
 @pytest.mark.parametrize("s", [1, 2, 4, 5, 20])
 @pytest.mark.parametrize("task", ["theta", "omega", "omega_centre"])
 def test_the_fused_and_lean_paths_match_one_call_of_each_per_interval(task, s) -> None:
-    # A static evolution of n intervals takes n // 16 fused products and
-    # n % 16 pairs of calls, as does a rotating one at zero detuning, whose
-    # every interval is the same unit; a detuned rotating one makes no call.
-    # All land within 1e-13 of the route of one call of each per interval,
-    # across block and table boundaries, and return exactly Hermitian
-    # states.  Static and centre intervals of 20 steps, more than one block,
-    # take that route themselves.
+    # A static evolution of 16 or more intervals is dynamics._steps of its
+    # one interval map, products of up to 16 intervals, its last n % 16 one
+    # product too, as is a rotating one at zero detuning, whose every
+    # interval is the same map; a detuned rotating one makes no call either,
+    # and a shorter run makes one call of each per interval.  All land
+    # within 1e-13 of the route of one call of each per interval, across
+    # block and table boundaries, and return exactly Hermitian states.
+    # Intervals of 20 steps, more than one step block, are products too.
     build, dt, args = _PAIRS[task][0], 1e-3, _ARGS[task]
     evolve = corrected_evolve_theta if task == "theta" else corrected_evolve_omega
     for n in (1, 2, 3, 15, 16, 17, 33, 259, 1000):
@@ -790,6 +792,25 @@ def test_a_detuned_rotating_run_takes_code_coordinates_only_where_they_pay(monke
     *_, want = _per_interval(omega_model(0.3, 0.2, 1.4), omega_code(1.2), n * s * dt, dt, n)
     assert np.max(np.abs(got - want)) <= 1e-13
     assert _is_hermitian(got)
+
+
+@pytest.mark.parametrize("n", [16, 17, 128, 129, 1007, 2000])
+@pytest.mark.parametrize("task", ["theta", "omega_centre"])
+def test_a_static_or_centre_run_takes_its_products_from_steps(monkeypatch, task, n) -> None:
+    # Where every interval is the same map, a run of 16 or more intervals is
+    # one dynamics._steps of that map, as a free run is of its step: it makes
+    # no product of its own through dynamics._run and no call of each per
+    # interval.
+    def refuse(*args):
+        raise AssertionError("a product of its own or one call of each per interval")
+
+    for name in ("_run", "lindblad_evolve", "apply_recovery"):
+        monkeypatch.setattr(qec, name, refuse)
+    runs = []
+    monkeypatch.setattr(qec, "_steps", lambda *args, steps=qec._steps: runs.append(args[2]) or steps(*args))
+    model, code = _PAIRS[task][0]()
+    qec._corrected_evolve(model, code, n * 1e-3, 1e-3, n)
+    assert runs == [n]
 
 
 @pytest.mark.parametrize("omega, omega_hat", [(1e-308, 2e-308), (5e-324, 0.0)])
@@ -1146,25 +1167,6 @@ def test_expansion_evolve_refuses_a_state_of_the_wrong_shape(state) -> None:
         expansion_evolve(report, state, 0.05, 0.01, dt=1e-3)
 
 
-def _rk4_step(field, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical RK4 step of drho/dt = field(t)(rho); both midpoint stages use one field."""
-    k1 = field(t)(rho)
-    mid = field(t + 0.5 * dt)
-    k2 = mid(rho + 0.5 * dt * k1)
-    k3 = mid(rho + 0.5 * dt * k2)
-    k4 = field(t + dt)(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _field(model):
-    # t -> the master equation of the model's operators at t, as their L2Action's apply.
-    def at(t: float):
-        h, ops = model.at(t)
-        return dynamics.L2Action(h, ops, [e.conj().T @ e for e in ops], []).apply
-
-    return at
-
-
 def _reference_expansion(report, rho0, dx: float, t: float, dt: float) -> np.ndarray:
     # The closure loop: every RK4 stage applies the expansion's operators,
     # then each step re-symmetrises.
@@ -1247,16 +1249,6 @@ def _random_states(n: int) -> np.ndarray:
     v = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v[:, :, None] * v[:, None, :].conj()
-
-
-def _reference_evolve(model, rho0, t: float, dt: float, t0: float = 0.0) -> np.ndarray:
-    # The lab-frame RK4 loop: every step rebuilds the generator at its own
-    # times, then re-symmetrises.
-    rho = np.array(rho0, dtype=complex)
-    for k in range(fixed_steps(t, dt)):
-        rho = _rk4_step(_field(model), rho, t0 + k * dt, dt)
-        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    return rho
 
 
 def _reference_corrected(model, code: QecCode, t: float, dt: float, n_recoveries: int):

@@ -151,9 +151,10 @@ def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch
     assert "numeric_route goodput_ops_s: 10.0 -> 20.0" in printed
 
 
-def test_bench_pairs_micro_times_each_tree_in_its_own_process(tmp_path, monkeypatch, capsys) -> None:
-    # A tiny case in two rounds; each side runs in a subprocess on its own
-    # src (the worker refuses a package imported from elsewhere).
+def test_bench_pairs_micro_times_both_trees_side_by_side(tmp_path, monkeypatch, capsys) -> None:
+    # A tiny case; both trees' packages run in one worker subprocess, the
+    # parent's as fluxmet_parent (the worker refuses a change package
+    # imported from the parent's src).
     script = _load_bench_pairs()
 
     def copy_tree(rev, dest):
@@ -171,20 +172,18 @@ def test_bench_pairs_micro_times_each_tree_in_its_own_process(tmp_path, monkeypa
     assert script.main(["--parent", "HEAD", "--micro", "--first-seed", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["claim"] == "kept" and "workloads" not in doc
-    assert doc["micro_us"]["rounds"] == 2
-    case = doc["micro_us"]["cases"]["tiny"]
-    assert case["expression"] == tiny and case["per"] == 2
-    assert all(len(vs) == 2 and min(vs) > 0 for vs in case["runs"].values())
-    # Both packages side by side in one worker: 2 * PAIRS + 1 rounds, each side's
-    # fastest call per round and the median of the rounds' change/parent ratios.
+    # The one timer's section: 2 * PAIRS + 1 rounds, each side's fastest call
+    # per round and the median of the rounds' change/parent ratios.
+    assert set(doc) == {"claim", "parent", "micro_side_by_side_us"}
     side = doc["micro_side_by_side_us"]
     assert side["rounds"] == 5 and side["cases"]["tiny"]["expression"] == tiny
+    assert side["cases"]["tiny"]["per"] == 2
     runs = side["cases"]["tiny"]["runs"]
     assert all(len(vs) == 5 and min(vs) > 0 for vs in runs.values())
     ratios = sorted(c / p for p, c in zip(runs["parent"], runs["change"]))
     assert side["cases"]["tiny"]["median_ratio"] == pytest.approx(ratios[2], rel=1e-3)
     printed = capsys.readouterr().out
-    assert "micro tiny: " in printed and "micro side by side tiny: " in printed
+    assert "micro side by side tiny: " in printed
 
 
 def _load_output_digest():
