@@ -49,9 +49,12 @@ each model built in the expression, per call of 100.
 Two cases time one ``qfi_sld_numeric`` per family point, five corrected
 evolutions at one estimate, on a corrected angle and a corrected frequency
 family in the workload's shapes.
-Two campaign cases time one ``campaign_estimates`` per repetition: the
-frequency task at 100 repetitions on README's grid, and criterion 7's angle
-shape at 10 repetitions (``campaign``'s size) from a guess at the prior's edge.
+Three campaign cases time one ``campaign_estimates`` per repetition: the
+frequency task at 100 repetitions on README's grid, criterion 7's angle
+shape at 10 repetitions (``campaign``'s size) from a guess at the prior's edge,
+and README's angle campaign at 1000 repetitions, the size users run, whose
+outcome draws weigh more than at 10 (this case takes about a minute of
+``--micro``).
 One worker process imports both trees' packages, the change's from
 ``PYTHONPATH`` and the parent's as ``fluxmet_parent``, with BLAS threads
 pinned to 1, and warms every case up with one call per side.  In each of
@@ -171,6 +174,10 @@ MICRO = {
     "campaign_theta_10": (
         "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=np.pi / 4, initial_guess=0.0, "
         "seed=20240811), 10)", 10
+    ),
+    "campaign_theta_1000": (
+        "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=np.pi / 4, initial_guess=0.0, "
+        "seed=20240811), 1000)", 1000
     ),
 }
 MICRO_REPEATS = 15

@@ -229,13 +229,19 @@ ROUTES = {
         "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=1000, rounds=3,"
         " gamma=50, grid=(0.2, 0.4, 1e-4), seed=11), 523, task='omega')"
     ),
-    # m above _DRAW_CHUNK (2**16), so each lane draws its outcomes in two pieces;
-    # README's explicit angle grid of resolution 1e-4 (15 709 points, one block
-    # of 66 repetitions, a p(+) row per chunk); and one seeded batch of random
-    # campaigns over both tasks and strategies, m, guesses and grids.
+    # m above one 48 KiB draw buffer (6144 draws), so each lane draws its
+    # outcomes in 12 pieces, one lane a buffer; m = 3000, two lanes a buffer,
+    # so the last of four lane slabs holds one lane; README's explicit angle
+    # grid of resolution 1e-4 (15 709 points, one block of 66 repetitions, a
+    # p(+) row per chunk); and one seeded batch of random campaigns over both
+    # tasks and strategies, m, guesses and grids.
     "campaign_estimates omega m=70000": (
         "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.3, initial_guess=0.25, m=70000,"
         " rounds=2, seed=11), 3, task='omega')"
+    ),
+    "campaign_estimates theta m=3000": (
+        "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.785, initial_guess=0.7, m=3000,"
+        " seed=11), 7)"
     ),
     "campaign_estimates theta grid 1e-4": (
         "estimation.campaign_estimates(estimation.AdaptiveConfig(true_value=0.785, initial_guess=0.0,"

@@ -12,21 +12,22 @@ The loop and the campaigns are written once against a ``tasks.Task`` record;
 every public entry point takes the task name ("theta" or "omega") as its
 ``task`` argument.
 
-One lockstep engine runs every campaign: a block of repetitions ("lanes")
-moves through each round together, each lane drawing from its own generator.
-The lanes with one count history so far (a group) share one row of a (lanes,
-grid) cumulative log-likelihood and the estimate read off it (``_grid_peak``).
-Each round evaluates p(+) and its logs on the grid once per parent group, 48
-KiB of rows at a time, and each child group adds its counts' terms to its
-parent's row: every element keeps the operands and order of operations it has
-alone, so a lane's estimates do not depend on which lanes share its block, group
-or chunk, and a single run (``run_adaptive``) is the one-lane case.  Blocks hold
-at most 2**20 grid cells (8 MB) and 1024 lanes; a default grid is sized to the
-likelihood (``AdaptiveConfig``).
+One lockstep engine runs every campaign: a block of repetitions ("lanes") moves
+through each round together, each lane drawing from its own generator into one
+shared 48 KiB buffer.  The lanes with one count history so far (a group) share
+one row of a (lanes, grid) cumulative log-likelihood and the estimate read off
+it (``_grid_peak``).  Each round evaluates p(+) and its logs on the grid once
+per parent group, 48 KiB of rows at a time, and each child group adds its
+counts' terms to its parent's row: every element keeps the operands and order of
+operations it has alone, so a lane's estimates do not depend on which lanes
+share its block, group or chunk, and a single run (``run_adaptive``) is the
+one-lane case.  Blocks hold at most 2**20 grid cells (8 MB) and 1024 lanes; a
+default grid is sized to the likelihood (``AdaptiveConfig``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,15 +45,13 @@ _FINEST_DEFAULT = 1e-4
 # while each lane adds a generator (about 1 KB).
 _BLOCK_CELLS = 2**20
 _BLOCK_LANES = 1024
-_DRAW_CHUNK = 2**16
 # Each round evaluates p(+) and its logs on the grid for this many bytes of
 # float64 parent rows at a time, so that their temporaries stay in cache.  With
 # a row per lane, 10-lane campaigns took 20% less CPU at 48 KiB than one row at a
 # time; 16 KiB (a row on the default grids) saved nothing, 120 KiB or a block 9-13%.
 _CHUNK_BYTES = 48 * 1024
-# A campaign draws m outcomes per repetition and round, at about 3e8 draws a
-# second; one that asks for more than this many draws is refused before its
-# first draw rather than left to run for minutes with no output.
+# A campaign draws m outcomes per repetition and round (2.5e8 a second at m >= 10**5 on a
+# 2-core Xeon); more draws are refused before the first rather than run for minutes unseen.
 MAX_CAMPAIGN_DRAWS = 10**9
 # A likelihood grid of (hi - lo) / resolution cells peaks near 0.5 GB at
 # 10**7 cells; a finer one is refused before anything is allocated.
@@ -61,8 +60,8 @@ MAX_GRID_CELLS = 10**7
 # updates each grid cell, at 30-95 ns a cell on a 2-core Xeon (30-75 on the
 # default grids, 36-95 on 10**6 cells): more (about 10 minutes) are refused.
 MAX_CAMPAIGN_CELL_UPDATES = 10**10
-# A lane-round, one repetition's one round, costs 6-8 us on a 2-core Xeon even
-# on a 3-cell grid, and a float64 per table: more (80 MB, 60-80 s) are refused.
+# A lane-round, one repetition's one round, takes a float64 per table and on a 3-cell grid
+# about 2 us in a block of 1024 lanes, 50-55 us alone (2-core Xeon): more (80 MB) are refused.
 _MAX_LANE_ROUNDS = 10**7
 
 
@@ -253,33 +252,34 @@ def _lockstep(
     """Advance one lane per generator through every round together.
 
     Per round: each lane draws config.m outcomes at the true value from its
-    generator, the code (or control) at its estimate.  The lanes of one count
-    history so far (a group) share a row of the cumulative grid likelihood: a
-    new group's row is its parent's plus the round at the parent's estimate.
-    p(+) on the grid and its two logs are evaluated once per parent,
-    ``_CHUNK_BYTES`` of parent rows at a time, and each child adds its own
-    counts' terms (``_loglik``), elementwise as for one lane.  A group's
-    estimate is its row's argmax (first on ties) moved to the vertex of the
-    parabola through it and its neighbours (``_grid_peak``).  Returns the
+    generator, the code (or control) at its estimate, into one ``_CHUNK_BYTES``
+    buffer, as many lanes a piece as fit, and one comparison counts a piece's +
+    outcomes.  The lanes of one count history so far (a group) share a row of the
+    cumulative grid likelihood: a new group's row is its parent's plus the round
+    at the parent's estimate.  p(+) on the grid and its two logs are evaluated
+    once per parent, ``_CHUNK_BYTES`` of parent rows at a time, and each child
+    adds its own counts' terms (``_loglik``), elementwise as for one lane.  A
+    group's estimate is its row's argmax (first on ties) moved to the vertex of
+    the parabola through it and its neighbours (``_grid_peak``).  Returns the
     estimates x_0..x_K, (lanes, rounds + 1), and the + counts, (lanes, rounds).
     """
     grid, step = _likelihood_grid(config, task)
     lanes, m, p_plus = len(rngs), config.m, _prob_plus(config, task)
     estimates = np.full((lanes, config.rounds + 1), config.initial_guess, dtype=float)
-    n_plus = np.empty((lanes, config.rounds), dtype=np.int64)
+    n_plus = np.zeros((lanes, config.rounds), dtype=np.int64)
     cum, group = np.zeros((lanes, grid.size)), np.zeros(lanes, dtype=np.int64)  # all in group 0
     peaks, chunk = estimates[:1, 0], max(1, _CHUNK_BYTES // (8 * grid.size))
-    # At most _DRAW_CHUNK draws at a time, so memory does not grow with m;
-    # Generator.random returns the same stream in pieces as at once.
-    draws = [min(_DRAW_CHUNK, m - s) for s in range(0, m, _DRAW_CHUNK)]
+    width = min(m, _CHUNK_BYTES // 8)  # a lane's draws a piece: Generator.random's stream is the same in pieces
+    draws = np.empty((_CHUNK_BYTES // (8 * width), width))  # a piece for a slab of as many lanes as fit
     new = np.ones(lanes, dtype=bool)  # new[i]: the i-th lane in key order opens a group
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) is -inf
         for k in range(config.rounds):
-            for i, (rng, p_true) in enumerate(zip(rngs, p_plus(config.true_value, peaks)[group].tolist())):
-                n = 0
-                for size in draws:
-                    n += np.count_nonzero(rng.random(size) < p_true)
-                n_plus[i, k] = n
+            p_true = p_plus(config.true_value, peaks)[group]
+            for a, s in itertools.product(range(0, lanes, len(draws)), range(0, m, width)):
+                u, slab = draws[: lanes - a, : m - s], slice(a, a + len(draws))
+                for rng, row in zip(rngs[slab], u):
+                    rng.random(out=row)
+                n_plus[slab, k] += (u < p_true[slab, None]).sum(axis=1)
             # Groups numbered by sorted key (parent group, count), as by np.unique: a parent
             # row is at or before its children's, so filled from the last row down, each
             # row is read before it is overwritten.

@@ -621,13 +621,50 @@ def test_campaign_block_memory_when_nearly_every_history_differs() -> None:
     assert np.array_equal(estimates, campaign_estimates(cfg, lanes, task="omega"))
 
 
+@pytest.mark.parametrize(
+    "m, chunk_bytes",
+    [(10, 24), (10, 240), (7000, 8 * 7000)],
+    ids=["one-lane-a-piece-m-split", "three-lanes-a-piece-partial-last-slab", "m-above-one-piece"],
+)
 @pytest.mark.parametrize("task, true_value", [("theta", np.pi / 4), ("omega", 0.3)])
-def test_campaign_outcomes_drawn_in_chunks(monkeypatch, task, true_value) -> None:
-    # m = 10 outcomes in chunks of 3: the same stream, so the same campaign.
-    cfg = AdaptiveConfig(true_value=true_value, initial_guess=true_value + 0.05, rounds=4, seed=8)
+def test_campaign_outcomes_drawn_in_chunks(monkeypatch, task, true_value, m, chunk_bytes) -> None:
+    # A round's draws fill one _CHUNK_BYTES buffer: a piece of each lane's
+    # stream, in rows of as many lanes as fit.  At 24 bytes each of the 5
+    # lanes draws m = 10 in pieces of 3, 3, 3 and 1; at 240 three lanes share
+    # a piece and the last of two slabs holds two; and m = 7000 is drawn in one
+    # piece, where the unpatched buffer of 6144 draws splits it.  Each lane's
+    # stream is the same in pieces as at once, so each campaign is the same
+    # bytes as at the unpatched buffer.
+    cfg = AdaptiveConfig(true_value=true_value, initial_guess=true_value + 0.05, m=m, rounds=4, seed=8)
     whole = campaign_estimates(cfg, 5, task=task)
-    monkeypatch.setattr(estimation, "_DRAW_CHUNK", 3)
-    assert np.array_equal(campaign_estimates(cfg, 5, task=task), whole)
+    monkeypatch.setattr(estimation, "_CHUNK_BYTES", chunk_bytes)
+    assert campaign_estimates(cfg, 5, task=task).tobytes() == whole.tobytes()
+
+
+class _CountedGenerator:
+    """A generator whose ``random`` calls are counted."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "m, lanes, calls",
+    [(10, 700, 1), (estimation._CHUNK_BYTES // 8, 3, 1), (estimation._CHUNK_BYTES // 8 + 1, 3, 2)],
+)
+def test_each_lane_draws_a_round_in_one_call_while_m_fits_the_buffer(m, lanes, calls) -> None:
+    # Whatever the lanes, a lane makes one Generator.random call a round
+    # while its m draws fit one _CHUNK_BYTES buffer: at m = 10, 614 lanes a
+    # slab and a second slab of 86, and at m = 6144 one lane a slab.  Past it,
+    # one call a piece of the buffer's size.
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=m, rounds=3, seed=4)
+    rngs = [_CountedGenerator(cfg.seed ^ r) for r in range(lanes)]
+    estimation._lockstep(cfg, TASKS["omega"], rngs)
+    assert [rng.calls for rng in rngs] == [calls * cfg.rounds] * lanes
 
 
 def test_campaign_estimates_validation() -> None:

@@ -11,13 +11,15 @@ Hypothesis draws the task, the field, the rate, the detuning (zero and a
 subnormal one included), the steps an interval and the intervals, and, for
 ``lindblad_evolve``, dt, t0 and the steps, derandomized, with no example
 database and a fixed number of examples, each kept to at most 200 steps an
-interval and 300 intervals, or 1100 free steps, so that the file runs in a
-few seconds; that bounds the cost only and steers around no known defect.
+interval and 300 intervals, or 4 steps an interval and 4100 intervals, or
+1100 free steps, so that the file runs in a few seconds; that bounds the
+cost only and steers around no known defect.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from fluxmet import dynamics, qec
 from fluxmet.dynamics import lindblad_evolve, omega_model, theta_model
 from fluxmet.errors import InstabilityError, LeakageError
-from fluxmet.qec import omega_code, theta_code
+from fluxmet.qec import apply_recovery, omega_code, theta_code
 from lab_frame import lab_frame_evolve
 from per_interval import per_interval
 
@@ -43,8 +45,24 @@ def _runs(draw):
     task = draw(st.sampled_from(["theta", "omega"]))
     detuning = draw(st.one_of(st.just(0.0), st.just(_SUBNORMAL), st.floats(-0.3, 0.3)))
     estimate = 0.0 if detuning in (0.0, _SUBNORMAL) else draw(st.floats(0.1, 1.5))
+    # Up to 300 intervals, or 1041-4100 of at most 4 steps, so that the
+    # reference stays quick: past 1040, a static run sends more than one
+    # _CHUNK of 64 blocks of 16 intervals through dynamics._run, and a
+    # detuned one takes 260-1025 fused products.
+    steps, n = draw(st.one_of(st.tuples(st.integers(1, 200), st.integers(1, 300)),
+                              st.tuples(st.integers(1, 4), st.integers(1041, 4100))))
     return (task, draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 0.5)), estimate, detuning,
-            draw(st.sampled_from([1e-3, 2.5e-3])), draw(st.integers(1, 200)), draw(st.integers(1, 300)))
+            draw(st.sampled_from([1e-3, 2.5e-3])), steps, n)
+
+
+def _bound(want: np.ndarray, n: int) -> float:
+    # How far a path may land from the per-interval route's state ``want``
+    # after n intervals: 1e-13, or half that route's own trace drift, which
+    # grows by about 2 eps an interval, or eps an interval where its trace
+    # stays at 1.  (Static angle runs at a zero estimate keep it there; over
+    # 1041-4100 intervals both routes then sit equally far from the long-double
+    # product of the same maps, and 0.45 eps an interval apart.)
+    return max(1e-13, abs(np.trace(want) - 1) / 2, n * np.finfo(float).eps)
 
 
 def _pair(task: str, B: float, gamma: float, estimate: float, detuning: float):
@@ -78,14 +96,16 @@ def _with_edges(*extras: dict):
 
 @settings(_SETTINGS, max_examples=100)
 @_with_edges()
+@example(run=("theta", 0.3, 0.2, 0.8, 0.05, 1e-3, 1, 1024))  # static and fused runs of 1024 and 4097 intervals
+@example(run=("theta", 0.1, 0.05, 0.8, -0.02, 2.5e-3, 2, 4097))
+@example(run=("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 1, 1024))
+@example(run=("omega", 0.1, 0.05, 0.7, 0.05, 2.5e-3, 1, 4097))
 @given(run=_runs())
 def test_every_path_lands_on_the_per_interval_route(run) -> None:
-    # Within 1e-13, or within half the per-interval route's own trace drift,
-    # which grows by about 2 eps an interval, where that is larger.
     *pair, dt, s, n = run
     got = qec._corrected_evolve(*_pair(*pair), n * s * dt, dt, n)
     *_, want = per_interval(*_pair(*pair), n * s * dt, dt, n)
-    assert np.max(np.abs(got - want)) <= max(1e-13, abs(np.trace(want) - 1) / 2)
+    assert np.max(np.abs(got - want)) <= _bound(want, n)
     assert np.array_equal(got, got.conj().T)
 
 
@@ -131,7 +151,12 @@ def test_a_forced_failure_raises_what_the_per_interval_route_raises(run, kind, p
     # is set midway between the values that put the first failure at the
     # target and one interval earlier; ``place`` picks the target among the
     # intervals where a margin of 1e-6 of that value separates them.  Every
-    # path raises the per-interval route's class and message there.
+    # path raises the per-interval route's class and message there.  A path
+    # of products replays the one that fails one call of each per interval
+    # from its input, entering and leaving the code's frame at the times of
+    # the intervals it replays, so the leaking recovery receives the
+    # per-interval route's state; entered one interval late, a detuned replay
+    # would turn it by that interval's frame phase.
     *pair, dt, s, n = run
     model, code = _pair(*pair)
     t = n * s * dt
@@ -160,9 +185,16 @@ def test_a_forced_failure_raises_what_the_per_interval_route_raises(run, kind, p
         vars(code)["_recovery_map"] = leaky
     k, error, message = _first_failure(per_interval(model, code, t, dt, n))
     assert k == target
-    with pytest.raises(error) as err:
-        qec._corrected_evolve(model, code, t, dt, n)
+    received = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qec, "apply_recovery", lambda code, rho: received.append(rho) or apply_recovery(code, rho))
+        with pytest.raises(error) as err:
+            qec._corrected_evolve(model, code, t, dt, n)
     assert str(err.value) == message
+    if kind == "leakage":
+        row = next(itertools.islice(per_interval(model, code, t, dt, n, np.eye(32)), target - 1, None))
+        want = row.view(complex).reshape(4, 4)
+        assert np.max(np.abs(received[-1] - want)) <= _bound(want, target)
 
 
 @pytest.mark.parametrize("frame", ["static", "detuned", "centre"])
