@@ -211,6 +211,11 @@ ROUTES = {
     ),
     "dephasing_kraus": "[dynamics.dephasing_kraus(0.1, 0.05, t, 0.7) for t in TIMES]",
     "sample_phases": "dynamics.sample_phases(0.1, 0.05, 5.0, 1000, np.random.default_rng(5))",
+    # The unitary exponential of seeded -i h at 1-norms 1e-8, 1 and 1e2.
+    **{
+        f"qmat.expm {n}x{n}": f"[qmat.expm(skew_hermitian({n}, norm)) for norm in (1e-8, 1.0, 1e2)]"
+        for n in (2, 4, 16)
+    },
     "asymptotic_qfi theta_example": "[qec.asymptotic_qfi(*theta_example(), t).value for t in TIMES]",
     **{
         f"campaign_estimates {task} {strategy}": (
@@ -269,6 +274,15 @@ ROUTES = {
         "cli_bytes(['qfi-theta', '--t-max', '1e-4', '--points', '11', '--out', 'theta.csv'])"
     ),
     "cli plot refused missing csv": "cli_bytes(['plot', 'missing.csv', '--out', 'x.svg'])",
+    # Sweeps out to t where the gate's states are bounded unitary ones but its
+    # routes part (exit 4).
+    "cli qfi-theta refused t_max=1e150": (
+        "cli_bytes(['qfi-theta', '--t-max', '1e150', '--points', '3', '--out', 'theta.csv'])"
+    ),
+    "cli qfi-omega refused B=gamma=6.6e15": (
+        "cli_bytes(['qfi-omega', '--B', '6.6e15', '--gamma', '6.6e15', '--t-max', '1.6e16', '--points', '6',"
+        " '--out', 'omega.csv'])"
+    ),
     # README's adapt refusals, each refused before any draw.
     **{
         f"cli adapt {task} refused {name}": (
@@ -325,6 +339,14 @@ def complex_model():
     rng = np.random.default_rng(38)
     ops = [0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) for _ in range(3)]
     return dynamics.LindbladModel(4, ops[0] + ops[0].conj().T, ops[1:], frame=rng.normal(size=4))
+
+
+def skew_hermitian(dim: int, norm: float) -> np.ndarray:
+    """-i h for a random Hermitian h seeded by ``dim``, scaled to 1-norm ``norm``."""
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = -0.5j * (a + a.conj().T)
+    return a * (norm / np.linalg.norm(a, 1))
 
 
 def recovered(code, t: float):
@@ -414,12 +436,12 @@ def _digest(value) -> dict:
 
 def worker(src: str) -> None:
     """Evaluate the routes read from stdin with the package in ``src``; JSON digests to stdout."""
-    from fluxmet import cli, dynamics, estimation, metrology, qec, tasks
+    from fluxmet import cli, dynamics, estimation, metrology, qec, qmat, tasks
 
     if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"fluxmet imported from {dynamics.__file__}, not from {src}")
     scope = dict(globals(), np=np, cli=cli, dynamics=dynamics, estimation=estimation,
-                 metrology=metrology, qec=qec, tasks=tasks)
+                 metrology=metrology, qec=qec, qmat=qmat, tasks=tasks)
     routes = json.loads(sys.stdin.read())
     json.dump({name: _digest(eval(expr, scope)) for name, expr in routes.items()}, sys.stdout)
 

@@ -234,7 +234,7 @@ def cmd_qfi(
                 for cell, (_, label, _, family, x) in zip(rows[i, 1:], curves):
                     numeric = qfi_sld_numeric(family(ts[i]), x).value
                     _check_pair(f"{label} t={ts[i]:g}", cell, numeric)
-        except DomainError as exc:  # a state family's matrices are not finite
+        except DomainError as exc:  # a state family's matrices are not finite (no known input reaches this)
             raise DomainError(
                 f"B, gamma and t_max must be small enough for finite states, {inputs}: {exc}"
             ) from exc

@@ -60,9 +60,10 @@ MAX_GRID_CELLS = 10**7
 # updates each grid cell, at 30-95 ns a cell on a 2-core Xeon (30-75 on the
 # default grids, 36-95 on 10**6 cells): more (about 10 minutes) are refused.
 MAX_CAMPAIGN_CELL_UPDATES = 10**10
-# A lane-round, one repetition's one round, takes a float64 per table and on a 3-cell grid
-# about 2 us in a block of 1024 lanes, 50-55 us alone (2-core Xeon): more (80 MB) are refused.
-_MAX_LANE_ROUNDS = 10**7
+# A lane-round (one repetition's one round) takes a float64 per table: more (80 MB) are refused.  On a
+# 3-cell grid it takes 2.5-4 us in a block of 1024 lanes, but a block's round 50-105 us however few its
+# lanes (2-core Xeon), so each block's round is charged at least _ROUND_LANES lane-rounds.
+_MAX_LANE_ROUNDS, _ROUND_LANES = 10**7, 40
 
 
 def _finite(value) -> bool:
@@ -302,14 +303,15 @@ def _lockstep(
     return estimates, n_plus
 
 
-def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "theta") -> None:
-    """DomainError unless the campaign is admitted, by these rules in order:
-    repetitions an integer >= 1; at most ``MAX_CAMPAIGN_DRAWS`` outcome draws
-    (m * rounds * repetitions), ``MAX_CAMPAIGN_CELL_UPDATES`` grid-cell updates
-    (cells * rounds * repetitions) and ``_MAX_LANE_ROUNDS`` lane-rounds (rounds
-    * repetitions); a finite positive Cramer-Rao line 1/(m K J); and a grid
-    narrower than one period of the likelihood phase, whose rate is |dphase/dx|
-    of the task's coherence at zero detuning (2 |B| t angle, |B| t^2 frequency)."""
+def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "theta") -> int:
+    """The lanes a block of the campaign holds, or a DomainError unless it is admitted,
+    by these rules in order: repetitions an integer >= 1; at most ``MAX_CAMPAIGN_DRAWS``
+    outcome draws (m * rounds * repetitions), ``MAX_CAMPAIGN_CELL_UPDATES`` grid-cell
+    updates (cells * rounds * repetitions) and ``_MAX_LANE_ROUNDS`` lane-rounds (rounds *
+    repetitions, each block's round charged at least ``_ROUND_LANES``); a finite positive
+    Cramer-Rao line 1/(m K J); and a grid narrower than one period of the likelihood
+    phase, whose rate is |dphase/dx| of the task's coherence at zero detuning (2 |B| t
+    angle, |B| t^2 frequency)."""
     _check_integer("repetitions", repetitions)
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
@@ -329,11 +331,13 @@ def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "t
             f"likelihood updates, got {cells} * {config.rounds} * {repetitions} = {updates}; "
             "coarsen the grid or lower rounds or repetitions"
         )
-    lane_rounds = config.rounds * repetitions
+    block = min(_BLOCK_LANES, max(1, _BLOCK_CELLS // (cells + 1)))
+    lane_rounds = config.rounds * max(repetitions, _ROUND_LANES * -(-repetitions // block))
     if lane_rounds > _MAX_LANE_ROUNDS:
         raise DomainError(
-            f"rounds * repetitions must be at most {_MAX_LANE_ROUNDS}, got "
-            f"{config.rounds} * {repetitions} = {lane_rounds}; lower rounds or repetitions"
+            f"rounds * repetitions must be at most {_MAX_LANE_ROUNDS}, got {config.rounds} * "
+            f"{repetitions} = {config.rounds * repetitions}, charged as {lane_rounds} lane-rounds at "
+            f"{_ROUND_LANES} or more a block's round; lower rounds or repetitions"
         )
     crb = crb_line(config, record)
     if not 0 < crb < np.inf:
@@ -351,6 +355,7 @@ def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "t
             f"grid width {hi - lo} aliases the likelihood phase at t={config.t}; "
             "shorten t or the prior interval"
         )
+    return block
 
 
 def run_adaptive(config: AdaptiveConfig, task: str = "theta") -> EstimationRun:
@@ -382,8 +387,7 @@ def campaign_estimates(config: AdaptiveConfig, repetitions: int, task: str = "th
     ``check_campaign_size`` refuses is a DomainError before its first draw.
     """
     record = task_record(task)
-    check_campaign_size(config, repetitions, task)
-    block = min(_BLOCK_LANES, max(1, _BLOCK_CELLS // (_grid_cells(config, record)[2] + 1)))
+    block = check_campaign_size(config, repetitions, task)
     out = np.empty((repetitions, config.rounds + 1))
     for start in range(0, repetitions, block):
         stop = min(start + block, repetitions)

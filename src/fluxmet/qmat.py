@@ -2,13 +2,12 @@
 
 All matrices are plain ``numpy.ndarray`` of ``complex128``; this module only
 adds the contract checks and conventions the rest of the package relies on.
-It needs numpy alone: the matrix exponential is computed here rather than
-by scipy, whose import would dominate the start-up of every CLI process.
+It needs numpy alone: the unitary exponential and the PSD square root both
+go through :func:`hermitian_eig`, so no scipy import weighs on the start-up
+of a CLI process.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -63,41 +62,13 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the
-# largest 1-norm at which it is accurate to double precision unscaled
-# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with the [13/13] Pade approximant.
+    """Unitary exponential of a skew-Hermitian ``a = -i h``: ``v exp(-i w) v^dag`` for ``h = v w v^dag``.
 
-    ``a`` is scaled by 2**-s so that its 1-norm is at most 5.37, the
-    approximant r = (v - u)^-1 (v + u) is formed from the even (v) and odd
-    (u) parts of the Pade numerator, and r is squared s times (Higham 2005).
+    Any other ``a`` raises :class:`NonHermitianError` from :func:`hermitian_eig`.
     """
-    a = _as_square(a)
-    norm = np.linalg.norm(a, 1)
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
-    a = a / 2.0**s
-    b = _PADE13
-    eye = np.eye(a.shape[0], dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-    )
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    w, v = hermitian_eig(1j * np.asarray(a, dtype=complex))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def sqrtm_psd(rho: np.ndarray) -> np.ndarray:

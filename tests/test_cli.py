@@ -628,13 +628,6 @@ def test_load_model_file_rejects_malformed_operators(tmp_path, capsys, overrides
         (["qfi-theta", "--t-max", "1e300", "--points", "3"], "and t_max must be small enough"),
         (["qfi-theta", "--B", "1e200", "--t-max", "1", "--points", "3"], "B = 1e+200"),
         (["qfi-omega", "--B", "1e200", "--t-max", "1", "--points", "3"], "B = 1e+200"),
-        # the closed forms are finite, but the gate's unitary states overflow in expm
-        (["qfi-theta", "--t-max", "1e150", "--points", "3"], "t_max = 1e+150"),
-        (
-            ["qfi-omega", "--B", "6.6e15", "--gamma", "6.6e15", "--t-max", "1.6e16",
-             "--points", "6"],
-            "small enough for finite states, got B = 6.6e+15, gamma = 6.6e+15, t_max = 1.6e+16",
-        ),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -642,6 +635,29 @@ def test_non_finite_user_numbers_exit_2(tmp_path, capsys, argv, message) -> None
     out = tmp_path / "out.file"
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["qfi-theta", "--t-max", "1e150", "--points", "3"],
+         "error: finite-difference derivative not converged"),
+        (
+            ["qfi-omega", "--B", "6.6e15", "--gamma", "6.6e15", "--t-max", "1.6e16",
+             "--points", "6"],
+            "error: unitary t=3.2e+15: closed form ",
+        ),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_huge_sweeps_fail_the_gate_exit_4(tmp_path, capsys, argv, start) -> None:
+    # The closed forms are finite and the gate's unitary states stay bounded,
+    # so these sweeps reach the large-t gate failure, not an overflow.
+    out = tmp_path / "out.file"
+    assert cli.main([*argv, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(start) and "Traceback" not in err
     assert not out.exists()
 
 

@@ -742,6 +742,25 @@ def test_campaign_lane_round_limit_is_inclusive(monkeypatch) -> None:
         run_adaptive(dataclasses.replace(cfg, rounds=10**9))
 
 
+def test_lone_lane_rounds_are_charged_a_block_round(monkeypatch) -> None:
+    # 10**7 rounds of one lane are 10**7 lane-rounds, but each costs a
+    # block's round (50-105 us, minutes in all): charged at 40 lane-rounds.
+    cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=1, rounds=10**7, grid=(0, 1.5, 0.5))
+    monkeypatch.setattr(estimation, "_lockstep", _no_draws)
+    message = (
+        r"^rounds \* repetitions must be at most 10000000, got 10000000 \* 1 = 10000000, "
+        r"charged as 400000000 lane-rounds at 40 or more a block's round"
+    )
+    for run in (lambda: run_adaptive(cfg), lambda: campaign_estimates(cfg, 1)):
+        with pytest.raises(DomainError, match=message):
+            run()
+    # One block of up to 40 lanes is admitted for at most 10**7 / 40 rounds.
+    for lanes in (1, 2, 40):
+        estimation.check_campaign_size(dataclasses.replace(cfg, rounds=250000), lanes)
+        with pytest.raises(DomainError, match=f"got 250001 \\* {lanes} = {250001 * lanes}, "):
+            estimation.check_campaign_size(dataclasses.replace(cfg, rounds=250001), lanes)
+
+
 def test_campaign_size_limit_is_inclusive() -> None:
     cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2, m=10**7, rounds=10)
     assert cfg.m * cfg.rounds * 10 == estimation.MAX_CAMPAIGN_DRAWS

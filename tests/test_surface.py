@@ -66,7 +66,7 @@ _REMOVED_NAMES = {
         "omega_frame_phase_deriv", "omega_frame_decay_deriv",
     ),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
-    "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace"),
+    "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace", "_PADE13", "_THETA13"),
     "fluxmet.errors": ("NonIsotropicError",),
     "fluxmet.qec": ("QecCode._recovery_pairs", "_PHASE_ROWS"),
 }
