@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fluxmet.dynamics import theta_model
 from fluxmet.errors import (
     DimensionError,
     DomainError,
@@ -110,6 +111,18 @@ def test_expm_pauli_rotation() -> None:
     assert np.allclose(expm(-1j * (np.pi / 2) * SIGMA1), -1j * SIGMA1, atol=1e-12)
 
 
+def test_expm_taylor_oracle() -> None:
+    # Independent route: term-wise Taylor summation of a = -i h.
+    rng = np.random.default_rng(3)
+    a = -0.8j * random_hermitian(4, rng)
+    series = np.eye(4, dtype=complex)
+    term = np.eye(4, dtype=complex)
+    for k in range(1, 40):
+        term = term @ a / k
+        series = series + term
+    assert np.allclose(expm(a), series, atol=1e-12)
+
+
 def test_expm_axis_rotation_closed_form() -> None:
     got = expm(-1j * 1.0 * SIGMA1)  # Bt = 1, axis angle 0
     want = np.cos(1.0) * EYE2 - 1j * np.sin(1.0) * SIGMA1
@@ -142,6 +155,28 @@ def test_expm_matches_scipy_oracle(dim, kind) -> None:
                 a = -1j * (a + a.conj().T) / 2
             a *= norm / np.linalg.norm(a, 1)
             assert _expm_rel_err(a) < 1e-12, (norm, a)
+
+
+def test_expm_matches_scipy_on_angle_task_hamiltonian() -> None:
+    # The angle task's 4x4 Hamiltonian, the unitary part of its dynamics.
+    h = theta_model(0.1, 0.05, np.pi / 4).hamiltonian
+    for t in (0.1, 5.0, 20.0):
+        assert _expm_rel_err(-1j * t * h) < 1e-12, t
+
+
+def test_expm_rejects_angle_task_liouvillian() -> None:
+    # Row-major vectorised Lindbladian of the angle task (16x16):
+    # -i(H x I - I x H^T) + sum_l [l x l* - (l^dag l x I)/2 - (I x (l^dag l)^T)/2].
+    # Its decay part makes it non-normal, so it has no unitary exponential.
+    model = theta_model(0.1, 0.05, np.pi / 4)
+    eye4 = np.eye(4)
+    h = model.hamiltonian
+    gen = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T))
+    for l in model.lindblads:
+        ll = l.conj().T @ l
+        gen += np.kron(l, l.conj()) - 0.5 * np.kron(ll, eye4) - 0.5 * np.kron(eye4, ll.T)
+    with pytest.raises(NonHermitianError):
+        expm(gen)
 
 
 @pytest.mark.parametrize(
