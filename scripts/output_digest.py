@@ -195,6 +195,14 @@ ROUTES = {
         )
         for task in ("theta", "omega")
     },
+    "free_family theta": (
+        "[tasks.TASKS['theta'].free_family(0.1, 0.05, 5.0)(x + d)"
+        " for x in [tasks.TASKS['theta'].x_hat] for d in (-0.02, -0.01, 0.0, 0.01, 0.02)]"
+    ),
+    "trajectory_average_state": (
+        "[m for e in [dynamics.trajectory_average_state(0.1, 0.05, 5.0, 0.7, 1000, np.random.default_rng(7))]"
+        " for m in (e.mean, e.sem_real, e.sem_imag)]"
+    ),
     "qfi_theta_free_closed": "[metrology.qfi_theta_free_closed(0.1, 0.05, t).value for t in TIMES]",
     "qfi_theta_unitary_controlled": (
         "[metrology.qfi_theta_unitary_controlled(0.1, t, d).value for t in TIMES for d in (0, 0.05)]"

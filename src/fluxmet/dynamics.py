@@ -448,7 +448,7 @@ def trajectory_average_state(
     """Average n sampled-phase pure states exp(-i Phi sigma_n x I)|bell> of the theta model."""
     phis = sample_phases(B, gamma, t, n, rng)
     psi0 = bell_probe()
-    rotated = kron(sigma_n_theta(theta), eye2) @ psi0
+    rotated = sigma_n_theta(theta).ravel() / np.sqrt(2)  # (sigma_n x I)|bell> = vec(sigma_n)/sqrt(2)
     psi = np.cos(phis)[:, None] * psi0 - 1j * np.sin(phis)[:, None] * rotated
     projectors = psi[:, :, None] * psi[:, None, :].conj()
     mean = projectors.mean(axis=0)

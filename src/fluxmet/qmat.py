@@ -2,9 +2,9 @@
 
 All matrices are plain ``numpy.ndarray`` of ``complex128``; this module only
 adds the contract checks and conventions the rest of the package relies on.
-It needs numpy alone: the unitary exponential and the PSD square root both
-go through :func:`hermitian_eig`, so no scipy import weighs on the start-up
-of a CLI process.
+It needs numpy alone, so no scipy import weighs on the start-up of a CLI
+process.  :func:`expm` has no caller in the package; it is kept, through the
+:func:`hermitian_eig` that the PSD square root uses, as a name the benchmark wraps.
 """
 
 from __future__ import annotations

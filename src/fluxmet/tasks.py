@@ -5,6 +5,7 @@ tasks: 4 gamma t for the field angle theta (static axis), (4/3) gamma t^3 for
 the rotation frequency omega (rotating axis).  What tells the two apart is
 kept here, once, or in the ``metrology.Coherence`` a record names; ``estimation``
 and ``cli`` take a task name and look its record up with :func:`task_record`.
+The gate's state families are built from 2x2 probe operators K: (K x I)|bell> = vec(K)/sqrt(2).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import bell_probe, dephasing_kraus, sigma_n_theta
+from .dynamics import dephasing_kraus
 from .errors import DomainError
 from .metrology import (
     OMEGA_COHERENCE,
@@ -30,7 +31,7 @@ from .metrology import (
     qfi_theta_unitary_controlled,
 )
 from .qec import corrected_state_omega_closed, corrected_state_theta_closed
-from .qmat import expm, eye2, kron, sigma1, sigma2
+from .qmat import eye2, sigma1, sigma2, sigma3
 
 STRATEGIES = ("qec_corrected", "unitary_controlled")
 _QEC = STRATEGIES[0]
@@ -86,46 +87,38 @@ def _p_plus_omega_unitary(omega, omega_hat, B: float, t: float):
 
 
 def _theta_free_family(B: float, gamma: float, t: float) -> StateFamily:
-    bell = bell_probe()
-    rho0 = np.outer(bell, bell.conj())
-
     def state(th: float) -> np.ndarray:
-        out = np.zeros_like(rho0)
-        for k2 in dephasing_kraus(B, gamma, t, th):
-            k4 = kron(k2, eye2)
-            out += k4 @ rho0 @ k4.conj().T
-        return out
+        # sum_k (K_k x I)|bell><bell|(K_k x I)^dag, with (K x I)|bell> = vec(K)/sqrt(2).
+        vecs = np.reshape(dephasing_kraus(B, gamma, t, th), (2, 4))
+        return vecs.T @ vecs.conj() / 2
 
     return state
 
 
-def _rotated_bell(generator: Callable[[float], np.ndarray]) -> StateFamily:
-    """x -> |psi><psi| with psi = expm(-1j * generator(x)) applied to the Bell probe."""
-    bell = bell_probe()
+def _rotated_bell(axis: Callable[[float], np.ndarray]) -> StateFamily:
+    """x -> vec(U) vec(U)^dag / 2, the Bell probe under U x I, for U = exp(-i axis(x).sigma) and a real axis."""
 
     def state(x: float) -> np.ndarray:
-        psi = expm(-1j * generator(x)) @ bell
-        return np.outer(psi, psi.conj())
+        a = axis(x)  # real: U = cos|a| I - i (sin|a|/|a|) a.sigma, exact at a = 0 through np.sinc
+        norm = np.sqrt(a @ a)
+        u = np.cos(norm) * eye2 - 1j * np.sinc(norm / np.pi) * (a[0] * sigma1 + a[1] * sigma2 + a[2] * sigma3)
+        return np.outer(u, u.conj()) / 2
 
     return state
 
 
 def _theta_unitary_family(B: float, t: float, theta_hat: float) -> StateFamily:
-    sn_hat = kron(sigma_n_theta(theta_hat), eye2)
-    return _rotated_bell(lambda th: t * (B * (kron(sigma_n_theta(th), eye2) - sn_hat)))
+    n_hat = np.array([np.cos(theta_hat), 0.0, np.sin(theta_hat)])  # sigma_n_theta(theta_hat)'s axis
+    return _rotated_bell(lambda th: B * t * (np.array([np.cos(th), 0.0, np.sin(th)]) - n_hat))
 
 
 def _omega_unitary_family(B: float, t: float, omega_hat: float) -> StateFamily:
-    def generator(om: float) -> np.ndarray:
-        # Control-frame average of the detuning Hamiltonian, time
-        # pre-integrated into the axis components.
+    def axis(om: float) -> np.ndarray:
+        # Control-frame average of the detuning Hamiltonian, time pre-integrated into the axis components.
         a = om - omega_hat
-        z = a * t
-        v1 = -t * _g1(z)
-        v2 = -a * t * t * _f1(z)
-        return B * kron(v1 * sigma1 + v2 * sigma2, eye2)
+        return B * np.array([-t * _g1(a * t), -a * t * t * _f1(a * t), 0.0])
 
-    return _rotated_bell(generator)
+    return _rotated_bell(axis)
 
 
 TASKS: dict[str, Task] = {

@@ -8,6 +8,7 @@ from itertools import repeat
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from fluxmet import dynamics, qec
 from fluxmet.dynamics import (
@@ -27,7 +28,7 @@ from fluxmet.cli import load_model_file, resolve_model_path
 from fluxmet.errors import DimensionError, DomainError, InstabilityError, LeakageError, StepError
 from fluxmet.metrology import qfi_sld_numeric
 from fluxmet.qec import apply_recovery, omega_code
-from fluxmet.qmat import expm, hermitian_eig, kron
+from fluxmet.qmat import hermitian_eig, kron
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -207,7 +208,7 @@ def test_replaced_model_rebuilds_derived_operators() -> None:
 def test_lindblad_evolve_unitary_limit() -> None:
     model = theta_model(B, 0.0, 0.9)
     rho = lindblad_evolve(model, bell_rho(), T)
-    u = expm(-1j * T * model.hamiltonian)
+    u = scipy_expm(-1j * T * model.hamiltonian)
     want = u @ bell_rho() @ u.conj().T
     assert np.max(np.abs(rho - want)) < 1e-8
 

@@ -115,8 +115,23 @@ def test_bench_pairs_summarizes_paired_runs() -> None:
     assert p50["runs"]["change"] == [0.06, 0.04, 0.07, 0.07, 0.08]
 
 
+def _throwaway_repo(root: Path, with_src: bool = False) -> Path:
+    # A git repository of one commit holding what bench_pairs reads from its ROOT: BENCHMARK.json, and src/
+    # when the trees' packages run; main names its parent with git rev-parse there, so no checkout is needed.
+    root.mkdir()
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", root / "BENCHMARK.json")
+    if with_src:
+        shutil.copytree(SCRIPTS.parent / "src", root / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(root), "-c", "user.name=fluxmet tests", "-c", "user.email=tests@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "bench_pairs test tree"]):
+        subprocess.run([*git, *cmd], check=True, capture_output=True)
+    return root
+
+
 def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch, capsys) -> None:
     script = _load_bench_pairs()
+    monkeypatch.setattr(script, "ROOT", _throwaway_repo(tmp_path / "repo"))
     calls = []
 
     def fake_run(tree, workload, seed, seconds):
@@ -137,7 +152,7 @@ def test_bench_pairs_alternates_sides_and_keeps_the_record(tmp_path, monkeypatch
     assert calls == [(w, *call) for w in ("campaign", "numeric_route") for call in pairs]
     doc = json.loads(out.read_text())
     # The record names its parent by full hash and its claim by --claim; other keys are kept.
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS, capture_output=True, text=True, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=script.ROOT, capture_output=True, text=True, check=True)
     assert doc["parent"] == head.stdout.strip()
     assert doc["claim"] == "campaign goodput_ops_s rises" and doc["workloads"]["cli"] == {"pairs": 3}
     for workload in ("campaign", "numeric_route"):
@@ -156,6 +171,7 @@ def test_bench_pairs_micro_times_both_trees_side_by_side(tmp_path, monkeypatch, 
     # parent's as fluxmet_parent (the worker refuses a change package
     # imported from the parent's src).
     script = _load_bench_pairs()
+    monkeypatch.setattr(script, "ROOT", _throwaway_repo(tmp_path / "repo", with_src=True))
 
     def copy_tree(rev, dest):
         shutil.copytree(script.ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
