@@ -210,6 +210,12 @@ ROUTES = {
     "qfi_omega_unitary_controlled": (
         "[metrology.qfi_omega_unitary_controlled(0.1, t, d).value for t in TIMES for d in (0, 0.05)]"
     ),
+    # The exact frequency-task form off zero detuning, past where the former
+    # expansion refused (|domega| t > sqrt(18)): a refusal reads as its message.
+    "qfi_omega_unitary_controlled detuned": (
+        "attempts(metrology.qfi_omega_unitary_controlled,"
+        " [(0.1, t, d) for t in TIMES for d in (0.2, 0.5, 0.8, -0.3, 1.5)])"
+    ),
     "outcome_probability theta": (
         "[p for t in TIMES for _, p in estimation.outcome_probability(0.9, 0.8, 0.1, 0.05, t).outcomes]"
     ),
@@ -219,6 +225,15 @@ ROUTES = {
     ),
     "dephasing_kraus": "[dynamics.dephasing_kraus(0.1, 0.05, t, 0.7) for t in TIMES]",
     "sample_phases": "dynamics.sample_phases(0.1, 0.05, 5.0, 1000, np.random.default_rng(5))",
+    "sample_omega_trajectories": (
+        "[dynamics.sample_omega_trajectories(0.1, 0.05, w, 5.0, 0.01, 64, np.random.default_rng(17))"
+        " for w in (0.25, 0.3)]"
+    ),
+    # The angle code's words and recovery Kraus pair at two estimates.
+    "theta_code": (
+        "np.concatenate([np.ravel(a) for h in (0.8, -0.3) for c in [qec.theta_code(h)]"
+        " for a in (c.c0, c.c1, *c.recovery)])"
+    ),
     # The unitary exponential of seeded -i h at 1-norms 1e-8, 1 and 1e2.
     **{
         f"qmat.expm {n}x{n}": f"[qmat.expm(skew_hermitian({n}, norm)) for norm in (1e-8, 1.0, 1e2)]"
@@ -405,6 +420,19 @@ def random_campaigns(count: int, seed: int) -> np.ndarray:
         cfg = estimation.AdaptiveConfig(true_value=float(true_value), initial_guess=float(guess), **config)
         tables.append(estimation.campaign_estimates(cfg, int(rng.integers(1, 40)), task=str(task)).ravel())
     return np.concatenate(tables)
+
+
+def attempts(fn, calls: list[tuple]) -> bytes:
+    """``fn(*args).value`` for each argument tuple, one line each, or the class and message of its refusal."""
+    from fluxmet.errors import FluxmetError
+
+    lines = []
+    for args in calls:
+        try:
+            lines.append(repr(float(fn(*args).value)))
+        except FluxmetError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines).encode()
 
 
 def cli_bytes(argv: list[str], config: dict | None = None, then: list[str] | None = None) -> bytes:

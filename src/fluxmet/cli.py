@@ -228,9 +228,9 @@ def cmd_qfi(
             ) from exc
         # The gate: up to _CROSSCHECK_SAMPLES rows spread evenly over t > 1e-9.
         positive = np.flatnonzero(ts > 1e-9)
-        picks = np.linspace(0, positive.size - 1, _CROSSCHECK_SAMPLES).astype(int)
+        picks = np.linspace(0, positive.size - 1, min(_CROSSCHECK_SAMPLES, positive.size)).astype(int)  # distinct
         try:
-            for i in positive[np.unique(picks)]:
+            for i in positive[picks]:
                 for cell, (_, label, _, family, x) in zip(rows[i, 1:], curves):
                     numeric = qfi_sld_numeric(family(ts[i]), x).value
                     _check_pair(f"{label} t={ts[i]:g}", cell, numeric)

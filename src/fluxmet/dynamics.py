@@ -205,7 +205,7 @@ def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
     _check_domain("theta", theta, _FINITE)
     _check_domain("gamma", gamma)
     axes = np.array([sigma_n_theta(theta), sigma_n_theta_deriv(theta)])
-    sn, sm = (axes[:, :, None, :, None] * eye2[:, None, :]).reshape(2, 4, 4)  # kron(axis, eye2) bit for bit
+    sn, sm = (axes[:, :, None, :, None] * eye2[:, None, :]).reshape(2, 4, 4)  # axis x I, np.kron's products
     root = np.sqrt(gamma)
     return LindbladModel(
         dim=4,
@@ -484,11 +484,12 @@ def sample_omega_trajectories(
     """
     n_steps = fixed_steps(t, dt)
     _check_domain("gamma", gamma)
+    _check_domain("omega", omega, _FINITE)
     psi = np.tile(bell_probe(), (n, 1))
     for k in range(n_steps):
         tau = k * dt
         angles = B * dt + np.sqrt(gamma * dt) * rng.normal(size=n)
-        m = kron(sigma_n_omega(omega, tau), eye2)
+        m = (sigma_n_omega(omega, tau)[:, None, :, None] * eye2[:, None, :]).reshape(4, 4)  # axis x I
         psi = np.cos(angles)[:, None] * psi - 1j * np.sin(angles)[:, None] * (psi @ m.T)
     return psi
 

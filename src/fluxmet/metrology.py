@@ -452,19 +452,22 @@ def qfi_theta_unitary_controlled(B: float, t: float, dtheta: float = 0.0) -> Fis
 
 
 def qfi_omega_unitary_controlled(B: float, t: float, domega: float = 0.0) -> FisherResult:
-    """QFI of the optimally controlled unitary rotation-frequency dynamics.
+    """QFI of the optimally controlled unitary rotation-frequency dynamics, B^2 t^4 at domega = 0.
 
-    Quadratic expansion B^2 t^4 (1 - t^2 domega^2 / 18), valid for small
-    |domega| * t.
+    For a = -B t p with p = (g1(z), z f1(z)), z = domega t, and q = dp/dz, the probe's exp(-i a.sigma) carries
+    J = 4 (|a|'^2 + sin^2|a| |n'|^2) = B^2 t^4 * 4 [S |q|^2 + (1 - S) (p.q)^2/|p|^2], n = a/|a|, S = sinc^2 |a|.
     """
     _check_domain("t", t)
     _check_domain("B", B, _FINITE)
     _check_domain("domega", domega, _FINITE)
-    penalty = t * t * domega * domega / 18.0
-    if penalty > 1:
-        raise DomainError(f"|domega|*t = {abs(domega) * t} is outside the expansion's validity")
-    value = B * B * t**4 * (1 - penalty)
-    return FisherResult(value)
+    z = domega * t
+    if z == 0:  # p = 0 and q = (0, 1/2): the bracket is exactly 1
+        return FisherResult(B * B * t**4)
+    p, q = np.array([_g1(z), z * _f1(z)]), np.array([_h2(z), _h1(z)])
+    pp = p @ p
+    s = np.sinc(B * t * np.sqrt(pp) / np.pi) ** 2
+    c = (p @ q) ** 2 / pp if pp > 0 else 0.0  # p.p underflows to 0 only at |z| below about 1e-161
+    return FisherResult(B * B * t**4 * (4 * (s * (q @ q) + (1 - s) * c)))
 
 
 def qfi_B_trajectory_averaged(t: float, gamma: float) -> FisherResult:

@@ -57,7 +57,7 @@ from .errors import (
     StepError,
 )
 from .metrology import OMEGA_COHERENCE, THETA_COHERENCE, Coherence, FisherResult
-from .qmat import eye2, kron
+from .qmat import eye2
 
 _QEC_TOL = 1e-8  # residual of the error-correction conditions, of the Gram matrix and of a recovery out of the code
 _WEIGHTLESS = 1e-12  # error weight d_kk at or below which a direction is dropped
@@ -128,7 +128,7 @@ def _outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 
 
 def _kron_conj(a: np.ndarray) -> np.ndarray:
-    """np.kron(a, a*) bit for bit, without its overhead; for a^T, the row map of rho -> a rho a^dag."""
+    """``np.kron`` of a and a* bit for bit, without its overhead; for a^T, the row map of rho -> a rho a^dag."""
     return (a[:, None, :, None] * a.conj()[None, :, None, :]).reshape(a.shape[0] ** 2, -1)
 
 
@@ -150,7 +150,7 @@ def theta_code(theta_hat: float) -> QecCode:
     half = theta_hat / 2
     plus = np.array([-np.cos(half), np.sin(half)], dtype=complex)
     minus = np.array([np.sin(half), np.cos(half)], dtype=complex)
-    noise = kron(sigma_n_theta(theta_hat), eye2)
+    noise = (sigma_n_theta(theta_hat)[:, None, :, None] * eye2[:, None, :]).reshape(4, 4)  # axis x I
     return _noise_code((plus[:, None] * plus).ravel(), (minus[:, None] * minus).ravel(), noise)
 
 

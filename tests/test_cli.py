@@ -218,6 +218,47 @@ def test_gate_checks_the_cells_it_writes(monkeypatch) -> None:
     ]
 
 
+@pytest.mark.parametrize("n_points", [*range(2, 13), 101, 10**5])
+def test_gate_rows_are_the_distinct_rows_of_five_even_picks(monkeypatch, n_points) -> None:
+    # The gate's rows are the distinct ones among five picks spread evenly over
+    # t > 1e-9, fewer where the sweep has fewer such rows, each checked once.
+    ts = np.linspace(0.0, 5.0, n_points)
+    positive = np.flatnonzero(ts > 1e-9)
+    expected = ts[positive[np.unique(np.linspace(0, positive.size - 1, 5).astype(int))]]
+    spec, real, gated = TASKS["omega"], cli.qfi_sld_numeric, []
+
+    def family(B, t, x_hat):
+        state = spec.unitary_family(B, t, x_hat)
+        state.t = t
+        return state
+
+    def spy(state, x):
+        gated.append(state.t)
+        return real(state, x)
+
+    record = dataclasses.replace(spec, unitary_family=family)
+    monkeypatch.setattr(cli, "task_record", lambda name: record)
+    monkeypatch.setattr(cli, "qfi_sld_numeric", spy)
+    cmd_qfi("omega", 0.1, 0.05, 5.0, n_points, [], None)
+    assert gated == list(expected)
+
+
+def test_sweeps_do_not_import_numpy_ma(tmp_path) -> None:
+    # np.unique imported numpy.ma, about 10 ms of a fresh process's start; neither sweep needs it.
+    code = (
+        "import sys\n"
+        "from fluxmet.cli import main\n"
+        "for task in ('theta', 'omega'):\n"
+        "    assert main([f'qfi-{task}', '--out', f'{task}.csv']) == 0\n"
+        "    print(task, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fluxmet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "theta False\nomega False\n"
+
+
 @pytest.mark.parametrize("task", ["theta", "omega"])
 @pytest.mark.parametrize(
     "flags, field",

@@ -650,6 +650,20 @@ def test_omega_trajectories_reproduce_coherence_decay() -> None:
     assert np.max(np.abs(mean_rho - rho)) < 0.02
 
 
+def test_omega_trajectories_step_with_the_kronecker_axis_bit_for_bit() -> None:
+    # Each step's operator is sigma_n(omega, tau) x I; built by broadcast it
+    # must leave every state as np.kron's operator leaves it.
+    n, dt, steps = 16, 0.01, 200
+    rng = np.random.default_rng(13)
+    psi = np.tile(bell_probe(), (n, 1))
+    for k in range(steps):
+        angles = B * dt + np.sqrt(GAMMA * dt) * rng.normal(size=n)
+        m = np.kron(sigma_n_omega(0.3, k * dt), EYE2)
+        psi = np.cos(angles)[:, None] * psi - 1j * np.sin(angles)[:, None] * (psi @ m.T)
+    got = sample_omega_trajectories(B, GAMMA, 0.3, steps * dt, dt, n, np.random.default_rng(13))
+    assert got.tobytes() == psi.tobytes()
+
+
 def test_omega_trajectories_step_error() -> None:
     rng = np.random.default_rng(0)
     with pytest.raises(StepError):

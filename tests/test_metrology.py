@@ -339,6 +339,9 @@ _NAN_CALLS = {
     "sample_omega_trajectories gamma": lambda: sample_omega_trajectories(
         B, _NAN, 0.3, T, 0.5, 3, np.random.default_rng(0)
     ),
+    "sample_omega_trajectories omega": lambda: sample_omega_trajectories(
+        B, GAMMA, _NAN, T, 0.5, 3, np.random.default_rng(0)
+    ),
     "corrected_state_theta_closed t": lambda: corrected_state_theta_closed(B, GAMMA, 0.9, 0.8, _NAN),
     "corrected_state_theta_closed gamma": lambda: corrected_state_theta_closed(B, _NAN, 0.9, 0.8, T),
     "corrected_state_omega_closed t": lambda: corrected_state_omega_closed(B, GAMMA, 0.3, 0.2, _NAN),
@@ -564,6 +567,22 @@ def test_omega_unitary_controlled() -> None:
     assert qfi_omega_unitary_controlled(B, T, 0.0).value == pytest.approx(6.25, abs=1e-12)
     assert qfi_omega_unitary_controlled(B, 0.0, 0.1).value == 0.0
     assert qfi_omega_unitary_controlled(B, T, 0.05).value == pytest.approx(6.2283, abs=5e-5)
+
+
+@pytest.mark.parametrize("b, t", [(B, T), (1.0, 2.0)])
+def test_omega_unitary_controlled_is_its_family_sld_information(b, t) -> None:
+    # The exact form against the SLD route on the task's own unitary family, out to
+    # detunings where the former quadratic expansion B^2 t^4 (1 - (domega t)^2 / 18)
+    # is 68% off (0.8 at B = 0.1, t = 5) or refused (|domega| t > sqrt(18)); 8e-12 seen.
+    spec = TASKS["omega"]
+    for d in (0.05, 0.2, 0.5, 0.8, -0.3, 1.5):
+        numeric = qfi_sld_numeric(spec.unitary_family(b, t, spec.x_hat), spec.x_hat + d).value
+        assert qfi_omega_unitary_controlled(b, t, d).value == pytest.approx(numeric, rel=1e-10)
+    # The expansion is the exact form's second order, and domega = 0 is B^2 t^4 itself.
+    for d in (1e-4, -1e-4, 1e-200):
+        expansion = b * b * t**4 * (1 - (d * t) ** 2 / 18)
+        assert qfi_omega_unitary_controlled(b, t, d).value == pytest.approx(expansion, rel=1e-12)
+    assert qfi_omega_unitary_controlled(b, t, 0.0).value == b * b * t**4
 
 
 def test_B_trajectory_averaged() -> None:

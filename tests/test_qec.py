@@ -98,6 +98,15 @@ def test_theta_code_noise_maps_code_to_error_space() -> None:
     assert np.max(np.abs(proj @ sn4 @ proj)) < 1e-14
 
 
+@pytest.mark.parametrize("theta_hat", [0.0, -0.0, 0.7, np.pi / 4, -2.9])
+def test_theta_code_noise_is_the_kronecker_axis_bit_for_bit(theta_hat) -> None:
+    code = theta_code(theta_hat)
+    proj = code.projector()
+    noise = np.kron(sigma_n_theta(theta_hat), EYE2)
+    assert code.recovery[0].tobytes() == proj.tobytes()
+    assert code.recovery[1].tobytes() == (proj @ noise).tobytes()
+
+
 def test_theta_code_projector() -> None:
     code = theta_code(0.7)
     proj = code.projector(0.0)
