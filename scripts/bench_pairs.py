@@ -28,7 +28,8 @@ their time in, the cases of ``MICRO``: one static and one rotating recovery
 interval (a whole corrected evolution in that workload's shape, per
 interval), one static interval of a run of 64, which ``dynamics._steps``
 applies without ``dynamics._run``, one rotating interval of a run of 128,
-too short for ``qec._corrected_evolve`` to fuse its intervals, one static
+which ``qec._corrected_evolve`` takes four intervals a product as it takes
+every detuned run of 16 or more, one static
 and one rotating interval of four steps and one rotating interval of two
 (criterion 5's shapes), one rotating interval of 20 steps, more than a step
 block, one rotating interval of a run of four of 1000 steps, which

@@ -115,6 +115,14 @@ ROUTES = {
         )
         for s, n in ((1, 2001), (1, 2003), (2, 1000), (3, 667), (1, 255), (1, 256), (8, 256), (9, 256))
     },
+    # Detuned rotating runs of one-step intervals at the tests' detuning of 0.2: the
+    # shortest run of products with a last product of zero to three intervals, and 256.
+    **{
+        f"corrected_evolve_omega detuned 0.2 {n} intervals": (
+            f"qec.corrected_evolve_omega(0.3, 0.2, 1.4, 1.2, {n} * 1e-3, dt=1e-3, n_recoveries={n})"
+        )
+        for n in (17, 18, 19, 256)
+    },
     # Detuned rotating runs on the code-coordinate path: the one tail length mod 4,
     # the fused products' size, that the runs above leave out; 17 steps an interval,
     # one more than a step block; and omega_hat above omega.

@@ -16,7 +16,7 @@ the state's float64 row with the same three check columns (:func:`_checked_map`,
 :func:`_run` screens them per chunk of products and replays a failing product to name the step that failed.
 The stochastic picture draws the accumulated phase Phi = B t + phi with phi ~ Normal(0, gamma t), in
 :func:`sample_phases` alone, and averages pure-state trajectories.
-Every refusal of a duration, rate, field, angle or frequency is :func:`_check_domain`'s.
+Every refusal of a duration, rate, draw count, field, angle or frequency is :func:`_check_domain`'s.
 """
 
 from __future__ import annotations
@@ -423,10 +423,11 @@ def _read_checks(checks: np.ndarray, offset: int = 0) -> None:
 
 
 def sample_phases(B: float, gamma: float, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized phase draws; deterministic for a fixed generator state."""
+    """Vectorized phase draws; deterministic for a fixed generator state, which gamma t = 0 does not advance."""
     _check_domain("duration", t)
     _check_domain("gamma", gamma)
     _check_domain("B", B, _FINITE)
+    _check_domain("n", n)
     if gamma * t == 0:
         return np.full(n, B * t)
     return B * t + rng.normal(0.0, np.sqrt(gamma * t), size=n)
@@ -479,17 +480,19 @@ def sample_omega_trajectories(
 
     Each step applies exp(-i (B dt + sqrt(gamma dt) N) sigma_n(omega, tau) x I)
     with the axis frozen at the left endpoint tau; the white-noise increments
-    reproduce the master equation to first order in dt.  Returns an (n, 4)
-    array of final states.
+    reproduce the master equation to first order in dt.  Each step's angles
+    are :func:`sample_phases`' over dt, so gamma dt = 0 draws nothing.
+    Returns an (n, 4) array of final states.
     """
     n_steps = fixed_steps(t, dt)
     _check_domain("gamma", gamma)
     _check_domain("omega", omega, _FINITE)
+    _check_domain("B", B, _FINITE)
+    _check_domain("n", n)
     psi = np.tile(bell_probe(), (n, 1))
     for k in range(n_steps):
-        tau = k * dt
-        angles = B * dt + np.sqrt(gamma * dt) * rng.normal(size=n)
-        m = (sigma_n_omega(omega, tau)[:, None, :, None] * eye2[:, None, :]).reshape(4, 4)  # axis x I
+        angles = sample_phases(B, gamma, dt, n, rng)
+        m = (sigma_n_omega(omega, k * dt)[:, None, :, None] * eye2[:, None, :]).reshape(4, 4)  # axis x I
         psi = np.cos(angles)[:, None] * psi - 1j * np.sin(angles)[:, None] * (psi @ m.T)
     return psi
 

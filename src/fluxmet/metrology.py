@@ -287,7 +287,7 @@ def cfi_trajectory_B(
     Estimates the averaged outcome probability p1(B') = E[cos^2(B' t + phi +
     beta)] at B' = B and B +- a fixed step with common noise draws phi, so the
     finite-difference derivative is free of Monte-Carlo shot noise.  The
-    draws, and the refusal of t or gamma, are ``dynamics.sample_phases``'s.
+    draws, and the refusal of t, gamma or n, are ``dynamics.sample_phases``'s.
     """
     _check_domain("B", B, _FINITE)
     _check_domain("beta", beta, _FINITE)

@@ -17,7 +17,7 @@ steps a model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -204,8 +204,9 @@ def _corrected_evolve(
     tau and, for a rotating code, advance the frame by exp(+i G dt').  Fewer than ``_BLOCK_STEPS`` intervals make one
     ``lindblad_evolve`` and one ``apply_recovery`` call each, by which a longer run replays a failing product.  Where
     the code's frame does not turn against the model's, ``dynamics._steps`` applies the one interval map
-    (:func:`_interval_maps`) as it applies a step; else a product of ``dynamics._run`` is one interval on the 8 floats
-    of the state's coordinates in the code words (:func:`_interval_polynomial`), four in runs of 256 or more.
+    (:func:`_interval_maps`) as it applies a step; else a product of ``dynamics._run`` is four intervals on the 8
+    floats of the state's coordinates in the code words (:func:`_fused_polynomial`), and the last n_recoveries % 4
+    intervals are one more product, as ``_steps`` ends a run with one block for the rest.
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
     if not isinstance(n_rec, (int, np.integer)):
@@ -233,13 +234,12 @@ def _corrected_evolve(
     if rate is None or not rate.any():  # every interval is the same map
         unit = _interval_maps(steps, model_exit, code._recovery_map)
         return in_frame(_steps(_outer(code_probe(code)), {1: unit}, n_rec, replay), model._rate, n_rec * interval)
-    samples, weights = _interval_polynomial(steps, code, model_exit, rate, interval)
-    y, done = code._coordinate_maps[2], n_rec // 4 * 4 if n_rec >= 256 else 0
-    if done:  # all but the last n_rec % 4 intervals, four a product (CHANGES.md has the sweep)
-        fused, fused_weights = _fused_polynomial(samples, rate, interval, 4)
-        y = _run(y, fused, done // 4, lambda i, row: replay(4 * i, 4, row), fused_weights)
-    if done < n_rec:  # _run takes no empty run
-        y = _run(y, samples, n_rec - done, lambda i, row: replay(done + i, 1, row), lambda k, m: weights(done + k, m))
+    samples, y, done = _interval_polynomial(steps, code, model_exit, rate), code._coordinate_maps[2], 0
+    for p, m in ((4, n_rec // 4), (n_rec % 4, 1)):  # four intervals a product, then the rest as one product
+        if p:
+            fused, weights = _fused_polynomial(samples, rate, interval, p, first=done)
+            y = _run(y, fused, m, lambda i, row: replay(done + p * i, p, row), weights)
+            done += p * m
     rho = (v := np.column_stack(code.basis(t))) @ y @ v.conj().T
     return 0.5 * (rho + rho.conj().T)
 
@@ -254,24 +254,21 @@ def _interval_maps(stepped: np.ndarray, entry, recovery: np.ndarray) -> np.ndarr
     return out
 
 
-def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.ndarray, interval: float):
-    """The maps of intervals from tau = k interval on code coordinates (embed with the phase at tau, step, enter the
-    code's frame at tau, recover into coordinates), as (5, 8, 8 + 3) samples and weights(k, m) for m intervals.
-    ``rate`` is 0 or +-i nu, so the phases rotate by +-nu tau, and a map is a trigonometric polynomial of degree 2
-    in nu tau fixed by its samples at nu tau = 2 pi j / 5; the weights, its 5-point DFT at nu tau, are Dirichlet's."""
-    nu, grid = float(np.max(np.abs(rate))), 2 * np.pi / 5 * np.arange(5)
-    embed, recover, _ = code._coordinate_maps
+def _interval_polynomial(steps: np.ndarray, code: QecCode, model_exit, rate: np.ndarray) -> np.ndarray:
+    """The maps of an interval from tau on code coordinates (embed with the phase at tau, step, enter the code's
+    frame at tau, recover into coordinates), as (5, 8, 8 + 3) samples.  ``rate`` is 0 or +-i nu, so the phases
+    rotate by +-nu tau, and a map is a trigonometric polynomial of degree 2 in nu tau fixed by its samples at
+    nu tau = 2 pi j / 5, which :func:`_fused_polynomial` interpolates."""
+    grid, (embed, recover, _) = 2 * np.pi / 5 * np.arange(5), code._coordinate_maps
     phase = np.exp(1j * np.sign(rate.imag).ravel() * grid[:, None, None])  # exp(rate tau) at nu tau on the grid
-    def weights(k: int, m: int) -> np.ndarray:
-        apart = np.subtract.outer(nu * interval * np.arange(k, k + m), grid)
-        return 0.2 + 0.4 * (np.cos(apart) + np.cos(2 * apart))
-    return _interval_maps((embed.view(_COMPLEX) * phase).view(_REAL) @ steps, model_exit / phase, recover), weights
+    return _interval_maps((embed.view(_COMPLEX) * phase).view(_REAL) @ steps, model_exit / phase, recover)
 
 
-def _fused_polynomial(samples: np.ndarray, rate: np.ndarray, interval: float, p: int):
+def _fused_polynomial(samples: np.ndarray, rate: np.ndarray, interval: float, p: int, first: int = 0):
     """The maps of p intervals in turn from a = nu tau, of degree 2p in a, as (4p + 1, w, w + 3) samples at
     a = 2 pi j / (4p + 1), each its p intervals interpolated from the five ``samples`` and composed by
-    ``dynamics._then``, and weights(k, m) for m products from the k-th: the Dirichlet kernel."""
+    ``dynamics._then``, and weights(k, m) for m products from the k-th, counted from interval ``first``: the
+    Dirichlet kernel."""
     def dirichlet(a: np.ndarray, q: int) -> np.ndarray:  # cos(l (a - a_j)) split: q - 1 cos and sin calls an angle
         l = np.arange(1, q // 2 + 1)
         x, y = np.multiply.outer(a, l), np.outer(l, 2 * np.pi / q * np.arange(q))
@@ -279,10 +276,7 @@ def _fused_polynomial(samples: np.ndarray, rate: np.ndarray, interval: float, p:
     c, q, w = float(np.max(np.abs(rate))) * interval, 4 * p + 1, samples.shape[1]
     starts = np.add.outer(2 * np.pi / q * np.arange(q), c * np.arange(p))  # of each sample's p intervals
     single = (dirichlet(starts, 5) @ samples.reshape(5, -1)).reshape(q, p, w, -1)
-    fused = single[:, 0]
-    for i in range(1, p):
-        fused = _then(fused, single[:, i])
-    return fused, lambda k, m: dirichlet(c * p * np.arange(k, k + m), q)
+    return reduce(_then, single.swapaxes(0, 1)), lambda k, m: dirichlet(c * (first + p * np.arange(k, k + m)), q)
 
 
 def _closed_state(code: QecCode, coherence: Coherence, B: float, gamma: float, d: float, t: float):

@@ -439,13 +439,18 @@ def _reference_run(rho: np.ndarray, maps: np.ndarray, n: int, replay, weights=No
 
 
 def _rotating_stack(gain: float = 1.0):
-    # The five samples and weights of a detuned rotating recovery interval of
-    # four steps, as qec._corrected_evolve builds them, scaled by ``gain``,
+    # The five samples of a detuned rotating recovery interval of four steps,
+    # as qec._corrected_evolve builds them, scaled by ``gain``, their weights
     # and the code's probe in its code-word coordinates.
     model, code, s, dt = omega_model(0.1, 0.05, 0.3), omega_code(0.25), 4, 2.5e-3
     steps = dynamics._block_map(model._maps_at(dt), s)
     model_exit = np.ravel(dynamics.in_frame(1.0, model._rate, s * dt))
-    samples, weights = qec._interval_polynomial(steps, code, model_exit, code._rate - model._rate, s * dt)
+    samples = qec._interval_polynomial(steps, code, model_exit, code._rate - model._rate)
+    nu, grid = np.max(np.abs(code._rate - model._rate)), 2 * np.pi / 5 * np.arange(5)
+
+    def weights(k: int, m: int) -> np.ndarray:  # the five-point kernel elementwise: a row hangs on no other row
+        apart = np.subtract.outer(nu * (s * dt) * np.arange(k, k + m), grid)
+        return 0.2 + 0.4 * (np.cos(apart) + np.cos(2 * apart))
     return gain * samples, weights, code._coordinate_maps[2]
 
 

@@ -342,6 +342,9 @@ _NAN_CALLS = {
     "sample_omega_trajectories omega": lambda: sample_omega_trajectories(
         B, GAMMA, _NAN, T, 0.5, 3, np.random.default_rng(0)
     ),
+    "sample_omega_trajectories B": lambda: sample_omega_trajectories(
+        _NAN, GAMMA, 0.3, T, 0.5, 3, np.random.default_rng(0)
+    ),
     "corrected_state_theta_closed t": lambda: corrected_state_theta_closed(B, GAMMA, 0.9, 0.8, _NAN),
     "corrected_state_theta_closed gamma": lambda: corrected_state_theta_closed(B, _NAN, 0.9, 0.8, T),
     "corrected_state_omega_closed t": lambda: corrected_state_omega_closed(B, GAMMA, 0.3, 0.2, _NAN),
@@ -395,21 +398,22 @@ def _rng() -> np.random.Generator:
     return np.random.default_rng(0)
 
 
-# entry point -> (its call at duration t and rate gamma, the arguments it
-# refuses outside [0, inf) with dynamics._check_domain's message).  A t that
-# fixed_steps or sample_phases refuses was refused so before and is left out.
+# entry point -> (its call at duration t, rate gamma and, for a draw, count n,
+# the arguments it refuses outside [0, inf) with dynamics._check_domain's
+# message).  A t that fixed_steps or sample_phases refuses was refused so
+# before and is left out.
 _DOMAIN_CALLS = {
-    "sample_phases": (lambda t, gamma: sample_phases(B, gamma, t, 3, _rng()), ["gamma"]),
+    "sample_phases": (lambda t, gamma, n=3: sample_phases(B, gamma, t, n, _rng()), ["gamma", "n"]),
     "dephasing_kraus": (lambda t, gamma: dephasing_kraus(B, gamma, t, 0.3), ["gamma"]),
     "trajectory_average_state": (
-        lambda t, gamma: trajectory_average_state(B, gamma, t, 0.3, 3, _rng()), ["gamma"]
+        lambda t, gamma, n=3: trajectory_average_state(B, gamma, t, 0.3, n, _rng()), ["gamma", "n"]
     ),
     "trajectory_outcome_probability": (
-        lambda t, gamma: trajectory_outcome_probability(B, gamma, t, 0.3, 3, _rng()), ["gamma"]
+        lambda t, gamma, n=3: trajectory_outcome_probability(B, gamma, t, 0.3, n, _rng()), ["gamma", "n"]
     ),
-    "cfi_trajectory_B": (lambda t, gamma: cfi_trajectory_B(B, gamma, t, 0.3, 3, _rng()), ["gamma"]),
+    "cfi_trajectory_B": (lambda t, gamma, n=3: cfi_trajectory_B(B, gamma, t, 0.3, n, _rng()), ["gamma", "n"]),
     "sample_omega_trajectories": (
-        lambda t, gamma: sample_omega_trajectories(B, gamma, 0.3, t, 0.5, 3, _rng()), ["gamma"]
+        lambda t, gamma, n=3: sample_omega_trajectories(B, gamma, 0.3, t, 0.5, n, _rng()), ["gamma", "n"]
     ),
     "theta_model": (lambda t, gamma: theta_model(B, gamma, 0.3), ["gamma"]),
     "omega_model": (lambda t, gamma: omega_model(B, gamma, 0.3), ["gamma"]),
@@ -462,7 +466,8 @@ _OUTSIDE_THE_DOMAIN = [
 def test_a_negative_or_infinite_time_or_rate_raises_domain_error(name, arg, value) -> None:
     # Unrefused, a negative gamma gives p(+) = 1.05 in outcome_probability
     # and a matrix with a negative eigenvalue in corrected_state_theta_closed,
-    # and an infinite t a NaN state or a NumericError in the closed forms.
+    # an infinite t a NaN state or a NumericError in the closed forms, and a
+    # negative draw count numpy's bare ValueError.
     # One function refuses both, with one message.
     call = _DOMAIN_CALLS[name][0]
     with pytest.raises(DomainError, match=re.escape(f"{arg} must be >= 0 and finite, got {value}")):

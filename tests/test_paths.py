@@ -4,9 +4,10 @@ against the lab-frame RK4 loop.
 ``qec._corrected_evolve`` picks its path from the run's length and from
 whether the code's frame turns against the model's: one call of each per
 interval, ``dynamics._steps`` of the interval map on the state's 32-float
-row, or products of one or four on the recovered state's code-word
-coordinates.  Whatever it picks, it must land where the per-interval route
-lands and fail where that route fails, with its class and message.
+row, or products of four intervals on the recovered state's code-word
+coordinates and one product of the rest.  Whatever it picks, it must land
+where the per-interval route lands and fail where that route fails, with its
+class and message.
 Hypothesis draws the task, the field, the rate, the detuning (zero and a
 subnormal one included), the steps an interval and the intervals, and, for
 ``lindblad_evolve``, dt, t0 and the steps, derandomized, with no example
@@ -73,12 +74,16 @@ def _pair(task: str, B: float, gamma: float, estimate: float, detuning: float):
 
 
 # The edges of the path rule: the shortest run of products and the longest
-# per-interval one, detuned and static; a fused run of four intervals a
-# product with a tail of three; a subnormal detuning; a long static run; and
-# static runs of 128 and 129 intervals, on both sides of the run past which
+# per-interval one, detuned and static; detuned runs of 16-19 intervals, whose
+# last product is the remainder of zero to three, of 255 and 256, and of 259,
+# with a tail of three; a subnormal detuning; a long static run; and static
+# runs of 128 and 129 intervals, on both sides of the run past which
 # dynamics._steps sends all but its last block through dynamics._run.
 _EDGES = [
     ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 3, 16), ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 3, 15),
+    ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 3, 17), ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 3, 18),
+    ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 3, 19), ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 1, 255),
+    ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 1, 256),
     ("theta", 0.3, 0.2, 0.8, 0.05, 1e-3, 7, 16), ("omega", 0.3, 0.2, 1.2, 0.2, 1e-3, 2, 259),
     ("omega", 0.1, 0.05, 0.0, _SUBNORMAL, 2.5e-3, 1, 300), ("theta", 1.0, 0.5, 0.8, -0.3, 1e-3, 200, 37),
     ("theta", 0.3, 0.2, 0.8, 0.05, 1e-3, 2, 128), ("theta", 0.3, 0.2, 0.8, 0.05, 1e-3, 2, 129),
@@ -213,7 +218,7 @@ def test_every_checked_map_carries_the_one_layout_of_checks(frame) -> None:
     checked.append(qec._interval_maps(dynamics._block_map(maps, 4), exit_phase, code._recovery_map))
     if frame == "detuned":
         rate = code._rate - model._rate
-        samples, _ = qec._interval_polynomial(dynamics._block_map(maps, 4), code, exit_phase, rate, 4 * dt)
+        samples = qec._interval_polynomial(dynamics._block_map(maps, 4), code, exit_phase, rate)
         fused, _ = qec._fused_polynomial(samples, rate, 4 * dt, 4)
         assert samples.shape[0] == 5 and fused.shape[0] == 17
         checked += [*samples, *fused]

@@ -699,7 +699,8 @@ def test_a_rotating_interval_map_is_the_degree_2_polynomial_through_its_five_sam
     (model, code), dt = _PAIRS["omega"][0](), 1e-3
     interval, rate = s * dt, code._rate - model._rate
     steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
-    samples, weights = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
+    samples = qec._interval_polynomial(steps, code, model_exit.ravel(), rate)
+    _, weights = qec._fused_polynomial(samples, rate, interval, 1)
     assert samples.shape == (5, 8, 8 + 3)
     for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s to 2 * s
         want = _intervals_on_rows(steps, code, model_exit, rate, k * interval, interval, 1)
@@ -718,7 +719,7 @@ def test_a_fused_rotating_map_is_the_degree_2p_polynomial_through_its_4p_plus_1_
     (model, code), dt = _PAIRS["omega"][0](), 1e-3
     interval, rate = s * dt, code._rate - model._rate
     steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
-    samples, _ = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
+    samples = qec._interval_polynomial(steps, code, model_exit.ravel(), rate)
     fused, weights = qec._fused_polynomial(samples, rate, interval, p)
     assert fused.shape == (4 * p + 1, 8, 8 + 3)
     for k in (1, 7, 250, 1999, 4321, 9999):  # nu tau from 2e-4 * s p to 2 * s p
@@ -739,7 +740,8 @@ def test_a_code_coordinate_sample_is_the_32_float_interval_between_embedding_and
     model, code, dt = omega_model(0.3, 0.2, omega), omega_code(1.2), 1e-3
     interval, rate = s * dt, code._rate - model._rate
     steps, model_exit = dynamics._block_map(model._maps_at(dt), s), np.exp(model._rate * (s * dt))
-    samples, weights = qec._interval_polynomial(steps, code, model_exit.ravel(), rate, interval)
+    samples = qec._interval_polynomial(steps, code, model_exit.ravel(), rate)
+    _, weights = qec._fused_polynomial(samples, rate, interval, 1)
     v = np.column_stack([code.c0, code.c1])
     left = np.linalg.inv(v.conj().T @ v) @ v.conj().T
     units = np.eye(8).view(complex).reshape(8, 2, 2)  # the coordinates' float64 rows, as matrices
@@ -845,9 +847,9 @@ def _failing_interval(intervals) -> tuple[int, str, type]:
 
 # (task, steps per interval, the failing interval's place): on the static task
 # inside a product of 16 intervals; on the rotating one in a run of 128
-# intervals, too short to go fused, so one per product; and in runs of 256 or
-# more at each place inside a product of four intervals, and in the last of
-# the three intervals left over, which go one per product.
+# intervals, placed as if one went per product; and in runs of 256 or more at
+# each place inside a product of four intervals, and in the last of the three
+# intervals left over, which go as one more product.
 _FAILING = [("theta", 5, None), ("omega", 2, None)] + [("omega", s, at) for s in (1, 2) for at in (0, 1, 2, 3, "tail")]
 
 
@@ -867,9 +869,9 @@ def test_a_forced_failure_inside_a_later_block_names_what_one_call_of_each_names
     # evolution of k - 1 intervals of the same length raises nothing.
     (build, block), dt = _PAIRS[task], 1e-3
     model, code = build()
-    if at is None:  # one interval a product, in blocks of 16 static ones or 64 rotating ones
+    if at is None:  # placed in blocks of 16 static intervals or 64 rotating ones
         n, p, target = (4 if task == "theta" else 2) * block, 1, block + 5
-    else:  # a rotating run of 256 or more intervals, four a product
+    else:  # a rotating run of 256 or more intervals, four a product, then the rest as one
         p = 4
         n = 2 * block * p + (p - 1 if at == "tail" else 0)
         target = n if at == "tail" else (block + 5) * p + at + 1
