@@ -328,6 +328,25 @@ ROUTES = {
             ("theta", "m=10**11", {"m": 10**11}),
         )
     },
+    # Inputs that are not finite real numbers or not counts, each refused by name by one of dynamics' two
+    # rules: a str, None, a bool and an int beyond the float range as reals, draw counts of 0, 1, 2.5 and
+    # True, bools as a recovery count and a repetition count, and an infinite config time.
+    "refused inputs": (
+        "refusals([lambda: dynamics.theta_model('0.1', 0.05, 0.3),"
+        " lambda: estimation.outcome_probability(0.3, 0.2, None, 0.05, 5.0),"
+        " lambda: metrology.qfi_theta_qec_closed(0.1, True, 5.0),"
+        " lambda: dynamics.theta_model(10**400, 0.05, 0.3),"
+        " lambda: dynamics.trajectory_average_state(0.1, 0.05, 5.0, 0.3, 0, np.random.default_rng(3)),"
+        " lambda: dynamics.trajectory_average_state(0.1, 0.05, 5.0, 0.3, 1, np.random.default_rng(3)),"
+        " lambda: dynamics.trajectory_outcome_probability(0.1, 0.05, 5.0, 0.3, 0, np.random.default_rng(3)),"
+        " lambda: metrology.cfi_trajectory_B(0.1, 0.05, 5.0, 0.3, 0, np.random.default_rng(3)),"
+        " lambda: dynamics.sample_phases(0.1, 0.05, 1.0, 0, np.random.default_rng(3)),"
+        " lambda: dynamics.sample_phases(0.1, 0.05, 1.0, 2.5, np.random.default_rng(3)),"
+        " lambda: dynamics.sample_phases(0.1, 0.05, 1.0, True, np.random.default_rng(3)),"
+        " lambda: qec.corrected_evolve_theta(0.1, 0.05, 0.8, 0.8, 1.0, n_recoveries=True),"
+        " lambda: estimation.check_campaign_size(estimation.AdaptiveConfig(0.9, 0.8), True),"
+        " lambda: estimation.AdaptiveConfig(0.9, 0.8, t=np.inf)])"
+    ),
 }
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
@@ -440,6 +459,19 @@ def attempts(fn, calls: list[tuple]) -> bytes:
             lines.append(repr(float(fn(*args).value)))
         except FluxmetError as exc:
             lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines).encode()
+
+
+def refusals(calls: list) -> bytes:
+    """One line per call: the class and message of whatever exception it raises, or what it returned."""
+    lines = []
+    for call in calls:
+        try:
+            value = call()
+        except Exception as exc:  # a bare TypeError or OverflowError too, which attempts would pass on
+            lines.append(f"{type(exc).__name__}: {exc}")
+        else:
+            lines.append(f"returned {getattr(value, 'value', value)!r}")
     return "\n".join(lines).encode()
 
 

@@ -29,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .dynamics import _FINITE, LindbladModel, _check_domain
+from .dynamics import _FINITE, LindbladModel, _check_domain, _finite
 from .errors import (
     ConfigError,
     CrossCheckError,
@@ -39,7 +39,7 @@ from .errors import (
     NumericError,
     QecConditionError,
 )
-from .estimation import AdaptiveConfig, _finite, campaign_estimates, check_campaign_size, crb_line
+from .estimation import AdaptiveConfig, campaign_estimates, check_campaign_size, crb_line
 from .metrology import qfi_sld_numeric
 from .qec import QecCode, _l2_expectation, asymptotic_qfi, code_probe, expansion_superoperators
 from .tasks import STRATEGIES, TASKS, Task, task_record

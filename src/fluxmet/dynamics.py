@@ -16,11 +16,12 @@ the state's float64 row with the same three check columns (:func:`_checked_map`,
 :func:`_run` screens them per chunk of products and replays a failing product to name the step that failed.
 The stochastic picture draws the accumulated phase Phi = B t + phi with phi ~ Normal(0, gamma t), in
 :func:`sample_phases` alone, and averages pure-state trajectories.
-Every refusal of a duration, rate, draw count, field, angle or frequency is :func:`_check_domain`'s.
+Every refusal of a real input is :func:`_check_domain`'s, and every refusal of a draw count :func:`_check_count`'s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -36,6 +37,7 @@ _CHUNK = 64  # most products of a run whose check columns one screen reads
 # step, and the trace its recoveries lost, which a recovery's map returns alone.
 _TARGET, _LIMIT = np.array([1.0, 0.0, 0.0]), np.array([_TRACE_TOL, 1.0 + _TRACE_TOL, _TRACE_TOL])
 _FINITE = -float(np.finfo(float).max)  # the least finite float, _check_domain's finite-only bound
+_REALS = frozenset({float, np.float64})  # the types whose values _check_domain compares at once
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(complex)  # the two views of a state's rows
 _SIGMA1_I, _SIGMA2_I = kron(sigma1, eye2), kron(sigma2, eye2)  # the rotating model's axis and its derivative's
 
@@ -304,11 +306,31 @@ def _rk4_map(l0: np.ndarray, mid: np.ndarray, end: np.ndarray, dt: float) -> np.
     return eye + (dt / 6.0) * (l0 + 2 * k2 + 2 * k3 + k4)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number: a bool, a non-number or an int beyond the float range is not."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except (OverflowError, TypeError):  # ints beyond the float range, non-numbers
+        return False
+
+
 def _check_domain(name: str, value: float, least: float = 0.0) -> None:
-    """The package's one refusal of an input: DomainError unless ``value`` is finite
-    and >= ``least``, which is 0 for a duration or a rate and ``_FINITE`` otherwise."""
-    if not least <= value < np.inf:  # NaN fails too
-        raise DomainError(f"{name} must be {'>= 0 and ' if least == 0 else ''}finite, got {value}")
+    """The package's one refusal of a real input: DomainError unless ``value`` is a finite real number (see
+    :func:`_finite`) and >= ``least``, which is 0 for a duration or a rate and ``_FINITE`` otherwise."""
+    if value.__class__ in _REALS and least <= value < math.inf or _finite(value) and value >= least:
+        return  # the first test takes a float or a numpy float64 at one compare, and fails NaN
+    if not (isinstance(value, (float, np.floating)) or _finite(value)):  # a non-number, unlike inf and NaN
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    raise DomainError(f"{name} must be {'>= 0 and ' if least == 0 else ''}finite, got {value}")
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    """The package's one refusal of a count: DomainError unless ``value`` is an int or numpy integer >= ``least``,
+    and not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name!r} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
 def fixed_steps(t: float, dt: float) -> int:
@@ -427,7 +449,7 @@ def sample_phases(B: float, gamma: float, t: float, n: int, rng: np.random.Gener
     _check_domain("duration", t)
     _check_domain("gamma", gamma)
     _check_domain("B", B, _FINITE)
-    _check_domain("n", n)
+    _check_count("n", n, 1)
     if gamma * t == 0:
         return np.full(n, B * t)
     return B * t + rng.normal(0.0, np.sqrt(gamma * t), size=n)
@@ -446,7 +468,8 @@ class TrajectoryEnsemble:
 def trajectory_average_state(
     B: float, gamma: float, t: float, theta: float, n: int, rng: np.random.Generator
 ) -> TrajectoryEnsemble:
-    """Average n sampled-phase pure states exp(-i Phi sigma_n x I)|bell> of the theta model."""
+    """Average n >= 2 sampled-phase pure states exp(-i Phi sigma_n x I)|bell> of the theta model."""
+    _check_count("n", n, 2)  # the standard errors take ddof=1
     phis = sample_phases(B, gamma, t, n, rng)
     psi0 = bell_probe()
     rotated = sigma_n_theta(theta).ravel() / np.sqrt(2)  # (sigma_n x I)|bell> = vec(sigma_n)/sqrt(2)
@@ -488,7 +511,7 @@ def sample_omega_trajectories(
     _check_domain("gamma", gamma)
     _check_domain("omega", omega, _FINITE)
     _check_domain("B", B, _FINITE)
-    _check_domain("n", n)
+    _check_count("n", n, 1)
     psi = np.tile(bell_probe(), (n, 1))
     for k in range(n_steps):
         angles = sample_phases(B, gamma, dt, n, rng)

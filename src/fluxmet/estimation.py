@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _FINITE, _check_domain
+from .dynamics import _FINITE, _check_count, _check_domain, _finite
 from .errors import DomainError
 from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, Task, task_record
@@ -66,23 +66,10 @@ MAX_CAMPAIGN_CELL_UPDATES = 10**10
 _MAX_LANE_ROUNDS, _ROUND_LANES = 10**7, 40
 
 
-def _finite(value) -> bool:
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        return math.isfinite(value)
-    except (OverflowError, TypeError):  # ints beyond the float range, non-numbers
-        return False
-
-
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise DomainError(f"{name!r} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Parameters of one adaptive estimation run, checked in type and value.
+    """Parameters of one adaptive estimation run, checked in type and value: the five reals by ``_check_domain``
+    (t and gamma >= 0), then m, rounds and seed by ``_check_count``, then the strategy and the grid.
 
     ``grid`` is (lo, hi, resolution) for the likelihood search, given as a
     list or tuple and stored as a tuple, and used exactly as given.  None
@@ -106,17 +93,9 @@ class AdaptiveConfig:
 
     def __post_init__(self) -> None:
         for name in ("true_value", "initial_guess", "t", "B", "gamma"):
-            value = getattr(self, name)
-            if not _finite(value):
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
-        for name in ("m", "rounds", "seed"):
-            _check_integer(name, getattr(self, name))
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
-        if self.rounds < 1:
-            raise DomainError(f"rounds must be >= 1, got {self.rounds}")
-        if self.seed < 0:  # repetition r seeds numpy's generator with seed XOR r
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+            _check_domain(name, getattr(self, name), 0.0 if name in ("t", "gamma") else _FINITE)
+        for name, least in (("m", 1), ("rounds", 1), ("seed", 0)):  # repetition r seeds numpy with seed XOR r
+            _check_count(name, getattr(self, name), least)
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         if self.grid is not None:
@@ -132,8 +111,6 @@ class AdaptiveConfig:
             if not (hi - lo) / res <= MAX_GRID_CELLS:
                 cells = f"(hi - lo) / resolution = {(hi - lo) / res:.3g}"
                 raise DomainError(f"grid must be at most {MAX_GRID_CELLS} cells, got {cells}")
-        _check_domain("gamma", self.gamma)
-        _check_domain("t", self.t)
 
 
 @dataclass(frozen=True)
@@ -312,9 +289,7 @@ def check_campaign_size(config: AdaptiveConfig, repetitions: int, task: str = "t
     Cramer-Rao line 1/(m K J); and a grid narrower than one period of the likelihood
     phase, whose rate is |dphase/dx| of the task's coherence at zero detuning (2 |B| t
     angle, |B| t^2 frequency)."""
-    _check_integer("repetitions", repetitions)
-    if repetitions < 1:
-        raise DomainError(f"repetitions must be >= 1, got {repetitions}")
+    _check_count("repetitions", repetitions, 1)
     draws = config.m * config.rounds * repetitions
     if draws > MAX_CAMPAIGN_DRAWS:
         raise DomainError(

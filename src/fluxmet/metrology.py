@@ -11,7 +11,8 @@ against each other in the test suite:
 Scalar helpers with removable singularities at zero detuning are evaluated
 by series below a crossover argument; the series are carried to enough
 orders that both branches agree to machine precision at the crossover.
-``dynamics._check_domain`` refuses a bad t, gamma, B or detuning; ``Coherence.p_plus`` checks none.
+``dynamics._check_domain`` refuses a bad t, gamma, B or detuning, ``_check_count`` a bad draw count n;
+``Coherence.p_plus`` checks none.
 """
 
 from __future__ import annotations

@@ -209,7 +209,7 @@ def _corrected_evolve(
     intervals are one more product, as ``_steps`` ends a run with one block for the rest.
     """
     n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
-    if not isinstance(n_rec, (int, np.integer)):
+    if not isinstance(n_rec, (int, np.integer)) or isinstance(n_rec, bool):
         raise StepError(f"n_recoveries must be an integer, got {n_rec!r}")
     if n_rec < 1:
         raise StepError(f"n_recoveries must be >= 1, got {n_rec}")

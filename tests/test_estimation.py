@@ -259,6 +259,18 @@ def test_adaptive_config_validation() -> None:
     assert AdaptiveConfig(**good, grid=[0.0, 1.0, 1e-3]).grid == (0.0, 1.0, 1e-3)
 
 
+def test_adaptive_config_refuses_its_reals_before_the_rest() -> None:
+    # t and gamma are checked with the other reals, before the integers, the
+    # strategy and the grid, by the rule every entry point uses.
+    bad = dict(m=2.5, strategy="teleported", grid=[0, 1])
+    with pytest.raises(DomainError, match=r"^t must be >= 0 and finite, got -1\.0$"):
+        AdaptiveConfig(0.3, 0.2, t=-1.0, **bad)
+    with pytest.raises(DomainError, match=r"^gamma must be a finite number, got '0\.05'$"):
+        AdaptiveConfig(0.3, 0.2, gamma="0.05", **bad)
+    with pytest.raises(DomainError, match=r"^'m' must be an integer, got 2\.5$"):
+        AdaptiveConfig(0.3, 0.2, **bad)
+
+
 def test_run_adaptive_deterministic() -> None:
     cfg = AdaptiveConfig(true_value=np.pi / 4, initial_guess=0.1, seed=42)
     first = run_adaptive(cfg)

@@ -528,7 +528,7 @@ def test_corrected_evolve_theta_rejects_zero_step(n_recoveries) -> None:
         corrected_evolve_theta(B, GAMMA, 0.8, np.pi / 4, T, dt=0.0, n_recoveries=n_recoveries)
 
 
-@pytest.mark.parametrize("n_recoveries", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("n_recoveries", [2.5, 2.0, "2", True])
 def test_corrected_evolve_refuses_a_non_integer_recovery_count(n_recoveries) -> None:
     for evolve in (corrected_evolve_theta, corrected_evolve_omega):
         with pytest.raises(StepError, match="n_recoveries must be an integer"):

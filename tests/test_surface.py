@@ -38,9 +38,10 @@ from fluxmet.estimation import (
 # campaign's information rule, the stacked-row views that a batch going
 # state by state no longer needed, the batch loop itself, since each
 # state map takes one state, the frequency coherence's public wrappers,
-# whose formulas OMEGA_COHERENCE holds as THETA_COHERENCE holds its own, and
-# the rotating phase-table rows that dynamics._CHUNK already counts.  A
-# dotted name is an attribute of a module-level name.
+# whose formulas OMEGA_COHERENCE holds as THETA_COHERENCE holds its own,
+# the rotating phase-table rows that dynamics._CHUNK already counts, and the
+# config's own integer rule, which dynamics._check_count replaced.  A dotted
+# name is an attribute of a module-level name.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -50,7 +51,7 @@ _REMOVED_NAMES = {
     "fluxmet.estimation": (
         "outcome_probability_theta", "outcome_probability_omega", "_outcome_distribution",
         "_run_adaptive", "run_adaptive_omega", "_mse_curve", "mse_campaign_omega",
-        "_golden_max", "_PASS_FRACTIONS",
+        "_golden_max", "_PASS_FRACTIONS", "_check_integer",
     ),
     "fluxmet.cli": (
         "cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json",
