@@ -347,6 +347,20 @@ ROUTES = {
         " lambda: estimation.check_campaign_size(estimation.AdaptiveConfig(0.9, 0.8), True),"
         " lambda: estimation.AdaptiveConfig(0.9, 0.8, t=np.inf)])"
     ),
+    # Reals that once passed unchecked and are now refused by name: an angle of the trajectory average, the
+    # field, angle and offset of the closed-form distributions, the frame time of the static model and code,
+    # the detuning of the expansion and the working point of a classical Fisher information.
+    "refused reals by name": (
+        "refusals([lambda: dynamics.trajectory_average_state(0.1, 0.05, 5.0, np.nan, 3, np.random.default_rng(3)),"
+        " lambda: metrology.bell_basis_distribution_theta_free(np.nan, 0.05, 5.0, 0.3),"
+        " lambda: metrology.bell_basis_distribution_theta_free(0.1, 0.05, 5.0, np.nan),"
+        " lambda: metrology.trajectory_distribution_B(np.nan, 0.05, 5.0, 0.3),"
+        " lambda: metrology.trajectory_distribution_B(0.1, 0.05, 5.0, np.inf),"
+        " lambda: qec.check_qec_conditions(theta_model(), qec.theta_code(0.7), t=np.nan),"
+        " lambda: qec.expansion_superoperators(theta_model(), qec.theta_code(0.7), t=np.nan),"
+        " lambda: expanded(np.nan, 5.0),"
+        " lambda: metrology.cfi(lambda b: metrology.trajectory_distribution_B(b, 0.05, 5.0, 0.3), np.nan)])"
+    ),
 }
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 

@@ -29,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .dynamics import _FINITE, LindbladModel, _check_domain, _finite
+from .dynamics import LindbladModel, _check_domain, _finite
 from .errors import (
     ConfigError,
     CrossCheckError,
@@ -208,14 +208,13 @@ def cmd_qfi(
     the eigendecomposition route on each column's state family.
     """
     spec = task_record(task)
-    _check_domain("B", B, _FINITE)
-    _check_domain("gamma", gamma)
+    _check_domain(B=B, gamma=gamma)
     if not 1e-9 < t_max < np.inf:  # the cross-check gate samples t > 1e-9
         raise DomainError(f"t_max must be finite and > 1e-9, got {t_max}")
     if not 2 <= n_points <= MAX_SWEEP_POINTS:
         raise DomainError(f"points must be >= 2 and at most {MAX_SWEEP_POINTS}, got {n_points}")
     for d in d_list:
-        _check_domain(spec.symbol, d, _FINITE)
+        _check_domain(**{spec.symbol: d})
     ts = np.linspace(0.0, t_max, n_points)
     curves = _curves(spec, B, gamma, d_list)
     inputs = f"got B = {B:g}, gamma = {gamma:g}, t_max = {t_max:g}"

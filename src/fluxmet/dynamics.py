@@ -16,7 +16,8 @@ the state's float64 row with the same three check columns (:func:`_checked_map`,
 :func:`_run` screens them per chunk of products and replays a failing product to name the step that failed.
 The stochastic picture draws the accumulated phase Phi = B t + phi with phi ~ Normal(0, gamma t), in
 :func:`sample_phases` alone, and averages pure-state trajectories.
-Every refusal of a real input is :func:`_check_domain`'s, and every refusal of a draw count :func:`_check_count`'s.
+Every refusal of a real input is :func:`_check_domain`'s, which bounds it by its name alone (``_NON_NEGATIVE``),
+and every refusal of a draw count :func:`_check_count`'s.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ _CHUNK = 64  # most products of a run whose check columns one screen reads
 # Targets and largest gaps of the checks that end every checked map: the trace and the witness after its last
 # step, and the trace its recoveries lost, which a recovery's map returns alone.
 _TARGET, _LIMIT = np.array([1.0, 0.0, 0.0]), np.array([_TRACE_TOL, 1.0 + _TRACE_TOL, _TRACE_TOL])
-_FINITE = -float(np.finfo(float).max)  # the least finite float, _check_domain's finite-only bound
+_FINITE = -float(np.finfo(float).max)  # the least finite float, the bound of a real not in _NON_NEGATIVE
+_NON_NEGATIVE = frozenset({"t", "gamma", "duration"})  # the names of a duration or a rate, which must be >= 0
 _REALS = frozenset({float, np.float64})  # the types whose values _check_domain compares at once
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(complex)  # the two views of a state's rows
 _SIGMA1_I, _SIGMA2_I = kron(sigma1, eye2), kron(sigma2, eye2)  # the rotating model's axis and its derivative's
@@ -66,7 +68,7 @@ def bell_probe() -> np.ndarray:
 
 def rotating_frame(omega: float) -> np.ndarray:
     """Diagonal of (omega / 2) sigma3 x I: the frame of an axis rotating at omega."""
-    _check_domain("omega", omega, _FINITE)
+    _check_domain(omega=omega)
     return 0.5 * omega * np.array([1.0, 1.0, -1.0, -1.0])
 
 
@@ -80,7 +82,7 @@ def in_frame(op: np.ndarray, rate: np.ndarray | None, t: float) -> np.ndarray:
     """
     if rate is None or t == 0:
         return op
-    _check_domain("frame time", t, _FINITE)
+    _check_domain(**{"frame time": t})
     return op * np.exp(rate * t)
 
 
@@ -203,9 +205,7 @@ class LindbladModel:
 
 def theta_model(B: float, gamma: float, theta: float) -> LindbladModel:
     """Static-axis model: H = B sigma_n(theta), one Lindblad operator sqrt(gamma) sigma_n(theta)."""
-    _check_domain("B", B, _FINITE)
-    _check_domain("theta", theta, _FINITE)
-    _check_domain("gamma", gamma)
+    _check_domain(B=B, theta=theta, gamma=gamma)
     axes = np.array([sigma_n_theta(theta), sigma_n_theta_deriv(theta)])
     sn, sm = (axes[:, :, None, :, None] * eye2[:, None, :]).reshape(2, 4, 4)  # axis x I, np.kron's products
     root = np.sqrt(gamma)
@@ -228,8 +228,7 @@ def omega_model(B: float, gamma: float, omega: float) -> LindbladModel:
     G = (omega / 2) sigma3 x I.  d/domega brings down i t [sigma3 / 2, .],
     which takes sigma1 to -t sigma2 and sigma2 to t sigma1.
     """
-    _check_domain("B", B, _FINITE)
-    _check_domain("gamma", gamma)
+    _check_domain(B=B, gamma=gamma)
     root, s1, s2 = np.sqrt(gamma), _SIGMA1_I, _SIGMA2_I
     return LindbladModel(
         dim=4,
@@ -314,14 +313,16 @@ def _finite(value) -> bool:
         return False
 
 
-def _check_domain(name: str, value: float, least: float = 0.0) -> None:
-    """The package's one refusal of a real input: DomainError unless ``value`` is a finite real number (see
-    :func:`_finite`) and >= ``least``, which is 0 for a duration or a rate and ``_FINITE`` otherwise."""
-    if value.__class__ in _REALS and least <= value < math.inf or _finite(value) and value >= least:
-        return  # the first test takes a float or a numpy float64 at one compare, and fails NaN
-    if not (isinstance(value, (float, np.floating)) or _finite(value)):  # a non-number, unlike inf and NaN
-        raise DomainError(f"{name} must be a finite number, got {value!r}")
-    raise DomainError(f"{name} must be {'>= 0 and ' if least == 0 else ''}finite, got {value}")
+def _check_domain(**values: float) -> None:
+    """The package's one refusal of real inputs, each given under the name its message uses: DomainError at the
+    first that is not a finite real number (see :func:`_finite`) or, under a name in ``_NON_NEGATIVE``, is < 0."""
+    for name, value in values.items():
+        least = 0.0 if name in _NON_NEGATIVE else _FINITE
+        if value.__class__ in _REALS and least <= value < math.inf or _finite(value) and value >= least:
+            continue  # the first test takes a float or a numpy float64 at one compare, and fails NaN
+        if not (isinstance(value, (float, np.floating)) or _finite(value)):  # a non-number, unlike inf and NaN
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
+        raise DomainError(f"{name} must be {'>= 0 and ' if least == 0 else ''}finite, got {value}")
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -341,7 +342,7 @@ def fixed_steps(t: float, dt: float) -> int:
     """
     if not dt > 0:
         raise StepError(f"dt must be positive, got {dt}")
-    _check_domain("duration", t)
+    _check_domain(duration=t)
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 or (n_steps == 0 and t > 0):
         raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")
@@ -357,7 +358,7 @@ def lindblad_evolve(
     at t0 and leaves it the same way at the end.  A non-finite t0 is a DomainError for every model.  ``rho0`` is
     one (d, d) state; any other shape is a DimensionError.  A zero duration returns a copy.
     """
-    _check_domain("frame time", t0, _FINITE)
+    _check_domain(**{"frame time": t0})
     n_steps = fixed_steps(t, dt)
     rho = np.ascontiguousarray(rho0, dtype=_COMPLEX)
     d, rate = model.dim, model._rate
@@ -446,9 +447,7 @@ def _read_checks(checks: np.ndarray, offset: int = 0) -> None:
 
 def sample_phases(B: float, gamma: float, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized phase draws; deterministic for a fixed generator state, which gamma t = 0 does not advance."""
-    _check_domain("duration", t)
-    _check_domain("gamma", gamma)
-    _check_domain("B", B, _FINITE)
+    _check_domain(duration=t, gamma=gamma, B=B)
     _check_count("n", n, 1)
     if gamma * t == 0:
         return np.full(n, B * t)
@@ -470,6 +469,7 @@ def trajectory_average_state(
 ) -> TrajectoryEnsemble:
     """Average n >= 2 sampled-phase pure states exp(-i Phi sigma_n x I)|bell> of the theta model."""
     _check_count("n", n, 2)  # the standard errors take ddof=1
+    _check_domain(theta=theta)
     phis = sample_phases(B, gamma, t, n, rng)
     psi0 = bell_probe()
     rotated = sigma_n_theta(theta).ravel() / np.sqrt(2)  # (sigma_n x I)|bell> = vec(sigma_n)/sqrt(2)
@@ -485,7 +485,7 @@ def trajectory_outcome_probability(
     B: float, gamma: float, t: float, beta: float, n: int, rng: np.random.Generator
 ) -> float:
     """Monte-Carlo estimate of the first-outcome probability cos^2(Phi + beta)."""
-    _check_domain("beta", beta, _FINITE)
+    _check_domain(beta=beta)
     phis = sample_phases(B, gamma, t, n, rng)
     return float(np.mean(np.cos(phis + beta) ** 2))
 
@@ -508,9 +508,7 @@ def sample_omega_trajectories(
     Returns an (n, 4) array of final states.
     """
     n_steps = fixed_steps(t, dt)
-    _check_domain("gamma", gamma)
-    _check_domain("omega", omega, _FINITE)
-    _check_domain("B", B, _FINITE)
+    _check_domain(gamma=gamma, omega=omega, B=B)
     _check_count("n", n, 1)
     psi = np.tile(bell_probe(), (n, 1))
     for k in range(n_steps):
@@ -527,10 +525,7 @@ def dephasing_kraus(B: float, gamma: float, t: float, theta: float) -> tuple[np.
     K2 = sqrt((1-eta)/2) sigma_n exp(-i B sigma_n t), eta = exp(-2 gamma t);
     K1^dag K1 + K2^dag K2 = I exactly.
     """
-    _check_domain("duration", t)
-    _check_domain("gamma", gamma)
-    _check_domain("B", B, _FINITE)
-    _check_domain("theta", theta, _FINITE)
+    _check_domain(duration=t, gamma=gamma, B=B, theta=theta)
     sn = sigma_n_theta(theta)
     u = np.cos(B * t) * eye2 - 1j * np.sin(B * t) * sn
     eta = np.exp(-2 * gamma * t)

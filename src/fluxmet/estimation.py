@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _FINITE, _check_count, _check_domain, _finite
+from .dynamics import _check_count, _check_domain, _finite
 from .errors import DomainError
 from .metrology import MeasurementDistribution
 from .tasks import STRATEGIES, Task, task_record
@@ -68,8 +68,9 @@ _MAX_LANE_ROUNDS, _ROUND_LANES = 10**7, 40
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Parameters of one adaptive estimation run, checked in type and value: the five reals by ``_check_domain``
-    (t and gamma >= 0), then m, rounds and seed by ``_check_count``, then the strategy and the grid.
+    """Parameters of one adaptive estimation run, checked in type and value: the five reals in one
+    ``_check_domain`` call, whose names bound t and gamma >= 0, then m, rounds and seed by ``_check_count``, then
+    the strategy and the grid.
 
     ``grid`` is (lo, hi, resolution) for the likelihood search, given as a
     list or tuple and stored as a tuple, and used exactly as given.  None
@@ -92,8 +93,7 @@ class AdaptiveConfig:
     strategy: str = "qec_corrected"
 
     def __post_init__(self) -> None:
-        for name in ("true_value", "initial_guess", "t", "B", "gamma"):
-            _check_domain(name, getattr(self, name), 0.0 if name in ("t", "gamma") else _FINITE)
+        _check_domain(**{name: getattr(self, name) for name in ("true_value", "initial_guess", "t", "B", "gamma")})
         for name, least in (("m", 1), ("rounds", 1), ("seed", 0)):  # repetition r seeds numpy with seed XOR r
             _check_count(name, getattr(self, name), least)
         if self.strategy not in STRATEGIES:
@@ -136,11 +136,7 @@ def outcome_probability(
     p(+) = (1 + exp(-decay) cos(phase))/2 with the phase and decay of the task's
     ``coherence`` at detuning x - x_hat (``metrology.Coherence``).
     """
-    _check_domain("t", t)
-    _check_domain("gamma", gamma)
-    _check_domain("x", x, _FINITE)
-    _check_domain("x_hat", x_hat, _FINITE)
-    _check_domain("B", B, _FINITE)
+    _check_domain(t=t, gamma=gamma, x=x, x_hat=x_hat, B=B)
     p = float(task_record(task).coherence.p_plus(x, x_hat, B, gamma, t))
     return MeasurementDistribution(outcomes=[("+", p), ("-", 1.0 - p)])
 

@@ -11,7 +11,8 @@ against each other in the test suite:
 Scalar helpers with removable singularities at zero detuning are evaluated
 by series below a crossover argument; the series are carried to enough
 orders that both branches agree to machine precision at the crossover.
-``dynamics._check_domain`` refuses a bad t, gamma, B or detuning, ``_check_count`` a bad draw count n;
+Each entry point names all its reals in one ``dynamics._check_domain`` call, which takes t and gamma
+as >= 0 and finite and any other name as finite; ``_check_count`` refuses a bad draw count n, and
 ``Coherence.p_plus`` checks none.
 """
 
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _FINITE, _check_domain, sample_phases
+from .dynamics import _check_domain, sample_phases
 from .errors import DimensionError, DomainError, NonHermitianError, NumericError
 from .qmat import check_density_matrix, hermitian_eig, sqrtm_psd
 
@@ -263,6 +264,7 @@ def cfi(dist_map, x: float) -> FisherResult:
     Probabilities below 1e-14 at the working point are skipped (their
     outcomes carry no weight); derivatives are central differences.
     """
+    _check_domain(x=x)
     center = dist_map(x)
     plus = dict(dist_map(x + _CFI_STEP).outcomes)
     minus = dict(dist_map(x - _CFI_STEP).outcomes)
@@ -290,8 +292,7 @@ def cfi_trajectory_B(
     finite-difference derivative is free of Monte-Carlo shot noise.  The
     draws, and the refusal of t, gamma or n, are ``dynamics.sample_phases``'s.
     """
-    _check_domain("B", B, _FINITE)
-    _check_domain("beta", beta, _FINITE)
+    _check_domain(B=B, beta=beta)
     phi = sample_phases(0.0, gamma, t, n, rng)
 
     def p1(b: float) -> float:
@@ -312,8 +313,7 @@ def cfi_trajectory_B(
 
 def bell_basis_distribution_theta_free(B: float, gamma: float, t: float, theta: float) -> MeasurementDistribution:
     """Bell-basis outcome probabilities for the freely evolved theta probe."""
-    _check_domain("t", t)
-    _check_domain("gamma", gamma)
+    _check_domain(t=t, gamma=gamma, B=B, theta=theta)
     eta_c = np.exp(-2 * gamma * t) * np.cos(2 * B * t)
     return MeasurementDistribution(
         outcomes=[
@@ -327,8 +327,7 @@ def bell_basis_distribution_theta_free(B: float, gamma: float, t: float, theta: 
 
 def trajectory_distribution_B(B: float, gamma: float, t: float, beta: float) -> MeasurementDistribution:
     """Phase-averaged two-outcome distribution for field estimation."""
-    _check_domain("t", t)
-    _check_domain("gamma", gamma)
+    _check_domain(t=t, gamma=gamma, B=B, beta=beta)
     p1 = 0.5 * (1 + np.exp(-2 * gamma * t) * np.cos(2 * B * t + 2 * beta))
     return MeasurementDistribution(outcomes=[("+", p1), ("-", 1 - p1)])
 
@@ -354,10 +353,7 @@ class Coherence:
 
     def _checked_at(self, B: float, gamma: float, d: float, t: float) -> tuple:
         """``at`` once t and gamma are >= 0 and finite and B and d are finite (``p_plus`` checks none)."""
-        _check_domain("t", t)
-        _check_domain("gamma", gamma)
-        _check_domain("B", B, _FINITE)
-        _check_domain("detuning", d, _FINITE)
+        _check_domain(t=t, gamma=gamma, B=B, detuning=d)
         return self.at(B, gamma, d, t)
 
     def p_plus(self, x, x_hat, B: float, gamma: float, t: float):
@@ -431,9 +427,7 @@ cfi_omega_qec_closed = OMEGA_COHERENCE.cfi
 
 def qfi_theta_free_closed(B: float, gamma: float, t: float) -> FisherResult:
     """QFI of the freely dephasing theta probe: 2[1 - e^(-2 gamma t) cos 2Bt]."""
-    _check_domain("t", t)
-    _check_domain("gamma", gamma)
-    _check_domain("B", B, _FINITE)
+    _check_domain(t=t, gamma=gamma, B=B)
     value = 2.0 * (1.0 - np.exp(-2 * gamma * t) * np.cos(2 * B * t))
     return FisherResult(value)
 
@@ -443,9 +437,7 @@ def qfi_theta_unitary_controlled(B: float, t: float, dtheta: float = 0.0) -> Fis
 
     Collapses to 4 B^2 t^2 at dtheta = 0 and decreases quartically in dtheta.
     """
-    _check_domain("t", t)
-    _check_domain("B", B, _FINITE)
-    _check_domain("dtheta", dtheta, _FINITE)
+    _check_domain(t=t, B=B, dtheta=dtheta)
     bt = B * t
     phi = 2.0 * abs(np.sin(dtheta / 2))  # sqrt(2 - 2 cos dtheta)
     value = 0.5 * (1 + 4 * bt * bt + 4 * bt * bt * np.cos(dtheta) - np.cos(2 * bt * phi))
@@ -458,9 +450,7 @@ def qfi_omega_unitary_controlled(B: float, t: float, domega: float = 0.0) -> Fis
     For a = -B t p with p = (g1(z), z f1(z)), z = domega t, and q = dp/dz, the probe's exp(-i a.sigma) carries
     J = 4 (|a|'^2 + sin^2|a| |n'|^2) = B^2 t^4 * 4 [S |q|^2 + (1 - S) (p.q)^2/|p|^2], n = a/|a|, S = sinc^2 |a|.
     """
-    _check_domain("t", t)
-    _check_domain("B", B, _FINITE)
-    _check_domain("domega", domega, _FINITE)
+    _check_domain(t=t, B=B, domega=domega)
     z = domega * t
     if z == 0:  # p = 0 and q = (0, 1/2): the bracket is exactly 1
         return FisherResult(B * B * t**4)
@@ -473,7 +463,6 @@ def qfi_omega_unitary_controlled(B: float, t: float, domega: float = 0.0) -> Fis
 
 def qfi_B_trajectory_averaged(t: float, gamma: float) -> FisherResult:
     """Phase-averaged QFI for field estimation: 4 t^2 e^(-4 gamma t)."""
-    _check_domain("t", t)
-    _check_domain("gamma", gamma)
+    _check_domain(t=t, gamma=gamma)
     value = 4.0 * t * t * np.exp(-4 * gamma * t)
     return FisherResult(value)

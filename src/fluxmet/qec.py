@@ -27,7 +27,6 @@ from .dynamics import (
     L2Action,
     LindbladModel,
     _COMPLEX,
-    _FINITE,
     _REAL,
     _SIGMA1_I,
     _block_map,
@@ -146,7 +145,7 @@ def theta_code(theta_hat: float) -> QecCode:
     derivative; their equal superposition is the maximally entangled probe.
     Recovery is {P, P (sigma_n x I)} with the noise axis at theta_hat.
     """
-    _check_domain("theta_hat", theta_hat, _FINITE)
+    _check_domain(theta_hat=theta_hat)
     half = theta_hat / 2
     plus = np.array([-np.cos(half), np.sin(half)], dtype=complex)
     minus = np.array([np.sin(half), np.cos(half)], dtype=complex)
@@ -162,7 +161,7 @@ def omega_code(omega_hat: float) -> QecCode:
     later times every ingredient is the t = 0 one conjugated by
     exp(+i omega_hat t sigma3 / 2) on the probe.
     """
-    _check_domain("omega_hat", omega_hat, _FINITE)
+    _check_domain(omega_hat=omega_hat)
     plus0 = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2)
     minus0 = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
     e0 = np.array([1.0, 0.0], dtype=complex)
@@ -184,7 +183,7 @@ def apply_recovery(code: QecCode, rho: np.ndarray, t: float = 0.0) -> np.ndarray
     state enters the code's frame at t and recovers as one ``ndarray.dot`` of its float64 row and ``_recovery_map``.
     Trace loss above ``dynamics._TRACE_TOL`` means weight outside the code and its correctable error space.
     """
-    _check_domain("frame time", t, _FINITE)
+    _check_domain(**{"frame time": t})
     rho = np.ascontiguousarray(rho, dtype=_COMPLEX)  # copies only a real or strided state
     d, rate = code.c0.shape[0], code._rate
     if rho.shape != (d, d):
@@ -308,7 +307,7 @@ def corrected_evolve_theta(
 
 def corrected_state_theta_closed(B: float, gamma: float, theta: float, theta_hat: float, t: float):
     """Continuous-recovery corrected state for the field-angle task."""
-    _check_domain("theta", theta, _FINITE)
+    _check_domain(theta=theta)
     return _closed_state(_code_at(theta_code, theta_hat), THETA_COHERENCE, B, gamma, theta - theta_hat, t)
 
 
@@ -323,7 +322,7 @@ def corrected_evolve_omega(
 
 def corrected_state_omega_closed(B: float, gamma: float, omega: float, omega_hat: float, t: float):
     """Continuous-recovery corrected state for the rotation-frequency task, in the lab frame."""
-    _check_domain("omega", omega, _FINITE)
+    _check_domain(omega=omega)
     return _closed_state(_code_at(omega_code, omega_hat), OMEGA_COHERENCE, B, gamma, omega - omega_hat, t)
 
 
@@ -385,8 +384,9 @@ def check_qec_conditions(model: LindbladModel, code: QecCode, t: float = 0.0) ->
 
     Returns the extracted alpha vector, beta matrix and error weights
     d_kk = beta_kk - |alpha_k|^2.  Raises :class:`QecConditionError` naming
-    the offending operators if any residual exceeds 1e-8.
+    the offending operators if any residual exceeds 1e-8.  A non-finite t is a DomainError.
     """
+    _check_domain(**{"frame time": t})
     conditions, bad = _conditions(code.projector(t), model.at(t)[1])
     if bad:
         worst = max(bad, key=lambda kv: kv[1])
@@ -409,8 +409,9 @@ def expansion_superoperators(
     eigenbasis, which leaves the Lindblad dissipator invariant; directions of
     zero weight (d_kk at most 1e-12) are dropped from the recovery
     provided they do not couple to the first-derivative operators.  The
-    control -P H P cancels L0 = P H P, so L0 is not returned.
+    control -P H P cancels L0 = P H P, so L0 is not returned.  A non-finite t is a DomainError.
     """
+    _check_domain(**{"frame time": t})
     (h, ops), (dh, dops), (ddh, ddops) = (model.at(t, order) for order in range(3))
     conditions = check_qec_conditions(model, code, t=t)
     proj, alpha, beta = conditions.projector, conditions.alpha, conditions.beta
@@ -483,7 +484,7 @@ def asymptotic_qfi(report: GeneralQecReport, psi: np.ndarray, t: float) -> Fishe
     expectation to be non-positive (both within 1e-10).  A t at which J
     overflows is a DomainError.
     """
-    _check_domain("t", t)
+    _check_domain(t=t)
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise DomainError("probe vector is not normalized")
@@ -517,8 +518,9 @@ def expansion_evolve(
     plus dx^2 times L2's, so every RK4 step at ``dt`` is one checked map,
     ``dynamics._rk4_map`` of it, built per call, and ``dynamics._steps``
     checks each, as in ``lindblad_evolve``.  ``rho0`` is one (d, d) state;
-    any other shape is a DimensionError.
+    any other shape is a DimensionError, and a non-finite dx a DomainError.
     """
+    _check_domain(dx=dx)
     n_steps = fixed_steps(t, dt)
     rho = np.array(rho0, dtype=complex)
     d = report.l1_generator.shape[0]

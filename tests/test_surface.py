@@ -39,9 +39,11 @@ from fluxmet.estimation import (
 # state by state no longer needed, the batch loop itself, since each
 # state map takes one state, the frequency coherence's public wrappers,
 # whose formulas OMEGA_COHERENCE holds as THETA_COHERENCE holds its own,
-# the rotating phase-table rows that dynamics._CHUNK already counts, and the
-# config's own integer rule, which dynamics._check_count replaced.  A dotted
-# name is an attribute of a module-level name.
+# the rotating phase-table rows that dynamics._CHUNK already counts, the
+# config's own integer rule, which dynamics._check_count replaced, and the
+# finite-only bound that callers passed to dynamics._check_domain, which now
+# bounds each real by its name.  A dotted name is an attribute of a
+# module-level name.
 _REMOVED_NAMES = {
     "fluxmet": (
         "TrajectoryPhase", "sample_phase", "outcome_probability_theta",
@@ -51,11 +53,11 @@ _REMOVED_NAMES = {
     "fluxmet.estimation": (
         "outcome_probability_theta", "outcome_probability_omega", "_outcome_distribution",
         "_run_adaptive", "run_adaptive_omega", "_mse_curve", "mse_campaign_omega",
-        "_golden_max", "_PASS_FRACTIONS", "_check_integer",
+        "_golden_max", "_PASS_FRACTIONS", "_check_integer", "_FINITE",
     ),
     "fluxmet.cli": (
         "cmd_qfi_theta", "cmd_qfi_omega", "_matrix_from_json", "_vector_from_json",
-        "_ADAPT_SCHEMA", "_crb_value",
+        "_ADAPT_SCHEMA", "_crb_value", "_FINITE",
     ),
     "fluxmet.dynamics": (
         "TrajectoryPhase", "sample_phase", "_dagger", "_largest", "lindblad_rhs",
@@ -64,17 +66,18 @@ _REMOVED_NAMES = {
     ),
     "fluxmet.metrology": (
         "METHODS", "state_derivative", "_check_t", "omega_frame_phase", "omega_frame_decay",
-        "omega_frame_phase_deriv", "omega_frame_decay_deriv",
+        "omega_frame_phase_deriv", "omega_frame_decay_deriv", "_FINITE",
     ),
     "fluxmet.tasks": ("_p_plus_theta", "_p_plus_omega"),
     "fluxmet.qmat": ("polar_isometry", "PolarIsometry", "partial_trace", "_PADE13", "_THETA13"),
     "fluxmet.errors": ("NonIsotropicError",),
-    "fluxmet.qec": ("QecCode._recovery_pairs", "_PHASE_ROWS"),
+    "fluxmet.qec": ("QecCode._recovery_pairs", "_PHASE_ROWS", "_FINITE"),
 }
 
 # Tolerance keywords that were only ever called with their default,
-# arguments that no caller passed, and the frame diagonal that in_frame
-# took before it took the phase rate each model and code keeps.
+# arguments that no caller passed, the frame diagonal that in_frame
+# took before it took the phase rate each model and code keeps, and the
+# bound that each caller of _check_domain chose before the name chose it.
 _REMOVED_KEYWORDS = [
     (qmat.sqrtm_psd, "neg_tol"),
     (qmat.sqrtm_psd, "clamp_tol"),
@@ -91,6 +94,7 @@ _REMOVED_KEYWORDS = [
     (qec.code_probe, "t"),
     (metrology.cfi, "delta"),
     (metrology.cfi_trajectory_B, "delta"),
+    (dynamics._check_domain, "least"),
 ]
 
 
