@@ -361,6 +361,33 @@ ROUTES = {
         " lambda: expanded(np.nan, 5.0),"
         " lambda: metrology.cfi(lambda b: metrology.trajectory_distribution_B(b, 0.05, 5.0, 0.3), np.nan)])"
     ),
+    # Inputs that once raised a bare TypeError, OverflowError or ValueError, or ran, and are now refused by
+    # name: a step that is not a number, a finite difference's step, the sweep's length and point count, a
+    # model's dim and a hamiltonian not of it, and a bad duration with an explicit recovery count, which
+    # was named as its interval.
+    "refused steps, sweeps and dims": (
+        "refusals([lambda: dynamics.lindblad_evolve(theta_model(), bell(), 1.0, dt='0.1'),"
+        " lambda: dynamics.lindblad_evolve(theta_model(), bell(), 1.0, dt=None),"
+        " lambda: dynamics.lindblad_evolve(theta_model(), bell(), 1.0, dt=True),"
+        " lambda: qec.corrected_evolve_theta(0.1, 0.05, 0.9, 0.8, 1.0, dt=True),"
+        " lambda: dynamics.sample_omega_trajectories(0.1, 0.05, 0.3, 1.0, 10**400, 3, np.random.default_rng(3)),"
+        " lambda: metrology.qfi_sld_numeric(lambda x: qec.corrected_state_theta_closed(0.1, 0.05, x, 0.7, 5.0),"
+        " 0.7, '0.1'),"
+        " lambda: metrology.qfi_fidelity_fd(lambda x: qec.corrected_state_theta_closed(0.1, 0.05, x, 0.7, 5.0),"
+        " 0.7, True),"
+        " lambda: cli.cmd_qfi('theta', 0.1, 0.05, '0.1', 3, [0.0], None),"
+        " lambda: cli.cmd_qfi('theta', 0.1, 0.05, 10**400, 3, [0.0], None),"
+        " lambda: cli.cmd_qfi('theta', 0.1, 0.05, True, 3, [0.0], None),"
+        " lambda: cli.cmd_qfi('theta', 0.1, 0.05, 5.0, 2.5, [0.0], None),"
+        " lambda: cli.cmd_qfi('theta', 0.1, 0.05, 5.0, '3', [0.0], None),"
+        " lambda: dynamics.LindbladModel(0, theta_model().hamiltonian, theta_model().lindblads),"
+        " lambda: dynamics.LindbladModel(True, theta_model().hamiltonian, theta_model().lindblads),"
+        " lambda: qec.expansion_superoperators(dynamics.LindbladModel(3, theta_model().hamiltonian,"
+        " theta_model().lindblads, theta_model().d_hamiltonian, theta_model().d_lindblads,"
+        " theta_model().dd_hamiltonian, theta_model().dd_lindblads), qec.theta_code(0.7)),"
+        " lambda: qec.corrected_evolve_theta(0.1, 0.05, 0.9, 0.8, -1.0, n_recoveries=4),"
+        " lambda: qec.corrected_evolve_omega(0.1, 0.05, 0.3, 0.25, np.nan, n_recoveries=4)])"
+    ),
 }
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 

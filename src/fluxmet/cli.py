@@ -29,7 +29,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .dynamics import LindbladModel, _check_domain, _finite
+from .dynamics import LindbladModel, _check_count, _check_domain, _check_number, _finite
 from .errors import (
     ConfigError,
     CrossCheckError,
@@ -209,8 +209,10 @@ def cmd_qfi(
     """
     spec = task_record(task)
     _check_domain(B=B, gamma=gamma)
+    _check_number("t_max", t_max)
     if not 1e-9 < t_max < np.inf:  # the cross-check gate samples t > 1e-9
         raise DomainError(f"t_max must be finite and > 1e-9, got {t_max}")
+    _check_count("n_points", n_points)  # its type; the sweep's bounds are below
     if not 2 <= n_points <= MAX_SWEEP_POINTS:
         raise DomainError(f"points must be >= 2 and at most {MAX_SWEEP_POINTS}, got {n_points}")
     for d in d_list:

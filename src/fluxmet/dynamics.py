@@ -17,7 +17,7 @@ the state's float64 row with the same three check columns (:func:`_checked_map`,
 The stochastic picture draws the accumulated phase Phi = B t + phi with phi ~ Normal(0, gamma t), in
 :func:`sample_phases` alone, and averages pure-state trajectories.
 Every refusal of a real input is :func:`_check_domain`'s, which bounds it by its name alone (``_NON_NEGATIVE``),
-and every refusal of a draw count :func:`_check_count`'s.
+and every refusal of a count :func:`_check_count`'s; a step dt keeps its own bound, with :func:`_check_number`'s text.
 """
 
 from __future__ import annotations
@@ -156,6 +156,9 @@ class LindbladModel:
 
     def __post_init__(self) -> None:
         h0 = self.hamiltonian
+        _check_count("dim", self.dim, 2)  # as a model file's
+        if np.shape(h0) != (self.dim, self.dim):
+            raise DimensionError(f"hamiltonian shape {np.shape(h0)} does not match model dim {self.dim}")
         if not np.max(np.abs(h0 - h0.conj().T)) <= 1e-10:  # NaN fails too
             raise DomainError("hamiltonian is not Hermitian")
         for name in ("d_lindblads", "dd_lindblads"):
@@ -320,14 +323,19 @@ def _check_domain(**values: float) -> None:
         least = 0.0 if name in _NON_NEGATIVE else _FINITE
         if value.__class__ in _REALS and least <= value < math.inf or _finite(value) and value >= least:
             continue  # the first test takes a float or a numpy float64 at one compare, and fails NaN
-        if not (isinstance(value, (float, np.floating)) or _finite(value)):  # a non-number, unlike inf and NaN
-            raise DomainError(f"{name} must be a finite number, got {value!r}")
+        _check_number(name, value)
         raise DomainError(f"{name} must be {'>= 0 and ' if least == 0 else ''}finite, got {value}")
 
 
-def _check_count(name: str, value: int, least: int) -> None:
-    """The package's one refusal of a count: DomainError unless ``value`` is an int or numpy integer >= ``least``,
-    and not a bool."""
+def _check_number(name: str, value, error: type = DomainError) -> None:
+    """``error`` unless ``value`` is a float, inf and NaN too, or a finite real number (see :func:`_finite`)."""
+    if not (isinstance(value, (float, np.floating)) or _finite(value)):
+        raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_count(name: str, value: int, least: float = -math.inf) -> None:
+    """The package's one refusal of a count: DomainError unless ``value`` is an int or numpy integer >= ``least``
+    (any, by default), and not a bool."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise DomainError(f"{name!r} must be an integer, got {value!r}")
     if value < least:
@@ -335,11 +343,10 @@ def _check_count(name: str, value: int, least: int) -> None:
 
 
 def fixed_steps(t: float, dt: float) -> int:
-    """Number of steps dt > 0 that make up the finite duration t >= 0.
-
-    The one rule of every fixed-step loop: t is an integer multiple of dt
-    (within 1e-9), and a positive t takes at least one step.
-    """
+    """Number of steps dt > 0 that make up the finite duration t >= 0, by the one rule of every fixed-step loop: t is
+    an integer multiple of dt (within 1e-9), a positive t takes at least one step, and a dt that is not a number or
+    not > 0 is the integrator's StepError."""
+    _check_number("dt", dt, StepError)
     if not dt > 0:
         raise StepError(f"dt must be positive, got {dt}")
     _check_domain(duration=t)

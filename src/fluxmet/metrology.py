@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _check_domain, sample_phases
+from .dynamics import _check_domain, _check_number, sample_phases
 from .errors import DimensionError, DomainError, NonHermitianError, NumericError
 from .qmat import check_density_matrix, hermitian_eig, sqrtm_psd
 
@@ -209,6 +209,7 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
     directions are excluded from the bare SLD so their spurious radial terms
     do not double-count.  Families of constant rank are unaffected.
     """
+    _check_number("delta", delta)
     if delta <= 0 or (delta < np.inf and not delta * delta < np.inf):  # the family names NaN, inf
         raise DomainError(f"delta must be positive with a finite square, got {delta}")
     rho, rho_p, rho_m = state_map(x), state_map(x + delta), state_map(x - delta)
@@ -249,6 +250,7 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
 
 def qfi_fidelity_fd(state_map, x: float, delta: float = 1e-3) -> FisherResult:
     """QFI from the infinitesimal Bures distance: 8 (1 - F(rho_x, rho_x+d))/d^2."""
+    _check_number("delta", delta)
     if delta <= 0 or (delta < np.inf and not delta * delta < np.inf):  # the family names NaN, inf
         raise DomainError(f"delta must be positive with a finite square, got {delta}")
     f = fidelity(state_map(x), state_map(x + delta))

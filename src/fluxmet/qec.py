@@ -212,6 +212,7 @@ def _corrected_evolve(
         raise StepError(f"n_recoveries must be an integer, got {n_rec!r}")
     if n_rec < 1:
         raise StepError(f"n_recoveries must be >= 1, got {n_rec}")
+    _check_domain(duration=t)  # once, by fixed_steps' name for it, not each interval's t / n_recoveries
     interval = t / n_rec
     s = fixed_steps(interval, dt)  # StepError unless dt divides the interval
     rate = code._rate if model._rate is None else -model._rate if code._rate is None else code._rate - model._rate

@@ -130,11 +130,6 @@ def test_cmd_qfi_theta_empty_detuning_list() -> None:
     assert table.columns == ["t", "qfi_unitary", "qfi_free"]
 
 
-def test_cmd_qfi_theta_rejects_bad_horizon() -> None:
-    with pytest.raises(DomainError):
-        cmd_qfi("theta", 0.1, 0.05, -1.0, 5, [0.0], None)
-
-
 def test_cmd_qfi_omega_anchor_and_zero_row() -> None:
     table = cmd_qfi("omega", 0.1, 0.05, 5.0, 2, [0.0, 0.1], None)
     assert table.columns == ["t", "qfi_unitary", "qfi_qec_domega_0", "qfi_qec_domega_0.1"]

@@ -69,6 +69,13 @@ def test_lindblad_model_rejects_nan_hamiltonian() -> None:
         dataclasses.replace(theta_model(B, GAMMA, 0.3), hamiltonian=h)
 
 
+def test_lindblad_model_refuses_a_hamiltonian_not_of_its_dim() -> None:
+    # Unrefused, dim 3 on the theta model's 4x4 operators constructed, and
+    # expansion_superoperators raised numpy's bare broadcast ValueError.
+    with pytest.raises(DimensionError, match=r"^hamiltonian shape \(4, 4\) does not match model dim 3$"):
+        dataclasses.replace(theta_model(B, GAMMA, 0.3), dim=3)
+
+
 def test_theta_model_derivative_commutator_identity() -> None:
     # (i/2)(E^dag Edot - Edot^dag E) equals gamma * sigma_2 on the probe.
     model = theta_model(B, GAMMA, np.pi / 4)
@@ -548,26 +555,6 @@ def test_a_run_goes_on_past_a_product_whose_replay_finds_nothing(weighted) -> No
     assert len(calls[dynamics._run]) > 2
 
 
-@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
-def test_lindblad_evolve_refuses_a_non_finite_duration(t) -> None:
-    with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
-        dynamics.fixed_steps(t, 1e-3)
-    with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
-        lindblad_evolve(theta_model(B, GAMMA, 0.3), bell_rho(), t)
-
-
-@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
-def test_a_non_finite_frame_time_is_a_domain_error(t0) -> None:
-    # A bad input, not an instability: a static or a rotating model refuses
-    # the time it was given, sign and all, before any step runs.
-    for model in (theta_model(B, GAMMA, 0.3), omega_model(B, GAMMA, 0.3)):
-        with pytest.raises(DomainError, match=f"^frame time must be finite, got {t0}$"):
-            lindblad_evolve(model, bell_rho(), 0.01, t0=t0)
-    rate = dynamics._frame_rate(dynamics.rotating_frame(0.3))
-    with pytest.raises(DomainError, match="frame time must be finite"):
-        dynamics.in_frame(bell_rho(), rate, t0)
-
-
 def _in_frame_route(model, rho: np.ndarray, n: int, dt: float) -> np.ndarray:
     # n steps of the state from t0 = 0 in the model's frame, left through in_frame.
     stepped = dynamics._steps(np.ascontiguousarray(rho), model._maps_at(dt), n)
@@ -673,18 +660,6 @@ def test_omega_trajectories_step_error() -> None:
     rng = np.random.default_rng(0)
     with pytest.raises(StepError):
         sample_omega_trajectories(B, GAMMA, 0.5, 1.0, 0.3, 10, rng)
-
-
-def test_omega_trajectories_reject_zero_step() -> None:
-    rng = np.random.default_rng(0)
-    with pytest.raises(StepError, match="dt must be positive"):
-        sample_omega_trajectories(B, GAMMA, 0.5, 1.0, 0.0, 10, rng)
-
-
-def test_omega_trajectories_reject_negative_duration() -> None:
-    rng = np.random.default_rng(0)
-    with pytest.raises(DomainError, match="duration"):
-        sample_omega_trajectories(B, GAMMA, 0.5, -1.0, 0.1, 10, rng)
 
 
 def test_dephasing_kraus_completeness() -> None:

@@ -84,11 +84,6 @@ def test_outcome_probability_theta_matches_corrected_state() -> None:
         assert abs(p - p_state) < 1e-12
 
 
-def test_outcome_probability_theta_rejects_negative_time() -> None:
-    with pytest.raises(DomainError):
-        outcome_probability(0.3, 0.2, B, GAMMA, -1.0, task="theta")
-
-
 def test_outcome_probability_omega_fixed_point_and_unitary_form() -> None:
     assert outcome_probability(0.3, 0.3, B, GAMMA, T, task="omega").probability("+") == 1.0
     a, t = 0.15, 5.0
@@ -225,10 +220,6 @@ def test_unitary_outcome_law_against_the_time_ordered_evolution(
 def test_adaptive_config_validation() -> None:
     good = dict(true_value=0.3, initial_guess=0.2)
     with pytest.raises(DomainError):
-        AdaptiveConfig(**good, m=0)
-    with pytest.raises(DomainError):
-        AdaptiveConfig(**good, rounds=0)
-    with pytest.raises(DomainError):
         AdaptiveConfig(**good, strategy="teleported")
     with pytest.raises(DomainError):
         AdaptiveConfig(**good, grid=(0.5, 0.5, 1e-4))
@@ -242,20 +233,10 @@ def test_adaptive_config_validation() -> None:
         AdaptiveConfig(**good, grid=(0.0, 1.0))
     with pytest.raises(DomainError, match="grid"):
         AdaptiveConfig(**good, grid=(0.0, 1.0, float("nan")))
-    with pytest.raises(DomainError, match="true_value"):
-        AdaptiveConfig(true_value=float("nan"), initial_guess=0.2)
-    with pytest.raises(DomainError, match="B"):
-        AdaptiveConfig(**good, B=10**400)
-    with pytest.raises(DomainError, match="seed"):
-        AdaptiveConfig(**good, seed=-1)
-    # Types are checked too: no float or bool passes as an integer.
-    for name, value in (("m", 2.5), ("rounds", 2.5), ("seed", 1.5), ("m", True)):
-        with pytest.raises(DomainError, match=f"'{name}' must be an integer"):
-            AdaptiveConfig(**good, **{name: value})
+    with pytest.raises(DomainError, match="'seed' must be an integer"):
+        AdaptiveConfig(**good, seed=1.5)
     with pytest.raises(DomainError, match="grid"):
         AdaptiveConfig(**good, grid=[0, 1, True])
-    with pytest.raises(DomainError, match="true_value"):
-        AdaptiveConfig(true_value=True, initial_guess=0.2)
     assert AdaptiveConfig(**good, grid=[0.0, 1.0, 1e-3]).grid == (0.0, 1.0, 1e-3)
 
 
@@ -682,11 +663,7 @@ def test_each_lane_draws_a_round_in_one_call_while_m_fits_the_buffer(m, lanes, c
 def test_campaign_estimates_validation() -> None:
     cfg = AdaptiveConfig(true_value=0.3, initial_guess=0.2)
     with pytest.raises(DomainError):
-        campaign_estimates(cfg, repetitions=0)
-    with pytest.raises(DomainError):
         campaign_estimates(cfg, repetitions=2, task="magnetization")
-    with pytest.raises(DomainError, match="'repetitions' must be an integer"):
-        campaign_estimates(cfg, repetitions=2.5)
 
 
 def _no_draws(*args, **kwargs):

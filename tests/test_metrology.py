@@ -10,19 +10,8 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 import fluxmet.metrology as metrology
-from fluxmet.cli import cmd_qfi
-from fluxmet.dynamics import (
-    bell_probe,
-    dephasing_kraus,
-    omega_model,
-    sample_omega_trajectories,
-    sample_phases,
-    theta_model,
-    trajectory_average_state,
-    trajectory_outcome_probability,
-)
+from fluxmet.dynamics import bell_probe, dephasing_kraus, sample_phases
 from fluxmet.errors import DimensionError, DomainError, NotPsdError, NumericError
-from fluxmet.estimation import AdaptiveConfig, outcome_probability
 from fluxmet.metrology import (
     OMEGA_COHERENCE,
     THETA_COHERENCE,
@@ -46,13 +35,7 @@ from fluxmet.metrology import (
     sld,
     trajectory_distribution_B,
 )
-from fluxmet.qec import (
-    corrected_evolve_omega,
-    corrected_evolve_theta,
-    corrected_state_omega_closed,
-    corrected_state_theta_closed,
-    omega_code,
-)
+from fluxmet.qec import corrected_state_theta_closed
 from fluxmet.qmat import kron
 from fluxmet.tasks import TASKS
 
@@ -300,252 +283,11 @@ def test_cfi_trajectory_B_draws_through_sample_phases(seed, gamma, t) -> None:
     assert got.value == dp * dp / (p * (1 - p))
 
 
-_NAN = float("nan")
-_NAN_CALLS = {
-    "sample_phases t": lambda v: sample_phases(B, GAMMA, v, 3, np.random.default_rng(0)),
-    "sample_phases gamma": lambda v: sample_phases(B, v, T, 3, np.random.default_rng(0)),
-    "dephasing_kraus t": lambda v: dephasing_kraus(B, GAMMA, v, 0.3),
-    "dephasing_kraus gamma": lambda v: dephasing_kraus(B, v, T, 0.3),
-    "theta_model": lambda v: theta_model(B, v, 0.3),
-    "omega_model": lambda v: omega_model(B, v, 0.3),
-    "MeasurementDistribution": lambda v: MeasurementDistribution([("+", v), ("-", 0.5)]),
-    "trajectory_average_state": lambda v: trajectory_average_state(
-        B, GAMMA, v, 0.3, 3, np.random.default_rng(0)
-    ),
-    "trajectory_outcome_probability": lambda v: trajectory_outcome_probability(
-        B, v, T, 0.3, 3, np.random.default_rng(0)
-    ),
-    "outcome_probability t": lambda v: outcome_probability(0.3, 0.2, B, GAMMA, v),
-    "outcome_probability gamma": lambda v: outcome_probability(0.3, 0.2, B, v, T),
-    "bell_basis_distribution_theta_free": lambda v: bell_basis_distribution_theta_free(B, v, T, 0.3),
-    "trajectory_distribution_B": lambda v: trajectory_distribution_B(B, GAMMA, v, 0.3),
-    "cfi_trajectory_B": lambda v: cfi_trajectory_B(
-        B, GAMMA, v, 0.3, 3, np.random.default_rng(0)
-    ),
-    "qfi_theta_free_closed": lambda v: qfi_theta_free_closed(B, GAMMA, v),
-    "omega_model omega": lambda v: omega_model(B, GAMMA, v),
-    "omega_code": lambda v: omega_code(v),
-    "sample_phases B": lambda v: sample_phases(v, GAMMA, T, 3, np.random.default_rng(0)),
-    "dephasing_kraus B": lambda v: dephasing_kraus(v, GAMMA, T, 0.3),
-    "dephasing_kraus theta": lambda v: dephasing_kraus(B, GAMMA, T, v),
-    "trajectory_average_state B": lambda v: trajectory_average_state(
-        v, GAMMA, T, 0.3, 3, np.random.default_rng(0)
-    ),
-    "trajectory_outcome_probability beta": lambda v: trajectory_outcome_probability(
-        B, GAMMA, T, v, 3, np.random.default_rng(0)
-    ),
-    "cfi_trajectory_B B": lambda v: cfi_trajectory_B(v, GAMMA, T, 0.3, 3, np.random.default_rng(0)),
-    "cfi_trajectory_B beta": lambda v: cfi_trajectory_B(B, GAMMA, T, v, 3, np.random.default_rng(0)),
-    "sample_omega_trajectories gamma": lambda v: sample_omega_trajectories(
-        B, v, 0.3, T, 0.5, 3, np.random.default_rng(0)
-    ),
-    "sample_omega_trajectories omega": lambda v: sample_omega_trajectories(
-        B, GAMMA, v, T, 0.5, 3, np.random.default_rng(0)
-    ),
-    "sample_omega_trajectories B": lambda v: sample_omega_trajectories(
-        v, GAMMA, 0.3, T, 0.5, 3, np.random.default_rng(0)
-    ),
-    "corrected_state_theta_closed t": lambda v: corrected_state_theta_closed(B, GAMMA, 0.9, 0.8, v),
-    "corrected_state_theta_closed gamma": lambda v: corrected_state_theta_closed(B, v, 0.9, 0.8, T),
-    "corrected_state_omega_closed t": lambda v: corrected_state_omega_closed(B, GAMMA, 0.3, 0.2, v),
-    "corrected_state_omega_closed gamma": lambda v: corrected_state_omega_closed(B, v, 0.3, 0.2, T),
-    "qfi_theta_qec_closed gamma": lambda v: qfi_theta_qec_closed(B, v, T),
-    "qfi_omega_qec_closed gamma": lambda v: qfi_omega_qec_closed(B, v, T),
-    "cfi_theta_qec_closed gamma": lambda v: cfi_theta_qec_closed(B, v, T, 0.05),
-    "cfi_omega_qec_closed gamma": lambda v: cfi_omega_qec_closed(B, v, T, 0.05),
-    "qfi_theta_free_closed gamma": lambda v: qfi_theta_free_closed(B, v, T),
-    "qfi_B_trajectory_averaged gamma": lambda v: qfi_B_trajectory_averaged(T, v),
-    "corrected_state_theta_closed B": lambda v: corrected_state_theta_closed(v, GAMMA, 0.9, 0.8, T),
-    "corrected_state_theta_closed theta": lambda v: corrected_state_theta_closed(B, GAMMA, v, 0.8, T),
-    "corrected_state_omega_closed B": lambda v: corrected_state_omega_closed(v, GAMMA, 0.3, 0.2, T),
-    "corrected_state_omega_closed omega": lambda v: corrected_state_omega_closed(B, GAMMA, v, 0.2, T),
-    "qfi_theta_qec_closed B": lambda v: qfi_theta_qec_closed(v, GAMMA, T),
-    "qfi_omega_qec_closed d": lambda v: qfi_omega_qec_closed(B, GAMMA, T, v),
-    "cfi_theta_qec_closed B": lambda v: cfi_theta_qec_closed(v, GAMMA, T, 0.05),
-    "cfi_omega_qec_closed d": lambda v: cfi_omega_qec_closed(B, GAMMA, T, v),
-}
-
-
-@pytest.mark.parametrize("name", list(_NAN_CALLS))
-def test_a_nan_input_raises_domain_error(name) -> None:
-    # Each domain check is written so that NaN fails it, rather than
-    # passing a NaN on to the result.
-    with pytest.raises(DomainError):
-        _NAN_CALLS[name](_NAN)
-
-
-# Values that are not finite real numbers for want of a type: a str, None, a bool and an int beyond the
-# float range.  Unrefused, they raised numpy's or math's bare TypeError or OverflowError, or a bool computed.
-_HUGE = 10**400
-_NON_NUMBERS = ["0.1", None, True, _HUGE]
-
-
-def _non_number_id(value) -> str | None:
-    return "10**400" if value is _HUGE else None
-
-
-@pytest.mark.parametrize("value", _NON_NUMBERS, ids=_non_number_id)
-@pytest.mark.parametrize("name", [name for name in _NAN_CALLS if name != "MeasurementDistribution"])
-@pytest.mark.filterwarnings("error")
-def test_a_non_number_raises_domain_error(name, value) -> None:
-    # MeasurementDistribution is left out: it holds probabilities a computation made, not an input.
-    with pytest.raises(DomainError, match=re.escape(f" must be a finite number, got {value!r}") + "$"):
-        _NAN_CALLS[name](value)
-
-
-_INF_CALLS = {
-    "sample_phases": lambda gamma: sample_phases(0.1, gamma, np.inf, 3, np.random.default_rng(0)),
-    "dephasing_kraus": lambda gamma: dephasing_kraus(B, gamma, np.inf, 0.3),
-    "trajectory_outcome_probability": lambda gamma: trajectory_outcome_probability(
-        B, gamma, np.inf, 0.3, 3, np.random.default_rng(0)
-    ),
-    "cfi_trajectory_B": lambda gamma: cfi_trajectory_B(B, gamma, np.inf, 0.3, 3, np.random.default_rng(0)),
-}
-
-
-@pytest.mark.parametrize("gamma", [0.0, GAMMA])
-@pytest.mark.parametrize("name", list(_INF_CALLS))
-def test_an_infinite_duration_raises_domain_error(name, gamma) -> None:
-    # With gamma = 0, gamma * t is 0 * inf = NaN, which took neither the
-    # noiseless branch nor a refusal; with gamma > 0 the draw had an
-    # infinite scale.  The callers inherit the refusal.
-    with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
-        _INF_CALLS[name](gamma)
-
-
-def _rng() -> np.random.Generator:
-    return np.random.default_rng(0)
-
-
-# entry point -> (its call at duration t and rate gamma, the arguments it
-# refuses outside [0, inf) with dynamics._check_domain's message).  A t that
-# fixed_steps or sample_phases refuses was refused so before and is left out.
-_DOMAIN_CALLS = {
-    "sample_phases": (lambda t, gamma: sample_phases(B, gamma, t, 3, _rng()), ["gamma"]),
-    "dephasing_kraus": (lambda t, gamma: dephasing_kraus(B, gamma, t, 0.3), ["gamma"]),
-    "trajectory_average_state": (
-        lambda t, gamma: trajectory_average_state(B, gamma, t, 0.3, 3, _rng()), ["gamma"]
-    ),
-    "trajectory_outcome_probability": (
-        lambda t, gamma: trajectory_outcome_probability(B, gamma, t, 0.3, 3, _rng()), ["gamma"]
-    ),
-    "cfi_trajectory_B": (lambda t, gamma: cfi_trajectory_B(B, gamma, t, 0.3, 3, _rng()), ["gamma"]),
-    "sample_omega_trajectories": (
-        lambda t, gamma: sample_omega_trajectories(B, gamma, 0.3, t, 0.5, 3, _rng()), ["gamma"]
-    ),
-    "theta_model": (lambda t, gamma: theta_model(B, gamma, 0.3), ["gamma"]),
-    "omega_model": (lambda t, gamma: omega_model(B, gamma, 0.3), ["gamma"]),
-    "corrected_evolve_theta": (
-        lambda t, gamma: corrected_evolve_theta(B, gamma, 0.9, 0.8, t, dt=0.5), ["gamma"]
-    ),
-    "corrected_evolve_omega": (
-        lambda t, gamma: corrected_evolve_omega(B, gamma, 0.3, 0.2, t, dt=0.5), ["gamma"]
-    ),
-    "corrected_state_theta_closed": (
-        lambda t, gamma: corrected_state_theta_closed(B, gamma, 0.9, 0.8, t), ["t", "gamma"]
-    ),
-    "corrected_state_omega_closed": (
-        lambda t, gamma: corrected_state_omega_closed(B, gamma, 0.3, 0.2, t), ["t", "gamma"]
-    ),
-    "qfi_theta_qec_closed": (lambda t, gamma: qfi_theta_qec_closed(B, gamma, t, 0.05), ["t", "gamma"]),
-    "qfi_omega_qec_closed": (lambda t, gamma: qfi_omega_qec_closed(B, gamma, t, 0.05), ["t", "gamma"]),
-    "cfi_theta_qec_closed": (lambda t, gamma: cfi_theta_qec_closed(B, gamma, t, 0.05), ["t", "gamma"]),
-    "cfi_omega_qec_closed": (lambda t, gamma: cfi_omega_qec_closed(B, gamma, t, 0.05), ["t", "gamma"]),
-    "qfi_theta_free_closed": (lambda t, gamma: qfi_theta_free_closed(B, gamma, t), ["t", "gamma"]),
-    "qfi_theta_unitary_controlled": (lambda t, gamma: qfi_theta_unitary_controlled(B, t), ["t"]),
-    "qfi_omega_unitary_controlled": (lambda t, gamma: qfi_omega_unitary_controlled(B, t), ["t"]),
-    "qfi_B_trajectory_averaged": (lambda t, gamma: qfi_B_trajectory_averaged(t, gamma), ["t", "gamma"]),
-    "bell_basis_distribution_theta_free": (
-        lambda t, gamma: bell_basis_distribution_theta_free(B, gamma, t, 0.3), ["t", "gamma"]
-    ),
-    "trajectory_distribution_B": (
-        lambda t, gamma: trajectory_distribution_B(B, gamma, t, 0.3), ["t", "gamma"]
-    ),
-    "outcome_probability theta": (
-        lambda t, gamma: outcome_probability(0.9, 0.8, B, gamma, t), ["t", "gamma"]
-    ),
-    "outcome_probability omega": (
-        lambda t, gamma: outcome_probability(0.3, 0.2, B, gamma, t, task="omega"), ["t", "gamma"]
-    ),
-    "AdaptiveConfig": (lambda t, gamma: AdaptiveConfig(0.9, 0.8, t=t, gamma=gamma), ["t", "gamma"]),
-    "cmd_qfi": (lambda t, gamma: cmd_qfi("theta", B, gamma, t, 3, [0.0], None), ["gamma"]),
-}
-_OUTSIDE_THE_DOMAIN = [
-    (name, arg, value)
-    for name, (_, args) in _DOMAIN_CALLS.items()
-    for arg in args
-    for value in (-1.0, np.inf, *_NON_NUMBERS)
-]
-
-
-@pytest.mark.parametrize("name, arg, value", _OUTSIDE_THE_DOMAIN, ids=_non_number_id)
-@pytest.mark.filterwarnings("error")
-def test_a_negative_or_infinite_time_or_rate_raises_domain_error(name, arg, value) -> None:
-    # Unrefused, a negative gamma gives p(+) = 1.05 in outcome_probability
-    # and a matrix with a negative eigenvalue in corrected_state_theta_closed,
-    # and an infinite t a NaN state or a NumericError in the closed forms.
-    # One function refuses both, with one message, and a non-number with another.
-    call = _DOMAIN_CALLS[name][0]
-    if isinstance(value, float):
-        message = f"{arg} must be >= 0 and finite, got {value}"
-    else:
-        message = f"{arg} must be a finite number, got {value!r}"
-    with pytest.raises(DomainError, match=re.escape(message)):
-        call(**{"t": T, "gamma": GAMMA, arg: value})
-
-
-# draw entry point -> (its call with draw count n, the least n it takes)
-_COUNT_CALLS = {
-    "sample_phases": (lambda n: sample_phases(B, GAMMA, T, n, _rng()), 1),
-    "trajectory_average_state": (lambda n: trajectory_average_state(B, GAMMA, T, 0.3, n, _rng()), 2),
-    "trajectory_outcome_probability": (lambda n: trajectory_outcome_probability(B, GAMMA, T, 0.3, n, _rng()), 1),
-    "cfi_trajectory_B": (lambda n: cfi_trajectory_B(B, GAMMA, T, 0.3, n, _rng()), 1),
-    "sample_omega_trajectories": (lambda n: sample_omega_trajectories(B, GAMMA, 0.3, T, 0.5, n, _rng()), 1),
-}
-_BAD_COUNTS = [(name, n) for name in _COUNT_CALLS for n in (-1, -1.0, np.inf, 0, 2.5, True)]
-
-
-@pytest.mark.parametrize("name, n", _BAD_COUNTS + [("trajectory_average_state", 1)])
-@pytest.mark.filterwarnings("error")
-def test_a_draw_count_below_its_least_or_not_an_integer_is_refused(name, n) -> None:
-    # Unrefused, a negative count raised numpy's bare ValueError, 0 averaged an
-    # empty slice to NaN, 1 gave trajectory_average_state NaN standard errors
-    # (ddof=1), 2.5 raised numpy's bare TypeError and True drew once.
-    call, least = _COUNT_CALLS[name]
-    with pytest.raises(DomainError) as err:
-        call(n)
-    if isinstance(n, int) and not isinstance(n, bool):
-        assert str(err.value) == f"n must be >= {least}, got {n}"
-    else:
-        assert str(err.value) == f"'n' must be an integer, got {n!r}"
-
-
-# (entry point, argument) -> its call with that argument at the given value
-_FINITE_CALLS = {
-    ("qfi_theta_free_closed", "B"): lambda v: qfi_theta_free_closed(v, GAMMA, T),
-    ("qfi_theta_unitary_controlled", "B"): lambda v: qfi_theta_unitary_controlled(v, T, 0.05),
-    ("qfi_theta_unitary_controlled", "dtheta"): lambda v: qfi_theta_unitary_controlled(B, T, v),
-    ("qfi_omega_unitary_controlled", "B"): lambda v: qfi_omega_unitary_controlled(v, T, 0.05),
-    ("qfi_omega_unitary_controlled", "domega"): lambda v: qfi_omega_unitary_controlled(B, T, v),
-    ("outcome_probability", "x"): lambda v: outcome_probability(v, 0.8, B, GAMMA, T),
-    ("outcome_probability", "x_hat"): lambda v: outcome_probability(0.9, v, B, GAMMA, T),
-    ("outcome_probability", "B"): lambda v: outcome_probability(0.3, 0.2, v, GAMMA, T, task="omega"),
-}
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, *_NON_NUMBERS], ids=_non_number_id)
-@pytest.mark.parametrize("name, arg", list(_FINITE_CALLS))
-@pytest.mark.filterwarnings("error")
-def test_a_non_finite_field_angle_or_estimate_is_refused_by_name(name, arg, value) -> None:
-    # Unrefused, these computed first: a NaN read "Fisher information is not
-    # finite" (a runtime NumericError) or "negative or NaN probability", and
-    # an infinity warned in numpy's sin or cos.
-    with pytest.raises(DomainError) as err:
-        _FINITE_CALLS[name, arg](value)
-    if isinstance(value, float):
-        assert str(err.value) == f"{arg} must be finite, got {value}"
-    else:
-        assert str(err.value) == f"{arg} must be a finite number, got {value!r}"
+def test_a_nan_probability_raises_domain_error() -> None:
+    # Probabilities are a computation's output, not an input, so the generated
+    # refusal cases of tests/test_refusals.py do not make them.
+    with pytest.raises(DomainError, match="negative or NaN probability"):
+        MeasurementDistribution([("+", float("nan")), ("-", 0.5)])
 
 
 # ---------------------------------------------------------------------------

@@ -194,43 +194,6 @@ def test_apply_recovery_refuses_a_non_finite_state(value) -> None:
             apply_recovery(code, np.full((4, 4), value), 0.4)
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
-def test_apply_recovery_refuses_a_non_finite_time(t) -> None:
-    # A bad input, not leakage (the CLI's exit 3): a static or a rotating
-    # code refuses the time it was given, sign and all.
-    for code in (theta_code(0.3), omega_code(1.2)):
-        with pytest.raises(DomainError, match=f"^frame time must be finite, got {t}$"):
-            apply_recovery(code, outer(code_probe(code)), t)
-
-
-_CONSTRUCTORS = {
-    "B": [lambda v: theta_model(v, GAMMA, 0.3), lambda v: omega_model(v, GAMMA, 0.3)],
-    "theta": [lambda v: theta_model(B, GAMMA, v), lambda v: corrected_state_theta_closed(B, GAMMA, v, 0.9, T)],
-    "theta_hat": [
-        theta_code,
-        lambda v: corrected_evolve_theta(B, GAMMA, 0.9, v, 0.1),
-        lambda v: corrected_state_theta_closed(B, GAMMA, 0.9, v, T),
-    ],
-    "omega": [lambda v: omega_model(B, GAMMA, v), lambda v: corrected_state_omega_closed(B, GAMMA, v, 0.9, T)],
-    "omega_hat": [
-        omega_code,
-        lambda v: corrected_evolve_omega(B, GAMMA, 0.9, v, 0.1),
-        lambda v: corrected_state_omega_closed(B, GAMMA, 0.9, v, T),
-    ],
-}
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", list(_CONSTRUCTORS))
-@pytest.mark.filterwarnings("error")
-def test_constructors_name_a_non_finite_field_or_angle(name, value) -> None:
-    # A field, angle or frequency, or its estimate, is refused by its own name
-    # before any matrix is built, so numpy never warns.
-    for build in _CONSTRUCTORS[name]:
-        with pytest.raises(DomainError, match=f"^{name} must be finite"):
-            build(value)
-
-
 def _correctable_state(code: QecCode, noise: np.ndarray, t: float) -> np.ndarray:
     # Probe and its noise image, at the code's time t: recovery keeps its trace.
     rho0 = outer(code_probe(code))
@@ -517,33 +480,7 @@ def test_corrected_evolve_theta_converges_first_order() -> None:
 
 def test_corrected_evolve_theta_step_errors() -> None:
     with pytest.raises(StepError):
-        corrected_evolve_theta(B, GAMMA, 0.8, np.pi / 4, T, dt=1e-3, n_recoveries=0)
-    with pytest.raises(StepError):
         corrected_evolve_theta(B, GAMMA, 0.8, np.pi / 4, T, dt=1e-3, n_recoveries=3)
-
-
-@pytest.mark.parametrize("n_recoveries", [None, 10])
-def test_corrected_evolve_theta_rejects_zero_step(n_recoveries) -> None:
-    with pytest.raises(StepError, match="dt must be positive"):
-        corrected_evolve_theta(B, GAMMA, 0.8, np.pi / 4, T, dt=0.0, n_recoveries=n_recoveries)
-
-
-@pytest.mark.parametrize("n_recoveries", [2.5, 2.0, "2", True])
-def test_corrected_evolve_refuses_a_non_integer_recovery_count(n_recoveries) -> None:
-    for evolve in (corrected_evolve_theta, corrected_evolve_omega):
-        with pytest.raises(StepError, match="n_recoveries must be an integer"):
-            evolve(0.1, 0.05, 0.8, 0.8, 1.0, n_recoveries=n_recoveries)
-
-
-@pytest.mark.parametrize("n_recoveries", [None, 2])
-def test_corrected_and_expansion_evolve_refuse_a_non_finite_duration(n_recoveries) -> None:
-    for evolve in (corrected_evolve_theta, corrected_evolve_omega):
-        with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
-            evolve(0.1, 0.05, 0.8, 0.8, np.inf, n_recoveries=n_recoveries)
-    code = theta_code(0.3)
-    report = expansion_superoperators(theta_model(B, GAMMA, 0.3), code)
-    with pytest.raises(DomainError, match="duration must be >= 0 and finite"):
-        expansion_evolve(report, outer(code_probe(code)), 0.05, np.inf)
 
 
 def test_corrected_state_theta_closed_qfi() -> None:
@@ -1116,9 +1053,6 @@ def test_asymptotic_qfi_domain_errors() -> None:
     outside = np.array([1, 0, 0, 0], dtype=complex)
     with pytest.raises(DomainError):
         asymptotic_qfi(report, outside, T)
-    for t in (-1.0, np.inf, np.nan):
-        with pytest.raises(DomainError, match="t must be >= 0"):
-            asymptotic_qfi(report, psi, t)
 
 
 def test_asymptotic_l2_nonpositive_random_probes() -> None:
