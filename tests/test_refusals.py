@@ -5,8 +5,8 @@ The cases are generated from the signatures, on one valid call per table entry (
 ``float`` is tried at nan, inf and -inf, at -1.0 where it is a duration or a rate, and at four values that
 are not numbers: '0.1', None, True and 10**400.  Each parameter annotated ``int`` is tried at 0, -1 and
 one below its least value (``_LEAST``) where they are below it, and at 2.5, 2.0, -1.0, inf, '2' and True.
-Each bad call is made twice, with every warning an error, and must raise the exact message that the
-parameter's name gives, or the name the alias table gives it:
+Each bad value is one case, whose call is made twice, with every warning an error, and must raise the
+exact message that the parameter's name gives, or the name the alias table gives it:
 
 * ``<name> must be >= 0 and finite, got <v>`` for a duration or a rate (``_NON_NEGATIVE``);
 * ``<name> must be finite, got <v>`` for any other real;
@@ -362,31 +362,36 @@ def test_every_valid_call_returns(name) -> None:
     fn(*args, **kwargs)
 
 
-def _wrong(key: str, param: str) -> list[str]:
-    """What each bad value of one parameter raised, twice, where it was not the expected refusal: a memo,
-    such as qec._memo_code's of a float estimate, keeps no refusal."""
+def _wrong(key: str, param: str, value) -> list[str]:
+    """What one bad value raised, twice, where it was not the expected refusal: a memo, such as
+    qec._memo_code's of a float estimate, keeps no refusal."""
     fn, wrong = _ALL[key][0], []
-    for value in _values(key, param):
-        bound = _arguments(key, param, value)
-        want = _expected(key, param, value, bound.arguments)
-        for _ in range(2):
-            try:
-                fn(*bound.args, **bound.kwargs)
-            except Exception as exc:  # a bare TypeError too, which a refusal should have named
-                if (type(exc), str(exc)) != want:
-                    wrong.append(f"{value!r:.20}: {type(exc).__name__}: {exc}")
-            else:
-                wrong.append(f"{value!r:.20}: returned")
+    bound = _arguments(key, param, value)
+    want = _expected(key, param, value, bound.arguments)
+    for _ in range(2):
+        try:
+            fn(*bound.args, **bound.kwargs)
+        except Exception as exc:  # a bare TypeError too, which a refusal should have named
+            if (type(exc), str(exc)) != want:
+                wrong.append(f"{type(exc).__name__}: {exc}")
+        else:
+            wrong.append("returned")
     return wrong
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name, param", _REALS, ids=[f"{key}-{param}" for key, param in _REALS])
-def test_a_real_out_of_its_domain_is_refused_by_name(name, param) -> None:
-    assert _wrong(name, param) == []
+def _triples(pairs: list[tuple[str, str]]) -> list:
+    """One case a bad value of each (callable, parameter), with its id."""
+    return [pytest.param(key, param, value, id=f"{key}-{param}-{'10**400' if value is _HUGE else repr(value)}")
+            for key, param in pairs for value in _values(key, param)]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name, param", _COUNTS, ids=[f"{key}-{param}" for key, param in _COUNTS])
-def test_a_count_out_of_its_domain_is_refused_by_name(name, param) -> None:
-    assert _wrong(name, param) == []
+@pytest.mark.parametrize("name, param, value", _triples(_REALS))
+def test_a_real_out_of_its_domain_is_refused_by_name(name, param, value) -> None:
+    assert _wrong(name, param, value) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, param, value", _triples(_COUNTS))
+def test_a_count_out_of_its_domain_is_refused_by_name(name, param, value) -> None:
+    assert _wrong(name, param, value) == []
