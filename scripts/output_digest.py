@@ -172,6 +172,14 @@ ROUTES = {
         )
         for hat in ("0.0", "-0.0")
     },
+    # Corrected runs of zero length, at one recovery a step, which once refused a recovery count of 0 that
+    # the caller never passed, and at an explicit count.
+    "corrected zero length": (
+        "refusals([lambda: qec.corrected_evolve_theta(0.1, 0.05, 0.9, 0.8, 0.0),"
+        " lambda: qec.corrected_evolve_omega(0.1, 0.05, 0.3, 0.25, 0.0),"
+        " lambda: qec.corrected_evolve_theta(0.1, 0.05, 0.9, 0.8, 0.0, n_recoveries=3),"
+        " lambda: qec.corrected_evolve_omega(0.1, 0.05, 0.3, 0.25, 0.0, n_recoveries=3)])"
+    ),
     "corrected_state_theta_closed": (
         "qec.corrected_state_theta_closed(0.1, 0.05, np.pi / 4 + 0.01, np.pi / 4, 5.0)"
     ),

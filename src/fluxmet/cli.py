@@ -212,9 +212,9 @@ def cmd_qfi(
     _check_number("t_max", t_max)
     if not 1e-9 < t_max < np.inf:  # the cross-check gate samples t > 1e-9
         raise DomainError(f"t_max must be finite and > 1e-9, got {t_max}")
-    _check_count("n_points", n_points)  # its type; the sweep's bounds are below
-    if not 2 <= n_points <= MAX_SWEEP_POINTS:
-        raise DomainError(f"points must be >= 2 and at most {MAX_SWEEP_POINTS}, got {n_points}")
+    _check_count("n_points", n_points, 2)
+    if n_points > MAX_SWEEP_POINTS:
+        raise DomainError(f"n_points must be at most {MAX_SWEEP_POINTS}, got {n_points}")
     for d in d_list:
         _check_domain(**{spec.symbol: d})
     ts = np.linspace(0.0, t_max, n_points)

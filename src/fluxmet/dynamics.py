@@ -16,8 +16,9 @@ the state's float64 row with the same three check columns (:func:`_checked_map`,
 :func:`_run` screens them per chunk of products and replays a failing product to name the step that failed.
 The stochastic picture draws the accumulated phase Phi = B t + phi with phi ~ Normal(0, gamma t), in
 :func:`sample_phases` alone, and averages pure-state trajectories.
-Every refusal of a real input is :func:`_check_domain`'s, which bounds it by its name alone (``_NON_NEGATIVE``),
-and every refusal of a count :func:`_check_count`'s; a step dt keeps its own bound, with :func:`_check_number`'s text.
+Every refusal of a real input is :func:`_check_domain`'s, which bounds it by its name alone (``_BOUNDS``): a
+duration or a rate ``>= 0``, a step ``dt`` or ``delta`` ``> 0``, and any other real finite only.  Every refusal of a
+count is :func:`_check_count`'s, at the least value its caller names.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ _CHUNK = 64  # most products of a run whose check columns one screen reads
 # Targets and largest gaps of the checks that end every checked map: the trace and the witness after its last
 # step, and the trace its recoveries lost, which a recovery's map returns alone.
 _TARGET, _LIMIT = np.array([1.0, 0.0, 0.0]), np.array([_TRACE_TOL, 1.0 + _TRACE_TOL, _TRACE_TOL])
-_FINITE = -float(np.finfo(float).max)  # the least finite float, the bound of a real not in _NON_NEGATIVE
-_NON_NEGATIVE = frozenset({"t", "gamma", "duration"})  # the names of a duration or a rate, which must be >= 0
+# (least value, bound a refusal states) of a real by its name (_BOUNDS), or of any other real (_FINITE).
+_STEP, _NON_NEGATIVE, _FINITE = (math.ulp(0.0), "> 0 and "), (0.0, ">= 0 and "), (-float(np.finfo(float).max), "")
+_BOUNDS = {"t": _NON_NEGATIVE, "gamma": _NON_NEGATIVE, "duration": _NON_NEGATIVE, "dt": _STEP, "delta": _STEP}
 _REALS = frozenset({float, np.float64})  # the types whose values _check_domain compares at once
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(complex)  # the two views of a state's rows
 _SIGMA1_I, _SIGMA2_I = kron(sigma1, eye2), kron(sigma2, eye2)  # the rotating model's axis and its derivative's
@@ -318,24 +320,23 @@ def _finite(value) -> bool:
 
 def _check_domain(**values: float) -> None:
     """The package's one refusal of real inputs, each given under the name its message uses: DomainError at the
-    first that is not a finite real number (see :func:`_finite`) or, under a name in ``_NON_NEGATIVE``, is < 0."""
+    first that is not a finite real number (see :func:`_finite`) or is below its name's least value (``_BOUNDS``)."""
     for name, value in values.items():
-        least = 0.0 if name in _NON_NEGATIVE else _FINITE
+        least, bound = _BOUNDS.get(name, _FINITE)
         if value.__class__ in _REALS and least <= value < math.inf or _finite(value) and value >= least:
             continue  # the first test takes a float or a numpy float64 at one compare, and fails NaN
         _check_number(name, value)
-        raise DomainError(f"{name} must be {'>= 0 and ' if least == 0 else ''}finite, got {value}")
+        raise DomainError(f"{name} must be {bound}finite, got {value}")
 
 
-def _check_number(name: str, value, error: type = DomainError) -> None:
-    """``error`` unless ``value`` is a float, inf and NaN too, or a finite real number (see :func:`_finite`)."""
+def _check_number(name: str, value) -> None:
+    """DomainError unless ``value`` is a float, inf and NaN too, or a finite real number (see :func:`_finite`)."""
     if not (isinstance(value, (float, np.floating)) or _finite(value)):
-        raise error(f"{name} must be a finite number, got {value!r}")
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
 
 
-def _check_count(name: str, value: int, least: float = -math.inf) -> None:
-    """The package's one refusal of a count: DomainError unless ``value`` is an int or numpy integer >= ``least``
-    (any, by default), and not a bool."""
+def _check_count(name: str, value: int, least: int) -> None:
+    """The package's one refusal of a count: DomainError unless ``value`` is an int or numpy integer >= ``least``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise DomainError(f"{name!r} must be an integer, got {value!r}")
     if value < least:
@@ -344,12 +345,8 @@ def _check_count(name: str, value: int, least: float = -math.inf) -> None:
 
 def fixed_steps(t: float, dt: float) -> int:
     """Number of steps dt > 0 that make up the finite duration t >= 0, by the one rule of every fixed-step loop: t is
-    an integer multiple of dt (within 1e-9), a positive t takes at least one step, and a dt that is not a number or
-    not > 0 is the integrator's StepError."""
-    _check_number("dt", dt, StepError)
-    if not dt > 0:
-        raise StepError(f"dt must be positive, got {dt}")
-    _check_domain(duration=t)
+    an integer multiple of dt (within 1e-9), and a positive t takes at least one step."""
+    _check_domain(dt=dt, duration=t)
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9 or (n_steps == 0 and t > 0):
         raise StepError(f"duration t={t} is not an integer multiple of dt={dt}")

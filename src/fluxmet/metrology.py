@@ -11,9 +11,9 @@ against each other in the test suite:
 Scalar helpers with removable singularities at zero detuning are evaluated
 by series below a crossover argument; the series are carried to enough
 orders that both branches agree to machine precision at the crossover.
-Each entry point names all its reals in one ``dynamics._check_domain`` call, which takes t and gamma
-as >= 0 and finite and any other name as finite; ``_check_count`` refuses a bad draw count n, and
-``Coherence.p_plus`` checks none.
+Each entry point names all its reals in one ``dynamics._check_domain`` call, which bounds each by its name:
+t and gamma >= 0, a finite difference's step delta > 0 (whose square must also be finite), and any other
+name finite only; ``Coherence.p_plus`` checks none.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _check_domain, _check_number, sample_phases
+from .dynamics import _check_domain, _finite, sample_phases
 from .errors import DimensionError, DomainError, NonHermitianError, NumericError
 from .qmat import check_density_matrix, hermitian_eig, sqrtm_psd
 
@@ -54,9 +54,9 @@ class MeasurementDistribution:
     outcomes: list[tuple[str, float]]
 
     def __post_init__(self) -> None:
+        if not all(_finite(p) and p >= -1e-12 for _, p in self.outcomes):
+            raise DomainError(f"negative or non-finite probability in {self.outcomes!r}")
         probs = np.array([p for _, p in self.outcomes], dtype=float)
-        if not np.all(probs >= -1e-12):  # NaN fails too
-            raise DomainError(f"negative or NaN probability in {self.outcomes!r}")
         if not abs(probs.sum() - 1.0) <= 1e-12:
             raise DomainError(f"probabilities sum to {probs.sum()!r}, expected 1")
 
@@ -165,21 +165,22 @@ def fidelity_qubit(r1: np.ndarray, r2: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float | None = None) -> np.ndarray:
-    """Symmetric logarithmic derivative L solving drho = (L rho + rho L)/2.
+def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
+    """Symmetric logarithmic derivative L solving drho = (L rho + rho L)/2: in the eigenbasis of ``rho``,
+    L_ij = 2 drho_ij / (lam_i + lam_j) on pairs whose lam_i + lam_j is above the cut, 1e-12 times the largest
+    eigenvalue, and 0 on the others."""
+    return _sld(rho, drho, 0.0)
 
-    In the eigenbasis of ``rho``, L_ij = 2 drho_ij / (lam_i + lam_j) on pairs
-    with lam_i + lam_j above ``kernel_tol`` (default 1e-12 times the largest
-    eigenvalue); matrix elements on the kernel are set to zero.
-    """
+
+def _sld(rho: np.ndarray, drho: np.ndarray, floor: float) -> np.ndarray:
+    """:func:`sld` with its cut raised to at least ``floor``, where :func:`qfi_sld_numeric` sets it."""
     drho = np.asarray(drho, dtype=complex)
     if np.max(np.abs(drho - drho.conj().T)) > 1e-8:
         raise NonHermitianError("drho must be Hermitian")
     if abs(np.trace(drho)) > 1e-8:
         raise DomainError(f"drho must be traceless, got trace {np.trace(drho)!r}")
     w, v = hermitian_eig(rho)
-    if kernel_tol is None:
-        kernel_tol = 1e-12 * max(w[-1], 0.0)
+    kernel_tol = max(floor, 1e-12 * max(w[-1], 0.0))
     dr = v.conj().T @ drho @ v
     denom = w[:, None] + w[None, :]
     ell = np.where(denom > kernel_tol, 2.0 * dr / np.where(denom > kernel_tol, denom, 1.0), 0.0)
@@ -187,10 +188,17 @@ def sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float | None = None) -> n
     return 0.5 * (out + out.conj().T)
 
 
-def qfi_sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float | None = None) -> FisherResult:
+def qfi_sld(rho: np.ndarray, drho: np.ndarray) -> FisherResult:
     """Quantum Fisher information Tr(rho L^2) via the SLD."""
-    ell = sld(rho, drho, kernel_tol=kernel_tol)
+    ell = sld(rho, drho)
     return FisherResult(float(np.trace(rho @ ell @ ell).real))
+
+
+def _check_step(delta: float) -> None:
+    """A finite difference's step: > 0 and finite by its name, and with a finite square as a float."""
+    _check_domain(delta=delta)
+    if not float(delta) * float(delta) < np.inf:  # an int's square is exact, a float64's warns as it overflows
+        raise DomainError(f"delta must be positive with a finite square, got {delta}")
 
 
 def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
@@ -209,9 +217,7 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
     directions are excluded from the bare SLD so their spurious radial terms
     do not double-count.  Families of constant rank are unaffected.
     """
-    _check_number("delta", delta)
-    if delta <= 0 or (delta < np.inf and not delta * delta < np.inf):  # the family names NaN, inf
-        raise DomainError(f"delta must be positive with a finite square, got {delta}")
+    _check_step(delta)
     rho, rho_p, rho_m = state_map(x), state_map(x + delta), state_map(x - delta)
     d1 = (rho_p - rho_m) / (2 * delta)
     d2 = (state_map(x + delta / 2) - state_map(x - delta / 2)) / delta
@@ -236,23 +242,20 @@ def qfi_sld_numeric(state_map, x: float, delta: float = 1e-4) -> FisherResult:
         return qfi_sld(rho, drho)
     # Midpoint between the largest vanishing pair sum and the smallest
     # vanishing+support pair sum: zeroes kernel blocks, keeps cross terms.
-    kernel_tol = max(1.5 * w0[k - 1] + 0.5 * w0[k], 1e-12 * lam_max)
-    base = qfi_sld(rho, drho, kernel_tol=kernel_tol)
+    ell = _sld(rho, drho, 1.5 * w0[k - 1] + 0.5 * w0[k])
+    base = FisherResult(float(np.trace(rho @ ell @ ell).real))
     # A branch still at round-off at x +- delta (the kernel of a pure family)
     # has no curvature to measure.
     bent = np.flatnonzero(np.maximum(wp[:k], wm[:k]) > 1e-14 * lam_max)
     curv = (np.sum(wp[bent]) + np.sum(wm[bent]) - 2.0 * np.sum(w0[bent])) / delta**2
     # Eigenvalue curvature at an interior zero of a nonnegative spectrum
     # cannot be negative; a negative estimate is eigensolver noise.
-    value = base.value + max(2.0 * curv, 0.0)
-    return FisherResult(value)
+    return FisherResult(base.value + max(2.0 * curv, 0.0))
 
 
 def qfi_fidelity_fd(state_map, x: float, delta: float = 1e-3) -> FisherResult:
     """QFI from the infinitesimal Bures distance: 8 (1 - F(rho_x, rho_x+d))/d^2."""
-    _check_number("delta", delta)
-    if delta <= 0 or (delta < np.inf and not delta * delta < np.inf):  # the family names NaN, inf
-        raise DomainError(f"delta must be positive with a finite square, got {delta}")
+    _check_step(delta)
     f = fidelity(state_map(x), state_map(x + delta))
     if f > 1 + 1e-8:
         raise NumericError(f"fidelity {f!r} exceeds 1 beyond tolerance")

@@ -5,7 +5,8 @@ protect a two-dimensional code space of the probe+ancilla pair against the noise
 with the recovery {P, P sigma_n}, one checked real map.  A code is data: its t = 0 code words and recovery and, for
 a rotating code, the diagonal of its frame generator, applied through ``dynamics.in_frame``.  Stepwise corrected
 evolution (:func:`_corrected_evolve`) and the continuous-recovery closed state are written once for both codes, on
-a code built once per estimate (``_memo_code``).
+a code built once per estimate (``_memo_code``).  A run recovers once a step, or ``n_recoveries`` times, a count
+>= 1 (``dynamics._check_count``); a run of zero length at one recovery a step runs no interval.
 
 The general engine (``check_qec_conditions`` -> ``expansion_superoperators`` -> ``asymptotic_qfi``) takes any
 model with explicit first and second parameter derivatives to the second-order expansion of the recovered
@@ -30,6 +31,7 @@ from .dynamics import (
     _REAL,
     _SIGMA1_I,
     _block_map,
+    _check_count,
     _check_domain,
     _checked_map,
     _frame_rate,
@@ -53,7 +55,6 @@ from .errors import (
     DomainError,
     NumericError,
     QecConditionError,
-    StepError,
 )
 from .metrology import OMEGA_COHERENCE, THETA_COHERENCE, Coherence, FisherResult
 from .qmat import eye2
@@ -207,13 +208,11 @@ def _corrected_evolve(
     floats of the state's coordinates in the code words (:func:`_fused_polynomial`), and the last n_recoveries % 4
     intervals are one more product, as ``_steps`` ends a run with one block for the rest.
     """
-    n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries
-    if not isinstance(n_rec, (int, np.integer)) or isinstance(n_rec, bool):
-        raise StepError(f"n_recoveries must be an integer, got {n_rec!r}")
-    if n_rec < 1:
-        raise StepError(f"n_recoveries must be >= 1, got {n_rec}")
-    _check_domain(duration=t)  # once, by fixed_steps' name for it, not each interval's t / n_recoveries
-    interval = t / n_rec
+    if n_recoveries is not None:
+        _check_count("n_recoveries", n_recoveries, 1)
+    _check_domain(duration=t)  # by fixed_steps' name for it, not as the interval t / n_recoveries
+    n_rec = fixed_steps(t, dt) if n_recoveries is None else n_recoveries  # 0 at t = 0: no interval runs
+    interval = t / max(n_rec, 1)
     s = fixed_steps(interval, dt)  # StepError unless dt divides the interval
     rate = code._rate if model._rate is None else -model._rate if code._rate is None else code._rate - model._rate
 

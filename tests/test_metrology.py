@@ -215,8 +215,10 @@ def test_qfi_fidelity_fd_corrected_family() -> None:
 @pytest.mark.parametrize("route", [qfi_sld_numeric, qfi_fidelity_fd])
 def test_a_step_whose_square_overflows_is_refused_by_name(route) -> None:
     # A finite delta above about 1.3e154 once raised a bare OverflowError
-    # from delta**2; it is refused by name before the family is evaluated.
-    # A NaN or infinite delta still reaches the family, which names it.
+    # from delta**2, or, as an int or a numpy float64, an OverflowError or an
+    # overflow warning; it is refused by name before the family is evaluated,
+    # as is a delta that is not > 0 and finite, which once reached the
+    # family at NaN or inf and was named as its theta.
     calls = []
 
     def family(th: float) -> np.ndarray:
@@ -225,14 +227,15 @@ def test_a_step_whose_square_overflows_is_refused_by_name(route) -> None:
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for delta in (1e300, 1.4e154, -1.0, 0.0):
+        for delta in (1e300, 1.4e154, np.float64(1e200), 10**200):
             message = f"delta must be positive with a finite square, got {delta}"
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 route(family, 0.7, delta)
-        assert calls == []
-        for delta in (np.nan, np.inf):
-            with pytest.raises(DomainError, match="^theta must be finite"):
+        for delta in (-1.0, 0.0, np.nan, np.inf):
+            message = f"delta must be > 0 and finite, got {delta}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 route(family, 0.7, delta)
+        assert calls == []
     assert route(family, 0.7, 1e-4).value > 0
 
 
@@ -285,9 +288,11 @@ def test_cfi_trajectory_B_draws_through_sample_phases(seed, gamma, t) -> None:
 
 def test_a_nan_probability_raises_domain_error() -> None:
     # Probabilities are a computation's output, not an input, so the generated
-    # refusal cases of tests/test_refusals.py do not make them.
-    with pytest.raises(DomainError, match="negative or NaN probability"):
-        MeasurementDistribution([("+", float("nan")), ("-", 0.5)])
+    # refusal cases of tests/test_refusals.py do not make them.  A string
+    # probability once constructed, and 10**400 raised a bare OverflowError.
+    for p in (float("nan"), "0.5", 10**400, -1.0):
+        with pytest.raises(DomainError, match="negative or non-finite probability"):
+            MeasurementDistribution([("+", p), ("-", 0.5)])
 
 
 # ---------------------------------------------------------------------------

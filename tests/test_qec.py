@@ -483,6 +483,17 @@ def test_corrected_evolve_theta_step_errors() -> None:
         corrected_evolve_theta(B, GAMMA, 0.8, np.pi / 4, T, dt=1e-3, n_recoveries=3)
 
 
+@pytest.mark.parametrize("evolve, closed, x, x_hat", [
+    (corrected_evolve_theta, corrected_state_theta_closed, 0.9, 0.8),
+    (corrected_evolve_omega, corrected_state_omega_closed, 0.3, 0.25),
+])
+def test_a_corrected_run_of_zero_length_returns_the_probe(evolve, closed, x, x_hat) -> None:
+    # At one recovery a step, t = 0 once asked for a recovery count of 0 and
+    # refused it, though the caller passed none; it runs no interval.
+    got = evolve(0.1, 0.05, x, x_hat, 0.0)
+    assert np.max(np.abs(got - closed(0.1, 0.05, x, x_hat, 0.0))) <= 1e-15
+
+
 def test_corrected_state_theta_closed_qfi() -> None:
     def family(th: float) -> np.ndarray:
         return corrected_state_theta_closed(B, GAMMA, th, np.pi / 4, T)

@@ -2,21 +2,23 @@
 
 The cases are generated from the signatures, on one valid call per table entry (every callable of
 ``fluxmet.__all__``, and the public functions the package does not export).  Each parameter annotated
-``float`` is tried at nan, inf and -inf, at -1.0 where it is a duration or a rate, and at four values that
-are not numbers: '0.1', None, True and 10**400.  Each parameter annotated ``int`` is tried at 0, -1 and
-one below its least value (``_LEAST``) where they are below it, and at 2.5, 2.0, -1.0, inf, '2' and True.
+``float`` is tried at nan, inf and -inf, at -1.0 where it is a duration or a rate and at 0.0 and -1.0 where
+it is a step (``_BOUNDS``), and at four values that are not numbers: '0.1', None, True and 10**400.  Each
+parameter annotated ``int`` is tried at 0, -1 and one below its least value (``_LEAST``) where they are below
+it, and at 2.5, 2.0, -1.0, inf, '2' and True.
 Each bad value is one case, whose call is made twice, with every warning an error, and must raise the
 exact message that the parameter's name gives, or the name the alias table gives it:
 
-* ``<name> must be >= 0 and finite, got <v>`` for a duration or a rate (``_NON_NEGATIVE``);
+* ``<name> must be >= 0 and finite, got <v>`` for a duration or a rate;
+* ``<name> must be > 0 and finite, got <v>`` for a step;
 * ``<name> must be finite, got <v>`` for any other real;
 * ``<name> must be a finite number, got <repr>`` for a real that is not a number;
 * ``'<name>' must be an integer, got <repr>`` or ``<name> must be >= <least>, got <v>`` for a count.
 
-The five parameters with a rule of their own (``_OWN_RULES``) are the integrator's step and recovery count,
-refused as a ``StepError``, a finite difference's step, and the sweep's length and number of points.  A guard
-holds the table to every public function and class of ``dynamics``, ``metrology``, ``qec``, ``estimation``
-and ``cli`` that takes a real or a count, or to an excuse with its reason.
+The three parameters with a rule of their own (``_OWN_RULES``) are a finite difference's step, whose square
+must be finite, the sweep's length, and its number of points, which has a cap.  A guard holds the table to
+every public function and class of ``dynamics``, ``metrology``, ``qec``, ``estimation`` and ``cli`` that
+takes a real or a count, or to an excuse with its reason, and each own rule and edge to a tried parameter.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import pytest
 
 import fluxmet
 from fluxmet import cli, dynamics, estimation, metrology, qec
-from fluxmet.errors import DomainError, StepError
+from fluxmet.errors import DomainError
 
 _RHO = np.outer(dynamics.bell_probe(), dynamics.bell_probe().conj())
 _THETA_MODEL, _THETA_CODE = dynamics.theta_model(0.1, 0.05, 0.3), qec.theta_code(0.3)
@@ -180,7 +182,9 @@ _ALIASES = {
     "qfi_sld_numeric": _FAMILY,
     "qfi_fidelity_fd": _FAMILY,
 }
-_NON_NEGATIVE = {"t", "gamma", "duration"}  # the names of a duration or a rate, refused below 0 too
+# The bound a name puts on a real beyond being finite, and the values below it that it is tried at.
+_BOUNDS = {**dict.fromkeys(("t", "gamma", "duration"), ">= 0 and "), **dict.fromkeys(("dt", "delta"), "> 0 and ")}
+_BELOW = {">= 0 and ": [-1.0], "> 0 and ": [0.0, -1.0]}
 # The least value of each count, by name, or by (callable, name) where the callable's differs.
 _LEAST = {"n": 1, ("trajectory_average_state", "n"): 2, "m": 1, "rounds": 1, "seed": 0, "repetitions": 1,
           "dim": 2, "n_points": 2, "n_recoveries": 1}
@@ -197,7 +201,7 @@ def _real(label: str, value) -> str:
     """The message of the rule every real follows."""
     if not _is_number(value):
         return f"{label} must be a finite number, got {value!r}"
-    return f"{label} must be {'>= 0 and ' if label in _NON_NEGATIVE else ''}finite, got {value}"
+    return f"{label} must be {_BOUNDS.get(label, '')}finite, got {value}"
 
 
 def _count(label: str, value, least: int) -> str:
@@ -207,54 +211,28 @@ def _count(label: str, value, least: int) -> str:
     return f"{label} must be >= {least}, got {value}"
 
 
-def _dt(value, arguments) -> str:
-    # An infinite step leaves no whole number of steps in the duration, or in the interval of a recovery.
-    if not _is_number(value):
-        return f"dt must be a finite number, got {value!r}"
-    if value > 0:
-        duration = arguments["t"] / (arguments.get("n_recoveries") or 1)
-        return f"duration t={duration} is not an integer multiple of dt={value}"
-    return f"dt must be positive, got {value}"
+def _delta(value) -> str:
+    if _is_number(value) and 0 < value < np.inf:  # a finite step whose square overflows
+        return f"delta must be positive with a finite square, got {value}"
+    return _real("delta", value)
 
 
-def _delta(value, arguments) -> str:
-    # x + delta reaches the family, whose theta names a NaN or an infinite step.
-    if not _is_number(value):
-        return f"delta must be a finite number, got {value!r}"
-    if not value <= 0 and not value < np.inf:
-        return _real("theta", value)
-    return f"delta must be positive with a finite square, got {value}"
-
-
-def _t_max(value, arguments) -> str:
+def _t_max(value) -> str:
     if not _is_number(value):
         return _real("t_max", value)
     return f"t_max must be finite and > 1e-9, got {value}"
 
 
-def _n_points(value, arguments) -> str:
-    if not isinstance(value, int) or value is True:
-        return _count("n_points", value, 2)
-    return f"points must be >= 2 and at most {cli.MAX_SWEEP_POINTS}, got {value}"
+def _n_points(value) -> str:
+    if isinstance(value, int) and value is not True and value > cli.MAX_SWEEP_POINTS:
+        return f"n_points must be at most {cli.MAX_SWEEP_POINTS}, got {value}"
+    return _count("n_points", value, 2)
 
 
-def _n_recoveries(value, arguments) -> str:
-    if not isinstance(value, int) or value is True:
-        return f"n_recoveries must be an integer, got {value!r}"
-    return f"n_recoveries must be >= 1, got {value}"
-
-
-# parameter -> (what it raises, its message of a value and the call's arguments), for the parameters
-# whose bounds are not a name's, and the values beyond the common ones that probe those bounds.
-_OWN_RULES = {
-    "dt": (StepError, _dt),
-    "n_recoveries": (StepError, _n_recoveries),
-    "delta": (DomainError, _delta),
-    "t_max": (DomainError, _t_max),
-    "n_points": (DomainError, _n_points),
-}
-_EDGES = {"dt": [0.0, -1.0], "delta": [0.0, -1.0, 1e200], "t_max": [1e-9, -1.0],
-          "n_points": [cli.MAX_SWEEP_POINTS + 1]}
+# parameter -> its message of a value, for the parameters whose bounds are not a name's alone, and the values
+# beyond the common ones that probe those bounds.
+_OWN_RULES = {"delta": _delta, "t_max": _t_max, "n_points": _n_points}
+_EDGES = {"delta": [1e200], "t_max": [1e-9, -1.0], "n_points": [cli.MAX_SWEEP_POINTS + 1]}
 
 # (callable, parameter) -> why no case tries it.
 _RESULT = "a field of a result the package returns, not an input"
@@ -272,8 +250,6 @@ _EXCUSED = {
     ("sigma_n_omega", "t"): _AXIS,
     ("cmd_adapt", "seed"): "an override handed to AdaptiveConfig, whose seed is tried",
     ("cmd_adapt", "reps"): "an override handed to check_campaign_size, whose repetitions are tried",
-    ("sld", "kernel_tol"): "an eigenvalue threshold qfi_sld_numeric derives; a caller's is not checked",
-    ("qfi_sld", "kernel_tol"): "an eigenvalue threshold qfi_sld_numeric derives; a caller's is not checked",
 }
 _MODULES = (dynamics, metrology, qec, estimation, cli)
 
@@ -301,21 +277,20 @@ def _values(key: str, param: str) -> list:
         least = _least(name, param)
         values = [value for value in dict.fromkeys((0, -1, least - 1)) if value < least] + _NOT_COUNTS
     else:
-        values = [np.nan, np.inf, -np.inf, *([-1.0] if label in _NON_NEGATIVE else []), *_NON_NUMBERS]
+        values = [np.nan, np.inf, -np.inf, *_BELOW.get(_BOUNDS.get(label), []), *_NON_NUMBERS]
     values += _EDGES.get(param, [])
     optional = inspect.signature(fn).parameters[param].default is None
     return [value for value in values if not (optional and value is None)]
 
 
-def _expected(key: str, param: str, value, arguments) -> tuple[type, str]:
+def _expected(key: str, param: str, value) -> str:
     name = key.split("/")[0]
     label = _ALIASES.get(name, {}).get(param, param)
     if param in _OWN_RULES:
-        raises, message = _OWN_RULES[param]
-        return raises, message(value, arguments)
+        return _OWN_RULES[param](value)
     if _numbers(_ALL[key][0])[param] == "int":
-        return DomainError, _count(label, value, _least(name, param))
-    return DomainError, _real(label, value)
+        return _count(label, value, _least(name, param))
+    return _real(label, value)
 
 
 def _arguments(key: str, param: str, value) -> inspect.BoundArguments:
@@ -353,6 +328,7 @@ def test_every_real_and_count_is_tried_or_excused() -> None:
     tried = {(key.split("/")[0], param) for key, param in _CASES}
     assert sorted(_public() - tried - set(_EXCUSED)) == []
     assert sorted(set(_EXCUSED) - _public()) == []
+    assert sorted((set(_OWN_RULES) | set(_EDGES)) - {param for _, param in tried}) == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -367,7 +343,7 @@ def _wrong(key: str, param: str, value) -> list[str]:
     qec._memo_code's of a float estimate, keeps no refusal."""
     fn, wrong = _ALL[key][0], []
     bound = _arguments(key, param, value)
-    want = _expected(key, param, value, bound.arguments)
+    want = DomainError, _expected(key, param, value)
     for _ in range(2):
         try:
             fn(*bound.args, **bound.kwargs)

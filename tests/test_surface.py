@@ -76,8 +76,10 @@ _REMOVED_NAMES = {
 
 # Tolerance keywords that were only ever called with their default,
 # arguments that no caller passed, the frame diagonal that in_frame
-# took before it took the phase rate each model and code keeps, and the
-# bound that each caller of _check_domain chose before the name chose it.
+# took before it took the phase rate each model and code keeps, the
+# bound that each caller of _check_domain chose before the name chose it,
+# the SLD's eigenvalue cut that only qfi_sld_numeric set, and the error
+# class that only the integrator's step chose before its name bounded it.
 _REMOVED_KEYWORDS = [
     (qmat.sqrtm_psd, "neg_tol"),
     (qmat.sqrtm_psd, "clamp_tol"),
@@ -95,6 +97,9 @@ _REMOVED_KEYWORDS = [
     (metrology.cfi, "delta"),
     (metrology.cfi_trajectory_B, "delta"),
     (dynamics._check_domain, "least"),
+    (metrology.sld, "kernel_tol"),
+    (metrology.qfi_sld, "kernel_tol"),
+    (dynamics._check_number, "error"),
 ]
 
 
